@@ -31,15 +31,20 @@ class OracleRefusal(ValueError):
 class Problem:
     """A shipped test problem: model, ground truth, and oracle access.
 
-    ``matrix`` is the dense operator for linear problems; nonlinear problems
-    provide ``dense_jacobian`` (x -> dense A_x) instead. ``params`` records
-    enough to reconstruct the instance.
+    ``operator`` is the matrix-free pair (K v, K^T w) of a linear problem and
+    is None for nonlinear ones. ``matrix`` is the dense array the problem
+    already holds, if any: the diagonal problem holds one, the convolution
+    problem holds none. Dense access goes through ``jacobian_matrix``, which
+    returns ``matrix`` when present and otherwise builds the operator with
+    ``dense_jacobian`` (x -> dense A_x; linear problems ignore x) on demand.
+    ``params`` records enough to reconstruct the instance.
     """
 
     model: ForwardModel
     truth: np.ndarray
     kind: str
     params: dict
+    operator: tuple[Callable, Callable] | None = None
     matrix: np.ndarray | None = None
     dense_jacobian: Callable | None = None
 
@@ -56,9 +61,12 @@ class Problem:
             return self.matrix
         if self.dense_jacobian is None:
             raise OracleRefusal("problem carries no dense operator access")
-        if x is None:
-            raise ContractError("nonlinear problem needs a linearization point")
-        return self.dense_jacobian(np.asarray(x, dtype=float))
+        if self.operator is None:
+            if x is None:
+                raise ContractError(
+                    "nonlinear problem needs a linearization point")
+            x = np.asarray(x, dtype=float)
+        return self.dense_jacobian(x)
 
 
 def two_bump_profile(m, centers=(0.30, 0.72), widths=(0.12, 0.09),
@@ -116,15 +124,14 @@ def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0,
     a = (v * sigma) @ u.T
     truth = two_bump_profile(m)
 
-    def linearize(_x):
-        return (lambda vec: a @ vec), (lambda w: a.T @ w)
-
-    model = ForwardModel(m, n, lambda x: a @ x, linearize, name="diagonal")
+    operator = (lambda vec: a @ vec), (lambda w: a.T @ w)
+    model = ForwardModel(m, n, lambda x: a @ x, lambda _x: operator,
+                         name="diagonal")
     return Problem(
         model=model, truth=truth, kind="diagonal",
         params={"m": m, "n": n, "decay_a": decay_a, "scale": scale,
                 "seed": seed},
-        matrix=a,
+        operator=operator, matrix=a,
     )
 
 
@@ -135,6 +142,9 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     Fourier symbol values and every non-constant, non-Nyquist mode comes as
     a cosine/sine pair with a doubly degenerate eigenvalue. The symbol is
     floored at 1e-14 of its peak to keep full rank.
+
+    The operator is applied by FFT in O(n log n) and the problem holds no
+    dense matrix; ``jacobian_matrix()`` builds the n x n circulant on demand.
     """
     if n < 8:
         raise ContractError(f"grid size must be at least 8, got {n}")
@@ -153,17 +163,16 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     def apply(x):
         return np.fft.irfft(np.fft.rfft(x) * symbol, n)
 
-    def linearize(_x):
-        return apply, apply
-
     jitter = rng.uniform(-0.03, 0.03, size=2)
     truth = two_bump_profile(n, centers=(0.30 + jitter[0], 0.72 + jitter[1]))
 
-    model = ForwardModel(n, n, apply, linearize, name="convolution")
+    model = ForwardModel(n, n, apply, lambda _x: (apply, apply),
+                         name="convolution")
     return Problem(
         model=model, truth=truth, kind="convolution",
         params={"n": n, "kernel_width": kernel_width, "seed": seed},
-        matrix=scipy.linalg.circulant(kernel_eff),
+        operator=(apply, apply),
+        dense_jacobian=lambda _x: scipy.linalg.circulant(kernel_eff),
     )
 
 
@@ -171,39 +180,40 @@ def convolution_symbol(problem: Problem):
     """Fourier symbol (eigenvalues by frequency) of a convolution problem."""
     if problem.kind != "convolution":
         raise ContractError("not a convolution problem")
-    n = problem.model.domain_dim
-    return np.fft.rfft(problem.matrix[:, 0]).real
+    return np.fft.rfft(problem.jacobian_matrix()[:, 0]).real
 
 
 def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
     """Nonlinear model F(x) = K s(x) with s(t) = t + c3 t^3 around a linear K.
 
     The Jacobian is A_x = K diag(s'(x)) with s'(t) = 1 + 3 c3 t^2, applied
-    and adjointed matrix-free. c3 = 0 degenerates to the base model exactly.
-    The default c3 = 0.1 keeps a frozen linearization usable across the
-    build schedule; much stronger cubics make stale Jacobians diverge under
-    small regularization.
+    and adjointed matrix-free through the base problem's own (K, K^T) pair,
+    so every model call costs what a base apply costs: a dense GEMV on the
+    diagonal base, O(n log n) FFTs on the convolution base. c3 = 0
+    degenerates to the base model exactly. The default c3 = 0.1 keeps a
+    frozen linearization usable across the build schedule; much stronger
+    cubics make stale Jacobians diverge under small regularization.
     """
-    if base.matrix is None:
+    if base.operator is None:
         raise ContractError("composite needs a linear base problem")
     if c3 < 0:
         raise ContractError("c3 must be nonnegative")
-    k_mat = base.matrix
+    k_apply, k_adjoint = base.operator
     m = base.model.domain_dim
     n = base.model.range_dim
     c3 = float(c3)
 
     def evaluate(x):
-        return k_mat @ (x + c3 * x ** 3)
+        return k_apply(x + c3 * x ** 3)
 
     def linearize(x):
         sp = 1.0 + 3.0 * c3 * x ** 2
 
         def apply(v):
-            return k_mat @ (sp * v)
+            return k_apply(sp * v)
 
         def adjoint(w):
-            return sp * (k_mat.T @ w)
+            return sp * k_adjoint(w)
 
         return apply, adjoint
 
@@ -216,7 +226,8 @@ def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
         truth=base.truth.copy() if truth is None else as_vector(truth, m, "truth"),
         kind=f"nonlinear-{base.kind}",
         params=params,
-        dense_jacobian=lambda x: k_mat * (1.0 + 3.0 * c3 * x ** 2),
+        dense_jacobian=lambda x: (base.jacobian_matrix()
+                                  * (1.0 + 3.0 * c3 * x ** 2)),
     )
 
 
@@ -236,6 +247,12 @@ def noise_sigma_for_level(y, level):
     return level * np.linalg.norm(y) / np.sqrt(y.shape[0])
 
 
+def _check_oracle_dim(dim):
+    if dim > DENSE_ORACLE_MAX_DIM:
+        raise OracleRefusal(f"domain dimension {dim} exceeds the dense cap "
+                            f"{DENSE_ORACLE_MAX_DIM}")
+
+
 class DenseOracle:
     """Direct dense computations: exact Tikhonov solves, spectra, traces.
 
@@ -247,16 +264,15 @@ class DenseOracle:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2:
             raise ContractError("oracle needs a dense 2-D operator")
-        if a.shape[1] > DENSE_ORACLE_MAX_DIM:
-            raise OracleRefusal(
-                f"domain dimension {a.shape[1]} exceeds the dense cap "
-                f"{DENSE_ORACLE_MAX_DIM}")
+        _check_oracle_dim(a.shape[1])
         self.a = a
         self.gram = a.T @ a
         self._eig = None
 
     @classmethod
     def for_problem(cls, problem: Problem, x=None):
+        # refuse before jacobian_matrix may build a large dense operator
+        _check_oracle_dim(problem.model.domain_dim)
         return cls(problem.jacobian_matrix(x))
 
     def gram_spectrum(self):

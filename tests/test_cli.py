@@ -8,10 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from iterreg import cli
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
                          run_method, run_single, run_stopping_study,
                          run_work_precision)
+from iterreg.testbed import make_convolution_problem
 
 BASE = """
 [problem]
@@ -121,6 +123,23 @@ def test_build_data_noise_levels():
     y_obs, sigma, delta = build_data(quiet, build_problem(quiet))
     assert sigma == 0.0 and delta == 0.0
     np.testing.assert_array_equal(y_obs, exact)
+
+
+def test_convolution_build_holds_no_dense_operator(monkeypatch):
+    # The composite runs on the base's FFT apply, so building the 2048-point
+    # problem must not allocate the n x n circulant.
+    bases = []
+
+    def recording_base(**kwargs):
+        bases.append(make_convolution_problem(**kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(cli, "make_convolution_problem", recording_base)
+    cfg = ExperimentConfig.from_text(
+        "[problem]\nkind = nonlinear-convolution\nn = 2048\n")
+    problem = build_problem(cfg)
+    assert problem.matrix is None
+    assert len(bases) == 1 and bases[0].matrix is None
 
 
 def test_run_single_outputs(tmp_path):

@@ -88,7 +88,7 @@ def test_convolution_preserves_constants():
 def test_convolution_symbol_matches_dense_eigenvalues():
     problem = make_convolution_problem(n=24, seed=1)
     symbol = convolution_symbol(problem)
-    w = np.linalg.eigvalsh(problem.matrix)
+    w = np.linalg.eigvalsh(problem.jacobian_matrix())
     # eigenvalues of the symmetric circulant are the symbol values with
     # multiplicity two on interior frequencies
     n = 24
@@ -99,7 +99,7 @@ def test_convolution_symbol_matches_dense_eigenvalues():
 
 def test_convolution_double_eigenvalues():
     problem = make_convolution_problem(n=16, seed=0)
-    w = np.sort(np.linalg.eigvalsh(problem.matrix))[::-1]
+    w = np.sort(np.linalg.eigvalsh(problem.jacobian_matrix()))[::-1]
     # frequencies 1..n/2-1 give pairs: entries 1,2 then 3,4 etc. coincide
     for j in range(1, 8, 2):
         assert w[j] == pytest.approx(w[j + 1], rel=1e-12)
@@ -109,7 +109,8 @@ def test_convolution_self_adjoint():
     problem = make_convolution_problem(n=20, seed=2)
     jac = problem.model.linearize(np.zeros(20))
     assert adjoint_mismatch(jac, np.random.default_rng(0)) < 1e-13
-    np.testing.assert_allclose(problem.matrix, problem.matrix.T, atol=1e-15)
+    dense = problem.jacobian_matrix()
+    np.testing.assert_allclose(dense, dense.T, atol=1e-15)
 
 
 def test_convolution_validation():
@@ -119,36 +120,57 @@ def test_convolution_validation():
         make_convolution_problem(n=16, kernel_width=0.0)
 
 
-def test_nonlinear_c3_zero_degenerates_to_base():
-    base = make_diagonal_problem(m=6, n=9, seed=5)
+# Composite tests run on both linear bases: the dense m x n diagonal map and
+# the FFT-applied convolution, whose dense circulant is built only on demand.
+# The convolution base is always square at n = 32.
+LINEAR_BASES = [
+    pytest.param(lambda m, n, seed: make_diagonal_problem(m=m, n=n, seed=seed),
+                 id="diagonal"),
+    pytest.param(lambda m, n, seed: make_convolution_problem(n=32, seed=seed),
+                 id="convolution"),
+]
+
+
+@pytest.mark.parametrize("make_base", LINEAR_BASES)
+def test_nonlinear_c3_zero_degenerates_to_base(make_base):
+    base = make_base(6, 9, seed=5)
     composite = make_nonlinear_composite(base, c3=0.0)
+    m = base.model.domain_dim
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(6)
+    x = rng.standard_normal(m)
     np.testing.assert_allclose(composite.model.evaluate(x),
                                base.model.evaluate(x), rtol=1e-14)
-    v = rng.standard_normal(6)
+    v = rng.standard_normal(m)
     np.testing.assert_allclose(composite.model.linearize(x).apply(v),
                                base.model.linearize(x).apply(v), rtol=1e-14)
 
 
-def test_nonlinear_jacobian_at_zero_is_base_operator():
-    base = make_diagonal_problem(m=6, n=9, seed=5)
+@pytest.mark.parametrize("make_base", LINEAR_BASES)
+def test_nonlinear_jacobian_at_zero_is_base_operator(make_base):
+    base = make_base(6, 9, seed=5)
     composite = make_nonlinear_composite(base, c3=2.0)
+    m = base.model.domain_dim
     rng = np.random.default_rng(8)
-    v = rng.standard_normal(6)
-    jac = composite.model.linearize(np.zeros(6))
-    np.testing.assert_allclose(jac.apply(v), base.matrix @ v, rtol=1e-14)
+    v = rng.standard_normal(m)
+    jac = composite.model.linearize(np.zeros(m))
+    np.testing.assert_allclose(jac.apply(v), base.jacobian_matrix() @ v,
+                               rtol=1e-14)
 
 
-def test_nonlinear_jacobian_matches_dense_and_adjoint():
-    base = make_diagonal_problem(m=7, n=10, seed=6)
+@pytest.mark.parametrize("make_base", LINEAR_BASES)
+def test_nonlinear_jacobian_matches_dense_and_adjoint(make_base):
+    base = make_base(7, 10, seed=6)
     composite = make_nonlinear_composite(base, c3=1.5)
+    m, n = base.model.domain_dim, base.model.range_dim
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(7)
+    x = rng.standard_normal(m)
     dense = composite.jacobian_matrix(x)
     jac = composite.model.linearize(x)
-    v = rng.standard_normal(7)
-    w = rng.standard_normal(10)
+    v = rng.standard_normal(m)
+    w = rng.standard_normal(n)
+    np.testing.assert_allclose(composite.model.evaluate(x),
+                               base.jacobian_matrix() @ (x + 1.5 * x ** 3),
+                               rtol=1e-13)
     np.testing.assert_allclose(jac.apply(v), dense @ v, rtol=1e-13)
     np.testing.assert_allclose(jac.apply_adjoint(w), dense.T @ w, rtol=1e-13)
     assert adjoint_mismatch(jac, np.random.default_rng(3)) < 1e-13
@@ -220,6 +242,17 @@ def test_oracle_solve_with_prior():
 def test_oracle_refuses_large_domains():
     with pytest.raises(OracleRefusal):
         DenseOracle(np.zeros((10, DENSE_ORACLE_MAX_DIM + 1)))
+
+
+def test_oracle_refuses_before_building_dense_operator():
+    base = make_convolution_problem(n=2048)
+    built = []
+    base.dense_jacobian = built.append  # records a dense build, returns None
+    composite = make_nonlinear_composite(base)
+    with pytest.raises(OracleRefusal):
+        DenseOracle.for_problem(composite, np.zeros(2048))
+    assert built == []
+    assert base.matrix is None
 
 
 def test_oracle_gram_spectrum_descending():
