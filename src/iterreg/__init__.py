@@ -19,13 +19,11 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .krylov import (CgBreakdownError, CgConfig, CgTrace, RitzPair,
-                     Tridiagonal, pcg_solve, reorthogonalize_basis,
-                     ritz_from_trace, select_ritz)
+                     Tridiagonal, pcg_solve, ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         ForwardModel, JacobianHandle, ModelCost,
                         TikhonovSystem, adjoint_mismatch, build_rhs,
-                        jacobian_fd_order, stacked_adjoint_apply,
-                        stacked_apply)
+                        jacobian_fd_order)
 from .preconditioner import (SpectralPreconditioner, SpectrumReport,
                              TwoSidedSystem, merge_pairs,
                              preconditioned_spectrum_check, ritz_to_eigenpair)
@@ -35,7 +33,7 @@ from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        NoiseSpec, PhiBudgetDriver, PhiSeries, SampledPhi,
                        WhiteNoisePhi, apply_R_app, discrepancy_stop,
-                       k_max_from_bound, lepskii_from_history, lepskii_select,
+                       lepskii_from_history, lepskii_select,
                        phi_deterministic, phi_sampled, phi_white_noise)
 from .testbed import (DenseOracle, OracleRefusal, Problem, generate_noise,
                       make_convolution_problem, make_diagonal_problem,
@@ -46,11 +44,10 @@ __all__ = [
     # operators
     "ContractError", "ForwardModel", "JacobianHandle", "ModelCost",
     "TikhonovSystem", "IRGNM", "LEVENBERG_MARQUARDT", "adjoint_mismatch",
-    "build_rhs", "jacobian_fd_order", "stacked_apply",
-    "stacked_adjoint_apply",
+    "build_rhs", "jacobian_fd_order",
     # krylov
     "CgBreakdownError", "CgConfig", "CgTrace", "RitzPair", "Tridiagonal",
-    "pcg_solve", "reorthogonalize_basis", "ritz_from_trace", "select_ritz",
+    "pcg_solve", "ritz_from_trace", "select_ritz",
     # preconditioner
     "SpectralPreconditioner", "SpectrumReport", "TwoSidedSystem",
     "merge_pairs", "preconditioned_spectrum_check", "ritz_to_eigenpair",
@@ -60,8 +57,7 @@ __all__ = [
     # stopping
     "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver", "NoiseSpec",
     "PhiBudgetDriver", "PhiSeries", "SampledPhi", "WhiteNoisePhi",
-    "apply_R_app", "discrepancy_stop", "k_max_from_bound",
-    "lepskii_from_history", "lepskii_select", "phi_deterministic",
+    "apply_R_app", "discrepancy_stop", "lepskii_from_history", "lepskii_select", "phi_deterministic",
     "phi_sampled", "phi_white_noise",
     # testbed
     "DenseOracle", "OracleRefusal", "Problem", "generate_noise",

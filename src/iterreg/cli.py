@@ -18,16 +18,16 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .krylov import CgBreakdownError, CgConfig, pcg_solve
-from .operators import adjoint_mismatch, jacobian_fd_order
-from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, irgnm_run,
-                      landweber_run, newton_cg_run)
+from .operators import ContractError, adjoint_mismatch, jacobian_fd_order
+from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
+                      check_landweber_mu, irgnm_run, landweber_run,
+                      newton_cg_run)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                        discrepancy_stop, lepskii_from_history)
@@ -223,6 +223,8 @@ class ExperimentConfig:
                 "default")
         if rule == "fixed-K" and self.stopping["k_fixed"] < 0:
             raise ConfigError("[stopping] k_fixed: must be nonnegative")
+        if "landweber" in methods and self.solver["landweber_steps"] < 0:
+            raise ConfigError("[solver] landweber_steps: must be nonnegative")
         if self.noise["kind"] == "white" and self.noise["sigma"] is None \
                 and self.noise["level"] < 0:
             raise ConfigError("[noise] level: must be nonnegative")
@@ -231,6 +233,20 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"[solver] method: invalid value {m!r} "
                     f"(choices: {', '.join(_METHODS)})")
+        # max_newton and max_inner cap Newton-CG too, so the Newton fields
+        # are checked whatever the method.
+        try:
+            _newton_config(self, "irgnm-prec")
+        except ContractError as exc:
+            raise ConfigError(f"[solver] {exc}") from None
+        for key, method, check in (
+                ("newton_cg_rho", "newton-cg", check_inner_rho),
+                ("landweber_mu", "landweber", check_landweber_mu)):
+            if method in methods and self.solver[key] is not None:
+                try:
+                    check(self.solver[key])
+                except ContractError as exc:
+                    raise ConfigError(f"[solver] {key}: {exc}") from None
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -495,8 +511,7 @@ def _study_sample(cfg: ExperimentConfig, sample_id):
     return rows
 
 
-def run_stopping_study(cfg: ExperimentConfig, num_samples=None, jobs=1,
-                       out_dir="."):
+def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     """Stop-rule comparison over independent noise replicas.
 
     Each sample runs to K_max (the last index with Phi below the budget R),
@@ -514,15 +529,7 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, jobs=1,
     if num_samples < 2:
         raise ConfigError("[noise] samples: stopping study needs at least 2")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_study_sample, cfg, i)
-                       for i in range(num_samples)]
-            all_rows = [f.result() for f in futures]
-    else:
-        all_rows = [_study_sample(cfg, i) for i in range(num_samples)]
-    rows = [row for sample in sorted(all_rows, key=lambda rs: rs[0][0])
-            for row in sample]
+    rows = [row for i in range(num_samples) for row in _study_sample(cfg, i)]
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "stopping_samples.csv"), "w",
@@ -629,8 +636,6 @@ def main(argv=None):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="INI experiment file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel noise samples (stopping-study)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the [noise] seed")
     args = parser.parse_args(argv)
@@ -655,8 +660,7 @@ def main(argv=None):
             if any(h.terminal_reason == TERMINAL_BREAKDOWN for h in histories):
                 return 3
         elif args.verb == "stopping-study":
-            _, stats = run_stopping_study(cfg, jobs=args.jobs,
-                                          out_dir=args.out)
+            _, stats = run_stopping_study(cfg, out_dir=args.out)
             for rule in STUDY_RULES:
                 s = stats[rule]
                 print(f"{rule}: used={s['samples_used']} "

@@ -1,16 +1,16 @@
 """Conjugate gradients on regularized normal equations, with Lanczos extraction.
 
 Solves G^T G h = G^T g for a stacked Tikhonov operator G accessed only through
-apply/adjoint calls, optionally preconditioned, with complete
-reorthogonalization of the direction vectors. The CG coefficients double as a
-Lanczos tridiagonalization of the (preconditioned) normal operator, from which
-Ritz pairs are extracted together with an exact residual bound
+apply/adjoint calls, optionally left-preconditioned. Unpreconditioned runs
+reorthogonalize every residual against a Householder basis; the CG
+coefficients then double as a Lanczos tridiagonalization of the normal
+operator, from which Ritz pairs are extracted together with an exact
+residual bound
 ||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -34,19 +34,16 @@ class CgBreakdownError(RuntimeError):
 
 @dataclass
 class CgConfig:
-    """Tolerances and switches for ``pcg_solve``.
+    """Tolerances for ``pcg_solve``.
 
     ``epsilon`` enters the stop test ``||r^l|| <= epsilon * stop_scale *
     ||h^l||``; when ``stop_scale`` is a lower bound for the spectrum of the
     normal operator this guarantees relative accuracy ``epsilon/(1-epsilon)``
-    against the exact solution.
+    against the exact solution. ``max_iterations`` caps the solve.
     """
 
     epsilon: float = 1.0 / 3.0
     max_iterations: int = 200
-    reorthogonalize: bool = True
-    collect_lanczos: bool = True
-    trace_path: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -62,8 +59,10 @@ class CgTrace:
     ``alphas`` holds alpha_1..alpha_l and ``betas`` holds beta_1..beta_{l-1};
     the stray beta_l of the last iteration only enters
     ``final_beta_over_alpha`` = sqrt(beta_l)/alpha_l, the scale of the Ritz
-    residual bounds. ``z_basis`` stores the normalized direction vectors
-    z~^0..z~^{l-1} (orthonormal in the M inner product).
+    residual bounds. ``z_basis`` stores the normalized residuals
+    z~^0..z~^{l-1}, orthonormal through Householder reorthogonalization, of
+    an unpreconditioned solve; it is None for left-preconditioned solves,
+    which are not reorthogonalized and yield no Ritz pairs.
     """
 
     alphas: list
@@ -169,12 +168,6 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     return kept, indices
 
 
-def reorthogonalize_basis(vectors, drop_tol=1e-12):
-    """Orthonormal set spanning the same subspace as ``vectors``."""
-    kept, _ = reorthogonalize_indexed(vectors, drop_tol=drop_tol)
-    return kept
-
-
 @dataclass
 class Tridiagonal:
     """Symmetric tridiagonal Lanczos matrix T_l recovered from CG coefficients."""
@@ -259,17 +252,6 @@ def select_ritz(pairs, separation_threshold, residual_tolerance):
     ]
 
 
-def _dump_trace(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["l", "residual_norm", "alpha", "beta"])
-        betas_all = list(trace.betas) + [np.nan]
-        for i, alpha in enumerate(trace.alphas):
-            beta = betas_all[i] if i < len(trace.betas) else np.nan
-            writer.writerow([i + 1, repr(trace.residual_norms[i + 1]),
-                             repr(alpha), repr(beta)])
-
-
 def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
     """Preconditioned CG on the normal equations G^T G h = G^T g.
 
@@ -296,10 +278,11 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
     Notes
     -----
     The loop runs while ``||r^l|| > epsilon * stop_scale * ||h^l||``; with
-    h^0 = 0 the first iteration always executes. Left-preconditioned runs
-    reorthogonalize in the M inner product via stored (z~, r~) pairs; plain
-    runs use the Householder basis, which keeps the stored z~ vectors exactly
-    orthonormal.
+    h^0 = 0 the first iteration always executes. Without ``precond`` each
+    residual is replaced by its component orthogonal to the earlier ones,
+    taken from a Householder basis that keeps the stored z~ vectors exactly
+    orthonormal; a residual dependent on them ends the solve as converged.
+    Left-preconditioned runs use z = M^{-1} r as is and store no basis.
     """
     if cfg is None:
         cfg = CgConfig()
@@ -309,60 +292,38 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
 
     alphas, betas_all = [], []
     residual_norms, misfit_norms = [], []
-    normalized = []
+    basis = HouseholderBasis(m_dim) if precond is None else None
+    z_basis = [] if precond is None else None
 
-    h = np.zeros(m_dim)
-    d = g.copy()
-    r = sys.apply_adjoint(d)
-
-    euclidean = precond is None
-    basis = HouseholderBasis(m_dim) if (euclidean and cfg.reorthogonalize) else None
-    zt_store, rt_store = [], []
+    def precondition(r):
+        """Return (z, <r, z>, ||r||); without a preconditioner r is first
+        cut to its component orthogonal to the earlier residuals."""
+        if basis is None:
+            z = precond.apply_inverse(r)
+            return z, float(r @ z), float(np.linalg.norm(r))
+        q, pnorm = basis.add(r)
+        if q is None:
+            return np.zeros(m_dim), 0.0, 0.0
+        z_basis.append(q)
+        rho = pnorm * pnorm
+        return pnorm * q, rho, float(np.sqrt(rho))
 
     def finalize(converged):
         if alphas:
             fba = float(np.sqrt(max(betas_all[-1], 0.0)) / alphas[-1])
-            tr_betas = betas_all[:-1]
         else:
             fba = 0.0
-            tr_betas = []
-        zb = list(normalized[: len(alphas)]) if cfg.collect_lanczos else None
-        trace = CgTrace(
-            alphas=list(alphas), betas=list(tr_betas), z_basis=zb,
+        return CgTrace(
+            alphas=list(alphas), betas=betas_all[:-1],
+            z_basis=None if z_basis is None else z_basis[: len(alphas)],
             final_beta_over_alpha=fba, iterations=len(alphas),
             converged=converged, residual_norms=list(residual_norms),
             misfit_norms=list(misfit_norms),
         )
-        if cfg.trace_path:
-            _dump_trace(cfg.trace_path, trace)
-        return trace
 
-    # iteration-0 quantities: z^0 = M^{-1} r^0, rho_0 = <r^0, z^0>
-    if euclidean:
-        if basis is not None:
-            q0, pnorm0 = basis.add(r)
-            if q0 is None:
-                return h, finalize(True)
-            z = pnorm0 * q0
-            r = z
-            rho = pnorm0 * pnorm0
-            normalized.append(q0)
-        else:
-            z = r.copy()
-            rho = float(r @ r)
-            if rho > 0.0 and cfg.collect_lanczos:
-                normalized.append(r / np.sqrt(rho))
-        r_norm = float(np.sqrt(max(rho, 0.0)))
-    else:
-        z = precond.apply_inverse(r)
-        rho = float(r @ z)
-        r_norm = float(np.linalg.norm(r))
-        if rho > 0.0:
-            s = 1.0 / np.sqrt(rho)
-            zt_store.append(z * s)
-            rt_store.append(r * s)
-            normalized.append(zt_store[-1])
-
+    h = np.zeros(m_dim)
+    d = g.copy()
+    z, rho, r_norm = precondition(sys.apply_adjoint(d))
     residual_norms.append(r_norm)
     misfit_norms.append(float(np.linalg.norm(d)))
     if r_norm == 0.0:
@@ -397,53 +358,16 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
                 solution=h, trace=finalize(False))
         h = h + alpha * p
         d = d - alpha * q
-        r = sys.apply_adjoint(d)
-
-        if euclidean:
-            if basis is not None:
-                qvec, pnorm = basis.add(r)
-                if qvec is None:
-                    # Krylov space exhausted: the residual is numerically
-                    # dependent on swept directions, i.e. converged.
-                    z = np.zeros(m_dim)
-                    r = z
-                    rho_new = 0.0
-                else:
-                    z = pnorm * qvec
-                    r = z
-                    rho_new = pnorm * pnorm
-                    normalized.append(qvec)
-            else:
-                z = r
-                rho_new = float(r @ r)
-                if rho_new > 0.0 and cfg.collect_lanczos:
-                    normalized.append(r / np.sqrt(rho_new))
-            r_norm_new = float(np.sqrt(max(rho_new, 0.0)))
-        else:
-            z = precond.apply_inverse(r)
-            if cfg.reorthogonalize and zt_store:
-                for _ in range(2):
-                    for zt, rt in zip(zt_store, rt_store):
-                        c = float(rt @ z)
-                        z = z - c * zt
-                        r = r - c * rt
-            rho_new = float(r @ z)
-            if not np.isfinite(rho_new) or rho_new < 0.0:
-                raise CgBreakdownError(
-                    f"<r, z> = {rho_new} lost positivity",
-                    solution=h, trace=finalize(False))
-            if rho_new > 0.0:
-                s = 1.0 / np.sqrt(rho_new)
-                zt_store.append(z * s)
-                rt_store.append(r * s)
-                normalized.append(zt_store[-1])
-            r_norm_new = float(np.linalg.norm(r))
+        z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
+        if not np.isfinite(rho_new) or rho_new < 0.0:
+            raise CgBreakdownError(
+                f"<r, z> = {rho_new} lost positivity",
+                solution=h, trace=finalize(False))
 
         beta = rho_new / rho
         alphas.append(alpha)
         betas_all.append(beta)
         rho = rho_new
-        r_norm = r_norm_new
         h_norm = float(np.linalg.norm(h))
         p = z + beta * p
 

@@ -9,9 +9,6 @@ benchmarks in this package.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
-
 import numpy as np
 
 LEVENBERG_MARQUARDT = "levenberg-marquardt"
@@ -43,20 +40,13 @@ def as_vector(x, dim=None, name="vector"):
 
 
 class CostCounter:
-    """Thread-safe call counter. One increment per counted operation."""
+    """Call counter. One increment per counted operation."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
+        self.count = 0
 
     def increment(self, n=1):
-        with self._lock:
-            self._count += n
-
-    @property
-    def count(self):
-        with self._lock:
-            return self._count
+        self.count += n
 
 
 class ModelCost:
@@ -84,9 +74,7 @@ class JacobianHandle:
     """Frozen linearization of a forward model at a fixed point.
 
     The handle stays valid after the Newton iterate moves on, which is what
-    semi-frozen Newton schemes rely on. ``apply`` and ``apply_adjoint`` are
-    safe for concurrent read-only use; the cost counters use locked
-    increments.
+    semi-frozen Newton schemes rely on.
 
     Parameters
     ----------
@@ -155,7 +143,6 @@ class ForwardModel:
         self.name = name
         self.cost = ModelCost()
         self._point_counter = 0
-        self._point_lock = threading.Lock()
 
     def evaluate(self, x):
         x = as_vector(x, self.domain_dim, "model input")
@@ -167,11 +154,9 @@ class ForwardModel:
         """Return a frozen Jacobian handle at ``x``. Minting one is free."""
         x = as_vector(x, self.domain_dim, "linearization point")
         apply_fn, adjoint_fn = self._linearize(x)
-        with self._point_lock:
-            self._point_counter += 1
-            token = self._point_counter
+        self._point_counter += 1
         return JacobianHandle(apply_fn, adjoint_fn, self.domain_dim,
-                              self.range_dim, token, self.cost)
+                              self.range_dim, self._point_counter, self.cost)
 
 
 class TikhonovSystem:
@@ -228,14 +213,6 @@ class TikhonovSystem:
     def stacked_rhs(self):
         """Return g = (rhs_data; sqrt(gamma) rhs_prior)."""
         return np.concatenate([self.rhs_data, self._sqrt_gamma * self.rhs_prior])
-
-
-def stacked_apply(sys: TikhonovSystem, v):
-    return sys.apply(v)
-
-
-def stacked_adjoint_apply(sys: TikhonovSystem, d):
-    return sys.apply_adjoint(d)
 
 
 def build_rhs(kind: str, x0, x_k, residual):

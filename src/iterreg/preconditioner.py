@@ -169,49 +169,6 @@ class SpectralPreconditioner:
         return SpectralPreconditioner(self.gamma, self.lambdas, self.vectors,
                                       out, validate=False)
 
-    def save(self, path):
-        """Text snapshot: header with dims, then gamma, lambdas, vectors."""
-        left_ok = self.has_left_vectors and self.pair_count > 0
-        left_dim = len(self.left_vectors[0]) if left_ok else 0
-        lines = [
-            "spectral-preconditioner v1",
-            f"dim={self.dim} pairs={self.pair_count} left_dim={left_dim}",
-            f"gamma={self.gamma!r}",
-        ]
-        for l in self.lambdas:
-            lines.append(f"lambda={float(l)!r}")
-        for j in range(self.pair_count):
-            lines.append(" ".join(repr(float(v)) for v in self.vectors[:, j]))
-        if left_ok:
-            for w in self.left_vectors:
-                lines.append(" ".join(repr(float(v)) for v in w))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "spectral-preconditioner v1":
-            raise ContractError(f"{path} is not a preconditioner snapshot")
-        header = dict(part.split("=") for part in lines[1].split())
-        dim = int(header["dim"])
-        pairs = int(header["pairs"])
-        left_dim = int(header["left_dim"])
-        gamma = float(lines[2].split("=", 1)[1])
-        lam = [float(lines[3 + j].split("=", 1)[1]) for j in range(pairs)]
-        base = 3 + pairs
-        vecs = np.zeros((dim, pairs))
-        for j in range(pairs):
-            vecs[:, j] = [float(tok) for tok in lines[base + j].split()]
-        left = None
-        if left_dim:
-            left = []
-            for j in range(pairs):
-                left.append(np.array(
-                    [float(tok) for tok in lines[base + pairs + j].split()]))
-        return cls(gamma, np.asarray(lam), vecs, left, validate=False)
-
 
 class TwoSidedSystem:
     """Stacked system conjugated by M^{-1/2} on both sides.

@@ -45,9 +45,11 @@ class NewtonConfig:
     """Knobs of the regularized Newton outer loop.
 
     gamma0 = None resolves to a power-iteration estimate of ||A_0^T A_0|| at
-    run start. eps_accurate governs preconditioner (re)build solves,
-    eps_standard all other steps. Negative guard thresholds disable the
-    corresponding inner-iteration guard (useful for schedule tests).
+    run start; a given gamma0 must be positive and finite. eps_accurate
+    governs preconditioner (re)build solves, eps_standard all other steps.
+    Negative guard thresholds disable the corresponding inner-iteration
+    guard (useful for schedule tests). Invalid values raise a ContractError
+    that names the offending fields.
     """
 
     gamma0: float | None = None
@@ -64,12 +66,12 @@ class NewtonConfig:
     max_inner: int = 200
     use_preconditioner: bool = True
     enable_updates: bool = True
-    initial_phase: str = "none"
-    initial_phase_steps: int = 0
-    initial_phase_rel_step: float = 0.1
-    initial_phase_rho: float = 0.6
 
     def __post_init__(self):
+        if self.gamma0 is not None and not (
+                self.gamma0 > 0 and np.isfinite(self.gamma0)):
+            raise ContractError(
+                f"gamma0 must be positive and finite, got {self.gamma0}")
         if not self.gamma_factor > 1.0:
             raise ContractError("gamma_factor must exceed 1")
         if not 0.0 < self.eps_accurate <= self.eps_standard < 1.0:
@@ -77,10 +79,11 @@ class NewtonConfig:
                 "need 0 < eps_accurate <= eps_standard < 1")
         if self.rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
             raise ContractError(f"unknown rhs_kind {self.rhs_kind!r}")
-        if self.initial_phase not in ("none", "newton-cg"):
-            raise ContractError(f"unknown initial_phase {self.initial_phase!r}")
         if self.max_newton < 1 or self.max_inner < 1:
-            raise ContractError("iteration caps must be positive")
+            raise ContractError("max_newton and max_inner must be positive")
+        if not (self.ritz_separation > 0 and self.ritz_residual_tol > 0):
+            raise ContractError(
+                "ritz_separation and ritz_residual_tol must be positive")
 
 
 @dataclass
@@ -254,6 +257,88 @@ def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
     return out
 
 
+def check_landweber_mu(mu):
+    """Reject a Landweber step size that is negative or NaN."""
+    if not mu >= 0:
+        raise ContractError(f"mu must be nonnegative, got {mu}")
+
+
+def check_inner_rho(inner_rho):
+    """Reject a Newton-CG inner tolerance outside (0, 1)."""
+    if not 0.0 < inner_rho < 1.0:
+        raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
+
+
+class _OuterLoop:
+    """The outer iteration every method shares.
+
+    Construction checks the inputs and starts the model-unit meter and the
+    clock, so setup work a method does afterwards (a gamma0 or mu estimate)
+    counts toward its run. ``run`` evaluates F(x_k), opens the record of
+    step k (m = k, event Final), lets ``probe(rec)`` fill in m, gamma_k
+    and phi_k, and consults the stop driver and the divergence guard. Unless
+    the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
+    and sets the record's event, inner_iterations and, after a
+    relinearization, m. A ContractError or CgBreakdownError raised by the
+    step ends the run at k with terminal Breakdown and the message in
+    ``meta["breakdown"]``.
+    """
+
+    def __init__(self, model, y_obs, x0, truth):
+        self.model = model
+        self.x0 = as_vector(x0, model.domain_dim, "x0")
+        self.y_obs = as_vector(y_obs, model.range_dim, "y_obs")
+        self.truth = None if truth is None \
+            else as_vector(truth, model.domain_dim, "truth")
+        self.cost_start = model.cost.total
+        self.t_start = time.perf_counter()
+
+    def run(self, step, max_steps, stop, method, meta, probe=None):
+        model, truth = self.model, self.truth
+        x = self.x0.copy()
+        records = []
+        terminal = TERMINAL_MAX
+        stop_index = None
+        for k in range(max_steps + 1):
+            residual_vec = self.y_obs - model.evaluate(x)
+            rn = float(np.linalg.norm(residual_vec))
+            # cumulative_cost and wall_time_s read the meters when x_k was
+            # evaluated, so (cost, error) rows pair up in work-precision
+            # tables.
+            rec = RunRecord(
+                k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
+                inner_iterations=0,
+                cumulative_cost=model.cost.total - self.cost_start,
+                phi_k=None, event=EVENT_FINAL,
+                error=None if truth is None
+                else float(np.linalg.norm(x - truth)),
+                wall_time_s=time.perf_counter() - self.t_start)
+            records.append(rec)
+            if probe is not None:
+                probe(rec)
+            if stop is not None and stop(k=k, x=x, residual_norm=rn,
+                                         phi=rec.phi_k):
+                terminal = TERMINAL_STOP
+                stop_index = k
+                break
+            if k == max_steps:
+                break
+            if rn > DIVERGENCE_FACTOR * records[0].residual_norm:
+                terminal = TERMINAL_BREAKDOWN
+                break
+            try:
+                x = x + step(rec, x, residual_vec)
+            except (ContractError, CgBreakdownError) as exc:
+                if getattr(exc, "trace", None) is not None:
+                    rec.inner_iterations = exc.trace.iterations
+                rec.event = EVENT_FINAL
+                terminal = TERMINAL_BREAKDOWN
+                meta["breakdown"] = str(exc)
+                break
+        return RunHistory(records=records, terminal_reason=terminal,
+                          method=method, stop_index=stop_index, meta=meta)
+
+
 def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
               phi_estimator=None, truth=None, method_name=None):
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
@@ -271,154 +356,74 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     current at each step.
     """
     cfg = NewtonConfig() if cfg is None else cfg
-    x0 = as_vector(x0, model.domain_dim, "x0")
-    y_obs = as_vector(y_obs, model.range_dim, "y_obs")
-    if truth is not None:
-        truth = as_vector(truth, model.domain_dim, "truth")
-    cost_start = model.cost.total
-    t_start = time.perf_counter()
+    outer = _OuterLoop(model, y_obs, x0, truth)
+    x0 = outer.x0
     cfg = _resolve_gamma0(cfg, model, x0)
-
     if method_name is None:
         method_name = "irgnm-prec" if cfg.use_preconditioner else "irgnm-plain"
-    x = x0.copy()
     jac = None
-    m = -1
     precond = None
+    m = -1
     last_build = -1
     prev_plain_inner = None
-    in_initial_phase = cfg.initial_phase == "newton-cg"
-    records = []
-    terminal = TERMINAL_MAX
-    stop_index = None
-    meta = {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
-            "rhs_kind": cfg.rhs_kind}
 
-    def snap(k, gamma_k, rn, inner, phi_k, event, err, cost_now):
-        # cumulative_cost is the model-unit meter reading when x_k was
-        # evaluated, so (cost, error) rows pair up in work-precision tables.
-        return RunRecord(
-            k=k, m=(m if m >= 0 else k), gamma_k=gamma_k, x_k=x.copy(),
-            residual_norm=rn, inner_iterations=inner,
-            cumulative_cost=cost_now, phi_k=phi_k,
-            event=event, error=err,
-            wall_time_s=time.perf_counter() - t_start)
-
-    for k in range(cfg.max_newton + 1):
-        fx = model.evaluate(x)
-        cost_now = model.cost.total - cost_start
-        residual_vec = y_obs - fx
-        rn = float(np.linalg.norm(residual_vec))
-        gamma_k = schedule_gamma(cfg, k)
-        phi_k = None
+    def probe(rec):
+        rec.gamma_k = schedule_gamma(cfg, rec.k)
+        if m >= 0:
+            rec.m = m
         if phi_estimator is not None:
-            live = precond.with_gamma(gamma_k) if precond is not None else None
-            phi_k = float(phi_estimator.evaluate(gamma_k, live))
-        err = float(np.linalg.norm(x - truth)) if truth is not None else None
+            live = precond.with_gamma(rec.gamma_k) if precond is not None \
+                else None
+            rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, live))
 
-        fired = stop is not None and stop(k=k, x=x, residual_norm=rn, phi=phi_k)
-        if fired or k == cfg.max_newton:
-            records.append(snap(k, gamma_k, rn, 0, phi_k, EVENT_FINAL, err,
-                                cost_now))
-            if fired:
-                terminal = TERMINAL_STOP
-                stop_index = k
-            break
-        if records and rn > DIVERGENCE_FACTOR * records[0].residual_norm:
-            records.append(snap(k, gamma_k, rn, 0, phi_k, EVENT_FINAL, err,
-                                cost_now))
-            terminal = TERMINAL_BREAKDOWN
-            break
-
-        try:
-            if in_initial_phase:
-                jac = model.linearize(x)
-                m = k
-                h, inner = _truncated_cgne(jac, residual_vec,
-                                           cfg.initial_phase_rho, cfg.max_inner)
-                event = EVENT_BASELINE
-                rel = np.linalg.norm(h) / max(np.linalg.norm(x + h), 1e-300)
-                forced = cfg.initial_phase_steps and \
-                    k + 1 >= cfg.initial_phase_steps
-                if forced or rel < cfg.initial_phase_rel_step:
-                    in_initial_phase = False
-                prev_plain_inner = None
-            elif not cfg.use_preconditioner:
-                jac = model.linearize(x)
-                m = k
-                sys = _make_system(jac, gamma_k, residual_vec, cfg.rhs_kind,
-                                   x0, x)
-                h, trace = pcg_solve(sys, None, cfg=CgConfig(
-                    epsilon=cfg.eps_standard, max_iterations=cfg.max_inner,
-                    collect_lanczos=False))
-                inner = trace.iterations
-                event = EVENT_PLAIN
+    def step(rec, x, residual_vec):
+        nonlocal jac, precond, m, last_build, prev_plain_inner
+        k, gamma_k = rec.k, rec.gamma_k
+        relinearize = not cfg.use_preconditioner \
+            or should_recompute(k, max(m, 0), prev_plain_inner, cfg)
+        if relinearize:
+            jac = model.linearize(x)
+            m = rec.m = k
+        sys = _make_system(jac, gamma_k, residual_vec, cfg.rhs_kind, x0, x)
+        if not cfg.use_preconditioner:
+            h, trace = pcg_solve(sys, None, cfg=CgConfig(
+                epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
+            rec.event = EVENT_PLAIN
+        elif relinearize or (cfg.enable_updates and must_update(
+                k, last_build, prev_plain_inner, cfg)):
+            base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
+                if relinearize else precond.with_gamma(gamma_k)
+            tsys = TwoSidedSystem(sys, base)
+            h_t, trace = pcg_solve(tsys, None, cfg=CgConfig(
+                epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+            h = tsys.pull_back(h_t)
+            new_pairs = _harvest(trace, base, gamma_k, cfg.ritz_separation,
+                                 cfg.ritz_residual_tol)
+            if not relinearize:
+                precond = merge_pairs(precond, new_pairs, gamma_k)
+            elif new_pairs:
+                precond = SpectralPreconditioner(
+                    gamma_k, np.array([lam for lam, _ in new_pairs]),
+                    np.column_stack([u for _, u in new_pairs]))
             else:
-                recompute = should_recompute(k, max(m, 0), prev_plain_inner, cfg)
-                update = (not recompute and cfg.enable_updates
-                          and precond is not None
-                          and must_update(k, last_build, prev_plain_inner, cfg))
-                if recompute or update:
-                    if recompute:
-                        jac = model.linearize(x)
-                        m = k
-                        base = SpectralPreconditioner.empty(
-                            gamma_k, model.domain_dim)
-                    else:
-                        base = precond.with_gamma(gamma_k)
-                    sys = _make_system(jac, gamma_k, residual_vec,
-                                       cfg.rhs_kind, x0, x)
-                    tsys = TwoSidedSystem(sys, base)
-                    h_t, trace = pcg_solve(tsys, None, cfg=CgConfig(
-                        epsilon=cfg.eps_accurate,
-                        max_iterations=cfg.max_inner, collect_lanczos=True))
-                    h = tsys.pull_back(h_t)
-                    new_pairs = _harvest(trace, base, gamma_k,
-                                         cfg.ritz_separation,
-                                         cfg.ritz_residual_tol)
-                    if recompute:
-                        if new_pairs:
-                            precond = SpectralPreconditioner(
-                                gamma_k,
-                                np.array([lam for lam, _ in new_pairs]),
-                                np.column_stack([u for _, u in new_pairs]))
-                        else:
-                            precond = SpectralPreconditioner.empty(
-                                gamma_k, model.domain_dim)
-                    else:
-                        precond = merge_pairs(precond, new_pairs, gamma_k)
-                    if phi_estimator is not None and \
-                            getattr(phi_estimator, "needs_left_vectors", False):
-                        precond = precond.attach_left_vectors(jac)
-                    last_build = k
-                    prev_plain_inner = None
-                    inner = trace.iterations
-                    event = EVENT_RECOMPUTE if recompute else EVENT_UPDATE
-                else:
-                    sys = _make_system(jac, gamma_k, residual_vec,
-                                       cfg.rhs_kind, x0, x)
-                    live = precond.with_gamma(gamma_k) \
-                        if precond is not None and precond.pair_count else None
-                    h, trace = pcg_solve(sys, live, cfg=CgConfig(
-                        epsilon=cfg.eps_standard,
-                        max_iterations=cfg.max_inner, collect_lanczos=False))
-                    inner = trace.iterations
-                    prev_plain_inner = trace.iterations
-                    event = EVENT_PLAIN
-        except CgBreakdownError as exc:
-            partial = exc.trace.iterations if exc.trace is not None else 0
-            records.append(snap(k, gamma_k, rn, partial, phi_k,
-                                EVENT_FINAL, err, cost_now))
-            terminal = TERMINAL_BREAKDOWN
-            meta["breakdown"] = str(exc)
-            break
+                precond = base
+            if getattr(phi_estimator, "needs_left_vectors", False):
+                precond = precond.attach_left_vectors(jac)
+            last_build = k
+            prev_plain_inner = None
+            rec.event = EVENT_RECOMPUTE if relinearize else EVENT_UPDATE
+        else:
+            live = precond.with_gamma(gamma_k) if precond.pair_count else None
+            h, trace = pcg_solve(sys, live, cfg=CgConfig(
+                epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
+            prev_plain_inner = trace.iterations
+            rec.event = EVENT_PLAIN
+        rec.inner_iterations = trace.iterations
+        return h
 
-        records.append(snap(k, gamma_k, rn, inner, phi_k, event, err,
-                            cost_now))
-        x = x + h
-
-    return RunHistory(records=records, terminal_reason=terminal,
-                      method=method_name, stop_index=stop_index, meta=meta)
+    return outer.run(step, cfg.max_newton, stop, method_name,
+                     {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
+                      "rhs_kind": cfg.rhs_kind}, probe)
 
 
 def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
@@ -429,56 +434,16 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
     Each step costs one evaluation plus one adjoint apply. Aborts with a
     Breakdown terminal if the residual grows tenfold above its start.
     """
-    x0 = as_vector(x0, model.domain_dim, "x0")
-    y_obs = as_vector(y_obs, model.range_dim, "y_obs")
-    if truth is not None:
-        truth = as_vector(truth, model.domain_dim, "truth")
-    cost_start = model.cost.total
-    t_start = time.perf_counter()
+    outer = _OuterLoop(model, y_obs, x0, truth)
     if mu is None:
-        mu = 0.95 / estimate_gram_norm(model.linearize(x0))
-    if not mu >= 0:
-        raise ContractError("mu must be nonnegative")
+        mu = 0.95 / estimate_gram_norm(model.linearize(outer.x0))
+    check_landweber_mu(mu)
 
-    x = x0.copy()
-    records = []
-    terminal = TERMINAL_MAX
-    stop_index = None
-    initial_rn = None
+    def step(rec, x, residual_vec):
+        rec.event = EVENT_BASELINE
+        return mu * model.linearize(x).apply_adjoint(residual_vec)
 
-    for k in range(max_steps + 1):
-        fx = model.evaluate(x)
-        residual_vec = y_obs - fx
-        rn = float(np.linalg.norm(residual_vec))
-        err = float(np.linalg.norm(x - truth)) if truth is not None else None
-        record = RunRecord(
-            k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
-            inner_iterations=0,
-            cumulative_cost=model.cost.total - cost_start,
-            phi_k=None, event=EVENT_BASELINE, error=err,
-            wall_time_s=time.perf_counter() - t_start)
-        if initial_rn is None:
-            initial_rn = rn
-        fired = stop is not None and stop(k=k, x=x, residual_norm=rn, phi=None)
-        if fired or k == max_steps:
-            record.event = EVENT_FINAL
-            records.append(record)
-            if fired:
-                terminal = TERMINAL_STOP
-                stop_index = k
-            break
-        if rn > DIVERGENCE_FACTOR * initial_rn:
-            record.event = EVENT_FINAL
-            records.append(record)
-            terminal = TERMINAL_BREAKDOWN
-            break
-        records.append(record)
-        jac = model.linearize(x)
-        x = x + mu * jac.apply_adjoint(residual_vec)
-
-    return RunHistory(records=records, terminal_reason=terminal,
-                      method="landweber", stop_index=stop_index,
-                      meta={"mu": float(mu)})
+    return outer.run(step, max_steps, stop, "landweber", {"mu": float(mu)})
 
 
 def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
@@ -489,54 +454,14 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     data misfit drops below inner_rho times the outer residual; truncation is
     the sole regularization.
     """
-    if not 0.0 < inner_rho < 1.0:
-        raise ContractError("inner_rho must lie in (0, 1)")
-    x0 = as_vector(x0, model.domain_dim, "x0")
-    y_obs = as_vector(y_obs, model.range_dim, "y_obs")
-    if truth is not None:
-        truth = as_vector(truth, model.domain_dim, "truth")
-    cost_start = model.cost.total
-    t_start = time.perf_counter()
+    check_inner_rho(inner_rho)
+    outer = _OuterLoop(model, y_obs, x0, truth)
 
-    x = x0.copy()
-    records = []
-    terminal = TERMINAL_MAX
-    stop_index = None
+    def step(rec, x, residual_vec):
+        h, rec.inner_iterations = _truncated_cgne(
+            model.linearize(x), residual_vec, inner_rho, max_inner)
+        rec.event = EVENT_BASELINE
+        return h
 
-    for k in range(max_newton + 1):
-        fx = model.evaluate(x)
-        cost_now = model.cost.total - cost_start
-        residual_vec = y_obs - fx
-        rn = float(np.linalg.norm(residual_vec))
-        err = float(np.linalg.norm(x - truth)) if truth is not None else None
-        fired = stop is not None and stop(k=k, x=x, residual_norm=rn, phi=None)
-        if fired or k == max_newton:
-            records.append(RunRecord(
-                k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
-                inner_iterations=0, cumulative_cost=cost_now, phi_k=None,
-                event=EVENT_FINAL, error=err,
-                wall_time_s=time.perf_counter() - t_start))
-            if fired:
-                terminal = TERMINAL_STOP
-                stop_index = k
-            break
-        if records and rn > DIVERGENCE_FACTOR * records[0].residual_norm:
-            records.append(RunRecord(
-                k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
-                inner_iterations=0, cumulative_cost=cost_now, phi_k=None,
-                event=EVENT_FINAL, error=err,
-                wall_time_s=time.perf_counter() - t_start))
-            terminal = TERMINAL_BREAKDOWN
-            break
-        jac = model.linearize(x)
-        h, inner = _truncated_cgne(jac, residual_vec, inner_rho, max_inner)
-        records.append(RunRecord(
-            k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
-            inner_iterations=inner, cumulative_cost=cost_now, phi_k=None,
-            event=EVENT_BASELINE, error=err,
-            wall_time_s=time.perf_counter() - t_start))
-        x = x + h
-
-    return RunHistory(records=records, terminal_reason=terminal,
-                      method="newton-cg", stop_index=stop_index,
-                      meta={"inner_rho": float(inner_rho)})
+    return outer.run(step, max_newton, stop, "newton-cg",
+                     {"inner_rho": float(inner_rho)})

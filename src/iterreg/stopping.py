@@ -167,23 +167,6 @@ def phi_sampled(precond, noise_samples, gamma_k=None):
     return float(np.sqrt(acc / len(noise_samples)))
 
 
-def k_max_from_bound(phi_fn, bound, hard_cap=500):
-    """Largest k with Phi(k) <= bound, scanning a nondecreasing Phi.
-
-    ``phi_fn`` maps an index to Phi(k). Raises when already Phi(0) exceeds
-    the bound; stops scanning at ``hard_cap``.
-    """
-    if not bound > 0:
-        raise ContractError("bound must be positive")
-    if phi_fn(0) > bound:
-        raise ContractError(
-            "Phi(0) already exceeds the bound; no admissible index")
-    k = 0
-    while k < hard_cap and phi_fn(k + 1) <= bound:
-        k += 1
-    return k
-
-
 def lepskii_select(iterates, phi, rho):
     """Balancing index K_bal = min{k : ||x_k - x_m|| <= rho Phi(m), m > k}.
 
@@ -259,24 +242,8 @@ class SampledPhi:
         return phi_sampled(precond, self.samples, gamma_k)
 
 
-def estimator_for(noise: NoiseSpec):
-    """Phi estimator matching what is known about the noise."""
-    if noise.variant == "deterministic":
-        return DeterministicPhi(noise.delta)
-    if noise.variant == "white":
-        return WhiteNoisePhi(noise.sigma)
-    return SampledPhi(noise.samples)
-
-
 # Stop drivers consumed by the outer solvers. A driver is called once per
 # Newton step, before the step is taken, with the freshly evaluated state.
-
-class NeverStop:
-    reason = "never"
-
-    def __call__(self, k, x, residual_norm, phi):
-        return False
-
 
 class DiscrepancyDriver:
     """Stop at the first residual at or below tau * delta."""

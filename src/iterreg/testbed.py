@@ -176,13 +176,6 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     )
 
 
-def convolution_symbol(problem: Problem):
-    """Fourier symbol (eigenvalues by frequency) of a convolution problem."""
-    if problem.kind != "convolution":
-        raise ContractError("not a convolution problem")
-    return np.fft.rfft(problem.jacobian_matrix()[:, 0]).real
-
-
 def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
     """Nonlinear model F(x) = K s(x) with s(t) = t + c3 t^3 around a linear K.
 

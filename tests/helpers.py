@@ -18,6 +18,29 @@ def linear_model(a, name="dense-linear"):
     return ForwardModel(m, n, lambda x: a @ x, linearize, name=name)
 
 
+def nan_on_call(model, call, adjoint=False):
+    """Copy of ``model`` whose ``call``-th Jacobian apply (counted over all
+    linearizations; adjoint applies with ``adjoint=True``) returns NaN."""
+    count = 0
+
+    def poison(fn):
+        def wrapped(v):
+            nonlocal count
+            count += 1
+            out = fn(v)
+            return np.full_like(out, np.nan) if count == call else out
+        return wrapped
+
+    def linearize(x):
+        jac = model.linearize(x)
+        if adjoint:
+            return jac.apply, poison(jac.apply_adjoint)
+        return poison(jac.apply), jac.apply_adjoint
+
+    return ForwardModel(model.domain_dim, model.range_dim, model.evaluate,
+                        linearize, name=model.name)
+
+
 def tikhonov_system(a, gamma, rhs_data=None, rhs_prior=None):
     """TikhonovSystem over a dense matrix with optional default zero rhs."""
     a = np.asarray(a, dtype=float)

@@ -342,7 +342,7 @@ def test_criterion_7_stopping_study(acceptance, tmp_path):
     # Under 10 min.
     t0 = time.perf_counter()
     cfg = ExperimentConfig.from_text(STUDY_INI)
-    _rows, stats = run_stopping_study(cfg, num_samples=15, jobs=2,
+    _rows, stats = run_stopping_study(cfg, num_samples=15,
                                       out_dir=str(tmp_path))
     rules = ("discrepancy", "lepskii", "oracle-optimal")
     idx = {r: stats[r]["mean_stop_index"] for r in rules}

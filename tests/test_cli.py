@@ -2,12 +2,14 @@
 
 import configparser
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from helpers import nan_on_call
 from iterreg import cli
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
@@ -257,17 +259,6 @@ def test_stopping_study_outputs(tmp_path):
     assert len(summary_rows) == 4
 
 
-def test_stopping_study_thread_determinism(tmp_path):
-    cfg = ExperimentConfig.from_text(BASE)
-    cfg.stopping["r_bound"] = 2.0
-    run_stopping_study(cfg, num_samples=4, jobs=1, out_dir=tmp_path / "s")
-    cfg2 = ExperimentConfig.from_text(BASE)
-    cfg2.stopping["r_bound"] = 2.0
-    run_stopping_study(cfg2, num_samples=4, jobs=2, out_dir=tmp_path / "p")
-    assert (tmp_path / "s" / "stopping_samples.csv").read_bytes() \
-        == (tmp_path / "p" / "stopping_samples.csv").read_bytes()
-
-
 def test_main_solve_and_exit_codes(tmp_path, capsys):
     ini = tmp_path / "exp.ini"
     ini.write_text(BASE)
@@ -282,6 +273,47 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[solver]\nunknown_field = 1\n")
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("method, line, key", [
+    ("irgnm-prec", "gamma_factor = 1.0", "gamma_factor"),
+    ("irgnm-prec", "gamma0 = -1", "gamma0"),
+    ("irgnm-plain", "eps_standard = 1.5", "eps_standard"),
+    ("irgnm-prec", "max_inner = 0", "max_inner"),
+    ("newton-cg", "max_newton = -1", "max_newton"),
+    ("newton-cg", "newton_cg_rho = 1.5", "newton_cg_rho"),
+    ("landweber", "landweber_mu = -1", "landweber_mu"),
+    ("irgnm-prec", "ritz_separation = 0", "ritz_separation"),
+    ("landweber", "landweber_steps = -1", "landweber_steps"),
+])
+def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
+                                           key):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[solver]\nmethod = {method}\n{line}\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver]") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch):
+    # A NaN from the model's Jacobian inside an inner solve ends the run in
+    # a Breakdown record; the CLI writes its outputs and exits 3.
+    def failing_problem(cfg):
+        problem = build_problem(cfg)
+        return dataclasses.replace(problem,
+                                   model=nan_on_call(problem.model, 12))
+
+    monkeypatch.setattr(cli, "build_problem", failing_problem)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 3
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["terminal_reason"] == "Breakdown"
+    with open(out / "run.csv") as fh:
+        assert list(csv.reader(fh))[-1][-1] == "Final"
 
 
 def test_main_seed_override(tmp_path):

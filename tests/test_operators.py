@@ -6,14 +6,13 @@ import pytest
 from helpers import dense_stacked, linear_model, tikhonov_system
 from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                                ForwardModel, adjoint_mismatch, as_vector,
-                               build_rhs, jacobian_fd_order, stacked_adjoint_apply,
-                               stacked_apply)
+                               build_rhs, jacobian_fd_order)
 
 
 def test_stacked_apply_zero_operator():
     # A = 0 (3x2), gamma = 4: G v = (0, 0, 0, 2 v1, 2 v2).
     sys = tikhonov_system(np.zeros((3, 2)), gamma=4.0)
-    out = stacked_apply(sys, np.array([1.0, 1.0]))
+    out = sys.apply(np.array([1.0, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 2.0, 2.0])
 
 
@@ -24,7 +23,7 @@ def test_stacked_adjoint_tail_scaling():
     sys = tikhonov_system(a, gamma=9.0)
     u = rng.standard_normal(4)
     d = np.concatenate([np.zeros(5), u])
-    np.testing.assert_allclose(stacked_adjoint_apply(sys, d), 3.0 * u,
+    np.testing.assert_allclose(sys.apply_adjoint(d), 3.0 * u,
                                rtol=1e-14)
 
 

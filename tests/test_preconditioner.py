@@ -206,38 +206,6 @@ def test_attach_left_vectors_null_space_raises():
         p.attach_left_vectors(jac)
 
 
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(31)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    lam = np.array([4.0, 2.5, 1.1])
-    lefts = [unit(rng.standard_normal(7)) for _ in range(3)]
-    p = SpectralPreconditioner(0.25, lam, q, left_vectors=lefts)
-    path = tmp_path / "precond.txt"
-    p.save(path)
-    loaded = SpectralPreconditioner.load(path)
-    assert loaded.gamma == p.gamma
-    np.testing.assert_array_equal(loaded.lambdas, p.lambdas)
-    np.testing.assert_array_equal(loaded.vectors, p.vectors)
-    for a, b in zip(loaded.left_vectors, p.left_vectors):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_save_load_without_lefts(tmp_path):
-    p = SpectralPreconditioner(2.0, [3.0], [np.array([0.0, 1.0])])
-    path = tmp_path / "precond.txt"
-    p.save(path)
-    loaded = SpectralPreconditioner.load(path)
-    assert loaded.left_vectors is None
-    np.testing.assert_array_equal(loaded.vectors, p.vectors)
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a snapshot\n")
-    with pytest.raises(ContractError):
-        SpectralPreconditioner.load(path)
-
-
 def test_two_sided_system_matches_dense_conjugation():
     rng = np.random.default_rng(17)
     n, m = 9, 6

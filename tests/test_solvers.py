@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import linear_model
+from helpers import linear_model, nan_on_call
 from iterreg.operators import LEVENBERG_MARQUARDT, ContractError
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
@@ -64,12 +64,13 @@ def test_negative_threshold_disables_guard():
 def test_newton_config_validation():
     with pytest.raises(ContractError):
         NewtonConfig(gamma_factor=1.0)
+    for gamma0 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ContractError, match="gamma0"):
+            NewtonConfig(gamma0=gamma0)
     with pytest.raises(ContractError):
         NewtonConfig(eps_standard=0.2, eps_accurate=0.5)
     with pytest.raises(ContractError):
         NewtonConfig(rhs_kind="gradient")
-    with pytest.raises(ContractError):
-        NewtonConfig(initial_phase="cg")
     with pytest.raises(ContractError):
         NewtonConfig(max_newton=0)
 
@@ -216,19 +217,6 @@ def test_irgnm_matches_dense_newton_recursion():
                                    atol=1e-9)
 
 
-def test_initial_phase_runs_baseline_steps_first():
-    base = make_diagonal_problem(m=10, n=14, seed=5)
-    problem = make_nonlinear_composite(base, c3=0.5)
-    y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=8, initial_phase="newton-cg",
-                       initial_phase_steps=2)
-    history = irgnm_run(problem.model, y, np.zeros(10), cfg)
-    events = history.events()
-    assert events[0] == EVENT_BASELINE
-    assert events[1] == EVENT_BASELINE
-    assert EVENT_BASELINE not in events[2:]
-
-
 def test_plain_probe_follows_every_build():
     # A build resets the inner-iteration probe, so the step right after a
     # Recompute or Update is always a Plain step (never another build).
@@ -291,6 +279,46 @@ def test_newton_cg_reduces_residual_and_counts_cost():
     assert events == {EVENT_BASELINE, EVENT_FINAL}
     with pytest.raises(ContractError):
         newton_cg_run(problem.model, y, np.zeros(10), inner_rho=1.5)
+
+
+def _assert_breakdown_at_failing_step(history, max_steps):
+    # The run ends at the step whose model call failed, with a Final record
+    # of that iterate and the failure in meta.
+    last = history.records[-1]
+    assert history.terminal_reason == TERMINAL_BREAKDOWN
+    assert "non-finite" in history.meta["breakdown"]
+    assert last.event == EVENT_FINAL and last.inner_iterations == 0
+    assert [r.k for r in history.records] == list(range(last.k + 1))
+    assert 1 <= last.k < max_steps
+    return last.k
+
+
+@pytest.mark.parametrize("use_preconditioner", [True, False])
+def test_irgnm_nan_jacobian_apply_ends_in_breakdown(use_preconditioner):
+    base = make_diagonal_problem(m=10, n=14, seed=5)
+    problem = make_nonlinear_composite(base, c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    model = nan_on_call(problem.model, 30)
+    cfg = NewtonConfig(max_newton=8, use_preconditioner=use_preconditioner)
+    history = irgnm_run(model, y, np.zeros(10), cfg, truth=problem.truth)
+    _assert_breakdown_at_failing_step(history, 8)
+
+
+def test_newton_cg_nan_jacobian_apply_ends_in_breakdown():
+    base = make_diagonal_problem(m=10, n=14, seed=8)
+    problem = make_nonlinear_composite(base, c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    model = nan_on_call(problem.model, 10)
+    history = newton_cg_run(model, y, np.zeros(10), max_newton=8)
+    _assert_breakdown_at_failing_step(history, 8)
+
+
+def test_landweber_nan_adjoint_ends_in_breakdown():
+    model = nan_on_call(linear_model(np.eye(3)), 5, adjoint=True)
+    history = landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
+                            max_steps=10)
+    # one adjoint apply per step: the fifth is taken leaving x_4
+    assert _assert_breakdown_at_failing_step(history, 10) == 4
 
 
 def test_estimate_gram_norm_diagonal():

@@ -8,13 +8,11 @@ from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 from iterreg.solvers import RunHistory, RunRecord
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
-                              FixedIndexDriver, NeverStop, NoiseSpec,
-                              PhiBudgetDriver, PhiSeries, PhiWarning,
-                              SampledPhi, WhiteNoisePhi, apply_R_app,
-                              discrepancy_stop, estimator_for,
-                              k_max_from_bound, lepskii_from_history,
-                              lepskii_select, phi_deterministic, phi_sampled,
-                              phi_white_noise)
+                              FixedIndexDriver, NoiseSpec, PhiBudgetDriver,
+                              PhiSeries, PhiWarning, SampledPhi, WhiteNoisePhi,
+                              apply_R_app, discrepancy_stop,
+                              lepskii_from_history, lepskii_select,
+                              phi_deterministic, phi_sampled, phi_white_noise)
 from iterreg.testbed import DenseOracle, generate_noise
 
 
@@ -140,13 +138,6 @@ def test_phi_sampled_gamma_override():
     assert direct == pytest.approx(via_arg, rel=1e-14)
 
 
-def test_k_max_from_bound_doubling():
-    # Phi(k) = 0.005 * 2^k crosses 0.1 after k = 4.
-    assert k_max_from_bound(lambda k: 0.005 * 2.0 ** k, 0.1) == 4
-    with pytest.raises(ContractError):
-        k_max_from_bound(lambda k: 1.0, 0.5)
-
-
 def test_lepskii_hand_case_matches_brute_force():
     iterates = [np.array([0.0]), np.array([1.0]), np.array([1.05]),
                 np.array([3.0])]
@@ -226,14 +217,6 @@ def test_noise_spec_delta_estimates():
         NoiseSpec.sampled([])
 
 
-def test_estimator_for_dispatch():
-    assert isinstance(estimator_for(NoiseSpec.deterministic(0.1)),
-                      DeterministicPhi)
-    assert isinstance(estimator_for(NoiseSpec.white(0.1)), WhiteNoisePhi)
-    assert isinstance(estimator_for(NoiseSpec.sampled([np.ones(3)])),
-                      SampledPhi)
-
-
 def test_estimators_before_first_build_return_zero():
     assert WhiteNoisePhi(1.0).evaluate(0.5, None) == 0.0
     assert SampledPhi([np.ones(3)]).evaluate(0.5, None) == 0.0
@@ -241,7 +224,6 @@ def test_estimators_before_first_build_return_zero():
 
 
 def test_stop_drivers():
-    assert NeverStop()(k=3, x=None, residual_norm=0.0, phi=None) is False
     disc = DiscrepancyDriver(2.0, 0.5)
     assert not disc(k=0, x=None, residual_norm=1.5, phi=None)
     assert disc(k=1, x=None, residual_norm=1.0, phi=None)
