@@ -48,7 +48,7 @@ print("\ntotals at 25 Newton steps:")
 print(f"{'run':<9} {'inner':>6} {'model units':>12} {'best error':>11}")
 for name, h in histories.items():
     print(f"{name:<9} {h.total_inner():6d} {h.total_cost():12d} "
-          f"{min(h.errors()):11.4f}")
+          f"{min(r.error for r in h.records):11.4f}")
 
 ratio = histories["updates"].total_inner() / histories["frozen"].total_inner()
 print(f"\ninner-iteration ratio updates/frozen: {ratio:.3f}")

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .krylov import (CgBreakdownError, CgConfig, CgTrace, RitzPair,
-                     Tridiagonal, pcg_solve, ritz_from_trace, select_ritz)
+from .krylov import (CgBreakdownError, CgConfig, CgTrace, RitzPair, pcg_solve,
+                     ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         ForwardModel, JacobianHandle, ModelCost,
                         TikhonovSystem, adjoint_mismatch, build_rhs,
@@ -31,9 +31,8 @@ from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
                       landweber_run, must_update, newton_cg_run,
                       schedule_gamma, should_recompute)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
-                       NoiseSpec, PhiBudgetDriver, PhiSeries, SampledPhi,
-                       WhiteNoisePhi, apply_R_app, discrepancy_stop,
-                       lepskii_from_history, lepskii_select,
+                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi, apply_R_app,
+                       discrepancy_stop, lepskii_from_history, lepskii_select,
                        phi_deterministic, phi_sampled, phi_white_noise)
 from .testbed import (DenseOracle, OracleRefusal, Problem, generate_noise,
                       make_convolution_problem, make_diagonal_problem,
@@ -46,8 +45,8 @@ __all__ = [
     "TikhonovSystem", "IRGNM", "LEVENBERG_MARQUARDT", "adjoint_mismatch",
     "build_rhs", "jacobian_fd_order",
     # krylov
-    "CgBreakdownError", "CgConfig", "CgTrace", "RitzPair", "Tridiagonal",
-    "pcg_solve", "ritz_from_trace", "select_ritz",
+    "CgBreakdownError", "CgConfig", "CgTrace", "RitzPair", "pcg_solve",
+    "ritz_from_trace", "select_ritz",
     # preconditioner
     "SpectralPreconditioner", "SpectrumReport", "TwoSidedSystem",
     "merge_pairs", "preconditioned_spectrum_check", "ritz_to_eigenpair",
@@ -55,10 +54,10 @@ __all__ = [
     "NewtonConfig", "RunHistory", "RunRecord", "irgnm_run", "landweber_run",
     "must_update", "newton_cg_run", "schedule_gamma", "should_recompute",
     # stopping
-    "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver", "NoiseSpec",
-    "PhiBudgetDriver", "PhiSeries", "SampledPhi", "WhiteNoisePhi",
-    "apply_R_app", "discrepancy_stop", "lepskii_from_history", "lepskii_select", "phi_deterministic",
-    "phi_sampled", "phi_white_noise",
+    "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver",
+    "PhiBudgetDriver", "SampledPhi", "WhiteNoisePhi", "apply_R_app",
+    "discrepancy_stop", "lepskii_from_history", "lepskii_select",
+    "phi_deterministic", "phi_sampled", "phi_white_noise",
     # testbed
     "DenseOracle", "OracleRefusal", "Problem", "generate_noise",
     "make_convolution_problem", "make_diagonal_problem",

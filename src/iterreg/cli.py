@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,10 +26,11 @@ import numpy as np
 
 from . import __version__
 from .krylov import CgBreakdownError, CgConfig, pcg_solve
-from .operators import ContractError, adjoint_mismatch, jacobian_fd_order
+from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
+                        jacobian_fd_order)
 from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
-                      check_landweber_mu, irgnm_run, landweber_run,
-                      newton_cg_run)
+                      check_landweber_mu, check_step_cap, irgnm_run,
+                      landweber_run, newton_cg_run)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                        discrepancy_stop, lepskii_from_history)
@@ -136,16 +139,6 @@ def _parse_value(section, key, kind, raw, choices=None):
             f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
 
 
-def _serialize_value(kind, value):
-    if value is None:
-        return "auto"
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("float", "float?"):
-        return repr(float(value))
-    return str(value)
-
-
 @dataclass
 class ExperimentConfig:
     """Typed view of the four INI sections; a config plus the package version
@@ -182,8 +175,7 @@ class ExperimentConfig:
     @classmethod
     def from_ini(cls, path):
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
+        if not cp.read(path):
             raise ConfigError(f"config file not found: {path}")
         return cls.from_parser(cp)
 
@@ -193,23 +185,8 @@ class ExperimentConfig:
         cp.read_string(text)
         return cls.from_parser(cp)
 
-    def serialize(self):
-        lines = []
-        for section, keys in _SCHEMA.items():
-            lines.append(f"[{section}]")
-            store = getattr(self, section)
-            for key, spec in keys.items():
-                lines.append(f"{key} = {_serialize_value(spec[0], store[key])}")
-            lines.append("")
-        return "\n".join(lines)
-
-    def to_ini(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.serialize())
-
     def as_dict(self):
-        return {"problem": dict(self.problem), "solver": dict(self.solver),
-                "noise": dict(self.noise), "stopping": dict(self.stopping)}
+        return {section: dict(getattr(self, section)) for section in _SCHEMA}
 
     def validate(self, methods=None):
         methods = methods or [self.solver["method"]]
@@ -223,8 +200,6 @@ class ExperimentConfig:
                 "default")
         if rule == "fixed-K" and self.stopping["k_fixed"] < 0:
             raise ConfigError("[stopping] k_fixed: must be nonnegative")
-        if "landweber" in methods and self.solver["landweber_steps"] < 0:
-            raise ConfigError("[solver] landweber_steps: must be nonnegative")
         if self.noise["kind"] == "white" and self.noise["sigma"] is None \
                 and self.noise["level"] < 0:
             raise ConfigError("[noise] level: must be nonnegative")
@@ -241,7 +216,8 @@ class ExperimentConfig:
             raise ConfigError(f"[solver] {exc}") from None
         for key, method, check in (
                 ("newton_cg_rho", "newton-cg", check_inner_rho),
-                ("landweber_mu", "landweber", check_landweber_mu)):
+                ("landweber_mu", "landweber", check_landweber_mu),
+                ("landweber_steps", "landweber", check_step_cap)):
             if method in methods and self.solver[key] is not None:
                 try:
                     check(self.solver[key])
@@ -250,17 +226,22 @@ class ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig):
+    """The configured testbed; values it rejects raise a ConfigError."""
     p = cfg.problem
-    if p["kind"] in ("diagonal", "nonlinear-diagonal"):
-        base = make_diagonal_problem(m=p["m"], n=p["n"], decay_a=p["decay_a"],
-                                     scale=p["scale"], seed=p["seed"])
-    else:
-        base = make_convolution_problem(n=p["n"],
-                                        kernel_width=p["kernel_width"],
-                                        seed=p["seed"])
-    if p["kind"].startswith("nonlinear-"):
-        return make_nonlinear_composite(base, c3=p["c3"])
-    return base
+    try:
+        if p["kind"] in ("diagonal", "nonlinear-diagonal"):
+            base = make_diagonal_problem(m=p["m"], n=p["n"],
+                                         decay_a=p["decay_a"],
+                                         scale=p["scale"], seed=p["seed"])
+        else:
+            base = make_convolution_problem(n=p["n"],
+                                            kernel_width=p["kernel_width"],
+                                            seed=p["seed"])
+        if p["kind"].startswith("nonlinear-"):
+            return make_nonlinear_composite(base, c3=p["c3"])
+        return base
+    except ContractError as exc:
+        raise ConfigError(f"[problem] {exc}") from None
 
 
 def build_data(cfg: ExperimentConfig, problem, noise_seed=None):
@@ -294,18 +275,12 @@ def build_phi_estimator(cfg: ExperimentConfig, sigma, delta, range_dim,
 
 
 def _newton_config(cfg: ExperimentConfig, method):
-    s = cfg.solver
-    return NewtonConfig(
-        gamma0=s["gamma0"], gamma_factor=s["gamma_factor"],
-        rhs_kind=s["rhs_kind"], eps_standard=s["eps_standard"],
-        eps_accurate=s["eps_accurate"], update_age_min=s["update_age_min"],
-        update_inner_min=s["update_inner_min"],
-        recompute_inner_min=s["recompute_inner_min"],
-        ritz_separation=s["ritz_separation"],
-        ritz_residual_tol=s["ritz_residual_tol"], max_newton=s["max_newton"],
-        max_inner=s["max_inner"],
-        use_preconditioner=(method == "irgnm-prec"),
-        enable_updates=s["enable_updates"])
+    # Every NewtonConfig field but use_preconditioner is a [solver] key of
+    # the same name.
+    kwargs = {f.name: cfg.solver[f.name]
+              for f in dataclasses.fields(NewtonConfig)
+              if f.name != "use_preconditioner"}
+    return NewtonConfig(use_preconditioner=(method == "irgnm-prec"), **kwargs)
 
 
 def _stop_driver(cfg: ExperimentConfig, delta):
@@ -343,24 +318,34 @@ def run_method(cfg: ExperimentConfig, problem, y_obs, method=None, stop=None,
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
 
 
 def write_run_csv(path, history):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_CSV_HEADER)
-        for r in history.records:
-            writer.writerow([r.k, r.m, _fmt(r.gamma_k), _fmt(r.residual_norm),
-                             _fmt(r.error), r.inner_iterations,
-                             r.cumulative_cost, _fmt(r.phi_k), r.event])
+    _write_csv(path, RUN_CSV_HEADER, (
+        [r.k, r.m, _fmt(r.gamma_k), _fmt(r.residual_norm), _fmt(r.error),
+         r.inner_iterations, r.cumulative_cost, _fmt(r.phi_k), r.event]
+        for r in history.records))
 
 
-def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta):
-    """Resolve the configured rule to (stop_index, error_at_stop, reached)."""
-    rule = cfg.stopping["rule"]
+def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta,
+                    rule=None):
+    """Resolve ``rule`` (default: the configured one) on a finished run to
+    (stop_index, error_at_stop, reached)."""
+    rule = rule or cfg.stopping["rule"]
     records = history.records
     if rule == "discrepancy":
         index = discrepancy_stop(history.residual_norms(),
@@ -392,8 +377,7 @@ def run_single(cfg: ExperimentConfig, out_dir, noise_seed=None):
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim,
                                         cfg.noise["seed"])
-    stop = _stop_driver(cfg, delta)
-    history = run_method(cfg, problem, y_obs, stop=stop,
+    history = run_method(cfg, problem, y_obs, stop=_stop_driver(cfg, delta),
                          phi_estimator=phi_estimator)
     index, error_at_stop, reached = apply_stop_rule(cfg, history, problem,
                                                     delta)
@@ -407,6 +391,7 @@ def run_single(cfg: ExperimentConfig, out_dir, noise_seed=None):
         "method": history.method,
         "noise": {"sigma": sigma, "delta": delta},
         "terminal_reason": history.terminal_reason,
+        "breakdown": history.meta.get("breakdown"),
         "records": len(history.records),
         "total_cost": history.total_cost(),
         "final_error": history.records[-1].error,
@@ -418,9 +403,7 @@ def run_single(cfg: ExperimentConfig, out_dir, noise_seed=None):
         },
         "wall_time_s": time.perf_counter() - t0,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return history, summary
 
 
@@ -447,42 +430,29 @@ def run_work_precision(configs, out_dir):
         histories.append(history)
 
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "work_precision.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WP_CSV_HEADER)
-        for history in histories:
-            for r in history.records:
-                writer.writerow([history.method, r.k, r.cumulative_cost,
-                                 repr(r.wall_time_s), _fmt(r.error)])
-    summary = {
+    _write_csv(os.path.join(out_dir, "work_precision.csv"), WP_CSV_HEADER, (
+        [h.method, r.k, r.cumulative_cost, repr(r.wall_time_s), _fmt(r.error)]
+        for h in histories for r in h.records))
+    _write_json(os.path.join(out_dir, "summary.json"), {
         "version": __version__,
         "config": head.as_dict(),
         "methods": [h.method for h in histories],
         "total_cost": {h.method: h.total_cost() for h in histories},
         "final_error": {h.method: h.records[-1].error for h in histories},
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return histories
 
 
 def expand_methods(cfg: ExperimentConfig):
     """Per-method configs from the comma-separated [solver] methods field."""
-    from dataclasses import replace
-
-    names = [m.strip() for m in cfg.solver["methods"].split(",") if m.strip()]
-    if not names:
-        names = [cfg.solver["method"]]
+    names = [m.strip() for m in cfg.solver["methods"].split(",")
+             if m.strip()] or [cfg.solver["method"]]
     cfg.validate(names)
     out = []
     for name in names:
-        solver = dict(cfg.solver)
-        solver["method"] = name
-        out.append(replace(cfg, problem=dict(cfg.problem), solver=solver,
-                           noise=dict(cfg.noise),
-                           stopping=dict(cfg.stopping)))
+        sub = copy.deepcopy(cfg)
+        sub.solver["method"] = name
+        out.append(sub)
     return out
 
 
@@ -493,22 +463,12 @@ def _study_sample(cfg: ExperimentConfig, sample_id):
     y_obs, sigma, delta = build_data(cfg, problem, noise_seed=noise_seed)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim, noise_seed)
-    stop = PhiBudgetDriver(cfg.stopping["r_bound"])
-    history = run_method(cfg, problem, y_obs, stop=stop,
+    history = run_method(cfg, problem, y_obs,
+                         stop=PhiBudgetDriver(cfg.stopping["r_bound"]),
                          phi_estimator=phi_estimator)
-
-    rows = []
-    disc = discrepancy_stop(history.residual_norms(), cfg.stopping["tau"],
-                            delta)
-    rows.append((sample_id, "discrepancy", disc,
-                 history.records[disc].error if disc is not None else None))
-    bal = lepskii_from_history(history, cfg.stopping["rho"],
-                               cfg.stopping["r_bound"])
-    rows.append((sample_id, "lepskii", bal, history.records[bal].error))
-    errors = [r.error for r in history.records]
-    best = int(np.argmin(errors))
-    rows.append((sample_id, "oracle-optimal", best, errors[best]))
-    return rows
+    return [(sample_id, rule)
+            + apply_stop_rule(cfg, history, problem, delta, rule)[:2]
+            for rule in STUDY_RULES]
 
 
 def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
@@ -532,13 +492,11 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     rows = [row for i in range(num_samples) for row in _study_sample(cfg, i)]
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "stopping_samples.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SAMPLES_CSV_HEADER)
-        for sample_id, rule, index, error in rows:
-            writer.writerow([sample_id, rule,
-                             "" if index is None else index, _fmt(error)])
+    _write_csv(os.path.join(out_dir, "stopping_samples.csv"),
+               SAMPLES_CSV_HEADER, (
+                   [sample_id, rule, "" if index is None else index,
+                    _fmt(error)]
+                   for sample_id, rule, index, error in rows))
 
     summary_rows = []
     stats = {}
@@ -555,16 +513,11 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
         stats[rule] = {"samples_used": used, "mean_stop_index": mean_i,
                        "std_stop_index": std_i, "mean_error": mean_e,
                        "std_error": std_e}
-    with open(os.path.join(out_dir, "stopping_summary.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_CSV_HEADER)
-        writer.writerows(summary_rows)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump({"version": __version__, "config": cfg.as_dict(),
-                   "num_samples": num_samples, "rules": stats},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(os.path.join(out_dir, "stopping_summary.csv"),
+               SUMMARY_CSV_HEADER, summary_rows)
+    _write_json(os.path.join(out_dir, "summary.json"),
+                {"version": __version__, "config": cfg.as_dict(),
+                 "num_samples": num_samples, "rules": stats})
     return rows, stats
 
 
@@ -596,7 +549,6 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
                 / max(np.linalg.norm(oracle.a.T @ y_part), 1e-300))
     report["oracle_self_consistency"] = {"value": rel, "ok": rel <= 1e-10}
 
-    from .operators import TikhonovSystem
     sys_k = TikhonovSystem(jac, gamma, y_part, np.zeros(model.domain_dim))
     h_cg, trace = pcg_solve(sys_k, None, cfg=CgConfig(epsilon=1.0 / 3.0))
     cg_rel = float(np.linalg.norm(h_cg - h_exact)
@@ -605,10 +557,7 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
 
     digests = []
     for _ in range(2):
-        sub = ExperimentConfig(problem=dict(cfg.problem),
-                               solver=dict(cfg.solver),
-                               noise=dict(cfg.noise),
-                               stopping=dict(cfg.stopping))
+        sub = copy.deepcopy(cfg)
         sub.solver["max_newton"] = min(sub.solver["max_newton"], 6)
         tmp = os.path.join(out_dir, "_check_run")
         run_single(sub, tmp)
@@ -619,12 +568,19 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
 
     all_ok = all(entry["ok"] for entry in report.values())
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "check_report.json"), "w") as fh:
-        json.dump({"version": __version__, "problem": problem.describe(),
-                   "checks": report, "ok": all_ok},
-                  fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "check_report.json"),
+                {"version": __version__, "problem": problem.describe(),
+                 "checks": report, "ok": all_ok})
     return report, all_ok
+
+
+def _report_breakdowns(histories):
+    """Explain each run that ended in Breakdown on stderr; True if any did."""
+    failed = [h for h in histories if h.terminal_reason == TERMINAL_BREAKDOWN]
+    for h in failed:
+        print(f"numerical breakdown: {h.method}: {h.meta['breakdown']}",
+              file=sys.stderr)
+    return bool(failed)
 
 
 def main(argv=None):
@@ -650,14 +606,14 @@ def main(argv=None):
             print(f"method={history.method} records={len(history.records)} "
                   f"terminal={history.terminal_reason} "
                   f"stop_index={summary['stop_rule']['stop_index']}")
-            if history.terminal_reason == TERMINAL_BREAKDOWN:
+            if _report_breakdowns([history]):
                 return 3
         elif args.verb == "work-precision":
             histories = run_work_precision(expand_methods(cfg), args.out)
             for h in histories:
                 print(f"{h.method}: cost={h.total_cost()} "
                       f"final_error={h.records[-1].error}")
-            if any(h.terminal_reason == TERMINAL_BREAKDOWN for h in histories):
+            if _report_breakdowns(histories):
                 return 3
         elif args.verb == "stopping-study":
             _, stats = run_stopping_study(cfg, out_dir=args.out)
@@ -673,13 +629,10 @@ def main(argv=None):
                 print(f"{name}: {flag} ({entry['value']})")
             if not all_ok:
                 return 3
-    except ConfigError as exc:
+    except (ConfigError, configparser.Error, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (configparser.Error, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (CgBreakdownError, OracleRefusal) as exc:
+    except (ContractError, CgBreakdownError, OracleRefusal) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -101,15 +101,6 @@ class HouseholderBasis:
             x = x - (2.0 * (v @ x)) * v
         return x
 
-    def project_out(self, x):
-        """Component of ``x`` orthogonal to the current basis."""
-        x = np.asarray(x, dtype=float)
-        if not self._reflectors:
-            return x.copy()
-        y = self._forward(x.copy())
-        y[: self.count] = 0.0
-        return self._backward(y)
-
     def add(self, x, drop_tol=1e-12):
         """Extend the basis with the normalized complement of ``x``.
 
@@ -168,22 +159,9 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     return kept, indices
 
 
-@dataclass
-class Tridiagonal:
-    """Symmetric tridiagonal Lanczos matrix T_l recovered from CG coefficients."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def eigh(self):
-        """Eigenvalues (ascending) and eigenvectors of T_l."""
-        if self.diag.shape[0] == 1:
-            return self.diag.copy(), np.ones((1, 1))
-        return scipy.linalg.eigh_tridiagonal(self.diag, self.offdiag)
-
-
-def tridiagonal_from_trace(trace: CgTrace) -> Tridiagonal:
-    """Assemble T_l: diag = (1/a_1, 1/a_{j+1} + b_j/a_j), offdiag = -sqrt(b_j)/a_j."""
+def tridiagonal_from_trace(trace: CgTrace):
+    """Assemble the symmetric tridiagonal Lanczos matrix T_l as (diag, offdiag):
+    diag = (1/a_1, 1/a_{j+1} + b_j/a_j), offdiag = -sqrt(b_j)/a_j."""
     if trace.iterations < 1:
         raise ContractError("trace holds no completed CG iterations")
     a = np.asarray(trace.alphas, dtype=float)
@@ -193,7 +171,7 @@ def tridiagonal_from_trace(trace: CgTrace) -> Tridiagonal:
     if a.shape[0] > 1:
         diag[1:] = 1.0 / a[1:] + b / a[:-1]
     offdiag = -np.sqrt(b) / a[:-1] if a.shape[0] > 1 else np.empty(0)
-    return Tridiagonal(diag, offdiag)
+    return diag, offdiag
 
 
 @dataclass
@@ -218,8 +196,11 @@ def ritz_from_trace(trace: CgTrace):
     """
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")
-    t = tridiagonal_from_trace(trace)
-    theta, vecs = t.eigh()
+    diag, offdiag = tridiagonal_from_trace(trace)
+    if diag.shape[0] == 1:
+        theta, vecs = diag.copy(), np.ones((1, 1))
+    else:
+        theta, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     if theta[0] <= 0.0:
         raise ContractError(
             "tridiagonal matrix is not positive definite; "

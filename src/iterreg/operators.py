@@ -39,16 +39,6 @@ def as_vector(x, dim=None, name="vector"):
     return v
 
 
-class CostCounter:
-    """Call counter. One increment per counted operation."""
-
-    def __init__(self):
-        self.count = 0
-
-    def increment(self, n=1):
-        self.count += n
-
-
 class ModelCost:
     """Running totals of forward-model work, in model units.
 
@@ -57,17 +47,13 @@ class ModelCost:
     """
 
     def __init__(self):
-        self.evaluations = CostCounter()
-        self.jacobian_applies = CostCounter()
-        self.adjoint_applies = CostCounter()
+        self.evaluations = 0
+        self.jacobian_applies = 0
+        self.adjoint_applies = 0
 
     @property
     def total(self) -> int:
-        return (
-            self.evaluations.count
-            + self.jacobian_applies.count
-            + self.adjoint_applies.count
-        )
+        return self.evaluations + self.jacobian_applies + self.adjoint_applies
 
 
 class JacobianHandle:
@@ -82,38 +68,28 @@ class JacobianHandle:
         v -> A v (R^M -> R^N) and w -> A^T w (R^N -> R^M).
     domain_dim, range_dim : int
         M and N.
-    point_id : int
-        Opaque token identifying the linearization point.
-    model_cost : ModelCost, optional
-        Shared cost ledger of the owning model; incremented alongside the
-        handle-local counters.
+    cost : ModelCost
+        Cost ledger of the owning model; each apply and adjoint apply
+        counts one unit there.
     """
 
-    def __init__(self, apply_fn, adjoint_fn, domain_dim, range_dim,
-                 point_id, model_cost=None):
+    def __init__(self, apply_fn, adjoint_fn, domain_dim, range_dim, cost):
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.domain_dim = int(domain_dim)
         self.range_dim = int(range_dim)
-        self.linearization_point_id = point_id
-        self.applies = CostCounter()
-        self.adjoints = CostCounter()
-        self._model_cost = model_cost
+        self._cost = cost
 
     def apply(self, v):
         v = as_vector(v, self.domain_dim, "Jacobian input")
         out = as_vector(self._apply(v), self.range_dim, "Jacobian output")
-        self.applies.increment()
-        if self._model_cost is not None:
-            self._model_cost.jacobian_applies.increment()
+        self._cost.jacobian_applies += 1
         return out
 
     def apply_adjoint(self, w):
         w = as_vector(w, self.range_dim, "adjoint input")
         out = as_vector(self._adjoint(w), self.domain_dim, "adjoint output")
-        self.adjoints.increment()
-        if self._model_cost is not None:
-            self._model_cost.adjoint_applies.increment()
+        self._cost.adjoint_applies += 1
         return out
 
 
@@ -142,21 +118,19 @@ class ForwardModel:
         self._linearize = linearize_fn
         self.name = name
         self.cost = ModelCost()
-        self._point_counter = 0
 
     def evaluate(self, x):
         x = as_vector(x, self.domain_dim, "model input")
         y = as_vector(self._evaluate(x), self.range_dim, "model output")
-        self.cost.evaluations.increment()
+        self.cost.evaluations += 1
         return y
 
     def linearize(self, x) -> JacobianHandle:
         """Return a frozen Jacobian handle at ``x``. Minting one is free."""
         x = as_vector(x, self.domain_dim, "linearization point")
         apply_fn, adjoint_fn = self._linearize(x)
-        self._point_counter += 1
         return JacobianHandle(apply_fn, adjoint_fn, self.domain_dim,
-                              self.range_dim, self._point_counter, self.cost)
+                              self.range_dim, self.cost)
 
 
 class TikhonovSystem:

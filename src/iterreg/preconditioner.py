@@ -105,10 +105,6 @@ class SpectralPreconditioner:
         return int(self.lambdas.shape[0])
 
     @property
-    def pairs(self):
-        return [(float(l), self.vectors[:, j]) for j, l in enumerate(self.lambdas)]
-
-    @property
     def has_left_vectors(self):
         return (self.left_vectors is not None
                 and all(w is not None for w in self.left_vectors))
@@ -226,7 +222,8 @@ def ritz_to_eigenpair(mu, gamma, u):
 def merge_pairs(existing: SpectralPreconditioner, new_pairs, new_gamma):
     """Union of the existing pair set with newly harvested pairs.
 
-    The stacked vectors are reorthogonalized (existing ones first, so they
+    Every harvested pair set is built here; a fresh one merges into
+    ``SpectralPreconditioner.empty``. The stacked vectors are reorthogonalized (existing ones first, so they
     pass through unchanged); each retained vector keeps the lambda of the
     pair that contributed it, and newcomers numerically dependent on the span
     are dropped together with their values. Existing left vectors survive;

@@ -118,23 +118,8 @@ class RunHistory:
     stop_index: int | None = None
     meta: dict = field(default_factory=dict)
 
-    def iterates(self):
-        return [r.x_k for r in self.records]
-
     def residual_norms(self):
         return [r.residual_norm for r in self.records]
-
-    def errors(self):
-        return [r.error for r in self.records]
-
-    def phis(self):
-        return [r.phi_k for r in self.records]
-
-    def events(self):
-        return [r.event for r in self.records]
-
-    def inner_counts(self):
-        return [r.inner_iterations for r in self.records]
 
     def total_inner(self):
         return sum(r.inner_iterations for r in self.records)
@@ -205,11 +190,6 @@ def _resolve_gamma0(cfg, model, x0):
     return replace(cfg, gamma0=estimate_gram_norm(jac))
 
 
-def _make_system(jac, gamma_k, residual_vec, rhs_kind, x0, x):
-    rhs_data, rhs_prior = build_rhs(rhs_kind, x0, x, residual_vec)
-    return TikhonovSystem(jac, gamma_k, rhs_data, rhs_prior)
-
-
 def _truncated_cgne(jac, b_vec, rho, max_iterations):
     """CG on A^T A h = A^T b, stopped when ||b - A h|| <= rho * ||b||.
 
@@ -263,6 +243,12 @@ def check_landweber_mu(mu):
         raise ContractError(f"mu must be nonnegative, got {mu}")
 
 
+def check_step_cap(steps):
+    """Reject a negative cap on the number of outer steps."""
+    if steps < 0:
+        raise ContractError(f"step cap must be nonnegative, got {steps}")
+
+
 def check_inner_rho(inner_rho):
     """Reject a Newton-CG inner tolerance outside (0, 1)."""
     if not 0.0 < inner_rho < 1.0:
@@ -279,9 +265,11 @@ class _OuterLoop:
     and phi_k, and consults the stop driver and the divergence guard. Unless
     the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
     and sets the record's event, inner_iterations and, after a
-    relinearization, m. A ContractError or CgBreakdownError raised by the
-    step ends the run at k with terminal Breakdown and the message in
-    ``meta["breakdown"]``.
+    relinearization, m. A tripped divergence guard, or a ContractError or
+    CgBreakdownError raised by the step, ends the run at k with terminal
+    Breakdown and the reason in ``meta["breakdown"]``; after a failed step
+    the record's cumulative_cost is re-read so it includes the units that
+    step spent.
     """
 
     def __init__(self, model, y_obs, x0, truth):
@@ -325,6 +313,9 @@ class _OuterLoop:
                 break
             if rn > DIVERGENCE_FACTOR * records[0].residual_norm:
                 terminal = TERMINAL_BREAKDOWN
+                meta["breakdown"] = (
+                    f"residual norm {rn!r} exceeds {DIVERGENCE_FACTOR!r} "
+                    "times the starting residual")
                 break
             try:
                 x = x + step(rec, x, residual_vec)
@@ -332,6 +323,7 @@ class _OuterLoop:
                 if getattr(exc, "trace", None) is not None:
                     rec.inner_iterations = exc.trace.iterations
                 rec.event = EVENT_FINAL
+                rec.cumulative_cost = model.cost.total - self.cost_start
                 terminal = TERMINAL_BREAKDOWN
                 meta["breakdown"] = str(exc)
                 break
@@ -384,7 +376,8 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         if relinearize:
             jac = model.linearize(x)
             m = rec.m = k
-        sys = _make_system(jac, gamma_k, residual_vec, cfg.rhs_kind, x0, x)
+        sys = TikhonovSystem(jac, gamma_k,
+                             *build_rhs(cfg.rhs_kind, x0, x, residual_vec))
         if not cfg.use_preconditioner:
             h, trace = pcg_solve(sys, None, cfg=CgConfig(
                 epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
@@ -399,14 +392,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             h = tsys.pull_back(h_t)
             new_pairs = _harvest(trace, base, gamma_k, cfg.ritz_separation,
                                  cfg.ritz_residual_tol)
-            if not relinearize:
-                precond = merge_pairs(precond, new_pairs, gamma_k)
-            elif new_pairs:
-                precond = SpectralPreconditioner(
-                    gamma_k, np.array([lam for lam, _ in new_pairs]),
-                    np.column_stack([u for _, u in new_pairs]))
-            else:
-                precond = base
+            precond = merge_pairs(base, new_pairs, gamma_k)
             if getattr(phi_estimator, "needs_left_vectors", False):
                 precond = precond.attach_left_vectors(jac)
             last_build = k
@@ -434,6 +420,7 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
     Each step costs one evaluation plus one adjoint apply. Aborts with a
     Breakdown terminal if the residual grows tenfold above its start.
     """
+    check_step_cap(max_steps)
     outer = _OuterLoop(model, y_obs, x0, truth)
     if mu is None:
         mu = 0.95 / estimate_gram_norm(model.linearize(outer.x0))
@@ -455,6 +442,7 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     the sole regularization.
     """
     check_inner_rho(inner_rho)
+    check_step_cap(max_newton)
     outer = _OuterLoop(model, y_obs, x0, truth)
 
     def step(rec, x, residual_vec):

@@ -11,7 +11,6 @@ through the low-rank surrogate R_k^app built from the preconditioner pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,67 +19,6 @@ from .operators import ContractError, as_vector
 
 class PhiWarning(UserWarning):
     """The noise estimate is uninformative or possibly underestimating."""
-
-
-@dataclass
-class NoiseSpec:
-    """What is known about the data noise.
-
-    variant "deterministic" carries a norm bound delta; "white" a
-    per-component standard deviation sigma; "sampled" a list of independent
-    noise realizations.
-    """
-
-    variant: str
-    delta: float = 0.0
-    sigma: float = 0.0
-    samples: list = field(default_factory=list)
-
-    _VARIANTS = ("deterministic", "white", "sampled")
-
-    def __post_init__(self):
-        if self.variant not in self._VARIANTS:
-            raise ContractError(
-                f"unknown noise variant {self.variant!r}, expected {self._VARIANTS}")
-        if self.delta < 0 or self.sigma < 0:
-            raise ContractError("noise magnitudes must be nonnegative")
-        if self.variant == "sampled" and len(self.samples) < 1:
-            raise ContractError("sampled noise needs at least one realization")
-
-    @classmethod
-    def deterministic(cls, delta):
-        return cls("deterministic", delta=delta)
-
-    @classmethod
-    def white(cls, sigma):
-        return cls("white", sigma=sigma)
-
-    @classmethod
-    def sampled(cls, samples):
-        return cls("sampled", samples=list(samples))
-
-    def delta_estimate(self, dim):
-        """Expected noise norm ||eps|| for use in the discrepancy test."""
-        if self.variant == "deterministic":
-            return self.delta
-        if self.variant == "white":
-            return self.sigma * np.sqrt(dim)
-        return float(np.sqrt(np.mean([np.linalg.norm(s) ** 2 for s in self.samples])))
-
-
-@dataclass
-class PhiSeries:
-    """Propagated-noise estimates Phi(0..k_max) with their provenance."""
-
-    values: list
-    method: str
-    k_max: int
-
-    def __post_init__(self):
-        if self.k_max != len(self.values) - 1:
-            raise ContractError("k_max must index the last stored value")
-        if any(v < 0 for v in self.values):
-            raise ContractError("Phi values must be nonnegative")
 
 
 def discrepancy_stop(residual_norms, tau, delta):
@@ -170,11 +108,11 @@ def phi_sampled(precond, noise_samples, gamma_k=None):
 def lepskii_select(iterates, phi, rho):
     """Balancing index K_bal = min{k : ||x_k - x_m|| <= rho Phi(m), m > k}.
 
-    ``iterates`` are x_0..x_{K_max} and ``phi`` the matching Phi values
-    (a PhiSeries or a plain sequence); rho must exceed 4. At k = K_max the
-    condition is vacuous, so a valid index always exists.
+    ``iterates`` are x_0..x_{K_max} and ``phi`` the matching Phi values;
+    rho must exceed 4. At k = K_max the condition is vacuous, so a valid
+    index always exists.
     """
-    values = phi.values if isinstance(phi, PhiSeries) else list(phi)
+    values = list(phi)
     if len(values) != len(iterates):
         raise ContractError("need one Phi value per iterate")
     if len(iterates) == 0:
@@ -255,7 +193,6 @@ class DiscrepancyDriver:
             raise ContractError("delta must be nonnegative")
         self.tau = float(tau)
         self.delta = float(delta)
-        self.reason = f"discrepancy(tau={tau})"
 
     def __call__(self, k, x, residual_norm, phi):
         return residual_norm <= self.tau * self.delta
@@ -268,7 +205,6 @@ class PhiBudgetDriver:
         if not bound > 0:
             raise ContractError("bound must be positive")
         self.bound = float(bound)
-        self.reason = f"phi-budget(R={bound})"
 
     def __call__(self, k, x, residual_norm, phi):
         return phi is not None and phi > self.bound
@@ -281,7 +217,6 @@ class FixedIndexDriver:
         if index < 0:
             raise ContractError("index must be nonnegative")
         self.index = int(index)
-        self.reason = f"fixed-K(K={index})"
 
     def __call__(self, k, x, residual_norm, phi):
         return k >= self.index

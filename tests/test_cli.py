@@ -48,17 +48,11 @@ def test_defaults_fill_missing_sections():
     assert cfg.stopping["rule"] == "discrepancy"
 
 
-def test_config_round_trip():
-    cfg = ExperimentConfig.from_text(BASE)
-    again = ExperimentConfig.from_text(cfg.serialize())
-    assert again.as_dict() == cfg.as_dict()
-
-
-def test_to_ini_and_from_ini(tmp_path):
-    cfg = ExperimentConfig.from_text(BASE)
+def test_from_ini_matches_from_text(tmp_path):
     path = tmp_path / "exp.ini"
-    cfg.to_ini(path)
-    assert ExperimentConfig.from_ini(path).as_dict() == cfg.as_dict()
+    path.write_text(BASE)
+    assert ExperimentConfig.from_ini(path).as_dict() \
+        == ExperimentConfig.from_text(BASE).as_dict()
 
 
 def test_auto_sentinel_parses_to_none():
@@ -297,9 +291,33 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     assert not (tmp_path / "out").exists()
 
 
-def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("lines", [
+    "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
+    "kind = convolution\nn = 4",
+], ids=["m_above_n", "decay_a", "c3", "convolution_n"])
+def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[problem]\n{lines}\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [problem]")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_main_overflowing_data_exits_3(tmp_path, capsys):
+    # The problem is valid, but its exact data overflow to inf.
+    ini = tmp_path / "big.ini"
+    ini.write_text("[problem]\nscale = 1e300\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numerical breakdown: ")
+
+
+def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch, capsys):
     # A NaN from the model's Jacobian inside an inner solve ends the run in
-    # a Breakdown record; the CLI writes its outputs and exits 3.
+    # a Breakdown record; the CLI writes its outputs, explains the failure
+    # on stderr and in summary.json, and exits 3.
     def failing_problem(cfg):
         problem = build_problem(cfg)
         return dataclasses.replace(problem,
@@ -311,9 +329,19 @@ def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["solve", "--config", str(ini), "--out", str(out)]) == 3
     with open(out / "summary.json") as fh:
-        assert json.load(fh)["terminal_reason"] == "Breakdown"
+        summary = json.load(fh)
+    assert summary["terminal_reason"] == "Breakdown"
+    assert "non-finite" in summary["breakdown"]
     with open(out / "run.csv") as fh:
         assert list(csv.reader(fh))[-1][-1] == "Final"
+    err = capsys.readouterr().err
+    assert err == f"numerical breakdown: irgnm-prec: {summary['breakdown']}\n"
+
+    monkeypatch.undo()
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "ok")]) == 0
+    with open(tmp_path / "ok" / "summary.json") as fh:
+        assert json.load(fh)["breakdown"] is None
 
 
 def test_main_seed_override(tmp_path):

@@ -1,0 +1,20 @@
+"""The narrative demos run end to end and the package exports resolve."""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import iterreg
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_run_and_exports_resolve():
+    assert not [name for name in iterreg.__all__ if not hasattr(iterreg, name)]
+    assert len(DEMOS) == 4
+    for path in DEMOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+        assert out.getvalue().strip(), f"{path.name} printed nothing"

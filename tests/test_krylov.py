@@ -104,11 +104,11 @@ def test_tridiagonal_matches_projected_operator():
     gamma = 0.3
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(18))
     _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-10, max_iterations=8))
-    t = tridiagonal_from_trace(trace)
+    diag, offdiag = tridiagonal_from_trace(trace)
     z = np.column_stack(trace.z_basis)
     gtg = a.T @ a + gamma * np.eye(12)
     projected = z.T @ gtg @ z
-    dense_t = np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+    dense_t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     np.testing.assert_allclose(dense_t, projected, atol=1e-8)
 
 

@@ -177,8 +177,7 @@ def test_truth_and_phi_columns():
     for r in history.records:
         assert r.phi_k == pytest.approx(0.08 / (2.0 * r.gamma_k))
         assert r.error is not None
-    errors = history.errors()
-    assert errors[-1] < errors[0]
+    assert history.records[-1].error < history.records[0].error
 
     bare = irgnm_run(problem.model, y, np.zeros(8), cfg)
     assert all(r.error is None for r in bare.records)
@@ -191,7 +190,7 @@ def test_white_noise_phi_zero_until_first_build():
     cfg = NewtonConfig(gamma0=1.0, max_newton=4)
     history = irgnm_run(problem.model, y, np.zeros(8), cfg,
                         phi_estimator=WhiteNoisePhi(0.01))
-    phis = history.phis()
+    phis = [r.phi_k for r in history.records]
     assert phis[0] == 0.0          # evaluated before the k=0 build
     assert all(p > 0.0 for p in phis[1:])
 
@@ -225,7 +224,7 @@ def test_plain_probe_follows_every_build():
     y = problem.model.evaluate(problem.truth)
     cfg = NewtonConfig(max_newton=20)
     history = irgnm_run(problem.model, y, np.zeros(15), cfg)
-    events = history.events()
+    events = [r.event for r in history.records]
     for i, event in enumerate(events[:-1]):
         if event in (EVENT_RECOMPUTE, EVENT_UPDATE):
             assert events[i + 1] in (EVENT_PLAIN, EVENT_FINAL)
@@ -251,6 +250,8 @@ def test_landweber_distinguishes_divergence():
     history = landweber_run(model, y, np.zeros(3), mu=50.0, max_steps=20)
     assert history.terminal_reason == TERMINAL_BREAKDOWN
     assert len(history.records) < 20
+    assert "exceeds 10.0 times the starting residual" \
+        in history.meta["breakdown"]
 
 
 def test_landweber_auto_step_size():
@@ -275,16 +276,19 @@ def test_newton_cg_reduces_residual_and_counts_cost():
     assert history.records[-1].residual_norm \
         < 0.5 * history.records[0].residual_norm
     assert history.total_cost() == problem.model.cost.total - before
-    events = set(history.events())
+    events = {r.event for r in history.records}
     assert events == {EVENT_BASELINE, EVENT_FINAL}
     with pytest.raises(ContractError):
         newton_cg_run(problem.model, y, np.zeros(10), inner_rho=1.5)
 
 
-def _assert_breakdown_at_failing_step(history, max_steps):
+def _assert_breakdown_at_failing_step(history, model, cost_start,
+                                      max_steps):
     # The run ends at the step whose model call failed, with a Final record
-    # of that iterate and the failure in meta.
+    # of that iterate and the failure in meta. Its cost includes the units
+    # the failed step spent.
     last = history.records[-1]
+    assert history.total_cost() == model.cost.total - cost_start
     assert history.terminal_reason == TERMINAL_BREAKDOWN
     assert "non-finite" in history.meta["breakdown"]
     assert last.event == EVENT_FINAL and last.inner_iterations == 0
@@ -299,9 +303,10 @@ def test_irgnm_nan_jacobian_apply_ends_in_breakdown(use_preconditioner):
     problem = make_nonlinear_composite(base, c3=0.5)
     y = problem.model.evaluate(problem.truth)
     model = nan_on_call(problem.model, 30)
+    start = model.cost.total
     cfg = NewtonConfig(max_newton=8, use_preconditioner=use_preconditioner)
     history = irgnm_run(model, y, np.zeros(10), cfg, truth=problem.truth)
-    _assert_breakdown_at_failing_step(history, 8)
+    _assert_breakdown_at_failing_step(history, model, start, 8)
 
 
 def test_newton_cg_nan_jacobian_apply_ends_in_breakdown():
@@ -309,16 +314,31 @@ def test_newton_cg_nan_jacobian_apply_ends_in_breakdown():
     problem = make_nonlinear_composite(base, c3=0.5)
     y = problem.model.evaluate(problem.truth)
     model = nan_on_call(problem.model, 10)
+    start = model.cost.total
     history = newton_cg_run(model, y, np.zeros(10), max_newton=8)
-    _assert_breakdown_at_failing_step(history, 8)
+    _assert_breakdown_at_failing_step(history, model, start, 8)
 
 
 def test_landweber_nan_adjoint_ends_in_breakdown():
     model = nan_on_call(linear_model(np.eye(3)), 5, adjoint=True)
+    start = model.cost.total
     history = landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
                             max_steps=10)
     # one adjoint apply per step: the fifth is taken leaving x_4
-    assert _assert_breakdown_at_failing_step(history, 10) == 4
+    assert _assert_breakdown_at_failing_step(history, model, start, 10) == 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda model: landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
+                                max_steps=-1),
+    lambda model: newton_cg_run(model, np.ones(3), np.zeros(3),
+                                max_newton=-1),
+], ids=["landweber", "newton-cg"])
+def test_negative_step_cap_rejected(run):
+    model = linear_model(np.eye(3))
+    with pytest.raises(ContractError, match="nonnegative"):
+        run(model)
+    assert model.cost.total == 0
 
 
 def test_estimate_gram_norm_diagonal():
@@ -334,8 +354,8 @@ def test_run_history_helpers():
     cfg = NewtonConfig(gamma0=1.0, max_newton=3)
     history = irgnm_run(problem.model, y, np.zeros(6), cfg,
                         truth=problem.truth)
-    assert len(history.iterates()) == len(history.records)
-    assert history.total_inner() == sum(history.inner_counts())
+    assert history.total_inner() == sum(r.inner_iterations
+                                        for r in history.records)
     assert history.residual_norms()[0] == pytest.approx(np.linalg.norm(y))
     np.testing.assert_array_equal(history.final_x(),
                                   history.records[-1].x_k)

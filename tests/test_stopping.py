@@ -8,9 +8,9 @@ from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 from iterreg.solvers import RunHistory, RunRecord
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
-                              FixedIndexDriver, NoiseSpec, PhiBudgetDriver,
-                              PhiSeries, PhiWarning, SampledPhi, WhiteNoisePhi,
-                              apply_R_app, discrepancy_stop,
+                              FixedIndexDriver, PhiBudgetDriver, PhiWarning,
+                              SampledPhi, WhiteNoisePhi, apply_R_app,
+                              discrepancy_stop,
                               lepskii_from_history, lepskii_select,
                               phi_deterministic, phi_sampled, phi_white_noise)
 from iterreg.testbed import DenseOracle, generate_noise
@@ -196,25 +196,6 @@ def test_lepskii_last_index_vacuous():
     # (vacuous) condition.
     iterates = [np.array([0.0]), np.array([100.0])]
     assert lepskii_select(iterates, [0.01, 0.01], 4.1) == 1
-
-
-def test_phi_series_validation():
-    PhiSeries([0.1, 0.2], "white", 1)
-    with pytest.raises(ContractError):
-        PhiSeries([0.1, 0.2], "white", 2)
-    with pytest.raises(ContractError):
-        PhiSeries([-0.1], "white", 0)
-
-
-def test_noise_spec_delta_estimates():
-    assert NoiseSpec.deterministic(0.25).delta_estimate(9) == 0.25
-    assert NoiseSpec.white(2.0).delta_estimate(9) == pytest.approx(6.0)
-    samples = [np.array([3.0, 4.0]), np.array([3.0, 4.0])]
-    assert NoiseSpec.sampled(samples).delta_estimate(2) == pytest.approx(5.0)
-    with pytest.raises(ContractError):
-        NoiseSpec("pink")
-    with pytest.raises(ContractError):
-        NoiseSpec.sampled([])
 
 
 def test_estimators_before_first_build_return_zero():
