@@ -420,14 +420,13 @@ def run_work_precision(configs, out_dir):
         if other.problem != head.problem or other.noise != head.noise:
             raise ConfigError(
                 "work-precision configs must share [problem] and [noise]")
-    histories = []
     for cfg in configs:
-        method = cfg.solver["method"]
-        cfg.validate([method])
-        problem = build_problem(cfg)
-        y_obs, sigma, delta = build_data(cfg, problem)
-        history = run_method(cfg, problem, y_obs, method=method)
-        histories.append(history)
+        cfg.validate([cfg.solver["method"]])
+    # One problem serves every method: each run's units are counted from
+    # the model meter's value at its start.
+    problem = build_problem(head)
+    y_obs, _, _ = build_data(head, problem)
+    histories = [run_method(cfg, problem, y_obs) for cfg in configs]
 
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "work_precision.csv"), WP_CSV_HEADER, (
@@ -456,9 +455,8 @@ def expand_methods(cfg: ExperimentConfig):
     return out
 
 
-def _study_sample(cfg: ExperimentConfig, sample_id):
-    """One noise replica of the stopping study; builds its own model."""
-    problem = build_problem(cfg)
+def _study_sample(cfg: ExperimentConfig, problem, sample_id):
+    """One noise replica of the stopping study on the study's problem."""
     noise_seed = cfg.noise["seed"] + sample_id
     y_obs, sigma, delta = build_data(cfg, problem, noise_seed=noise_seed)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
@@ -489,7 +487,9 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     if num_samples < 2:
         raise ConfigError("[noise] samples: stopping study needs at least 2")
 
-    rows = [row for i in range(num_samples) for row in _study_sample(cfg, i)]
+    problem = build_problem(cfg)
+    rows = [row for i in range(num_samples)
+            for row in _study_sample(cfg, problem, i)]
 
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "stopping_samples.csv"),

@@ -2,10 +2,11 @@
 
 Solves G^T G h = G^T g for a stacked Tikhonov operator G accessed only through
 apply/adjoint calls, optionally left-preconditioned. Unpreconditioned runs
-reorthogonalize every residual against a Householder basis; the CG
-coefficients then double as a Lanczos tridiagonalization of the normal
-operator, from which Ritz pairs are extracted together with an exact
-residual bound
+reorthogonalize every residual against a Householder basis, whose reflector
+chain is kept in compact WY form so each new vector costs a few
+matrix-vector products; the CG coefficients then double as a Lanczos
+tridiagonalization of the normal operator, from which Ritz pairs are
+extracted together with an exact residual bound
 ||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
 """
 
@@ -80,26 +81,26 @@ class HouseholderBasis:
 
     Keeping the reflector chain instead of raw Gram-Schmidt factors makes the
     projection onto the orthogonal complement exact up to round-off even for
-    nearly dependent input.
+    nearly dependent input. The chain H_1 ... H_k is held in compact WY form
+    I - V T V^T (Schreiber & Van Loan 1989): the unit reflectors are the rows
+    of V and T is upper triangular, so applying the chain takes a few
+    matrix-vector products instead of a loop over reflectors. V and T are
+    preallocated and their capacity doubles as the basis grows.
     """
 
     def __init__(self, dim):
         self.dim = int(dim)
-        self._reflectors = []
+        self.count = 0
+        cap = min(self.dim, 16)
+        self._v = np.zeros((cap, self.dim))
+        self._t = np.zeros((cap, cap))
 
-    @property
-    def count(self):
-        return len(self._reflectors)
-
-    def _forward(self, x):
-        for v in self._reflectors:
-            x = x - (2.0 * (v @ x)) * v
-        return x
-
-    def _backward(self, x):
-        for v in reversed(self._reflectors):
-            x = x - (2.0 * (v @ x)) * v
-        return x
+    def _grow(self):
+        cap = min(self.dim, 2 * self._v.shape[0])
+        v, t = np.zeros((cap, self.dim)), np.zeros((cap, cap))
+        k = self.count
+        v[:k], t[:k, :k] = self._v[:k], self._t[:k, :k]
+        self._v, self._t = v, t
 
     def add(self, x, drop_tol=1e-12):
         """Extend the basis with the normalized complement of ``x``.
@@ -111,23 +112,29 @@ class HouseholderBasis:
         """
         x = np.asarray(x, dtype=float)
         xnorm = np.linalg.norm(x)
-        if xnorm == 0.0 or self.count >= self.dim:
-            return None, 0.0
-        y = self._forward(x.copy())
         k = self.count
-        tail = y[k:]
+        if xnorm == 0.0 or k >= self.dim:
+            return None, 0.0
+        v, t = self._v[:k], self._t[:k, :k]
+        # trailing part of (H_k ... H_1) x = x - V T^T V^T x
+        tail = x[k:] - (t.T @ (v @ x)) @ v[:, k:]
         pnorm = float(np.linalg.norm(tail))
         if pnorm <= drop_tol * xnorm:
             return None, pnorm
         alpha = -np.copysign(pnorm, tail[0])
         w = tail.copy()
         w[0] -= alpha
-        v = np.zeros(self.dim)
-        v[k:] = w / np.linalg.norm(w)
-        self._reflectors.append(v)
-        q = np.zeros(self.dim)
-        q[k] = 1.0
-        q = self._backward(q)
+        w /= np.linalg.norm(w)
+        if k == self._v.shape[0]:
+            self._grow()
+        self._v[k, k:] = w
+        self._t[:k, k] = -2.0 * (self._t[:k, :k] @ (self._v[:k, k:] @ w))
+        self._t[k, k] = 2.0
+        self.count = k + 1
+        # q = H_1 ... H_{k+1} e_k = e_k - V (T V^T e_k)
+        v, t = self._v[:k + 1], self._t[:k + 1, :k + 1]
+        q = -((t @ v[:, k]) @ v)
+        q[k] += 1.0
         if alpha < 0.0:
             q = -q
         return q, pnorm

@@ -266,10 +266,11 @@ class _OuterLoop:
     the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
     and sets the record's event, inner_iterations and, after a
     relinearization, m. A tripped divergence guard, or a ContractError or
-    CgBreakdownError raised by the step, ends the run at k with terminal
-    Breakdown and the reason in ``meta["breakdown"]``; after a failed step
-    the record's cumulative_cost is re-read so it includes the units that
-    step spent.
+    CgBreakdownError raised by the step or by evaluating the x_{k+1} it
+    produced, ends the run at k with terminal Breakdown and the reason in
+    ``meta["breakdown"]``; after a failed step the record's cumulative_cost
+    is re-read so it includes the units that step spent. A failure of
+    F(x_0) raises, since no residual exists to record.
     """
 
     def __init__(self, model, y_obs, x0, truth):
@@ -287,8 +288,8 @@ class _OuterLoop:
         records = []
         terminal = TERMINAL_MAX
         stop_index = None
+        residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
-            residual_vec = self.y_obs - model.evaluate(x)
             rn = float(np.linalg.norm(residual_vec))
             # cumulative_cost and wall_time_s read the meters when x_k was
             # evaluated, so (cost, error) rows pair up in work-precision
@@ -319,6 +320,7 @@ class _OuterLoop:
                 break
             try:
                 x = x + step(rec, x, residual_vec)
+                residual_vec = self.y_obs - model.evaluate(x)
             except (ContractError, CgBreakdownError) as exc:
                 if getattr(exc, "trace", None) is not None:
                     rec.inner_iterations = exc.trace.iterations

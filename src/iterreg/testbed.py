@@ -237,7 +237,11 @@ def generate_noise(sigma, dim, count=1, seed=0):
 def noise_sigma_for_level(y, level):
     """Component std giving a relative noise level ||eps||/||y|| ~= level."""
     y = np.asarray(y, dtype=float)
-    return level * np.linalg.norm(y) / np.sqrt(y.shape[0])
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(y)
+    if not np.isfinite(norm):
+        raise ContractError("data norm overflows the float range")
+    return level * norm / np.sqrt(y.shape[0])
 
 
 def _check_oracle_dim(dim):

@@ -41,6 +41,24 @@ def nan_on_call(model, call, adjoint=False):
                         linearize, name=model.name)
 
 
+def nan_on_evaluation(model, call):
+    """Copy of ``model`` whose ``call``-th evaluation returns NaN."""
+    count = 0
+
+    def evaluate(x):
+        nonlocal count
+        count += 1
+        out = model.evaluate(x)
+        return np.full_like(out, np.nan) if count == call else out
+
+    def linearize(x):
+        jac = model.linearize(x)
+        return jac.apply, jac.apply_adjoint
+
+    return ForwardModel(model.domain_dim, model.range_dim, evaluate,
+                        linearize, name=model.name)
+
+
 def tikhonov_system(a, gamma, rhs_data=None, rhs_prior=None):
     """TikhonovSystem over a dense matrix with optional default zero rhs."""
     a = np.asarray(a, dtype=float)
@@ -73,3 +91,32 @@ def random_spd_pairs(m, count, rng, gamma=1.0):
     q, _ = np.linalg.qr(rng.standard_normal((m, count)))
     lambdas = np.sort(rng.uniform(0.5, 5.0, size=count))[::-1]
     return gamma, lambdas, q
+
+
+def householder_loop(vectors, drop_tol=1e-12):
+    """Reference basis growth, one reflector at a time: ``(q, pnorm)`` or
+    ``(None, pnorm)`` per input, as ``HouseholderBasis.add`` returns."""
+    reflectors, out = [], []
+    for x in vectors:
+        x, k = np.asarray(x, dtype=float), len(reflectors)
+        xnorm = np.linalg.norm(x)
+        if xnorm == 0.0 or k >= x.shape[0]:
+            out.append((None, 0.0))
+            continue
+        for v in reflectors:
+            x = x - (2.0 * (v @ x)) * v
+        pnorm = float(np.linalg.norm(x[k:]))
+        if pnorm <= drop_tol * xnorm:
+            out.append((None, pnorm))
+            continue
+        alpha = -np.copysign(pnorm, x[k])
+        v = np.zeros(x.shape[0])
+        v[k:] = x[k:]
+        v[k] -= alpha
+        reflectors.append(v / np.linalg.norm(v))
+        q = np.zeros(x.shape[0])
+        q[k] = 1.0
+        for v in reversed(reflectors):
+            q = q - (2.0 * (v @ q)) * v
+        out.append((-q if alpha < 0.0 else q, pnorm))
+    return out

@@ -1,6 +1,5 @@
 """Experiment configuration, CSV outputs, and command-line entry points."""
 
-import configparser
 import csv
 import dataclasses
 import json
@@ -9,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import nan_on_call
+from helpers import nan_on_call, nan_on_evaluation
 from iterreg import cli
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
@@ -304,14 +303,16 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_overflowing_data_exits_3(tmp_path, capsys):
-    # The problem is valid, but its exact data overflow to inf.
+    # The problem is valid, but the norm of its exact data overflows; the
+    # CLI says so in one line and numpy warns about nothing.
     ini = tmp_path / "big.ini"
     ini.write_text("[problem]\nscale = 1e300\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith("numerical breakdown: ")
+    assert capsys.readouterr().err == (
+        "numerical breakdown: data norm overflows the float range\n")
 
 
 def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -342,6 +343,85 @@ def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "ok")]) == 0
     with open(tmp_path / "ok" / "summary.json") as fh:
         assert json.load(fh)["breakdown"] is None
+
+
+def test_main_solve_evaluation_failure_exits_3(tmp_path, monkeypatch,
+                                               capsys):
+    # F(x_3) is NaN (build_data spends the first evaluation): the run keeps
+    # records 0..2, run.csv and summary.json are written, and the CLI
+    # exits 3.
+    def failing_problem(cfg):
+        problem = build_problem(cfg)
+        return dataclasses.replace(
+            problem, model=nan_on_evaluation(problem.model, 5))
+
+    monkeypatch.setattr(cli, "build_problem", failing_problem)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 3
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["terminal_reason"] == "Breakdown"
+    assert summary["records"] == 3
+    assert "non-finite" in summary["breakdown"]
+    with open(out / "run.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+    assert rows[-1][-1] == "Final"
+    err = capsys.readouterr().err
+    assert err == f"numerical breakdown: irgnm-prec: {summary['breakdown']}\n"
+
+
+def _counting_builds(monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build_problem(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    return calls
+
+
+def test_work_precision_builds_once_and_matches_separate_builds(
+        tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_text(BASE)
+    cfg.solver["methods"] = "irgnm-prec, irgnm-plain, newton-cg, landweber"
+    cfg.solver["landweber_steps"] = 40
+    configs = expand_methods(cfg)
+    expected = [["method", "checkpoint", "model_units", "error"]]
+    for sub in configs:
+        problem = build_problem(sub)
+        y_obs, _, _ = build_data(sub, problem)
+        history = run_method(sub, problem, y_obs)
+        expected += [[history.method, str(r.k), str(r.cumulative_cost),
+                      cli._fmt(r.error)] for r in history.records]
+
+    calls = _counting_builds(monkeypatch)
+    run_work_precision(configs, tmp_path)
+    assert len(calls) == 1
+    with open(tmp_path / "work_precision.csv", newline="") as fh:
+        rows = [row[:3] + row[4:] for row in csv.reader(fh)]
+    assert rows == expected
+
+
+def test_stopping_study_builds_once_and_matches_separate_builds(
+        tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_text(BASE)
+    cfg.stopping["r_bound"] = 2.0
+    expected = [["sample_id", "rule", "stop_index", "error_at_stop"]]
+    for i in range(3):
+        expected += [[str(sample_id), rule,
+                      "" if index is None else str(index), cli._fmt(error)]
+                     for sample_id, rule, index, error
+                     in cli._study_sample(cfg, build_problem(cfg), i)]
+
+    calls = _counting_builds(monkeypatch)
+    run_stopping_study(cfg, num_samples=3, out_dir=tmp_path)
+    assert len(calls) == 1
+    with open(tmp_path / "stopping_samples.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
 
 
 def test_main_seed_override(tmp_path):

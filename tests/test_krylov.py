@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_stacked, dense_tikhonov_solution, tikhonov_system
+from helpers import dense_tikhonov_solution, tikhonov_system
 from iterreg.krylov import (CgBreakdownError, CgConfig, RitzPair,
                             pcg_solve, reorthogonalize_indexed,
                             ritz_from_trace, select_ritz,

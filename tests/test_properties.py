@@ -1,15 +1,23 @@
-"""Property checks of the one pair-set constructor, ``merge_pairs``.
+"""Property checks of the one pair-set constructor ``merge_pairs``, the
+Householder basis behind every reorthogonalization, and the Ritz residual
+identity of the Lanczos extraction.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
-examples): a dimension up to 40, an orthonormal existing pair set, random
-newcomers and a shift gamma.
+examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
+existing pair set, random newcomers and a shift gamma; for the basis a
+stream of random, dependent and zero vectors; for the identity a random
+Tikhonov system checked against ``DenseOracle``.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import householder_loop
+from iterreg.krylov import CgConfig, HouseholderBasis, pcg_solve, ritz_from_trace
+from iterreg.operators import TikhonovSystem
 from iterreg.preconditioner import SpectralPreconditioner, merge_pairs
+from iterreg.testbed import DenseOracle, make_diagonal_problem
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
                     database=None)
@@ -95,3 +103,82 @@ def test_merge_into_empty_applies_like_direct_construction(dim, count, gamma,
         got = getattr(merged, apply)(x)
         want = getattr(direct, apply)(x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _vector_stream(dim, count, dependent, seed):
+    """``count`` vectors of length dim: Gaussian ones at scales 1e-5..1e5,
+    with a share ``dependent`` of zero vectors and combinations of earlier
+    vectors mixed in."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        if out and rng.uniform() < dependent:
+            weights = rng.standard_normal(len(out))
+            x = weights @ np.array(out) if rng.uniform() < 0.9 \
+                else np.zeros(dim)
+        else:
+            x = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(dim)
+        out.append(x)
+    return out
+
+
+# The basis starts with room for 16 reflectors and doubles it, so the
+# explicit examples cross both doublings and then exhaust the space.
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 45), st.floats(0.0, 0.5),
+       st.integers(0, 2**32 - 1))
+@example(dim=40, count=45, dependent=0.0, seed=1)
+@example(dim=33, count=40, dependent=0.2, seed=2)
+@example(dim=17, count=17, dependent=0.0, seed=3)
+def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
+                                                         dependent, seed):
+    vectors = _vector_stream(dim, count, dependent, seed)
+    basis = HouseholderBasis(dim)
+    got = [basis.add(x) for x in vectors]
+    want = householder_loop(vectors)
+    assert [q is None for q, _ in got] == [q is None for q, _ in want]
+    kept = [i for i, (q, _) in enumerate(got) if q is not None]
+    assert basis.count == len(kept) <= dim
+    if not kept:
+        return
+    q_mat = np.column_stack([got[i][0] for i in kept])
+    assert np.max(np.abs(q_mat.T @ q_mat - np.eye(len(kept)))) <= 1e-13
+    for i in kept:
+        (q, pnorm), (q_ref, pnorm_ref) = got[i], want[i]
+        scale = np.linalg.norm(vectors[i])
+        assert abs(pnorm - pnorm_ref) <= 1e-12 * scale
+        assert abs(vectors[i] @ q - pnorm) <= 1e-12 * scale
+        assert np.linalg.norm(q - q_ref) <= 1e-10
+    # The kept vectors span what the kept inputs span.
+    q_qr, _ = np.linalg.qr(np.column_stack([vectors[i] for i in kept]))
+    assert np.linalg.norm(q_mat @ q_mat.T - q_qr @ q_qr.T, 2) <= 1e-10
+    if len(kept) == dim:
+        assert basis.add(np.ones(dim)) == (None, 0.0)
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(1e-3, 10.0), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_ritz_residual_identity_against_dense_oracle(m, extra, decay, gamma,
+                                                     steps, seed):
+    # ||G^T G (Z w) - theta (Z w)|| = (sqrt(beta_l)/alpha_l) |w(l)| for every
+    # Ritz pair of an unpreconditioned solve, after at most ``steps`` CG
+    # iterations. The identity holds to round-off while the residual is far
+    # from machine precision. Each reorthogonalization removes a component
+    # of size about eps ||r_0|| from a residual that has fallen to ||r_j||.
+    # So the Lanczos relation, and with it the identity, drifts by about
+    # eps ||r_0|| / min_j ||r_j|| relative to ||G^T G||.
+    problem = make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                                    seed=seed % 2**16)
+    gtg = DenseOracle.for_problem(problem).gram + gamma * np.eye(m)
+    rng = np.random.default_rng(seed)
+    sys = TikhonovSystem(problem.model.linearize(np.zeros(m)), gamma,
+                         rng.standard_normal(m + extra), np.zeros(m))
+    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13,
+                                           max_iterations=min(steps, m)))
+    residuals = np.array(trace.residual_norms)
+    drift = residuals[0] / residuals[residuals > 0].min()
+    tol = np.linalg.norm(gtg, 2) * (1e-13 + np.finfo(float).eps * drift)
+    for pair in ritz_from_trace(trace):
+        direct = np.linalg.norm(gtg @ pair.vector - pair.theta * pair.vector)
+        assert abs(direct - pair.residual_bound) <= tol

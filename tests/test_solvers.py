@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import linear_model, nan_on_call
+from helpers import linear_model, nan_on_call, nan_on_evaluation
 from iterreg.operators import LEVENBERG_MARQUARDT, ContractError
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
@@ -287,14 +287,21 @@ def _assert_breakdown_at_failing_step(history, model, cost_start,
     # The run ends at the step whose model call failed, with a Final record
     # of that iterate and the failure in meta. Its cost includes the units
     # the failed step spent.
+    last = _assert_failed_run(history, model, cost_start)
+    assert last.inner_iterations == 0
+    assert 1 <= last.k < max_steps
+    return last.k
+
+
+def _assert_failed_run(history, model, cost_start):
     last = history.records[-1]
     assert history.total_cost() == model.cost.total - cost_start
     assert history.terminal_reason == TERMINAL_BREAKDOWN
     assert "non-finite" in history.meta["breakdown"]
-    assert last.event == EVENT_FINAL and last.inner_iterations == 0
+    assert last.event == EVENT_FINAL
+    assert EVENT_FINAL not in [r.event for r in history.records[:-1]]
     assert [r.k for r in history.records] == list(range(last.k + 1))
-    assert 1 <= last.k < max_steps
-    return last.k
+    return last
 
 
 @pytest.mark.parametrize("use_preconditioner", [True, False])
@@ -326,6 +333,30 @@ def test_landweber_nan_adjoint_ends_in_breakdown():
                             max_steps=10)
     # one adjoint apply per step: the fifth is taken leaving x_4
     assert _assert_breakdown_at_failing_step(history, model, start, 10) == 4
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
+        max_newton=8)),
+    lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
+        max_newton=8, use_preconditioner=False)),
+    lambda model, y: newton_cg_run(model, y, np.zeros(3), max_newton=8),
+    lambda model, y: landweber_run(model, y, np.zeros(3), mu=0.5,
+                                   max_steps=8),
+], ids=["irgnm-prec", "irgnm-plain", "newton-cg", "landweber"])
+def test_nan_evaluation_ends_run_at_previous_step(run):
+    # F(x_3) is NaN: the step that produced x_3 failed, so the run ends at
+    # k = 2 with a Final record whose cost includes that step's units.
+    model = nan_on_evaluation(linear_model(np.diag([1.0, 0.5, 0.25])), 4)
+    history = run(model, np.ones(3))
+    assert len(history.records) == 3
+    _assert_failed_run(history, model, 0)
+
+
+def test_nan_initial_evaluation_raises():
+    model = nan_on_evaluation(linear_model(np.eye(3)), 1)
+    with pytest.raises(ContractError, match="non-finite"):
+        landweber_run(model, np.ones(3), np.zeros(3), mu=0.5, max_steps=8)
 
 
 @pytest.mark.parametrize("run", [

@@ -13,7 +13,7 @@ from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
                               discrepancy_stop,
                               lepskii_from_history, lepskii_select,
                               phi_deterministic, phi_sampled, phi_white_noise)
-from iterreg.testbed import DenseOracle, generate_noise
+from iterreg.testbed import generate_noise
 
 
 def test_discrepancy_first_crossing():
