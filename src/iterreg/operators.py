@@ -34,7 +34,7 @@ def as_vector(x, dim=None, name="vector"):
         raise ContractError(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractError(f"{name} contains non-finite entries")
     return v
 

@@ -1,23 +1,33 @@
 """Property checks of the one pair-set constructor ``merge_pairs``, the
-Householder basis behind every reorthogonalization, and the Ritz residual
-identity of the Lanczos extraction.
+Householder basis behind every reorthogonalization, the Ritz residual
+identity of the Lanczos extraction, the Ritz pairs the solver keeps, and
+the finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
 existing pair set, random newcomers and a shift gamma; for the basis a
-stream of random, dependent and zero vectors; for the identity a random
-Tikhonov system checked against ``DenseOracle``.
+stream of random, dependent and zero vectors; for the identity and the kept
+pairs a random Tikhonov system checked against ``DenseOracle``; for
+``as_vector`` arrays with NaN, infinite and huge entries mixed in.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import householder_loop
-from iterreg.krylov import CgConfig, HouseholderBasis, pcg_solve, ritz_from_trace
-from iterreg.operators import TikhonovSystem
-from iterreg.preconditioner import SpectralPreconditioner, merge_pairs
-from iterreg.testbed import DenseOracle, make_diagonal_problem
+from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
+                            ritz_from_trace, select_ritz)
+from iterreg.operators import ContractError, TikhonovSystem, as_vector
+from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
+                                    merge_pairs)
+from iterreg.solvers import NewtonConfig, _harvest, schedule_gamma
+from iterreg.testbed import (DenseOracle, make_diagonal_problem,
+                             make_nonlinear_composite)
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
                     database=None)
@@ -182,3 +192,67 @@ def test_ritz_residual_identity_against_dense_oracle(m, extra, decay, gamma,
     for pair in ritz_from_trace(trace):
         direct = np.linalg.norm(gtg @ pair.vector - pair.theta * pair.vector)
         assert abs(direct - pair.residual_bound) <= tol
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(0.0, 0.5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
+        m, extra, decay, c3, k, seed):
+    # The accurate two-sided solves of a Recompute at gamma_k and of the
+    # Update that follows at gamma_{k+1} (same frozen Jacobian, the merged
+    # pairs as preconditioner). Every Ritz pair select_ritz keeps must meet
+    # the residual tolerance against the dense two-sided operator, however
+    # far the CG residual fell below its start (see the identity above).
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=c3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    gram = DenseOracle.for_problem(problem, x).gram
+    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(gram, 2)))
+    base = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    for step in (k, k + 1):
+        gamma = schedule_gamma(cfg, step)
+        base = base.with_gamma(gamma)
+        tsys = TwoSidedSystem(
+            TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
+                           rng.standard_normal(m)), base)
+        _, trace = pcg_solve(tsys, cfg=CgConfig(
+            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+        inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
+                                    for e in np.eye(m)])
+        two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
+        kept = select_ritz(ritz_from_trace(trace), cfg.ritz_separation,
+                           cfg.ritz_residual_tol)
+        for pair in kept:
+            residual = np.linalg.norm(two_sided @ pair.vector
+                                      - pair.theta * pair.vector)
+            assert residual <= cfg.ritz_residual_tol * pair.theta
+        base = merge_pairs(base, _harvest(trace, base, gamma,
+                                          cfg.ritz_separation,
+                                          cfg.ritz_residual_tol), gamma)
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-1e3, 1e3), max_size=40),
+       st.lists(st.tuples(st.integers(0, 39), st.sampled_from(_SPECIALS)),
+                max_size=6),
+       st.booleans())
+def test_as_vector_rejects_exactly_the_non_finite(values, injected, as_list):
+    v = np.array(values, dtype=float)
+    for i, special in injected:
+        if i < v.shape[0]:
+            v[i] = special
+    arg = list(v) if as_list else v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.all(np.isfinite(v)):
+            np.testing.assert_array_equal(as_vector(arg, v.shape[0]), v)
+        else:
+            with pytest.raises(ContractError, match="non-finite"):
+                as_vector(arg, v.shape[0])

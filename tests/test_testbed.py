@@ -1,5 +1,7 @@
 """Synthetic problem families, noise calibration, and the dense oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from iterreg.testbed import (DENSE_ORACLE_MAX_DIM, DenseOracle, OracleRefusal,
                              cosine_basis, generate_noise,
                              make_convolution_problem, make_diagonal_problem,
                              make_nonlinear_composite, noise_sigma_for_level,
-                             random_orthogonal, two_bump_profile)
+                             random_orthonormal_columns, two_bump_profile)
 
 
 def test_two_bump_profile_shape():
@@ -18,10 +20,17 @@ def test_two_bump_profile_shape():
     assert 0.9 < profile.max() <= 1.9  # bumps may overlap slightly
 
 
-def test_random_orthogonal_is_orthogonal():
-    rng = np.random.default_rng(0)
-    q = random_orthogonal(7, rng)
-    np.testing.assert_allclose(q.T @ q, np.eye(7), atol=1e-12)
+def test_random_orthonormal_columns_match_square_qr():
+    # The thin QR keeps the first columns of the full square QR of the same
+    # Gaussian draw, sign fix included.
+    for dim, count in [(7, 7), (7, 3), (40, 17), (1, 1)]:
+        q = random_orthonormal_columns(dim, count, np.random.default_rng(0))
+        assert q.shape == (dim, count)
+        np.testing.assert_allclose(q.T @ q, np.eye(count), atol=1e-12)
+        full, r = np.linalg.qr(
+            np.random.default_rng(0).standard_normal((dim, dim)))
+        full = full * np.sign(np.diag(r))
+        np.testing.assert_allclose(q, full[:, :count], rtol=0, atol=1e-14)
 
 
 def test_diagonal_problem_explicit_singular_values():
@@ -75,6 +84,33 @@ def test_diagonal_model_matches_matrix():
                                rtol=1e-13)
     jac = problem.model.linearize(x)
     assert adjoint_mismatch(jac, np.random.default_rng(1)) < 1e-13
+
+
+@pytest.mark.parametrize("m,n", [(4, 7), (3, 3), (6, 11), (1, 2), (2, 2),
+                                 (1, 1)])
+def test_diagonal_blocked_operator_matches_matrix(m, n):
+    # The operator runs on two row blocks of ``matrix``: results agree with
+    # the dense products, and both blocks are views, not copies.
+    problem = make_diagonal_problem(m=m, n=n, seed=5)
+    a = problem.matrix
+    apply, adjoint = problem.operator
+    rng = np.random.default_rng(7)
+    x, w = rng.standard_normal(m), rng.standard_normal(n)
+    np.testing.assert_allclose(problem.model.evaluate(x), a @ x, rtol=1e-13)
+    np.testing.assert_allclose(apply(x), a @ x, rtol=1e-13)
+    np.testing.assert_allclose(adjoint(w), a.T @ w, rtol=1e-13)
+    jac = problem.model.linearize(x)
+    np.testing.assert_allclose(jac.apply(x), a @ x, rtol=1e-13)
+    np.testing.assert_allclose(jac.apply_adjoint(w), a.T @ w, rtol=1e-13)
+    assert adjoint_mismatch(jac, np.random.default_rng(1)) < 1e-13
+    for fn in (apply, adjoint):
+        blocks = [v for v in inspect.getclosurevars(fn).nonlocals.values()
+                  if isinstance(v, np.ndarray)]
+        assert len(blocks) == 2
+        assert sum(b.shape[0] for b in blocks) == n
+        for block in blocks:
+            assert block.base is a
+            assert block.size == 0 or np.shares_memory(block, a)
 
 
 def test_convolution_preserves_constants():
