@@ -31,7 +31,7 @@ from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
                       landweber_run, must_update, newton_cg_run,
                       schedule_gamma, should_recompute)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
-                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi, apply_R_app,
+                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                        discrepancy_stop, lepskii_from_history, lepskii_select,
                        phi_deterministic, phi_sampled, phi_white_noise)
 from .testbed import (DenseOracle, OracleRefusal, Problem, generate_noise,
@@ -55,7 +55,7 @@ __all__ = [
     "must_update", "newton_cg_run", "schedule_gamma", "should_recompute",
     # stopping
     "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver",
-    "PhiBudgetDriver", "SampledPhi", "WhiteNoisePhi", "apply_R_app",
+    "PhiBudgetDriver", "SampledPhi", "WhiteNoisePhi",
     "discrepancy_stop", "lepskii_from_history", "lepskii_select",
     "phi_deterministic", "phi_sampled", "phi_white_noise",
     # testbed

@@ -143,27 +143,25 @@ class HouseholderBasis:
 def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     """Householder-QR orthonormalization, reporting which inputs survived.
 
-    Returns ``(kept, indices)``: orthonormal vectors spanning the input space
-    and the positions of the inputs that contributed them. Vectors whose
-    component orthogonal to the preceding ones falls below
-    ``drop_tol * ||vector||`` are dropped.
+    Returns ``(kept, indices)``: a (dim, r) array whose orthonormal columns
+    span the input space, and the positions of the r inputs that contributed
+    them. Vectors whose component orthogonal to the preceding ones falls
+    below ``drop_tol * ||vector||`` are dropped.
     """
-    vectors = [as_vector(v, name="basis vector") for v in vectors]
-    if not vectors:
+    if len(vectors) == 0:
         raise ContractError("cannot orthonormalize an empty vector set")
+    dim = as_vector(vectors[0], name="basis vector").shape[0]
+    vectors = [as_vector(v, dim, "basis vector") for v in vectors]
     if all(np.linalg.norm(v) == 0.0 for v in vectors):
         raise ContractError("cannot orthonormalize an all-zero vector set")
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) != 1:
-        raise ContractError("basis vectors have mixed lengths")
-    basis = HouseholderBasis(dims.pop())
+    basis = HouseholderBasis(dim)
     kept, indices = [], []
     for i, v in enumerate(vectors):
         q, _ = basis.add(v, drop_tol=drop_tol)
         if q is not None:
             kept.append(q)
             indices.append(i)
-    return kept, indices
+    return np.column_stack(kept), indices
 
 
 def tridiagonal_from_trace(trace: CgTrace):

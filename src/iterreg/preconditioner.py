@@ -34,12 +34,12 @@ class SpectralPreconditioner:
     lambdas : array-like, shape (J,)
         Positive eigenvalue estimates. Values below 1e-14 times the largest
         are discarded together with their vectors.
-    vectors : array-like, shape (dim, J), or list of vectors
+    vectors : array-like, shape (dim, J)
         Orthonormal columns u_j.
-    left_vectors : list of arrays or None, optional
-        Per-pair normalized data-space images w_j = A u_j / ||A u_j||, used by
-        the propagated-noise estimators. Entries may be None until
-        ``attach_left_vectors`` fills them in.
+    left_vectors : array-like, shape (N, J_w) with J_w <= J, or None
+        Normalized images w_j = A u_j / ||A u_j|| of the leading J_w pairs,
+        for the sampled noise estimator; ``attach_left_vectors`` appends the
+        trailing ones, and ``merge_pairs`` keeps existing pairs first.
     """
 
     def __init__(self, gamma, lambdas, vectors, left_vectors=None, validate=True):
@@ -48,18 +48,15 @@ class SpectralPreconditioner:
         self.gamma = float(gamma)
 
         lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            # asarray keeps with_gamma alias-sharing the pair arrays
-            u = np.asarray(vectors, dtype=float)
-        elif len(lam) == 0:
-            u = np.zeros((self._infer_dim(vectors), 0))
-        else:
-            u = np.column_stack([as_vector(v, name="eigenvector") for v in vectors])
-        if u.shape[1] != lam.shape[0]:
+        # asarray keeps with_gamma alias-sharing the pair arrays
+        u = np.asarray(vectors, dtype=float)
+        w = None if left_vectors is None else np.asarray(left_vectors, dtype=float)
+        if u.ndim != 2 or u.shape[1] != lam.shape[0]:
             raise ContractError(
-                f"{lam.shape[0]} values for {u.shape[1]} vectors")
-        if left_vectors is not None and len(left_vectors) != lam.shape[0]:
-            raise ContractError("left_vectors length must match the pair count")
+                f"{lam.shape[0]} values for vectors of shape {u.shape}")
+        if w is not None and (w.ndim != 2 or w.shape[1] > lam.shape[0]):
+            raise ContractError(f"left vectors of shape {w.shape} for "
+                                f"{lam.shape[0]} pairs")
 
         if lam.shape[0]:
             if validate and (np.any(lam <= 0) or not np.all(np.isfinite(lam))):
@@ -68,28 +65,22 @@ class SpectralPreconditioner:
             if not np.all(keep):
                 lam = lam[keep]
                 u = u[:, keep]
-                if left_vectors is not None:
-                    left_vectors = [w for w, k in zip(left_vectors, keep) if k]
+                if w is not None:
+                    w = w[:, keep[:w.shape[1]]]
         if validate and lam.shape[0]:
-            gram = u.T @ u
-            defect = np.max(np.abs(gram - np.eye(lam.shape[0])))
+            if not np.isfinite(u).all():
+                raise ContractError("eigenvectors contain non-finite entries")
+            defect = np.max(np.abs(u.T @ u - np.eye(lam.shape[0])))
             if defect > 1e-8:
                 raise ContractError(
                     f"eigenvectors are not orthonormal (defect {defect:.2e})")
-            if left_vectors is not None:
-                for w in left_vectors:
-                    if w is not None and abs(np.linalg.norm(w) - 1.0) > 1e-8:
-                        raise ContractError("left vectors must be normalized")
+            if w is not None and not np.all(
+                    np.abs(np.linalg.norm(w, axis=0) - 1.0) <= 1e-8):
+                raise ContractError("left vectors must be finite and normalized")
 
         self.lambdas = lam
         self.vectors = u
-        self.left_vectors = list(left_vectors) if left_vectors is not None else None
-
-    @staticmethod
-    def _infer_dim(vectors):
-        for v in vectors:
-            return np.asarray(v).shape[0]
-        raise ContractError("cannot infer dimension from an empty vector set")
+        self.left_vectors = w
 
     @classmethod
     def empty(cls, gamma, dim):
@@ -103,11 +94,6 @@ class SpectralPreconditioner:
     @property
     def pair_count(self):
         return int(self.lambdas.shape[0])
-
-    @property
-    def has_left_vectors(self):
-        return (self.left_vectors is not None
-                and all(w is not None for w in self.left_vectors))
 
     def with_gamma(self, gamma):
         """Same pair set under a different shift (the per-step gamma_k)."""
@@ -136,11 +122,6 @@ class SpectralPreconditioner:
         return self._shifted_apply(
             x, 1.0 / g, 1.0 / np.sqrt(self.lambdas + self.gamma) - 1.0 / g)
 
-    def apply_sqrt(self, x):
-        g = np.sqrt(self.gamma)
-        return self._shifted_apply(
-            x, g, np.sqrt(self.lambdas + self.gamma) - g)
-
     def dense(self):
         """Materialized M, for oracle-scale verification only."""
         m = self.gamma * np.eye(self.dim)
@@ -149,21 +130,21 @@ class SpectralPreconditioner:
         return m
 
     def attach_left_vectors(self, jac):
-        """Fill in missing w_j = A u_j / ||A u_j|| via one Jacobian apply each."""
-        current = self.left_vectors or [None] * self.pair_count
-        out = []
-        for j, w in enumerate(current):
-            if w is not None:
-                out.append(w)
-                continue
-            img = jac.apply(self.vectors[:, j])
-            norm = np.linalg.norm(img)
-            if norm == 0.0:
-                raise ContractError(
-                    "captured eigenvector lies in the Jacobian null space")
-            out.append(img / norm)
+        """Append w_j = A u_j / ||A u_j|| for the pairs past the leading
+        block that already has them, one Jacobian apply per new pair."""
+        have = 0 if self.left_vectors is None else self.left_vectors.shape[1]
+        if have == self.pair_count:
+            return self
+        images = np.column_stack([jac.apply(u) for u in self.vectors[:, have:].T])
+        norms = np.linalg.norm(images, axis=0)
+        if not np.all(norms > 0.0):
+            raise ContractError(
+                "captured eigenvector lies in the Jacobian null space")
+        images /= norms
+        if have:
+            images = np.hstack([self.left_vectors, images])
         return SpectralPreconditioner(self.gamma, self.lambdas, self.vectors,
-                                      out, validate=False)
+                                      images, validate=False)
 
 
 class TwoSidedSystem:
@@ -223,32 +204,27 @@ def merge_pairs(existing: SpectralPreconditioner, new_pairs, new_gamma):
     """Union of the existing pair set with newly harvested pairs.
 
     Every harvested pair set is built here; a fresh one merges into
-    ``SpectralPreconditioner.empty``. The stacked vectors are reorthogonalized (existing ones first, so they
-    pass through unchanged); each retained vector keeps the lambda of the
-    pair that contributed it, and newcomers numerically dependent on the span
-    are dropped together with their values. Existing left vectors survive;
-    newcomers get a None slot for ``attach_left_vectors`` to fill.
+    ``SpectralPreconditioner.empty``. The vectors are reorthogonalized
+    existing ones first, so those and their left vectors pass through
+    unchanged; each kept vector keeps the lambda of its pair, and newcomers
+    dependent on the span are dropped with their values.
     """
-    lambdas = [float(l) for l in existing.lambdas]
-    vectors = [existing.vectors[:, j] for j in range(existing.pair_count)]
-    lefts = (list(existing.left_vectors) if existing.left_vectors is not None
-             else [None] * existing.pair_count)
+    lambdas = list(existing.lambdas)
+    new_vectors = []
     for lam, u in new_pairs:
         if not lam > 0:
             raise ContractError(f"merged eigenvalue must be positive, got {lam}")
         lambdas.append(float(lam))
-        vectors.append(as_vector(u, existing.dim, "merged eigenvector"))
-        lefts.append(None)
-    if not vectors:
+        new_vectors.append(as_vector(u, existing.dim, "merged eigenvector"))
+    if not lambdas:
         return SpectralPreconditioner.empty(new_gamma, existing.dim)
-    kept, indices = reorthogonalize_indexed(vectors, drop_tol=MERGE_DROP_TOL)
-    return SpectralPreconditioner(
-        new_gamma,
-        np.array([lambdas[i] for i in indices]),
-        np.column_stack(kept),
-        [lefts[i] for i in indices],
-        validate=False,
-    )
+    kept, indices = reorthogonalize_indexed(
+        [*existing.vectors.T, *new_vectors], drop_tol=MERGE_DROP_TOL)
+    left = existing.left_vectors
+    if left is not None:
+        left = left[:, [i for i in indices if i < left.shape[1]]]
+    return SpectralPreconditioner(new_gamma, np.array(lambdas)[indices], kept,
+                                  left, validate=False)
 
 
 @dataclass

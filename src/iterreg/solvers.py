@@ -124,11 +124,6 @@ class RunHistory:
     def total_inner(self):
         return sum(r.inner_iterations for r in self.records)
 
-    def final_x(self):
-        if not self.records:
-            raise ContractError("empty history")
-        return self.records[-1].x_k
-
     def total_cost(self):
         return self.records[-1].cumulative_cost if self.records else 0
 

@@ -5,7 +5,9 @@ Phi(k) estimates ||R_k eps||, the data noise pushed through the regularized
 inverse R_k = (G^T G)^{-1} A^T. Three estimators are provided: the worst-case
 bound delta/(2 gamma_k), the white-noise closed form over a captured
 eigenvalue set, and a Monte-Carlo form that pushes stored noise samples
-through the low-rank surrogate R_k^app built from the preconditioner pairs.
+through the low-rank surrogate R_k^app = U diag(c) W^T of the preconditioner
+pairs, c_j = sqrt(lambda_j)/(gamma_k+lambda_j), w_j = A u_j/||A u_j||. U has
+orthonormal columns, so ||R_k^app eps|| = ||diag(c) W^T eps|| needs only W.
 """
 
 from __future__ import annotations
@@ -68,41 +70,29 @@ def phi_white_noise(sigma, lambdas, gamma_k):
     return float(sigma * np.sqrt(np.sum(lam / (gamma_k + lam) ** 2)))
 
 
-def apply_R_app(precond, eps_vec):
-    """Low-rank surrogate of the regularized inverse applied to a noise vector.
-
-    R_k^app eps = sum_j (sqrt(lambda_j) / (gamma + lambda_j)) <w_j, eps> u_j
-    over the preconditioner pairs, where w_j = A u_j / ||A u_j||. Uses no
-    forward-model calls; the gamma is taken from ``precond``, so pass
-    ``precond.with_gamma(gamma_k)`` for step-k estimates.
-    """
-    if precond.pair_count and not precond.has_left_vectors:
-        raise ContractError(
-            "preconditioner carries no left vectors; "
-            "call attach_left_vectors first")
-    eps_vec = as_vector(eps_vec, name="noise vector")
-    out = np.zeros(precond.dim)
-    for j in range(precond.pair_count):
-        lam = precond.lambdas[j]
-        weight = np.sqrt(lam) / (precond.gamma + lam)
-        out += weight * float(precond.left_vectors[j] @ eps_vec) \
-            * precond.vectors[:, j]
-    return out
-
-
 def phi_sampled(precond, noise_samples, gamma_k=None):
-    """Root-mean-square of ||R_k^app eps_l|| over stored noise samples."""
-    if len(noise_samples) < 1:
-        raise ContractError("need at least one noise sample")
+    """Root-mean-square of ||R_k^app eps_l|| over the rows eps_l of the
+    (L, N) array ``noise_samples``: ||E W diag(c)||_F / sqrt(L), with the
+    weights c of the module docstring. Costs no forward-model call."""
+    samples = np.asarray(noise_samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] < 1:
+        raise ContractError("need at least one noise sample, as an (L, N) array")
+    if not np.isfinite(samples).all():
+        raise ContractError("noise samples contain non-finite entries")
     p = precond if gamma_k is None else precond.with_gamma(gamma_k)
     if p.pair_count == 0:
         warnings.warn("no eigenpairs captured yet; Phi estimate is 0",
                       PhiWarning)
         return 0.0
-    acc = 0.0
-    for eps in noise_samples:
-        acc += float(np.linalg.norm(apply_R_app(p, eps)) ** 2)
-    return float(np.sqrt(acc / len(noise_samples)))
+    left = p.left_vectors
+    if left is None or left.shape[1] < p.pair_count:
+        raise ContractError("preconditioner lacks left vectors; "
+                            "call attach_left_vectors first")
+    if samples.shape[1] != left.shape[0]:
+        raise ContractError(f"noise samples have length {samples.shape[1]}, "
+                            f"left vectors {left.shape[0]}")
+    coeff = samples @ left * (np.sqrt(p.lambdas) / (p.gamma + p.lambdas))
+    return float(np.sqrt(np.sum(coeff ** 2) / samples.shape[0]))
 
 
 def lepskii_select(iterates, phi, rho):
@@ -170,7 +160,9 @@ class SampledPhi:
     def __init__(self, samples):
         if len(samples) < 1:
             raise ContractError("need at least one noise sample")
-        self.samples = [as_vector(s, name="noise sample") for s in samples]
+        dim = as_vector(samples[0], name="noise sample").shape[0]
+        self.samples = np.array(
+            [as_vector(s, dim, "noise sample") for s in samples])
 
     def evaluate(self, gamma_k, precond=None):
         # Same convention as the white-noise estimator: zero before any

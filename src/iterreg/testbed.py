@@ -249,13 +249,13 @@ def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
 
 
 def generate_noise(sigma, dim, count=1, seed=0):
-    """``count`` independent mean-zero Gaussian vectors with component std sigma."""
+    """(count, dim) array of independent N(0, sigma^2) entries."""
     if sigma < 0:
         raise ContractError("sigma must be nonnegative")
     if count < 1:
         raise ContractError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    return [sigma * rng.standard_normal(dim) for _ in range(count)]
+    return sigma * rng.standard_normal((count, dim))
 
 
 def noise_sigma_for_level(y, level):
@@ -327,11 +327,6 @@ class DenseOracle:
         """Exact sqrt(E ||R eps||^2) = sigma * sqrt(trace(R R^T)) for white noise."""
         r = self.r_matrix(gamma)
         return float(sigma * np.sqrt(np.sum(r * r)))
-
-    def trace_phi_cov(self, cov, gamma):
-        """General-covariance exact value sqrt(trace(R Cov R^T))."""
-        r = self.r_matrix(gamma)
-        return float(np.sqrt(np.trace(r @ np.asarray(cov, dtype=float) @ r.T)))
 
     def preconditioned_gram_spectrum(self, precond_dense, gamma):
         """Eigenvalues of M^{-1}(A^T A + gamma I) via the generalized problem.

@@ -120,3 +120,18 @@ def householder_loop(vectors, drop_tol=1e-12):
             q = q - (2.0 * (v @ q)) * v
         out.append((-q if alpha < 0.0 else q, pnorm))
     return out
+
+
+def phi_sampled_loop(precond, samples, gamma):
+    """Reference sampled Phi, one sample and one pair at a time: the RMS
+    over the rows eps of ``samples`` of ||sum_j c_j <w_j, eps> u_j||, with
+    c_j = sqrt(lambda_j)/(gamma + lambda_j)."""
+    acc = 0.0
+    for eps in samples:
+        out = np.zeros(precond.dim)
+        for j in range(precond.pair_count):
+            lam = precond.lambdas[j]
+            coeff = float(precond.left_vectors[:, j] @ eps)
+            out += (np.sqrt(lam) / (gamma + lam)) * coeff * precond.vectors[:, j]
+        acc += float(np.linalg.norm(out) ** 2)
+    return float(np.sqrt(acc / len(samples)))

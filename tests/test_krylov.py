@@ -178,17 +178,19 @@ def test_reorthogonalize_nearly_dependent_pair():
     e1 = np.array([1.0, 0.0, 0.0])
     nearly = np.array([1.0, 1e-3, 0.0])
     basis, _ = reorthogonalize_indexed([e1, nearly])
-    assert len(basis) == 2
-    np.testing.assert_allclose(np.abs(basis[0]), [1.0, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(np.abs(basis[1]), [0.0, 1.0, 0.0], atol=1e-12)
-    gram = np.array(basis) @ np.array(basis).T
+    assert basis.shape == (3, 2)
+    np.testing.assert_allclose(np.abs(basis[:, 0]), [1.0, 0.0, 0.0],
+                               atol=1e-14)
+    np.testing.assert_allclose(np.abs(basis[:, 1]), [0.0, 1.0, 0.0],
+                               atol=1e-12)
+    gram = basis.T @ basis
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-14)
 
 
 def test_reorthogonalize_drops_duplicates():
     v = np.array([3.0, 4.0])
     kept, indices = reorthogonalize_indexed([v, v.copy()])
-    assert len(kept) == 1
+    assert kept.shape == (2, 1)
     assert indices == [0]
 
 

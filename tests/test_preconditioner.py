@@ -20,11 +20,12 @@ def unit(v):
 def test_single_pair_closed_forms():
     # M = I + 3 u u^T acts on u as multiplication by 4.
     u = unit([1.0, 2.0, -2.0])
-    p = SpectralPreconditioner(1.0, [3.0], [u])
+    p = SpectralPreconditioner(1.0, [3.0], u[:, None])
     np.testing.assert_allclose(p.apply(u), 4.0 * u, rtol=1e-14)
     np.testing.assert_allclose(p.apply_inverse(u), u / 4.0, rtol=1e-14)
     np.testing.assert_allclose(p.apply_inv_sqrt(u), u / 2.0, rtol=1e-14)
-    np.testing.assert_allclose(p.apply_sqrt(u), 2.0 * u, rtol=1e-14)
+    np.testing.assert_allclose(p.apply_inv_sqrt(p.apply_inv_sqrt(u)),
+                               np.linalg.solve(p.dense(), u), rtol=1e-14)
     # orthogonal directions only see the gamma shift
     w = unit(np.cross(u, [1.0, 0.0, 0.0]))
     np.testing.assert_allclose(p.apply_inverse(w), w, rtol=1e-14, atol=1e-15)
@@ -36,7 +37,8 @@ def test_empty_preconditioner_is_scaled_identity():
     np.testing.assert_allclose(p2.apply_inverse(x), x / 2.0, rtol=1e-15)
     p4 = SpectralPreconditioner.empty(4.0, 4)
     np.testing.assert_allclose(p4.apply_inv_sqrt(x), x / 2.0, rtol=1e-15)
-    np.testing.assert_allclose(p4.apply_sqrt(x), 2.0 * x, rtol=1e-15)
+    np.testing.assert_allclose(p4.apply_inv_sqrt(p4.apply_inv_sqrt(x)),
+                               np.linalg.solve(p4.dense(), x), rtol=1e-15)
     assert p4.pair_count == 0
 
 
@@ -54,11 +56,9 @@ def test_inverse_and_roots_against_dense_oracle():
         x = rng.standard_normal(dim)
         np.testing.assert_allclose(p.apply_inverse(x), m_inv @ x, rtol=1e-11,
                                    atol=1e-13)
-        # roots compose back to M and to the identity
-        np.testing.assert_allclose(p.apply_sqrt(p.apply_sqrt(x)), m @ x,
-                                   rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(p.apply_inv_sqrt(p.apply_sqrt(x)), x,
-                                   rtol=1e-11, atol=1e-13)
+        # the inverse root composes to the inverse
+        np.testing.assert_allclose(p.apply_inv_sqrt(p.apply_inv_sqrt(x)),
+                                   m_inv @ x, rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(p.apply_inverse(p.apply(x)), x,
                                    rtol=1e-11, atol=1e-13)
 
@@ -66,7 +66,7 @@ def test_inverse_and_roots_against_dense_oracle():
 def test_spectrum_example_diagonal():
     # A = diag(2, 1), gamma = 1: G^T G = diag(5, 2). Capturing (4, e1)
     # maps direction e1 to 1 and leaves 1 + 1/1 = 2 on e2.
-    p = SpectralPreconditioner(1.0, [4.0], [np.array([1.0, 0.0])])
+    p = SpectralPreconditioner(1.0, [4.0], np.array([[1.0], [0.0]]))
     report = preconditioned_spectrum_check(p, np.diag([2.0, 1.0]))
     np.testing.assert_allclose(report.observed, [1.0, 2.0], atol=1e-12)
     assert report.ok
@@ -101,7 +101,7 @@ def test_ritz_to_eigenpair_back_map():
 
 def test_merge_drops_duplicate_direction():
     u = unit([1.0, 1.0, 0.0])
-    existing = SpectralPreconditioner(1.0, [3.0], [u])
+    existing = SpectralPreconditioner(1.0, [3.0], u[:, None])
     # same direction up to a relative complement of ~1.4e-5 (< merge drop tol)
     dup = unit(u + 1e-5 * unit([0.0, 0.0, 1.0]))
     assert abs(dup @ u) > 1.0 - 1e-10
@@ -114,7 +114,7 @@ def test_merge_drops_duplicate_direction():
 
 def test_merge_keeps_new_direction_and_existing_pairs():
     u = np.array([1.0, 0.0, 0.0])
-    existing = SpectralPreconditioner(1.0, [5.0], [u])
+    existing = SpectralPreconditioner(1.0, [5.0], u[:, None])
     newcomer = unit([1.0, 1.0, 0.0])  # overlaps u but is genuinely new
     merged = merge_pairs(existing, [(2.0, newcomer)], new_gamma=1.0)
     assert merged.pair_count == 2
@@ -134,18 +134,19 @@ def test_merge_rejects_nonpositive_values():
 
 
 def test_merge_preserves_left_vectors():
-    u = np.array([1.0, 0.0])
-    existing = SpectralPreconditioner(1.0, [2.0], [u],
-                                      left_vectors=[np.array([0.0, 1.0])])
+    u = np.array([[1.0], [0.0]])
+    left = np.array([[0.0], [1.0]])
+    existing = SpectralPreconditioner(1.0, [2.0], u, left_vectors=left)
     merged = merge_pairs(existing, [(1.0, np.array([0.0, 1.0]))], 1.0)
-    assert merged.left_vectors[0] is not None
-    assert merged.left_vectors[1] is None
-    assert not merged.has_left_vectors
+    # the existing pair keeps its left vector as the leading block; the
+    # newcomer has none until attach_left_vectors appends it
+    assert merged.pair_count == 2
+    np.testing.assert_array_equal(merged.left_vectors, left)
 
 
 def test_with_gamma_shares_pairs():
     u = np.array([0.0, 1.0])
-    p = SpectralPreconditioner(1.0, [3.0], [u])
+    p = SpectralPreconditioner(1.0, [3.0], u[:, None])
     q = p.with_gamma(2.0)
     assert q.gamma == 2.0
     assert q.vectors is p.vectors
@@ -155,21 +156,37 @@ def test_with_gamma_shares_pairs():
 
 
 def test_validation_rejects_bad_input():
-    skewed = [np.array([1.0, 0.0]), np.array([0.9, 0.1])]
+    skewed = np.column_stack([[1.0, 0.0], [0.9, 0.1]])
+    e1 = np.array([[1.0], [0.0]])
     with pytest.raises(ContractError):
         SpectralPreconditioner(1.0, [1.0, 1.0], skewed)
     with pytest.raises(ContractError):
-        SpectralPreconditioner(0.0, [1.0], [np.array([1.0, 0.0])])
+        SpectralPreconditioner(0.0, [1.0], e1)
     with pytest.raises(ContractError):
-        SpectralPreconditioner(1.0, [-1.0], [np.array([1.0, 0.0])])
+        SpectralPreconditioner(1.0, [-1.0], e1)
     with pytest.raises(ContractError):
-        SpectralPreconditioner(1.0, [1.0], [np.array([1.0, 0.0])],
-                               left_vectors=[])
+        SpectralPreconditioner(1.0, [1.0], e1, left_vectors=np.zeros((2, 2)))
+
+
+def test_validation_rejects_non_finite_pairs():
+    # NaN fails every comparison, so a check written as `defect > tol`
+    # lets it through; eigenvectors and left vectors must both be rejected.
+    e1 = np.array([[1.0], [0.0]])
+    with pytest.raises(ContractError):
+        SpectralPreconditioner(1.0, [1.0], np.array([[np.nan], [0.0]]))
+    with pytest.raises(ContractError):
+        SpectralPreconditioner(1.0, [1.0, 1.0],
+                               np.array([[1.0, 0.0], [0.0, np.inf]]))
+    with pytest.raises(ContractError):
+        SpectralPreconditioner(1.0, [1.0], e1, left_vectors=[[np.nan]])
+    with pytest.raises(ContractError):
+        SpectralPreconditioner(1.0, [1.0, 1.0], np.eye(2),
+                               left_vectors=np.array([[1.0], [np.nan]]))
 
 
 def test_tiny_lambda_dropped():
     u = np.eye(3)[:, :2]
-    p = SpectralPreconditioner(1.0, [1.0, 1e-20], [u[:, 0], u[:, 1]])
+    p = SpectralPreconditioner(1.0, [1.0, 1e-20], u)
     assert p.pair_count == 1
     np.testing.assert_allclose(p.lambdas, [1.0])
 
@@ -185,23 +202,23 @@ def test_attach_left_vectors_counts_cost():
     before = model.cost.total
     filled = p.attach_left_vectors(jac)
     assert model.cost.total == before + 2
-    assert filled.has_left_vectors
+    assert filled.left_vectors.shape == (6, 2)
     for j in range(2):
         expected = a @ q[:, j]
-        np.testing.assert_allclose(filled.left_vectors[j],
+        np.testing.assert_allclose(filled.left_vectors[:, j],
                                    expected / np.linalg.norm(expected),
                                    rtol=1e-13)
     # already-filled slots are not recomputed
     again = filled.attach_left_vectors(jac)
     assert model.cost.total == before + 2
-    assert again.has_left_vectors
+    assert again.left_vectors.shape == (6, 2)
 
 
 def test_attach_left_vectors_null_space_raises():
     from helpers import linear_model
     model = linear_model(np.array([[1.0, 0.0]]))
     jac = model.linearize(np.zeros(2))
-    p = SpectralPreconditioner(1.0, [1.0], [np.array([0.0, 1.0])])
+    p = SpectralPreconditioner(1.0, [1.0], np.array([[0.0], [1.0]]))
     with pytest.raises(ContractError):
         p.attach_left_vectors(jac)
 

@@ -1,14 +1,17 @@
 """Property checks of the one pair-set constructor ``merge_pairs``, the
 Householder basis behind every reorthogonalization, the Ritz residual
-identity of the Lanczos extraction, the Ritz pairs the solver keeps, and
-the finiteness check of ``as_vector``.
+identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
+left vectors and the sampled Phi built on them, the preconditioned-spectrum
+identity, and the finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
 existing pair set, random newcomers and a shift gamma; for the basis a
-stream of random, dependent and zero vectors; for the identity and the kept
-pairs a random Tikhonov system checked against ``DenseOracle``; for
-``as_vector`` arrays with NaN, infinite and huge entries mixed in.
+stream of random, dependent and zero vectors; for the identity, the kept
+pairs and the left vectors a random Tikhonov system checked against
+``DenseOracle``; for the sampled Phi and the spectrum random dense
+operators; for ``as_vector`` arrays with NaN, infinite and huge entries
+mixed in.
 """
 
 import warnings
@@ -19,13 +22,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import householder_loop
+from helpers import householder_loop, linear_model, phi_sampled_loop
 from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
                             ritz_from_trace, select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
-                                    merge_pairs)
+                                    merge_pairs, preconditioned_spectrum_check)
 from iterreg.solvers import NewtonConfig, _harvest, schedule_gamma
+from iterreg.stopping import phi_sampled
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
 
@@ -109,10 +113,16 @@ def test_merge_into_empty_applies_like_direct_construction(dim, count, gamma,
     direct = SpectralPreconditioner(gamma, lambdas, vectors)
     assert merged.pair_count == direct.pair_count
     x = rng.standard_normal(dim)
-    for apply in ("apply", "apply_inverse", "apply_inv_sqrt", "apply_sqrt"):
+    # The inverse adds x/gamma to a low-rank correction. At small gamma the
+    # two cancel down to a result of size ||x||/(gamma + lambda), so its
+    # round-off scales with the term ||x||/gamma instead of the result.
+    for apply in ("apply", "apply_inverse", "apply_inv_sqrt"):
         got = getattr(merged, apply)(x)
         want = getattr(direct, apply)(x)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        scale = np.linalg.norm(want)
+        if apply == "apply_inverse":
+            scale = max(scale, np.linalg.norm(x) / gamma)
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
 def _vector_stream(dim, count, dependent, seed):
@@ -233,6 +243,101 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         base = merge_pairs(base, _harvest(trace, base, gamma,
                                           cfg.ritz_separation,
                                           cfg.ritz_residual_tol), gamma)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.integers(1, 40),
+       st.integers(1, 30), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_phi_sampled_is_the_dense_surrogate_norm(m, extra, count, samples,
+                                                 gamma, seed):
+    # With orthonormal U, ||R_app eps|| = ||diag(c) W^T eps||, so the
+    # one-product Phi equals ||R_app^dense E^T||_F / sqrt(L) for the dense
+    # R_app = U diag(c) W^T, c_j = sqrt(lambda_j)/(gamma + lambda_j), and the
+    # per-pair, per-sample loop it replaced; it costs no model call.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m + extra, m))
+    model = linear_model(a)
+    lam = rng.uniform(0.1, 10.0, min(count, m))
+    u = _orthonormal(rng, m, lam.shape[0])
+    p = SpectralPreconditioner(1.0, lam, u).attach_left_vectors(
+        model.linearize(np.zeros(m)))
+    noise = rng.standard_normal((samples, m + extra))
+    before = model.cost.total
+    got = phi_sampled(p, noise, gamma)
+    assert model.cost.total == before
+    w = a @ u / np.linalg.norm(a @ u, axis=0)
+    r_app = (u * (np.sqrt(lam) / (gamma + lam))) @ w.T
+    dense = np.linalg.norm(r_app @ noise.T) / np.sqrt(samples)
+    assert abs(got - dense) <= 1e-12 * dense
+    assert abs(got - phi_sampled_loop(p, noise, gamma)) <= 1e-12 * dense
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(0.0, 0.5), st.integers(0, 40), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
+                                                      updates, seed):
+    # A Recompute at gamma_k, then Updates on the same frozen Jacobian, as
+    # irgnm_run builds them with a sampled Phi. After each merge and attach,
+    # column j of W is A u_j / ||A u_j||, and attach_left_vectors spends one
+    # Jacobian apply per column it adds and none on the columns it keeps.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=c3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    a = problem.jacobian_matrix(x)
+    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(a, 2) ** 2))
+    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    for step in range(k, k + 1 + updates):
+        gamma = schedule_gamma(cfg, step)
+        base = precond.with_gamma(gamma)
+        tsys = TwoSidedSystem(
+            TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
+                           rng.standard_normal(m)), base)
+        _, trace = pcg_solve(tsys, cfg=CgConfig(
+            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+        merged = merge_pairs(base, _harvest(trace, base, gamma,
+                                            cfg.ritz_separation,
+                                            cfg.ritz_residual_tol), gamma)
+        kept = 0 if merged.left_vectors is None \
+            else merged.left_vectors.shape[1]
+        # the existing pairs pass through, and their left vectors with them
+        assert kept == (0 if base.left_vectors is None else base.pair_count)
+        before = problem.model.cost.jacobian_applies
+        precond = merged.attach_left_vectors(jac)
+        added = problem.model.cost.jacobian_applies - before
+        assert added == precond.pair_count - kept
+        if precond.pair_count == 0:
+            continue
+        images = a @ precond.vectors
+        np.testing.assert_allclose(
+            precond.left_vectors, images / np.linalg.norm(images, axis=0),
+            rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.integers(0, 40),
+       st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+def test_preconditioned_spectrum_identity_with_exact_pairs(m, extra, count,
+                                                           gamma, seed):
+    # Capturing exact eigenpairs (lambda_j, v_j) of A^T A maps them onto 1
+    # and leaves 1 + lambda/gamma for the rest: the similarity-transform
+    # check passes, and the generalized pencil (A^T A + gamma I, M) of
+    # DenseOracle, an independent route, gives the same spectrum.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m + extra, m))
+    oracle = DenseOracle(a)
+    lam, v = oracle.gram_spectrum()
+    count = min(count, m)
+    p = SpectralPreconditioner(gamma, lam[:count], v[:, :count])
+    report = preconditioned_spectrum_check(p, a)
+    assert report.ok, report.max_abs_error
+    pencil = np.sort(oracle.preconditioned_gram_spectrum(p.dense(), gamma))
+    scale = max(1.0, float(report.expected.max()))
+    assert np.max(np.abs(pencil - report.observed)) <= 1e-9 * scale
 
 
 _SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)

@@ -81,7 +81,7 @@ def test_identity_model_first_step():
     y = np.array([2.0, -4.0, 1.0, 0.0])
     cfg = NewtonConfig(gamma0=1.0, max_newton=1, eps_accurate=1e-12)
     history = irgnm_run(model, y, np.zeros(4), cfg)
-    np.testing.assert_allclose(history.final_x(), y / 2.0, rtol=1e-9)
+    np.testing.assert_allclose(history.records[-1].x_k, y / 2.0, rtol=1e-9)
     assert history.records[0].event == EVENT_RECOMPUTE
     assert history.records[-1].event == EVENT_FINAL
     assert history.terminal_reason == TERMINAL_MAX
@@ -212,7 +212,7 @@ def test_irgnm_matches_dense_newton_recursion():
             gamma_k = 2.0 * 2.0 ** (-k)
             prior = -x if rhs_kind == "irgnm" else None
             x = x + oracle.tikhonov_solve(gamma_k, y - a @ x, prior)
-        np.testing.assert_allclose(history.final_x(), x, rtol=1e-6,
+        np.testing.assert_allclose(history.records[-1].x_k, x, rtol=1e-6,
                                    atol=1e-9)
 
 
@@ -388,5 +388,3 @@ def test_run_history_helpers():
     assert history.total_inner() == sum(r.inner_iterations
                                         for r in history.records)
     assert history.residual_norms()[0] == pytest.approx(np.linalg.norm(y))
-    np.testing.assert_array_equal(history.final_x(),
-                                  history.records[-1].x_k)

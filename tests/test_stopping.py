@@ -6,11 +6,10 @@ import pytest
 from helpers import linear_model
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
-from iterreg.solvers import RunHistory, RunRecord
+from iterreg.solvers import RunHistory, RunRecord, irgnm_run
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
                               FixedIndexDriver, PhiBudgetDriver, PhiWarning,
-                              SampledPhi, WhiteNoisePhi, apply_R_app,
-                              discrepancy_stop,
+                              SampledPhi, WhiteNoisePhi, discrepancy_stop,
                               lepskii_from_history, lepskii_select,
                               phi_deterministic, phi_sampled, phi_white_noise)
 from iterreg.testbed import generate_noise
@@ -72,38 +71,6 @@ def test_deterministic_bound_dominates_white_noise_estimate():
         assert white <= det * (1.0 + 1e-12)
 
 
-def test_apply_R_app_matches_dense_surrogate_and_costs_nothing():
-    rng = np.random.default_rng(12)
-    n, m = 10, 6
-    a = rng.standard_normal((n, m))
-    model = linear_model(a)
-    jac = model.linearize(np.zeros(m))
-    w, v = np.linalg.eigh(a.T @ a)
-    lam = w[::-1][:3].copy()
-    u = v[:, ::-1][:, :3].copy()
-    gamma = 0.3
-    p = SpectralPreconditioner(gamma, lam, u).attach_left_vectors(jac)
-
-    dense_r = np.zeros((m, n))
-    for jdx in range(3):
-        img = a @ u[:, jdx]
-        wj = img / np.linalg.norm(img)
-        dense_r += (np.sqrt(lam[jdx]) / (gamma + lam[jdx])) \
-            * np.outer(u[:, jdx], wj)
-
-    eps = rng.standard_normal(n)
-    cost_before = model.cost.total
-    out = apply_R_app(p, eps)
-    assert model.cost.total == cost_before
-    np.testing.assert_allclose(out, dense_r @ eps, rtol=1e-12, atol=1e-14)
-
-
-def test_apply_R_app_requires_left_vectors():
-    p = SpectralPreconditioner(1.0, [1.0], [np.array([1.0, 0.0])])
-    with pytest.raises(ContractError):
-        apply_R_app(p, np.ones(4))
-
-
 def test_phi_sampled_exact_pairs_match_trace_formula():
     # With the complete exact eigenset, R^app equals the true regularized
     # inverse composed with the projector onto the data-space images, and the
@@ -136,6 +103,51 @@ def test_phi_sampled_gamma_override():
     direct = phi_sampled(p.with_gamma(0.25), samples)
     via_arg = phi_sampled(p, samples, gamma_k=0.25)
     assert direct == pytest.approx(via_arg, rel=1e-14)
+
+
+def _exact_pairs_with_left_vectors(n, m, seed):
+    a = np.random.default_rng(seed).standard_normal((n, m))
+    model = linear_model(a)
+    w, v = np.linalg.eigh(a.T @ a)
+    p = SpectralPreconditioner(1.0, w[::-1].copy(), v[:, ::-1].copy())
+    return model, p, p.attach_left_vectors(model.linearize(np.zeros(m)))
+
+
+def test_phi_sampled_requires_left_vectors_of_the_sample_length():
+    _, bare, p = _exact_pairs_with_left_vectors(40, 5, seed=2)
+    samples = generate_noise(0.1, 40, count=3, seed=4)
+    assert samples.shape == (3, 40)
+    with pytest.raises(ContractError, match="attach_left_vectors"):
+        phi_sampled(bare, samples)
+    with pytest.raises(ContractError, match="39.*40"):
+        phi_sampled(p, samples[:, :39])
+    with pytest.raises(ContractError, match="39.*40"):
+        SampledPhi([np.ones(39)]).evaluate(0.5, p)
+    with pytest.raises(ContractError):
+        phi_sampled(p, samples[0])
+    bad = samples.copy()
+    bad[1, 7] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        phi_sampled(p, bad)
+
+
+def test_sampled_phi_rejects_mixed_lengths():
+    with pytest.raises(ContractError):
+        SampledPhi([np.ones(40), np.ones(39)])
+    with pytest.raises(ContractError):
+        SampledPhi([np.ones(40), np.full(40, np.nan)])
+    np.testing.assert_array_equal(SampledPhi([[1.0, 2.0], [3.0, 4.0]]).samples,
+                                  [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_irgnm_run_with_short_noise_samples_raises_contract_error():
+    # The samples must live in the data space; on a range of 40 a sample of
+    # length 39 is a contract violation, not a shape error inside numpy.
+    model, _, _ = _exact_pairs_with_left_vectors(40, 5, seed=2)
+    y = model.evaluate(np.ones(5))
+    with pytest.raises(ContractError, match="39.*40"):
+        irgnm_run(model, y, np.zeros(5),
+                  phi_estimator=SampledPhi([np.ones(39)]))
 
 
 def test_lepskii_hand_case_matches_brute_force():

@@ -238,6 +238,15 @@ def test_generate_noise_statistics():
     assert flat.var() == pytest.approx(sigma ** 2, rel=0.05)
 
 
+def test_generate_noise_rows_are_the_sequential_draws():
+    # One (count, dim) draw holds the numbers of count draws of length dim.
+    samples = generate_noise(0.5, 7, count=4, seed=9)
+    assert samples.shape == (4, 7)
+    rng = np.random.default_rng(9)
+    for row in samples:
+        np.testing.assert_array_equal(row, 0.5 * rng.standard_normal(7))
+
+
 def test_generate_noise_deterministic():
     a = generate_noise(1.0, 5, count=2, seed=3)
     b = generate_noise(1.0, 5, count=2, seed=3)
@@ -320,15 +329,6 @@ def test_oracle_trace_phi_against_monte_carlo():
     samples = generate_noise(sigma, 12, count=4000, seed=21)
     mc = np.sqrt(np.mean([np.linalg.norm(r @ eps) ** 2 for eps in samples]))
     assert mc == pytest.approx(exact, rel=0.05)
-
-
-def test_oracle_trace_phi_cov_consistency():
-    rng = np.random.default_rng(41)
-    a = rng.standard_normal((10, 5))
-    oracle = DenseOracle(a)
-    sigma, gamma = 0.3, 0.15
-    via_cov = oracle.trace_phi_cov(sigma ** 2 * np.eye(10), gamma)
-    assert via_cov == pytest.approx(oracle.trace_phi(sigma, gamma), rel=1e-12)
 
 
 def test_oracle_for_problem_nonlinear_needs_point():
