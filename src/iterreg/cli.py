@@ -33,7 +33,7 @@ from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
                       landweber_run, newton_cg_run)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
-                       discrepancy_stop, lepskii_from_history)
+                       discrepancy_stop, lepskii_from_history, lepskii_select)
 from .testbed import (DenseOracle, OracleRefusal, generate_noise,
                       make_convolution_problem, make_diagonal_problem,
                       make_nonlinear_composite, noise_sigma_for_level)
@@ -188,21 +188,18 @@ class ExperimentConfig:
     def as_dict(self):
         return {section: dict(getattr(self, section)) for section in _SCHEMA}
 
-    def validate(self, methods=None):
+    def validate(self, methods=None, rules=None):
+        """Check each value a verb running ``methods`` and resolving the stop
+        ``rules`` uses; work-precision resolves none and builds no Phi."""
         methods = methods or [self.solver["method"]]
-        rule = self.stopping["rule"]
-        if rule == "lepskii" and self.stopping["r_bound"] is None:
+        rules = [self.stopping["rule"]] if rules is None else rules
+        if "lepskii" in rules and self.stopping["r_bound"] is None:
             raise ConfigError(
-                "[stopping] r_bound: the balancing rule needs an explicit "
-                "error budget R, a reasonable upper bound on the distance "
-                "between the initial guess and the solution (same units as "
-                "the unknown); it is problem knowledge, not a computed "
-                "default")
-        if rule == "fixed-K" and self.stopping["k_fixed"] < 0:
-            raise ConfigError("[stopping] k_fixed: must be nonnegative")
+                "[stopping] r_bound: the balancing rule needs an error budget "
+                "R, an upper bound on the initial error (problem knowledge)")
         if self.noise["kind"] == "white" and self.noise["sigma"] is None \
-                and self.noise["level"] < 0:
-            raise ConfigError("[noise] level: must be nonnegative")
+                and not 0 <= self.noise["level"] < np.inf:
+            raise ConfigError("[noise] level: must be nonnegative and finite")
         for m in methods:
             if m not in _METHODS:
                 raise ConfigError(
@@ -214,15 +211,30 @@ class ExperimentConfig:
             _newton_config(self, "irgnm-prec")
         except ContractError as exc:
             raise ConfigError(f"[solver] {exc}") from None
-        for key, method, check in (
-                ("newton_cg_rho", "newton-cg", check_inner_rho),
-                ("landweber_mu", "landweber", check_landweber_mu),
-                ("landweber_steps", "landweber", check_step_cap)):
-            if method in methods and self.solver[key] is not None:
+        ncg, lw, lep = ("newton-cg" in methods, "landweber" in methods,
+                        "lepskii" in rules)
+        # Each check is the consumer's own; a (count, 0) draw is empty.
+        for section, key, used, check in (
+                ("solver", "newton_cg_rho", ncg, check_inner_rho),
+                ("solver", "landweber_mu", lw, check_landweber_mu),
+                ("solver", "landweber_steps", lw, check_step_cap),
+                ("noise", "sigma", self.noise["kind"] == "white",
+                 WhiteNoisePhi),
+                ("stopping", "tau", "discrepancy" in rules,
+                 lambda tau: DiscrepancyDriver(tau, 0.0)),
+                ("stopping", "rho", lep,
+                 lambda rho: lepskii_select([0.0], [0.0], rho)),
+                ("stopping", "r_bound", lep, PhiBudgetDriver),
+                ("stopping", "k_fixed", "fixed-K" in rules, FixedIndexDriver),
+                ("stopping", "phi_samples",
+                 rules and self.stopping["phi"] == "sampled",
+                 lambda count: generate_noise(0.0, 0, count=count))):
+            value = getattr(self, section)[key]
+            if used and value is not None:
                 try:
-                    check(self.solver[key])
+                    check(value)
                 except ContractError as exc:
-                    raise ConfigError(f"[solver] {key}: {exc}") from None
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -421,7 +433,7 @@ def run_work_precision(configs, out_dir):
             raise ConfigError(
                 "work-precision configs must share [problem] and [noise]")
     for cfg in configs:
-        cfg.validate([cfg.solver["method"]])
+        cfg.validate([cfg.solver["method"]], rules=())
     # One problem serves every method: each run's units are counted from
     # the model meter's value at its start.
     problem = build_problem(head)
@@ -446,7 +458,7 @@ def expand_methods(cfg: ExperimentConfig):
     """Per-method configs from the comma-separated [solver] methods field."""
     names = [m.strip() for m in cfg.solver["methods"].split(",")
              if m.strip()] or [cfg.solver["method"]]
-    cfg.validate(names)
+    cfg.validate(names, rules=())
     out = []
     for name in names:
         sub = copy.deepcopy(cfg)
@@ -478,11 +490,7 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     rule; samples that never meet a rule are reported with empty fields and
     excluded from the averages.
     """
-    if cfg.stopping["r_bound"] is None:
-        raise ConfigError(
-            "[stopping] r_bound: the stopping study needs the error budget R "
-            "(upper bound on the initial error); see the lepskii rule docs")
-    cfg.validate()
+    cfg.validate(rules=STUDY_RULES)
     num_samples = cfg.noise["samples"] if num_samples is None else num_samples
     if num_samples < 2:
         raise ConfigError("[noise] samples: stopping study needs at least 2")

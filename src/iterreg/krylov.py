@@ -12,7 +12,6 @@ extracted together with an exact residual bound
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ class CgConfig:
 
 @dataclass
 class CgTrace:
-    """Per-solve ledger: CG coefficients, Lanczos basis, and norm histories.
+    """Per-solve ledger: CG coefficients, Lanczos basis, and residual norms.
 
     ``alphas`` holds alpha_1..alpha_l and ``betas`` holds beta_1..beta_{l-1};
     the stray beta_l of the last iteration only enters
@@ -73,7 +72,6 @@ class CgTrace:
     iterations: int
     converged: bool
     residual_norms: list
-    misfit_norms: list
 
 
 class HouseholderBasis:
@@ -171,11 +169,9 @@ def tridiagonal_from_trace(trace: CgTrace):
         raise ContractError("trace holds no completed CG iterations")
     a = np.asarray(trace.alphas, dtype=float)
     b = np.asarray(trace.betas, dtype=float)
-    diag = np.empty(a.shape[0])
-    diag[0] = 1.0 / a[0]
-    if a.shape[0] > 1:
-        diag[1:] = 1.0 / a[1:] + b / a[:-1]
-    offdiag = -np.sqrt(b) / a[:-1] if a.shape[0] > 1 else np.empty(0)
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    offdiag = -np.sqrt(b) / a[:-1]
     return diag, offdiag
 
 
@@ -202,10 +198,7 @@ def ritz_from_trace(trace: CgTrace):
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")
     diag, offdiag = tridiagonal_from_trace(trace)
-    if diag.shape[0] == 1:
-        theta, vecs = diag.copy(), np.ones((1, 1))
-    else:
-        theta, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    theta, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     if theta[0] <= 0.0:
         raise ContractError(
             "tridiagonal matrix is not positive definite; "
@@ -238,7 +231,7 @@ def select_ritz(pairs, separation_threshold, residual_tolerance):
     ]
 
 
-def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
+def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
     """Preconditioned CG on the normal equations G^T G h = G^T g.
 
     Parameters
@@ -251,8 +244,6 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
         Applied from the left through its ``apply_inverse``. ``None`` runs
         plain CGNE; symmetric two-sided preconditioning is achieved by
         wrapping ``sys`` instead, which keeps reorthogonalization Euclidean.
-    rhs : array, optional
-        Stacked right-hand side g; defaults to ``sys.stacked_rhs()``.
     cfg : CgConfig
 
     Returns
@@ -272,12 +263,12 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
     """
     if cfg is None:
         cfg = CgConfig()
-    g = sys.stacked_rhs() if rhs is None else as_vector(rhs, sys.range_dim, "rhs")
+    g = sys.stacked_rhs()
     m_dim = sys.domain_dim
-    stop_scale = float(getattr(sys, "stop_scale", 1.0))
+    stop_scale = float(sys.stop_scale)
 
     alphas, betas_all = [], []
-    residual_norms, misfit_norms = [], []
+    residual_norms = []
     basis = HouseholderBasis(m_dim) if precond is None else None
     z_basis = [] if precond is None else None
 
@@ -304,14 +295,12 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
             z_basis=None if z_basis is None else z_basis[: len(alphas)],
             final_beta_over_alpha=fba, iterations=len(alphas),
             converged=converged, residual_norms=list(residual_norms),
-            misfit_norms=list(misfit_norms),
         )
 
     h = np.zeros(m_dim)
     d = g.copy()
     z, rho, r_norm = precondition(sys.apply_adjoint(d))
     residual_norms.append(r_norm)
-    misfit_norms.append(float(np.linalg.norm(d)))
     if r_norm == 0.0:
         return h, finalize(True)
     if not np.isfinite(rho) or rho <= 0.0:
@@ -358,12 +347,6 @@ def pcg_solve(sys, precond=None, rhs=None, cfg: CgConfig | None = None):
         p = z + beta * p
 
         residual_norms.append(r_norm)
-        misfit = float(np.linalg.norm(d))
-        if misfit > misfit_norms[-1] * (1.0 + 1e-10) + 1e-300:
-            warnings.warn(
-                "CG data misfit increased between iterations; "
-                "round-off is degrading the run", RuntimeWarning)
-        misfit_norms.append(misfit)
         if rho == 0.0:
             converged = True
             break

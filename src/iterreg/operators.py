@@ -175,7 +175,6 @@ class TikhonovSystem:
 
     def apply(self, v):
         """Return G v = (A v; sqrt(gamma) v). Costs exactly one Jacobian apply."""
-        v = as_vector(v, self.domain_dim, "input")
         return np.concatenate([self.jac.apply(v), self._sqrt_gamma * v])
 
     def apply_adjoint(self, d):

@@ -150,10 +150,11 @@ class SpectralPreconditioner:
 class TwoSidedSystem:
     """Stacked system conjugated by M^{-1/2} on both sides.
 
-    CG on G M^{-1/2} runs in the plain Euclidean inner product (so
-    reorthogonalization stays exact) and its normal operator
-    M^{-1/2} G^T G M^{-1/2} has spectrum bounded below by 1 for exact pairs,
-    hence ``stop_scale`` is 1. Solutions pull back via h = M^{-1/2} h~.
+    CG on G M^{-1/2} runs in the Euclidean inner product, so
+    reorthogonalization stays exact. Its normal operator M^{-1/2} G^T G
+    M^{-1/2} has spectrum bounded below by 1 for exact pairs, hence
+    ``stop_scale`` is 1: the eps/(1-eps) contract holds for h~, while the
+    pull-back h = M^{-1/2} h~ may miss it (by up to 1.9x in random trials).
     """
 
     stop_scale = 1.0

@@ -72,8 +72,8 @@ class NewtonConfig:
                 self.gamma0 > 0 and np.isfinite(self.gamma0)):
             raise ContractError(
                 f"gamma0 must be positive and finite, got {self.gamma0}")
-        if not self.gamma_factor > 1.0:
-            raise ContractError("gamma_factor must exceed 1")
+        if not 1.0 < self.gamma_factor < np.inf:
+            raise ContractError("gamma_factor must be finite and exceed 1")
         if not 0.0 < self.eps_accurate <= self.eps_standard < 1.0:
             raise ContractError(
                 "need 0 < eps_accurate <= eps_standard < 1")
@@ -233,9 +233,9 @@ def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
 
 
 def check_landweber_mu(mu):
-    """Reject a Landweber step size that is negative or NaN."""
-    if not mu >= 0:
-        raise ContractError(f"mu must be nonnegative, got {mu}")
+    """Reject a Landweber step size that is negative or not finite."""
+    if not 0 <= mu < np.inf:
+        raise ContractError(f"mu must be nonnegative and finite, got {mu}")
 
 
 def check_step_cap(steps):

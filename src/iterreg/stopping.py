@@ -124,7 +124,6 @@ def lepskii_select(iterates, phi, rho):
 # returns Phi(k) using whatever eigenpair set is current at step k.
 
 class DeterministicPhi:
-    method = "deterministic"
     needs_left_vectors = False
 
     def __init__(self, delta):
@@ -137,12 +136,11 @@ class DeterministicPhi:
 
 
 class WhiteNoisePhi:
-    method = "white"
     needs_left_vectors = False
 
     def __init__(self, sigma):
-        if sigma < 0:
-            raise ContractError("sigma must be nonnegative")
+        if not 0 <= sigma < np.inf:
+            raise ContractError("sigma must be nonnegative and finite")
         self.sigma = float(sigma)
 
     def evaluate(self, gamma_k, precond=None):
@@ -154,7 +152,6 @@ class WhiteNoisePhi:
 
 
 class SampledPhi:
-    method = "sampled"
     needs_left_vectors = True
 
     def __init__(self, samples):

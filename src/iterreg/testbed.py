@@ -104,29 +104,24 @@ def cosine_basis(m):
     return u
 
 
-def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0,
-                          singular_values=None):
+def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0):
     """Linear model with prescribed SVD A = V diag(sigma) U^T.
 
-    sigma_j = scale * exp(-decay_a * j), floored at 1e-14 * sigma_0 so the
-    operator keeps full rank. The domain basis U is the frequency-ordered
-    cosine basis, so the map damps oscillatory components exponentially the
-    way a smoothing operator does; the data-side basis V is seeded random.
-    The truth is the smooth two-bump profile, whose cosine coefficients
-    decay fast, so it is genuinely recoverable from low-index content.
+    sigma_j = scale * exp(-decay_a * j) for a finite scale and a positive,
+    finite decay_a, floored at 1e-14 * sigma_0 so the operator keeps full
+    rank. The domain basis U is the frequency-ordered cosine basis, so the
+    map damps oscillatory components exponentially the way a smoothing
+    operator does; the data-side basis V is seeded random. The truth, the
+    smooth two-bump profile, is recoverable from low-index cosine modes.
     """
     if m < 1 or n < m:
         raise ContractError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if not 0 < decay_a < np.inf:
+        raise ContractError("decay_a must be positive and finite")
+    if not np.isfinite(scale):
+        raise ContractError("scale must be finite")
     rng = np.random.default_rng(seed)
-    if singular_values is None:
-        if not decay_a > 0:
-            raise ContractError("decay_a must be positive")
-        sigma = scale * np.exp(-decay_a * np.arange(m))
-    else:
-        sigma = np.asarray(singular_values, dtype=float)
-        if sigma.shape != (m,) or np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
-            raise ContractError(
-                "singular_values must be m positive nonincreasing reals")
+    sigma = scale * np.exp(-decay_a * np.arange(m))
     sigma = np.maximum(sigma, _SIGMA_FLOOR * sigma[0])
 
     u = cosine_basis(m)
@@ -198,7 +193,7 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     )
 
 
-def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
+def make_nonlinear_composite(base: Problem, c3=0.1):
     """Nonlinear model F(x) = K s(x) with s(t) = t + c3 t^3 around a linear K.
 
     The Jacobian is A_x = K diag(s'(x)) with s'(t) = 1 + 3 c3 t^2, applied
@@ -206,15 +201,15 @@ def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
     so every model call costs what a base apply costs: two row-block dense
     GEMVs on the diagonal base (the adjoint takes the blocks in reverse
     order, so an apply/adjoint pair starts each call on the cached half),
-    O(n log n) FFTs on the convolution base. c3 = 0
-    degenerates to the base model exactly. The default c3 = 0.1 keeps a
-    frozen linearization usable across the build schedule; much stronger
+    O(n log n) FFTs on the convolution base. c3 must be finite and >= 0;
+    c3 = 0 degenerates to the base model exactly. The default c3 = 0.1 keeps
+    a frozen linearization usable across the build schedule; much stronger
     cubics make stale Jacobians diverge under small regularization.
     """
     if base.operator is None:
         raise ContractError("composite needs a linear base problem")
-    if c3 < 0:
-        raise ContractError("c3 must be nonnegative")
+    if not 0 <= c3 < np.inf:
+        raise ContractError("c3 must be nonnegative and finite")
     k_apply, k_adjoint = base.operator
     m = base.model.domain_dim
     n = base.model.range_dim
@@ -240,7 +235,7 @@ def make_nonlinear_composite(base: Problem, c3=0.1, truth=None):
     params.update({f"base_{k}": v for k, v in base.params.items()})
     return Problem(
         model=model,
-        truth=base.truth.copy() if truth is None else as_vector(truth, m, "truth"),
+        truth=base.truth.copy(),
         kind=f"nonlinear-{base.kind}",
         params=params,
         dense_jacobian=lambda x: (base.jacobian_matrix()

@@ -270,12 +270,14 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("method, line, key", [
     ("irgnm-prec", "gamma_factor = 1.0", "gamma_factor"),
+    ("irgnm-prec", "gamma_factor = inf", "gamma_factor"),
     ("irgnm-prec", "gamma0 = -1", "gamma0"),
     ("irgnm-plain", "eps_standard = 1.5", "eps_standard"),
     ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
     ("newton-cg", "newton_cg_rho = 1.5", "newton_cg_rho"),
     ("landweber", "landweber_mu = -1", "landweber_mu"),
+    ("landweber", "landweber_mu = inf", "landweber_mu"),
     ("irgnm-prec", "ritz_separation = 0", "ritz_separation"),
     ("landweber", "landweber_steps = -1", "landweber_steps"),
 ])
@@ -290,10 +292,50 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, lines, key", [
+    ("stopping", "tau = 0.5", "tau"),
+    ("stopping", "rule = lepskii\nr_bound = 2\nrho = 3", "rho"),
+    ("stopping", "rule = lepskii\nr_bound = -1", "r_bound"),
+    ("stopping", "phi = sampled\nphi_samples = 0", "phi_samples"),
+    ("noise", "sigma = -1", "sigma"),
+    ("noise", "level = nan", "level"),
+], ids=["tau", "rho", "r_bound", "phi_samples", "sigma", "level"])
+def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
+                                                      section, lines, key):
+    # Each value is checked before the problem is built, whichever step of
+    # the run would first use it.
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[problem]\nm = 20\nn = 30\n[{section}]\n{lines}\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: [{section}] {key}:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
+    # The study resolves every study rule whatever the configured one;
+    # work-precision resolves none and builds no Phi estimator.
+    cfg = ExperimentConfig.from_text(
+        "[stopping]\nrule = lepskii\nr_bound = 2\ntau = 0.5\n"
+        "phi = sampled\nphi_samples = 0\n")
+    with pytest.raises(ConfigError, match=r"\[stopping\] phi_samples"):
+        cfg.validate()
+    cfg.stopping["phi_samples"] = 5
+    cfg.validate()
+    with pytest.raises(ConfigError, match=r"\[stopping\] tau"):
+        run_stopping_study(cfg, num_samples=2, out_dir=tmp_path)
+    cfg.stopping.update(phi_samples=0, r_bound=-1.0)
+    expand_methods(cfg)
+    cfg.validate(rules=())
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("lines", [
     "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
-    "kind = convolution\nn = 4",
-], ids=["m_above_n", "decay_a", "c3", "convolution_n"])
+    "kind = convolution\nn = 4", "scale = nan", "c3 = nan", "decay_a = inf",
+], ids=["m_above_n", "decay_a", "c3", "convolution_n", "scale_nan", "c3_nan",
+        "decay_a_inf"])
 def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\n{lines}\n")

@@ -76,13 +76,21 @@ def test_iteration_cap_flags_not_converged():
 
 
 def test_misfit_norms_monotone():
+    # CG minimizes ||g - G h|| over a growing Krylov space, so the misfit of
+    # the iterate h_l, computed with the dense G, never grows with l.
     rng = np.random.default_rng(13)
     for trial in range(5):
         a = rng.standard_normal((20, 12))
         sys = tikhonov_system(a, 0.01, rhs_data=rng.standard_normal(20),
                               rhs_prior=rng.standard_normal(12))
+        g_dense = np.vstack([a, np.sqrt(0.01) * np.eye(12)])
+        g = sys.stacked_rhs()
         _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-9))
-        mis = np.asarray(trace.misfit_norms)
+        mis = [np.linalg.norm(g)]
+        for l in range(1, trace.iterations + 1):
+            h, _ = pcg_solve(sys, cfg=CgConfig(epsilon=1e-9, max_iterations=l))
+            mis.append(np.linalg.norm(g - g_dense @ h))
+        mis = np.asarray(mis)
         assert np.all(mis[1:] <= mis[:-1] * (1.0 + 1e-10) + 1e-300)
 
 

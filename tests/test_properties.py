@@ -2,16 +2,17 @@
 Householder basis behind every reorthogonalization, the Ritz residual
 identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
 left vectors and the sampled Phi built on them, the preconditioned-spectrum
-identity, and the finiteness check of ``as_vector``.
+identity, the CG accuracy contract, and the finiteness check of
+``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
 existing pair set, random newcomers and a shift gamma; for the basis a
 stream of random, dependent and zero vectors; for the identity, the kept
 pairs and the left vectors a random Tikhonov system checked against
-``DenseOracle``; for the sampled Phi and the spectrum random dense
-operators; for ``as_vector`` arrays with NaN, infinite and huge entries
-mixed in.
+``DenseOracle``, as for the CG contract; for the sampled Phi and the
+spectrum random dense operators; for ``as_vector`` arrays with NaN,
+infinite and huge entries mixed in.
 """
 
 import warnings
@@ -338,6 +339,39 @@ def test_preconditioned_spectrum_identity_with_exact_pairs(m, extra, count,
     pencil = np.sort(oracle.preconditioned_gram_spectrum(p.dense(), gamma))
     scale = max(1.0, float(report.expected.max()))
     assert np.max(np.abs(pencil - report.observed)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(1e-3, 10.0), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_cg_accuracy_contract_against_dense_oracle(m, extra, decay, gamma,
+                                                   count, seed):
+    # The stop test ||r|| <= eps * stop_scale * ||h|| with stop_scale a lower
+    # bound of the normal operator's spectrum gives ||h - h*|| <= eps/(1-eps)
+    # ||h*||: for h itself in plain and left-preconditioned solves (scale
+    # gamma), and for h~ = M^{1/2} h in two-sided solves with exact pairs
+    # (scale 1). The whisker covers the dense solve's own round-off.
+    problem = make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                                    seed=seed % 2**16)
+    oracle = DenseOracle.for_problem(problem)
+    rng = np.random.default_rng(seed)
+    data, prior = rng.standard_normal(m + extra), rng.standard_normal(m)
+    sys = TikhonovSystem(problem.model.linearize(np.zeros(m)), gamma, data,
+                         prior)
+    exact = oracle.tikhonov_solve(gamma, data, prior)
+    lam, v = oracle.gram_spectrum()
+    count = min(count, int(np.sum(lam > 0)))
+    p = SpectralPreconditioner(gamma, lam[:count], v[:, :count])
+    exact_two = p.apply(p.apply_inv_sqrt(exact))
+    for eps in (1.0 / 3.0, 1e-2, 1e-4, 1e-8):
+        cfg = CgConfig(epsilon=eps)
+        for solver, precond, target in ((sys, None, exact), (sys, p, exact),
+                                        (TwoSidedSystem(sys, p), None,
+                                         exact_two)):
+            h, trace = pcg_solve(solver, precond, cfg=cfg)
+            if trace.converged:
+                bound = (eps / (1.0 - eps) + 1e-12) * np.linalg.norm(target)
+                assert np.linalg.norm(h - target) <= bound
 
 
 _SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)

@@ -34,10 +34,10 @@ def test_random_orthonormal_columns_match_square_qr():
 
 
 def test_diagonal_problem_explicit_singular_values():
-    sigma = np.array([1.0, 0.1, 0.01])
-    problem = make_diagonal_problem(m=3, n=5, seed=4, singular_values=sigma)
+    problem = make_diagonal_problem(m=3, n=5, decay_a=np.log(10), scale=2.0,
+                                    seed=4)
     sv = np.linalg.svd(problem.matrix, compute_uv=False)
-    np.testing.assert_allclose(sv, sigma, rtol=1e-12)
+    np.testing.assert_allclose(sv, [2.0, 0.2, 0.02], rtol=1e-12)
 
 
 def test_diagonal_problem_decay_ratio():
@@ -70,10 +70,6 @@ def test_diagonal_problem_validation():
         make_diagonal_problem(m=10, n=5)
     with pytest.raises(ContractError):
         make_diagonal_problem(m=4, n=4, decay_a=-1.0)
-    with pytest.raises(ContractError):
-        make_diagonal_problem(m=3, n=4, singular_values=[1.0, 2.0, 3.0])
-    with pytest.raises(ContractError):
-        make_diagonal_problem(m=2, n=4, singular_values=[1.0, -1.0])
 
 
 def test_diagonal_model_matches_matrix():
