@@ -26,14 +26,13 @@ from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         jacobian_fd_order)
 from .preconditioner import (SpectralPreconditioner, SpectrumReport,
                              TwoSidedSystem, merge_pairs,
-                             preconditioned_spectrum_check, ritz_to_eigenpair)
+                             preconditioned_spectrum_check)
 from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
                       landweber_run, must_update, newton_cg_run,
                       schedule_gamma, should_recompute)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
-                       discrepancy_stop, lepskii_from_history, lepskii_select,
-                       phi_deterministic, phi_sampled, phi_white_noise)
+                       discrepancy_stop, lepskii_from_history, lepskii_select)
 from .testbed import (DenseOracle, OracleRefusal, Problem, generate_noise,
                       make_convolution_problem, make_diagonal_problem,
                       make_nonlinear_composite, noise_sigma_for_level)
@@ -49,7 +48,7 @@ __all__ = [
     "ritz_from_trace", "select_ritz",
     # preconditioner
     "SpectralPreconditioner", "SpectrumReport", "TwoSidedSystem",
-    "merge_pairs", "preconditioned_spectrum_check", "ritz_to_eigenpair",
+    "merge_pairs", "preconditioned_spectrum_check",
     # solvers
     "NewtonConfig", "RunHistory", "RunRecord", "irgnm_run", "landweber_run",
     "must_update", "newton_cg_run", "schedule_gamma", "should_recompute",
@@ -57,7 +56,6 @@ __all__ = [
     "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver",
     "PhiBudgetDriver", "SampledPhi", "WhiteNoisePhi",
     "discrepancy_stop", "lepskii_from_history", "lepskii_select",
-    "phi_deterministic", "phi_sampled", "phi_white_noise",
     # testbed
     "DenseOracle", "OracleRefusal", "Problem", "generate_noise",
     "make_convolution_problem", "make_diagonal_problem",

@@ -200,6 +200,9 @@ class ExperimentConfig:
         if self.noise["kind"] == "white" and self.noise["sigma"] is None \
                 and not 0 <= self.noise["level"] < np.inf:
             raise ConfigError("[noise] level: must be nonnegative and finite")
+        for section in ("problem", "noise"):
+            if getattr(self, section)["seed"] < 0:
+                raise ConfigError(f"[{section}] seed: must be nonnegative")
         for m in methods:
             if m not in _METHODS:
                 raise ConfigError(

@@ -187,20 +187,6 @@ class TwoSidedSystem:
         return self.precond.apply_inv_sqrt(h_transformed)
 
 
-def ritz_to_eigenpair(mu, gamma, u):
-    """Back-map a preconditioned Ritz value: (mu, u) -> (gamma*(mu-1), u).
-
-    Values mu <= 1 belong to the cluster of already-captured directions and
-    carry no spectral information; they are rejected.
-    """
-    if not mu > 1.0:
-        raise ContractError(
-            f"Ritz value {mu} is not separated from the cluster at 1")
-    if gamma <= 0:
-        raise ContractError("gamma must be positive")
-    return gamma * (mu - 1.0), u
-
-
 def merge_pairs(existing: SpectralPreconditioner, new_pairs, new_gamma):
     """Union of the existing pair set with newly harvested pairs.
 

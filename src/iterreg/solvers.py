@@ -22,8 +22,7 @@ from .krylov import (CgBreakdownError, CgConfig, pcg_solve, ritz_from_trace,
                      select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector, build_rhs)
-from .preconditioner import (SpectralPreconditioner, TwoSidedSystem,
-                             merge_pairs, ritz_to_eigenpair)
+from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
 
 EVENT_RECOMPUTE = "Recompute"
 EVENT_UPDATE = "Update"
@@ -115,7 +114,6 @@ class RunHistory:
     records: list
     terminal_reason: str
     method: str
-    stop_index: int | None = None
     meta: dict = field(default_factory=dict)
 
     def residual_norms(self):
@@ -216,8 +214,10 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
 
 
 def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
-    """Back-map selected Ritz pairs of the two-sided operator to eigenpairs
-    (lambda, u) of A_m^T A_m."""
+    """Back-map selected Ritz pairs (theta, v) of the two-sided operator to
+    eigenpairs (gamma_k (theta - 1), M^{-1/2} v normalized) of A_m^T A_m.
+    Values theta <= 1 belong to the cluster of captured directions and carry
+    no spectral information; they are dropped."""
     if trace.iterations < 1:
         return []
     pairs = ritz_from_trace(trace)
@@ -227,8 +227,7 @@ def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
         norm = np.linalg.norm(u_raw)
         if norm == 0.0 or not p.theta > 1.0:
             continue
-        lam, u = ritz_to_eigenpair(p.theta, gamma_k, u_raw / norm)
-        out.append((lam, u))
+        out.append((gamma_k * (p.theta - 1.0), u_raw / norm))
     return out
 
 
@@ -257,7 +256,9 @@ class _OuterLoop:
     clock, so setup work a method does afterwards (a gamma0 or mu estimate)
     counts toward its run. ``run`` evaluates F(x_k), opens the record of
     step k (m = k, event Final), lets ``probe(rec)`` fill in m, gamma_k
-    and phi_k, and consults the stop driver and the divergence guard. Unless
+    and phi_k, and consults the stop driver ``stop(k, residual_norm,
+    phi_k)``, which ends the run at k with terminal StopRule when it returns
+    True, and the divergence guard. Unless
     the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
     and sets the record's event, inner_iterations and, after a
     relinearization, m. A tripped divergence guard, or a ContractError or
@@ -282,7 +283,6 @@ class _OuterLoop:
         x = self.x0.copy()
         records = []
         terminal = TERMINAL_MAX
-        stop_index = None
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
             rn = float(np.linalg.norm(residual_vec))
@@ -300,10 +300,8 @@ class _OuterLoop:
             records.append(rec)
             if probe is not None:
                 probe(rec)
-            if stop is not None and stop(k=k, x=x, residual_norm=rn,
-                                         phi=rec.phi_k):
+            if stop is not None and stop(k, rn, rec.phi_k):
                 terminal = TERMINAL_STOP
-                stop_index = k
                 break
             if k == max_steps:
                 break
@@ -325,14 +323,15 @@ class _OuterLoop:
                 meta["breakdown"] = str(exc)
                 break
         return RunHistory(records=records, terminal_reason=terminal,
-                          method=method, stop_index=stop_index, meta=meta)
+                          method=method, meta=meta)
 
 
 def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
               phi_estimator=None, truth=None, method_name=None):
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
 
-    Per step k: evaluate F(x_k), consult the stop driver, then either
+    Per step k: evaluate F(x_k), consult the stop driver
+    ``stop(k, residual_norm, phi_k)``, then either
     (re)build the preconditioner (fresh Jacobian, accurate two-sided solve,
     Ritz harvest), update it (frozen Jacobian, accurate two-sided solve with
     the current pairs, harvest and merge), or take an ordinary
@@ -341,8 +340,8 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
 
     Returns a RunHistory whose last record (event Final) carries the
     terminal iterate; ``phi_estimator`` (an object with
-    ``evaluate(gamma_k, precond)``) fills the phi column using the pair set
-    current at each step.
+    ``evaluate(gamma_k, precond)`` and ``needs_left_vectors``) fills the phi
+    column using the pair set current at each step.
     """
     cfg = NewtonConfig() if cfg is None else cfg
     outer = _OuterLoop(model, y_obs, x0, truth)
@@ -361,9 +360,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         if m >= 0:
             rec.m = m
         if phi_estimator is not None:
-            live = precond.with_gamma(rec.gamma_k) if precond is not None \
-                else None
-            rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, live))
+            rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
     def step(rec, x, residual_vec):
         nonlocal jac, precond, m, last_build, prev_plain_inner
@@ -390,7 +387,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             new_pairs = _harvest(trace, base, gamma_k, cfg.ritz_separation,
                                  cfg.ritz_residual_tol)
             precond = merge_pairs(base, new_pairs, gamma_k)
-            if getattr(phi_estimator, "needs_left_vectors", False):
+            if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
             prev_plain_inner = None

@@ -2,97 +2,43 @@
 Phi(k), and the Lepskii balancing selection over stored iterates.
 
 Phi(k) estimates ||R_k eps||, the data noise pushed through the regularized
-inverse R_k = (G^T G)^{-1} A^T. Three estimators are provided: the worst-case
-bound delta/(2 gamma_k), the white-noise closed form over a captured
-eigenvalue set, and a Monte-Carlo form that pushes stored noise samples
-through the low-rank surrogate R_k^app = U diag(c) W^T of the preconditioner
-pairs, c_j = sqrt(lambda_j)/(gamma_k+lambda_j), w_j = A u_j/||A u_j||. U has
-orthonormal columns, so ||R_k^app eps|| = ||diag(c) W^T eps|| needs only W.
+inverse R_k = (G^T G)^{-1} A^T. Three estimators are provided, each an object
+whose ``evaluate(gamma_k, precond)`` uses the pair set current at step k:
+
+- ``DeterministicPhi``: the worst-case bound delta / (2 gamma_k);
+- ``WhiteNoisePhi``: sigma * sqrt(sum_j lambda_j / (gamma_k + lambda_j)^2)
+  over the captured eigenvalues, exact (equal to the trace formula) for the
+  complete eigenvalue set of A^T A, an underestimate otherwise;
+- ``SampledPhi``: a Monte-Carlo form that pushes stored noise samples
+  through the low-rank surrogate R_k^app = U diag(c) W^T of the pairs,
+  c_j = sqrt(lambda_j)/(gamma_k+lambda_j), w_j = A u_j/||A u_j||. U has
+  orthonormal columns, so ||R_k^app eps|| = ||diag(c) W^T eps|| needs only W
+  and costs no forward-model call.
+
+Before the first spectral build nothing of the noise has entered the
+iterate, so the last two return exactly 0 while no pairs exist.
+
+A stop driver is called once per Newton step, before the step is taken, as
+``stop(k, residual_norm, phi)`` and returns True to stop at k. The offline
+resolvers ``discrepancy_stop`` and ``lepskii_from_history`` apply the same
+drivers to a finished run.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from .operators import ContractError, as_vector
 
 
-class PhiWarning(UserWarning):
-    """The noise estimate is uninformative or possibly underestimating."""
-
-
 def discrepancy_stop(residual_norms, tau, delta):
-    """First index K with ||F(x_K) - y|| <= tau * delta, or None if never.
-
-    tau must exceed 1; delta is the noise-norm level.
-    """
+    """First index K at which ``DiscrepancyDriver(tau, delta)`` fires, that
+    is ||F(x_K) - y|| <= tau * delta, or None if never."""
     if len(residual_norms) == 0:
         raise ContractError("no residual norms supplied")
-    if not tau > 1.0:
-        raise ContractError(f"tau must exceed 1, got {tau}")
-    if delta < 0:
-        raise ContractError("delta must be nonnegative")
-    for k, rn in enumerate(residual_norms):
-        if rn <= tau * delta:
-            return k
-    return None
-
-
-def phi_deterministic(gamma_k, delta):
-    """Worst-case propagated-noise bound delta / (2 gamma_k)."""
-    if not gamma_k > 0:
-        raise ContractError("gamma_k must be positive")
-    if delta < 0:
-        raise ContractError("delta must be nonnegative")
-    return delta / (2.0 * gamma_k)
-
-
-def phi_white_noise(sigma, lambdas, gamma_k):
-    """White-noise estimate sigma * sqrt(sum_j lambda_j / (gamma_k+lambda_j)^2).
-
-    Exact (equal to the trace formula) when ``lambdas`` is the complete
-    eigenvalue set of A^T A; with a partial set it may underestimate. An
-    empty set returns 0 with a PhiWarning.
-    """
-    if not gamma_k > 0:
-        raise ContractError("gamma_k must be positive")
-    if sigma < 0:
-        raise ContractError("sigma must be nonnegative")
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if lam.size == 0:
-        warnings.warn("no eigenvalues captured yet; Phi estimate is 0",
-                      PhiWarning)
-        return 0.0
-    if np.any(lam < 0):
-        raise ContractError("eigenvalues must be nonnegative")
-    return float(sigma * np.sqrt(np.sum(lam / (gamma_k + lam) ** 2)))
-
-
-def phi_sampled(precond, noise_samples, gamma_k=None):
-    """Root-mean-square of ||R_k^app eps_l|| over the rows eps_l of the
-    (L, N) array ``noise_samples``: ||E W diag(c)||_F / sqrt(L), with the
-    weights c of the module docstring. Costs no forward-model call."""
-    samples = np.asarray(noise_samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ContractError("need at least one noise sample, as an (L, N) array")
-    if not np.isfinite(samples).all():
-        raise ContractError("noise samples contain non-finite entries")
-    p = precond if gamma_k is None else precond.with_gamma(gamma_k)
-    if p.pair_count == 0:
-        warnings.warn("no eigenpairs captured yet; Phi estimate is 0",
-                      PhiWarning)
-        return 0.0
-    left = p.left_vectors
-    if left is None or left.shape[1] < p.pair_count:
-        raise ContractError("preconditioner lacks left vectors; "
-                            "call attach_left_vectors first")
-    if samples.shape[1] != left.shape[0]:
-        raise ContractError(f"noise samples have length {samples.shape[1]}, "
-                            f"left vectors {left.shape[0]}")
-    coeff = samples @ left * (np.sqrt(p.lambdas) / (p.gamma + p.lambdas))
-    return float(np.sqrt(np.sum(coeff ** 2) / samples.shape[0]))
+    fires = DiscrepancyDriver(tau, delta)
+    return next((k for k, rn in enumerate(residual_norms)
+                 if fires(k, rn, None)), None)
 
 
 def lepskii_select(iterates, phi, rho):
@@ -120,10 +66,14 @@ def lepskii_select(iterates, phi, rho):
     return k_max
 
 
-# Estimator objects consumed by the outer solvers: evaluate(gamma_k, precond)
-# returns Phi(k) using whatever eigenpair set is current at step k.
+def _check_gamma(gamma_k):
+    if not gamma_k > 0:
+        raise ContractError("gamma_k must be positive")
+
 
 class DeterministicPhi:
+    """Worst-case propagated-noise bound Phi(k) = delta / (2 gamma_k)."""
+
     needs_left_vectors = False
 
     def __init__(self, delta):
@@ -132,10 +82,15 @@ class DeterministicPhi:
         self.delta = float(delta)
 
     def evaluate(self, gamma_k, precond=None):
-        return phi_deterministic(gamma_k, self.delta)
+        _check_gamma(gamma_k)
+        return self.delta / (2.0 * gamma_k)
 
 
 class WhiteNoisePhi:
+    """Phi(k) = sigma * sqrt(sum_j lambda_j / (gamma_k + lambda_j)^2) over the
+    pair set's eigenvalues: exact for the complete eigenvalue set, an
+    underestimate otherwise."""
+
     needs_left_vectors = False
 
     def __init__(self, sigma):
@@ -144,14 +99,18 @@ class WhiteNoisePhi:
         self.sigma = float(sigma)
 
     def evaluate(self, gamma_k, precond=None):
-        # Before the first spectral build nothing of the noise has entered
-        # the iterate, so the propagated-noise estimate is exactly 0.
+        _check_gamma(gamma_k)
         if precond is None or precond.pair_count == 0:
             return 0.0
-        return phi_white_noise(self.sigma, precond.lambdas, gamma_k)
+        lam = precond.lambdas
+        return float(self.sigma * np.sqrt(np.sum(lam / (gamma_k + lam) ** 2)))
 
 
 class SampledPhi:
+    """Root-mean-square of ||R_k^app eps_l|| over the stored noise samples
+    eps_l, the rows of E: ||E W diag(c)||_F / sqrt(L). Costs no
+    forward-model call; the pair set must carry its left vectors."""
+
     needs_left_vectors = True
 
     def __init__(self, samples):
@@ -162,15 +121,21 @@ class SampledPhi:
             [as_vector(s, dim, "noise sample") for s in samples])
 
     def evaluate(self, gamma_k, precond=None):
-        # Same convention as the white-noise estimator: zero before any
-        # spectral information exists.
+        _check_gamma(gamma_k)
         if precond is None or precond.pair_count == 0:
             return 0.0
-        return phi_sampled(precond, self.samples, gamma_k)
+        left = precond.left_vectors
+        if left is None or left.shape[1] < precond.pair_count:
+            raise ContractError("preconditioner lacks left vectors; "
+                                "call attach_left_vectors first")
+        if self.samples.shape[1] != left.shape[0]:
+            raise ContractError(
+                f"noise samples have length {self.samples.shape[1]}, "
+                f"left vectors {left.shape[0]}")
+        lam = precond.lambdas
+        coeff = self.samples @ left * (np.sqrt(lam) / (gamma_k + lam))
+        return float(np.sqrt(np.sum(coeff ** 2) / self.samples.shape[0]))
 
-
-# Stop drivers consumed by the outer solvers. A driver is called once per
-# Newton step, before the step is taken, with the freshly evaluated state.
 
 class DiscrepancyDriver:
     """Stop at the first residual at or below tau * delta."""
@@ -183,20 +148,21 @@ class DiscrepancyDriver:
         self.tau = float(tau)
         self.delta = float(delta)
 
-    def __call__(self, k, x, residual_norm, phi):
+    def __call__(self, k, residual_norm, phi):
         return residual_norm <= self.tau * self.delta
 
 
 class PhiBudgetDriver:
-    """Stop once Phi(k) exceeds the error budget R (the step after K_max)."""
+    """Stop once Phi(k) exceeds the error budget R (the step after K_max);
+    a NaN Phi counts as over budget."""
 
     def __init__(self, bound):
         if not bound > 0:
             raise ContractError("bound must be positive")
         self.bound = float(bound)
 
-    def __call__(self, k, x, residual_norm, phi):
-        return phi is not None and phi > self.bound
+    def __call__(self, k, residual_norm, phi):
+        return phi is not None and not phi <= self.bound
 
 
 class FixedIndexDriver:
@@ -207,29 +173,25 @@ class FixedIndexDriver:
             raise ContractError("index must be nonnegative")
         self.index = int(index)
 
-    def __call__(self, k, x, residual_norm, phi):
+    def __call__(self, k, residual_norm, phi):
         return k >= self.index
 
 
 def lepskii_from_history(history, rho, bound):
     """Apply the balancing selection to a finished run.
 
-    Collects (x_k, Phi(k)) from the run records, truncates to
-    K_max = max{k : Phi(k) <= bound}, and returns the balancing index.
+    K_max is the index before ``PhiBudgetDriver(bound)`` first fires on the
+    run's Phi values; returns the balancing index over x_0..x_{K_max}.
     """
     records = history.records
     if not records:
         raise ContractError("history holds no records")
     if any(r.phi_k is None for r in records):
         raise ContractError("history was run without a Phi estimator")
-    k_max = -1
-    for r in records:
-        if r.phi_k <= bound:
-            k_max = r.k
-        else:
-            break
+    over = PhiBudgetDriver(bound)
+    k_max = next((k for k, r in enumerate(records)
+                  if over(k, r.residual_norm, r.phi_k)), len(records)) - 1
     if k_max < 0:
         raise ContractError("Phi(0) already exceeds the bound")
-    iterates = [r.x_k for r in records[: k_max + 1]]
-    values = [r.phi_k for r in records[: k_max + 1]]
-    return lepskii_select(iterates, values, rho)
+    kept = records[:k_max + 1]
+    return lepskii_select([r.x_k for r in kept], [r.phi_k for r in kept], rho)

@@ -14,15 +14,14 @@ import numpy as np
 from helpers import dense_tikhonov_solution, linear_model, tikhonov_system
 from iterreg.cli import (ExperimentConfig, expand_methods, run_single,
                          run_stopping_study, run_work_precision)
-from iterreg.krylov import CgConfig, pcg_solve, ritz_from_trace, select_ritz
+from iterreg.krylov import CgConfig, pcg_solve, ritz_from_trace
 from iterreg.operators import TikhonovSystem
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs,
-                                    preconditioned_spectrum_check,
-                                    ritz_to_eigenpair)
+                                    preconditioned_spectrum_check)
 from iterreg.solvers import (EVENT_PLAIN, EVENT_RECOMPUTE, EVENT_UPDATE,
-                             NewtonConfig, irgnm_run)
-from iterreg.stopping import phi_sampled, phi_white_noise
+                             NewtonConfig, _harvest, irgnm_run)
+from iterreg.stopping import SampledPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, generate_noise,
                              make_convolution_problem, make_diagonal_problem,
                              make_nonlinear_composite, noise_sigma_for_level)
@@ -193,20 +192,6 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     assert elapsed < 120.0
 
 
-def _harvest_pairs(trace, base, gamma):
-    # Back-map separated, converged Ritz pairs of the two-sided operator to
-    # eigenpair estimates (lambda, u) of A^T A, mirroring the solver's
-    # build step.
-    out = []
-    for pair in select_ritz(ritz_from_trace(trace), 1.1, 1e-6):
-        u_raw = base.apply_inv_sqrt(pair.vector)
-        norm = float(np.linalg.norm(u_raw))
-        if norm == 0.0 or not pair.theta > 1.0:
-            continue
-        out.append(ritz_to_eigenpair(pair.theta, gamma, u_raw / norm))
-    return out
-
-
 def test_criterion_5_multiplicity_and_condition(acceptance):
     # The convolution gram matrix carries double eigenvalues. A single
     # Lanczos pass captures at most one vector per double (each captured
@@ -235,7 +220,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys0 = TwoSidedSystem(sys0, base0)
     h0, trace0 = pcg_solve(tsys0, cfg=CgConfig(epsilon=1e-9,
                                                max_iterations=30))
-    pairs0 = _harvest_pairs(trace0, base0, gamma0)
+    pairs0 = _harvest(trace0, base0, gamma0, 1.1, 1e-6)
 
     per_group = {}
     worst_defect = 0.0
@@ -260,7 +245,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys1 = TwoSidedSystem(sys1, p1)
     _, trace1 = pcg_solve(tsys1, cfg=CgConfig(epsilon=1e-9,
                                               max_iterations=30))
-    new_pairs = _harvest_pairs(trace1, p1, gamma1)
+    new_pairs = _harvest(trace1, p1, gamma1, 1.1, 1e-6)
     p2 = merge_pairs(p1, new_pairs, gamma1)
 
     oracle = DenseOracle(a)
@@ -299,11 +284,11 @@ def test_criterion_6_phi_estimators(acceptance):
     worst_white = worst_sampled = 0.0
     for gamma in (0.5, 0.05, 0.005):
         exact = oracle.trace_phi(sigma, gamma)
-        est = phi_white_noise(sigma, w, gamma)
-        worst_white = max(worst_white, abs(est - exact) / exact)
         precond = SpectralPreconditioner(gamma, w, v).attach_left_vectors(jac)
+        est = WhiteNoisePhi(sigma).evaluate(gamma, precond)
+        worst_white = max(worst_white, abs(est - exact) / exact)
         samples = generate_noise(sigma, 40, 500, seed=11)
-        mc = phi_sampled(precond, samples, gamma)
+        mc = SampledPhi(samples).evaluate(gamma, precond)
         worst_sampled = max(worst_sampled, abs(mc - exact) / exact)
     elapsed = time.perf_counter() - t0
     ok = worst_white <= 1e-10 and worst_sampled <= 0.15 and elapsed < 30.0

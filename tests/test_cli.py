@@ -292,22 +292,27 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section, lines, key", [
-    ("stopping", "tau = 0.5", "tau"),
-    ("stopping", "rule = lepskii\nr_bound = 2\nrho = 3", "rho"),
-    ("stopping", "rule = lepskii\nr_bound = -1", "r_bound"),
-    ("stopping", "phi = sampled\nphi_samples = 0", "phi_samples"),
-    ("noise", "sigma = -1", "sigma"),
-    ("noise", "level = nan", "level"),
-], ids=["tau", "rho", "r_bound", "phi_samples", "sigma", "level"])
+@pytest.mark.parametrize("section, lines, key, flags", [
+    ("stopping", "tau = 0.5", "tau", []),
+    ("stopping", "rule = lepskii\nr_bound = 2\nrho = 3", "rho", []),
+    ("stopping", "rule = lepskii\nr_bound = -1", "r_bound", []),
+    ("stopping", "phi = sampled\nphi_samples = 0", "phi_samples", []),
+    ("noise", "sigma = -1", "sigma", []),
+    ("noise", "level = nan", "level", []),
+    ("noise", "seed = -1", "seed", []),
+    ("noise", "seed = 5", "seed", ["--seed", "-1"]),
+], ids=["tau", "rho", "r_bound", "phi_samples", "sigma", "level", "seed",
+        "seed_flag"])
 def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
-                                                      section, lines, key):
+                                                      section, lines, key,
+                                                      flags):
     # Each value is checked before the problem is built, whichever step of
-    # the run would first use it.
+    # the run would first use it; the --seed override is checked as the
+    # [noise] seed it replaces.
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\nm = 20\nn = 30\n[{section}]\n{lines}\n")
     assert main(["solve", "--config", str(ini),
-                 "--out", str(tmp_path / "out")]) == 2
+                 "--out", str(tmp_path / "out"), *flags]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: [{section}] {key}:")
     assert not (tmp_path / "out").exists()
@@ -334,8 +339,9 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
 @pytest.mark.parametrize("lines", [
     "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
     "kind = convolution\nn = 4", "scale = nan", "c3 = nan", "decay_a = inf",
+    "seed = -1",
 ], ids=["m_above_n", "decay_a", "c3", "convolution_n", "scale_nan", "c3_nan",
-        "decay_a_inf"])
+        "decay_a_inf", "seed"])
 def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\n{lines}\n")

@@ -1,18 +1,29 @@
-"""No unused imports in the package or in its tests.
+"""No unused imports in the package or in its tests, and no package code
+that only tests use.
 
-A stdlib ``ast`` scan: every name an import statement binds in
+Two stdlib ``ast`` scans. Imports: every name an import statement binds in
 ``src/iterreg/*.py`` or ``tests/*.py`` must be read somewhere in the same
 module. Names a module lists in its ``__all__`` count as read (the package
 ``__init__`` re-exports that way). ``from __future__`` imports and imports
 marked ``# noqa: F401`` (kept for their side effects) are exempt.
+
+Dead code: every function, class and method defined in ``src/iterreg/*.py``
+must be named, as a variable or an attribute, somewhere in ``src/``,
+``demos/`` or ``perfbench/`` besides its own definition. Dunders are exempt,
+and so is ``DenseOracle.trace_phi``, the reference the Phi acceptance check
+compares the estimators against.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "iterreg").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "iterreg").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+CALLERS = sorted([*PACKAGE, *(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
+TEST_ONLY_REFERENCES = {"DenseOracle.trace_phi"}
 
 
 def unused_imports(source):
@@ -56,3 +67,69 @@ def test_scan_flags_unused_and_keeps_used_imports():
               "def f():\n"
               "    return np.zeros(1), dumps\n")
     assert unused_imports(source) == ["loads (line 5)", "os (line 2)"]
+
+
+def definitions(tree):
+    """(qualified name, bare name, node) of every function, class and method
+    defined in ``tree``; dunders are left out."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    found.append((prefix + child.name, child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def referenced_names(tree):
+    """How often ``tree`` names each identifier as a variable or an
+    attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(package, callers):
+    """Qualified names of the definitions in the ``package`` trees that no
+    ``callers`` tree names outside the definition itself."""
+    used = sum((referenced_names(tree) for tree in callers), Counter())
+    return [qual for tree in package for qual, name, node in definitions(tree)
+            if used[name] == referenced_names(node)[name]]
+
+
+def test_no_package_code_only_tests_use():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    dead = set(unreferenced([trees[p] for p in PACKAGE], trees.values()))
+    assert dead <= TEST_ONLY_REFERENCES, dead - TEST_ONLY_REFERENCES
+
+
+def test_dead_code_scan_flags_unreferenced_definitions():
+    source = ("class Box:\n"
+              "    def __init__(self):\n"
+              "        self.size = helper()\n"
+              "    def used(self):\n"
+              "        def inner():\n"
+              "            return 1\n"
+              "        return inner\n"
+              "    def unused(self):\n"
+              "        return 'helper'\n"
+              "def helper():\n"
+              "    return Box().used\n"
+              "def recursive(n):\n"
+              "    return recursive(n - 1)\n")
+    tree = ast.parse(source)
+    assert [q for q, _, _ in definitions(tree)] == [
+        "Box", "Box.used", "Box.used.inner", "Box.unused", "helper",
+        "recursive"]
+    # a name inside a string is no reference, nor is a self-reference
+    assert unreferenced([tree], [tree]) == ["Box.unused", "recursive"]
+    caller = ast.parse("from box import recursive\nrecursive(3)\n")
+    assert unreferenced([tree], [tree, caller]) == ["Box.unused"]

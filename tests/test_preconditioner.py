@@ -8,8 +8,7 @@ from iterreg.krylov import CgConfig, pcg_solve
 from iterreg.operators import ContractError
 from iterreg.preconditioner import (MERGE_DROP_TOL, SpectralPreconditioner,
                                     TwoSidedSystem, merge_pairs,
-                                    preconditioned_spectrum_check,
-                                    ritz_to_eigenpair)
+                                    preconditioned_spectrum_check)
 
 
 def unit(v):
@@ -87,16 +86,6 @@ def test_spectrum_check_random_instances():
         # cluster at 1 has exactly `count` members
         ones = np.sum(np.abs(report.observed - 1.0) < 1e-9)
         assert ones >= count
-
-
-def test_ritz_to_eigenpair_back_map():
-    u = np.array([1.0, 0.0])
-    lam, vec = ritz_to_eigenpair(2.0, 0.5, u)
-    assert lam == pytest.approx(0.5, rel=1e-15)
-    assert vec is u
-    for mu in (1.0, 0.9):
-        with pytest.raises(ContractError):
-            ritz_to_eigenpair(mu, 0.5, u)
 
 
 def test_merge_drops_duplicate_direction():

@@ -1,18 +1,18 @@
 """Property checks of the one pair-set constructor ``merge_pairs``, the
 Householder basis behind every reorthogonalization, the Ritz residual
 identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
-left vectors and the sampled Phi built on them, the preconditioned-spectrum
-identity, the CG accuracy contract, and the finiteness check of
-``as_vector``.
+left vectors and the sampled Phi built on them, the two-sided system over
+merged pairs, the preconditioned-spectrum identity, the CG accuracy
+contract, and the finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
 existing pair set, random newcomers and a shift gamma; for the basis a
 stream of random, dependent and zero vectors; for the identity, the kept
-pairs and the left vectors a random Tikhonov system checked against
-``DenseOracle``, as for the CG contract; for the sampled Phi and the
-spectrum random dense operators; for ``as_vector`` arrays with NaN,
-infinite and huge entries mixed in.
+pairs, the left vectors and the two-sided system a random Tikhonov system
+checked against ``DenseOracle`` or dense matrices, as for the CG contract;
+for the sampled Phi and the spectrum random dense operators; for
+``as_vector`` arrays with NaN, infinite and huge entries mixed in.
 """
 
 import warnings
@@ -30,7 +30,7 @@ from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
 from iterreg.solvers import NewtonConfig, _harvest, schedule_gamma
-from iterreg.stopping import phi_sampled
+from iterreg.stopping import SampledPhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
 
@@ -264,7 +264,7 @@ def test_phi_sampled_is_the_dense_surrogate_norm(m, extra, count, samples,
         model.linearize(np.zeros(m)))
     noise = rng.standard_normal((samples, m + extra))
     before = model.cost.total
-    got = phi_sampled(p, noise, gamma)
+    got = SampledPhi(noise).evaluate(gamma, p)
     assert model.cost.total == before
     w = a @ u / np.linalg.norm(a @ u, axis=0)
     r_app = (u * (np.sqrt(lam) / (gamma + lam))) @ w.T
@@ -317,6 +317,49 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
         np.testing.assert_allclose(
             precond.left_vectors, images / np.linalg.norm(images, axis=0),
             rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(0.0, 0.5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
+        m, extra, decay, c3, k, seed):
+    # Over the inexact pairs of a Recompute at gamma_k merged with those of
+    # the Update at gamma_{k+1}, the two-sided system is G S with
+    # G = [A; sqrt(gamma) I] and S = M^{-1/2} from eigh(M): apply is G S,
+    # apply_adjoint S G^T and pull_back S, to 1e-12 relative. eigh resolves
+    # the eigenvalue gamma of M only to about eps ||M||, so the dense S is
+    # itself off by up to about eps cond(M) (3e-9 at cond(M) = 1.7e7 over
+    # 300 random draws); the tolerance adds 1e-14 cond(M) for that.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=c3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    a = problem.jacobian_matrix(x)
+    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(a, 2) ** 2))
+    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    for step in (k, k + 1):
+        gamma = schedule_gamma(cfg, step)
+        base = precond.with_gamma(gamma)
+        sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
+                             rng.standard_normal(m))
+        _, trace = pcg_solve(TwoSidedSystem(sys, base), cfg=CgConfig(
+            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+        precond = merge_pairs(base, _harvest(trace, base, gamma,
+                                             cfg.ritz_separation,
+                                             cfg.ritz_residual_tol), gamma)
+    tsys = TwoSidedSystem(sys, precond)
+    w, q = np.linalg.eigh(precond.dense())
+    s = (q / np.sqrt(w)) @ q.T
+    g = np.vstack([a, np.sqrt(gamma) * np.eye(m)])
+    tol = 1e-12 + 1e-14 * w[-1] / w[0]
+    v, d = rng.standard_normal(m), rng.standard_normal(m + extra + m)
+    for got, want in ((tsys.apply(v), g @ s @ v),
+                      (tsys.apply_adjoint(d), s @ g.T @ d),
+                      (tsys.pull_back(v), s @ v)):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 @PROPERTY

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from helpers import linear_model, nan_on_call, nan_on_evaluation
-from iterreg.operators import LEVENBERG_MARQUARDT, ContractError
+from iterreg import solvers
+from iterreg.krylov import CgConfig, RitzPair, pcg_solve, ritz_from_trace
+from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
+                               TikhonovSystem)
+from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
                              TERMINAL_MAX, TERMINAL_STOP, NewtonConfig,
-                             estimate_gram_norm, irgnm_run, landweber_run,
-                             must_update, newton_cg_run, schedule_gamma,
-                             should_recompute)
+                             _harvest, estimate_gram_norm, irgnm_run,
+                             landweber_run, must_update, newton_cg_run,
+                             schedule_gamma, should_recompute)
 from iterreg.stopping import DeterministicPhi, FixedIndexDriver, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -160,11 +164,45 @@ def test_stop_driver_terminates_run():
     history = irgnm_run(problem.model, y, np.zeros(8), cfg,
                         stop=FixedIndexDriver(2))
     assert history.terminal_reason == TERMINAL_STOP
-    assert history.stop_index == 2
+    assert history.records[-1].k == 2
     assert len(history.records) == 3
     final = history.records[-1]
     assert final.event == EVENT_FINAL
     assert final.inner_iterations == 0
+
+
+def test_harvest_back_map(monkeypatch):
+    # Every harvested pair is (gamma (theta - 1), M^{-1/2} v normalized) for
+    # a selected Ritz pair (theta, v) of the two-sided operator.
+    problem = make_diagonal_problem(m=12, n=16, seed=4)
+    a = problem.jacobian_matrix()
+    lam, v = np.linalg.eigh(a.T @ a)
+    gamma = 0.05
+    base = SpectralPreconditioner(gamma, lam[-2:], v[:, -2:])
+    sys = TikhonovSystem(problem.model.linearize(np.zeros(12)), gamma,
+                         np.ones(16), np.zeros(12))
+    _, trace = pcg_solve(TwoSidedSystem(sys, base),
+                         cfg=CgConfig(epsilon=1e-9))
+    pairs = _harvest(trace, base, gamma, 1.1, 1e-6)
+    kept = [p for p in ritz_from_trace(trace)
+            if p.theta >= 1.1 and p.residual_bound <= 1e-6 * p.theta]
+    assert pairs and len(pairs) == len(kept)
+    for (value, u), p in zip(pairs, kept):
+        assert value == gamma * (p.theta - 1.0)
+        raw = base.apply_inv_sqrt(p.vector)
+        np.testing.assert_array_equal(u, raw / np.linalg.norm(raw))
+    # With a separation threshold below 1 the selection keeps theta <= 1;
+    # those pairs carry no spectral information and are not harvested.
+    e = np.eye(3)
+    thetas = (0.5, 1.0, 1.5, 3.0)
+    monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [
+        RitzPair(theta, e[:, i % 3], 0.0) for i, theta in enumerate(thetas)])
+    trace = type("Trace", (), {"iterations": 4})()
+    pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3), 0.2, 0.5,
+                     1e-6)
+    assert [value for value, _ in pairs] == [0.2 * 0.5, 0.2 * 2.0]
+    np.testing.assert_array_equal(np.column_stack([u for _, u in pairs]),
+                                  e[:, [2, 0]])
 
 
 def test_truth_and_phi_columns():

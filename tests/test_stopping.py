@@ -8,10 +8,9 @@ from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 from iterreg.solvers import RunHistory, RunRecord, irgnm_run
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
-                              FixedIndexDriver, PhiBudgetDriver, PhiWarning,
-                              SampledPhi, WhiteNoisePhi, discrepancy_stop,
-                              lepskii_from_history, lepskii_select,
-                              phi_deterministic, phi_sampled, phi_white_noise)
+                              FixedIndexDriver, PhiBudgetDriver, SampledPhi,
+                              WhiteNoisePhi, discrepancy_stop,
+                              lepskii_from_history, lepskii_select)
 from iterreg.testbed import generate_noise
 
 
@@ -33,26 +32,38 @@ def test_discrepancy_validation():
         discrepancy_stop([1.0], 2.0, -1.0)
 
 
+def _pairs(lambdas):
+    """Pair set with the given eigenvalues on the unit vectors."""
+    return SpectralPreconditioner(1.0, lambdas, np.eye(len(lambdas)))
+
+
 def test_phi_deterministic_value():
-    assert phi_deterministic(0.5, 0.1) == pytest.approx(0.1)
+    assert DeterministicPhi(0.1).evaluate(0.5) == pytest.approx(0.1)
     with pytest.raises(ContractError):
-        phi_deterministic(0.0, 0.1)
+        DeterministicPhi(0.1).evaluate(0.0)
+
+
+def test_estimators_reject_nonpositive_gamma():
+    p = _pairs([1.0])
+    for estimator in (DeterministicPhi(0.1), WhiteNoisePhi(1.0),
+                      SampledPhi([np.ones(3)])):
+        for gamma in (0.0, -1.0, np.nan):
+            with pytest.raises(ContractError, match="gamma_k"):
+                estimator.evaluate(gamma, p)
+            with pytest.raises(ContractError, match="gamma_k"):
+                estimator.evaluate(gamma, None)
 
 
 def test_phi_white_noise_single_eigenvalue():
     # sigma sqrt(lambda / (gamma+lambda)^2) = sqrt(1/4) = 0.5
-    assert phi_white_noise(1.0, [1.0], 1.0) == pytest.approx(0.5)
-
-
-def test_phi_white_noise_empty_warns_zero():
-    with pytest.warns(PhiWarning):
-        assert phi_white_noise(1.0, [], 1.0) == 0.0
+    assert WhiteNoisePhi(1.0).evaluate(1.0, _pairs([1.0])) \
+        == pytest.approx(0.5)
 
 
 def test_phi_white_noise_grows_as_gamma_decays():
-    lam = np.array([4.0, 1.0, 0.25])
+    p = _pairs([4.0, 1.0, 0.25])
     gammas = [2.0 ** (-k) for k in range(10)]
-    values = [phi_white_noise(0.1, lam, g) for g in gammas]
+    values = [WhiteNoisePhi(0.1).evaluate(g, p) for g in gammas]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -63,11 +74,11 @@ def test_deterministic_bound_dominates_white_noise_estimate():
     for trial in range(20):
         n = int(rng.integers(5, 60))
         j = int(rng.integers(1, n))
-        lam = rng.uniform(1e-4, 10.0, size=j)
+        p = _pairs(rng.uniform(1e-4, 10.0, size=j))
         sigma = float(rng.uniform(0.01, 2.0))
         gamma = float(rng.uniform(1e-4, 1.0))
-        det = phi_deterministic(gamma, sigma * np.sqrt(n))
-        white = phi_white_noise(sigma, lam, gamma)
+        det = DeterministicPhi(sigma * np.sqrt(n)).evaluate(gamma, p)
+        white = WhiteNoisePhi(sigma).evaluate(gamma, p)
         assert white <= det * (1.0 + 1e-12)
 
 
@@ -86,12 +97,14 @@ def test_phi_sampled_exact_pairs_match_trace_formula():
     p = SpectralPreconditioner(gamma, w[::-1].copy(),
                                v[:, ::-1].copy()).attach_left_vectors(jac)
     samples = generate_noise(sigma, n, count=4000, seed=8)
-    estimate = phi_sampled(p, samples)
-    exact = phi_white_noise(sigma, w, gamma)
+    estimate = SampledPhi(samples).evaluate(gamma, p)
+    exact = WhiteNoisePhi(sigma).evaluate(gamma, p)
     assert estimate == pytest.approx(exact, rel=0.1)
 
 
 def test_phi_sampled_gamma_override():
+    # Phi(k) is computed at the gamma_k it is given, whatever shift the pair
+    # set carries.
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 4))
     model = linear_model(a)
@@ -99,10 +112,11 @@ def test_phi_sampled_gamma_override():
     w, v = np.linalg.eigh(a.T @ a)
     p = SpectralPreconditioner(1.0, w[::-1].copy(),
                                v[:, ::-1].copy()).attach_left_vectors(jac)
-    samples = generate_noise(0.1, 8, count=10, seed=1)
-    direct = phi_sampled(p.with_gamma(0.25), samples)
-    via_arg = phi_sampled(p, samples, gamma_k=0.25)
-    assert direct == pytest.approx(via_arg, rel=1e-14)
+    for estimator in (SampledPhi(generate_noise(0.1, 8, count=10, seed=1)),
+                      WhiteNoisePhi(0.1)):
+        assert estimator.evaluate(0.25, p) \
+            == estimator.evaluate(0.25, p.with_gamma(2.0))
+        assert estimator.evaluate(0.25, p) != estimator.evaluate(2.0, p)
 
 
 def _exact_pairs_with_left_vectors(n, m, seed):
@@ -118,17 +132,17 @@ def test_phi_sampled_requires_left_vectors_of_the_sample_length():
     samples = generate_noise(0.1, 40, count=3, seed=4)
     assert samples.shape == (3, 40)
     with pytest.raises(ContractError, match="attach_left_vectors"):
-        phi_sampled(bare, samples)
+        SampledPhi(samples).evaluate(0.5, bare)
     with pytest.raises(ContractError, match="39.*40"):
-        phi_sampled(p, samples[:, :39])
+        SampledPhi(samples[:, :39]).evaluate(0.5, p)
     with pytest.raises(ContractError, match="39.*40"):
         SampledPhi([np.ones(39)]).evaluate(0.5, p)
     with pytest.raises(ContractError):
-        phi_sampled(p, samples[0])
+        SampledPhi(samples[0])
     bad = samples.copy()
     bad[1, 7] = np.nan
     with pytest.raises(ContractError, match="non-finite"):
-        phi_sampled(p, bad)
+        SampledPhi(bad)
 
 
 def test_sampled_phi_rejects_mixed_lengths():
@@ -218,15 +232,17 @@ def test_estimators_before_first_build_return_zero():
 
 def test_stop_drivers():
     disc = DiscrepancyDriver(2.0, 0.5)
-    assert not disc(k=0, x=None, residual_norm=1.5, phi=None)
-    assert disc(k=1, x=None, residual_norm=1.0, phi=None)
+    assert not disc(0, 1.5, None)
+    assert disc(k=1, residual_norm=1.0, phi=None)
     budget = PhiBudgetDriver(0.3)
-    assert not budget(k=0, x=None, residual_norm=1.0, phi=0.3)
-    assert budget(k=1, x=None, residual_norm=1.0, phi=0.31)
-    assert not budget(k=2, x=None, residual_norm=1.0, phi=None)
+    assert not budget(0, 1.0, 0.3)
+    assert budget(1, 1.0, 0.31)
+    assert not budget(2, 1.0, None)
+    # a NaN Phi counts as over budget, online as offline
+    assert budget(3, 1.0, float("nan"))
     fixed = FixedIndexDriver(2)
-    assert not fixed(k=1, x=None, residual_norm=1.0, phi=None)
-    assert fixed(k=2, x=None, residual_norm=1.0, phi=None)
+    assert not fixed(1, 1.0, None)
+    assert fixed(2, 1.0, None)
     with pytest.raises(ContractError):
         DiscrepancyDriver(1.0, 0.5)
     with pytest.raises(ContractError):
@@ -252,8 +268,12 @@ def test_lepskii_from_history_truncates_at_budget():
     history = _history_from(xs, phis)
     # bound 2.0 truncates to K_max = 3, reproducing the hand case
     assert lepskii_from_history(history, rho=4.1, bound=2.0) == 1
-    with pytest.raises(ContractError):
-        lepskii_from_history(history, rho=4.1, bound=0.001)
+    # a NaN Phi ends the admissible range like an over-budget one
+    nan_at_3 = _history_from(xs, phis[:3] + [float("nan"), 0.5])
+    assert lepskii_from_history(nan_at_3, rho=4.1, bound=2.0) == 1
+    for bound in (0.001, 0.0, -1.0):
+        with pytest.raises(ContractError):
+            lepskii_from_history(history, rho=4.1, bound=bound)
 
 
 def test_lepskii_from_history_requires_phi():
