@@ -34,9 +34,10 @@ from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
 from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                        discrepancy_stop, lepskii_from_history, lepskii_select)
-from .testbed import (DenseOracle, OracleRefusal, generate_noise,
-                      make_convolution_problem, make_diagonal_problem,
-                      make_nonlinear_composite, noise_sigma_for_level)
+from .testbed import (DenseOracle, OracleRefusal, check_oracle_dim,
+                      generate_noise, make_convolution_problem,
+                      make_diagonal_problem, make_nonlinear_composite,
+                      noise_sigma_for_level)
 
 RUN_CSV_HEADER = ("k", "m", "gamma", "residual_norm", "error",
                   "inner_iterations", "cumulative_cost", "phi", "event")
@@ -53,6 +54,19 @@ _RULES = ("discrepancy", "lepskii", "fixed-K", "oracle-optimal", "none")
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+class StudyBreakdownError(RuntimeError):
+    """Stopping-study samples ended in Breakdown; the outputs are written.
+
+    ``messages`` holds one ``sample <i>: <method>: <message>`` per failed
+    sample and ``stats`` the per-rule summary the study would have returned.
+    """
+
+    def __init__(self, messages, stats):
+        super().__init__("; ".join(messages))
+        self.messages = messages
+        self.stats = stats
 
 
 # Schema: section -> key -> (type, default). Type "float?" admits the string
@@ -471,7 +485,8 @@ def expand_methods(cfg: ExperimentConfig):
 
 
 def _study_sample(cfg: ExperimentConfig, problem, sample_id):
-    """One noise replica of the stopping study on the study's problem."""
+    """One noise replica of the stopping study on the study's problem:
+    its (sample_id, rule, stop_index, error) rows and its run history."""
     noise_seed = cfg.noise["seed"] + sample_id
     y_obs, sigma, delta = build_data(cfg, problem, noise_seed=noise_seed)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
@@ -481,7 +496,7 @@ def _study_sample(cfg: ExperimentConfig, problem, sample_id):
                          phi_estimator=phi_estimator)
     return [(sample_id, rule)
             + apply_stop_rule(cfg, history, problem, delta, rule)[:2]
-            for rule in STUDY_RULES]
+            for rule in STUDY_RULES], history
 
 
 def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
@@ -491,7 +506,8 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     then the discrepancy, balancing, and oracle-optimal indices are read off
     the same history. Outputs per-sample rows and a mean/std summary per
     rule; samples that never meet a rule are reported with empty fields and
-    excluded from the averages.
+    excluded from the averages. If any sample ends in Breakdown, the outputs
+    are still written and ``StudyBreakdownError`` is raised after them.
     """
     cfg.validate(rules=STUDY_RULES)
     num_samples = cfg.noise["samples"] if num_samples is None else num_samples
@@ -499,8 +515,11 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
         raise ConfigError("[noise] samples: stopping study needs at least 2")
 
     problem = build_problem(cfg)
-    rows = [row for i in range(num_samples)
-            for row in _study_sample(cfg, problem, i)]
+    samples = [_study_sample(cfg, problem, i) for i in range(num_samples)]
+    rows = [row for sample_rows, _ in samples for row in sample_rows]
+    breakdowns = [f"sample {i}: {h.method}: {h.meta['breakdown']}"
+                  for i, (_, h) in enumerate(samples)
+                  if h.terminal_reason == TERMINAL_BREAKDOWN]
 
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "stopping_samples.csv"),
@@ -528,13 +547,22 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
                SUMMARY_CSV_HEADER, summary_rows)
     _write_json(os.path.join(out_dir, "summary.json"),
                 {"version": __version__, "config": cfg.as_dict(),
-                 "num_samples": num_samples, "rules": stats})
+                 "num_samples": num_samples, "rules": stats,
+                 "breakdowns": breakdowns})
+    if breakdowns:
+        raise StudyBreakdownError(breakdowns, stats)
     return rows, stats
 
 
 def run_check(cfg: ExperimentConfig, out_dir="."):
     """Invariant suite on the configured problem; returns (report, all_ok)."""
     cfg.validate()
+    # The oracle checks are dense: refuse a larger domain before the build.
+    key = "n" if cfg.problem["kind"].endswith("convolution") else "m"
+    try:
+        check_oracle_dim(cfg.problem[key])
+    except OracleRefusal as exc:
+        raise ConfigError(f"[problem] {key}: {exc}") from None
     problem = build_problem(cfg)
     model = problem.model
     rng = np.random.default_rng(12345)
@@ -627,12 +655,20 @@ def main(argv=None):
             if _report_breakdowns(histories):
                 return 3
         elif args.verb == "stopping-study":
-            _, stats = run_stopping_study(cfg, out_dir=args.out)
+            breakdowns = []
+            try:
+                _, stats = run_stopping_study(cfg, out_dir=args.out)
+            except StudyBreakdownError as exc:
+                stats, breakdowns = exc.stats, exc.messages
             for rule in STUDY_RULES:
                 s = stats[rule]
                 print(f"{rule}: used={s['samples_used']} "
                       f"mean_index={s['mean_stop_index']} "
                       f"mean_error={s['mean_error']}")
+            for message in breakdowns:
+                print(f"numerical breakdown: {message}", file=sys.stderr)
+            if breakdowns:
+                return 3
         else:
             report, all_ok = run_check(cfg, args.out)
             for name, entry in report.items():

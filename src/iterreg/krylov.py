@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import ContractError, as_vector
 
@@ -198,7 +197,8 @@ def ritz_from_trace(trace: CgTrace):
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")
     diag, offdiag = tridiagonal_from_trace(trace)
-    theta, vecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+    theta, vecs = np.linalg.eigh(
+        np.diag(diag) + np.diag(offdiag, -1) + np.diag(offdiag, 1))
     if theta[0] <= 0.0:
         raise ContractError(
             "tridiagonal matrix is not positive definite; "

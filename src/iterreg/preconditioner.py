@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .krylov import reorthogonalize_indexed
 from .operators import ContractError, as_vector
@@ -239,9 +238,9 @@ def preconditioned_spectrum_check(precond, dense_a, tol=1e-9):
     inv_sqrt = np.column_stack(
         [precond.apply_inv_sqrt(col) for col in np.eye(a.shape[1])])
     sym = inv_sqrt @ gtg @ inv_sqrt
-    observed = scipy.linalg.eigh((sym + sym.T) / 2.0, eigvals_only=True)
+    observed = np.linalg.eigvalsh((sym + sym.T) / 2.0)
 
-    gram_eigs = list(scipy.linalg.eigh(a.T @ a, eigvals_only=True))
+    gram_eigs = list(np.linalg.eigvalsh(a.T @ a))
     for lam in precond.lambdas:
         nearest = min(range(len(gram_eigs)), key=lambda i: abs(gram_eigs[i] - lam))
         gram_eigs.pop(nearest)

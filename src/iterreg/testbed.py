@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .operators import ContractError, ForwardModel, as_vector
 
@@ -189,7 +188,7 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
         model=model, truth=truth, kind="convolution",
         params={"n": n, "kernel_width": kernel_width, "seed": seed},
         operator=(apply, apply),
-        dense_jacobian=lambda _x: scipy.linalg.circulant(kernel_eff),
+        dense_jacobian=lambda _x: kernel_eff[(idx[:, None] - idx) % n],
     )
 
 
@@ -263,7 +262,8 @@ def noise_sigma_for_level(y, level):
     return level * norm / np.sqrt(y.shape[0])
 
 
-def _check_oracle_dim(dim):
+def check_oracle_dim(dim):
+    """Refuse a dense oracle above DENSE_ORACLE_MAX_DIM domain unknowns."""
     if dim > DENSE_ORACLE_MAX_DIM:
         raise OracleRefusal(f"domain dimension {dim} exceeds the dense cap "
                             f"{DENSE_ORACLE_MAX_DIM}")
@@ -280,7 +280,7 @@ class DenseOracle:
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2:
             raise ContractError("oracle needs a dense 2-D operator")
-        _check_oracle_dim(a.shape[1])
+        check_oracle_dim(a.shape[1])
         self.a = a
         self.gram = a.T @ a
         self._eig = None
@@ -288,35 +288,34 @@ class DenseOracle:
     @classmethod
     def for_problem(cls, problem: Problem, x=None):
         # refuse before jacobian_matrix may build a large dense operator
-        _check_oracle_dim(problem.model.domain_dim)
+        check_oracle_dim(problem.model.domain_dim)
         return cls(problem.jacobian_matrix(x))
 
     def gram_spectrum(self):
         """Eigenvalues (descending) and eigenvectors of A^T A."""
         if self._eig is None:
-            w, v = scipy.linalg.eigh(self.gram)
+            w, v = np.linalg.eigh(self.gram)
             self._eig = (w[::-1].copy(), v[:, ::-1].copy())
         return self._eig
 
-    def tikhonov_solve(self, gamma, y_part, prior=None):
-        """Direct factorization solve of (A^T A + gamma I) h = A^T y + gamma b."""
+    def _regularized_solve(self, gamma, rhs):
+        """(A^T A + gamma I)^{-1} rhs from a Cholesky factor and two solves."""
         if not gamma > 0:
             raise ContractError("gamma must be positive")
+        low = np.linalg.cholesky(self.gram + gamma * np.eye(self.a.shape[1]))
+        return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+
+    def tikhonov_solve(self, gamma, y_part, prior=None):
+        """Direct factorization solve of (A^T A + gamma I) h = A^T y + gamma b."""
         y_part = as_vector(y_part, self.a.shape[0], "data part")
         rhs = self.a.T @ y_part
         if prior is not None:
             rhs = rhs + gamma * as_vector(prior, self.a.shape[1], "prior part")
-        c, low = scipy.linalg.cho_factor(
-            self.gram + gamma * np.eye(self.a.shape[1]))
-        return scipy.linalg.cho_solve((c, low), rhs)
+        return self._regularized_solve(gamma, rhs)
 
     def r_matrix(self, gamma):
         """Exact regularized inverse R = (A^T A + gamma I)^{-1} A^T."""
-        if not gamma > 0:
-            raise ContractError("gamma must be positive")
-        c, low = scipy.linalg.cho_factor(
-            self.gram + gamma * np.eye(self.a.shape[1]))
-        return scipy.linalg.cho_solve((c, low), self.a.T)
+        return self._regularized_solve(gamma, self.a.T)
 
     def trace_phi(self, sigma, gamma):
         """Exact sqrt(E ||R eps||^2) = sigma * sqrt(trace(R R^T)) for white noise."""
@@ -326,10 +325,13 @@ class DenseOracle:
     def preconditioned_gram_spectrum(self, precond_dense, gamma):
         """Eigenvalues of M^{-1}(A^T A + gamma I) via the generalized problem.
 
-        Solves the pencil (A^T A + gamma I) x = mu M x, which is the second,
-        independent route to the preconditioned spectrum (the first being the
-        symmetric similarity transform in the preconditioner module).
+        Solves the pencil (A^T A + gamma I) x = mu M x, reduced by the
+        Cholesky factor M = L L^T to the symmetric L^{-1} (A^T A + gamma I)
+        L^{-T}. This is the second, independent route to the preconditioned
+        spectrum (the first being the symmetric similarity transform
+        M^{-1/2} (A^T A + gamma I) M^{-1/2} in the preconditioner module).
         """
         gtg = self.gram + gamma * np.eye(self.a.shape[1])
-        return scipy.linalg.eigh(gtg, np.asarray(precond_dense, dtype=float),
-                                 eigvals_only=True)
+        low = np.linalg.cholesky(np.asarray(precond_dense, dtype=float))
+        reduced = np.linalg.solve(low, np.linalg.solve(low, gtg).T)
+        return np.linalg.eigvalsh((reduced + reduced.T) / 2.0)

@@ -463,7 +463,7 @@ def test_stopping_study_builds_once_and_matches_separate_builds(
         expected += [[str(sample_id), rule,
                       "" if index is None else str(index), cli._fmt(error)]
                      for sample_id, rule, index, error
-                     in cli._study_sample(cfg, build_problem(cfg), i)]
+                     in cli._study_sample(cfg, build_problem(cfg), i)[0]]
 
     calls = _counting_builds(monkeypatch)
     run_stopping_study(cfg, num_samples=3, out_dir=tmp_path)
@@ -494,6 +494,51 @@ def test_main_check_verb(tmp_path, capsys):
     with open(out / "check_report.json") as fh:
         report = json.load(fh)
     assert report["ok"] is True
+
+
+def test_main_stopping_study_breakdown_exits_3(tmp_path, capsys):
+    # Under a strong cubic every sample diverges at k = 1 and ends in
+    # Breakdown. The study still writes its outputs, names each failed
+    # sample on stderr and in summary.json, and exits 3.
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nc3 = 20\n[noise]\nsamples = 3\n"
+                   "[stopping]\nrule = lepskii\nr_bound = 5.0\nphi = white\n")
+    out = tmp_path / "out"
+    assert main(["stopping-study", "--config", str(ini),
+                 "--out", str(out)]) == 3
+    with open(out / "summary.json") as fh:
+        breakdowns = json.load(fh)["breakdowns"]
+    assert [b.split(": ")[:2] for b in breakdowns] == [
+        [f"sample {i}", "irgnm-prec"] for i in range(3)]
+    assert capsys.readouterr().err == "".join(
+        f"numerical breakdown: {b}\n" for b in breakdowns)
+    with open(out / "stopping_samples.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3 * 3
+    assert (out / "stopping_summary.csv").exists()
+
+    cfg = ExperimentConfig.from_ini(ini)
+    with pytest.raises(cli.StudyBreakdownError) as info:
+        run_stopping_study(cfg, out_dir=tmp_path / "again")
+    assert info.value.messages == breakdowns
+    assert info.value.stats["lepskii"]["samples_used"] == 3
+
+
+@pytest.mark.parametrize("problem, key", [
+    ("kind = nonlinear-diagonal\nm = 400\nn = 800", "m"),
+    ("kind = convolution\nn = 400", "n"),
+], ids=["diagonal", "convolution"])
+def test_main_check_above_dense_cap_exits_2_before_build(
+        tmp_path, monkeypatch, capsys, problem, key):
+    calls = _counting_builds(monkeypatch)
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[problem]\n{problem}\n")
+    assert main(["check", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [problem] {key}: domain dimension 400 exceeds the "
+        "dense cap 300\n")
+    assert not calls
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_schema_document_ships():

@@ -1,7 +1,7 @@
-"""No unused imports in the package or in its tests, and no package code
-that only tests use.
+"""No unused imports in the package or in its tests, no package code that
+only tests use, and no undeclared or unused dependency.
 
-Two stdlib ``ast`` scans. Imports: every name an import statement binds in
+Three stdlib ``ast`` scans. Imports: every name an import statement binds in
 ``src/iterreg/*.py`` or ``tests/*.py`` must be read somewhere in the same
 module. Names a module lists in its ``__all__`` count as read (the package
 ``__init__`` re-exports that way). ``from __future__`` imports and imports
@@ -12,11 +12,25 @@ must be named, as a variable or an attribute, somewhere in ``src/``,
 ``demos/`` or ``perfbench/`` besides its own definition. Dunders are exempt,
 and so is ``DenseOracle.trace_phi``, the reference the Phi acceptance check
 compares the estimators against.
+
+Dependencies: the third scan reads the non-stdlib imports of
+``src/iterreg/*.py``. Those at module level may only be numpy, so importing
+iterreg loads nothing else; a builder that needs another library imports it
+inside its own function. The third-party packages imported anywhere must be
+exactly the ``dependencies`` of ``pyproject.toml``. A fresh interpreter that
+imports the CLI and runs one small solve must not load scipy.
 """
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "iterreg").glob("*.py"))
@@ -133,3 +147,100 @@ def test_dead_code_scan_flags_unreferenced_definitions():
     assert unreferenced([tree], [tree]) == ["Box.unused", "recursive"]
     caller = ast.parse("from box import recursive\nrecursive(3)\n")
     assert unreferenced([tree], [tree, caller]) == ["Box.unused"]
+
+
+MODULE_LEVEL_THIRD_PARTY = {"numpy"}
+
+
+def third_party_imports(source):
+    """(top-level name, line, at module level) of each import in ``source``
+    of a module outside the standard library and the package itself. An
+    import inside a function body is not at module level; one in a class
+    body is, since it runs when the module is imported."""
+    tree = ast.parse(source)
+    nested = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for inner in ast.walk(node) if inner is not node}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "iterreg":
+                found.append((top, node.lineno, id(node) not in nested))
+    return sorted(found)
+
+
+def declared_dependencies():
+    """Distribution names in ``pyproject.toml`` ``[project] dependencies``,
+    lower-cased with dashes as underscores."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_package_imports_only_numpy_at_module_level():
+    found = {f"{path.name}:{line} {name}"
+             for path in PACKAGE
+             for name, line, module_level
+             in third_party_imports(path.read_text())
+             if module_level and name not in MODULE_LEVEL_THIRD_PARTY}
+    assert not found
+
+
+def test_package_imports_match_declared_dependencies():
+    imported = {name for path in PACKAGE
+                for name, _, _ in third_party_imports(path.read_text())}
+    assert imported == declared_dependencies()
+
+
+def test_dependency_scan_classifies_imports():
+    source = ("import os, numpy as np\n"
+              "from numpy.linalg import eigh\n"
+              "from . import krylov\n"
+              "from iterreg.operators import as_vector\n"
+              "try:\n"
+              "    import yaml\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "def build():\n"
+              "    import scipy.special\n"
+              "    from scipy.sparse.linalg import gmres\n"
+              "class Box:\n"
+              "    import json, toml\n")
+    assert third_party_imports(source) == [
+        ("numpy", 1, True), ("numpy", 2, True), ("scipy", 10, False),
+        ("scipy", 11, False), ("toml", 13, True), ("yaml", 6, True)]
+
+
+def test_cli_import_and_solve_load_no_scipy(tmp_path):
+    # A fresh interpreter, so no other test's imports count.
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 20\nn = 28\n[solver]\nmax_newton = 4\n")
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')\n"
+        "import iterreg.cli\n"
+        "after_import = scipy_modules()\n"
+        "status = iterreg.cli.main(['solve', '--config', sys.argv[1],\n"
+        "                           '--out', sys.argv[2]])\n"
+        "print(json.dumps([status, after_import, scipy_modules()]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ini), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                 OPENBLAS_NUM_THREADS="1"))
+    status, after_import, after_solve = json.loads(
+        done.stdout.splitlines()[-1])
+    assert status == 0
+    assert after_import == []
+    assert after_solve == []

