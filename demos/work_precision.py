@@ -33,7 +33,6 @@ max_newton = 40
 landweber_steps = 650
 
 [noise]
-kind = white
 level = 0.001
 seed = 7
 

@@ -22,17 +22,16 @@ from .krylov import (CgBreakdownError, CgConfig, CgTrace, RitzPair, pcg_solve,
                      ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         ForwardModel, JacobianHandle, ModelCost,
-                        TikhonovSystem, adjoint_mismatch, build_rhs,
-                        jacobian_fd_order)
+                        TikhonovSystem, adjoint_mismatch, jacobian_fd_order)
 from .preconditioner import (SpectralPreconditioner, SpectrumReport,
                              TwoSidedSystem, merge_pairs,
                              preconditioned_spectrum_check)
 from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
                       landweber_run, must_update, newton_cg_run,
                       schedule_gamma, should_recompute)
-from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
-                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
-                       discrepancy_stop, lepskii_from_history, lepskii_select)
+from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
+                       SampledPhi, WhiteNoisePhi, discrepancy_stop,
+                       lepskii_from_history, lepskii_select)
 from .testbed import (DenseOracle, OracleRefusal, Problem, generate_noise,
                       make_convolution_problem, make_diagonal_problem,
                       make_nonlinear_composite, noise_sigma_for_level)
@@ -42,7 +41,7 @@ __all__ = [
     # operators
     "ContractError", "ForwardModel", "JacobianHandle", "ModelCost",
     "TikhonovSystem", "IRGNM", "LEVENBERG_MARQUARDT", "adjoint_mismatch",
-    "build_rhs", "jacobian_fd_order",
+    "jacobian_fd_order",
     # krylov
     "CgBreakdownError", "CgConfig", "CgTrace", "RitzPair", "pcg_solve",
     "ritz_from_trace", "select_ritz",
@@ -53,8 +52,8 @@ __all__ = [
     "NewtonConfig", "RunHistory", "RunRecord", "irgnm_run", "landweber_run",
     "must_update", "newton_cg_run", "schedule_gamma", "should_recompute",
     # stopping
-    "DeterministicPhi", "DiscrepancyDriver", "FixedIndexDriver",
-    "PhiBudgetDriver", "SampledPhi", "WhiteNoisePhi",
+    "DeterministicPhi", "DiscrepancyDriver", "PhiBudgetDriver",
+    "SampledPhi", "WhiteNoisePhi",
     "discrepancy_stop", "lepskii_from_history", "lepskii_select",
     # testbed
     "DenseOracle", "OracleRefusal", "Problem", "generate_noise",

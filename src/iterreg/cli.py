@@ -31,9 +31,9 @@ from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
 from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
                       check_landweber_mu, check_step_cap, irgnm_run,
                       landweber_run, newton_cg_run)
-from .stopping import (DeterministicPhi, DiscrepancyDriver, FixedIndexDriver,
-                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
-                       discrepancy_stop, lepskii_from_history, lepskii_select)
+from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
+                       SampledPhi, WhiteNoisePhi, discrepancy_stop,
+                       lepskii_from_history, lepskii_select)
 from .testbed import (DenseOracle, OracleRefusal, check_oracle_dim,
                       generate_noise, make_convolution_problem,
                       make_diagonal_problem, make_nonlinear_composite,
@@ -49,7 +49,7 @@ SUMMARY_CSV_HEADER = ("rule", "samples_used", "mean_stop_index",
 STUDY_RULES = ("discrepancy", "lepskii", "oracle-optimal")
 
 _METHODS = ("irgnm-prec", "irgnm-plain", "newton-cg", "landweber")
-_RULES = ("discrepancy", "lepskii", "fixed-K", "oracle-optimal", "none")
+_RULES = ("discrepancy", "lepskii", "oracle-optimal", "none")
 
 
 class ConfigError(ValueError):
@@ -105,7 +105,6 @@ _SCHEMA = {
         "newton_cg_rho": ("float", 0.8),
     },
     "noise": {
-        "kind": ("choice", "white", ("white", "none")),
         "level": ("float", 0.02),
         "sigma": ("float?", None),
         "seed": ("int", 7),
@@ -116,7 +115,6 @@ _SCHEMA = {
         "tau": ("float", 2.0),
         "rho": ("float", 4.1),
         "r_bound": ("float?", None),
-        "k_fixed": ("int", 10),
         "phi": ("choice", "white", ("deterministic", "white", "sampled")),
         "phi_samples": ("int", 50),
     },
@@ -211,7 +209,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "[stopping] r_bound: the balancing rule needs an error budget "
                 "R, an upper bound on the initial error (problem knowledge)")
-        if self.noise["kind"] == "white" and self.noise["sigma"] is None \
+        if self.noise["sigma"] is None \
                 and not 0 <= self.noise["level"] < np.inf:
             raise ConfigError("[noise] level: must be nonnegative and finite")
         for section in ("problem", "noise"):
@@ -235,14 +233,12 @@ class ExperimentConfig:
                 ("solver", "newton_cg_rho", ncg, check_inner_rho),
                 ("solver", "landweber_mu", lw, check_landweber_mu),
                 ("solver", "landweber_steps", lw, check_step_cap),
-                ("noise", "sigma", self.noise["kind"] == "white",
-                 WhiteNoisePhi),
+                ("noise", "sigma", True, WhiteNoisePhi),
                 ("stopping", "tau", "discrepancy" in rules,
                  lambda tau: DiscrepancyDriver(tau, 0.0)),
                 ("stopping", "rho", lep,
                  lambda rho: lepskii_select([0.0], [0.0], rho)),
                 ("stopping", "r_bound", lep, PhiBudgetDriver),
-                ("stopping", "k_fixed", "fixed-K" in rules, FixedIndexDriver),
                 ("stopping", "phi_samples",
                  rules and self.stopping["phi"] == "sampled",
                  lambda count: generate_noise(0.0, 0, count=count))):
@@ -277,12 +273,10 @@ def build_data(cfg: ExperimentConfig, problem, noise_seed=None):
     """Exact data, one noise realization, and the calibrated noise scales.
 
     Returns (y_obs, sigma, delta) with delta = sigma * sqrt(N), the expected
-    noise norm used by the discrepancy test.
+    noise norm used by the discrepancy test. Level 0 gives exact data.
     """
     y_exact = problem.model.evaluate(problem.truth)
     n = y_exact.shape[0]
-    if cfg.noise["kind"] == "none":
-        return y_exact, 0.0, 0.0
     sigma = cfg.noise["sigma"]
     if sigma is None:
         sigma = noise_sigma_for_level(y_exact, cfg.noise["level"])
@@ -318,8 +312,6 @@ def _stop_driver(cfg: ExperimentConfig, delta):
         return DiscrepancyDriver(cfg.stopping["tau"], delta)
     if rule == "lepskii":
         return PhiBudgetDriver(cfg.stopping["r_bound"])
-    if rule == "fixed-K":
-        return FixedIndexDriver(cfg.stopping["k_fixed"])
     return None
 
 
@@ -382,8 +374,6 @@ def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta,
     elif rule == "lepskii":
         index = lepskii_from_history(history, cfg.stopping["rho"],
                                      cfg.stopping["r_bound"])
-    elif rule == "fixed-K":
-        index = min(cfg.stopping["k_fixed"], records[-1].k)
     elif rule == "oracle-optimal":
         if problem.truth is None or any(r.error is None for r in records):
             raise ConfigError(
@@ -397,12 +387,12 @@ def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta,
     return index, records[index].error, True
 
 
-def run_single(cfg: ExperimentConfig, out_dir, noise_seed=None):
+def run_single(cfg: ExperimentConfig, out_dir):
     """One configured inversion; writes run.csv and summary.json."""
     cfg.validate()
     t0 = time.perf_counter()
     problem = build_problem(cfg)
-    y_obs, sigma, delta = build_data(cfg, problem, noise_seed=noise_seed)
+    y_obs, sigma, delta = build_data(cfg, problem)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim,
                                         cfg.noise["seed"])
@@ -423,6 +413,7 @@ def run_single(cfg: ExperimentConfig, out_dir, noise_seed=None):
         "breakdown": history.meta.get("breakdown"),
         "records": len(history.records),
         "total_cost": history.total_cost(),
+        "inner_unconverged": history.meta["inner_unconverged"],
         "final_error": history.records[-1].error,
         "stop_rule": {
             "rule": cfg.stopping["rule"],
@@ -466,6 +457,8 @@ def run_work_precision(configs, out_dir):
         "config": head.as_dict(),
         "methods": [h.method for h in histories],
         "total_cost": {h.method: h.total_cost() for h in histories},
+        "inner_unconverged": {h.method: h.meta["inner_unconverged"]
+                              for h in histories},
         "final_error": {h.method: h.records[-1].error for h in histories},
     })
     return histories
@@ -499,8 +492,8 @@ def _study_sample(cfg: ExperimentConfig, problem, sample_id):
             for rule in STUDY_RULES], history
 
 
-def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
-    """Stop-rule comparison over independent noise replicas.
+def run_stopping_study(cfg: ExperimentConfig, out_dir="."):
+    """Stop-rule comparison over the ``[noise] samples`` noise replicas.
 
     Each sample runs to K_max (the last index with Phi below the budget R),
     then the discrepancy, balancing, and oracle-optimal indices are read off
@@ -510,7 +503,7 @@ def run_stopping_study(cfg: ExperimentConfig, num_samples=None, out_dir="."):
     are still written and ``StudyBreakdownError`` is raised after them.
     """
     cfg.validate(rules=STUDY_RULES)
-    num_samples = cfg.noise["samples"] if num_samples is None else num_samples
+    num_samples = cfg.noise["samples"]
     if num_samples < 2:
         raise ConfigError("[noise] samples: stopping study needs at least 2")
 

@@ -5,6 +5,10 @@ evaluations and through Jacobian/adjoint matrix-vector products. Each call
 is counted in "model units" (one unit per evaluation, Jacobian apply, or
 adjoint apply), the hardware-independent cost currency used by all
 benchmarks in this package.
+
+``IRGNM`` and ``LEVENBERG_MARQUARDT`` name the two right-hand-side kinds of
+a Newton step's Tikhonov system: its prior offset is x0 - x_k for IRGNM and
+zero for Levenberg-Marquardt.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import numpy as np
 
 LEVENBERG_MARQUARDT = "levenberg-marquardt"
 IRGNM = "irgnm"
-
-_RHS_KINDS = (LEVENBERG_MARQUARDT, IRGNM)
 
 
 class ContractError(ValueError):
@@ -186,24 +188,6 @@ class TikhonovSystem:
     def stacked_rhs(self):
         """Return g = (rhs_data; sqrt(gamma) rhs_prior)."""
         return np.concatenate([self.rhs_data, self._sqrt_gamma * self.rhs_prior])
-
-
-def build_rhs(kind: str, x0, x_k, residual):
-    """Assemble the right-hand-side fields for one Newton step.
-
-    ``kind`` selects the prior offset: zero for ``"levenberg-marquardt"``,
-    x0 - x_k for ``"irgnm"``. Returns ``(rhs_data, rhs_prior)``.
-    """
-    if kind not in _RHS_KINDS:
-        raise ContractError(f"unknown rhs kind {kind!r}, expected one of {_RHS_KINDS}")
-    x0 = as_vector(x0, name="x0")
-    x_k = as_vector(x_k, x0.shape[0], "x_k")
-    residual = as_vector(residual, name="residual")
-    if kind == LEVENBERG_MARQUARDT:
-        prior = np.zeros_like(x0)
-    else:
-        prior = x0 - x_k
-    return residual, prior
 
 
 def adjoint_mismatch(jac: JacobianHandle, rng, trials=100):

@@ -21,7 +21,7 @@ import numpy as np
 from .krylov import (CgBreakdownError, CgConfig, pcg_solve, ritz_from_trace,
                      select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
-                        TikhonovSystem, as_vector, build_rhs)
+                        TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
 
 EVENT_RECOMPUTE = "Recompute"
@@ -109,7 +109,11 @@ class RunRecord:
 
 @dataclass
 class RunHistory:
-    """Complete record of one outer run."""
+    """Complete record of one outer run.
+
+    ``meta["inner_unconverged"]`` counts the steps whose inner solve stopped
+    at its iteration cap short of its tolerance (always 0 for Landweber).
+    """
 
     records: list
     terminal_reason: str
@@ -136,7 +140,11 @@ def schedule_gamma(cfg: NewtonConfig, k):
 
 
 def estimate_gram_norm(jac, iterations=10, seed=0):
-    """Power-iteration estimate of ||A^T A|| (largest eigenvalue)."""
+    """Power-iteration estimate of ||A^T A|| (largest eigenvalue).
+
+    Raises a ContractError when A^T A v vanishes, as it does for a zero
+    Jacobian: no positive estimate exists then.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(jac.domain_dim)
     v /= np.linalg.norm(v)
@@ -145,7 +153,9 @@ def estimate_gram_norm(jac, iterations=10, seed=0):
         w = jac.apply_adjoint(jac.apply(v))
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            return 0.0
+            raise ContractError(
+                "A^T A vanishes on the power-iteration vector: "
+                "no estimate of ||A^T A||")
         value = float(v @ w)
         v = w / norm
     return max(value, np.finfo(float).tiny)
@@ -187,7 +197,8 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
     """CG on A^T A h = A^T b, stopped when ||b - A h|| <= rho * ||b||.
 
     The truncation index, not a Tikhonov term, provides the regularization.
-    Returns (h, iterations).
+    Returns (h, iterations, capped); capped is True when ``max_iterations``
+    ended the loop above the target.
     """
     target = rho * np.linalg.norm(b_vec)
     h = np.zeros(jac.domain_dim)
@@ -196,8 +207,9 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
     rho_c = float(r @ r)
     p = r.copy()
     iterations = 0
-    while np.linalg.norm(d) > target and rho_c > 0.0 \
-            and iterations < max_iterations:
+    while np.linalg.norm(d) > target and rho_c > 0.0:
+        if iterations >= max_iterations:
+            return h, iterations, True
         q = jac.apply(p)
         qq = float(q @ q)
         if qq == 0.0 or not np.isfinite(qq):
@@ -210,7 +222,7 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
         p = r + (rho_new / rho_c) * p
         rho_c = rho_new
         iterations += 1
-    return h, iterations
+    return h, iterations, False
 
 
 def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
@@ -354,6 +366,8 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     m = -1
     last_build = -1
     prev_plain_inner = None
+    meta = {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
+            "rhs_kind": cfg.rhs_kind, "inner_unconverged": 0}
 
     def probe(rec):
         rec.gamma_k = schedule_gamma(cfg, rec.k)
@@ -370,8 +384,8 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         if relinearize:
             jac = model.linearize(x)
             m = rec.m = k
-        sys = TikhonovSystem(jac, gamma_k,
-                             *build_rhs(cfg.rhs_kind, x0, x, residual_vec))
+        prior = x0 - x if cfg.rhs_kind == IRGNM else np.zeros_like(x)
+        sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if not cfg.use_preconditioner:
             h, trace = pcg_solve(sys, None, cfg=CgConfig(
                 epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
@@ -399,18 +413,18 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             prev_plain_inner = trace.iterations
             rec.event = EVENT_PLAIN
         rec.inner_iterations = trace.iterations
+        meta["inner_unconverged"] += not trace.converged
         return h
 
-    return outer.run(step, cfg.max_newton, stop, method_name,
-                     {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
-                      "rhs_kind": cfg.rhs_kind}, probe)
+    return outer.run(step, cfg.max_newton, stop, method_name, meta, probe)
 
 
 def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
                   truth=None):
     """Gradient descent x_{k+1} = x_k + mu A_k^T (y - F(x_k)).
 
-    mu = None picks 0.95 / (power-iteration estimate of ||A_0^T A_0||).
+    mu = None picks 0.95 / (power-iteration estimate of ||A_0^T A_0||), and
+    a zero Jacobian at x0, which admits no estimate, raises a ContractError.
     Each step costs one evaluation plus one adjoint apply. Aborts with a
     Breakdown terminal if the residual grows tenfold above its start.
     """
@@ -424,7 +438,8 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
         rec.event = EVENT_BASELINE
         return mu * model.linearize(x).apply_adjoint(residual_vec)
 
-    return outer.run(step, max_steps, stop, "landweber", {"mu": float(mu)})
+    return outer.run(step, max_steps, stop, "landweber",
+                     {"mu": float(mu), "inner_unconverged": 0})
 
 
 def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
@@ -438,12 +453,13 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     check_inner_rho(inner_rho)
     check_step_cap(max_newton)
     outer = _OuterLoop(model, y_obs, x0, truth)
+    meta = {"inner_rho": float(inner_rho), "inner_unconverged": 0}
 
     def step(rec, x, residual_vec):
-        h, rec.inner_iterations = _truncated_cgne(
+        h, rec.inner_iterations, capped = _truncated_cgne(
             model.linearize(x), residual_vec, inner_rho, max_inner)
+        meta["inner_unconverged"] += capped
         rec.event = EVENT_BASELINE
         return h
 
-    return outer.run(step, max_newton, stop, "newton-cg",
-                     {"inner_rho": float(inner_rho)})
+    return outer.run(step, max_newton, stop, "newton-cg", meta)

@@ -5,7 +5,9 @@ Phi(k) estimates ||R_k eps||, the data noise pushed through the regularized
 inverse R_k = (G^T G)^{-1} A^T. Three estimators are provided, each an object
 whose ``evaluate(gamma_k, precond)`` uses the pair set current at step k:
 
-- ``DeterministicPhi``: the worst-case bound delta / (2 gamma_k);
+- ``DeterministicPhi``: the worst-case bound delta / (2 sqrt(gamma_k)),
+  since ||(A^T A + gamma I)^{-1} A^T|| = max_s s / (s^2 + gamma)
+  = 1 / (2 sqrt(gamma));
 - ``WhiteNoisePhi``: sigma * sqrt(sum_j lambda_j / (gamma_k + lambda_j)^2)
   over the captured eigenvalues, exact (equal to the trace formula) for the
   complete eigenvalue set of A^T A, an underestimate otherwise;
@@ -19,9 +21,12 @@ Before the first spectral build nothing of the noise has entered the
 iterate, so the last two return exactly 0 while no pairs exist.
 
 A stop driver is called once per Newton step, before the step is taken, as
-``stop(k, residual_norm, phi)`` and returns True to stop at k. The offline
-resolvers ``discrepancy_stop`` and ``lepskii_from_history`` apply the same
-drivers to a finished run.
+``stop(k, residual_norm, phi)`` and returns True to stop at k. There are
+two: ``DiscrepancyDriver`` (residual at or below tau delta) and
+``PhiBudgetDriver`` (Phi above the error budget R). A run stops at a fixed
+index through its step cap instead (``max_newton``, or ``max_steps`` for
+Landweber). The offline resolvers ``discrepancy_stop`` and
+``lepskii_from_history`` apply the same drivers to a finished run.
 """
 
 from __future__ import annotations
@@ -72,7 +77,11 @@ def _check_gamma(gamma_k):
 
 
 class DeterministicPhi:
-    """Worst-case propagated-noise bound Phi(k) = delta / (2 gamma_k)."""
+    """Worst-case propagated-noise bound Phi(k) = delta / (2 sqrt(gamma_k)):
+    delta times the norm of the regularized inverse (A^T A + gamma_k I)^{-1}
+    A^T, whose largest singular value s / (s^2 + gamma_k) peaks at
+    s = sqrt(gamma_k) (Bauer, Hohage & Munk, SIAM J. Numer. Anal. 47, 2009).
+    """
 
     needs_left_vectors = False
 
@@ -83,7 +92,7 @@ class DeterministicPhi:
 
     def evaluate(self, gamma_k, precond=None):
         _check_gamma(gamma_k)
-        return self.delta / (2.0 * gamma_k)
+        return self.delta / (2.0 * np.sqrt(gamma_k))
 
 
 class WhiteNoisePhi:
@@ -163,18 +172,6 @@ class PhiBudgetDriver:
 
     def __call__(self, k, residual_norm, phi):
         return phi is not None and not phi <= self.bound
-
-
-class FixedIndexDriver:
-    """Stop exactly at Newton index K."""
-
-    def __init__(self, index):
-        if index < 0:
-            raise ContractError("index must be nonnegative")
-        self.index = int(index)
-
-    def __call__(self, k, residual_norm, phi):
-        return k >= self.index
 
 
 def lepskii_from_history(history, rho, bound):

@@ -106,8 +106,8 @@ def cosine_basis(m):
 def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0):
     """Linear model with prescribed SVD A = V diag(sigma) U^T.
 
-    sigma_j = scale * exp(-decay_a * j) for a finite scale and a positive,
-    finite decay_a, floored at 1e-14 * sigma_0 so the operator keeps full
+    sigma_j = scale * exp(-decay_a * j) for a positive, finite scale and
+    decay_a, floored at 1e-14 * sigma_0 so the operator keeps full
     rank. The domain basis U is the frequency-ordered cosine basis, so the
     map damps oscillatory components exponentially the way a smoothing
     operator does; the data-side basis V is seeded random. The truth, the
@@ -117,8 +117,8 @@ def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0):
         raise ContractError(f"need 1 <= m <= n, got m={m}, n={n}")
     if not 0 < decay_a < np.inf:
         raise ContractError("decay_a must be positive and finite")
-    if not np.isfinite(scale):
-        raise ContractError("scale must be finite")
+    if not 0 < scale < np.inf:
+        raise ContractError("scale must be positive and finite")
     rng = np.random.default_rng(seed)
     sigma = scale * np.exp(-decay_a * np.arange(m))
     sigma = np.maximum(sigma, _SIGMA_FLOOR * sigma[0])

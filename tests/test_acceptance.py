@@ -308,7 +308,6 @@ method = irgnm-prec
 max_newton = 25
 
 [noise]
-kind = white
 level = 0.02
 seed = 7
 samples = 15
@@ -327,8 +326,7 @@ def test_criterion_7_stopping_study(acceptance, tmp_path):
     # Under 10 min.
     t0 = time.perf_counter()
     cfg = ExperimentConfig.from_text(STUDY_INI)
-    _rows, stats = run_stopping_study(cfg, num_samples=15,
-                                      out_dir=str(tmp_path))
+    _rows, stats = run_stopping_study(cfg, out_dir=str(tmp_path))
     rules = ("discrepancy", "lepskii", "oracle-optimal")
     idx = {r: stats[r]["mean_stop_index"] for r in rules}
     err = {r: stats[r]["mean_error"] for r in rules}
@@ -361,7 +359,6 @@ max_newton = 40
 landweber_steps = 650
 
 [noise]
-kind = white
 level = 0.001
 seed = 7
 
@@ -433,7 +430,6 @@ method = irgnm-prec
 max_newton = 6
 
 [noise]
-kind = white
 level = 0.02
 seed = 11
 

@@ -1,12 +1,17 @@
 """Experiment configuration, CSV outputs, and command-line entry points."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import nan_on_call, nan_on_evaluation
 from iterreg import cli
@@ -43,7 +48,7 @@ def test_defaults_fill_missing_sections():
     assert cfg.problem["kind"] == "nonlinear-diagonal"
     assert cfg.solver["gamma0"] is None
     assert cfg.solver["eps_standard"] == pytest.approx(1.0 / 3.0)
-    assert cfg.noise["kind"] == "white"
+    assert cfg.noise["level"] == 0.02
     assert cfg.stopping["rule"] == "discrepancy"
 
 
@@ -114,7 +119,7 @@ def test_build_data_noise_levels():
     assert np.linalg.norm(y_obs - exact) > 0
 
     quiet = ExperimentConfig.from_text(BASE.replace("level = 0.02",
-                                                    "kind = none"))
+                                                    "level = 0"))
     y_obs, sigma, delta = build_data(quiet, build_problem(quiet))
     assert sigma == 0.0 and delta == 0.0
     np.testing.assert_array_equal(y_obs, exact)
@@ -177,16 +182,6 @@ def test_apply_stop_rule_variants():
     y_obs, sigma, delta = build_data(cfg, problem)
     history = run_method(cfg, problem, y_obs)
 
-    cfg.stopping["rule"] = "fixed-K"
-    cfg.stopping["k_fixed"] = 2
-    index, err, reached = apply_stop_rule(cfg, history, problem, delta)
-    assert (index, reached) == (2, True)
-    assert err == history.records[2].error
-
-    cfg.stopping["k_fixed"] = 10_000     # clamps to the last record
-    index, _, _ = apply_stop_rule(cfg, history, problem, delta)
-    assert index == history.records[-1].k
-
     cfg.stopping["rule"] = "oracle-optimal"
     index, err, _ = apply_stop_rule(cfg, history, problem, delta)
     assert err == min(r.error for r in history.records)
@@ -198,6 +193,16 @@ def test_apply_stop_rule_variants():
     cfg.stopping["rule"] = "discrepancy"
     index, err, reached = apply_stop_rule(cfg, history, problem, 1e-12)
     assert (index, err, reached) == (None, None, False)
+
+    # Stopping at a fixed K is the step cap: a run capped at K = 2 repeats
+    # the first three records of the longer run, and rule none stops at 2.
+    cfg.solver["max_newton"] = 2
+    capped = run_method(cfg, problem, y_obs)
+    cfg.stopping["rule"] = "none"
+    index, err, reached = apply_stop_rule(cfg, capped, problem, delta)
+    assert (index, err, reached) == (2, history.records[2].error, True)
+    for short, full in zip(capped.records, history.records):
+        np.testing.assert_array_equal(short.x_k, full.x_k)
 
 
 def test_work_precision_outputs(tmp_path):
@@ -226,17 +231,20 @@ def test_work_precision_rejects_mismatched_problems(tmp_path):
 
 def test_stopping_study_requires_budget_and_samples(tmp_path):
     cfg = ExperimentConfig.from_text(BASE)
+    cfg.noise["samples"] = 3
     with pytest.raises(ConfigError, match="r_bound"):
-        run_stopping_study(cfg, num_samples=3, out_dir=tmp_path)
+        run_stopping_study(cfg, out_dir=tmp_path)
     cfg.stopping["r_bound"] = 2.0
+    cfg.noise["samples"] = 1
     with pytest.raises(ConfigError, match="samples"):
-        run_stopping_study(cfg, num_samples=1, out_dir=tmp_path)
+        run_stopping_study(cfg, out_dir=tmp_path)
 
 
 def test_stopping_study_outputs(tmp_path):
     cfg = ExperimentConfig.from_text(BASE)
     cfg.stopping["r_bound"] = 2.0
-    rows, stats = run_stopping_study(cfg, num_samples=3, out_dir=tmp_path)
+    cfg.noise["samples"] = 3
+    rows, stats = run_stopping_study(cfg, out_dir=tmp_path)
     assert len(rows) == 9    # 3 samples x 3 rules
     assert {r[1] for r in rows} == {"discrepancy", "lepskii",
                                     "oracle-optimal"}
@@ -328,8 +336,9 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
         cfg.validate()
     cfg.stopping["phi_samples"] = 5
     cfg.validate()
+    cfg.noise["samples"] = 2
     with pytest.raises(ConfigError, match=r"\[stopping\] tau"):
-        run_stopping_study(cfg, num_samples=2, out_dir=tmp_path)
+        run_stopping_study(cfg, out_dir=tmp_path)
     cfg.stopping.update(phi_samples=0, r_bound=-1.0)
     expand_methods(cfg)
     cfg.validate(rules=())
@@ -339,9 +348,9 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
 @pytest.mark.parametrize("lines", [
     "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
     "kind = convolution\nn = 4", "scale = nan", "c3 = nan", "decay_a = inf",
-    "seed = -1",
+    "seed = -1", "scale = 0", "scale = -1",
 ], ids=["m_above_n", "decay_a", "c3", "convolution_n", "scale_nan", "c3_nan",
-        "decay_a_inf", "seed"])
+        "decay_a_inf", "seed", "scale_zero", "scale_negative"])
 def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\n{lines}\n")
@@ -349,6 +358,56 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: [problem]")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("[noise]\nkind = none", "unknown field 'kind' in section [noise]"),
+    ("[noise]\nkind = white", "unknown field 'kind' in section [noise]"),
+    ("[stopping]\nk_fixed = 3", "unknown field 'k_fixed' in section [stopping]"),
+    ("[stopping]\nrule = fixed-K", "[stopping] rule: invalid value 'fixed-K'"),
+], ids=["noise_kind_none", "noise_kind_white", "k_fixed", "fixed_K"])
+def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
+    # Exact data is level = 0; a fixed stop index is max_newton (or
+    # landweber_steps) with rule = none.
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"{lines}\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_landweber_on_vanishing_jacobian_exits_3(tmp_path, capsys):
+    # scale = 1e-300 passes the [problem] checks, but A^T A underflows to
+    # zero, so Landweber's step size has no estimate.
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[problem]\nm = 8\nn = 12\nscale = 1e-300\n"
+                   "[solver]\nmethod = landweber\nlandweber_steps = 10\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical breakdown: A^T A vanishes on the power-iteration vector: "
+        "no estimate of ||A^T A||\n")
+
+
+def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
+    cfg = ExperimentConfig.from_text(BASE)
+    cfg.solver["max_inner"] = 1
+    history, summary = run_single(cfg, tmp_path / "solve")
+    assert summary["inner_unconverged"] == len(history.records) - 1 > 0
+    with open(tmp_path / "solve" / "summary.json") as fh:
+        assert json.load(fh)["inner_unconverged"] \
+            == summary["inner_unconverged"]
+
+    cfg.solver["methods"] = "irgnm-prec, newton-cg, landweber"
+    cfg.solver["landweber_steps"] = 5
+    histories = run_work_precision(expand_methods(cfg), tmp_path / "wp")
+    with open(tmp_path / "wp" / "summary.json") as fh:
+        counts = json.load(fh)["inner_unconverged"]
+    assert counts == {h.method: h.meta["inner_unconverged"]
+                      for h in histories}
+    assert counts["irgnm-prec"] == summary["inner_unconverged"]
+    assert counts["landweber"] == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -458,6 +517,7 @@ def test_stopping_study_builds_once_and_matches_separate_builds(
         tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_text(BASE)
     cfg.stopping["r_bound"] = 2.0
+    cfg.noise["samples"] = 3
     expected = [["sample_id", "rule", "stop_index", "error_at_stop"]]
     for i in range(3):
         expected += [[str(sample_id), rule,
@@ -466,7 +526,7 @@ def test_stopping_study_builds_once_and_matches_separate_builds(
                      in cli._study_sample(cfg, build_problem(cfg), i)[0]]
 
     calls = _counting_builds(monkeypatch)
-    run_stopping_study(cfg, num_samples=3, out_dir=tmp_path)
+    run_stopping_study(cfg, out_dir=tmp_path)
     assert len(calls) == 1
     with open(tmp_path / "stopping_samples.csv", newline="") as fh:
         assert list(csv.reader(fh)) == expected
@@ -539,6 +599,41 @@ def test_main_check_above_dense_cap_exits_2_before_build(
         "dense cap 300\n")
     assert not calls
     assert not (tmp_path / "out").exists()
+
+
+_NUMERIC_KEYS = [(section, key) for section, keys in cli._SCHEMA.items()
+                 for key, spec in keys.items()
+                 if spec[0] in ("int", "float", "float?")]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(cli._METHODS),
+       st.sampled_from(("discrepancy", "lepskii", "none")),
+       st.sampled_from(_NUMERIC_KEYS), st.sampled_from(("0", "-1", "nan", "inf")))
+@example(method="landweber", rule="none", field=("problem", "scale"),
+         value="0")
+def test_main_solve_boundary_value_exits_cleanly(method, rule, field, value):
+    # Whatever a numeric key is set to, solve ends with exit 0, 2 or 3 and
+    # raises nothing (numpy warnings are errors under pytest).
+    sections = {"problem": {"m": "8", "n": "12"},
+                "solver": {"method": method, "max_newton": "4",
+                           "landweber_steps": "10"},
+                "stopping": {"rule": rule, "r_bound": "5"}}
+    section, key = field
+    sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items())
+                   for name, keys in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "exp.ini")
+        with open(ini, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "--config", ini,
+                         "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3)
 
 
 def test_csv_schema_document_ships():

@@ -1,12 +1,11 @@
-"""Stacked Tikhonov operator, right-hand-side assembly, and cost accounting."""
+"""Stacked Tikhonov operator and cost accounting."""
 
 import numpy as np
 import pytest
 
 from helpers import dense_stacked, linear_model, tikhonov_system
-from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
-                               ForwardModel, TikhonovSystem, adjoint_mismatch,
-                               as_vector, build_rhs, jacobian_fd_order)
+from iterreg.operators import (ContractError, ForwardModel, TikhonovSystem,
+                               adjoint_mismatch, as_vector, jacobian_fd_order)
 
 
 def test_stacked_apply_zero_operator():
@@ -50,27 +49,6 @@ def test_stacked_apply_costs_one_jacobian_apply():
     sys.apply(np.ones(3))
     assert model.cost.total == before + 1
     assert model.cost.jacobian_applies == 1
-
-
-def test_build_rhs_irgnm_prior_offset():
-    # x0 = (1, 0), x_k = (0, 1): prior part is x0 - x_k = (1, -1).
-    residual = np.array([0.5, 0.5, 0.5])
-    data, prior = build_rhs(IRGNM, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                            residual)
-    np.testing.assert_array_equal(prior, [1.0, -1.0])
-    np.testing.assert_array_equal(data, residual)
-
-
-def test_build_rhs_levenberg_marquardt_zero_prior():
-    data, prior = build_rhs(LEVENBERG_MARQUARDT, np.array([1.0, 0.0]),
-                            np.array([0.0, 1.0]), np.array([2.0]))
-    np.testing.assert_array_equal(prior, [0.0, 0.0])
-    np.testing.assert_array_equal(data, [2.0])
-
-
-def test_build_rhs_rejects_unknown_kind():
-    with pytest.raises(ContractError):
-        build_rhs("steepest-descent", np.zeros(2), np.zeros(2), np.zeros(3))
 
 
 def test_stacked_rhs_layout():

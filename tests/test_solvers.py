@@ -1,5 +1,7 @@
 """Outer Newton loops: schedules, build/update policy, baselines, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              _harvest, estimate_gram_norm, irgnm_run,
                              landweber_run, must_update, newton_cg_run,
                              schedule_gamma, should_recompute)
-from iterreg.stopping import DeterministicPhi, FixedIndexDriver, WhiteNoisePhi
+from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
 
@@ -162,7 +164,7 @@ def test_stop_driver_terminates_run():
     y = problem.model.evaluate(problem.truth)
     cfg = NewtonConfig(gamma0=1.0, max_newton=20)
     history = irgnm_run(problem.model, y, np.zeros(8), cfg,
-                        stop=FixedIndexDriver(2))
+                        stop=lambda k, residual_norm, phi: k >= 2)
     assert history.terminal_reason == TERMINAL_STOP
     assert history.records[-1].k == 2
     assert len(history.records) == 3
@@ -213,7 +215,7 @@ def test_truth_and_phi_columns():
     history = irgnm_run(problem.model, y, np.zeros(8), cfg,
                         phi_estimator=est, truth=problem.truth)
     for r in history.records:
-        assert r.phi_k == pytest.approx(0.08 / (2.0 * r.gamma_k))
+        assert r.phi_k == pytest.approx(0.08 / (2.0 * np.sqrt(r.gamma_k)))
         assert r.error is not None
     assert history.records[-1].error < history.records[0].error
 
@@ -408,6 +410,40 @@ def test_negative_step_cap_rejected(run):
     with pytest.raises(ContractError, match="nonnegative"):
         run(model)
     assert model.cost.total == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda model: landweber_run(model, np.ones(4), np.zeros(3)),
+    lambda model: irgnm_run(model, np.ones(4), np.zeros(3)),
+], ids=["landweber", "irgnm"])
+def test_zero_jacobian_has_no_gram_norm_estimate(run):
+    # A^T A = 0 admits neither Landweber's mu nor IRGNM's gamma0.
+    with pytest.raises(ContractError, match="vanishes"):
+        run(linear_model(np.zeros((4, 3))))
+
+
+def test_inner_unconverged_counts_solves_stopped_by_the_cap():
+    base = make_diagonal_problem(m=10, n=14, seed=8)
+    problem = make_nonlinear_composite(base, c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    x0 = np.zeros(10)
+    for use_preconditioner, capped in ((True, 6), (False, 5)):
+        cfg = NewtonConfig(max_newton=6, max_inner=1,
+                           use_preconditioner=use_preconditioner)
+        assert irgnm_run(problem.model, y, x0, cfg) \
+            .meta["inner_unconverged"] == capped
+        cfg = replace(cfg, max_inner=200)
+        assert irgnm_run(problem.model, y, x0, cfg) \
+            .meta["inner_unconverged"] == 0
+    # Two Newton-CG steps need two inner iterations: a cap of 1 stops both,
+    # a cap of 2 stops neither.
+    capped = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=1)
+    assert capped.meta["inner_unconverged"] == 2
+    exact = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=2)
+    assert [r.inner_iterations for r in exact.records].count(2) == 2
+    assert exact.meta["inner_unconverged"] == 0
+    assert landweber_run(problem.model, y, x0, max_steps=5) \
+        .meta["inner_unconverged"] == 0
 
 
 def test_estimate_gram_norm_diagonal():

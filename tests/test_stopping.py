@@ -8,10 +8,10 @@ from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 from iterreg.solvers import RunHistory, RunRecord, irgnm_run
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
-                              FixedIndexDriver, PhiBudgetDriver, SampledPhi,
-                              WhiteNoisePhi, discrepancy_stop,
-                              lepskii_from_history, lepskii_select)
-from iterreg.testbed import generate_noise
+                              PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
+                              discrepancy_stop, lepskii_from_history,
+                              lepskii_select)
+from iterreg.testbed import DenseOracle, generate_noise
 
 
 def test_discrepancy_first_crossing():
@@ -38,9 +38,25 @@ def _pairs(lambdas):
 
 
 def test_phi_deterministic_value():
-    assert DeterministicPhi(0.1).evaluate(0.5) == pytest.approx(0.1)
+    # delta / (2 sqrt(gamma)) = 0.1 / (2 * 0.5)
+    assert DeterministicPhi(0.1).evaluate(0.25) == pytest.approx(0.1)
     with pytest.raises(ContractError):
         DeterministicPhi(0.1).evaluate(0.0)
+
+
+def test_phi_deterministic_is_the_regularized_inverse_norm():
+    # ||(A^T A + gamma I)^{-1} A^T|| = max_s s / (s^2 + gamma), attained at
+    # s = sqrt(gamma); on either side of gamma = 1 the bound with delta = 1
+    # is that norm when sqrt(gamma) is a singular value, and above it when
+    # it is not.
+    def norm(singular, gamma):
+        return np.linalg.norm(DenseOracle(np.diag(singular)).r_matrix(gamma), 2)
+
+    for gamma in (0.01, 4.0):
+        bound = DeterministicPhi(1.0).evaluate(gamma)
+        assert bound == pytest.approx(norm([0.05, np.sqrt(gamma), 5.0], gamma),
+                                      rel=1e-12)
+        assert norm([0.05, 5.0], gamma) < bound
 
 
 def test_estimators_reject_nonpositive_gamma():
@@ -68,8 +84,9 @@ def test_phi_white_noise_grows_as_gamma_decays():
 
 
 def test_deterministic_bound_dominates_white_noise_estimate():
-    # With delta = sigma sqrt(N), gamma <= 1 and at most N eigenvalues, the
-    # worst-case bound sits above the white-noise closed form.
+    # With delta = sigma sqrt(N) and at most N eigenvalues, the worst-case
+    # bound sits above the white-noise closed form: each term
+    # lambda / (gamma + lambda)^2 is at most 1 / (4 gamma).
     rng = np.random.default_rng(6)
     for trial in range(20):
         n = int(rng.integers(5, 60))
@@ -227,7 +244,7 @@ def test_lepskii_last_index_vacuous():
 def test_estimators_before_first_build_return_zero():
     assert WhiteNoisePhi(1.0).evaluate(0.5, None) == 0.0
     assert SampledPhi([np.ones(3)]).evaluate(0.5, None) == 0.0
-    assert DeterministicPhi(0.1).evaluate(0.5, None) == pytest.approx(0.1)
+    assert DeterministicPhi(0.1).evaluate(0.25, None) == pytest.approx(0.1)
 
 
 def test_stop_drivers():
@@ -240,15 +257,10 @@ def test_stop_drivers():
     assert not budget(2, 1.0, None)
     # a NaN Phi counts as over budget, online as offline
     assert budget(3, 1.0, float("nan"))
-    fixed = FixedIndexDriver(2)
-    assert not fixed(1, 1.0, None)
-    assert fixed(2, 1.0, None)
     with pytest.raises(ContractError):
         DiscrepancyDriver(1.0, 0.5)
     with pytest.raises(ContractError):
         PhiBudgetDriver(0.0)
-    with pytest.raises(ContractError):
-        FixedIndexDriver(-1)
 
 
 def _history_from(xs, phis):
