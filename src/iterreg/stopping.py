@@ -5,9 +5,8 @@ Phi(k) estimates ||R_k eps||, the data noise pushed through the regularized
 inverse R_k = (G^T G)^{-1} A^T. Three estimators are provided, each an object
 whose ``evaluate(gamma_k, precond)`` uses the pair set current at step k:
 
-- ``DeterministicPhi``: the worst-case bound delta / (2 sqrt(gamma_k)),
-  since ||(A^T A + gamma I)^{-1} A^T|| = max_s s / (s^2 + gamma)
-  = 1 / (2 sqrt(gamma));
+- ``DeterministicPhi``: the worst-case bound delta ||R_k|| over all noise
+  of norm delta, delta / (2 sqrt(gamma_k));
 - ``WhiteNoisePhi``: sigma * sqrt(sum_j lambda_j / (gamma_k + lambda_j)^2)
   over the captured eigenvalues, exact (equal to the trace formula) for the
   complete eigenvalue set of A^T A, an underestimate otherwise;

@@ -363,7 +363,8 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
 @pytest.mark.parametrize("lines, message", [
     ("[noise]\nkind = none", "unknown field 'kind' in section [noise]"),
     ("[noise]\nkind = white", "unknown field 'kind' in section [noise]"),
-    ("[stopping]\nk_fixed = 3", "unknown field 'k_fixed' in section [stopping]"),
+    ("[stopping]\nk_fixed = 3",
+     "unknown field 'k_fixed' in section [stopping]"),
     ("[stopping]\nrule = fixed-K", "[stopping] rule: invalid value 'fixed-K'"),
 ], ids=["noise_kind_none", "noise_kind_white", "k_fixed", "fixed_K"])
 def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
@@ -610,7 +611,8 @@ _NUMERIC_KEYS = [(section, key) for section, keys in cli._SCHEMA.items()
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(cli._METHODS),
        st.sampled_from(("discrepancy", "lepskii", "none")),
-       st.sampled_from(_NUMERIC_KEYS), st.sampled_from(("0", "-1", "nan", "inf")))
+       st.sampled_from(_NUMERIC_KEYS),
+       st.sampled_from(("0", "-1", "nan", "inf")))
 @example(method="landweber", rule="none", field=("problem", "scale"),
          value="0")
 def test_main_solve_boundary_value_exits_cleanly(method, rule, field, value):

@@ -50,12 +50,13 @@ def test_phi_deterministic_is_the_regularized_inverse_norm():
     # is that norm when sqrt(gamma) is a singular value, and above it when
     # it is not.
     def norm(singular, gamma):
-        return np.linalg.norm(DenseOracle(np.diag(singular)).r_matrix(gamma), 2)
+        r = DenseOracle(np.diag(singular)).r_matrix(gamma)
+        return np.linalg.norm(r, 2)
 
     for gamma in (0.01, 4.0):
         bound = DeterministicPhi(1.0).evaluate(gamma)
-        assert bound == pytest.approx(norm([0.05, np.sqrt(gamma), 5.0], gamma),
-                                      rel=1e-12)
+        attained = norm([0.05, np.sqrt(gamma), 5.0], gamma)
+        assert bound == pytest.approx(attained, rel=1e-12)
         assert norm([0.05, 5.0], gamma) < bound
 
 
