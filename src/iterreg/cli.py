@@ -274,15 +274,28 @@ def build_data(cfg: ExperimentConfig, problem, noise_seed=None):
 
     Returns (y_obs, sigma, delta) with delta = sigma * sqrt(N), the expected
     noise norm used by the discrepancy test. Level 0 gives exact data.
+    The solvers take norms as square roots of squared sums, so exact data
+    whose squared norm overflows raise a ContractError, and a noise scale
+    that makes delta or the squared norm of y_obs overflow raises a
+    ConfigError naming the [noise] key that set it.
     """
     y_exact = problem.model.evaluate(problem.truth)
     n = y_exact.shape[0]
-    sigma = cfg.noise["sigma"]
+    sigma, key = cfg.noise["sigma"], "sigma"
     if sigma is None:
+        key = "level"
         sigma = noise_sigma_for_level(y_exact, cfg.noise["level"])
     seed = cfg.noise["seed"] if noise_seed is None else noise_seed
-    eps = generate_noise(sigma, n, count=1, seed=seed)[0]
-    return y_exact + eps, float(sigma), float(sigma * np.sqrt(n))
+    with np.errstate(over="ignore"):
+        y_obs = y_exact + generate_noise(sigma, n, count=1, seed=seed)[0]
+        delta = sigma * np.sqrt(n)
+        exact_sq, noisy_sq = y_exact.dot(y_exact), y_obs.dot(y_obs)
+    if not np.isfinite(exact_sq):
+        raise ContractError("data norm overflows the float range")
+    if not (np.isfinite(delta) and np.isfinite(noisy_sq)):
+        raise ConfigError(f"[noise] {key}: noise of scale sigma = "
+                          f"{float(sigma)!r} overflows the float range")
+    return y_obs, float(sigma), float(delta)
 
 
 def build_phi_estimator(cfg: ExperimentConfig, sigma, delta, range_dim,

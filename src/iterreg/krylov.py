@@ -8,10 +8,19 @@ matrix-vector products; the CG coefficients then double as a Lanczos
 tridiagonalization of the normal operator, from which Ritz pairs are
 extracted together with an exact residual bound
 ||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
+
+The loops update in place only arrays they allocated themselves (the
+iterate, the residual, the search direction, a fresh reflector); an array a
+caller passes in or a model or preconditioner call returns is never
+written. Norms of vectors are sqrt(v.dot(v)) and inner products v.dot(w),
+the same ddot that np.linalg.norm and v @ w run, without their
+Python-level dispatch; a vector that may be strided is first raveled, as
+np.linalg.norm does, since a strided ddot rounds differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,20 +117,21 @@ class HouseholderBasis:
         basis (``pnorm <= drop_tol * ||x||``) or the space is exhausted.
         """
         x = np.asarray(x, dtype=float)
-        xnorm = np.linalg.norm(x)
+        flat = x.ravel(order="K")  # as np.linalg.norm copies a strided x
+        xnorm = math.sqrt(flat.dot(flat))
         k = self.count
         if xnorm == 0.0 or k >= self.dim:
             return None, 0.0
         v, t = self._v[:k], self._t[:k, :k]
-        # trailing part of (H_k ... H_1) x = x - V T^T V^T x
-        tail = x[k:] - (t.T @ (v @ x)) @ v[:, k:]
-        pnorm = float(np.linalg.norm(tail))
+        # trailing part of (H_k ... H_1) x = x - V T^T V^T x, a fresh array
+        # that becomes the reflector w
+        w = x[k:] - (t.T @ (v @ x)) @ v[:, k:]
+        pnorm = math.sqrt(w.dot(w))
         if pnorm <= drop_tol * xnorm:
             return None, pnorm
-        alpha = -np.copysign(pnorm, tail[0])
-        w = tail.copy()
+        alpha = -math.copysign(pnorm, w[0])
         w[0] -= alpha
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(w.dot(w))
         if k == self._v.shape[0]:
             self._grow()
         self._v[k, k:] = w
@@ -130,10 +140,11 @@ class HouseholderBasis:
         self.count = k + 1
         # q = H_1 ... H_{k+1} e_k = e_k - V (T V^T e_k)
         v, t = self._v[:k + 1], self._t[:k + 1, :k + 1]
-        q = -((t @ v[:, k]) @ v)
+        q = (t @ v[:, k]) @ v
+        np.negative(q, out=q)
         q[k] += 1.0
         if alpha < 0.0:
-            q = -q
+            np.negative(q, out=q)
         return q, pnorm
 
 
@@ -277,13 +288,14 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
         cut to its component orthogonal to the earlier residuals."""
         if basis is None:
             z = precond.apply_inverse(r)
-            return z, float(r @ z), float(np.linalg.norm(r))
+            flat = r.ravel(order="K")
+            return z, float(r.dot(z)), math.sqrt(flat.dot(flat))
         q, pnorm = basis.add(r)
         if q is None:
             return np.zeros(m_dim), 0.0, 0.0
         z_basis.append(q)
         rho = pnorm * pnorm
-        return pnorm * q, rho, float(np.sqrt(rho))
+        return pnorm * q, rho, math.sqrt(rho)
 
     def finalize(converged):
         if alphas:
@@ -303,7 +315,7 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
     residual_norms.append(r_norm)
     if r_norm == 0.0:
         return h, finalize(True)
-    if not np.isfinite(rho) or rho <= 0.0:
+    if not math.isfinite(rho) or rho <= 0.0:
         raise CgBreakdownError(
             f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
             solution=h, trace=finalize(False))
@@ -321,8 +333,10 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
             break
 
         q = sys.apply(p)
-        qq = float(q @ q)
-        if qq == 0.0 or not np.isfinite(qq):
+        # np.vdot runs the same ddot as q @ q but sets off no overflow
+        # warning; an overflowing ||G p||^2 is the breakdown below
+        qq = float(np.vdot(q, q))
+        if qq == 0.0 or not math.isfinite(qq):
             raise CgBreakdownError(
                 "search direction collapsed: ||G p||^2 = " + repr(qq),
                 solution=h, trace=finalize(False))
@@ -331,10 +345,10 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
             raise CgBreakdownError(
                 f"CG coefficient alpha = {alpha} outside (0, 1e16)",
                 solution=h, trace=finalize(False))
-        h = h + alpha * p
-        d = d - alpha * q
+        h += alpha * p
+        d -= alpha * q
         z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
-        if not np.isfinite(rho_new) or rho_new < 0.0:
+        if not math.isfinite(rho_new) or rho_new < 0.0:
             raise CgBreakdownError(
                 f"<r, z> = {rho_new} lost positivity",
                 solution=h, trace=finalize(False))
@@ -343,8 +357,9 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
         alphas.append(alpha)
         betas_all.append(beta)
         rho = rho_new
-        h_norm = float(np.linalg.norm(h))
-        p = z + beta * p
+        h_norm = math.sqrt(h.dot(h))
+        p *= beta
+        p += z
 
         residual_norms.append(r_norm)
         if rho == 0.0:

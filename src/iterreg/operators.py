@@ -36,7 +36,7 @@ def as_vector(x, dim=None, name="vector"):
         raise ContractError(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise ContractError(f"{name} contains non-finite entries")
     return v
 
@@ -107,7 +107,10 @@ class ForwardModel:
     linearize_fn : callable
         x -> (apply_fn, adjoint_fn) for the Jacobian at x. The returned
         pair must implement the exact adjoint; there is no automatic
-        differentiation here.
+        differentiation here. The CG loops overwrite the vectors they pass
+        to apply_fn and adjoint_fn once the call has returned, so a
+        callback that keeps its input must copy it; they never write to
+        what a callback returns.
     name : str, optional
         Label used in reports.
     """

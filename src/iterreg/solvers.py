@@ -9,10 +9,15 @@ from Lanczos Ritz pairs on a square-number schedule and incrementally updated
 when the inner iteration count degrades; builds solve accurately
 (eps = 1e-9) through the symmetric two-sided form so the harvested pairs are
 trustworthy, ordinary steps solve loosely (eps = 1/3).
+
+As in ``krylov``, the loops here write in place only to arrays they
+allocated: the observed data, x0, the residual vector a step receives and
+every model output stay untouched.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -198,29 +203,35 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
 
     The truncation index, not a Tikhonov term, provides the regularization.
     Returns (h, iterations, capped); capped is True when ``max_iterations``
-    ended the loop above the target.
+    was reached above the target. A^T d is formed only when another
+    iteration follows, so a solve that ends on its target or its cap after
+    i >= 1 iterations costs 2i model units.
     """
-    target = rho * np.linalg.norm(b_vec)
+    target = rho * math.sqrt(b_vec.dot(b_vec))
     h = np.zeros(jac.domain_dim)
     d = b_vec.copy()
     r = jac.apply_adjoint(d)
-    rho_c = float(r @ r)
+    rho_c = float(r.dot(r))
     p = r.copy()
     iterations = 0
-    while np.linalg.norm(d) > target and rho_c > 0.0:
+    while math.sqrt(d.dot(d)) > target:
         if iterations >= max_iterations:
             return h, iterations, True
+        if iterations:
+            r = jac.apply_adjoint(d)
+            rho_new = float(r.dot(r))
+            p *= rho_new / rho_c
+            p += r
+            rho_c = rho_new
+        if not rho_c > 0.0:
+            break
         q = jac.apply(p)
-        qq = float(q @ q)
-        if qq == 0.0 or not np.isfinite(qq):
+        qq = float(np.vdot(q, q))  # no overflow warning, as in pcg_solve
+        if qq == 0.0 or not math.isfinite(qq):
             break
         a = rho_c / qq
-        h = h + a * p
-        d = d - a * q
-        r = jac.apply_adjoint(d)
-        rho_new = float(r @ r)
-        p = r + (rho_new / rho_c) * p
-        rho_c = rho_new
+        h += a * p
+        d -= a * q
         iterations += 1
     return h, iterations, False
 
@@ -297,7 +308,7 @@ class _OuterLoop:
         terminal = TERMINAL_MAX
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
-            rn = float(np.linalg.norm(residual_vec))
+            rn = math.sqrt(residual_vec.dot(residual_vec))
             # cumulative_cost and wall_time_s read the meters when x_k was
             # evaluated, so (cost, error) rows pair up in work-precision
             # tables.

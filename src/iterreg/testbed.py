@@ -12,8 +12,10 @@ then bottom, and its transpose in the reverse order. A matrix of the
 benchmark's size (800 x 400 float64, 2.56 MB) does not fit a 2 MiB L2
 cache, but each half does. CG, Newton-CG and Landweber alternate apply and
 adjoint, so every call starts on the half the previous call just read. The
-apply forms each entry from the same row as ``matrix @ x``; the adjoint sums
-the two halves separately, which moves its result by round-off.
+apply writes both halves into one fresh array and forms each entry from the
+same row as ``matrix @ x``; the adjoint sums the two halves separately,
+which moves its result by round-off. Every model call returns a fresh
+array, which callers may keep or overwrite.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0):
     if not 0 < scale < np.inf:
         raise ContractError("scale must be positive and finite")
     rng = np.random.default_rng(seed)
-    sigma = scale * np.exp(-decay_a * np.arange(m))
+    # A decay_a near the float limit sends exponents to -inf; their exp, 0,
+    # is the right limit, and the floor lifts it.
+    with np.errstate(over="ignore"):
+        sigma = scale * np.exp(-decay_a * np.arange(m))
     sigma = np.maximum(sigma, _SIGMA_FLOOR * sigma[0])
 
     u = cosine_basis(m)
@@ -134,7 +139,10 @@ def make_diagonal_problem(m=100, n=200, decay_a=0.25, scale=1.0, seed=0):
     top, bottom = a[:half], a[half:]
 
     def apply(vec):
-        return np.concatenate([top @ vec, bottom @ vec])
+        out = np.empty(n)
+        np.matmul(top, vec, out=out[:half])
+        np.matmul(bottom, vec, out=out[half:])
+        return out
 
     def adjoint(w):
         out = bottom.T @ w[half:]
@@ -170,7 +178,10 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
 
     idx = np.arange(n)
     dist = np.minimum(idx, n - idx) / n
-    kernel = np.exp(-0.5 * (dist / kernel_width) ** 2)
+    # A kernel_width near zero squares distances to inf; their exp, 0, is
+    # the right limit (the kernel becomes the identity's delta).
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (dist / kernel_width) ** 2)
     kernel /= kernel.sum()
     symbol = np.fft.rfft(kernel).real
     symbol = np.maximum(symbol, _SIGMA_FLOOR * symbol.max())
@@ -215,7 +226,11 @@ def make_nonlinear_composite(base: Problem, c3=0.1):
     c3 = float(c3)
 
     def evaluate(x):
-        return k_apply(x + c3 * (x * x * x))
+        # the cubic overflows for |x| above ~(1e308 / c3)^(1/3), and K may
+        # mix the infinities to NaN; the model contract then rejects the
+        # non-finite output
+        with np.errstate(over="ignore", invalid="ignore"):
+            return k_apply(x + c3 * (x * x * x))
 
     def linearize(x):
         sp = 1.0 + 3.0 * c3 * x ** 2
@@ -257,9 +272,11 @@ def noise_sigma_for_level(y, level):
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(y)
-    if not np.isfinite(norm):
-        raise ContractError("data norm overflows the float range")
-    return level * norm / np.sqrt(y.shape[0])
+        if not np.isfinite(norm):
+            raise ContractError("data norm overflows the float range")
+        # a level near the float limit may overflow sigma; build_data
+        # reports that as a configuration error
+        return level * norm / np.sqrt(y.shape[0])
 
 
 def check_oracle_dim(dim):

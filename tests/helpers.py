@@ -1,9 +1,12 @@
-"""Shared test utilities: dense-matrix forward models and stacked oracles."""
+"""Shared test utilities: dense-matrix forward models, stacked oracles, and
+reference implementations of the CG loops."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from iterreg.krylov import (CgBreakdownError, CgConfig, CgTrace,
+                            HouseholderBasis)
 from iterreg.operators import ForwardModel, TikhonovSystem
 
 
@@ -135,3 +138,173 @@ def phi_sampled_loop(precond, samples, gamma):
             out += (np.sqrt(lam) / (gamma + lam)) * coeff * precond.vectors[:, j]
         acc += float(np.linalg.norm(out) ** 2)
     return float(np.sqrt(acc / len(samples)))
+
+
+# Reference implementations: the CG loops as they stood before their
+# in-place rewrite (fresh arrays on every update, np.linalg.norm, and
+# Newton-CG's adjoint computed after its last iteration too). The package
+# must reproduce their iterates bit for bit.
+
+
+class ReferenceHouseholderBasis(HouseholderBasis):
+    """``HouseholderBasis`` with its ``add`` as it stood before the rewrite."""
+
+    def add(self, x, drop_tol=1e-12):
+        """Extend the basis with the normalized complement of ``x``.
+
+        Returns ``(q, pnorm)`` where q is the new exactly-orthonormal basis
+        vector aligned with the complement of x and pnorm its unnormalized
+        length, or ``(None, pnorm)`` when x is numerically dependent on the
+        basis (``pnorm <= drop_tol * ||x||``) or the space is exhausted.
+        """
+        x = np.asarray(x, dtype=float)
+        xnorm = np.linalg.norm(x)
+        k = self.count
+        if xnorm == 0.0 or k >= self.dim:
+            return None, 0.0
+        v, t = self._v[:k], self._t[:k, :k]
+        # trailing part of (H_k ... H_1) x = x - V T^T V^T x
+        tail = x[k:] - (t.T @ (v @ x)) @ v[:, k:]
+        pnorm = float(np.linalg.norm(tail))
+        if pnorm <= drop_tol * xnorm:
+            return None, pnorm
+        alpha = -np.copysign(pnorm, tail[0])
+        w = tail.copy()
+        w[0] -= alpha
+        w /= np.linalg.norm(w)
+        if k == self._v.shape[0]:
+            self._grow()
+        self._v[k, k:] = w
+        self._t[:k, k] = -2.0 * (self._t[:k, :k] @ (self._v[:k, k:] @ w))
+        self._t[k, k] = 2.0
+        self.count = k + 1
+        # q = H_1 ... H_{k+1} e_k = e_k - V (T V^T e_k)
+        v, t = self._v[:k + 1], self._t[:k + 1, :k + 1]
+        q = -((t @ v[:, k]) @ v)
+        q[k] += 1.0
+        if alpha < 0.0:
+            q = -q
+        return q, pnorm
+
+
+def pcg_solve_reference(sys, precond=None, cfg=None):
+    """``krylov.pcg_solve`` as it stood before the rewrite."""
+    if cfg is None:
+        cfg = CgConfig()
+    g = sys.stacked_rhs()
+    m_dim = sys.domain_dim
+    stop_scale = float(sys.stop_scale)
+
+    alphas, betas_all = [], []
+    residual_norms = []
+    basis = ReferenceHouseholderBasis(m_dim) if precond is None else None
+    z_basis = [] if precond is None else None
+
+    def precondition(r):
+        """Return (z, <r, z>, ||r||); without a preconditioner r is first
+        cut to its component orthogonal to the earlier residuals."""
+        if basis is None:
+            z = precond.apply_inverse(r)
+            return z, float(r @ z), float(np.linalg.norm(r))
+        q, pnorm = basis.add(r)
+        if q is None:
+            return np.zeros(m_dim), 0.0, 0.0
+        z_basis.append(q)
+        rho = pnorm * pnorm
+        return pnorm * q, rho, float(np.sqrt(rho))
+
+    def finalize(converged):
+        if alphas:
+            fba = float(np.sqrt(max(betas_all[-1], 0.0)) / alphas[-1])
+        else:
+            fba = 0.0
+        return CgTrace(
+            alphas=list(alphas), betas=betas_all[:-1],
+            z_basis=None if z_basis is None else z_basis[: len(alphas)],
+            final_beta_over_alpha=fba, iterations=len(alphas),
+            converged=converged, residual_norms=list(residual_norms),
+        )
+
+    h = np.zeros(m_dim)
+    d = g.copy()
+    z, rho, r_norm = precondition(sys.apply_adjoint(d))
+    residual_norms.append(r_norm)
+    if r_norm == 0.0:
+        return h, finalize(True)
+    if not np.isfinite(rho) or rho <= 0.0:
+        raise CgBreakdownError(
+            f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
+            solution=h, trace=finalize(False))
+
+    p = z.copy()
+    h_norm = 0.0
+    converged = False
+
+    while True:
+        if r_norm <= cfg.epsilon * stop_scale * h_norm:
+            converged = True
+            break
+        if len(alphas) >= cfg.max_iterations:
+            converged = False
+            break
+
+        q = sys.apply(p)
+        qq = float(q @ q)
+        if qq == 0.0 or not np.isfinite(qq):
+            raise CgBreakdownError(
+                "search direction collapsed: ||G p||^2 = " + repr(qq),
+                solution=h, trace=finalize(False))
+        alpha = rho / qq
+        if not (0.0 < alpha < 1e16):
+            raise CgBreakdownError(
+                f"CG coefficient alpha = {alpha} outside (0, 1e16)",
+                solution=h, trace=finalize(False))
+        h = h + alpha * p
+        d = d - alpha * q
+        z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
+        if not np.isfinite(rho_new) or rho_new < 0.0:
+            raise CgBreakdownError(
+                f"<r, z> = {rho_new} lost positivity",
+                solution=h, trace=finalize(False))
+
+        beta = rho_new / rho
+        alphas.append(alpha)
+        betas_all.append(beta)
+        rho = rho_new
+        h_norm = float(np.linalg.norm(h))
+        p = z + beta * p
+
+        residual_norms.append(r_norm)
+        if rho == 0.0:
+            converged = True
+            break
+
+    return h, finalize(converged)
+
+
+def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
+    """``solvers._truncated_cgne`` as it stood before the rewrite: one
+    adjoint apply more than the package for a solve that iterates."""
+    target = rho * np.linalg.norm(b_vec)
+    h = np.zeros(jac.domain_dim)
+    d = b_vec.copy()
+    r = jac.apply_adjoint(d)
+    rho_c = float(r @ r)
+    p = r.copy()
+    iterations = 0
+    while np.linalg.norm(d) > target and rho_c > 0.0:
+        if iterations >= max_iterations:
+            return h, iterations, True
+        q = jac.apply(p)
+        qq = float(q @ q)
+        if qq == 0.0 or not np.isfinite(qq):
+            break
+        a = rho_c / qq
+        h = h + a * p
+        d = d - a * q
+        r = jac.apply_adjoint(d)
+        rho_new = float(r @ r)
+        p = r + (rho_new / rho_c) * p
+        rho_c = rho_new
+        iterations += 1
+    return h, iterations, False

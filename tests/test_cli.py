@@ -414,13 +414,15 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_overflowing_data_exits_3(tmp_path, capsys):
     # The problem is valid, but the norm of its exact data overflows; the
-    # CLI says so in one line and numpy warns about nothing.
+    # CLI says so in one line and numpy warns about nothing. A given sigma
+    # does not take the blame.
     ini = tmp_path / "big.ini"
-    ini.write_text("[problem]\nscale = 1e300\n")
-    assert main(["solve", "--config", str(ini),
-                 "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == (
-        "numerical breakdown: data norm overflows the float range\n")
+    for noise in ("", "[noise]\nsigma = 0.01\n"):
+        ini.write_text("[problem]\nscale = 1e300\n" + noise)
+        assert main(["solve", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical breakdown: data norm overflows the float range\n")
 
 
 def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -607,6 +609,12 @@ _NUMERIC_KEYS = [(section, key) for section, keys in cli._SCHEMA.items()
                  if spec[0] in ("int", "float", "float?")]
 
 
+def _ini_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(cli._METHODS),
@@ -624,18 +632,81 @@ def test_main_solve_boundary_value_exits_cleanly(method, rule, field, value):
                 "stopping": {"rule": rule, "r_bound": "5"}}
     section, key = field
     sections.setdefault(section, {})[key] = value
-    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
-                                           for k, v in keys.items())
-                   for name, keys in sections.items())
     with tempfile.TemporaryDirectory() as tmp:
         ini = os.path.join(tmp, "exp.ini")
         with open(ini, "w") as fh:
-            fh.write(text)
+            fh.write(_ini_text(sections))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["solve", "--config", ini,
                          "--out", os.path.join(tmp, "out")])
     assert code in (0, 2, 3)
+
+
+# The verb and settings under which a run reads a numeric key; any other
+# key is read by ``solve`` with irgnm-prec and the discrepancy rule.
+_KEY_READERS = {
+    ("problem", "kernel_width"):
+        ("solve", {"problem": {"kind": "nonlinear-convolution", "n": "16"}}),
+    ("solver", "landweber_mu"): ("solve", {"solver": {"method": "landweber"}}),
+    ("solver", "landweber_steps"):
+        ("solve", {"solver": {"method": "landweber"}}),
+    ("solver", "newton_cg_rho"):
+        ("solve", {"solver": {"method": "newton-cg"}}),
+    ("noise", "samples"):
+        ("stopping-study", {"stopping": {"rule": "lepskii"}}),
+    ("stopping", "rho"): ("solve", {"stopping": {"rule": "lepskii"}}),
+    ("stopping", "r_bound"): ("solve", {"stopping": {"rule": "lepskii"}}),
+    ("stopping", "phi_samples"): ("solve", {"stopping": {"phi": "sampled"}}),
+}
+
+
+def _float_limit_cases():
+    for section, key in _NUMERIC_KEYS:
+        verb, settings = _KEY_READERS.get((section, key), ("solve", {}))
+        for value in ("1e308", "1e-300"):
+            yield pytest.param(verb, settings, section, key, value,
+                               id=f"{section}.{key}={value}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb, settings, section, key, value",
+                         list(_float_limit_cases()))
+def test_main_float_limit_value_exits_cleanly(tmp_path, capsys, verb,
+                                              settings, section, key, value):
+    # Every numeric key at the edges of the float range, on a tiny problem,
+    # through a verb that reads it: a documented exit code, no traceback,
+    # and no numpy warning (each would raise here).
+    sections = {"problem": {"m": "8", "n": "12"},
+                "solver": {"max_newton": "4", "landweber_steps": "10"},
+                "noise": {"samples": "2"},
+                "stopping": {"r_bound": "5"}}
+    for name, keys in settings.items():
+        sections[name].update(keys)
+    sections[section][key] = value
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_ini_text(sections))
+    code = main([verb, "--config", str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key", ["level", "sigma"])
+def test_main_noise_overflowing_the_float_range_exits_2(tmp_path, capsys,
+                                                        key):
+    # sigma (or the level that sets it) is finite, but the noisy data's
+    # squared norm, which every residual norm takes, overflows.
+    ini = tmp_path / "loud.ini"
+    ini.write_text(f"[problem]\nm = 8\nn = 12\n[noise]\n{key} = 1e308\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [noise] {key}: noise of scale "
+                          "sigma = ")
+    assert err.endswith(" overflows the float range\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_schema_document_ships():

@@ -4,7 +4,8 @@ identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
 left vectors and the sampled Phi built on them, the two-sided system over
 merged pairs, the preconditioned-spectrum identity, the Cholesky-reduced
 pencil against the similarity route on random pair sets, the CG accuracy
-contract, and the finiteness check of ``as_vector``.
+contract, the CG loops against their reference implementations, and the
+finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
@@ -24,13 +25,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import householder_loop, linear_model, phi_sampled_loop
+from helpers import (householder_loop, linear_model, pcg_solve_reference,
+                     phi_sampled_loop, truncated_cgne_reference)
 from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
                             ritz_from_trace, select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import NewtonConfig, _harvest, schedule_gamma
+from iterreg.solvers import (NewtonConfig, _harvest, _truncated_cgne,
+                             schedule_gamma)
 from iterreg.stopping import SampledPhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -444,6 +447,88 @@ def test_cg_accuracy_contract_against_dense_oracle(m, extra, decay, gamma,
             if trace.converged:
                 bound = (eps / (1.0 - eps) + 1e-12) * np.linalg.norm(target)
                 assert np.linalg.norm(h - target) <= bound
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class _StridedAdjoint:
+    """``sys`` with every adjoint result handed back as a strided view, as
+    a user-supplied system may return it."""
+
+    def __init__(self, sys):
+        self.sys, self.domain_dim = sys, sys.domain_dim
+        self.stop_scale, self.apply = sys.stop_scale, sys.apply
+        self.stacked_rhs = sys.stacked_rhs
+
+    def apply_adjoint(self, d):
+        out = np.zeros((self.domain_dim, 2))
+        out[:, 0] = self.sys.apply_adjoint(d)
+        return out[:, 0]
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(1e-3, 10.0), st.integers(0, 40), st.integers(1, 60),
+       st.sampled_from((1.0 / 3.0, 1e-9)), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
+                                                    count, cap, eps, rho,
+                                                    seed):
+    # The in-place CG loops against the loops that allocated fresh arrays
+    # and called np.linalg.norm (tests/helpers.py): the same iterates,
+    # coefficients, residual norms and Lanczos basis bit for bit, in plain,
+    # left-preconditioned (merged pairs) and two-sided solves, also on a
+    # system whose adjoint returns strided vectors. Newton-CG's
+    # truncated CGNE returns the same h and spends one adjoint apply fewer
+    # once it has iterated.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=0.1)
+    rng = np.random.default_rng(seed)
+    jac = problem.model.linearize(rng.uniform(-1.0, 1.0, m))
+    sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
+                         rng.standard_normal(m))
+    pairs = merge_pairs(
+        SpectralPreconditioner.empty(gamma, m),
+        [(lam, rng.standard_normal(m))
+         for lam in rng.uniform(0.1, 10.0, min(count, m))], gamma)
+    cfg = CgConfig(epsilon=eps, max_iterations=cap)
+    for solver, precond in ((sys, None), (sys, pairs),
+                            (TwoSidedSystem(sys, pairs), None),
+                            (_StridedAdjoint(sys), None),
+                            (_StridedAdjoint(sys), pairs)):
+        h, trace = pcg_solve(solver, precond, cfg=cfg)
+        h_ref, ref = pcg_solve_reference(solver, precond, cfg=cfg)
+        assert _bits(h) == _bits(h_ref)
+        for name in ("alphas", "betas", "residual_norms",
+                     "final_beta_over_alpha"):
+            assert _bits(getattr(trace, name)) == _bits(getattr(ref, name))
+        assert (trace.iterations, trace.converged) \
+            == (ref.iterations, ref.converged)
+        assert (trace.z_basis is None) == (ref.z_basis is None)
+        if ref.z_basis is not None:
+            assert [_bits(z) for z in trace.z_basis] \
+                == [_bits(z) for z in ref.z_basis]
+
+    # Below m iterations CGNE cannot exhaust the Krylov space, so it ends
+    # on its target or its cap, not on A^T d = 0 (where both loops read
+    # the last adjoint, and a capped flag no longer asks for rho_c > 0).
+    if m == 1:
+        return
+    cost = problem.model.cost
+    b = rng.standard_normal(m + extra)
+    outcomes = []
+    for solve in (_truncated_cgne, truncated_cgne_reference):
+        before = cost.jacobian_applies, cost.adjoint_applies
+        h, iterations, capped = solve(jac, b, rho, min(cap, m - 1))
+        outcomes.append((_bits(h), iterations, capped,
+                         cost.jacobian_applies - before[0],
+                         cost.adjoint_applies - before[1]))
+    (h, iterations, capped, applies, adjoints), ref = outcomes
+    assert (h, iterations, capped, applies) == ref[:4]
+    assert ref[4] == iterations + 1 and adjoints == max(iterations, 1)
 
 
 _SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import linear_model, nan_on_call, nan_on_evaluation
+from helpers import (linear_model, nan_on_call, nan_on_evaluation,
+                     truncated_cgne_reference)
 from iterreg import solvers
 from iterreg.krylov import CgConfig, RitzPair, pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
@@ -320,6 +321,80 @@ def test_newton_cg_reduces_residual_and_counts_cost():
     assert events == {EVENT_BASELINE, EVENT_FINAL}
     with pytest.raises(ContractError):
         newton_cg_run(problem.model, y, np.zeros(10), inner_rho=1.5)
+
+
+def test_newton_cg_inner_solve_skips_the_adjoint_it_never_reads():
+    # One adjoint, then per iteration one apply and one adjoint but the
+    # last: 2 * iterations units, one fewer than the loop that also formed
+    # A^T d after its last iteration, whether the target ends the solve or
+    # the cap does (capped: the target is still unmet).
+    problem = make_diagonal_problem(m=10, n=14, seed=8)
+    jac = problem.model.linearize(np.zeros(10))
+    b = problem.model.evaluate(problem.truth)
+    cost = problem.model.cost
+    for rho, cap, capped in ((0.5, 200, False), (1e-12, 3, True)):
+        results = []
+        for solve in (solvers._truncated_cgne, truncated_cgne_reference):
+            before = cost.total
+            results.append((*solve(jac, b, rho, cap), cost.total - before))
+        (h, iterations, was_capped, units), reference = results
+        assert h.tobytes() == reference[0].tobytes()
+        assert (iterations, was_capped) == reference[1:3]
+        assert 1 <= iterations <= cap and was_capped == capped
+        assert units == 2 * iterations == reference[3] - 1
+        if capped:
+            assert iterations == cap
+            assert np.linalg.norm(b - jac.apply(h)) > rho * np.linalg.norm(b)
+
+
+def test_newton_cg_run_cost_counts_two_units_per_inner_iteration():
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    history = newton_cg_run(problem.model, y, np.zeros(10), max_newton=8)
+    steps = history.records[:-1]
+    assert all(r.inner_iterations >= 1 for r in steps)
+    assert history.total_cost() == len(history.records) \
+        + sum(2 * r.inner_iterations for r in steps)
+
+
+def test_runs_and_solves_write_no_array_they_are_given(monkeypatch):
+    # The loops update only arrays they allocate. Every array a caller
+    # passes in, and the residual vector the outer loop hands each step, is
+    # made read-only here, so an in-place write to one of them raises.
+    def frozen(*arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    run = solvers._OuterLoop.run
+
+    def run_with_frozen_steps(self, step, *args, **kwargs):
+        def frozen_step(rec, x, residual_vec):
+            return step(rec, *frozen(x, residual_vec))
+        return run(self, frozen_step, *args, **kwargs)
+
+    monkeypatch.setattr(solvers._OuterLoop, "run", run_with_frozen_steps)
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
+    rng = np.random.default_rng(4)
+    y, x0 = frozen(problem.model.evaluate(problem.truth)
+                   + 1e-3 * rng.standard_normal(14), np.zeros(10))
+    histories = [
+        irgnm_run(problem.model, y, x0, NewtonConfig(max_newton=6)),
+        irgnm_run(problem.model, y, x0,
+                  NewtonConfig(max_newton=3, use_preconditioner=False)),
+        newton_cg_run(problem.model, y, x0, max_newton=4),
+        landweber_run(problem.model, y, x0, max_steps=5),
+    ]
+    assert all(h.terminal_reason == TERMINAL_MAX for h in histories)
+    jac = problem.model.linearize(x0)
+    data, prior = frozen(rng.standard_normal(14), rng.standard_normal(10))
+    sys = TikhonovSystem(jac, 0.1, data, prior)
+    pairs = SpectralPreconditioner(0.1, [2.0], np.eye(10)[:, :1])
+    for solver, precond in ((sys, None), (sys, pairs),
+                            (TwoSidedSystem(sys, pairs), None)):
+        pcg_solve(solver, precond)
 
 
 def _assert_breakdown_at_failing_step(history, model, cost_start,

@@ -163,6 +163,27 @@ LINEAR_BASES = [
 ]
 
 
+@pytest.mark.parametrize("c3", [None, 0.5], ids=["linear", "composite"])
+@pytest.mark.parametrize("make_base", LINEAR_BASES)
+def test_successive_model_results_never_share_memory(make_base, c3):
+    # The CG loops update the arrays they allocate in place, so no model
+    # call may hand back memory that an earlier result or its input holds.
+    problem = make_base(6, 9, seed=5)
+    if c3 is not None:
+        problem = make_nonlinear_composite(problem, c3=c3)
+    model = problem.model
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(model.domain_dim)
+    w = rng.standard_normal(model.range_dim)
+    jac = model.linearize(x)
+    for call, arg in ((model.evaluate, x), (jac.apply, x),
+                      (jac.apply_adjoint, w)):
+        first, second = call(arg), call(arg)
+        np.testing.assert_array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, arg)
+
+
 @pytest.mark.parametrize("make_base", LINEAR_BASES)
 def test_nonlinear_c3_zero_degenerates_to_base(make_base):
     base = make_base(6, 9, seed=5)
