@@ -90,15 +90,8 @@ _SCHEMA = {
         "gamma0": ("float?", None),
         "gamma_factor": ("float", 1.5),
         "rhs_kind": ("choice", "irgnm", ("irgnm", "levenberg-marquardt")),
-        "eps_standard": ("float", 1.0 / 3.0),
-        "eps_accurate": ("float", 1e-9),
         "max_newton": ("int", 25),
         "max_inner": ("int", 200),
-        "update_age_min": ("int", 4),
-        "update_inner_min": ("int", 5),
-        "recompute_inner_min": ("int", 8),
-        "ritz_separation": ("float", 1.1),
-        "ritz_residual_tol": ("float", 1e-6),
         "enable_updates": ("bool", True),
         "landweber_mu": ("float?", None),
         "landweber_steps": ("int", 2000),
@@ -205,7 +198,8 @@ class ExperimentConfig:
         ``rules`` uses; work-precision resolves none and builds no Phi."""
         methods = methods or [self.solver["method"]]
         rules = [self.stopping["rule"]] if rules is None else rules
-        if "lepskii" in rules and self.stopping["r_bound"] is None:
+        lep, phi = "lepskii" in rules, self.stopping["phi"]
+        if lep and self.stopping["r_bound"] is None:
             raise ConfigError(
                 "[stopping] r_bound: the balancing rule needs an error budget "
                 "R, an upper bound on the initial error (problem knowledge)")
@@ -215,19 +209,29 @@ class ExperimentConfig:
         for section in ("problem", "noise"):
             if getattr(self, section)["seed"] < 0:
                 raise ConfigError(f"[{section}] seed: must be nonnegative")
+        # The balancing rule reads Phi: Landweber and Newton-CG estimate
+        # none, and irgnm-plain builds no pair set, so its white or sampled
+        # Phi reads 0 at every step.
         for m in methods:
             if m not in _METHODS:
                 raise ConfigError(
                     f"[solver] method: invalid value {m!r} "
                     f"(choices: {', '.join(_METHODS)})")
+            if lep and m in ("newton-cg", "landweber"):
+                raise ConfigError(f"[solver] method: {m} estimates no Phi, "
+                                  "which the balancing rule (lepskii) needs")
+            if lep and m == "irgnm-plain" and phi != "deterministic":
+                raise ConfigError(
+                    f"[stopping] phi: {phi} Phi is 0 at every step of "
+                    "irgnm-plain, so the balancing rule (lepskii) needs "
+                    "phi = deterministic there")
         # max_newton and max_inner cap Newton-CG too, so the Newton fields
         # are checked whatever the method.
         try:
             _newton_config(self, "irgnm-prec")
         except ContractError as exc:
             raise ConfigError(f"[solver] {exc}") from None
-        ncg, lw, lep = ("newton-cg" in methods, "landweber" in methods,
-                        "lepskii" in rules)
+        ncg, lw = "newton-cg" in methods, "landweber" in methods
         # Each check is the consumer's own; a (count, 0) draw is empty.
         for section, key, used, check in (
                 ("solver", "newton_cg_rho", ncg, check_inner_rho),
@@ -240,7 +244,7 @@ class ExperimentConfig:
                  lambda rho: lepskii_select([0.0], [0.0], rho)),
                 ("stopping", "r_bound", lep, PhiBudgetDriver),
                 ("stopping", "phi_samples",
-                 rules and self.stopping["phi"] == "sampled",
+                 rules and phi == "sampled",
                  lambda count: generate_noise(0.0, 0, count=count))):
             value = getattr(self, section)[key]
             if used and value is not None:
@@ -336,7 +340,7 @@ def run_method(cfg: ExperimentConfig, problem, y_obs, method=None, stop=None,
     if method in ("irgnm-prec", "irgnm-plain"):
         return irgnm_run(model, y_obs, x0, _newton_config(cfg, method),
                          stop=stop, phi_estimator=phi_estimator,
-                         truth=problem.truth, method_name=method)
+                         truth=problem.truth)
     if method == "newton-cg":
         return newton_cg_run(model, y_obs, x0,
                              inner_rho=cfg.solver["newton_cg_rho"], stop=stop,

@@ -106,10 +106,6 @@ class SpectralPreconditioner:
         coeff = self.vectors.T @ x
         return base * x + self.vectors @ (weights * coeff)
 
-    def apply(self, x):
-        """M x = gamma x + sum lambda_j <x, u_j> u_j."""
-        return self._shifted_apply(x, self.gamma, self.lambdas)
-
     def apply_inverse(self, x):
         """M^{-1} x = x/gamma + sum (1/(lambda_j+gamma) - 1/gamma) <x,u_j> u_j."""
         return self._shifted_apply(
@@ -150,10 +146,17 @@ class TwoSidedSystem:
     """Stacked system conjugated by M^{-1/2} on both sides.
 
     CG on G M^{-1/2} runs in the Euclidean inner product, so
-    reorthogonalization stays exact. Its normal operator M^{-1/2} G^T G
+    reorthogonalization stays exact. Its normal operator S = M^{-1/2} G^T G
     M^{-1/2} has spectrum bounded below by 1 for exact pairs, hence
     ``stop_scale`` is 1: the eps/(1-eps) contract holds for h~, while the
     pull-back h = M^{-1/2} h~ may miss it (by up to 1.9x in random trials).
+    For inexact pairs, R = A^T A U - U diag(lambda) and gamma_c = gamma +
+    min_j lambda_j, lambda_min(S) >= 1 - delta with delta = ||R|| (1 +
+    sqrt(1 + 4 gamma_c/gamma)) / (2 gamma_c), so the contract weakens by at
+    most 1/(1 - delta): for x = U c + z, U^T z = 0, x^T (G^T G - (1-delta) M) x
+    >= (delta gamma_c - ||R||)|c|^2 - 2||R|| |c||z| + delta gamma |z|^2 >= 0.
+    Random Recompute -> Update sequences reach 1 - lambda_min(S) = 5e-5,
+    at most 0.76 delta.
     """
 
     stop_scale = 1.0

@@ -6,9 +6,14 @@ One Newton step solves the Tikhonov-regularized normal equations
 G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
 A_m stays frozen across several steps. A spectral preconditioner is (re)built
 from Lanczos Ritz pairs on a square-number schedule and incrementally updated
-when the inner iteration count degrades; builds solve accurately
-(eps = 1e-9) through the symmetric two-sided form so the harvested pairs are
-trustworthy, ordinary steps solve loosely (eps = 1/3).
+when the inner iteration count degrades. Module constants fix the policy:
+builds solve accurately (EPS_ACCURATE = 1e-9) through the symmetric two-sided
+form so the harvested pairs are trustworthy, ordinary steps loosely
+(EPS_STANDARD = 1/3); an Update needs pairs UPDATE_AGE_MIN = 4 steps old and
+a last ordinary step above UPDATE_INNER_MIN = 5 inner iterations, a due
+Recompute one above RECOMPUTE_INNER_MIN = 8; the harvest keeps Ritz pairs
+with theta >= RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL
+(1e-6) times theta. Each is read when a step uses it.
 
 As in ``krylov``, the loops here write in place only to arrays they
 allocated: the observed data, x0, the residual vector a step receives and
@@ -43,29 +48,30 @@ TERMINAL_BREAKDOWN = "Breakdown"
 # with a Breakdown record instead of letting iterates overflow.
 DIVERGENCE_FACTOR = 10.0
 
+EPS_STANDARD = 1.0 / 3.0
+EPS_ACCURATE = 1e-9
+UPDATE_AGE_MIN = 4
+UPDATE_INNER_MIN = 5
+RECOMPUTE_INNER_MIN = 8
+RITZ_SEPARATION = 1.1
+RITZ_RESIDUAL_TOL = 1e-6
+
 
 @dataclass
 class NewtonConfig:
     """Knobs of the regularized Newton outer loop.
 
     gamma0 = None resolves to a power-iteration estimate of ||A_0^T A_0|| at
-    run start; a given gamma0 must be positive and finite. eps_accurate
-    governs preconditioner (re)build solves, eps_standard all other steps.
-    Negative guard thresholds disable the corresponding inner-iteration
-    guard (useful for schedule tests). Invalid values raise a ContractError
-    that names the offending fields.
+    run start; a given gamma0 must be positive and finite. With
+    ``enable_updates`` off the run is the frozen ablation: it rebuilds from
+    a fresh Jacobian exactly on the square-number schedule (k = 0, 3, 8,
+    15, 24, ...), with no inner-iteration guard, and never updates. Invalid
+    values raise a ContractError that names the offending fields.
     """
 
     gamma0: float | None = None
     gamma_factor: float = 1.5
     rhs_kind: str = IRGNM
-    eps_standard: float = 1.0 / 3.0
-    eps_accurate: float = 1e-9
-    update_age_min: int = 4
-    update_inner_min: int = 5
-    recompute_inner_min: int = 8
-    ritz_separation: float = 1.1
-    ritz_residual_tol: float = 1e-6
     max_newton: int = 25
     max_inner: int = 200
     use_preconditioner: bool = True
@@ -78,16 +84,10 @@ class NewtonConfig:
                 f"gamma0 must be positive and finite, got {self.gamma0}")
         if not 1.0 < self.gamma_factor < np.inf:
             raise ContractError("gamma_factor must be finite and exceed 1")
-        if not 0.0 < self.eps_accurate <= self.eps_standard < 1.0:
-            raise ContractError(
-                "need 0 < eps_accurate <= eps_standard < 1")
         if self.rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
             raise ContractError(f"unknown rhs_kind {self.rhs_kind!r}")
         if self.max_newton < 1 or self.max_inner < 1:
             raise ContractError("max_newton and max_inner must be positive")
-        if not (self.ritz_separation > 0 and self.ritz_residual_tol > 0):
-            raise ContractError(
-                "ritz_separation and ritz_residual_tol must be positive")
 
 
 @dataclass
@@ -166,29 +166,24 @@ def estimate_gram_norm(jac, iterations=10, seed=0):
     return max(value, np.finfo(float).tiny)
 
 
-def _guard(prev_inner, threshold):
-    if threshold < 0:
-        return True
-    return prev_inner is not None and prev_inner > threshold
-
-
 def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
-    """Square-number schedule: rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and the
-    last standard step was expensive. k = 0 always builds."""
+    """Square-number schedule: rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and,
+    with updates on, the last standard step was expensive; k = 0 builds."""
     if k == 0:
         return True
     if k < m:
         raise ContractError("Newton index precedes the linearization point")
     due = np.sqrt(k + 1.0) + 1e-12 >= np.sqrt(m + 1.0) + 1.0
-    return due and _guard(prev_inner_iterations, cfg.recompute_inner_min)
+    return due and (not cfg.enable_updates
+                    or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
 
 
-def must_update(k, last_build_step, prev_inner_iterations, cfg: NewtonConfig):
+def must_update(k, last_build_step, prev_inner_iterations):
     """Incremental update once the last build is stale and steps got expensive."""
     if k < last_build_step:
         raise ContractError("Newton index precedes the last build")
-    return (k - last_build_step) >= cfg.update_age_min \
-        and _guard(prev_inner_iterations, cfg.update_inner_min)
+    return (k - last_build_step) >= UPDATE_AGE_MIN \
+        and (prev_inner_iterations or 0) > UPDATE_INNER_MIN
 
 
 def _resolve_gamma0(cfg, model, x0):
@@ -236,7 +231,7 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
     return h, iterations, False
 
 
-def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
+def _harvest(trace, base_precond, gamma_k):
     """Back-map selected Ritz pairs (theta, v) of the two-sided operator to
     eigenpairs (gamma_k (theta - 1), M^{-1/2} v normalized) of A_m^T A_m.
     Values theta <= 1 belong to the cluster of captured directions and carry
@@ -245,7 +240,7 @@ def _harvest(trace, base_precond, gamma_k, separation, residual_tol):
         return []
     pairs = ritz_from_trace(trace)
     out = []
-    for p in select_ritz(pairs, separation, residual_tol):
+    for p in select_ritz(pairs, RITZ_SEPARATION, RITZ_RESIDUAL_TOL):
         u_raw = base_precond.apply_inv_sqrt(p.vector)
         norm = np.linalg.norm(u_raw)
         if norm == 0.0 or not p.theta > 1.0:
@@ -350,7 +345,7 @@ class _OuterLoop:
 
 
 def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
-              phi_estimator=None, truth=None, method_name=None):
+              phi_estimator=None, truth=None):
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
 
     Per step k: evaluate F(x_k), consult the stop driver
@@ -361,22 +356,17 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     left-preconditioned step at standard tolerance. With
     ``use_preconditioner`` off every step relinearizes and runs plain CG.
 
-    Returns a RunHistory whose last record (event Final) carries the
+    Returns a RunHistory named irgnm-prec or irgnm-plain after
+    ``use_preconditioner``, whose last record (event Final) carries the
     terminal iterate; ``phi_estimator`` (an object with
     ``evaluate(gamma_k, precond)`` and ``needs_left_vectors``) fills the phi
     column using the pair set current at each step.
     """
-    cfg = NewtonConfig() if cfg is None else cfg
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    cfg = _resolve_gamma0(cfg, model, x0)
-    if method_name is None:
-        method_name = "irgnm-prec" if cfg.use_preconditioner else "irgnm-plain"
-    jac = None
-    precond = None
-    m = -1
-    last_build = -1
-    prev_plain_inner = None
+    cfg = _resolve_gamma0(cfg or NewtonConfig(), model, x0)
+    jac = precond = prev_plain_inner = None
+    m = last_build = -1
     meta = {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
             "rhs_kind": cfg.rhs_kind, "inner_unconverged": 0}
 
@@ -399,19 +389,18 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if not cfg.use_preconditioner:
             h, trace = pcg_solve(sys, None, cfg=CgConfig(
-                epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
+                epsilon=EPS_STANDARD, max_iterations=cfg.max_inner))
             rec.event = EVENT_PLAIN
         elif relinearize or (cfg.enable_updates and must_update(
-                k, last_build, prev_plain_inner, cfg)):
+                k, last_build, prev_plain_inner)):
             base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
                 if relinearize else precond.with_gamma(gamma_k)
             tsys = TwoSidedSystem(sys, base)
             h_t, trace = pcg_solve(tsys, None, cfg=CgConfig(
-                epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+                epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
             h = tsys.pull_back(h_t)
-            new_pairs = _harvest(trace, base, gamma_k, cfg.ritz_separation,
-                                 cfg.ritz_residual_tol)
-            precond = merge_pairs(base, new_pairs, gamma_k)
+            precond = merge_pairs(base, _harvest(trace, base, gamma_k),
+                                  gamma_k)
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
@@ -420,14 +409,15 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         else:
             live = precond.with_gamma(gamma_k) if precond.pair_count else None
             h, trace = pcg_solve(sys, live, cfg=CgConfig(
-                epsilon=cfg.eps_standard, max_iterations=cfg.max_inner))
+                epsilon=EPS_STANDARD, max_iterations=cfg.max_inner))
             prev_plain_inner = trace.iterations
             rec.event = EVENT_PLAIN
         rec.inner_iterations = trace.iterations
         meta["inner_unconverged"] += not trace.converged
         return h
 
-    return outer.run(step, cfg.max_newton, stop, method_name, meta, probe)
+    method = "irgnm-prec" if cfg.use_preconditioner else "irgnm-plain"
+    return outer.run(step, cfg.max_newton, stop, method, meta, probe)
 
 
 def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,

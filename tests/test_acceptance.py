@@ -153,8 +153,9 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     # standard step right after every preconditioner build needs strictly
     # fewer inner iterations than the standard step right before it, and
     # (b) total inner iterations with updates enabled stay at or below 0.8x
-    # the total of a run whose preconditioner is frozen after the first
-    # build. Under 2 min.
+    # the total of the frozen run (enable_updates off: no update, and a
+    # rebuild from a fresh Jacobian only on the square-number schedule
+    # k = 0, 3, 8, 15, 24, with no inner-iteration guard). Under 2 min.
     t0 = time.perf_counter()
     problem = make_nonlinear_composite(make_diagonal_problem())
     y_exact = problem.model.evaluate(problem.truth)
@@ -165,8 +166,7 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     updated = irgnm_run(problem.model, y_obs, x0,
                         NewtonConfig(max_newton=25), truth=problem.truth)
     frozen = irgnm_run(problem.model, y_obs, x0,
-                       NewtonConfig(max_newton=25, enable_updates=False,
-                                    recompute_inner_min=-1),
+                       NewtonConfig(max_newton=25, enable_updates=False),
                        truth=problem.truth)
 
     comparisons = []
@@ -220,7 +220,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys0 = TwoSidedSystem(sys0, base0)
     h0, trace0 = pcg_solve(tsys0, cfg=CgConfig(epsilon=1e-9,
                                                max_iterations=30))
-    pairs0 = _harvest(trace0, base0, gamma0, 1.1, 1e-6)
+    pairs0 = _harvest(trace0, base0, gamma0)
 
     per_group = {}
     worst_defect = 0.0
@@ -245,7 +245,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys1 = TwoSidedSystem(sys1, p1)
     _, trace1 = pcg_solve(tsys1, cfg=CgConfig(epsilon=1e-9,
                                               max_iterations=30))
-    new_pairs = _harvest(trace1, p1, gamma1, 1.1, 1e-6)
+    new_pairs = _harvest(trace1, p1, gamma1)
     p2 = merge_pairs(p1, new_pairs, gamma1)
 
     oracle = DenseOracle(a)

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_defaults_fill_missing_sections():
     cfg = ExperimentConfig.from_text("")
     assert cfg.problem["kind"] == "nonlinear-diagonal"
     assert cfg.solver["gamma0"] is None
-    assert cfg.solver["eps_standard"] == pytest.approx(1.0 / 3.0)
+    assert cfg.solver["gamma_factor"] == 1.5
     assert cfg.noise["level"] == 0.02
     assert cfg.stopping["rule"] == "discrepancy"
 
@@ -280,13 +281,11 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     ("irgnm-prec", "gamma_factor = 1.0", "gamma_factor"),
     ("irgnm-prec", "gamma_factor = inf", "gamma_factor"),
     ("irgnm-prec", "gamma0 = -1", "gamma0"),
-    ("irgnm-plain", "eps_standard = 1.5", "eps_standard"),
     ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
     ("newton-cg", "newton_cg_rho = 1.5", "newton_cg_rho"),
     ("landweber", "landweber_mu = -1", "landweber_mu"),
     ("landweber", "landweber_mu = inf", "landweber_mu"),
-    ("irgnm-prec", "ritz_separation = 0", "ritz_separation"),
     ("landweber", "landweber_steps = -1", "landweber_steps"),
 ])
 def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
@@ -360,16 +359,27 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     assert not (tmp_path / "out").exists()
 
 
+# [solver] keys that became constants of iterreg.solvers.
+_FORMER_SOLVER_KEYS = ("eps_standard", "eps_accurate", "update_age_min",
+                       "update_inner_min", "recompute_inner_min",
+                       "ritz_separation", "ritz_residual_tol")
+
+
 @pytest.mark.parametrize("lines, message", [
     ("[noise]\nkind = none", "unknown field 'kind' in section [noise]"),
     ("[noise]\nkind = white", "unknown field 'kind' in section [noise]"),
     ("[stopping]\nk_fixed = 3",
      "unknown field 'k_fixed' in section [stopping]"),
     ("[stopping]\nrule = fixed-K", "[stopping] rule: invalid value 'fixed-K'"),
-], ids=["noise_kind_none", "noise_kind_white", "k_fixed", "fixed_K"])
+    *((f"[solver]\n{key} = 1", f"unknown field '{key}' in section [solver]")
+      for key in _FORMER_SOLVER_KEYS),
+], ids=["noise_kind_none", "noise_kind_white", "k_fixed", "fixed_K",
+        *_FORMER_SOLVER_KEYS])
 def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
     # Exact data is level = 0; a fixed stop index is max_newton (or
-    # landweber_steps) with rule = none.
+    # landweber_steps) with rule = none; the CG tolerances, build guards and
+    # Ritz selection thresholds are constants, and enable_updates = false
+    # alone is the frozen ablation.
     ini = tmp_path / "old.ini"
     ini.write_text(f"{lines}\n")
     assert main(["solve", "--config", str(ini),
@@ -586,6 +596,42 @@ def test_main_stopping_study_breakdown_exits_3(tmp_path, capsys):
     assert info.value.stats["lepskii"]["samples_used"] == 3
 
 
+@pytest.mark.parametrize("verb", ["solve", "stopping-study"])
+@pytest.mark.parametrize("phi", ["deterministic", "white", "sampled"])
+@pytest.mark.parametrize("method", cli._METHODS)
+def test_lepskii_without_phi_exits_2(
+        tmp_path, monkeypatch, capsys, method, phi, verb):
+    # The balancing rule reads the run's Phi column: Landweber and
+    # Newton-CG fill none, and irgnm-plain builds no pair set, so its white
+    # or sampled Phi is 0 at every step. Such a run is refused before the
+    # build and writes nothing; the study resolves lepskii whatever the
+    # configured rule. Every other combination runs.
+    calls = _counting_builds(monkeypatch)
+    rule = "lepskii" if verb == "solve" else "discrepancy"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[problem]\nm = 8\nn = 12\n[solver]\nmethod = {method}\n"
+                   "max_newton = 4\nlandweber_steps = 10\n"
+                   "[noise]\nsamples = 2\n"
+                   f"[stopping]\nrule = {rule}\nr_bound = 5\nphi = {phi}\n")
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(ini), "--out", str(out)])
+    err = capsys.readouterr().err
+    if method in ("newton-cg", "landweber"):
+        assert err == (f"config error: [solver] method: {method} estimates "
+                       "no Phi, which the balancing rule (lepskii) needs\n")
+    elif method == "irgnm-plain" and phi != "deterministic":
+        assert err == (f"config error: [stopping] phi: {phi} Phi is 0 at "
+                       "every step of irgnm-plain, so the balancing rule "
+                       "(lepskii) needs phi = deterministic there\n")
+    else:
+        assert (code, err) == (0, "")
+        assert calls and out.exists()
+        return
+    assert code == 2
+    assert not calls
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem, key", [
     ("kind = nonlinear-diagonal\nm = 400\nn = 800", "m"),
     ("kind = convolution\nn = 400", "n"),
@@ -662,7 +708,8 @@ _KEY_READERS = {
 
 
 def _float_limit_cases():
-    for section, key in _NUMERIC_KEYS:
+    for section, key in [*_NUMERIC_KEYS,
+                         *(("solver", key) for key in _FORMER_SOLVER_KEYS)]:
         verb, settings = _KEY_READERS.get((section, key), ("solve", {}))
         for value in ("1e308", "1e-300"):
             yield pytest.param(verb, settings, section, key, value,
@@ -676,7 +723,8 @@ def test_main_float_limit_value_exits_cleanly(tmp_path, capsys, verb,
                                               settings, section, key, value):
     # Every numeric key at the edges of the float range, on a tiny problem,
     # through a verb that reads it: a documented exit code, no traceback,
-    # and no numpy warning (each would raise here).
+    # and no numpy warning (each would raise here). A former key is an
+    # unknown field whatever its value.
     sections = {"problem": {"m": "8", "n": "12"},
                 "solver": {"max_newton": "4", "landweber_steps": "10"},
                 "noise": {"samples": "2"},
@@ -690,6 +738,9 @@ def test_main_float_limit_value_exits_cleanly(tmp_path, capsys, verb,
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert "Traceback" not in err and "Warning" not in err
+    if key in _FORMER_SOLVER_KEYS:
+        assert (code, err) == (
+            2, f"config error: unknown field '{key}' in section [solver]\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -718,3 +769,27 @@ def test_csv_schema_document_ships():
     for header in ("run.csv", "work_precision.csv", "stopping_samples.csv",
                    "stopping_summary.csv", "cumulative_cost"):
         assert header in text
+
+
+def test_readme_config_reference_matches_schema():
+    # The README's table lists every INI key with the type and default that
+    # cli._SCHEMA declares, so neither can drift from the code.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \| ([^|]+) \|",
+                          fh.read(), re.M)
+    table = {}
+    for section, key, kind, default in rows:
+        kind, choices = kind.strip(), ()
+        if kind.startswith("one of "):
+            kind, choices = "choice", (tuple(re.findall(r"`([^`]+)`", kind)),)
+        elif kind.startswith("float or "):
+            kind = "float?"
+        kind = {"text": "str"}.get(kind, kind)
+        raw = "" if default.strip() == "(empty)" else default.strip(" `")
+        value = cli._parse_value(section, key, kind, raw, *choices)
+        table[section, key] = (kind, value, *choices)
+    assert len(rows) == len(table) == 29
+    assert table == {(section, key): spec
+                     for section, keys in cli._SCHEMA.items()
+                     for key, spec in keys.items()}

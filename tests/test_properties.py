@@ -2,9 +2,9 @@
 Householder basis behind every reorthogonalization, the Ritz residual
 identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
 left vectors and the sampled Phi built on them, the two-sided system over
-merged pairs, the preconditioned-spectrum identity, the Cholesky-reduced
-pencil against the similarity route on random pair sets, the CG accuracy
-contract, the CG loops against their reference implementations, and the
+merged pairs and its spectrum bound 1 - delta, the preconditioned-spectrum
+identity, the Cholesky-reduced pencil against the similarity route on random
+pair sets, the CG accuracy contract, the CG loops against their reference implementations, and the
 finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
@@ -17,6 +17,7 @@ for the sampled Phi, the spectrum and the pencil random dense operators; for
 ``as_vector`` arrays with NaN, infinite and huge entries mixed in.
 """
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -32,7 +33,8 @@ from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import (NewtonConfig, _harvest, _truncated_cgne,
+from iterreg.solvers import (EPS_ACCURATE, RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
+                             NewtonConfig, _harvest, _truncated_cgne,
                              schedule_gamma)
 from iterreg.stopping import SampledPhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
@@ -121,9 +123,11 @@ def test_merge_into_empty_applies_like_direct_construction(dim, count, gamma,
     # The inverse adds x/gamma to a low-rank correction. At small gamma the
     # two cancel down to a result of size ||x||/(gamma + lambda), so its
     # round-off scales with the term ||x||/gamma instead of the result.
-    for apply in ("apply", "apply_inverse", "apply_inv_sqrt"):
-        got = getattr(merged, apply)(x)
-        want = getattr(direct, apply)(x)
+    for apply in ("dense", "apply_inverse", "apply_inv_sqrt"):
+        if apply == "dense":
+            got, want = merged.dense() @ x, direct.dense() @ x
+        else:
+            got, want = getattr(merged, apply)(x), getattr(direct, apply)(x)
         scale = np.linalg.norm(want)
         if apply == "apply_inverse":
             scale = max(scale, np.linalg.norm(x) / gamma)
@@ -235,19 +239,17 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
         _, trace = pcg_solve(tsys, cfg=CgConfig(
-            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
+            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
         inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
                                     for e in np.eye(m)])
         two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
-        kept = select_ritz(ritz_from_trace(trace), cfg.ritz_separation,
-                           cfg.ritz_residual_tol)
+        kept = select_ritz(ritz_from_trace(trace), RITZ_SEPARATION,
+                           RITZ_RESIDUAL_TOL)
         for pair in kept:
             residual = np.linalg.norm(two_sided @ pair.vector
                                       - pair.theta * pair.vector)
-            assert residual <= cfg.ritz_residual_tol * pair.theta
-        base = merge_pairs(base, _harvest(trace, base, gamma,
-                                          cfg.ritz_separation,
-                                          cfg.ritz_residual_tol), gamma)
+            assert residual <= RITZ_RESIDUAL_TOL * pair.theta
+        base = merge_pairs(base, _harvest(trace, base, gamma), gamma)
 
 
 @PROPERTY
@@ -303,10 +305,8 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
         _, trace = pcg_solve(tsys, cfg=CgConfig(
-            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
-        merged = merge_pairs(base, _harvest(trace, base, gamma,
-                                            cfg.ritz_separation,
-                                            cfg.ritz_residual_tol), gamma)
+            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        merged = merge_pairs(base, _harvest(trace, base, gamma), gamma)
         kept = 0 if merged.left_vectors is None \
             else merged.left_vectors.shape[1]
         # the existing pairs pass through, and their left vectors with them
@@ -350,10 +350,8 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
         sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                              rng.standard_normal(m))
         _, trace = pcg_solve(TwoSidedSystem(sys, base), cfg=CgConfig(
-            epsilon=cfg.eps_accurate, max_iterations=cfg.max_inner))
-        precond = merge_pairs(base, _harvest(trace, base, gamma,
-                                             cfg.ritz_separation,
-                                             cfg.ritz_residual_tol), gamma)
+            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        precond = merge_pairs(base, _harvest(trace, base, gamma), gamma)
     tsys = TwoSidedSystem(sys, precond)
     w, q = np.linalg.eigh(precond.dense())
     s = (q / np.sqrt(w)) @ q.T
@@ -364,6 +362,62 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
                       (tsys.apply_adjoint(d), s @ g.T @ d),
                       (tsys.pull_back(v), s @ v)):
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def _two_sided_delta(gram, precond):
+    """The bound of TwoSidedSystem: lambda_min of M^{-1/2} (A^T A + gamma I)
+    M^{-1/2} is at least 1 - delta for the pair residual R = A^T A U - U
+    diag(lambda), here measured in the Frobenius norm."""
+    gamma, lam, u = precond.gamma, precond.lambdas, precond.vectors
+    residual = np.linalg.norm(gram @ u - u * lam)
+    gamma_c = gamma + lam.min()
+    return residual * (1.0 + np.sqrt(1.0 + 4.0 * gamma_c / gamma)) \
+        / (2.0 * gamma_c)
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(0.0, 0.5), st.integers(0, 40),
+       st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
+                                                        k, gaps, seed):
+    # A Recompute at gamma_k, then Updates after the given step gaps on the
+    # same frozen Jacobian, as irgnm_run builds them. The two-sided system
+    # of each Update, over the pairs merged so far at the Update's gamma,
+    # and the pair set left after the last merge satisfy lambda_min(M^{-1/2}
+    # (A^T A + gamma I) M^{-1/2}) >= 1 - delta by DenseOracle's pencil. The
+    # pencil resolves it to about eps cond(M), so the whisker is (1e-12 +
+    # 1e-14 cond(M)) times the largest eigenvalue, as for the pencil above.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=c3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    oracle = DenseOracle.for_problem(problem, x)
+    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(oracle.gram, 2)))
+
+    def assert_bound(p):
+        if not p.pair_count:
+            return
+        spectrum = oracle.preconditioned_gram_spectrum(p.dense(), p.gamma)
+        cond = 1.0 + p.lambdas.max() / p.gamma
+        whisker = (1e-12 + 1e-14 * cond) * max(1.0, spectrum[-1])
+        assert spectrum[0] >= 1.0 - _two_sided_delta(oracle.gram, p) - whisker
+
+    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    for step in itertools.accumulate([k, *gaps]):
+        gamma = schedule_gamma(cfg, step)
+        base = precond.with_gamma(gamma)
+        assert_bound(base)
+        tsys = TwoSidedSystem(
+            TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
+                           rng.standard_normal(m)), base)
+        _, trace = pcg_solve(tsys, cfg=CgConfig(
+            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        precond = merge_pairs(base, _harvest(trace, base, gamma), gamma)
+    assert_bound(precond)
 
 
 @PROPERTY
@@ -437,7 +491,7 @@ def test_cg_accuracy_contract_against_dense_oracle(m, extra, decay, gamma,
     lam, v = oracle.gram_spectrum()
     count = min(count, int(np.sum(lam > 0)))
     p = SpectralPreconditioner(gamma, lam[:count], v[:, :count])
-    exact_two = p.apply(p.apply_inv_sqrt(exact))
+    exact_two = p.dense() @ p.apply_inv_sqrt(exact)
     for eps in (1.0 / 3.0, 1e-2, 1e-4, 1e-8):
         cfg = CgConfig(epsilon=eps)
         for solver, precond, target in ((sys, None, exact), (sys, p, exact),

@@ -53,19 +53,21 @@ def test_should_recompute_policy():
 
 
 def test_must_update_policy():
-    cfg = NewtonConfig(gamma0=1.0)
-    assert must_update(4, 0, 6, cfg)
-    assert not must_update(3, 0, 20, cfg)   # too young
-    assert not must_update(10, 0, 5, cfg)   # 5 is not > 5
-    assert not must_update(4, 0, None, cfg)
+    assert must_update(4, 0, 6)
+    assert not must_update(3, 0, 20)   # too young
+    assert not must_update(10, 0, 5)   # 5 is not > 5
+    assert not must_update(4, 0, None)
     with pytest.raises(ContractError):
-        must_update(1, 3, 10, cfg)
+        must_update(1, 3, 10)
 
 
-def test_negative_threshold_disables_guard():
-    cfg = NewtonConfig(gamma0=1.0, recompute_inner_min=-1, update_inner_min=-1)
+def test_frozen_ablation_rebuilds_on_schedule_without_guard():
+    # With updates off a due rebuild needs no expensive standard step, and
+    # an undue one still waits for the schedule.
+    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
     assert should_recompute(3, 0, None, cfg)
-    assert must_update(4, 0, None, cfg)
+    assert should_recompute(8, 3, 0, cfg)
+    assert not should_recompute(2, 0, 50, cfg)
 
 
 def test_newton_config_validation():
@@ -75,18 +77,17 @@ def test_newton_config_validation():
         with pytest.raises(ContractError, match="gamma0"):
             NewtonConfig(gamma0=gamma0)
     with pytest.raises(ContractError):
-        NewtonConfig(eps_standard=0.2, eps_accurate=0.5)
-    with pytest.raises(ContractError):
         NewtonConfig(rhs_kind="gradient")
     with pytest.raises(ContractError):
         NewtonConfig(max_newton=0)
 
 
-def test_identity_model_first_step():
+def test_identity_model_first_step(monkeypatch):
     # A = I, gamma0 = 1: the first Newton step lands on y / (1 + gamma0).
+    monkeypatch.setattr(solvers, "EPS_ACCURATE", 1e-12)
     model = linear_model(np.eye(4))
     y = np.array([2.0, -4.0, 1.0, 0.0])
-    cfg = NewtonConfig(gamma0=1.0, max_newton=1, eps_accurate=1e-12)
+    cfg = NewtonConfig(gamma0=1.0, max_newton=1)
     history = irgnm_run(model, y, np.zeros(4), cfg)
     np.testing.assert_allclose(history.records[-1].x_k, y / 2.0, rtol=1e-9)
     assert history.records[0].event == EVENT_RECOMPUTE
@@ -95,12 +96,11 @@ def test_identity_model_first_step():
 
 
 def test_square_number_build_schedule_guards_disabled():
-    # With inner-iteration guards off and updates off, rebuilds happen
+    # With updates off the rebuild guard is off too, so rebuilds happen
     # exactly when k+1 is the next perfect square: k = 0, 3, 8, 15, 24.
     problem = make_diagonal_problem(m=12, n=16, decay_a=0.4, seed=0)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=25, recompute_inner_min=-1,
-                       enable_updates=False)
+    cfg = NewtonConfig(gamma0=1.0, max_newton=25, enable_updates=False)
     history = irgnm_run(problem.model, y, np.zeros(12), cfg)
     rebuilds = [r.k for r in history.records if r.event == EVENT_RECOMPUTE]
     assert rebuilds == [0, 3, 8, 15, 24]
@@ -108,19 +108,6 @@ def test_square_number_build_schedule_guards_disabled():
     for r in history.records[:-1]:
         expected_m = max(b for b in rebuilds if b <= r.k)
         assert r.m == expected_m
-
-
-def test_update_cadence_guards_disabled():
-    problem = make_diagonal_problem(m=12, n=16, decay_a=0.4, seed=0)
-    y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=25, recompute_inner_min=-1,
-                       update_inner_min=-1, enable_updates=True)
-    history = irgnm_run(problem.model, y, np.zeros(12), cfg)
-    rebuilds = [r.k for r in history.records if r.event == EVENT_RECOMPUTE]
-    updates = [r.k for r in history.records if r.event == EVENT_UPDATE]
-    assert rebuilds == [0, 3, 8, 15, 24]
-    # updates fire exactly when the last build or update is 4 steps stale
-    assert updates == [7, 12, 19, 23]
 
 
 def test_cost_audit_and_arrival_semantics():
@@ -186,7 +173,7 @@ def test_harvest_back_map(monkeypatch):
                          np.ones(16), np.zeros(12))
     _, trace = pcg_solve(TwoSidedSystem(sys, base),
                          cfg=CgConfig(epsilon=1e-9))
-    pairs = _harvest(trace, base, gamma, 1.1, 1e-6)
+    pairs = _harvest(trace, base, gamma)
     kept = [p for p in ritz_from_trace(trace)
             if p.theta >= 1.1 and p.residual_bound <= 1e-6 * p.theta]
     assert pairs and len(pairs) == len(kept)
@@ -196,13 +183,13 @@ def test_harvest_back_map(monkeypatch):
         np.testing.assert_array_equal(u, raw / np.linalg.norm(raw))
     # With a separation threshold below 1 the selection keeps theta <= 1;
     # those pairs carry no spectral information and are not harvested.
+    monkeypatch.setattr(solvers, "RITZ_SEPARATION", 0.5)
     e = np.eye(3)
     thetas = (0.5, 1.0, 1.5, 3.0)
     monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [
         RitzPair(theta, e[:, i % 3], 0.0) for i, theta in enumerate(thetas)])
     trace = type("Trace", (), {"iterations": 4})()
-    pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3), 0.2, 0.5,
-                     1e-6)
+    pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3), 0.2)
     assert [value for value, _ in pairs] == [0.2 * 0.5, 0.2 * 2.0]
     np.testing.assert_array_equal(np.column_stack([u for _, u in pairs]),
                                   e[:, [2, 0]])
@@ -236,16 +223,17 @@ def test_white_noise_phi_zero_until_first_build():
     assert all(p > 0.0 for p in phis[1:])
 
 
-def test_irgnm_matches_dense_newton_recursion():
+def test_irgnm_matches_dense_newton_recursion(monkeypatch):
     # For a linear model the frozen Jacobian is exact, so with tight inner
     # tolerances the iterates must track the dense Tikhonov recursion.
+    monkeypatch.setattr(solvers, "EPS_STANDARD", 1e-9)
+    monkeypatch.setattr(solvers, "EPS_ACCURATE", 1e-11)
     problem = make_diagonal_problem(m=12, n=16, decay_a=0.3, seed=4)
     a = problem.matrix
     y = problem.model.evaluate(problem.truth)
     oracle = DenseOracle(a)
     for rhs_kind in ("irgnm", LEVENBERG_MARQUARDT):
         cfg = NewtonConfig(gamma0=2.0, gamma_factor=2.0, max_newton=5,
-                           eps_standard=1e-9, eps_accurate=1e-11,
                            rhs_kind=rhs_kind)
         history = irgnm_run(problem.model, y, np.zeros(12), cfg)
         x = np.zeros(12)
