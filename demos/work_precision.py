@@ -43,8 +43,8 @@ rule = none
 cfg = ExperimentConfig.from_text(CONFIG)
 with tempfile.TemporaryDirectory() as out_dir:
     histories = run_work_precision(expand_methods(cfg), out_dir)
-    print(f"rows written to {out_dir}/work_precision.csv (deleted after "
-          f"this demo; pass --out to keep them)\n")
+    print("rows written to work_precision.csv in a temporary directory "
+          "(deleted after this demo; the CLI's --out keeps them)\n")
 
 series = {h.method: [(r.cumulative_cost, r.error) for r in h.records]
           for h in histories}

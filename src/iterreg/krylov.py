@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -185,25 +186,37 @@ def tridiagonal_from_trace(trace: CgTrace):
     return diag, offdiag
 
 
-@dataclass
 class RitzPair:
     """Approximate eigenpair of the (preconditioned) normal operator.
 
     ``residual_bound`` is the exact value of ||G^T G (Z w) - theta (Z w)||
     when the basis is Euclidean-orthonormal (identity preconditioner).
+    ``vector`` is given either as an array or as a function of no arguments
+    that returns it; the function runs on the first read of ``vector``.
     """
 
-    theta: float
-    vector: np.ndarray
-    residual_bound: float
+    def __init__(self, theta, vector, residual_bound):
+        self.theta = theta
+        self._vector = vector
+        self.residual_bound = residual_bound
+
+    @property
+    def vector(self):
+        if callable(self._vector):
+            self._vector = self._vector()
+        return self._vector
 
 
 def ritz_from_trace(trace: CgTrace):
     """Ritz pairs of the normal operator from a Lanczos-collecting CG run.
 
-    Returns pairs sorted by descending theta. Requires the trace to carry the
-    z basis; raises a diagnostic error when T_l fails to be positive definite,
-    which signals lost orthogonality.
+    Returns every pair, sorted by descending theta. Requires the trace to
+    carry the z basis; raises a diagnostic error when T_l fails to be
+    positive definite, which signals lost orthogonality. A Ritz vector
+    Z w_i is formed on the first read of its pair's ``vector``, so the
+    pairs a selection drops cost no product with Z, and Z itself is
+    assembled only once a vector is read; the product is the same
+    ``Z @ w_i`` either way.
     """
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")
@@ -215,16 +228,18 @@ def ritz_from_trace(trace: CgTrace):
             "tridiagonal matrix is not positive definite; "
             "orthogonality was lost during CG"
         )
-    z = np.column_stack(trace.z_basis)
+    z = None
+
+    def ritz_vector(i):
+        nonlocal z
+        if z is None:
+            z = np.column_stack(trace.z_basis)
+        return z @ vecs[:, i]
+
     l = trace.iterations
-    pairs = []
-    for i in range(l - 1, -1, -1):
-        pairs.append(RitzPair(
-            theta=float(theta[i]),
-            vector=z @ vecs[:, i],
-            residual_bound=float(trace.final_beta_over_alpha * abs(vecs[l - 1, i])),
-        ))
-    return pairs
+    return [RitzPair(float(theta[i]), partial(ritz_vector, i),
+                     float(trace.final_beta_over_alpha * abs(vecs[l - 1, i])))
+            for i in range(l - 1, -1, -1)]
 
 
 def select_ritz(pairs, separation_threshold, residual_tolerance):

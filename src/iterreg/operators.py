@@ -13,6 +13,8 @@ zero for Levenberg-Marquardt.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 LEVENBERG_MARQUARDT = "levenberg-marquardt"
@@ -26,6 +28,14 @@ class ContractError(ValueError):
 def as_vector(x, dim=None, name="vector"):
     """Coerce ``x`` to a finite 1-D float64 array, checking its length.
 
+    Finiteness is tested on the sum of squares first: a finite
+    ``np.vdot(v, v)`` proves every entry finite, at half the cost of a
+    per-entry test. Only a non-finite sum, which a NaN, an infinity or an
+    entry above about 1.34e154 in magnitude (whose square overflows) gives,
+    falls back to the per-entry ``isfinite`` test. vdot runs BLAS ddot,
+    which raises no overflow warning, so the array accepted and the error
+    raised are those of the per-entry test alone.
+
     Raises
     ------
     ContractError
@@ -36,7 +46,8 @@ def as_vector(x, dim=None, name="vector"):
         raise ContractError(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.logical_and.reduce(np.isfinite(v)):
+    if not math.isfinite(np.vdot(v, v)) \
+            and not np.logical_and.reduce(np.isfinite(v)):
         raise ContractError(f"{name} contains non-finite entries")
     return v
 
@@ -180,7 +191,11 @@ class TikhonovSystem:
 
     def apply(self, v):
         """Return G v = (A v; sqrt(gamma) v). Costs exactly one Jacobian apply."""
-        return np.concatenate([self.jac.apply(v), self._sqrt_gamma * v])
+        n = self.jac.range_dim
+        out = np.empty(n + self.jac.domain_dim)
+        out[:n] = self.jac.apply(v)
+        np.multiply(v, self._sqrt_gamma, out=out[n:])
+        return out
 
     def apply_adjoint(self, d):
         """Return G^T d = A^T d_head + sqrt(gamma) d_tail."""

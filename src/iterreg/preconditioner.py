@@ -10,6 +10,7 @@ O(#pairs * dim) with no factorizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,12 @@ from .operators import ContractError, as_vector
 MERGE_DROP_TOL = 2e-5
 
 _RELATIVE_LAMBDA_FLOOR = 1e-14
+
+
+def _checked_gamma(gamma):
+    if not (gamma > 0 and np.isfinite(gamma)):
+        raise ContractError(f"gamma must be positive and finite, got {gamma}")
+    return float(gamma)
 
 
 class SpectralPreconditioner:
@@ -39,15 +46,18 @@ class SpectralPreconditioner:
         Normalized images w_j = A u_j / ||A u_j|| of the leading J_w pairs,
         for the sampled noise estimator; ``attach_left_vectors`` appends the
         trailing ones, and ``merge_pairs`` keeps existing pairs first.
+
+    The per-pair weights of ``apply_inverse`` and ``apply_inv_sqrt`` depend
+    only on the pair set and the shift, so each is computed on the first
+    apply and kept for every later one. ``with_gamma`` gives a new shift a
+    fresh object, and with it fresh weights.
     """
 
     def __init__(self, gamma, lambdas, vectors, left_vectors=None, validate=True):
-        if not (gamma > 0 and np.isfinite(gamma)):
-            raise ContractError(f"gamma must be positive and finite, got {gamma}")
-        self.gamma = float(gamma)
+        self.gamma = _checked_gamma(gamma)
 
         lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-        # asarray keeps with_gamma alias-sharing the pair arrays
+        # asarray shares the given pair arrays instead of copying them
         u = np.asarray(vectors, dtype=float)
         w = None if left_vectors is None else np.asarray(left_vectors, dtype=float)
         if u.ndim != 2 or u.shape[1] != lam.shape[0]:
@@ -95,27 +105,42 @@ class SpectralPreconditioner:
         return int(self.lambdas.shape[0])
 
     def with_gamma(self, gamma):
-        """Same pair set under a different shift (the per-step gamma_k)."""
-        return SpectralPreconditioner(gamma, self.lambdas, self.vectors,
-                                      self.left_vectors, validate=False)
+        """Same pair set under a different shift (the per-step gamma_k).
 
-    def _shifted_apply(self, x, base, weights):
+        The clone shares this one's arrays, which passed its checks and its
+        floor, so only gamma is checked again.
+        """
+        clone = object.__new__(SpectralPreconditioner)
+        clone.gamma = _checked_gamma(gamma)
+        clone.lambdas = self.lambdas
+        clone.vectors = self.vectors
+        clone.left_vectors = self.left_vectors
+        return clone
+
+    @cached_property
+    def _inverse_weights(self):
+        return (1.0 / self.gamma,
+                1.0 / (self.lambdas + self.gamma) - 1.0 / self.gamma)
+
+    @cached_property
+    def _inv_sqrt_weights(self):
+        g = np.sqrt(self.gamma)
+        return 1.0 / g, 1.0 / np.sqrt(self.lambdas + self.gamma) - 1.0 / g
+
+    def _shifted_apply(self, x, weights):
+        base, pair_weights = weights
         x = as_vector(x, self.dim, "input")
-        if self.pair_count == 0:
-            return base * x
-        coeff = self.vectors.T @ x
-        return base * x + self.vectors @ (weights * coeff)
+        out = base * x
+        if pair_weights.shape[0]:
+            out += self.vectors @ (pair_weights * (self.vectors.T @ x))
+        return out
 
     def apply_inverse(self, x):
         """M^{-1} x = x/gamma + sum (1/(lambda_j+gamma) - 1/gamma) <x,u_j> u_j."""
-        return self._shifted_apply(
-            x, 1.0 / self.gamma,
-            1.0 / (self.lambdas + self.gamma) - 1.0 / self.gamma)
+        return self._shifted_apply(x, self._inverse_weights)
 
     def apply_inv_sqrt(self, x):
-        g = np.sqrt(self.gamma)
-        return self._shifted_apply(
-            x, 1.0 / g, 1.0 / np.sqrt(self.lambdas + self.gamma) - 1.0 / g)
+        return self._shifted_apply(x, self._inv_sqrt_weights)
 
     def dense(self):
         """Materialized M, for oracle-scale verification only."""

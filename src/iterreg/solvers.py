@@ -152,16 +152,16 @@ def estimate_gram_norm(jac, iterations=10, seed=0):
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(jac.domain_dim)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     value = 0.0
     for _ in range(iterations):
         w = jac.apply_adjoint(jac.apply(v))
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise ContractError(
                 "A^T A vanishes on the power-iteration vector: "
                 "no estimate of ||A^T A||")
-        value = float(v @ w)
+        value = float(v.dot(w))
         v = w / norm
     return max(value, np.finfo(float).tiny)
 
@@ -242,7 +242,7 @@ def _harvest(trace, base_precond, gamma_k):
     out = []
     for p in select_ritz(pairs, RITZ_SEPARATION, RITZ_RESIDUAL_TOL):
         u_raw = base_precond.apply_inv_sqrt(p.vector)
-        norm = np.linalg.norm(u_raw)
+        norm = math.sqrt(u_raw.dot(u_raw))
         if norm == 0.0 or not p.theta > 1.0:
             continue
         out.append((gamma_k * (p.theta - 1.0), u_raw / norm))
@@ -304,6 +304,7 @@ class _OuterLoop:
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
             rn = math.sqrt(residual_vec.dot(residual_vec))
+            diff = None if truth is None else x - truth
             # cumulative_cost and wall_time_s read the meters when x_k was
             # evaluated, so (cost, error) rows pair up in work-precision
             # tables.
@@ -312,8 +313,7 @@ class _OuterLoop:
                 inner_iterations=0,
                 cumulative_cost=model.cost.total - self.cost_start,
                 phi_k=None, event=EVENT_FINAL,
-                error=None if truth is None
-                else float(np.linalg.norm(x - truth)),
+                error=None if diff is None else math.sqrt(diff.dot(diff)),
                 wall_time_s=time.perf_counter() - self.t_start)
             records.append(rec)
             if probe is not None:

@@ -177,13 +177,19 @@ def lepskii_from_history(history, rho, bound):
     """Apply the balancing selection to a finished run.
 
     K_max is the index before ``PhiBudgetDriver(bound)`` first fires on the
-    run's Phi values; returns the balancing index over x_0..x_{K_max}.
+    run's Phi values; returns the balancing index over x_0..x_{K_max}. A
+    history of more than one record whose Phi is 0 at every step (exact
+    data, or a Phi estimator that saw no pair set) is refused: the
+    balancing rule has nothing to balance there.
     """
     records = history.records
     if not records:
         raise ContractError("history holds no records")
     if any(r.phi_k is None for r in records):
         raise ContractError("history was run without a Phi estimator")
+    if len(records) > 1 and all(r.phi_k == 0.0 for r in records):
+        raise ContractError("Phi is 0 at every step, so the balancing rule "
+                            "has nothing to balance")
     over = PhiBudgetDriver(bound)
     k_max = next((k for k, r in enumerate(records)
                   if over(k, r.residual_norm, r.phi_k)), len(records)) - 1

@@ -14,8 +14,12 @@ cache, but each half does. CG, Newton-CG and Landweber alternate apply and
 adjoint, so every call starts on the half the previous call just read. The
 apply writes both halves into one fresh array and forms each entry from the
 same row as ``matrix @ x``; the adjoint sums the two halves separately,
-which moves its result by round-off. Every model call returns a fresh
-array, which callers may keep or overwrite.
+which moves its result by round-off.
+
+The convolution problem transforms into a spectrum buffer that its
+closure owns and multiplies the symbol into it in place, so calls into one
+convolution model must not overlap, as they never do on one thread. Every
+model call returns a fresh array, which callers may keep or overwrite.
 """
 
 from __future__ import annotations
@@ -186,9 +190,13 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     symbol = np.fft.rfft(kernel).real
     symbol = np.maximum(symbol, _SIGMA_FLOOR * symbol.max())
     kernel_eff = np.fft.irfft(symbol, n)
+    spectrum = np.empty(symbol.shape[0], dtype=complex)
 
     def apply(x):
-        return np.fft.irfft(np.fft.rfft(x) * symbol, n)
+        # spectrum is scratch; irfft returns a fresh array
+        np.fft.rfft(x, out=spectrum)
+        np.multiply(spectrum, symbol, out=spectrum)
+        return np.fft.irfft(spectrum, n)
 
     jitter = rng.uniform(-0.03, 0.03, size=2)
     truth = two_bump_profile(n, centers=(0.30 + jitter[0], 0.72 + jitter[1]))

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from iterreg.krylov import (CgBreakdownError, CgConfig, CgTrace,
-                            HouseholderBasis)
-from iterreg.operators import ForwardModel, TikhonovSystem
+                            HouseholderBasis, tridiagonal_from_trace)
+from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
 
 
 def linear_model(a, name="dense-linear"):
@@ -308,3 +308,64 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
         rho_c = rho_new
         iterations += 1
     return h, iterations, False
+
+
+# Reference implementations of the per-call bookkeeping as it stood before
+# it was trimmed: the per-entry finiteness test of as_vector, preconditioner
+# weights formed on every apply, the stacked apply through np.concatenate,
+# every Ritz vector formed eagerly, and the convolution spectrum in a fresh
+# array. The package must match them bit for bit.
+
+
+def as_vector_reference(x, dim=None, name="vector"):
+    """``operators.as_vector`` with the per-entry ``isfinite`` test only."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ContractError(f"{name} must be 1-D, got shape {v.shape}")
+    if dim is not None and v.shape[0] != dim:
+        raise ContractError(f"{name} has length {v.shape[0]}, expected {dim}")
+    if not np.logical_and.reduce(np.isfinite(v)):
+        raise ContractError(f"{name} contains non-finite entries")
+    return v
+
+
+def shifted_apply_reference(precond, x, inv_sqrt=False):
+    """M^{-1} x (or M^{-1/2} x) with the weights formed on this call."""
+    gamma, lam, u = precond.gamma, precond.lambdas, precond.vectors
+    if inv_sqrt:
+        g = np.sqrt(gamma)
+        base, weights = 1.0 / g, 1.0 / np.sqrt(lam + gamma) - 1.0 / g
+    else:
+        base, weights = 1.0 / gamma, 1.0 / (lam + gamma) - 1.0 / gamma
+    x = as_vector_reference(x, precond.dim, "input")
+    if lam.shape[0] == 0:
+        return base * x
+    coeff = u.T @ x
+    return base * x + u @ (weights * coeff)
+
+
+def stacked_apply_reference(sys, v):
+    """G v = (A v; sqrt(gamma) v) joined by np.concatenate."""
+    return np.concatenate([sys.jac.apply(v), np.sqrt(sys.gamma) * v])
+
+
+def ritz_vectors_reference(trace):
+    """Every Ritz vector Z w_i of ``trace``, by descending theta, formed at
+    once as ``krylov.ritz_from_trace`` formed them."""
+    diag, offdiag = tridiagonal_from_trace(trace)
+    _, vecs = np.linalg.eigh(
+        np.diag(diag) + np.diag(offdiag, -1) + np.diag(offdiag, 1))
+    z = np.column_stack(trace.z_basis)
+    return [z @ vecs[:, i] for i in range(trace.iterations - 1, -1, -1)]
+
+
+def convolution_apply_reference(n, kernel_width, x):
+    """The periodic Gaussian convolution of ``testbed`` with its spectrum in
+    a fresh array: the symbol built as make_convolution_problem builds it."""
+    idx = np.arange(n)
+    dist = np.minimum(idx, n - idx) / n
+    kernel = np.exp(-0.5 * (dist / kernel_width) ** 2)
+    kernel /= kernel.sum()
+    symbol = np.fft.rfft(kernel).real
+    symbol = np.maximum(symbol, 1e-14 * symbol.max())
+    return np.fft.irfft(np.fft.rfft(x) * symbol, n)

@@ -632,6 +632,39 @@ def test_lepskii_without_phi_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["solve", "check", "stopping-study"])
+@pytest.mark.parametrize("noise", ["level = 0", "sigma = 0",
+                                   "level = 0.5\nsigma = 0"],
+                         ids=["level", "sigma", "sigma-over-level"])
+def test_lepskii_on_exact_data_exits_2(tmp_path, monkeypatch, capsys, verb,
+                                       noise):
+    # Exact data make every Phi 0, so the balancing rule is refused before
+    # the build, naming the key that set the noise (sigma overrides level).
+    # The study resolves lepskii whatever the configured rule.
+    calls = _counting_builds(monkeypatch)
+    rule = "discrepancy" if verb == "stopping-study" else "lepskii"
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 8\nn = 12\n[solver]\nmax_newton = 4\n"
+                   f"[noise]\nsamples = 2\n{noise}\n"
+                   f"[stopping]\nrule = {rule}\nr_bound = 5\n")
+    code = main([verb, "--config", str(ini), "--out", str(tmp_path / "out")])
+    key = "sigma" if "sigma" in noise else "level"
+    assert (code, capsys.readouterr().err) == (
+        2, f"config error: [noise] {key}: exact data make Phi 0 at every "
+        "step, so the balancing rule (lepskii) has nothing to balance\n")
+    assert not calls
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["solve", "check"])
+def test_exact_data_without_lepskii_runs(tmp_path, verb):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 8\nn = 12\n[solver]\nmax_newton = 4\n"
+                   "[noise]\nlevel = 0\n[stopping]\nrule = oracle-optimal\n")
+    assert main([verb, "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("problem, key", [
     ("kind = nonlinear-diagonal\nm = 400\nn = 800", "m"),
     ("kind = convolution\nn = 400", "n"),
@@ -769,6 +802,21 @@ def test_csv_schema_document_ships():
     for header in ("run.csv", "work_precision.csv", "stopping_samples.csv",
                    "stopping_summary.csv", "cumulative_cost"):
         assert header in text
+
+
+def test_rewritten_outputs_hold_exactly_the_new_bytes(tmp_path):
+    # The writers overwrite an existing file in place: a shorter rewrite
+    # must leave no tail of the longer one, and the bytes must be those of
+    # a first write (text built in memory, written once).
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    cli._write_json(old, {"rows": list(range(200))})
+    for path in (old, new):
+        cli._write_json(path, {"b": 1.5, "a": [None, 2]})
+    assert old.read_bytes() == new.read_bytes() \
+        == b'{\n  "a": [\n    null,\n    2\n  ],\n  "b": 1.5\n}\n'
+    cli._write_csv(old, ("k", "x"), [[k, repr(0.1 * k)] for k in range(200)])
+    cli._write_csv(old, ("k", "x"), [[0, "1,5"], [1, ""]])
+    assert old.read_bytes() == b'k,x\n0,"1,5"\n1,\n'
 
 
 def test_readme_config_reference_matches_schema():

@@ -26,8 +26,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (householder_loop, linear_model, pcg_solve_reference,
-                     phi_sampled_loop, truncated_cgne_reference)
+from helpers import (as_vector_reference, householder_loop, linear_model,
+                     pcg_solve_reference, phi_sampled_loop,
+                     ritz_vectors_reference, shifted_apply_reference,
+                     stacked_apply_reference, truncated_cgne_reference)
 from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
                             ritz_from_trace, select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
@@ -590,10 +592,17 @@ _SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)
 
 @PROPERTY
 @given(st.lists(st.floats(-1e3, 1e3), max_size=40),
-       st.lists(st.tuples(st.integers(0, 39), st.sampled_from(_SPECIALS)),
+       st.lists(st.tuples(st.integers(0, 39),
+                          st.one_of(st.sampled_from(_SPECIALS),
+                                    st.floats(1e154, 1e155),
+                                    st.floats(-1e155, -1e154))),
                 max_size=6),
        st.booleans())
+@example(values=[1.0, -2.0], injected=[(1, 1e155)], as_list=False)
 def test_as_vector_rejects_exactly_the_non_finite(values, injected, as_list):
+    # Entries from 1e154 up square past the float range: finite input whose
+    # sum of squares overflows takes the per-entry fallback and is accepted,
+    # as by the per-entry test alone (tests/helpers.py).
     v = np.array(values, dtype=float)
     for i, special in injected:
         if i < v.shape[0]:
@@ -602,7 +611,76 @@ def test_as_vector_rejects_exactly_the_non_finite(values, injected, as_list):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if np.all(np.isfinite(v)):
-            np.testing.assert_array_equal(as_vector(arg, v.shape[0]), v)
+            out = as_vector(arg, v.shape[0])
+            np.testing.assert_array_equal(out, v)
+            assert _bits(out) == _bits(as_vector_reference(arg, v.shape[0]))
         else:
             with pytest.raises(ContractError, match="non-finite"):
                 as_vector(arg, v.shape[0])
+            with pytest.raises(ContractError, match="non-finite"):
+                as_vector_reference(arg, v.shape[0])
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 40), st.floats(1e-3, 1e3),
+       st.floats(1e-3, 1e3), st.floats(0.0, 16.0), st.integers(0, 2**32 - 1))
+def test_with_gamma_clone_applies_like_a_validated_preconditioner(
+        dim, count, gamma, new_gamma, spread, seed):
+    # with_gamma shares the validated pair arrays, skips the checks and
+    # forms its own weights on its first apply. Its applies, first and
+    # repeated, equal bit for bit those of a freshly validated
+    # preconditioner and of weights formed on every call (tests/helpers.py),
+    # also after the original has cached the weights of its own shift.
+    # Eigenvalues spread over up to 16 decades, so the floor drops some.
+    rng = np.random.default_rng(seed)
+    count = min(count, dim)
+    lambdas = 10.0 ** rng.uniform(-spread, 0.0, count)
+    original = SpectralPreconditioner(gamma, lambdas,
+                                      _orthonormal(rng, dim, count))
+    x = rng.standard_normal(dim)
+    original.apply_inverse(x)
+    original.apply_inv_sqrt(x)
+    clone = original.with_gamma(new_gamma)
+    fresh = SpectralPreconditioner(new_gamma, original.lambdas,
+                                   original.vectors)
+    assert clone.vectors is original.vectors
+    assert clone.lambdas is original.lambdas
+    for inv_sqrt in (False, True):
+        name = "apply_inv_sqrt" if inv_sqrt else "apply_inverse"
+        for v in (x, rng.standard_normal(dim)):
+            ref = _bits(shifted_apply_reference(fresh, v, inv_sqrt))
+            assert _bits(getattr(clone, name)(v)) == ref
+            assert _bits(getattr(fresh, name)(v)) == ref
+    with pytest.raises(ContractError):
+        original.with_gamma(0.0)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(1e-3, 10.0), st.integers(1, 40), st.floats(1e-3, 10.0),
+       st.floats(1e-12, 1.0), st.integers(0, 2**32 - 1))
+def test_kept_ritz_vectors_equal_the_eager_products(m, extra, decay, gamma,
+                                                   steps, separation, tol,
+                                                   seed):
+    # ritz_from_trace returns every candidate and forms a vector only when
+    # it is read. The pairs select_ritz keeps, read first, and then all the
+    # others carry Z @ w_i bit for bit as forming every vector at once did
+    # (tests/helpers.py). The stacked apply matches np.concatenate too.
+    problem = make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                                    seed=seed % 2**16)
+    rng = np.random.default_rng(seed)
+    sys = TikhonovSystem(problem.model.linearize(np.zeros(m)), gamma,
+                         rng.standard_normal(m + extra), np.zeros(m))
+    v = rng.standard_normal(m)
+    assert _bits(sys.apply(v)) == _bits(stacked_apply_reference(sys, v))
+    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13,
+                                           max_iterations=min(steps, m)))
+    pairs = ritz_from_trace(trace)
+    eager = ritz_vectors_reference(trace)
+    assert len(pairs) == len(eager) == trace.iterations
+    kept = select_ritz(pairs, separation, tol)
+    for pair in kept:
+        i = next(j for j, p in enumerate(pairs) if p is pair)
+        assert _bits(pair.vector) == _bits(eager[i])
+    for pair, vector in zip(pairs, eager):
+        assert _bits(pair.vector) == _bits(vector)

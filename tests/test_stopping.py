@@ -6,12 +6,13 @@ import pytest
 from helpers import linear_model
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
-from iterreg.solvers import RunHistory, RunRecord, irgnm_run
+from iterreg.solvers import NewtonConfig, RunHistory, RunRecord, irgnm_run
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
                               PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                               discrepancy_stop, lepskii_from_history,
                               lepskii_select)
-from iterreg.testbed import DenseOracle, generate_noise
+from iterreg.testbed import (DenseOracle, generate_noise,
+                             make_diagonal_problem, noise_sigma_for_level)
 
 
 def test_discrepancy_first_crossing():
@@ -287,6 +288,41 @@ def test_lepskii_from_history_truncates_at_budget():
     for bound in (0.001, 0.0, -1.0):
         with pytest.raises(ContractError):
             lepskii_from_history(history, rho=4.1, bound=bound)
+
+
+@pytest.mark.parametrize("use_preconditioner, phi, level", [
+    (False, "white", 0.02), (False, "sampled", 0.02),
+    (True, "white", 0.0), (True, "deterministic", 0.0)],
+    ids=["plain-white", "plain-sampled", "exact-white", "exact-deterministic"])
+def test_lepskii_from_history_refuses_phi_zero_at_every_step(
+        use_preconditioner, phi, level):
+    # irgnm-plain builds no pair set, so white and sampled Phi read 0 at
+    # every step; exact data (sigma = delta = 0) zero every estimator.
+    problem = make_diagonal_problem(m=20, n=30, seed=1)
+    y_exact = problem.model.evaluate(problem.truth)
+    sigma = noise_sigma_for_level(y_exact, level)
+    y = y_exact + generate_noise(sigma, 30, seed=7)[0]
+    estimator = {"white": WhiteNoisePhi(sigma),
+                 "sampled": SampledPhi(generate_noise(sigma, 30, count=5)),
+                 "deterministic": DeterministicPhi(sigma * np.sqrt(30))}[phi]
+    history = irgnm_run(problem.model, y, np.zeros(20),
+                        NewtonConfig(max_newton=12,
+                                     use_preconditioner=use_preconditioner),
+                        phi_estimator=estimator)
+    assert len(history.records) > 1
+    assert {r.phi_k for r in history.records} == {0.0}
+    with pytest.raises(ContractError, match="nothing to balance"):
+        lepskii_from_history(history, rho=4.1, bound=5.0)
+
+
+def test_lepskii_from_history_one_record_with_phi_zero():
+    # A run that ended at k = 0 (a breakdown there) has one record; its
+    # balancing index is 0 whatever its Phi.
+    assert lepskii_from_history(_history_from([[1.0]], [0.0]),
+                                rho=4.1, bound=1.0) == 0
+    with pytest.raises(ContractError, match="nothing to balance"):
+        lepskii_from_history(_history_from([[1.0], [2.0]], [0.0, 0.0]),
+                             rho=4.1, bound=1.0)
 
 
 def test_lepskii_from_history_requires_phi():

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from helpers import convolution_apply_reference
 from iterreg.operators import ContractError, adjoint_mismatch
 from iterreg.testbed import (DENSE_ORACLE_MAX_DIM, DenseOracle, OracleRefusal,
                              cosine_basis, generate_noise,
@@ -135,6 +136,26 @@ def test_convolution_double_eigenvalues():
     # frequencies 1..n/2-1 give pairs: entries 1,2 then 3,4 etc. coincide
     for j in range(1, 8, 2):
         assert w[j] == pytest.approx(w[j + 1], rel=1e-12)
+
+
+@pytest.mark.parametrize("n, kernel_width", [(8, 0.05), (33, 0.2),
+                                             (2048, 0.05)])
+def test_convolution_apply_matches_fresh_spectrum_reference(n, kernel_width):
+    # The apply transforms into a buffer its closure owns; each call still
+    # returns a fresh array, bit for bit the fresh-spectrum result
+    # (tests/helpers.py), and a later call leaves it untouched.
+    apply, adjoint = make_convolution_problem(n=n,
+                                              kernel_width=kernel_width).operator
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    first = apply(x)
+    kept = first.copy()
+    second = adjoint(y)
+    assert first is not second
+    assert first.tobytes() == kept.tobytes() \
+        == convolution_apply_reference(n, kernel_width, x).tobytes()
+    assert second.tobytes() \
+        == convolution_apply_reference(n, kernel_width, y).tobytes()
 
 
 def test_convolution_self_adjoint():
