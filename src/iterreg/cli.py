@@ -10,10 +10,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
 
 from __future__ import annotations
 
+import argparse
 import configparser
 import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -363,29 +365,19 @@ def _fmt(value):
     return "" if value is None else repr(float(value))
 
 
-def _write_text(path, text):
-    """Write ``text`` to ``path`` in one call, creating the file or
-    overwriting it in place and cutting it to the new length. The bytes are
-    those of opening with truncation, but a rerun into the same directory
-    avoids truncating a non-empty file to zero, after which ext4 (under its
-    default auto_da_alloc) writes the new data out at close."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="") as fh:
-        fh.write(text)
-        fh.truncate()
-
-
 def _write_csv(path, header, rows):
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, text.getvalue())
+    with open(path, "w", newline="") as fh:
+        fh.write(text.getvalue())
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                 default=float) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def write_run_csv(path, history):
@@ -620,8 +612,6 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
                    / max(np.linalg.norm(h_exact), 1e-300))
     report["cg_contract"] = {"value": cg_rel, "ok": cg_rel <= 0.5 + 1e-12}
 
-    import hashlib  # here, not at module level: only check needs it
-
     digests = []
     for _ in range(2):
         sub = copy.deepcopy(cfg)
@@ -651,8 +641,6 @@ def _report_breakdowns(histories):
 
 
 def main(argv=None):
-    import argparse  # here, not at module level: only main needs it
-
     parser = argparse.ArgumentParser(
         prog="iterreg",
         description="Matrix-free iterative regularization benchmarks")

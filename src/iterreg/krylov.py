@@ -21,8 +21,9 @@ np.linalg.norm does, since a strided ddot rounds differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -186,25 +187,22 @@ def tridiagonal_from_trace(trace: CgTrace):
     return diag, offdiag
 
 
+@dataclass
 class RitzPair:
     """Approximate eigenpair of the (preconditioned) normal operator.
 
     ``residual_bound`` is the exact value of ||G^T G (Z w) - theta (Z w)||
     when the basis is Euclidean-orthonormal (identity preconditioner).
-    ``vector`` is given either as an array or as a function of no arguments
-    that returns it; the function runs on the first read of ``vector``.
+    ``vector`` is ``form_vector()``, called on the first read and kept.
     """
 
-    def __init__(self, theta, vector, residual_bound):
-        self.theta = theta
-        self._vector = vector
-        self.residual_bound = residual_bound
+    theta: float
+    form_vector: Callable[[], np.ndarray] = field(repr=False)
+    residual_bound: float
 
-    @property
+    @cached_property
     def vector(self):
-        if callable(self._vector):
-            self._vector = self._vector()
-        return self._vector
+        return self.form_vector()
 
 
 def ritz_from_trace(trace: CgTrace):
@@ -212,11 +210,10 @@ def ritz_from_trace(trace: CgTrace):
 
     Returns every pair, sorted by descending theta. Requires the trace to
     carry the z basis; raises a diagnostic error when T_l fails to be
-    positive definite, which signals lost orthogonality. A Ritz vector
-    Z w_i is formed on the first read of its pair's ``vector``, so the
+    positive definite, which signals lost orthogonality. A pair's Ritz
+    vector ``Z @ w_i`` is formed on the first read of its ``vector``, so the
     pairs a selection drops cost no product with Z, and Z itself is
-    assembled only once a vector is read; the product is the same
-    ``Z @ w_i`` either way.
+    assembled only once some vector is read.
     """
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")

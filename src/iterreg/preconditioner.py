@@ -24,12 +24,6 @@ MERGE_DROP_TOL = 2e-5
 _RELATIVE_LAMBDA_FLOOR = 1e-14
 
 
-def _checked_gamma(gamma):
-    if not (gamma > 0 and np.isfinite(gamma)):
-        raise ContractError(f"gamma must be positive and finite, got {gamma}")
-    return float(gamma)
-
-
 class SpectralPreconditioner:
     """Immutable low-rank spectral shift M = gamma I + sum lambda_j u_j u_j^T.
 
@@ -54,10 +48,12 @@ class SpectralPreconditioner:
     """
 
     def __init__(self, gamma, lambdas, vectors, left_vectors=None, validate=True):
-        self.gamma = _checked_gamma(gamma)
+        if not (gamma > 0 and np.isfinite(gamma)):
+            raise ContractError(f"gamma must be positive and finite, got {gamma}")
+        self.gamma = float(gamma)
 
         lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-        # asarray shares the given pair arrays instead of copying them
+        # asarray keeps with_gamma alias-sharing the pair arrays
         u = np.asarray(vectors, dtype=float)
         w = None if left_vectors is None else np.asarray(left_vectors, dtype=float)
         if u.ndim != 2 or u.shape[1] != lam.shape[0]:
@@ -105,17 +101,9 @@ class SpectralPreconditioner:
         return int(self.lambdas.shape[0])
 
     def with_gamma(self, gamma):
-        """Same pair set under a different shift (the per-step gamma_k).
-
-        The clone shares this one's arrays, which passed its checks and its
-        floor, so only gamma is checked again.
-        """
-        clone = object.__new__(SpectralPreconditioner)
-        clone.gamma = _checked_gamma(gamma)
-        clone.lambdas = self.lambdas
-        clone.vectors = self.vectors
-        clone.left_vectors = self.left_vectors
-        return clone
+        """Same pair set under a different shift (the per-step gamma_k)."""
+        return SpectralPreconditioner(gamma, self.lambdas, self.vectors,
+                                      self.left_vectors, validate=False)
 
     @cached_property
     def _inverse_weights(self):

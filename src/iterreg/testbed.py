@@ -16,10 +16,9 @@ apply writes both halves into one fresh array and forms each entry from the
 same row as ``matrix @ x``; the adjoint sums the two halves separately,
 which moves its result by round-off.
 
-The convolution problem transforms into a spectrum buffer that its
-closure owns and multiplies the symbol into it in place, so calls into one
-convolution model must not overlap, as they never do on one thread. Every
-model call returns a fresh array, which callers may keep or overwrite.
+The convolution problem multiplies the symbol in place into the fresh
+spectrum that ``rfft`` returns. Every model call returns a fresh array,
+which callers may keep or overwrite.
 """
 
 from __future__ import annotations
@@ -190,12 +189,10 @@ def make_convolution_problem(n=64, kernel_width=0.05, seed=0):
     symbol = np.fft.rfft(kernel).real
     symbol = np.maximum(symbol, _SIGMA_FLOOR * symbol.max())
     kernel_eff = np.fft.irfft(symbol, n)
-    spectrum = np.empty(symbol.shape[0], dtype=complex)
 
     def apply(x):
-        # spectrum is scratch; irfft returns a fresh array
-        np.fft.rfft(x, out=spectrum)
-        np.multiply(spectrum, symbol, out=spectrum)
+        spectrum = np.fft.rfft(x)
+        spectrum *= symbol
         return np.fft.irfft(spectrum, n)
 
     jitter = rng.uniform(-0.03, 0.03, size=2)

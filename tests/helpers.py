@@ -6,8 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from iterreg.krylov import (CgBreakdownError, CgConfig, CgTrace,
-                            HouseholderBasis, tridiagonal_from_trace)
+                            HouseholderBasis, RitzPair,
+                            tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
+
+
+def ritz_pair(theta, vector, residual_bound):
+    """A RitzPair holding a given vector."""
+    return RitzPair(theta, lambda: vector, residual_bound)
 
 
 def linear_model(a, name="dense-linear"):
@@ -313,8 +319,8 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
 # Reference implementations of the per-call bookkeeping as it stood before
 # it was trimmed: the per-entry finiteness test of as_vector, preconditioner
 # weights formed on every apply, the stacked apply through np.concatenate,
-# every Ritz vector formed eagerly, and the convolution spectrum in a fresh
-# array. The package must match them bit for bit.
+# every Ritz vector formed eagerly, and the convolution symbol multiplied
+# out of place. The package must match them bit for bit.
 
 
 def as_vector_reference(x, dim=None, name="vector"):
@@ -360,8 +366,8 @@ def ritz_vectors_reference(trace):
 
 
 def convolution_apply_reference(n, kernel_width, x):
-    """The periodic Gaussian convolution of ``testbed`` with its spectrum in
-    a fresh array: the symbol built as make_convolution_problem builds it."""
+    """The periodic Gaussian convolution of ``testbed`` with the symbol
+    multiplied out of place, built as make_convolution_problem builds it."""
     idx = np.arange(n)
     dist = np.minimum(idx, n - idx) / n
     kernel = np.exp(-0.5 * (dist / kernel_width) ** 2)

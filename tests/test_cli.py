@@ -805,9 +805,9 @@ def test_csv_schema_document_ships():
 
 
 def test_rewritten_outputs_hold_exactly_the_new_bytes(tmp_path):
-    # The writers overwrite an existing file in place: a shorter rewrite
-    # must leave no tail of the longer one, and the bytes must be those of
-    # a first write (text built in memory, written once).
+    # The writers build the text in memory and write it once: a shorter
+    # rewrite leaves no tail of the longer one, and the bytes are those of
+    # a first write.
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     cli._write_json(old, {"rows": list(range(200))})
     for path in (old, new):

@@ -244,18 +244,3 @@ def test_cli_import_and_solve_load_no_scipy(tmp_path):
     assert status == 0
     assert after_import == []
     assert after_solve == []
-
-
-def test_cli_import_loads_no_argparse_or_hashlib():
-    # Only main parses arguments and only check hashes, so importing the
-    # CLI, as every process that solves does, loads neither module.
-    code = ("import json, sys\n"
-            "import iterreg.cli\n"
-            "print(json.dumps(sorted({'argparse', 'hashlib'}\n"
-            "                        & set(sys.modules))))\n")
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, check=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-                 OPENBLAS_NUM_THREADS="1"))
-    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import dense_tikhonov_solution, tikhonov_system
-from iterreg.krylov import (CgBreakdownError, CgConfig, RitzPair,
-                            pcg_solve, reorthogonalize_indexed,
-                            ritz_from_trace, select_ritz,
-                            tridiagonal_from_trace)
+from helpers import dense_tikhonov_solution, ritz_pair, tikhonov_system
+from iterreg.krylov import (CgBreakdownError, CgConfig, pcg_solve,
+                            reorthogonalize_indexed, ritz_from_trace,
+                            select_ritz, tridiagonal_from_trace)
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 
@@ -167,17 +166,17 @@ def test_ritz_pairs_sorted_and_inside_spectrum():
 
 
 def test_select_ritz_separation_threshold():
-    pairs = [RitzPair(5.0, np.array([1.0]), 0.0),
-             RitzPair(1.05, np.array([1.0]), 0.0),
-             RitzPair(1.0, np.array([1.0]), 0.0)]
+    pairs = [ritz_pair(5.0, np.array([1.0]), 0.0),
+             ritz_pair(1.05, np.array([1.0]), 0.0),
+             ritz_pair(1.0, np.array([1.0]), 0.0)]
     kept = select_ritz(pairs, separation_threshold=1.1, residual_tolerance=1.0)
     assert [p.theta for p in kept] == [5.0]
 
 
 def test_select_ritz_residual_tolerance():
     # theta = 2 with bound 0.5 fails the relative test 0.5 <= 0.1 * 2.
-    loose = RitzPair(2.0, np.array([1.0]), 0.5)
-    tight = RitzPair(2.0, np.array([1.0]), 0.05)
+    loose = ritz_pair(2.0, np.array([1.0]), 0.5)
+    tight = ritz_pair(2.0, np.array([1.0]), 0.05)
     assert select_ritz([loose], 1.1, 0.1) == []
     assert select_ritz([tight], 1.1, 0.1) == [tight]
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import (linear_model, nan_on_call, nan_on_evaluation,
-                     truncated_cgne_reference)
+                     ritz_pair, truncated_cgne_reference)
 from iterreg import solvers
-from iterreg.krylov import CgConfig, RitzPair, pcg_solve, ritz_from_trace
+from iterreg.krylov import CgConfig, pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
                                TikhonovSystem)
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
@@ -187,7 +187,7 @@ def test_harvest_back_map(monkeypatch):
     e = np.eye(3)
     thetas = (0.5, 1.0, 1.5, 3.0)
     monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [
-        RitzPair(theta, e[:, i % 3], 0.0) for i, theta in enumerate(thetas)])
+        ritz_pair(theta, e[:, i % 3], 0.0) for i, theta in enumerate(thetas)])
     trace = type("Trace", (), {"iterations": 4})()
     pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3), 0.2)
     assert [value for value, _ in pairs] == [0.2 * 0.5, 0.2 * 2.0]

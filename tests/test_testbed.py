@@ -141,8 +141,8 @@ def test_convolution_double_eigenvalues():
 @pytest.mark.parametrize("n, kernel_width", [(8, 0.05), (33, 0.2),
                                              (2048, 0.05)])
 def test_convolution_apply_matches_fresh_spectrum_reference(n, kernel_width):
-    # The apply transforms into a buffer its closure owns; each call still
-    # returns a fresh array, bit for bit the fresh-spectrum result
+    # The apply multiplies the symbol into rfft's result in place; each call
+    # returns a fresh array, bit for bit the out-of-place product
     # (tests/helpers.py), and a later call leaves it untouched.
     apply, adjoint = make_convolution_problem(n=n,
                                               kernel_width=kernel_width).operator
