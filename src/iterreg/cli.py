@@ -125,12 +125,7 @@ def _parse_value(section, key, kind, raw, choices=None):
         if kind == "float?":
             return None if raw.lower() in ("", "auto", "none") else float(raw)
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "choice":
             if raw not in choices:
                 raise ConfigError(
@@ -140,7 +135,7 @@ def _parse_value(section, key, kind, raw, choices=None):
         return raw
     except ConfigError:
         raise
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
 
@@ -231,10 +226,13 @@ class ExperimentConfig:
                     f"[stopping] phi: {phi} Phi is 0 at every step of "
                     "irgnm-plain, so the balancing rule (lepskii) needs "
                     "phi = deterministic there")
-        # max_newton and max_inner cap Newton-CG too, so the Newton fields
-        # are checked whatever the method.
+        # irgnm-* read every NewtonConfig field, Newton-CG only the caps.
         try:
-            _newton_config(self, "irgnm-prec")
+            if any(m.startswith("irgnm") for m in methods):
+                _newton_config(self, "irgnm-prec")
+            elif "newton-cg" in methods:
+                NewtonConfig(max_newton=self.solver["max_newton"],
+                             max_inner=self.solver["max_inner"])
         except ContractError as exc:
             raise ConfigError(f"[solver] {exc}") from None
         ncg, lw = "newton-cg" in methods, "landweber" in methods

@@ -92,23 +92,16 @@ class HouseholderBasis:
     nearly dependent input. The chain H_1 ... H_k is held in compact WY form
     I - V T V^T (Schreiber & Van Loan 1989): the unit reflectors are the rows
     of V and T is upper triangular, so applying the chain takes a few
-    matrix-vector products instead of a loop over reflectors. V and T are
-    preallocated and their capacity doubles as the basis grows.
+    matrix-vector products instead of a loop over reflectors. V and T hold
+    ``min(dim, capacity)`` rows, allocated unfilled; ``add`` fills each row.
     """
 
-    def __init__(self, dim):
+    def __init__(self, dim, capacity):
         self.dim = int(dim)
         self.count = 0
-        cap = min(self.dim, 16)
-        self._v = np.zeros((cap, self.dim))
-        self._t = np.zeros((cap, cap))
-
-    def _grow(self):
-        cap = min(self.dim, 2 * self._v.shape[0])
-        v, t = np.zeros((cap, self.dim)), np.zeros((cap, cap))
-        k = self.count
-        v[:k], t[:k, :k] = self._v[:k], self._t[:k, :k]
-        self._v, self._t = v, t
+        cap = min(self.dim, capacity)
+        self._v = np.empty((cap, self.dim))
+        self._t = np.empty((cap, cap))
 
     def add(self, x, drop_tol=1e-12):
         """Extend the basis with the normalized complement of ``x``.
@@ -134,9 +127,10 @@ class HouseholderBasis:
         alpha = -math.copysign(pnorm, w[0])
         w[0] -= alpha
         w /= math.sqrt(w.dot(w))
-        if k == self._v.shape[0]:
-            self._grow()
+        # the products read whole rows, so the zeros below the diagonal too
+        self._v[k, :k] = 0.0
         self._v[k, k:] = w
+        self._t[k, :k] = 0.0
         self._t[:k, k] = -2.0 * (self._t[:k, :k] @ (self._v[:k, k:] @ w))
         self._t[k, k] = 2.0
         self.count = k + 1
@@ -164,7 +158,7 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     vectors = [as_vector(v, dim, "basis vector") for v in vectors]
     if all(np.linalg.norm(v) == 0.0 for v in vectors):
         raise ContractError("cannot orthonormalize an all-zero vector set")
-    basis = HouseholderBasis(dim)
+    basis = HouseholderBasis(dim, len(vectors))
     kept, indices = [], []
     for i, v in enumerate(vectors):
         q, _ = basis.add(v, drop_tol=drop_tol)
@@ -292,8 +286,9 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
 
     alphas, betas_all = [], []
     residual_norms = []
-    basis = HouseholderBasis(m_dim) if precond is None else None
-    z_basis = [] if precond is None else None
+    basis = z_basis = None
+    if precond is None:  # a vector for r^0 and one per iteration
+        basis, z_basis = HouseholderBasis(m_dim, cfg.max_iterations + 1), []
 
     def precondition(r):
         """Return (z, <r, z>, ||r||); without a preconditioner r is first

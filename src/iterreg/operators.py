@@ -114,9 +114,11 @@ class ForwardModel:
     domain_dim, range_dim : int
         Dimensions M and N.
     evaluate_fn : callable
-        x -> F(x).
+        x -> F(x). It must not write to x: the outer loops hand it the
+        iterate they record, without a copy.
     linearize_fn : callable
-        x -> (apply_fn, adjoint_fn) for the Jacobian at x. The returned
+        x -> (apply_fn, adjoint_fn) for the Jacobian at x; like
+        evaluate_fn, it must not write to x. The returned
         pair must implement the exact adjoint; there is no automatic
         differentiation here. The CG loops overwrite the vectors they pass
         to apply_fn and adjoint_fn once the call has returned, so a

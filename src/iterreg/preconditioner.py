@@ -184,10 +184,6 @@ class TwoSidedSystem:
     def domain_dim(self):
         return self.sys.domain_dim
 
-    @property
-    def range_dim(self):
-        return self.sys.range_dim
-
     def apply(self, v):
         return self.sys.apply(self.precond.apply_inv_sqrt(v))
 
@@ -202,8 +198,8 @@ class TwoSidedSystem:
         return self.precond.apply_inv_sqrt(h_transformed)
 
 
-def merge_pairs(existing: SpectralPreconditioner, new_pairs, new_gamma):
-    """Union of the existing pair set with newly harvested pairs.
+def merge_pairs(existing: SpectralPreconditioner, new_pairs):
+    """Union of the existing pair set and newly harvested pairs, at its shift.
 
     Every harvested pair set is built here; a fresh one merges into
     ``SpectralPreconditioner.empty``. The vectors are reorthogonalized
@@ -219,14 +215,14 @@ def merge_pairs(existing: SpectralPreconditioner, new_pairs, new_gamma):
         lambdas.append(float(lam))
         new_vectors.append(as_vector(u, existing.dim, "merged eigenvector"))
     if not lambdas:
-        return SpectralPreconditioner.empty(new_gamma, existing.dim)
+        return SpectralPreconditioner.empty(existing.gamma, existing.dim)
     kept, indices = reorthogonalize_indexed(
         [*existing.vectors.T, *new_vectors], drop_tol=MERGE_DROP_TOL)
     left = existing.left_vectors
     if left is not None:
         left = left[:, [i for i in indices if i < left.shape[1]]]
-    return SpectralPreconditioner(new_gamma, np.array(lambdas)[indices], kept,
-                                  left, validate=False)
+    return SpectralPreconditioner(existing.gamma, np.array(lambdas)[indices],
+                                  kept, left, validate=False)
 
 
 @dataclass

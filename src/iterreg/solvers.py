@@ -94,9 +94,11 @@ class NewtonConfig:
 class RunRecord:
     """Per-Newton-step ledger row.
 
-    ``x_k`` is the iterate the step departs from; ``inner_iterations`` the CG
-    work spent leaving it (0 on the terminal row); ``event`` one of
-    Recompute/Update/Plain/Baseline, or Final for the terminal row.
+    ``x_k`` is the iterate the step departs from (not a copy);
+    ``inner_iterations`` the CG work spent leaving it (0 on the terminal
+    row); ``event`` one of Recompute/Update/Plain/Baseline, or Final for the
+    terminal row; ``m`` the last step at which irgnm relinearized (see
+    csv_schema.md), and k for Newton-CG and Landweber.
     """
 
     k: int
@@ -231,11 +233,11 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
     return h, iterations, False
 
 
-def _harvest(trace, base_precond, gamma_k):
-    """Back-map selected Ritz pairs (theta, v) of the two-sided operator to
-    eigenpairs (gamma_k (theta - 1), M^{-1/2} v normalized) of A_m^T A_m.
-    Values theta <= 1 belong to the cluster of captured directions and carry
-    no spectral information; they are dropped."""
+def _harvest(trace, base_precond):
+    """Back-map selected Ritz pairs (theta, v) of the two-sided operator over
+    ``base_precond`` M of shift gamma to eigenpairs (gamma (theta - 1),
+    M^{-1/2} v normalized) of A_m^T A_m. Values theta <= 1 belong to the
+    cluster of captured directions, carry no spectral information and go."""
     if trace.iterations < 1:
         return []
     pairs = ritz_from_trace(trace)
@@ -245,7 +247,7 @@ def _harvest(trace, base_precond, gamma_k):
         norm = math.sqrt(u_raw.dot(u_raw))
         if norm == 0.0 or not p.theta > 1.0:
             continue
-        out.append((gamma_k * (p.theta - 1.0), u_raw / norm))
+        out.append((base_precond.gamma * (p.theta - 1.0), u_raw / norm))
     return out
 
 
@@ -309,7 +311,7 @@ class _OuterLoop:
             # evaluated, so (cost, error) rows pair up in work-precision
             # tables.
             rec = RunRecord(
-                k=k, m=k, gamma_k=None, x_k=x.copy(), residual_norm=rn,
+                k=k, m=k, gamma_k=None, x_k=x, residual_norm=rn,
                 inner_iterations=0,
                 cumulative_cost=model.cost.total - self.cost_start,
                 phi_k=None, event=EVENT_FINAL,
@@ -367,8 +369,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     cfg = _resolve_gamma0(cfg or NewtonConfig(), model, x0)
     jac = precond = prev_plain_inner = None
     m = last_build = -1
-    meta = {"gamma0": cfg.gamma0, "gamma_factor": cfg.gamma_factor,
-            "rhs_kind": cfg.rhs_kind, "inner_unconverged": 0}
+    meta = {"gamma0": cfg.gamma0, "inner_unconverged": 0}
 
     def probe(rec):
         rec.gamma_k = schedule_gamma(cfg, rec.k)
@@ -399,8 +400,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             h_t, trace = pcg_solve(tsys, None, cfg=CgConfig(
                 epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
             h = tsys.pull_back(h_t)
-            precond = merge_pairs(base, _harvest(trace, base, gamma_k),
-                                  gamma_k)
+            precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
@@ -453,8 +453,10 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     """
     check_inner_rho(inner_rho)
     check_step_cap(max_newton)
+    if max_inner < 1:
+        raise ContractError(f"max_inner must be positive, got {max_inner}")
     outer = _OuterLoop(model, y_obs, x0, truth)
-    meta = {"inner_rho": float(inner_rho), "inner_unconverged": 0}
+    meta = {"inner_unconverged": 0}
 
     def step(rec, x, residual_vec):
         h, rec.inner_iterations, capped = _truncated_cgne(

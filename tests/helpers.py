@@ -178,9 +178,9 @@ class ReferenceHouseholderBasis(HouseholderBasis):
         w = tail.copy()
         w[0] -= alpha
         w /= np.linalg.norm(w)
-        if k == self._v.shape[0]:
-            self._grow()
+        self._v[k, :k] = 0.0
         self._v[k, k:] = w
+        self._t[k, :k] = 0.0
         self._t[:k, k] = -2.0 * (self._t[:k, :k] @ (self._v[:k, k:] @ w))
         self._t[k, k] = 2.0
         self.count = k + 1
@@ -203,7 +203,8 @@ def pcg_solve_reference(sys, precond=None, cfg=None):
 
     alphas, betas_all = [], []
     residual_norms = []
-    basis = ReferenceHouseholderBasis(m_dim) if precond is None else None
+    basis = ReferenceHouseholderBasis(m_dim, cfg.max_iterations + 1) \
+        if precond is None else None
     z_basis = [] if precond is None else None
 
     def precondition(r):

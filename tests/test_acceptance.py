@@ -220,7 +220,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys0 = TwoSidedSystem(sys0, base0)
     h0, trace0 = pcg_solve(tsys0, cfg=CgConfig(epsilon=1e-9,
                                                max_iterations=30))
-    pairs0 = _harvest(trace0, base0, gamma0)
+    pairs0 = _harvest(trace0, base0)
 
     per_group = {}
     worst_defect = 0.0
@@ -245,8 +245,8 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     tsys1 = TwoSidedSystem(sys1, p1)
     _, trace1 = pcg_solve(tsys1, cfg=CgConfig(epsilon=1e-9,
                                               max_iterations=30))
-    new_pairs = _harvest(trace1, p1, gamma1)
-    p2 = merge_pairs(p1, new_pairs, gamma1)
+    new_pairs = _harvest(trace1, p1)
+    p2 = merge_pairs(p1, new_pairs)
 
     oracle = DenseOracle(a)
     spec_before = oracle.preconditioned_gram_spectrum(p1.dense(), gamma1)

@@ -87,6 +87,20 @@ def test_bad_number_rejected():
         ExperimentConfig.from_text("[solver]\nmax_newton = many\n")
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("yes", True), ("True", True), ("ON", True),
+    ("0", False), ("no", False), ("false", False), ("Off", False)])
+def test_bool_words_parse_as_configparser_reads_them(word, value):
+    cfg = ExperimentConfig.from_text(f"[solver]\nenable_updates = {word}\n")
+    assert cfg.solver["enable_updates"] is value
+
+
+def test_bad_bool_rejected():
+    with pytest.raises(ConfigError, match=re.escape(
+            "[solver] enable_updates: cannot parse 'maybe' as bool")):
+        ExperimentConfig.from_text("[solver]\nenable_updates = maybe\n")
+
+
 def test_lepskii_requires_error_budget():
     cfg = ExperimentConfig.from_text("[stopping]\nrule = lepskii\n")
     with pytest.raises(ConfigError, match="r_bound"):
@@ -283,6 +297,7 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     ("irgnm-prec", "gamma0 = -1", "gamma0"),
     ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
+    ("newton-cg", "max_inner = 0", "max_inner"),
     ("newton-cg", "newton_cg_rho = 1.5", "newton_cg_rho"),
     ("landweber", "landweber_mu = -1", "landweber_mu"),
     ("landweber", "landweber_mu = inf", "landweber_mu"),
@@ -323,6 +338,16 @@ def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(
         f"config error: [{section}] {key}:")
     assert not (tmp_path / "out").exists()
+
+
+def test_landweber_reads_no_newton_cap(tmp_path):
+    # Landweber reads neither max_newton nor max_inner, so a cap of 0 there
+    # is no error.
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 20\nn = 28\n[solver]\nmethod = landweber"
+                   "\nmax_newton = 0\nmax_inner = 0\nlandweber_steps = 20\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
@@ -555,18 +580,41 @@ def test_main_seed_override(tmp_path):
         != (tmp_path / "b" / "run.csv").read_bytes()
 
 
-def test_main_check_verb(tmp_path, capsys):
+@pytest.mark.parametrize("problem", [
+    "kind = diagonal\nm = 20\nn = 28",
+    "kind = nonlinear-diagonal\nm = 20\nn = 28",
+    "kind = convolution\nn = 64",
+    "kind = nonlinear-convolution\nn = 64",
+], ids=["diagonal", "nonlinear-diagonal", "convolution",
+        "nonlinear-convolution"])
+def test_main_solve_runs_every_problem_kind(tmp_path, problem):
     ini = tmp_path / "exp.ini"
-    ini.write_text(BASE)
+    ini.write_text(f"[problem]\n{problem}\n[solver]\nmax_newton = 12\n")
     out = tmp_path / "out"
-    assert main(["check", "--config", str(ini), "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    for name in ("adjoint_mismatch", "jacobian_fd_order",
-                 "oracle_self_consistency", "cg_contract", "determinism"):
-        assert f"{name}: ok" in text
-    with open(out / "check_report.json") as fh:
-        report = json.load(fh)
-    assert report["ok"] is True
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    assert (out / "run.csv").exists()
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["terminal_reason"] != "Breakdown"
+    assert summary["config"]["problem"]["kind"] == problem.split()[2]
+
+
+def test_main_check_verb(tmp_path, capsys):
+    for name, text in (("base", BASE),
+                       ("convolution", "[problem]\nkind = convolution\n"
+                                       "n = 64\n")):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(text)
+        out = tmp_path / name
+        assert main(["check", "--config", str(ini), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for check in ("adjoint_mismatch", "jacobian_fd_order",
+                      "oracle_self_consistency", "cg_contract",
+                      "determinism"):
+            assert f"{check}: ok" in printed, name
+        with open(out / "check_report.json") as fh:
+            report = json.load(fh)
+        assert report["ok"] is True
 
 
 def test_main_stopping_study_breakdown_exits_3(tmp_path, capsys):

@@ -94,9 +94,9 @@ def test_merge_drops_duplicate_direction():
     # same direction up to a relative complement of ~1.4e-5 (< merge drop tol)
     dup = unit(u + 1e-5 * unit([0.0, 0.0, 1.0]))
     assert abs(dup @ u) > 1.0 - 1e-10
-    merged = merge_pairs(existing, [(1.0, dup)], new_gamma=0.5)
+    merged = merge_pairs(existing, [(1.0, dup)])
     assert merged.pair_count == 1
-    assert merged.gamma == 0.5
+    assert merged.gamma == existing.gamma
     np.testing.assert_allclose(merged.lambdas, [3.0])
     np.testing.assert_allclose(merged.vectors[:, 0], u, rtol=1e-14)
 
@@ -105,7 +105,7 @@ def test_merge_keeps_new_direction_and_existing_pairs():
     u = np.array([1.0, 0.0, 0.0])
     existing = SpectralPreconditioner(1.0, [5.0], u[:, None])
     newcomer = unit([1.0, 1.0, 0.0])  # overlaps u but is genuinely new
-    merged = merge_pairs(existing, [(2.0, newcomer)], new_gamma=1.0)
+    merged = merge_pairs(existing, [(2.0, newcomer)])
     assert merged.pair_count == 2
     np.testing.assert_allclose(merged.lambdas, [5.0, 2.0])
     # existing vector passes through unchanged; newcomer is orthogonalized
@@ -119,14 +119,14 @@ def test_merge_keeps_new_direction_and_existing_pairs():
 def test_merge_rejects_nonpositive_values():
     existing = SpectralPreconditioner.empty(1.0, 3)
     with pytest.raises(ContractError):
-        merge_pairs(existing, [(0.0, np.array([1.0, 0.0, 0.0]))], 1.0)
+        merge_pairs(existing, [(0.0, np.array([1.0, 0.0, 0.0]))])
 
 
 def test_merge_preserves_left_vectors():
     u = np.array([[1.0], [0.0]])
     left = np.array([[0.0], [1.0]])
     existing = SpectralPreconditioner(1.0, [2.0], u, left_vectors=left)
-    merged = merge_pairs(existing, [(1.0, np.array([0.0, 1.0]))], 1.0)
+    merged = merge_pairs(existing, [(1.0, np.array([0.0, 1.0]))])
     # the existing pair keeps its left vector as the leading block; the
     # newcomer has none until attach_left_vectors appends it
     assert merged.pair_count == 2

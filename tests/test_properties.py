@@ -8,13 +8,14 @@ pair sets, the CG accuracy contract, the CG loops against their reference implem
 finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
-examples) with dimensions up to 40: for ``merge_pairs`` an orthonormal
-existing pair set, random newcomers and a shift gamma; for the basis a
-stream of random, dependent and zero vectors; for the identity, the kept
-pairs, the left vectors and the two-sided system a random Tikhonov system
-checked against ``DenseOracle`` or dense matrices, as for the CG contract;
-for the sampled Phi, the spectrum and the pencil random dense operators; for
-``as_vector`` arrays with NaN, infinite and huge entries mixed in.
+examples) with dimensions up to 40 (one explicit example has 300): for
+``merge_pairs`` an orthonormal existing pair set and random newcomers; for
+the basis a stream of random, dependent and zero vectors; for the identity,
+the kept pairs, the left vectors and the two-sided system a random Tikhonov
+system checked against ``DenseOracle`` or dense matrices, as for the CG
+contract; for the sampled Phi, the spectrum and the pencil random dense
+operators; for ``as_vector`` arrays with NaN, infinite and huge entries
+mixed in.
 """
 
 import itertools
@@ -53,18 +54,17 @@ def _orthonormal(rng, dim, count):
 
 @st.composite
 def instances(draw):
-    """(existing pair set, newcomer pairs, gamma) over a shared dimension."""
+    """(existing pair set, newcomer pairs) over a shared dimension."""
     dim = draw(st.integers(1, 40))
     old = draw(st.integers(0, dim))
     new = draw(st.integers(0, dim - old + 2))
-    gamma = draw(st.floats(1e-3, 1e3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     existing = SpectralPreconditioner(
         draw(st.floats(1e-3, 1e3)), rng.uniform(0.1, 10.0, old),
         _orthonormal(rng, dim, old))
     pairs = [(float(lam), rng.standard_normal(dim))
              for lam in rng.uniform(0.1, 10.0, new)]
-    return existing, pairs, gamma
+    return existing, pairs
 
 
 def _gram_defect(p):
@@ -75,9 +75,9 @@ def _gram_defect(p):
 @PROPERTY
 @given(instances())
 def test_merge_output_is_orthonormal(case):
-    existing, pairs, gamma = case
-    merged = merge_pairs(existing, pairs, gamma)
-    assert merged.gamma == gamma
+    existing, pairs = case
+    merged = merge_pairs(existing, pairs)
+    assert merged.gamma == existing.gamma
     assert merged.pair_count <= min(existing.dim,
                                     existing.pair_count + len(pairs))
     assert _gram_defect(merged) <= 1e-12
@@ -86,8 +86,8 @@ def test_merge_output_is_orthonormal(case):
 @PROPERTY
 @given(instances())
 def test_existing_pairs_pass_through(case):
-    existing, pairs, gamma = case
-    merged = merge_pairs(existing, pairs, gamma)
+    existing, pairs = case
+    merged = merge_pairs(existing, pairs)
     j = existing.pair_count
     np.testing.assert_array_equal(merged.lambdas[:j], existing.lambdas)
     np.testing.assert_allclose(merged.vectors[:, :j], existing.vectors,
@@ -97,10 +97,9 @@ def test_existing_pairs_pass_through(case):
 @PROPERTY
 @given(instances())
 def test_merging_a_pair_set_into_itself_adds_nothing(case):
-    existing, pairs, gamma = case
-    merged = merge_pairs(existing, pairs, gamma)
-    again = merge_pairs(merged, list(zip(merged.lambdas, merged.vectors.T)),
-                        gamma)
+    existing, pairs = case
+    merged = merge_pairs(existing, pairs)
+    again = merge_pairs(merged, list(zip(merged.lambdas, merged.vectors.T)))
     np.testing.assert_array_equal(again.lambdas, merged.lambdas)
     np.testing.assert_allclose(again.vectors, merged.vectors,
                                rtol=0, atol=1e-12)
@@ -118,7 +117,7 @@ def test_merge_into_empty_applies_like_direct_construction(dim, count, gamma,
     lambdas = rng.uniform(0.1, 10.0, count)
     vectors = _orthonormal(rng, dim, count)
     merged = merge_pairs(SpectralPreconditioner.empty(gamma, dim),
-                         list(zip(lambdas, vectors.T)), gamma)
+                         list(zip(lambdas, vectors.T)))
     direct = SpectralPreconditioner(gamma, lambdas, vectors)
     assert merged.pair_count == direct.pair_count
     x = rng.standard_normal(dim)
@@ -153,8 +152,8 @@ def _vector_stream(dim, count, dependent, seed):
     return out
 
 
-# The basis starts with room for 16 reflectors and doubles it, so the
-# explicit examples cross both doublings and then exhaust the space.
+# The basis holds min(dim, count) vectors, so the explicit examples fill
+# it to dim and then offer more.
 @PROPERTY
 @given(st.integers(1, 40), st.integers(1, 45), st.floats(0.0, 0.5),
        st.integers(0, 2**32 - 1))
@@ -164,7 +163,7 @@ def _vector_stream(dim, count, dependent, seed):
 def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
                                                          dependent, seed):
     vectors = _vector_stream(dim, count, dependent, seed)
-    basis = HouseholderBasis(dim)
+    basis = HouseholderBasis(dim, count)
     got = [basis.add(x) for x in vectors]
     want = householder_loop(vectors)
     assert [q is None for q, _ in got] == [q is None for q, _ in want]
@@ -185,6 +184,27 @@ def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
     assert np.linalg.norm(q_mat @ q_mat.T - q_qr @ q_qr.T, 2) <= 1e-10
     if len(kept) == dim:
         assert basis.add(np.ones(dim)) == (None, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 17, 40, 201])
+def test_basis_filled_to_capacity_is_orthonormal(dim):
+    # V and T start unfilled; with NaN in every entry the basis has not
+    # written, a basis of capacity dim filled with dim vectors still comes
+    # out orthonormal, and the space is then exhausted. Past a capacity
+    # below dim, add raises.
+    rng = np.random.default_rng(dim)
+    basis = HouseholderBasis(dim, dim)
+    basis._v.fill(np.nan)
+    basis._t.fill(np.nan)
+    q = np.column_stack([basis.add(rng.standard_normal(dim))[0]
+                         for _ in range(dim)])
+    assert basis.count == dim
+    assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-13
+    assert basis.add(np.ones(dim)) == (None, 0.0)
+    small = HouseholderBasis(dim + 1, 1)
+    small.add(np.ones(dim + 1))
+    with pytest.raises(IndexError):
+        small.add(rng.standard_normal(dim + 1))
 
 
 @PROPERTY
@@ -218,6 +238,7 @@ def test_ritz_residual_identity_against_dense_oracle(m, extra, decay, gamma,
 @PROPERTY
 @given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
        st.floats(0.0, 0.5), st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(m=300, extra=300, decay=0.05, c3=0.1, k=40, seed=3)
 def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         m, extra, decay, c3, k, seed):
     # The accurate two-sided solves of a Recompute at gamma_k and of the
@@ -225,6 +246,9 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
     # pairs as preconditioner). Every Ritz pair select_ritz keeps must meet
     # the residual tolerance against the dense two-sided operator, however
     # far the CG residual fell below its start (see the identity above).
+    # The example has the shape of diag-work-precision's problem at oracle
+    # size: its Recompute runs 165 iterations, drops the residual by 8.9e12
+    # and keeps 143 pairs, the largest true residual at 2.0e-7 theta.
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
                               seed=seed % 2**16), c3=c3)
@@ -251,7 +275,7 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
             residual = np.linalg.norm(two_sided @ pair.vector
                                       - pair.theta * pair.vector)
             assert residual <= RITZ_RESIDUAL_TOL * pair.theta
-        base = merge_pairs(base, _harvest(trace, base, gamma), gamma)
+        base = merge_pairs(base, _harvest(trace, base))
 
 
 @PROPERTY
@@ -308,7 +332,7 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
                            rng.standard_normal(m)), base)
         _, trace = pcg_solve(tsys, cfg=CgConfig(
             epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
-        merged = merge_pairs(base, _harvest(trace, base, gamma), gamma)
+        merged = merge_pairs(base, _harvest(trace, base))
         kept = 0 if merged.left_vectors is None \
             else merged.left_vectors.shape[1]
         # the existing pairs pass through, and their left vectors with them
@@ -353,7 +377,7 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
                              rng.standard_normal(m))
         _, trace = pcg_solve(TwoSidedSystem(sys, base), cfg=CgConfig(
             epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
-        precond = merge_pairs(base, _harvest(trace, base, gamma), gamma)
+        precond = merge_pairs(base, _harvest(trace, base))
     tsys = TwoSidedSystem(sys, precond)
     w, q = np.linalg.eigh(precond.dense())
     s = (q / np.sqrt(w)) @ q.T
@@ -418,7 +442,7 @@ def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
                            rng.standard_normal(m)), base)
         _, trace = pcg_solve(tsys, cfg=CgConfig(
             epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
-        precond = merge_pairs(base, _harvest(trace, base, gamma), gamma)
+        precond = merge_pairs(base, _harvest(trace, base))
     assert_bound(precond)
 
 
@@ -549,7 +573,7 @@ def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
     pairs = merge_pairs(
         SpectralPreconditioner.empty(gamma, m),
         [(lam, rng.standard_normal(m))
-         for lam in rng.uniform(0.1, 10.0, min(count, m))], gamma)
+         for lam in rng.uniform(0.1, 10.0, min(count, m))])
     cfg = CgConfig(epsilon=eps, max_iterations=cap)
     for solver, precond in ((sys, None), (sys, pairs),
                             (TwoSidedSystem(sys, pairs), None),

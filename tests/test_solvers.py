@@ -1,5 +1,6 @@
 """Outer Newton loops: schedules, build/update policy, baselines, accounting."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_harvest_back_map(monkeypatch):
                          np.ones(16), np.zeros(12))
     _, trace = pcg_solve(TwoSidedSystem(sys, base),
                          cfg=CgConfig(epsilon=1e-9))
-    pairs = _harvest(trace, base, gamma)
+    pairs = _harvest(trace, base)
     kept = [p for p in ritz_from_trace(trace)
             if p.theta >= 1.1 and p.residual_bound <= 1e-6 * p.theta]
     assert pairs and len(pairs) == len(kept)
@@ -189,7 +190,7 @@ def test_harvest_back_map(monkeypatch):
     monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [
         ritz_pair(theta, e[:, i % 3], 0.0) for i, theta in enumerate(thetas)])
     trace = type("Trace", (), {"iterations": 4})()
-    pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3), 0.2)
+    pairs = _harvest(trace, SpectralPreconditioner.empty(0.2, 3))
     assert [value for value, _ in pairs] == [0.2 * 0.5, 0.2 * 2.0]
     np.testing.assert_array_equal(np.column_stack([u for _, u in pairs]),
                                   e[:, [2, 0]])
@@ -309,6 +310,33 @@ def test_newton_cg_reduces_residual_and_counts_cost():
     assert events == {EVENT_BASELINE, EVENT_FINAL}
     with pytest.raises(ContractError):
         newton_cg_run(problem.model, y, np.zeros(10), inner_rho=1.5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(max_newton=6)),
+    lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(
+        max_newton=6, use_preconditioner=False)),
+    lambda model, y, x0: newton_cg_run(model, y, x0, max_newton=6),
+    lambda model, y, x0: landweber_run(model, y, x0, max_steps=6),
+], ids=["irgnm-prec", "irgnm-plain", "newton-cg", "landweber"])
+def test_records_hold_distinct_iterates_and_leave_x0_alone(run):
+    # The records keep the loop's iterates without copies: no two records,
+    # and no record and the caller's x0, share memory; x0 keeps its values,
+    # and each record still holds the iterate its residual was taken at.
+    problem = make_nonlinear_composite(make_diagonal_problem(m=10, n=14,
+                                                             seed=8), c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    x0 = np.full(10, 0.1)
+    before = x0.copy()
+    history = run(problem.model, y, x0)
+    iterates = [r.x_k for r in history.records]
+    assert len(iterates) == 7
+    for a, b in itertools.combinations([x0, *iterates], 2):
+        assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(x0, before)
+    for r in history.records:
+        assert r.residual_norm == pytest.approx(
+            np.linalg.norm(y - problem.model.evaluate(r.x_k)), rel=1e-12)
 
 
 def test_newton_cg_inner_solve_skips_the_adjoint_it_never_reads():
@@ -472,6 +500,14 @@ def test_negative_step_cap_rejected(run):
     model = linear_model(np.eye(3))
     with pytest.raises(ContractError, match="nonnegative"):
         run(model)
+    assert model.cost.total == 0
+
+
+@pytest.mark.parametrize("max_inner", [0, -3])
+def test_newton_cg_rejects_inner_cap_below_one(max_inner):
+    model = linear_model(np.eye(3))
+    with pytest.raises(ContractError, match="max_inner must be positive"):
+        newton_cg_run(model, np.ones(3), np.zeros(3), max_inner=max_inner)
     assert model.cost.total == 0
 
 
