@@ -18,7 +18,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .krylov import (CgBreakdownError, CgConfig, CgTrace, RitzPair, pcg_solve,
+from .krylov import (CgBreakdownError, CgTrace, RitzPair, pcg_solve,
                      ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         ForwardModel, JacobianHandle, ModelCost,
@@ -43,7 +43,7 @@ __all__ = [
     "TikhonovSystem", "IRGNM", "LEVENBERG_MARQUARDT", "adjoint_mismatch",
     "jacobian_fd_order",
     # krylov
-    "CgBreakdownError", "CgConfig", "CgTrace", "RitzPair", "pcg_solve",
+    "CgBreakdownError", "CgTrace", "RitzPair", "pcg_solve",
     "ritz_from_trace", "select_ritz",
     # preconditioner
     "SpectralPreconditioner", "SpectrumReport", "TwoSidedSystem",

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .krylov import CgBreakdownError, CgConfig, pcg_solve
+from .krylov import CgBreakdownError, pcg_solve
 from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
                         jacobian_fd_order)
-from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_inner_rho,
-                      check_landweber_mu, check_step_cap, irgnm_run,
-                      landweber_run, newton_cg_run)
+from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_step_cap,
+                      irgnm_run, landweber_run, newton_cg_run)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
                        SampledPhi, WhiteNoisePhi, discrepancy_stop,
                        lepskii_from_history, lepskii_select)
@@ -81,8 +80,6 @@ _SCHEMA = {
         "n": ("int", 200),
         "decay_a": ("float", 0.25),
         "scale": ("float", 1.0),
-        "kernel_width": ("float", 0.05),
-        "c3": ("float", 0.1),
         "seed": ("int", 1),
     },
     "solver": {
@@ -94,13 +91,10 @@ _SCHEMA = {
         "max_newton": ("int", 25),
         "max_inner": ("int", 200),
         "enable_updates": ("bool", True),
-        "landweber_mu": ("float?", None),
         "landweber_steps": ("int", 2000),
-        "newton_cg_rho": ("float", 0.8),
     },
     "noise": {
         "level": ("float", 0.02),
-        "sigma": ("float?", None),
         "seed": ("int", 7),
         "samples": ("int", 1),
     },
@@ -199,13 +193,12 @@ class ExperimentConfig:
             raise ConfigError(
                 "[stopping] r_bound: the balancing rule needs an error budget "
                 "R, an upper bound on the initial error (problem knowledge)")
-        noise_key = "level" if self.noise["sigma"] is None else "sigma"
-        if noise_key == "level" and not 0 <= self.noise["level"] < np.inf:
+        if not 0 <= self.noise["level"] < np.inf:
             raise ConfigError("[noise] level: must be nonnegative and finite")
         # Exact data make every Phi estimate 0.
-        if lep and self.noise[noise_key] == 0:
+        if lep and self.noise["level"] == 0:
             raise ConfigError(
-                f"[noise] {noise_key}: exact data make Phi 0 at every step, "
+                "[noise] level: exact data make Phi 0 at every step, "
                 "so the balancing rule (lepskii) has nothing to balance")
         for section in ("problem", "noise"):
             if getattr(self, section)["seed"] < 0:
@@ -213,11 +206,13 @@ class ExperimentConfig:
         # The balancing rule reads Phi: Landweber and Newton-CG estimate
         # none, and irgnm-plain builds no pair set, so its white or sampled
         # Phi reads 0 at every step.
-        for m in methods:
+        for i, m in enumerate(methods):
             if m not in _METHODS:
                 raise ConfigError(
                     f"[solver] method: invalid value {m!r} "
                     f"(choices: {', '.join(_METHODS)})")
+            if m in methods[:i]:
+                raise ConfigError(f"[solver] methods: {m} is listed twice")
             if lep and m in ("newton-cg", "landweber"):
                 raise ConfigError(f"[solver] method: {m} estimates no Phi, "
                                   "which the balancing rule (lepskii) needs")
@@ -235,13 +230,10 @@ class ExperimentConfig:
                              max_inner=self.solver["max_inner"])
         except ContractError as exc:
             raise ConfigError(f"[solver] {exc}") from None
-        ncg, lw = "newton-cg" in methods, "landweber" in methods
         # Each check is the consumer's own; a (count, 0) draw is empty.
         for section, key, used, check in (
-                ("solver", "newton_cg_rho", ncg, check_inner_rho),
-                ("solver", "landweber_mu", lw, check_landweber_mu),
-                ("solver", "landweber_steps", lw, check_step_cap),
-                ("noise", "sigma", True, WhiteNoisePhi),
+                ("solver", "landweber_steps", "landweber" in methods,
+                 check_step_cap),
                 ("stopping", "tau", "discrepancy" in rules,
                  lambda tau: DiscrepancyDriver(tau, 0.0)),
                 ("stopping", "rho", lep,
@@ -250,10 +242,9 @@ class ExperimentConfig:
                 ("stopping", "phi_samples",
                  rules and phi == "sampled",
                  lambda count: generate_noise(0.0, 0, count=count))):
-            value = getattr(self, section)[key]
-            if used and value is not None:
+            if used:
                 try:
-                    check(value)
+                    check(getattr(self, section)[key])
                 except ContractError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from None
 
@@ -267,11 +258,9 @@ def build_problem(cfg: ExperimentConfig):
                                          decay_a=p["decay_a"],
                                          scale=p["scale"], seed=p["seed"])
         else:
-            base = make_convolution_problem(n=p["n"],
-                                            kernel_width=p["kernel_width"],
-                                            seed=p["seed"])
+            base = make_convolution_problem(n=p["n"], seed=p["seed"])
         if p["kind"].startswith("nonlinear-"):
-            return make_nonlinear_composite(base, c3=p["c3"])
+            return make_nonlinear_composite(base)
         return base
     except ContractError as exc:
         raise ConfigError(f"[problem] {exc}") from None
@@ -280,28 +269,24 @@ def build_problem(cfg: ExperimentConfig):
 def build_data(cfg: ExperimentConfig, problem, noise_seed=None):
     """Exact data, one noise realization, and the calibrated noise scales.
 
-    Returns (y_obs, sigma, delta) with delta = sigma * sqrt(N), the expected
-    noise norm used by the discrepancy test. Level 0 gives exact data.
-    The solvers take norms as square roots of squared sums, so exact data
-    whose squared norm overflows raise a ContractError, and a noise scale
-    that makes delta or the squared norm of y_obs overflow raises a
-    ConfigError naming the [noise] key that set it.
+    Returns (y_obs, sigma, delta): sigma is the component scale that
+    ``[noise] level`` sets, and delta = sigma * sqrt(N) the expected noise
+    norm used by the discrepancy test. Level 0 gives exact data. The solvers
+    take norms as square roots of squared sums, so exact data whose squared
+    norm overflows raise a ContractError (from noise_sigma_for_level), and a
+    level that makes delta or the squared norm of y_obs overflow raises a
+    ConfigError.
     """
     y_exact = problem.model.evaluate(problem.truth)
     n = y_exact.shape[0]
-    sigma, key = cfg.noise["sigma"], "sigma"
-    if sigma is None:
-        key = "level"
-        sigma = noise_sigma_for_level(y_exact, cfg.noise["level"])
+    sigma = noise_sigma_for_level(y_exact, cfg.noise["level"])
     seed = cfg.noise["seed"] if noise_seed is None else noise_seed
     with np.errstate(over="ignore"):
         y_obs = y_exact + generate_noise(sigma, n, count=1, seed=seed)[0]
         delta = sigma * np.sqrt(n)
-        exact_sq, noisy_sq = y_exact.dot(y_exact), y_obs.dot(y_obs)
-    if not np.isfinite(exact_sq):
-        raise ContractError("data norm overflows the float range")
+        noisy_sq = y_obs.dot(y_obs)
     if not (np.isfinite(delta) and np.isfinite(noisy_sq)):
-        raise ConfigError(f"[noise] {key}: noise of scale sigma = "
+        raise ConfigError("[noise] level: noise of scale sigma = "
                           f"{float(sigma)!r} overflows the float range")
     return y_obs, float(sigma), float(delta)
 
@@ -346,14 +331,13 @@ def run_method(cfg: ExperimentConfig, problem, y_obs, method=None, stop=None,
                          stop=stop, phi_estimator=phi_estimator,
                          truth=problem.truth)
     if method == "newton-cg":
-        return newton_cg_run(model, y_obs, x0,
-                             inner_rho=cfg.solver["newton_cg_rho"], stop=stop,
+        return newton_cg_run(model, y_obs, x0, stop=stop,
                              max_newton=cfg.solver["max_newton"],
                              max_inner=cfg.solver["max_inner"],
                              truth=problem.truth)
     if method == "landweber":
-        return landweber_run(model, y_obs, x0, mu=cfg.solver["landweber_mu"],
-                             stop=stop, max_steps=cfg.solver["landweber_steps"],
+        return landweber_run(model, y_obs, x0, stop=stop,
+                             max_steps=cfg.solver["landweber_steps"],
                              truth=problem.truth)
     raise ConfigError(f"[solver] method: invalid value {method!r} "
                       f"(choices: {', '.join(_METHODS)})")
@@ -605,7 +589,7 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
     report["oracle_self_consistency"] = {"value": rel, "ok": rel <= 1e-10}
 
     sys_k = TikhonovSystem(jac, gamma, y_part, np.zeros(model.domain_dim))
-    h_cg, trace = pcg_solve(sys_k, None, cfg=CgConfig(epsilon=1.0 / 3.0))
+    h_cg, trace = pcg_solve(sys_k, epsilon=1.0 / 3.0)
     cg_rel = float(np.linalg.norm(h_cg - h_exact)
                    / max(np.linalg.norm(h_exact), 1e-300))
     report["cg_contract"] = {"value": cg_rel, "ok": cg_rel <= 0.5 + 1e-12}

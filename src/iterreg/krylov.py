@@ -43,26 +43,6 @@ class CgBreakdownError(RuntimeError):
 
 
 @dataclass
-class CgConfig:
-    """Tolerances for ``pcg_solve``.
-
-    ``epsilon`` enters the stop test ``||r^l|| <= epsilon * stop_scale *
-    ||h^l||``; when ``stop_scale`` is a lower bound for the spectrum of the
-    normal operator this guarantees relative accuracy ``epsilon/(1-epsilon)``
-    against the exact solution. ``max_iterations`` caps the solve.
-    """
-
-    epsilon: float = 1.0 / 3.0
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ContractError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ContractError("max_iterations must be at least 1")
-
-
-@dataclass
 class CgTrace:
     """Per-solve ledger: CG coefficients, Lanczos basis, and residual norms.
 
@@ -248,7 +228,7 @@ def select_ritz(pairs, separation_threshold, residual_tolerance):
     ]
 
 
-def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
+def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     """Preconditioned CG on the normal equations G^T G h = G^T g.
 
     Parameters
@@ -261,7 +241,12 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
         Applied from the left through its ``apply_inverse``. ``None`` runs
         plain CGNE; symmetric two-sided preconditioning is achieved by
         wrapping ``sys`` instead, which keeps reorthogonalization Euclidean.
-    cfg : CgConfig
+    epsilon : float in (0, 1)
+        Enters the stop test below; when ``stop_scale`` is a lower bound for
+        the spectrum of G^T G this guarantees relative accuracy
+        ``epsilon/(1-epsilon)`` against the exact solution.
+    max_iterations : int >= 1
+        Caps the solve.
 
     Returns
     -------
@@ -278,8 +263,10 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
     orthonormal; a residual dependent on them ends the solve as converged.
     Left-preconditioned runs use z = M^{-1} r as is and store no basis.
     """
-    if cfg is None:
-        cfg = CgConfig()
+    if not 0.0 < epsilon < 1.0:
+        raise ContractError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if max_iterations < 1:
+        raise ContractError("max_iterations must be at least 1")
     g = sys.stacked_rhs()
     m_dim = sys.domain_dim
     stop_scale = float(sys.stop_scale)
@@ -288,7 +275,7 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
     residual_norms = []
     basis = z_basis = None
     if precond is None:  # a vector for r^0 and one per iteration
-        basis, z_basis = HouseholderBasis(m_dim, cfg.max_iterations + 1), []
+        basis, z_basis = HouseholderBasis(m_dim, max_iterations + 1), []
 
     def precondition(r):
         """Return (z, <r, z>, ||r||); without a preconditioner r is first
@@ -332,10 +319,10 @@ def pcg_solve(sys, precond=None, cfg: CgConfig | None = None):
     converged = False
 
     while True:
-        if r_norm <= cfg.epsilon * stop_scale * h_norm:
+        if r_norm <= epsilon * stop_scale * h_norm:
             converged = True
             break
-        if len(alphas) >= cfg.max_iterations:
+        if len(alphas) >= max_iterations:
             converged = False
             break
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .krylov import (CgBreakdownError, CgConfig, pcg_solve, ritz_from_trace,
-                     select_ritz)
+from .krylov import CgBreakdownError, pcg_solve, ritz_from_trace, select_ritz
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -251,22 +250,10 @@ def _harvest(trace, base_precond):
     return out
 
 
-def check_landweber_mu(mu):
-    """Reject a Landweber step size that is negative or not finite."""
-    if not 0 <= mu < np.inf:
-        raise ContractError(f"mu must be nonnegative and finite, got {mu}")
-
-
 def check_step_cap(steps):
     """Reject a negative cap on the number of outer steps."""
     if steps < 0:
         raise ContractError(f"step cap must be nonnegative, got {steps}")
-
-
-def check_inner_rho(inner_rho):
-    """Reject a Newton-CG inner tolerance outside (0, 1)."""
-    if not 0.0 < inner_rho < 1.0:
-        raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
 
 
 class _OuterLoop:
@@ -389,16 +376,14 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         prior = x0 - x if cfg.rhs_kind == IRGNM else np.zeros_like(x)
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if not cfg.use_preconditioner:
-            h, trace = pcg_solve(sys, None, cfg=CgConfig(
-                epsilon=EPS_STANDARD, max_iterations=cfg.max_inner))
+            h, trace = pcg_solve(sys, None, EPS_STANDARD, cfg.max_inner)
             rec.event = EVENT_PLAIN
         elif relinearize or (cfg.enable_updates and must_update(
                 k, last_build, prev_plain_inner)):
             base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
                 if relinearize else precond.with_gamma(gamma_k)
             tsys = TwoSidedSystem(sys, base)
-            h_t, trace = pcg_solve(tsys, None, cfg=CgConfig(
-                epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
             h = tsys.pull_back(h_t)
             precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
@@ -408,8 +393,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             rec.event = EVENT_RECOMPUTE if relinearize else EVENT_UPDATE
         else:
             live = precond.with_gamma(gamma_k) if precond.pair_count else None
-            h, trace = pcg_solve(sys, live, cfg=CgConfig(
-                epsilon=EPS_STANDARD, max_iterations=cfg.max_inner))
+            h, trace = pcg_solve(sys, live, EPS_STANDARD, cfg.max_inner)
             prev_plain_inner = trace.iterations
             rec.event = EVENT_PLAIN
         rec.inner_iterations = trace.iterations
@@ -433,7 +417,8 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
     outer = _OuterLoop(model, y_obs, x0, truth)
     if mu is None:
         mu = 0.95 / estimate_gram_norm(model.linearize(outer.x0))
-    check_landweber_mu(mu)
+    if not 0 <= mu < np.inf:
+        raise ContractError(f"mu must be nonnegative and finite, got {mu}")
 
     def step(rec, x, residual_vec):
         rec.event = EVENT_BASELINE
@@ -451,7 +436,8 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     data misfit drops below inner_rho times the outer residual; truncation is
     the sole regularization.
     """
-    check_inner_rho(inner_rho)
+    if not 0.0 < inner_rho < 1.0:
+        raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
     check_step_cap(max_newton)
     if max_inner < 1:
         raise ContractError(f"max_inner must be positive, got {max_inner}")

@@ -177,10 +177,11 @@ def lepskii_from_history(history, rho, bound):
     """Apply the balancing selection to a finished run.
 
     K_max is the index before ``PhiBudgetDriver(bound)`` first fires on the
-    run's Phi values; returns the balancing index over x_0..x_{K_max}. A
-    history of more than one record whose Phi is 0 at every step (exact
-    data, or a Phi estimator that saw no pair set) is refused: the
-    balancing rule has nothing to balance there.
+    run's Phi values; returns the balancing index over x_0..x_{K_max}, or
+    None when Phi(0) already exceeds the bound, as ``discrepancy_stop`` does
+    when its rule never fires. A history of more than one record whose Phi
+    is 0 at every step (exact data, or a Phi estimator that saw no pair
+    set) is refused: the balancing rule has nothing to balance there.
     """
     records = history.records
     if not records:
@@ -194,6 +195,6 @@ def lepskii_from_history(history, rho, bound):
     k_max = next((k for k, r in enumerate(records)
                   if over(k, r.residual_norm, r.phi_k)), len(records)) - 1
     if k_max < 0:
-        raise ContractError("Phi(0) already exceeds the bound")
+        return None
     kept = records[:k_max + 1]
     return lepskii_select([r.x_k for r in kept], [r.phi_k for r in kept], rho)

@@ -18,6 +18,7 @@ ACCEPTANCE_LABELS = {
     7: "stopping-rule study orderings",
     8: "work-precision ordering of the four methods",
     9: "byte-identical rerun of a solve",
+    10: "exact-data work-precision frontier of irgnm-prec",
 }
 _acceptance_results = {}
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from iterreg.krylov import (CgBreakdownError, CgConfig, CgTrace,
+from iterreg.krylov import (CgBreakdownError, CgTrace,
                             HouseholderBasis, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
@@ -193,17 +193,16 @@ class ReferenceHouseholderBasis(HouseholderBasis):
         return q, pnorm
 
 
-def pcg_solve_reference(sys, precond=None, cfg=None):
+def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
+                        max_iterations=200):
     """``krylov.pcg_solve`` as it stood before the rewrite."""
-    if cfg is None:
-        cfg = CgConfig()
     g = sys.stacked_rhs()
     m_dim = sys.domain_dim
     stop_scale = float(sys.stop_scale)
 
     alphas, betas_all = [], []
     residual_norms = []
-    basis = ReferenceHouseholderBasis(m_dim, cfg.max_iterations + 1) \
+    basis = ReferenceHouseholderBasis(m_dim, max_iterations + 1) \
         if precond is None else None
     z_basis = [] if precond is None else None
 
@@ -248,10 +247,10 @@ def pcg_solve_reference(sys, precond=None, cfg=None):
     converged = False
 
     while True:
-        if r_norm <= cfg.epsilon * stop_scale * h_norm:
+        if r_norm <= epsilon * stop_scale * h_norm:
             converged = True
             break
-        if len(alphas) >= cfg.max_iterations:
+        if len(alphas) >= max_iterations:
             converged = False
             break
 

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Nine numbered checks, one per release criterion. Each computes its
+Ten numbered checks, one per release criterion. Each computes its
 measurements first, reports a single pass/fail line through the
 ``acceptance`` fixture (printed in the terminal summary), then asserts.
 Tolerances and wall-time caps are stated inline next to each check.
@@ -14,7 +14,7 @@ import numpy as np
 from helpers import dense_tikhonov_solution, linear_model, tikhonov_system
 from iterreg.cli import (ExperimentConfig, expand_methods, run_single,
                          run_stopping_study, run_work_precision)
-from iterreg.krylov import CgConfig, pcg_solve, ritz_from_trace
+from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import TikhonovSystem
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs,
@@ -90,8 +90,7 @@ def test_criterion_2_ritz_residual_identity(acceptance):
         gtg = a.T @ a + gamma * np.eye(m)
         for l in (3, 5, 10):
             sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(n))
-            _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13,
-                                                   max_iterations=l))
+            _, trace = pcg_solve(sys, epsilon=1e-13, max_iterations=l)
             assert trace.iterations == l
             for pair in ritz_from_trace(trace):
                 direct = float(np.linalg.norm(
@@ -125,7 +124,7 @@ def test_criterion_3_cg_contract_and_full_spectrum(acceptance):
         scale = float(np.linalg.norm(exact))
         for eps in (1.0 / 3.0, 1e-9):
             h, trace = pcg_solve(tikhonov_system(a, gamma, data, prior),
-                                 cfg=CgConfig(epsilon=eps))
+                                 epsilon=eps)
             err = float(np.linalg.norm(h - exact))
             # a whisker of float fuzz on top of the analytic bound
             bound = eps / (1.0 - eps) * scale + 1e-12 * scale
@@ -218,8 +217,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     sys0 = TikhonovSystem(jac, gamma0, y_obs, np.zeros(dim))
     base0 = SpectralPreconditioner.empty(gamma0, dim)
     tsys0 = TwoSidedSystem(sys0, base0)
-    h0, trace0 = pcg_solve(tsys0, cfg=CgConfig(epsilon=1e-9,
-                                               max_iterations=30))
+    h0, trace0 = pcg_solve(tsys0, epsilon=1e-9, max_iterations=30)
     pairs0 = _harvest(trace0, base0)
 
     per_group = {}
@@ -243,8 +241,7 @@ def test_criterion_5_multiplicity_and_condition(acceptance):
     resid1 = y_obs - problem.model.evaluate(x1)
     sys1 = TikhonovSystem(jac, gamma1, resid1, -x1)
     tsys1 = TwoSidedSystem(sys1, p1)
-    _, trace1 = pcg_solve(tsys1, cfg=CgConfig(epsilon=1e-9,
-                                              max_iterations=30))
+    _, trace1 = pcg_solve(tsys1, epsilon=1e-9, max_iterations=30)
     new_pairs = _harvest(trace1, p1)
     p2 = merge_pairs(p1, new_pairs)
 
@@ -414,6 +411,61 @@ def test_criterion_8_work_precision(acceptance, tmp_path):
                       f"{hit} of {ncg_cost} units, {elapsed:.0f}s")
     assert dominated
     assert reach_ok
+    assert elapsed < 600.0
+
+
+def test_criterion_10_exact_data_work_precision(acceptance, tmp_path):
+    # The paper's work-precision claim on exact data: criterion 8's problem
+    # and methods at level 0. At every checkpoint budget B >= 250 model
+    # units, up to the end of the longest run, irgnm-prec's best error so
+    # far is at most that of irgnm-plain and of Newton-CG. The detail also
+    # reports the lead at B = 300, the tightest margin, and the units each
+    # method needs to first reach each method's plateau (its lowest error).
+    # Under 10 min.
+    t0 = time.perf_counter()
+    cfg = ExperimentConfig.from_text(WP_INI)
+    cfg.noise["level"] = 0.0
+    run_work_precision(expand_methods(cfg), str(tmp_path))
+
+    series = {}
+    with open(tmp_path / "work_precision.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            series.setdefault(row["method"], []).append(
+                (int(row["model_units"]), float(row["error"])))
+
+    def frontier(name, budget):
+        return min((e for c, e in series[name] if c <= budget),
+                   default=float("inf"))
+
+    budgets = sorted({c for points in series.values() for c, _ in points
+                      if c >= 250})
+    rivals = ("irgnm-plain", "newton-cg")
+    margins = [(frontier(r, b) / frontier("irgnm-prec", b), r, b)
+               for b in budgets for r in rivals]
+    violations = sum(ratio < 1.0 for ratio, _, _ in margins)
+    tight, tight_rival, tight_budget = min(margins)
+    lead = ", ".join(f"{frontier(r, 300) / frontier('irgnm-prec', 300):.1f}x "
+                     f"over {r}" for r in rivals)
+
+    def first_reach(points, level):
+        return next((c for c, e in points if e <= level), "-")
+
+    plateau = {name: min(e for _, e in points)
+               for name, points in series.items()}
+    reach = "; ".join(
+        f"{target} {plateau[target]:.2e}: " + ", ".join(
+            f"{name} {first_reach(points, plateau[target])}"
+            for name, points in series.items())
+        for target in series)
+
+    elapsed = time.perf_counter() - t0
+    ok = violations == 0 and elapsed < 600.0
+    acceptance(10, ok, f"{violations} violations at {len(budgets)} budgets "
+                       f"{budgets[0]}..{budgets[-1]}, lead at 300: {lead}, "
+                       f"tightest {tight:.3f}x over {tight_rival} at "
+                       f"{tight_budget}; units to reach each plateau: "
+                       f"{reach}; {elapsed:.0f}s")
+    assert violations == 0
     assert elapsed < 600.0
 
 

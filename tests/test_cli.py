@@ -20,7 +20,7 @@ from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
                          run_method, run_single, run_stopping_study,
                          run_work_precision)
-from iterreg.testbed import make_convolution_problem
+from iterreg.testbed import make_convolution_problem, make_nonlinear_composite
 
 BASE = """
 [problem]
@@ -298,9 +298,6 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
     ("newton-cg", "max_inner = 0", "max_inner"),
-    ("newton-cg", "newton_cg_rho = 1.5", "newton_cg_rho"),
-    ("landweber", "landweber_mu = -1", "landweber_mu"),
-    ("landweber", "landweber_mu = inf", "landweber_mu"),
     ("landweber", "landweber_steps = -1", "landweber_steps"),
 ])
 def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
@@ -319,12 +316,10 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     ("stopping", "rule = lepskii\nr_bound = 2\nrho = 3", "rho", []),
     ("stopping", "rule = lepskii\nr_bound = -1", "r_bound", []),
     ("stopping", "phi = sampled\nphi_samples = 0", "phi_samples", []),
-    ("noise", "sigma = -1", "sigma", []),
     ("noise", "level = nan", "level", []),
     ("noise", "seed = -1", "seed", []),
     ("noise", "seed = 5", "seed", ["--seed", "-1"]),
-], ids=["tau", "rho", "r_bound", "phi_samples", "sigma", "level", "seed",
-        "seed_flag"])
+], ids=["tau", "rho", "r_bound", "phi_samples", "level", "seed", "seed_flag"])
 def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
                                                       section, lines, key,
                                                       flags):
@@ -370,11 +365,10 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
 
 
 @pytest.mark.parametrize("lines", [
-    "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
-    "kind = convolution\nn = 4", "scale = nan", "c3 = nan", "decay_a = inf",
-    "seed = -1", "scale = 0", "scale = -1",
-], ids=["m_above_n", "decay_a", "c3", "convolution_n", "scale_nan", "c3_nan",
-        "decay_a_inf", "seed", "scale_zero", "scale_negative"])
+    "m = 300\nn = 200", "decay_a = -1", "kind = convolution\nn = 4",
+    "scale = nan", "decay_a = inf", "seed = -1", "scale = 0", "scale = -1",
+], ids=["m_above_n", "decay_a", "convolution_n", "scale_nan", "decay_a_inf",
+        "seed", "scale_zero", "scale_negative"])
 def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\n{lines}\n")
@@ -384,10 +378,15 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     assert not (tmp_path / "out").exists()
 
 
-# [solver] keys that became constants of iterreg.solvers.
-_FORMER_SOLVER_KEYS = ("eps_standard", "eps_accurate", "update_age_min",
-                       "update_inner_min", "recompute_inner_min",
-                       "ritz_separation", "ritz_residual_tol")
+# Keys the INI no longer accepts: the [solver] keys that became constants
+# of iterreg.solvers, then five that only tests set, whose library
+# defaults every other run used (sigma restated what level sets).
+_FORMER_KEYS = (
+    *(("solver", key) for key in (
+        "eps_standard", "eps_accurate", "update_age_min", "update_inner_min",
+        "recompute_inner_min", "ritz_separation", "ritz_residual_tol")),
+    ("problem", "kernel_width"), ("problem", "c3"), ("solver", "landweber_mu"),
+    ("solver", "newton_cg_rho"), ("noise", "sigma"))
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -396,15 +395,18 @@ _FORMER_SOLVER_KEYS = ("eps_standard", "eps_accurate", "update_age_min",
     ("[stopping]\nk_fixed = 3",
      "unknown field 'k_fixed' in section [stopping]"),
     ("[stopping]\nrule = fixed-K", "[stopping] rule: invalid value 'fixed-K'"),
-    *((f"[solver]\n{key} = 1", f"unknown field '{key}' in section [solver]")
-      for key in _FORMER_SOLVER_KEYS),
+    *((f"[{section}]\n{key} = 1",
+       f"unknown field '{key}' in section [{section}]")
+      for section, key in _FORMER_KEYS),
 ], ids=["noise_kind_none", "noise_kind_white", "k_fixed", "fixed_K",
-        *_FORMER_SOLVER_KEYS])
+        *(key for _, key in _FORMER_KEYS)])
 def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
     # Exact data is level = 0; a fixed stop index is max_newton (or
     # landweber_steps) with rule = none; the CG tolerances, build guards and
     # Ritz selection thresholds are constants, and enable_updates = false
-    # alone is the frozen ablation.
+    # alone is the frozen ablation. The kernel width, c3, the Landweber step
+    # size and the Newton-CG inner tolerance take their library defaults,
+    # and level alone sets the noise scale.
     ini = tmp_path / "old.ini"
     ini.write_text(f"{lines}\n")
     assert main(["solve", "--config", str(ini),
@@ -449,15 +451,13 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_overflowing_data_exits_3(tmp_path, capsys):
     # The problem is valid, but the norm of its exact data overflows; the
-    # CLI says so in one line and numpy warns about nothing. A given sigma
-    # does not take the blame.
+    # CLI says so in one line and numpy warns about nothing.
     ini = tmp_path / "big.ini"
-    for noise in ("", "[noise]\nsigma = 0.01\n"):
-        ini.write_text("[problem]\nscale = 1e300\n" + noise)
-        assert main(["solve", "--config", str(ini),
-                     "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == (
-            "numerical breakdown: data norm overflows the float range\n")
+    ini.write_text("[problem]\nscale = 1e300\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical breakdown: data norm overflows the float range\n")
 
 
 def test_main_solve_model_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -617,12 +617,15 @@ def test_main_check_verb(tmp_path, capsys):
         assert report["ok"] is True
 
 
-def test_main_stopping_study_breakdown_exits_3(tmp_path, capsys):
-    # Under a strong cubic every sample diverges at k = 1 and ends in
-    # Breakdown. The study still writes its outputs, names each failed
+def test_main_stopping_study_breakdown_exits_3(tmp_path, monkeypatch,
+                                               capsys):
+    # Under a strong cubic (c3 = 20) every sample diverges at k = 1 and ends
+    # in Breakdown. The study still writes its outputs, names each failed
     # sample on stderr and in summary.json, and exits 3.
+    monkeypatch.setattr(cli, "make_nonlinear_composite",
+                        lambda base: make_nonlinear_composite(base, c3=20.0))
     ini = tmp_path / "exp.ini"
-    ini.write_text("[problem]\nc3 = 20\n[noise]\nsamples = 3\n"
+    ini.write_text("[noise]\nsamples = 3\n"
                    "[stopping]\nrule = lepskii\nr_bound = 5.0\nphi = white\n")
     out = tmp_path / "out"
     assert main(["stopping-study", "--config", str(ini),
@@ -687,8 +690,9 @@ def test_lepskii_without_phi_exits_2(
 def test_lepskii_on_exact_data_exits_2(tmp_path, monkeypatch, capsys, verb,
                                        noise):
     # Exact data make every Phi 0, so the balancing rule is refused before
-    # the build, naming the key that set the noise (sigma overrides level).
-    # The study resolves lepskii whatever the configured rule.
+    # the build. The study resolves lepskii whatever the configured rule.
+    # level alone sets the noise scale: an old INI that asks for exact data
+    # through sigma is refused as an unknown field, also before the build.
     calls = _counting_builds(monkeypatch)
     rule = "discrepancy" if verb == "stopping-study" else "lepskii"
     ini = tmp_path / "exp.ini"
@@ -696,10 +700,80 @@ def test_lepskii_on_exact_data_exits_2(tmp_path, monkeypatch, capsys, verb,
                    f"[noise]\nsamples = 2\n{noise}\n"
                    f"[stopping]\nrule = {rule}\nr_bound = 5\n")
     code = main([verb, "--config", str(ini), "--out", str(tmp_path / "out")])
-    key = "sigma" if "sigma" in noise else "level"
-    assert (code, capsys.readouterr().err) == (
-        2, f"config error: [noise] {key}: exact data make Phi 0 at every "
-        "step, so the balancing rule (lepskii) has nothing to balance\n")
+    message = ("unknown field 'sigma' in section [noise]" if "sigma" in noise
+               else "[noise] level: exact data make Phi 0 at every step, so "
+               "the balancing rule (lepskii) has nothing to balance")
+    assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
+    assert not calls
+    assert not (tmp_path / "out").exists()
+
+
+_OVER_BUDGET_INI = """
+[problem]
+m = 20
+n = 30
+[solver]
+max_newton = 8
+[noise]
+samples = 2
+[stopping]
+rule = lepskii
+r_bound = 1e-6
+phi = deterministic
+"""
+
+
+def test_main_solve_phi0_over_budget_is_not_reached(tmp_path, capsys):
+    # Phi(0) already exceeds the error budget: the budget driver stops the
+    # run at k = 0 and the balancing rule is not reached. The run itself
+    # finished, so its outputs are written and solve exits 0.
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_OVER_BUDGET_INI)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["stop_rule"] == {"rule": "lepskii", "stop_index": None,
+                                    "error_at_stop": None, "reached": False}
+    assert (summary["records"], summary["terminal_reason"]) == (1, "StopRule")
+    with open(out / "run.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2
+
+
+def test_main_stopping_study_phi0_over_budget_is_not_reached(tmp_path,
+                                                             capsys):
+    # Each sample's balancing rule is not reached, so its lepskii row has
+    # empty fields and the rule's summary uses no sample; the other rules
+    # are resolved on the same one-record runs.
+    ini = tmp_path / "exp.ini"
+    ini.write_text(_OVER_BUDGET_INI)
+    out = tmp_path / "out"
+    assert main(["stopping-study", "--config", str(ini),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "stopping_samples.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row for row in rows if row[1] == "lepskii"] \
+        == [["0", "lepskii", "", ""], ["1", "lepskii", "", ""]]
+    assert [row[2] for row in rows if row[1] == "oracle-optimal"] == ["0", "0"]
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["rules"]["lepskii"]["samples_used"] == 0
+
+
+def test_main_work_precision_refuses_a_method_listed_twice(
+        tmp_path, monkeypatch, capsys):
+    # Two runs under one name would interleave in work_precision.csv and
+    # collide in the per-method maps of summary.json.
+    calls = _counting_builds(monkeypatch)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 8\nn = 12\n[solver]\n"
+                   "methods = landweber, irgnm-prec, landweber\n"
+                   "landweber_steps = 10\n")
+    assert main(["work-precision", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [solver] methods: landweber is listed twice\n")
     assert not calls
     assert not (tmp_path / "out").exists()
 
@@ -773,13 +847,8 @@ def test_main_solve_boundary_value_exits_cleanly(method, rule, field, value):
 # The verb and settings under which a run reads a numeric key; any other
 # key is read by ``solve`` with irgnm-prec and the discrepancy rule.
 _KEY_READERS = {
-    ("problem", "kernel_width"):
-        ("solve", {"problem": {"kind": "nonlinear-convolution", "n": "16"}}),
-    ("solver", "landweber_mu"): ("solve", {"solver": {"method": "landweber"}}),
     ("solver", "landweber_steps"):
         ("solve", {"solver": {"method": "landweber"}}),
-    ("solver", "newton_cg_rho"):
-        ("solve", {"solver": {"method": "newton-cg"}}),
     ("noise", "samples"):
         ("stopping-study", {"stopping": {"rule": "lepskii"}}),
     ("stopping", "rho"): ("solve", {"stopping": {"rule": "lepskii"}}),
@@ -789,8 +858,7 @@ _KEY_READERS = {
 
 
 def _float_limit_cases():
-    for section, key in [*_NUMERIC_KEYS,
-                         *(("solver", key) for key in _FORMER_SOLVER_KEYS)]:
+    for section, key in [*_NUMERIC_KEYS, *_FORMER_KEYS]:
         verb, settings = _KEY_READERS.get((section, key), ("solve", {}))
         for value in ("1e308", "1e-300"):
             yield pytest.param(verb, settings, section, key, value,
@@ -819,25 +887,30 @@ def test_main_float_limit_value_exits_cleanly(tmp_path, capsys, verb,
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert "Traceback" not in err and "Warning" not in err
-    if key in _FORMER_SOLVER_KEYS:
+    if (section, key) in _FORMER_KEYS:
         assert (code, err) == (
-            2, f"config error: unknown field '{key}' in section [solver]\n")
+            2, f"config error: unknown field '{key}' in section [{section}]\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key", ["level", "sigma"])
 def test_main_noise_overflowing_the_float_range_exits_2(tmp_path, capsys,
                                                         key):
-    # sigma (or the level that sets it) is finite, but the noisy data's
-    # squared norm, which every residual norm takes, overflows.
+    # The level, and the sigma it sets, are finite, but the noisy data's
+    # squared norm, which every residual norm takes, overflows. An old INI
+    # that sets sigma itself is refused as an unknown field.
     ini = tmp_path / "loud.ini"
     ini.write_text(f"[problem]\nm = 8\nn = 12\n[noise]\n{key} = 1e308\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: [noise] {key}: noise of scale "
-                          "sigma = ")
-    assert err.endswith(" overflows the float range\n")
+    if key == "sigma":
+        assert err == ("config error: unknown field 'sigma' in section "
+                       "[noise]\n")
+    else:
+        assert err.startswith("config error: [noise] level: noise of scale "
+                              "sigma = ")
+        assert err.endswith(" overflows the float range\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -885,7 +958,7 @@ def test_readme_config_reference_matches_schema():
         raw = "" if default.strip() == "(empty)" else default.strip(" `")
         value = cli._parse_value(section, key, kind, raw, *choices)
         table[section, key] = (kind, value, *choices)
-    assert len(rows) == len(table) == 29
+    assert len(rows) == len(table) == 24
     assert table == {(section, key): spec
                      for section, keys in cli._SCHEMA.items()
                      for key, spec in keys.items()}

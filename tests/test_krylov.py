@@ -1,10 +1,12 @@
 """CG on the stacked normal equations, Lanczos extraction, and Ritz filtering."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import dense_tikhonov_solution, ritz_pair, tikhonov_system
-from iterreg.krylov import (CgBreakdownError, CgConfig, pcg_solve,
+from iterreg.krylov import (CgBreakdownError, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz, tridiagonal_from_trace)
 from iterreg.operators import ContractError
@@ -43,7 +45,7 @@ def test_cg_accuracy_contract_loose_and_tight():
         sys = tikhonov_system(a, gamma, data, prior)
         exact = dense_tikhonov_solution(a, gamma, data, prior)
         for eps in (1.0 / 3.0, 1e-9):
-            h, trace = pcg_solve(sys, cfg=CgConfig(epsilon=eps))
+            h, trace = pcg_solve(sys, epsilon=eps)
             assert trace.converged
             bound = eps / (1.0 - eps) * np.linalg.norm(exact)
             # allow a whisker of float fuzz on top of the analytic bound
@@ -69,7 +71,7 @@ def test_iteration_cap_flags_not_converged():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((15, 10))
     sys = tikhonov_system(a, 1e-4, rhs_data=rng.standard_normal(15))
-    h, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-12, max_iterations=3))
+    h, trace = pcg_solve(sys, epsilon=1e-12, max_iterations=3)
     assert trace.iterations == 3
     assert not trace.converged
 
@@ -84,10 +86,10 @@ def test_misfit_norms_monotone():
                               rhs_prior=rng.standard_normal(12))
         g_dense = np.vstack([a, np.sqrt(0.01) * np.eye(12)])
         g = sys.stacked_rhs()
-        _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-9))
+        _, trace = pcg_solve(sys, epsilon=1e-9)
         mis = [np.linalg.norm(g)]
         for l in range(1, trace.iterations + 1):
-            h, _ = pcg_solve(sys, cfg=CgConfig(epsilon=1e-9, max_iterations=l))
+            h, _ = pcg_solve(sys, epsilon=1e-9, max_iterations=l)
             mis.append(np.linalg.norm(g - g_dense @ h))
         mis = np.asarray(mis)
         assert np.all(mis[1:] <= mis[:-1] * (1.0 + 1e-10) + 1e-300)
@@ -97,7 +99,7 @@ def test_lanczos_basis_orthonormal():
     rng = np.random.default_rng(34)
     a = rng.standard_normal((40, 30))
     sys = tikhonov_system(a, 1e-6, rhs_data=rng.standard_normal(40))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-11, max_iterations=30))
+    _, trace = pcg_solve(sys, epsilon=1e-11, max_iterations=30)
     z = np.column_stack(trace.z_basis)
     gram = z.T @ z
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
@@ -110,7 +112,7 @@ def test_tridiagonal_matches_projected_operator():
     a = rng.standard_normal((18, 12))
     gamma = 0.3
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(18))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-10, max_iterations=8))
+    _, trace = pcg_solve(sys, epsilon=1e-10, max_iterations=8)
     diag, offdiag = tridiagonal_from_trace(trace)
     z = np.column_stack(trace.z_basis)
     gtg = a.T @ a + gamma * np.eye(12)
@@ -125,7 +127,7 @@ def test_single_iteration_ritz_data():
     rng = np.random.default_rng(2)
     a = np.diag([2.0, 1.0])
     sys = tikhonov_system(a, 1.0, rhs_data=rng.standard_normal(2))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-14, max_iterations=1))
+    _, trace = pcg_solve(sys, epsilon=1e-14, max_iterations=1)
     assert trace.iterations == 1
     pairs = ritz_from_trace(trace)
     assert len(pairs) == 1
@@ -145,7 +147,7 @@ def test_ritz_residual_identity_dense_oracle():
     gamma = 0.05
     gtg = a.T @ a + gamma * np.eye(15)
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(25))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13, max_iterations=6))
+    _, trace = pcg_solve(sys, epsilon=1e-13, max_iterations=6)
     for pair in ritz_from_trace(trace):
         direct = np.linalg.norm(gtg @ pair.vector - pair.theta * pair.vector)
         assert direct == pytest.approx(pair.residual_bound, abs=1e-9)
@@ -156,7 +158,7 @@ def test_ritz_pairs_sorted_and_inside_spectrum():
     a = rng.standard_normal((30, 20))
     gamma = 0.01
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(30))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-12, max_iterations=12))
+    _, trace = pcg_solve(sys, epsilon=1e-12, max_iterations=12)
     pairs = ritz_from_trace(trace)
     thetas = [p.theta for p in pairs]
     assert thetas == sorted(thetas, reverse=True)
@@ -223,12 +225,13 @@ def test_breakdown_on_indefinite_preconditioner():
 
 
 def test_cg_config_validation():
-    with pytest.raises(ContractError):
-        CgConfig(epsilon=0.0)
-    with pytest.raises(ContractError):
-        CgConfig(epsilon=1.0)
-    with pytest.raises(ContractError):
-        CgConfig(max_iterations=0)
+    sys = tikhonov_system(np.eye(3), 1.0, np.ones(3))
+    for kwargs, message in (
+            ({"epsilon": 0.0}, "epsilon must lie in (0, 1), got 0.0"),
+            ({"epsilon": 1.0}, "epsilon must lie in (0, 1), got 1.0"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1")):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            pcg_solve(sys, **kwargs)
 
 
 def test_ritz_requires_lanczos_collection():

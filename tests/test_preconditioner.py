@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_tikhonov_solution, tikhonov_system
-from iterreg.krylov import CgConfig, pcg_solve
+from iterreg.krylov import pcg_solve
 from iterreg.operators import ContractError
 from iterreg.preconditioner import (MERGE_DROP_TOL, SpectralPreconditioner,
                                     TwoSidedSystem, merge_pairs,
@@ -247,8 +247,7 @@ def test_two_sided_solve_pulls_back_to_tikhonov_solution():
     p = SpectralPreconditioner(gamma, w[::-1][:3].copy(),
                                v[:, ::-1][:, :3].copy())
     tsys = TwoSidedSystem(sys, p)
-    h_t, trace = pcg_solve(tsys, cfg=CgConfig(epsilon=1e-10,
-                                              max_iterations=100))
+    h_t, trace = pcg_solve(tsys, epsilon=1e-10, max_iterations=100)
     assert trace.converged
     h = tsys.pull_back(h_t)
     exact = dense_tikhonov_solution(a, gamma, data, prior)

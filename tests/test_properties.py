@@ -31,8 +31,8 @@ from helpers import (as_vector_reference, householder_loop, linear_model,
                      pcg_solve_reference, phi_sampled_loop,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
-from iterreg.krylov import (CgConfig, HouseholderBasis, pcg_solve,
-                            ritz_from_trace, select_ritz)
+from iterreg.krylov import (HouseholderBasis, pcg_solve, ritz_from_trace,
+                            select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
@@ -225,8 +225,7 @@ def test_ritz_residual_identity_against_dense_oracle(m, extra, decay, gamma,
     rng = np.random.default_rng(seed)
     sys = TikhonovSystem(problem.model.linearize(np.zeros(m)), gamma,
                          rng.standard_normal(m + extra), np.zeros(m))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13,
-                                           max_iterations=min(steps, m)))
+    _, trace = pcg_solve(sys, epsilon=1e-13, max_iterations=min(steps, m))
     residuals = np.array(trace.residual_norms)
     drift = residuals[0] / residuals[residuals > 0].min()
     tol = np.linalg.norm(gtg, 2) * (1e-13 + np.finfo(float).eps * drift)
@@ -264,8 +263,7 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, cfg=CgConfig(
-            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
         inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
                                     for e in np.eye(m)])
         two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
@@ -330,8 +328,7 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, cfg=CgConfig(
-            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
         merged = merge_pairs(base, _harvest(trace, base))
         kept = 0 if merged.left_vectors is None \
             else merged.left_vectors.shape[1]
@@ -375,8 +372,8 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
         base = precond.with_gamma(gamma)
         sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                              rng.standard_normal(m))
-        _, trace = pcg_solve(TwoSidedSystem(sys, base), cfg=CgConfig(
-            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        _, trace = pcg_solve(TwoSidedSystem(sys, base), None, EPS_ACCURATE,
+                             cfg.max_inner)
         precond = merge_pairs(base, _harvest(trace, base))
     tsys = TwoSidedSystem(sys, precond)
     w, q = np.linalg.eigh(precond.dense())
@@ -440,8 +437,7 @@ def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, cfg=CgConfig(
-            epsilon=EPS_ACCURATE, max_iterations=cfg.max_inner))
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
         precond = merge_pairs(base, _harvest(trace, base))
     assert_bound(precond)
 
@@ -519,11 +515,10 @@ def test_cg_accuracy_contract_against_dense_oracle(m, extra, decay, gamma,
     p = SpectralPreconditioner(gamma, lam[:count], v[:, :count])
     exact_two = p.dense() @ p.apply_inv_sqrt(exact)
     for eps in (1.0 / 3.0, 1e-2, 1e-4, 1e-8):
-        cfg = CgConfig(epsilon=eps)
         for solver, precond, target in ((sys, None, exact), (sys, p, exact),
                                         (TwoSidedSystem(sys, p), None,
                                          exact_two)):
-            h, trace = pcg_solve(solver, precond, cfg=cfg)
+            h, trace = pcg_solve(solver, precond, eps)
             if trace.converged:
                 bound = (eps / (1.0 - eps) + 1e-12) * np.linalg.norm(target)
                 assert np.linalg.norm(h - target) <= bound
@@ -574,13 +569,12 @@ def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
         SpectralPreconditioner.empty(gamma, m),
         [(lam, rng.standard_normal(m))
          for lam in rng.uniform(0.1, 10.0, min(count, m))])
-    cfg = CgConfig(epsilon=eps, max_iterations=cap)
     for solver, precond in ((sys, None), (sys, pairs),
                             (TwoSidedSystem(sys, pairs), None),
                             (_StridedAdjoint(sys), None),
                             (_StridedAdjoint(sys), pairs)):
-        h, trace = pcg_solve(solver, precond, cfg=cfg)
-        h_ref, ref = pcg_solve_reference(solver, precond, cfg=cfg)
+        h, trace = pcg_solve(solver, precond, eps, cap)
+        h_ref, ref = pcg_solve_reference(solver, precond, eps, cap)
         assert _bits(h) == _bits(h_ref)
         for name in ("alphas", "betas", "residual_norms",
                      "final_beta_over_alpha"):
@@ -697,8 +691,7 @@ def test_kept_ritz_vectors_equal_the_eager_products(m, extra, decay, gamma,
                          rng.standard_normal(m + extra), np.zeros(m))
     v = rng.standard_normal(m)
     assert _bits(sys.apply(v)) == _bits(stacked_apply_reference(sys, v))
-    _, trace = pcg_solve(sys, cfg=CgConfig(epsilon=1e-13,
-                                           max_iterations=min(steps, m)))
+    _, trace = pcg_solve(sys, epsilon=1e-13, max_iterations=min(steps, m))
     pairs = ritz_from_trace(trace)
     eager = ritz_vectors_reference(trace)
     assert len(pairs) == len(eager) == trace.iterations

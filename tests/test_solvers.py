@@ -9,7 +9,7 @@ import pytest
 from helpers import (linear_model, nan_on_call, nan_on_evaluation,
                      ritz_pair, truncated_cgne_reference)
 from iterreg import solvers
-from iterreg.krylov import CgConfig, pcg_solve, ritz_from_trace
+from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
                                TikhonovSystem)
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
@@ -172,8 +172,7 @@ def test_harvest_back_map(monkeypatch):
     base = SpectralPreconditioner(gamma, lam[-2:], v[:, -2:])
     sys = TikhonovSystem(problem.model.linearize(np.zeros(12)), gamma,
                          np.ones(16), np.zeros(12))
-    _, trace = pcg_solve(TwoSidedSystem(sys, base),
-                         cfg=CgConfig(epsilon=1e-9))
+    _, trace = pcg_solve(TwoSidedSystem(sys, base), epsilon=1e-9)
     pairs = _harvest(trace, base)
     kept = [p for p in ritz_from_trace(trace)
             if p.theta >= 1.1 and p.residual_bound <= 1e-6 * p.theta]
@@ -282,6 +281,13 @@ def test_landweber_distinguishes_divergence():
     assert len(history.records) < 20
     assert "exceeds 10.0 times the starting residual" \
         in history.meta["breakdown"]
+
+
+@pytest.mark.parametrize("mu", [-1.0, np.inf, np.nan])
+def test_landweber_rejects_a_step_size_outside_zero_to_inf(mu):
+    with pytest.raises(ContractError, match="mu must be nonnegative and "
+                                            f"finite, got {mu}"):
+        landweber_run(linear_model(np.eye(3)), np.ones(3), np.zeros(3), mu=mu)
 
 
 def test_landweber_auto_step_size():

@@ -285,9 +285,21 @@ def test_lepskii_from_history_truncates_at_budget():
     # a NaN Phi ends the admissible range like an over-budget one
     nan_at_3 = _history_from(xs, phis[:3] + [float("nan"), 0.5])
     assert lepskii_from_history(nan_at_3, rho=4.1, bound=2.0) == 1
-    for bound in (0.001, 0.0, -1.0):
+    for bound in (0.0, -1.0):
         with pytest.raises(ContractError):
             lepskii_from_history(history, rho=4.1, bound=bound)
+
+
+def test_lepskii_from_history_phi0_over_budget_is_not_reached():
+    # Phi(0) above the budget leaves no K_max, so the rule never fires, as
+    # discrepancy_stop returns None when its rule never does; that holds
+    # for the full run and for the one-record run that the budget driver
+    # stops at k = 0.
+    xs = [[0.0], [1.0], [1.05]]
+    history = _history_from(xs, [0.01, 0.1, 0.5])
+    assert lepskii_from_history(history, rho=4.1, bound=0.001) is None
+    assert lepskii_from_history(_history_from(xs[:1], [0.01]), rho=4.1,
+                                bound=0.001) is None
 
 
 @pytest.mark.parametrize("use_preconditioner, phi, level", [
