@@ -298,6 +298,8 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
     ("newton-cg", "max_inner = 0", "max_inner"),
+    ("landweber", "landweber_mu = -1", "landweber_mu"),
+    ("landweber", "landweber_mu = inf", "landweber_mu"),
     ("landweber", "landweber_steps = -1", "landweber_steps"),
 ])
 def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
@@ -307,7 +309,7 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: [solver]") and key in err
+    assert err.startswith(_refusal("solver", key)) and key in err
     assert not (tmp_path / "out").exists()
 
 
@@ -365,16 +367,18 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
 
 
 @pytest.mark.parametrize("lines", [
-    "m = 300\nn = 200", "decay_a = -1", "kind = convolution\nn = 4",
-    "scale = nan", "decay_a = inf", "seed = -1", "scale = 0", "scale = -1",
-], ids=["m_above_n", "decay_a", "convolution_n", "scale_nan", "decay_a_inf",
-        "seed", "scale_zero", "scale_negative"])
+    "m = 300\nn = 200", "decay_a = -1", "c3 = -1",
+    "kind = convolution\nn = 4", "scale = nan", "c3 = nan", "decay_a = inf",
+    "seed = -1", "scale = 0", "scale = -1",
+], ids=["m_above_n", "decay_a", "c3", "convolution_n", "scale_nan", "c3_nan",
+        "decay_a_inf", "seed", "scale_zero", "scale_negative"])
 def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\n{lines}\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: [problem]")
+    key = lines.partition(" =")[0]
+    assert capsys.readouterr().err.startswith(_refusal("problem", key))
     assert not (tmp_path / "out").exists()
 
 
@@ -387,6 +391,14 @@ _FORMER_KEYS = (
         "recompute_inner_min", "ritz_separation", "ritz_residual_tol")),
     ("problem", "kernel_width"), ("problem", "c3"), ("solver", "landweber_mu"),
     ("solver", "newton_cg_rho"), ("noise", "sigma"))
+
+
+def _refusal(section, key):
+    """The start of the error for a bad value of [section] key: a former
+    key is refused as an unknown field, whatever its value."""
+    if (section, key) in _FORMER_KEYS:
+        return f"config error: unknown field '{key}' in section [{section}]"
+    return f"config error: [{section}]"
 
 
 @pytest.mark.parametrize("lines, message", [
