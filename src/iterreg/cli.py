@@ -211,8 +211,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"[solver] method: invalid value {m!r} "
                     f"(choices: {', '.join(_METHODS)})")
-            if m in methods[:i]:
-                raise ConfigError(f"[solver] methods: {m} is listed twice")
+            _refuse_repeat(m, methods[:i])
             if lep and m in ("newton-cg", "landweber"):
                 raise ConfigError(f"[solver] method: {m} estimates no Phi, "
                                   "which the balancing rule (lepskii) needs")
@@ -247,6 +246,24 @@ class ExperimentConfig:
                     check(getattr(self, section)[key])
                 except ContractError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _refuse_repeat(method, earlier):
+    """A method listed twice would write two runs under one name."""
+    if method in earlier:
+        raise ConfigError(f"[solver] methods: {method} is listed twice")
+
+
+def _make_out_dir(out_dir):
+    """Create a verb's output directory once its problem (and data) are
+    built, before any solve: a path that cannot be one, such as a regular
+    file or a path under one, is a ConfigError. A configuration the build
+    refuses leaves no directory behind."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {os.fspath(out_dir)!r}: "
+                          f"{exc.strerror}") from None
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -400,6 +417,7 @@ def run_single(cfg: ExperimentConfig, out_dir):
     t0 = time.perf_counter()
     problem = build_problem(cfg)
     y_obs, sigma, delta = build_data(cfg, problem)
+    _make_out_dir(out_dir)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim,
                                         cfg.noise["seed"])
@@ -408,7 +426,6 @@ def run_single(cfg: ExperimentConfig, out_dir):
     index, error_at_stop, reached = apply_stop_rule(cfg, history, problem,
                                                     delta)
 
-    os.makedirs(out_dir, exist_ok=True)
     write_run_csv(os.path.join(out_dir, "run.csv"), history)
     summary = {
         "version": __version__,
@@ -447,15 +464,17 @@ def run_work_precision(configs, out_dir):
         if other.problem != head.problem or other.noise != head.noise:
             raise ConfigError(
                 "work-precision configs must share [problem] and [noise]")
-    for cfg in configs:
-        cfg.validate([cfg.solver["method"]], rules=())
+    methods = [cfg.solver["method"] for cfg in configs]
+    for i, cfg in enumerate(configs):
+        cfg.validate([methods[i]], rules=())
+        _refuse_repeat(methods[i], methods[:i])
     # One problem serves every method: each run's units are counted from
     # the model meter's value at its start.
     problem = build_problem(head)
     y_obs, _, _ = build_data(head, problem)
+    _make_out_dir(out_dir)
     histories = [run_method(cfg, problem, y_obs) for cfg in configs]
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "work_precision.csv"), WP_CSV_HEADER, (
         [h.method, r.k, r.cumulative_cost, repr(r.wall_time_s), _fmt(r.error)]
         for h in histories for r in h.records))
@@ -515,13 +534,13 @@ def run_stopping_study(cfg: ExperimentConfig, out_dir="."):
         raise ConfigError("[noise] samples: stopping study needs at least 2")
 
     problem = build_problem(cfg)
+    _make_out_dir(out_dir)
     samples = [_study_sample(cfg, problem, i) for i in range(num_samples)]
     rows = [row for sample_rows, _ in samples for row in sample_rows]
     breakdowns = [f"sample {i}: {h.method}: {h.meta['breakdown']}"
                   for i, (_, h) in enumerate(samples)
                   if h.terminal_reason == TERMINAL_BREAKDOWN]
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "stopping_samples.csv"),
                SAMPLES_CSV_HEADER, (
                    [sample_id, rule, "" if index is None else index,
@@ -564,6 +583,7 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
     except OracleRefusal as exc:
         raise ConfigError(f"[problem] {key}: {exc}") from None
     problem = build_problem(cfg)
+    _make_out_dir(out_dir)
     model = problem.model
     rng = np.random.default_rng(12345)
     report = {}
@@ -606,7 +626,6 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
                              "ok": digests[0] == digests[1]}
 
     all_ok = all(entry["ok"] for entry in report.values())
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "check_report.json"),
                 {"version": __version__, "problem": problem.describe(),
                  "checks": report, "ok": all_ok})

@@ -9,6 +9,7 @@ from iterreg.krylov import (CgBreakdownError, CgTrace,
                             HouseholderBasis, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
+from iterreg.testbed import two_bump_profile
 
 
 def ritz_pair(theta, vector, residual_bound):
@@ -375,3 +376,19 @@ def convolution_apply_reference(n, kernel_width, x):
     symbol = np.fft.rfft(kernel).real
     symbol = np.maximum(symbol, 1e-14 * symbol.max())
     return np.fft.irfft(np.fft.rfft(x) * symbol, n)
+
+
+def diagonal_problem_reference(m, n, decay_a=0.25, scale=1.0, seed=0):
+    """(matrix, truth) of ``testbed.make_diagonal_problem`` built as it
+    stood before its in-place rewrite: the full (n, n) Gaussian draw, an
+    out-of-place sign fix, sigma scaling and cosine basis."""
+    rng = np.random.default_rng(seed)
+    sigma = scale * np.exp(-decay_a * np.arange(m))
+    sigma = np.maximum(sigma, 1e-14 * sigma[0])
+    t = np.arange(m) + 0.5
+    u = np.cos(np.pi * np.outer(t, np.arange(m)) / m)
+    u[:, 0] *= np.sqrt(1.0 / m)
+    u[:, 1:] *= np.sqrt(2.0 / m)
+    q, r = np.linalg.qr(rng.standard_normal((n, n))[:, :m])
+    v = q * np.sign(np.diag(r))
+    return (v * sigma) @ u.T, two_bump_profile(m)

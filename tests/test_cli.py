@@ -790,6 +790,48 @@ def test_main_work_precision_refuses_a_method_listed_twice(
     assert not (tmp_path / "out").exists()
 
 
+def test_work_precision_refuses_a_repeated_method_before_the_build(
+        tmp_path, monkeypatch):
+    calls = _counting_builds(monkeypatch)
+    cfg = ExperimentConfig.from_text(BASE)
+    cfg.solver["method"] = "landweber"
+    cfg.solver["landweber_steps"] = 10
+    configs = [cfg, dataclasses.replace(cfg, solver=dict(cfg.solver))]
+    configs[1].solver["landweber_steps"] = 20
+    with pytest.raises(ConfigError) as info:
+        run_work_precision(configs, tmp_path / "out")
+    assert str(info.value) == "[solver] methods: landweber is listed twice"
+    assert not calls
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["solve", "work-precision", "stopping-study",
+                                  "check"])
+@pytest.mark.parametrize("under, reason", [(False, "File exists"),
+                                           (True, "Not a directory")],
+                         ids=["regular-file", "under-a-file"])
+def test_main_unusable_out_exits_2_before_any_solve(
+        tmp_path, monkeypatch, capsys, verb, under, reason):
+    # The directory is made after the build, which may refuse the
+    # configuration without leaving one, and before any solve or check.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("ran past an unusable output directory")
+
+    monkeypatch.setattr(cli, "run_method", refuse)
+    monkeypatch.setattr(cli, "adjoint_mismatch", refuse)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 8\nn = 12\n[solver]\nmax_newton = 4\n"
+                   "methods = irgnm-prec, landweber\nlandweber_steps = 10\n"
+                   "[noise]\nsamples = 2\n[stopping]\nr_bound = 2.0\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert main([verb, "--config", str(ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {str(out)!r}: {reason}\n")
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("verb", ["solve", "check"])
 def test_exact_data_without_lepskii_runs(tmp_path, verb):
     ini = tmp_path / "exp.ini"

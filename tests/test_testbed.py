@@ -1,11 +1,12 @@
 """Synthetic problem families, noise calibration, and the dense oracle."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import convolution_apply_reference
+from helpers import convolution_apply_reference, diagonal_problem_reference
 from iterreg.operators import ContractError, adjoint_mismatch
 from iterreg.testbed import (DENSE_ORACLE_MAX_DIM, DenseOracle, OracleRefusal,
                              cosine_basis, generate_noise,
@@ -32,6 +33,37 @@ def test_random_orthonormal_columns_match_square_qr():
             np.random.default_rng(0).standard_normal((dim, dim)))
         full = full * np.sign(np.diag(r))
         np.testing.assert_allclose(q, full[:, :count], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim, count", [(5, 6), (5, 0), (5, -1)])
+def test_random_orthonormal_columns_rejects_count_outside_dim(dim, count):
+    with pytest.raises(ContractError, match="count"):
+        random_orthonormal_columns(dim, count, np.random.default_rng(0))
+
+
+# 800 and 130 end on a partial block of the row-block draw, 128 on a full
+# one, and 7, 13 and 3 fit in a single block.
+@pytest.mark.parametrize("m, n", [(400, 800), (7, 7), (5, 13), (1, 3),
+                                  (70, 130), (64, 128)])
+def test_diagonal_problem_matches_out_of_place_build(m, n):
+    problem = make_diagonal_problem(m=m, n=n, decay_a=0.3, seed=11)
+    matrix, truth = diagonal_problem_reference(m, n, decay_a=0.3, seed=11)
+    assert problem.matrix.tobytes() == matrix.tobytes()
+    assert problem.truth.tobytes() == truth.tobytes()
+
+
+def test_diagonal_build_peak_memory():
+    # The build holds each array once; its peak is the QR of the kept
+    # columns (about 3.6 m n float64s). The full (n, n) draw and the
+    # out-of-place steps peaked at about 5.1.
+    m, n = 400, 800
+    tracemalloc.start()
+    try:
+        make_diagonal_problem(m=m, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * m * n * 8
 
 
 def test_diagonal_problem_explicit_singular_values():
