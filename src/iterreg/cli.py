@@ -486,6 +486,7 @@ def run_work_precision(configs, out_dir):
         "inner_unconverged": {h.method: h.meta["inner_unconverged"]
                               for h in histories},
         "final_error": {h.method: h.records[-1].error for h in histories},
+        "terminal_reason": {h.method: h.terminal_reason for h in histories},
     })
     return histories
 
@@ -670,7 +671,8 @@ def main(argv=None):
             histories = run_work_precision(expand_methods(cfg), args.out)
             for h in histories:
                 print(f"{h.method}: cost={h.total_cost()} "
-                      f"final_error={h.records[-1].error}")
+                      f"final_error={h.records[-1].error} "
+                      f"terminal={h.terminal_reason}")
             if _report_breakdowns(histories):
                 return 3
         elif args.verb == "stopping-study":

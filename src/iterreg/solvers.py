@@ -42,6 +42,7 @@ EVENT_FINAL = "Final"
 TERMINAL_STOP = "StopRule"
 TERMINAL_MAX = "MaxNewton"
 TERMINAL_BREAKDOWN = "Breakdown"
+TERMINAL_INNER_CAP = "InnerCap"
 
 # Residual blow-up past this multiple of the starting residual ends the run
 # with a Breakdown record instead of letting iterates overflow.
@@ -117,8 +118,10 @@ class RunRecord:
 class RunHistory:
     """Complete record of one outer run.
 
+    ``terminal_reason`` is one of the ``TERMINAL_*`` constants.
     ``meta["inner_unconverged"]`` counts the steps whose inner solve stopped
-    at its iteration cap short of its tolerance (always 0 for Landweber).
+    at its iteration cap short of its tolerance: always 0 for Landweber, and
+    at most 1 for Newton-CG, whose run ends at its first capped solve.
     """
 
     records: list
@@ -274,6 +277,11 @@ class _OuterLoop:
     ``meta["breakdown"]``; after a failed step the record's cumulative_cost
     is re-read so it includes the units that step spent. A failure of
     F(x_0) raises, since no residual exists to record.
+
+    A step ends the run after itself by setting ``end_reason``: x_{k+1} is
+    evaluated and recorded as the Final row at k + 1, and the run ends
+    there with that terminal reason unless the stop driver ends it there
+    first.
     """
 
     def __init__(self, model, y_obs, x0, truth):
@@ -284,6 +292,7 @@ class _OuterLoop:
             else as_vector(truth, model.domain_dim, "truth")
         self.cost_start = model.cost.total
         self.t_start = time.perf_counter()
+        self.end_reason = None
 
     def run(self, step, max_steps, stop, method, meta, probe=None):
         model, truth = self.model, self.truth
@@ -309,6 +318,9 @@ class _OuterLoop:
                 probe(rec)
             if stop is not None and stop(k, rn, rec.phi_k):
                 terminal = TERMINAL_STOP
+                break
+            if self.end_reason is not None:
+                terminal = self.end_reason
                 break
             if k == max_steps:
                 break
@@ -434,7 +446,10 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
 
     The inner loop on A_k^T A_k h = A_k^T (y - F(x_k)) stops once the inner
     data misfit drops below inner_rho times the outer residual; truncation is
-    the sole regularization.
+    the sole regularization. A solve that reaches ``max_inner`` iterations
+    above that target defines no Newton-CG step: its step is still taken,
+    and the run ends at the Final row of the iterate it produced, with
+    terminal InnerCap, unless the stop driver ends it there first.
     """
     if not 0.0 < inner_rho < 1.0:
         raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
@@ -447,7 +462,9 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     def step(rec, x, residual_vec):
         h, rec.inner_iterations, capped = _truncated_cgne(
             model.linearize(x), residual_vec, inner_rho, max_inner)
-        meta["inner_unconverged"] += capped
+        if capped:
+            meta["inner_unconverged"] += 1
+            outer.end_reason = TERMINAL_INNER_CAP
         rec.event = EVENT_BASELINE
         return h
 

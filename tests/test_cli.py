@@ -460,6 +460,48 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
     assert counts["landweber"] == 0
 
 
+def test_main_solve_newton_cg_ends_at_its_first_capped_solve(tmp_path,
+                                                             capsys):
+    # A capped inner solve ends a Newton-CG run: InnerCap is a finished
+    # run, not a breakdown, so solve exits 0 and explains nothing on stderr.
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE.replace("method = irgnm-prec",
+                                "method = newton-cg\nmax_inner = 1"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "terminal=InnerCap" in captured.out
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert (summary["terminal_reason"], summary["breakdown"]) \
+        == ("InnerCap", None)
+    assert summary["inner_unconverged"] == 1
+    with open(out / "run.csv") as fh:
+        assert list(csv.reader(fh))[-1][-1] == "Final"
+
+
+def test_main_work_precision_reports_each_terminal_reason(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE.replace(
+        "method = irgnm-prec",
+        "methods = irgnm-prec, newton-cg, landweber\n"
+        "landweber_steps = 5\nmax_inner = 1"))
+    out = tmp_path / "out"
+    assert main(["work-precision", "--config", str(ini),
+                 "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        reasons = json.load(fh)["terminal_reason"]
+    assert reasons == {"irgnm-prec": "MaxNewton", "newton-cg": "InnerCap",
+                       "landweber": "MaxNewton"}
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] \
+        == ["irgnm-prec", "newton-cg", "landweber"]
+    for line in lines:
+        method = line.split(":")[0]
+        assert line.endswith(f" terminal={reasons[method]}")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_overflowing_data_exits_3(tmp_path, capsys):
     # The problem is valid, but the norm of its exact data overflows; the

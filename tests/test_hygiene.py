@@ -19,6 +19,10 @@ iterreg loads nothing else; a builder that needs another library imports it
 inside its own function. The third-party packages imported anywhere must be
 exactly the ``dependencies`` of ``pyproject.toml``. A fresh interpreter that
 imports the CLI and runs one small solve must not load scipy.
+
+Terminal reasons: the string values of the module-level ``TERMINAL_*``
+constants of ``solvers.py`` must be exactly the reasons ``csv_schema.md``
+lists after "The terminal reason", so none goes undocumented.
 """
 
 import ast
@@ -244,3 +248,35 @@ def test_cli_import_and_solve_load_no_scipy(tmp_path):
     assert status == 0
     assert after_import == []
     assert after_solve == []
+
+
+def terminal_constants(source):
+    """Values of the module-level ``TERMINAL_*`` string constants."""
+    return sorted(node.value.value for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name)
+                          and t.id.startswith("TERMINAL_")
+                          for t in node.targets))
+
+
+def documented_terminals(text):
+    """The reasons listed as "The terminal reason (A, B, ...)"."""
+    lists = re.findall(r"The terminal reason\s+\(([^)]*)\)", text)
+    assert len(lists) == 1, lists
+    return sorted(" ".join(name.split()) for name in lists[0].split(","))
+
+
+def test_every_terminal_reason_is_documented():
+    package = ROOT / "src" / "iterreg"
+    assert terminal_constants((package / "solvers.py").read_text()) \
+        == documented_terminals((package / "csv_schema.md").read_text())
+
+
+def test_terminal_scans_read_constants_and_the_schema_list():
+    source = ('TERMINAL_A = "Alpha"\n'
+              'EVENT_B = "Beta"\n'
+              'def f():\n'
+              '    TERMINAL_C = "Gamma"\n')
+    assert terminal_constants(source) == ["Alpha"]
+    text = "The terminal reason (Beta,\nAlpha) is in summary.json."
+    assert documented_terminals(text) == ["Alpha", "Beta"]

@@ -15,10 +15,10 @@ from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
-                             TERMINAL_MAX, TERMINAL_STOP, NewtonConfig,
-                             _harvest, estimate_gram_norm, irgnm_run,
-                             landweber_run, must_update, newton_cg_run,
-                             schedule_gamma, should_recompute)
+                             TERMINAL_INNER_CAP, TERMINAL_MAX, TERMINAL_STOP,
+                             NewtonConfig, _harvest, estimate_gram_norm,
+                             irgnm_run, landweber_run, must_update,
+                             newton_cg_run, schedule_gamma, should_recompute)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -540,15 +540,52 @@ def test_inner_unconverged_counts_solves_stopped_by_the_cap():
         cfg = replace(cfg, max_inner=200)
         assert irgnm_run(problem.model, y, x0, cfg) \
             .meta["inner_unconverged"] == 0
-    # Two Newton-CG steps need two inner iterations: a cap of 1 stops both,
-    # a cap of 2 stops neither.
-    capped = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=1)
-    assert capped.meta["inner_unconverged"] == 2
+    # Two Newton-CG steps need two inner iterations, and a cap of 2 stops
+    # neither. A cap of 1 stops the first of them: that step is taken, and
+    # the run ends at the Final row of the iterate it produced, whose cost
+    # includes the capped solve (2 units) and its evaluation (1 unit).
     exact = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=2)
-    assert [r.inner_iterations for r in exact.records].count(2) == 2
+    inner = [r.inner_iterations for r in exact.records]
+    assert inner.count(2) == 2
     assert exact.meta["inner_unconverged"] == 0
+    first = inner.index(2)
+    capped = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=1)
+    assert capped.terminal_reason == TERMINAL_INNER_CAP
+    assert capped.meta["inner_unconverged"] == 1
+    *steps, last = capped.records
+    assert [r.k for r in capped.records] == list(range(first + 2))
+    for short, full in zip(steps[:first], exact.records):
+        assert (short.inner_iterations, short.cumulative_cost) \
+            == (full.inner_iterations, full.cumulative_cost)
+    assert steps[-1].inner_iterations == 1
+    assert [r.event for r in steps] == [EVENT_BASELINE] * (first + 1)
+    assert (last.k, last.inner_iterations, last.event) \
+        == (first + 1, 0, EVENT_FINAL)
+    assert last.cumulative_cost == steps[-1].cumulative_cost + 2 + 1
     assert landweber_run(problem.model, y, x0, max_steps=5) \
         .meta["inner_unconverged"] == 0
+
+
+@pytest.mark.parametrize("max_newton, stop_at, terminal", [
+    (5, None, TERMINAL_INNER_CAP),
+    (6, 5, TERMINAL_STOP),
+])
+def test_newton_cg_inner_cap_ends_the_run_at_the_next_record(
+        max_newton, stop_at, terminal):
+    # Step 4 is the first capped solve at max_inner = 1. Its Final row at
+    # k = 5 is recorded whatever else ends the run there: InnerCap outranks
+    # the step cap, and a stop rule that fires at k = 5 outranks InnerCap.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    history = newton_cg_run(problem.model, y, np.zeros(10),
+                            max_newton=max_newton, max_inner=1,
+                            stop=lambda k, rn, phi: k == stop_at)
+    assert history.terminal_reason == terminal
+    assert [r.event for r in history.records][-2:] \
+        == [EVENT_BASELINE, EVENT_FINAL]
+    assert history.records[-1].k == 5
+    assert history.meta["inner_unconverged"] == 1
 
 
 def test_estimate_gram_norm_diagonal():
