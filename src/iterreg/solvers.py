@@ -41,6 +41,7 @@ EVENT_FINAL = "Final"
 
 TERMINAL_STOP = "StopRule"
 TERMINAL_MAX = "MaxNewton"
+TERMINAL_STEP_CAP = "StepCap"
 TERMINAL_BREAKDOWN = "Breakdown"
 TERMINAL_INNER_CAP = "InnerCap"
 
@@ -278,10 +279,12 @@ class _OuterLoop:
     is re-read so it includes the units that step spent. A failure of
     F(x_0) raises, since no residual exists to record.
 
-    A step ends the run after itself by setting ``end_reason``: x_{k+1} is
-    evaluated and recorded as the Final row at k + 1, and the run ends
-    there with that terminal reason unless the stop driver ends it there
-    first.
+    A run that records step ``max_steps`` ends there with terminal
+    ``cap_reason``: MaxNewton, or StepCap for Landweber, which takes no
+    Newton step. A step ends the run after itself by setting
+    ``end_reason``: x_{k+1} is evaluated and recorded as the Final row at
+    k + 1, and the run ends there with that terminal reason unless the stop
+    driver ends it there first.
     """
 
     def __init__(self, model, y_obs, x0, truth):
@@ -294,11 +297,12 @@ class _OuterLoop:
         self.t_start = time.perf_counter()
         self.end_reason = None
 
-    def run(self, step, max_steps, stop, method, meta, probe=None):
+    def run(self, step, max_steps, stop, method, meta, probe=None,
+            cap_reason=TERMINAL_MAX):
         model, truth = self.model, self.truth
         x = self.x0.copy()
         records = []
-        terminal = TERMINAL_MAX
+        terminal = cap_reason
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
             rn = math.sqrt(residual_vec.dot(residual_vec))
@@ -423,7 +427,8 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
     mu = None picks 0.95 / (power-iteration estimate of ||A_0^T A_0||), and
     a zero Jacobian at x0, which admits no estimate, raises a ContractError.
     Each step costs one evaluation plus one adjoint apply. Aborts with a
-    Breakdown terminal if the residual grows tenfold above its start.
+    Breakdown terminal if the residual grows tenfold above its start, and
+    ends with terminal StepCap at ``max_steps``.
     """
     check_step_cap(max_steps)
     outer = _OuterLoop(model, y_obs, x0, truth)
@@ -437,7 +442,8 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
         return mu * model.linearize(x).apply_adjoint(residual_vec)
 
     return outer.run(step, max_steps, stop, "landweber",
-                     {"mu": float(mu), "inner_unconverged": 0})
+                     {"mu": float(mu), "inner_unconverged": 0},
+                     cap_reason=TERMINAL_STEP_CAP)
 
 
 def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from iterreg.krylov import (CgBreakdownError, CgTrace,
-                            HouseholderBasis, RitzPair,
+from iterreg.krylov import (CgBreakdownError, CgTrace, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
 from iterreg.testbed import two_bump_profile
@@ -105,7 +104,7 @@ def random_spd_pairs(m, count, rng, gamma=1.0):
 
 def householder_loop(vectors, drop_tol=1e-12):
     """Reference basis growth, one reflector at a time: ``(q, pnorm)`` or
-    ``(None, pnorm)`` per input, as ``HouseholderBasis.add`` returns."""
+    ``(None, pnorm)`` per input, as ``GramSchmidtBasis.add`` returns."""
     reflectors, out = [], []
     for x in vectors:
         x, k = np.asarray(x, dtype=float), len(reflectors)
@@ -149,49 +148,34 @@ def phi_sampled_loop(precond, samples, gamma):
 
 # Reference implementations: the CG loops as they stood before their
 # in-place rewrite (fresh arrays on every update, np.linalg.norm, and
-# Newton-CG's adjoint computed after its last iteration too). The package
-# must reproduce their iterates bit for bit.
+# Newton-CG's adjoint computed after its last iteration too), over a
+# Gram-Schmidt basis kept as a list of rows. The package must reproduce
+# their iterates and Lanczos basis bit for bit.
 
 
-class ReferenceHouseholderBasis(HouseholderBasis):
-    """``HouseholderBasis`` with its ``add`` as it stood before the rewrite."""
+class ReferenceGramSchmidtBasis:
+    """``krylov.GramSchmidtBasis`` in loop form: the basis is a list that
+    grows one row at a time, restacked into a fresh array on every ``add``,
+    and every update and norm allocates anew (``np.linalg.norm``)."""
+
+    def __init__(self, dim):
+        self.dim, self.rows = int(dim), []
 
     def add(self, x, drop_tol=1e-12):
-        """Extend the basis with the normalized complement of ``x``.
-
-        Returns ``(q, pnorm)`` where q is the new exactly-orthonormal basis
-        vector aligned with the complement of x and pnorm its unnormalized
-        length, or ``(None, pnorm)`` when x is numerically dependent on the
-        basis (``pnorm <= drop_tol * ||x||``) or the space is exhausted.
-        """
         x = np.asarray(x, dtype=float)
         xnorm = np.linalg.norm(x)
-        k = self.count
-        if xnorm == 0.0 or k >= self.dim:
+        if xnorm == 0.0 or len(self.rows) >= self.dim:
             return None, 0.0
-        v, t = self._v[:k], self._t[:k, :k]
-        # trailing part of (H_k ... H_1) x = x - V T^T V^T x
-        tail = x[k:] - (t.T @ (v @ x)) @ v[:, k:]
-        pnorm = float(np.linalg.norm(tail))
+        q = np.array(self.rows).reshape(len(self.rows), self.dim)
+        w = x - (q @ x) @ q
+        pnorm = float(np.linalg.norm(w))
+        if pnorm < np.sqrt(0.5) * xnorm:
+            w = w - (q @ w) @ q
+            pnorm = float(np.linalg.norm(w))
         if pnorm <= drop_tol * xnorm:
             return None, pnorm
-        alpha = -np.copysign(pnorm, tail[0])
-        w = tail.copy()
-        w[0] -= alpha
-        w /= np.linalg.norm(w)
-        self._v[k, :k] = 0.0
-        self._v[k, k:] = w
-        self._t[k, :k] = 0.0
-        self._t[:k, k] = -2.0 * (self._t[:k, :k] @ (self._v[:k, k:] @ w))
-        self._t[k, k] = 2.0
-        self.count = k + 1
-        # q = H_1 ... H_{k+1} e_k = e_k - V (T V^T e_k)
-        v, t = self._v[:k + 1], self._t[:k + 1, :k + 1]
-        q = -((t @ v[:, k]) @ v)
-        q[k] += 1.0
-        if alpha < 0.0:
-            q = -q
-        return q, pnorm
+        self.rows.append(w / pnorm)
+        return self.rows[-1], pnorm
 
 
 def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
@@ -203,9 +187,7 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
 
     alphas, betas_all = [], []
     residual_norms = []
-    basis = ReferenceHouseholderBasis(m_dim, max_iterations + 1) \
-        if precond is None else None
-    z_basis = [] if precond is None else None
+    basis = ReferenceGramSchmidtBasis(m_dim) if precond is None else None
 
     def precondition(r):
         """Return (z, <r, z>, ||r||); without a preconditioner r is first
@@ -216,7 +198,6 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
         q, pnorm = basis.add(r)
         if q is None:
             return np.zeros(m_dim), 0.0, 0.0
-        z_basis.append(q)
         rho = pnorm * pnorm
         return pnorm * q, rho, float(np.sqrt(rho))
 
@@ -227,7 +208,7 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
             fba = 0.0
         return CgTrace(
             alphas=list(alphas), betas=betas_all[:-1],
-            z_basis=None if z_basis is None else z_basis[: len(alphas)],
+            z_basis=None if basis is None else basis.rows[: len(alphas)],
             final_beta_over_alpha=fba, iterations=len(alphas),
             converged=converged, residual_norms=list(residual_norms),
         )
@@ -362,8 +343,8 @@ def ritz_vectors_reference(trace):
     diag, offdiag = tridiagonal_from_trace(trace)
     _, vecs = np.linalg.eigh(
         np.diag(diag) + np.diag(offdiag, -1) + np.diag(offdiag, 1))
-    z = np.column_stack(trace.z_basis)
-    return [z @ vecs[:, i] for i in range(trace.iterations - 1, -1, -1)]
+    return [vecs[:, i] @ trace.z_basis
+            for i in range(trace.iterations - 1, -1, -1)]
 
 
 def convolution_apply_reference(n, kernel_width, x):

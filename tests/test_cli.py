@@ -493,7 +493,7 @@ def test_main_work_precision_reports_each_terminal_reason(tmp_path, capsys):
     with open(out / "summary.json") as fh:
         reasons = json.load(fh)["terminal_reason"]
     assert reasons == {"irgnm-prec": "MaxNewton", "newton-cg": "InnerCap",
-                       "landweber": "MaxNewton"}
+                       "landweber": "StepCap"}
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] \
         == ["irgnm-prec", "newton-cg", "landweber"]

@@ -100,7 +100,7 @@ def test_lanczos_basis_orthonormal():
     a = rng.standard_normal((40, 30))
     sys = tikhonov_system(a, 1e-6, rhs_data=rng.standard_normal(40))
     _, trace = pcg_solve(sys, epsilon=1e-11, max_iterations=30)
-    z = np.column_stack(trace.z_basis)
+    z = trace.z_basis.T
     gram = z.T @ z
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
@@ -114,7 +114,7 @@ def test_tridiagonal_matches_projected_operator():
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(18))
     _, trace = pcg_solve(sys, epsilon=1e-10, max_iterations=8)
     diag, offdiag = tridiagonal_from_trace(trace)
-    z = np.column_stack(trace.z_basis)
+    z = trace.z_basis.T
     gtg = a.T @ a + gamma * np.eye(12)
     projected = z.T @ gtg @ z
     dense_t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)

@@ -1,21 +1,22 @@
 """Property checks of the one pair-set constructor ``merge_pairs``, the
-Householder basis behind every reorthogonalization, the Ritz residual
+Gram-Schmidt basis behind every reorthogonalization (against a Householder
+reflector loop, and on inputs already orthonormal), the Ritz residual
 identity of the Lanczos extraction, the Ritz pairs the solver keeps, the
 left vectors and the sampled Phi built on them, the two-sided system over
 merged pairs and its spectrum bound 1 - delta, the preconditioned-spectrum
 identity, the Cholesky-reduced pencil against the similarity route on random
-pair sets, the CG accuracy contract, the CG loops against their reference implementations, and the
-finiteness check of ``as_vector``.
+pair sets, the CG accuracy contract, the CG loops against their reference
+implementations, and the finiteness check of ``as_vector``.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
 ``merge_pairs`` an orthonormal existing pair set and random newcomers; for
-the basis a stream of random, dependent and zero vectors; for the identity,
-the kept pairs, the left vectors and the two-sided system a random Tikhonov
-system checked against ``DenseOracle`` or dense matrices, as for the CG
-contract; for the sampled Phi, the spectrum and the pencil random dense
-operators; for ``as_vector`` arrays with NaN, infinite and huge entries
-mixed in.
+the basis a stream of random, dependent, nearly dependent and zero vectors;
+for the identity, the kept pairs, the left vectors and the two-sided system
+a random Tikhonov system checked against ``DenseOracle`` or dense matrices,
+as for the CG contract; for the sampled Phi, the spectrum and the pencil
+random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
+entries mixed in.
 """
 
 import itertools
@@ -31,7 +32,8 @@ from helpers import (as_vector_reference, householder_loop, linear_model,
                      pcg_solve_reference, phi_sampled_loop,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
-from iterreg.krylov import (HouseholderBasis, pcg_solve, ritz_from_trace,
+from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
+                            reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
@@ -135,35 +137,55 @@ def test_merge_into_empty_applies_like_direct_construction(dim, count, gamma,
         assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
-def _vector_stream(dim, count, dependent, seed):
+def _vector_stream(dim, count, dependent, seed, offset=0.0):
     """``count`` vectors of length dim: Gaussian ones at scales 1e-5..1e5,
-    with a share ``dependent`` of zero vectors and combinations of earlier
-    vectors mixed in."""
+    with a share ``dependent`` of zero vectors and combinations c of earlier
+    vectors mixed in. A positive ``offset`` adds offset * ||c|| z to each
+    combination, z a unit vector orthogonal to every earlier vector (none
+    once they span the space); later combinations leave such vectors out,
+    so each offset stays the whole complement of its vector."""
     rng = np.random.default_rng(seed)
-    out = []
+    out, sources = [], []
     for _ in range(count):
         if out and rng.uniform() < dependent:
-            weights = rng.standard_normal(len(out))
-            x = weights @ np.array(out) if rng.uniform() < 0.9 \
+            weights = rng.standard_normal(len(sources))
+            x = weights @ np.array(sources) if rng.uniform() < 0.9 \
                 else np.zeros(dim)
+            if offset:
+                earlier = np.array(out)
+                rank = np.linalg.matrix_rank(earlier)
+                if rank < dim:
+                    z = rng.standard_normal(dim - rank) \
+                        @ np.linalg.svd(earlier)[2][rank:]
+                    x = x + offset * np.linalg.norm(x) * z / np.linalg.norm(z)
+                out.append(x)
+                continue
         else:
             x = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(dim)
         out.append(x)
+        sources.append(x)
     return out
 
 
-# The basis holds min(dim, count) vectors, so the explicit examples fill
-# it to dim and then offer more.
+# The basis holds min(dim, count) vectors, so the first three explicit
+# examples fill it to dim and then offer more. In the fourth, inputs
+# x = Q c + 1e-3 ||Q c|| z lose all but 1e-3 of their norm to the first
+# projection, so every one takes the second pass; in the fifth their
+# complement lands at 0.9e-12 ||x||, just under the drop tolerance.
 @PROPERTY
 @given(st.integers(1, 40), st.integers(1, 45), st.floats(0.0, 0.5),
-       st.integers(0, 2**32 - 1))
-@example(dim=40, count=45, dependent=0.0, seed=1)
-@example(dim=33, count=40, dependent=0.2, seed=2)
-@example(dim=17, count=17, dependent=0.0, seed=3)
+       st.integers(0, 2**32 - 1), st.sampled_from((0.0, 1e-3, 0.9e-12)))
+@example(dim=40, count=45, dependent=0.0, seed=1, offset=0.0)
+@example(dim=33, count=40, dependent=0.2, seed=2, offset=0.0)
+@example(dim=17, count=17, dependent=0.0, seed=3, offset=0.0)
+@example(dim=30, count=40, dependent=0.5, seed=4, offset=1e-3)
+@example(dim=30, count=40, dependent=0.5, seed=5, offset=0.9e-12)
 def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
-                                                         dependent, seed):
-    vectors = _vector_stream(dim, count, dependent, seed)
-    basis = HouseholderBasis(dim, count)
+                                                         dependent, seed,
+                                                         offset):
+    # The Gram-Schmidt basis against the Householder reflector loop.
+    vectors = _vector_stream(dim, count, dependent, seed, offset)
+    basis = GramSchmidtBasis(dim, count)
     got = [basis.add(x) for x in vectors]
     want = householder_loop(vectors)
     assert [q is None for q, _ in got] == [q is None for q, _ in want]
@@ -188,23 +210,33 @@ def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
 
 @pytest.mark.parametrize("dim", [1, 2, 17, 40, 201])
 def test_basis_filled_to_capacity_is_orthonormal(dim):
-    # V and T start unfilled; with NaN in every entry the basis has not
+    # The rows start unfilled; with NaN in every row the basis has not yet
     # written, a basis of capacity dim filled with dim vectors still comes
     # out orthonormal, and the space is then exhausted. Past a capacity
     # below dim, add raises.
     rng = np.random.default_rng(dim)
-    basis = HouseholderBasis(dim, dim)
-    basis._v.fill(np.nan)
-    basis._t.fill(np.nan)
+    basis = GramSchmidtBasis(dim, dim)
+    basis._q.fill(np.nan)
     q = np.column_stack([basis.add(rng.standard_normal(dim))[0]
                          for _ in range(dim)])
     assert basis.count == dim
     assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-13
     assert basis.add(np.ones(dim)) == (None, 0.0)
-    small = HouseholderBasis(dim + 1, 1)
+    small = GramSchmidtBasis(dim + 1, 1)
     small.add(np.ones(dim + 1))
     with pytest.raises(IndexError):
         small.add(rng.standard_normal(dim + 1))
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_reorthogonalizing_an_orthonormal_set_keeps_it(dim, count, seed):
+    # Each input is orthogonal to the ones before it, so every index is kept
+    # and no vector moves by more than round-off.
+    vectors = _orthonormal(np.random.default_rng(seed), dim, min(dim, count))
+    kept, indices = reorthogonalize_indexed(list(vectors.T))
+    assert indices == list(range(vectors.shape[1]))
+    assert np.max(np.linalg.norm(kept - vectors, axis=0)) <= 1e-14
 
 
 @PROPERTY

@@ -15,10 +15,11 @@ from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
-                             TERMINAL_INNER_CAP, TERMINAL_MAX, TERMINAL_STOP,
-                             NewtonConfig, _harvest, estimate_gram_norm,
-                             irgnm_run, landweber_run, must_update,
-                             newton_cg_run, schedule_gamma, should_recompute)
+                             TERMINAL_INNER_CAP, TERMINAL_MAX,
+                             TERMINAL_STEP_CAP, TERMINAL_STOP, NewtonConfig,
+                             _harvest, estimate_gram_norm, irgnm_run,
+                             landweber_run, must_update, newton_cg_run,
+                             schedule_gamma, should_recompute)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -273,6 +274,20 @@ def test_landweber_identity_closed_form():
     assert history.records[-1].event == EVENT_FINAL
 
 
+def test_capped_landweber_run_ends_with_step_cap():
+    # Landweber takes no Newton step, so reaching its step cap is StepCap,
+    # not MaxNewton; a stop rule that fires first still outranks the cap.
+    model = linear_model(np.eye(3))
+    capped = landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
+                           max_steps=6)
+    assert capped.terminal_reason == TERMINAL_STEP_CAP
+    assert [r.k for r in capped.records] == list(range(7))
+    stopped = landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
+                            max_steps=6, stop=lambda k, rn, phi: k == 3)
+    assert stopped.terminal_reason == TERMINAL_STOP
+    assert stopped.records[-1].k == 3
+
+
 def test_landweber_distinguishes_divergence():
     model = linear_model(np.eye(3))
     y = np.ones(3)
@@ -409,7 +424,8 @@ def test_runs_and_solves_write_no_array_they_are_given(monkeypatch):
         newton_cg_run(problem.model, y, x0, max_newton=4),
         landweber_run(problem.model, y, x0, max_steps=5),
     ]
-    assert all(h.terminal_reason == TERMINAL_MAX for h in histories)
+    assert [h.terminal_reason for h in histories] \
+        == [TERMINAL_MAX] * 3 + [TERMINAL_STEP_CAP]
     jac = problem.model.linearize(x0)
     data, prior = frozen(rng.standard_normal(14), rng.standard_normal(10))
     sys = TikhonovSystem(jac, 0.1, data, prior)
