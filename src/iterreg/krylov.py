@@ -36,12 +36,11 @@ _SQRT_HALF = math.sqrt(0.5)
 class CgBreakdownError(RuntimeError):
     """CG lost positive definiteness or produced a non-finite coefficient.
 
-    Carries the partial solution and trace so a caller can salvage the run.
+    Carries the partial trace, whose iteration count a run records.
     """
 
-    def __init__(self, message, solution=None, trace=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.solution = solution
         self.trace = trace
 
 
@@ -241,7 +240,7 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     -------
     (h, trace) : solution estimate and a CgTrace. Hitting the iteration cap
     flags ``trace.converged = False`` instead of raising; genuine breakdowns
-    raise ``CgBreakdownError`` carrying the partial results.
+    raise ``CgBreakdownError`` carrying the partial trace.
 
     Notes
     -----
@@ -301,7 +300,7 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     if not math.isfinite(rho) or rho <= 0.0:
         raise CgBreakdownError(
             f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
-            solution=h, trace=finalize(False))
+            trace=finalize(False))
 
     p = z.copy()
     h_norm = 0.0
@@ -322,19 +321,18 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         if qq == 0.0 or not math.isfinite(qq):
             raise CgBreakdownError(
                 "search direction collapsed: ||G p||^2 = " + repr(qq),
-                solution=h, trace=finalize(False))
+                trace=finalize(False))
         alpha = rho / qq
         if not (0.0 < alpha < 1e16):
             raise CgBreakdownError(
                 f"CG coefficient alpha = {alpha} outside (0, 1e16)",
-                solution=h, trace=finalize(False))
+                trace=finalize(False))
         h += alpha * p
         d -= alpha * q
         z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
         if not math.isfinite(rho_new) or rho_new < 0.0:
-            raise CgBreakdownError(
-                f"<r, z> = {rho_new} lost positivity",
-                solution=h, trace=finalize(False))
+            raise CgBreakdownError(f"<r, z> = {rho_new} lost positivity",
+                                   trace=finalize(False))
 
         beta = rho_new / rho
         alphas.append(alpha)

@@ -117,17 +117,18 @@ class SpectralPreconditioner:
 
     def _shifted_apply(self, x, weights):
         base, pair_weights = weights
-        x = as_vector(x, self.dim, "input")
         out = base * x
         if pair_weights.shape[0]:
             out += self.vectors @ (pair_weights * (self.vectors.T @ x))
         return out
 
     def apply_inverse(self, x):
-        """M^{-1} x = x/gamma + sum (1/(lambda_j+gamma) - 1/gamma) <x,u_j> u_j."""
+        """M^{-1} x = x/gamma + sum (1/(lambda_j+gamma) - 1/gamma) <x,u_j> u_j,
+        for an unchecked 1-D ``x`` of length ``dim`` (see ``operators``)."""
         return self._shifted_apply(x, self._inverse_weights)
 
     def apply_inv_sqrt(self, x):
+        """M^{-1/2} x, with ``x`` unchecked as in ``apply_inverse``."""
         return self._shifted_apply(x, self._inv_sqrt_weights)
 
     def dense(self):

@@ -178,7 +178,8 @@ def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
         return True
     if k < m:
         raise ContractError("Newton index precedes the linearization point")
-    due = np.sqrt(k + 1.0) + 1e-12 >= np.sqrt(m + 1.0) + 1.0
+    d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
+    due = d >= 0 and d * d >= 4 * (m + 1)
     return due and (not cfg.enable_updates
                     or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
 
@@ -255,7 +256,7 @@ def _harvest(trace, base_precond):
 
 
 def check_step_cap(steps):
-    """Reject a negative cap on the number of outer steps."""
+    """Reject a negative cap on the number of Landweber steps."""
     if steps < 0:
         raise ContractError(f"step cap must be nonnegative, got {steps}")
 
@@ -459,9 +460,8 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
     """
     if not 0.0 < inner_rho < 1.0:
         raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
-    check_step_cap(max_newton)
-    if max_inner < 1:
-        raise ContractError(f"max_inner must be positive, got {max_inner}")
+    if max_newton < 1 or max_inner < 1:
+        raise ContractError("max_newton and max_inner must be positive")
     outer = _OuterLoop(model, y_obs, x0, truth)
     meta = {"inner_unconverged": 0}
 

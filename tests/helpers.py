@@ -222,7 +222,7 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
     if not np.isfinite(rho) or rho <= 0.0:
         raise CgBreakdownError(
             f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
-            solution=h, trace=finalize(False))
+            trace=finalize(False))
 
     p = z.copy()
     h_norm = 0.0
@@ -241,19 +241,18 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
         if qq == 0.0 or not np.isfinite(qq):
             raise CgBreakdownError(
                 "search direction collapsed: ||G p||^2 = " + repr(qq),
-                solution=h, trace=finalize(False))
+                trace=finalize(False))
         alpha = rho / qq
         if not (0.0 < alpha < 1e16):
             raise CgBreakdownError(
                 f"CG coefficient alpha = {alpha} outside (0, 1e16)",
-                solution=h, trace=finalize(False))
+                trace=finalize(False))
         h = h + alpha * p
         d = d - alpha * q
         z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
         if not np.isfinite(rho_new) or rho_new < 0.0:
-            raise CgBreakdownError(
-                f"<r, z> = {rho_new} lost positivity",
-                solution=h, trace=finalize(False))
+            raise CgBreakdownError(f"<r, z> = {rho_new} lost positivity",
+                                   trace=finalize(False))
 
         beta = rho_new / rho
         alphas.append(alpha)

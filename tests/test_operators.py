@@ -97,10 +97,16 @@ def test_jacobian_handle_counts_and_dim_checks():
     jac.apply(np.ones(2))
     assert model.cost.jacobian_applies == 2
     assert model.cost.adjoint_applies == 1
-    with pytest.raises(ContractError):
-        jac.apply(np.ones(3))
-    with pytest.raises(ContractError):
-        jac.apply_adjoint(np.ones(2))
+    # Only the callbacks' outputs are checked, and a rejected one costs
+    # nothing: here each callback returns a vector of the other length.
+    swapped = ForwardModel(2, 3, lambda x: np.ones(3), lambda x: (
+        lambda v: np.ones(2), lambda w: np.ones(3)))
+    jac = swapped.linearize(np.zeros(2))
+    with pytest.raises(ContractError, match="Jacobian output has length 2"):
+        jac.apply(np.ones(2))
+    with pytest.raises(ContractError, match="adjoint output has length 3"):
+        jac.apply_adjoint(np.ones(3))
+    assert swapped.cost.total == 0
 
 
 def test_frozen_handle_survives_iterate_motion():

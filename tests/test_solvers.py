@@ -1,6 +1,7 @@
 """Outer Newton loops: schedules, build/update policy, baselines, accounting."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,36 @@ def test_frozen_ablation_rebuilds_on_schedule_without_guard():
     assert should_recompute(3, 0, None, cfg)
     assert should_recompute(8, 3, 0, cfg)
     assert not should_recompute(2, 0, 50, cfg)
+
+
+def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
+    # Walking the schedule rebuilds at k = j^2 - 1 and at no other step.
+    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
+    builds, m = [], 0
+    for k in range(200_000):
+        if should_recompute(k, m, None, cfg):
+            builds.append(k)
+            m = k
+    assert builds == [j * j - 1 for j in range(1, 448)]
+    # Far out, where float square roots of k + 1 no longer resolve a unit
+    # step, a build at j^2 - 1 is due at (j+1)^2 - 1 and not one step before.
+    for j in (10**4, 10**6, 10**8, 10**9 + 7):
+        m = j * j - 1
+        assert not should_recompute((j + 1) ** 2 - 2, m, None, cfg)
+        assert should_recompute((j + 1) ** 2 - 1, m, None, cfg)
+
+
+def test_schedule_test_agrees_with_its_float_form():
+    # The reference: the schedule test in floating point, with its 1e-12
+    # allowance for rounding in the square roots.
+    def due_float(k, m):
+        return np.sqrt(k + 1.0) + 1e-12 >= np.sqrt(m + 1.0) + 1.0
+
+    # For each m, k runs past the first due step, m + 1 + 2 sqrt(m + 1).
+    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
+    for m in range(3000):
+        for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
+            assert should_recompute(k, m, None, cfg) == due_float(k, m), (k, m)
 
 
 def test_newton_config_validation():
@@ -457,35 +488,44 @@ def _assert_failed_run(history, model, cost_start):
     return last
 
 
-@pytest.mark.parametrize("use_preconditioner", [True, False])
-def test_irgnm_nan_jacobian_apply_ends_in_breakdown(use_preconditioner):
-    base = make_diagonal_problem(m=10, n=14, seed=5)
-    problem = make_nonlinear_composite(base, c3=0.5)
+# Each method's run, and the call of a Jacobian callback that fails in its
+# run: past the 10 applies and 10 adjoint applies of the gamma0 or mu
+# estimate, and within the 12 of each that Newton-CG makes in 8 steps.
+_NAN_RUNS = {
+    "irgnm-prec": (30, 8, lambda model, y: irgnm_run(
+        model, y, np.zeros(10), NewtonConfig(max_newton=8))),
+    "irgnm-plain": (30, 8, lambda model, y: irgnm_run(
+        model, y, np.zeros(10),
+        NewtonConfig(max_newton=8, use_preconditioner=False))),
+    "newton-cg": (10, 8, lambda model, y: newton_cg_run(
+        model, y, np.zeros(10), max_newton=8)),
+    "landweber": (30, 40, lambda model, y: landweber_run(
+        model, y, np.zeros(10), max_steps=40)),
+}
+
+
+@pytest.mark.parametrize("method, adjoint", [
+    ("irgnm-prec", False), ("irgnm-plain", False), ("newton-cg", False),
+    ("irgnm-prec", True), ("irgnm-plain", True), ("newton-cg", True),
+    ("landweber", True),
+], ids=lambda v: {False: "apply", True: "adjoint"}.get(v, v))
+def test_nan_callback_ends_in_breakdown(method, adjoint):
+    # A NaN from the apply or adjoint callback fails its output check. The
+    # run ends in Breakdown at the step that made the call, which is the
+    # last call of that callback, and the cost of the step is re-read.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
     y = problem.model.evaluate(problem.truth)
-    model = nan_on_call(problem.model, 30)
-    start = model.cost.total
-    cfg = NewtonConfig(max_newton=8, use_preconditioner=use_preconditioner)
-    history = irgnm_run(model, y, np.zeros(10), cfg, truth=problem.truth)
-    _assert_breakdown_at_failing_step(history, model, start, 8)
-
-
-def test_newton_cg_nan_jacobian_apply_ends_in_breakdown():
-    base = make_diagonal_problem(m=10, n=14, seed=8)
-    problem = make_nonlinear_composite(base, c3=0.5)
-    y = problem.model.evaluate(problem.truth)
-    model = nan_on_call(problem.model, 10)
-    start = model.cost.total
-    history = newton_cg_run(model, y, np.zeros(10), max_newton=8)
-    _assert_breakdown_at_failing_step(history, model, start, 8)
-
-
-def test_landweber_nan_adjoint_ends_in_breakdown():
-    model = nan_on_call(linear_model(np.eye(3)), 5, adjoint=True)
-    start = model.cost.total
-    history = landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
-                            max_steps=10)
-    # one adjoint apply per step: the fifth is taken leaving x_4
-    assert _assert_breakdown_at_failing_step(history, model, start, 10) == 4
+    call, max_steps, run = _NAN_RUNS[method]
+    model = nan_on_call(problem.model, call, adjoint=adjoint)
+    history = run(model, y)
+    _assert_breakdown_at_failing_step(history, model, 0, max_steps)
+    kind = "adjoint" if adjoint else "Jacobian"
+    assert f"{kind} output" in history.meta["breakdown"]
+    assert (model.cost.adjoint_applies if adjoint
+            else model.cost.jacobian_applies) == call - 1
+    if method == "landweber":  # one adjoint apply per step
+        assert history.records[-1].k == call - 11
 
 
 @pytest.mark.parametrize("run", [
@@ -512,16 +552,27 @@ def test_nan_initial_evaluation_raises():
         landweber_run(model, np.ones(3), np.zeros(3), mu=0.5, max_steps=8)
 
 
-@pytest.mark.parametrize("run", [
-    lambda model: landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
-                                max_steps=-1),
-    lambda model: newton_cg_run(model, np.ones(3), np.zeros(3),
-                                max_newton=-1),
+@pytest.mark.parametrize("run, message", [
+    (lambda model: landweber_run(model, np.ones(3), np.zeros(3), mu=0.5,
+                                 max_steps=-1), "nonnegative"),
+    (lambda model: newton_cg_run(model, np.ones(3), np.zeros(3),
+                                 max_newton=-1), "max_newton .* positive"),
 ], ids=["landweber", "newton-cg"])
-def test_negative_step_cap_rejected(run):
+def test_negative_step_cap_rejected(run, message):
     model = linear_model(np.eye(3))
-    with pytest.raises(ContractError, match="nonnegative"):
+    with pytest.raises(ContractError, match=message):
         run(model)
+    assert model.cost.total == 0
+
+
+def test_newton_cg_rejects_zero_newton_cap_as_newton_config_does():
+    # A Newton-CG run takes the [solver] max_newton key that NewtonConfig
+    # reads, and refuses 0 as NewtonConfig does.
+    model = linear_model(np.eye(3))
+    with pytest.raises(ContractError) as info:
+        NewtonConfig(max_newton=0)
+    with pytest.raises(ContractError, match=str(info.value)):
+        newton_cg_run(model, np.ones(3), np.zeros(3), max_newton=0)
     assert model.cost.total == 0
 
 
