@@ -14,13 +14,24 @@ The printed table shows the semiconvergence the rules have to detect:
 the error falls, bottoms out, and grows again while the residual keeps
 shrinking.
 
+A sweep over the data size N then runs the 15-sample stopping study of
+``iterreg stopping-study`` at N = 200 and N = 2000 and prints the mean
+error of each rule, and whether the ordering oracle <= balancing <
+discrepancy holds. The noise norm grows like sigma sqrt(N) while the
+propagated noise does not, so balancing should gain on discrepancy as N
+grows. The sweep checks nothing: it prints what it finds. Its files go to a
+temporary directory.
+
 Run:  python3 demos/stopping_rules.py
 """
+
+import tempfile
 
 import numpy as np
 
 from iterreg import (NewtonConfig, PhiBudgetDriver, WhiteNoisePhi,
                      discrepancy_stop, irgnm_run, lepskii_from_history)
+from iterreg.cli import ExperimentConfig, run_stopping_study
 from iterreg.testbed import (generate_noise, make_diagonal_problem,
                              make_nonlinear_composite, noise_sigma_for_level)
 
@@ -53,3 +64,31 @@ print(f"{'rule':<16} {'index':>5} {'error':>8}")
 print(f"{'discrepancy':<16} {disc:5d} {errors[disc]:8.4f}")
 print(f"{'balancing':<16} {bal:5d} {errors[bal]:8.4f}")
 print(f"{'oracle-optimal':<16} {best:5d} {errors[best]:8.4f}")
+
+STUDY = """
+[problem]
+kind = nonlinear-diagonal
+n = {n}
+[solver]
+max_newton = {max_newton}
+[noise]
+level = 0.02
+samples = 15
+[stopping]
+r_bound = {r_bound}
+"""
+
+print("\nN sweep: mean error over 15 noise samples at level 0.02")
+print(f"{'N':>5} {'max_newton':>10} {'discrepancy':>11} {'balancing':>9} "
+      f"{'oracle':>7}  ordering")
+with tempfile.TemporaryDirectory() as out:
+    for n in (200, 2000):
+        for max_newton in (25, 40):
+            cfg = ExperimentConfig.from_text(
+                STUDY.format(n=n, max_newton=max_newton, r_bound=R_BOUND))
+            _, stats = run_stopping_study(cfg, out)
+            disc, bal, best = (stats[rule]["mean_error"] for rule in (
+                "discrepancy", "lepskii", "oracle-optimal"))
+            holds = "holds" if best <= bal < disc else "fails"
+            print(f"{n:5d} {max_newton:10d} {disc:11.4f} {bal:9.4f} "
+                  f"{best:7.4f}  {holds}")

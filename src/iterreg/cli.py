@@ -48,6 +48,10 @@ SUMMARY_CSV_HEADER = ("rule", "samples_used", "mean_stop_index",
 
 STUDY_RULES = ("discrepancy", "lepskii", "oracle-optimal")
 
+# Run meta the solve summary carries, and the work-precision summary per
+# method: gamma0 or mu is null for a method that has none.
+_SUMMARY_META = ("inner_unconverged", "estimate_units", "gamma0", "mu")
+
 _METHODS = ("irgnm-prec", "irgnm-plain", "newton-cg", "landweber")
 _RULES = ("discrepancy", "lepskii", "oracle-optimal", "none")
 
@@ -437,7 +441,7 @@ def run_single(cfg: ExperimentConfig, out_dir):
         "breakdown": history.meta.get("breakdown"),
         "records": len(history.records),
         "total_cost": history.total_cost(),
-        "inner_unconverged": history.meta["inner_unconverged"],
+        **{key: history.meta.get(key) for key in _SUMMARY_META},
         "final_error": history.records[-1].error,
         "stop_rule": {
             "rule": cfg.stopping["rule"],
@@ -483,8 +487,8 @@ def run_work_precision(configs, out_dir):
         "config": head.as_dict(),
         "methods": [h.method for h in histories],
         "total_cost": {h.method: h.total_cost() for h in histories},
-        "inner_unconverged": {h.method: h.meta["inner_unconverged"]
-                              for h in histories},
+        **{key: {h.method: h.meta.get(key) for h in histories}
+           for key in _SUMMARY_META},
         "final_error": {h.method: h.records[-1].error for h in histories},
         "terminal_reason": {h.method: h.terminal_reason for h in histories},
     })
@@ -538,6 +542,7 @@ def run_stopping_study(cfg: ExperimentConfig, out_dir="."):
     _make_out_dir(out_dir)
     samples = [_study_sample(cfg, problem, i) for i in range(num_samples)]
     rows = [row for sample_rows, _ in samples for row in sample_rows]
+    costs = [h.total_cost() for _, h in samples]
     breakdowns = [f"sample {i}: {h.method}: {h.meta['breakdown']}"
                   for i, (_, h) in enumerate(samples)
                   if h.terminal_reason == TERMINAL_BREAKDOWN]
@@ -568,6 +573,7 @@ def run_stopping_study(cfg: ExperimentConfig, out_dir="."):
     _write_json(os.path.join(out_dir, "summary.json"),
                 {"version": __version__, "config": cfg.as_dict(),
                  "num_samples": num_samples, "rules": stats,
+                 "sample_total_cost": costs, "total_cost": sum(costs),
                  "breakdowns": breakdowns})
     if breakdowns:
         raise StudyBreakdownError(breakdowns, stats)

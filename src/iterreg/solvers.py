@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .krylov import CgBreakdownError, pcg_solve, ritz_from_trace, select_ritz
+from .krylov import (CgBreakdownError, GramSchmidtBasis, pcg_solve,
+                     ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -62,12 +63,13 @@ RITZ_RESIDUAL_TOL = 1e-6
 class NewtonConfig:
     """Knobs of the regularized Newton outer loop.
 
-    gamma0 = None resolves to a power-iteration estimate of ||A_0^T A_0|| at
-    run start; a given gamma0 must be positive and finite. With
-    ``enable_updates`` off the run is the frozen ablation: it rebuilds from
-    a fresh Jacobian exactly on the square-number schedule (k = 0, 3, 8,
-    15, 24, ...), with no inner-iteration guard, and never updates. Invalid
-    values raise a ContractError that names the offending fields.
+    gamma0 = None resolves to the Lanczos estimate of ||A_0^T A_0|| at run
+    start (``estimate_gram_norm``); a given gamma0 must be positive and
+    finite. With ``enable_updates`` off the run is the frozen ablation: it
+    rebuilds from a fresh Jacobian exactly on the square-number schedule
+    (k = 0, 3, 8, 15, 24, ...), with no inner-iteration guard, and never
+    updates. Invalid values raise a ContractError that names the offending
+    fields.
     """
 
     gamma0: float | None = None
@@ -149,26 +151,35 @@ def schedule_gamma(cfg: NewtonConfig, k):
     return cfg.gamma0 * cfg.gamma_factor ** (-k)
 
 
-def estimate_gram_norm(jac, iterations=10, seed=0):
-    """Power-iteration estimate of ||A^T A|| (largest eigenvalue).
+def estimate_gram_norm(jac, iterations=5, seed=0):
+    """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
-    Raises a ContractError when A^T A v vanishes, as it does for a zero
-    Jacobian: no positive estimate exists then.
+    Runs ``iterations`` Lanczos steps on A^T A from a seeded random start
+    vector, its basis kept in a GramSchmidtBasis, and returns the largest
+    eigenvalue of the tridiagonal T_j they build: one Jacobian and one
+    adjoint apply per step. Over the same Krylov space this is never below
+    the power-iteration estimate (Kuczynski & Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13, 1992). A Krylov space exhausted sooner, as when the
+    domain has fewer than ``iterations`` dimensions, ends the run early with
+    the exact value. Raises a ContractError when A^T A vanishes on the start
+    vector, as it does for a zero Jacobian: no positive estimate exists then.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(jac.domain_dim)
-    v /= math.sqrt(v.dot(v))
-    value = 0.0
-    for _ in range(iterations):
-        w = jac.apply_adjoint(jac.apply(v))
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            raise ContractError(
-                "A^T A vanishes on the power-iteration vector: "
-                "no estimate of ||A^T A||")
-        value = float(v.dot(w))
-        v = w / norm
-    return max(value, np.finfo(float).tiny)
+    basis = GramSchmidtBasis(jac.domain_dim, iterations)
+    q, _ = basis.add(rng.standard_normal(jac.domain_dim))
+    alphas, betas = [], []
+    while q is not None:
+        w = jac.apply_adjoint(jac.apply(q))
+        alphas.append(float(q.dot(w)))
+        q, beta = basis.add(w) if len(alphas) < iterations else (None, 0.0)
+        betas.append(beta)
+    # eigvalsh reads the lower triangle of T_j; the last beta is not in it
+    theta = float(np.linalg.eigvalsh(
+        np.diag(alphas) + np.diag(betas[:-1], -1))[-1])
+    if not theta > 0.0:
+        raise ContractError(
+            "A^T A vanishes on the start vector: no estimate of ||A^T A||")
+    return theta
 
 
 def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
@@ -266,11 +277,12 @@ class _OuterLoop:
 
     Construction checks the inputs and starts the model-unit meter and the
     clock, so setup work a method does afterwards (a gamma0 or mu estimate)
-    counts toward its run. ``run`` evaluates F(x_k), opens the record of
-    step k (m = k, event Final), lets ``probe(rec)`` fill in m, gamma_k
-    and phi_k, and consults the stop driver ``stop(k, residual_norm,
-    phi_k)``, which ends the run at k with terminal StopRule when it returns
-    True, and the divergence guard. Unless
+    counts toward its run: ``run`` stores those units in
+    ``meta["estimate_units"]``, 0 when the caller gave the value. Per step
+    it evaluates F(x_k), opens the record of step k (m = k, event Final),
+    lets ``probe(rec)`` fill in m, gamma_k and phi_k, and consults the stop
+    driver ``stop(k, residual_norm, phi_k)``, which ends the run at k with
+    terminal StopRule when it returns True, and the divergence guard. Unless
     the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
     and sets the record's event, inner_iterations and, after a
     relinearization, m. A tripped divergence guard, or a ContractError or
@@ -304,6 +316,7 @@ class _OuterLoop:
         x = self.x0.copy()
         records = []
         terminal = cap_reason
+        meta["estimate_units"] = model.cost.total - self.cost_start
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
             rn = math.sqrt(residual_vec.dot(residual_vec))
@@ -425,7 +438,7 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
                   truth=None):
     """Gradient descent x_{k+1} = x_k + mu A_k^T (y - F(x_k)).
 
-    mu = None picks 0.95 / (power-iteration estimate of ||A_0^T A_0||), and
+    mu = None picks 0.95 / (Lanczos estimate of ||A_0^T A_0||), and
     a zero Jacobian at x0, which admits no estimate, raises a ContractError.
     Each step costs one evaluation plus one adjoint apply. Aborts with a
     Breakdown terminal if the residual grows tenfold above its start, and

@@ -297,6 +297,28 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
     return h, iterations, False
 
 
+# The Lanczos steps of ``solvers.estimate_gram_norm`` at its default: each
+# costs one Jacobian and one adjoint apply, so a run that estimates gamma0
+# or mu spends 2 * GRAM_ESTIMATE_STEPS model units before its first step.
+GRAM_ESTIMATE_STEPS = 5
+
+
+def power_gram_norm_reference(jac, iterations, seed=0):
+    """The power-iteration estimate of ||A^T A|| that ``estimate_gram_norm``
+    replaced: ``iterations`` steps from its seeded start vector, returning
+    the Rayleigh quotient of the last iterate, which lies in the Krylov
+    space of as many Lanczos steps."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(jac.domain_dim)
+    v /= np.linalg.norm(v)
+    value = 0.0
+    for _ in range(iterations):
+        w = jac.apply_adjoint(jac.apply(v))
+        value = float(v @ w)
+        v = w / np.linalg.norm(w)
+    return value
+
+
 # Reference implementations of the per-call bookkeeping as it stood before
 # it was trimmed: the per-entry finiteness test of as_vector, preconditioner
 # weights formed on every apply, the stacked apply through np.concatenate,

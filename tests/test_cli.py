@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import nan_on_call, nan_on_evaluation
+from helpers import GRAM_ESTIMATE_STEPS, nan_on_call, nan_on_evaluation
 from iterreg import cli
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
@@ -436,7 +436,7 @@ def test_main_landweber_on_vanishing_jacobian_exits_3(tmp_path, capsys):
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (
-        "numerical breakdown: A^T A vanishes on the power-iteration vector: "
+        "numerical breakdown: A^T A vanishes on the start vector: "
         "no estimate of ||A^T A||\n")
 
 
@@ -458,6 +458,36 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
                       for h in histories}
     assert counts["irgnm-prec"] == summary["inner_unconverged"]
     assert counts["landweber"] == 0
+
+
+def test_summaries_report_the_estimate_and_its_units(tmp_path):
+    # An estimated gamma0 or mu costs 2 * GRAM_ESTIMATE_STEPS units, a given
+    # one none; each summary carries the value the run used.
+    cfg = ExperimentConfig.from_text(BASE)
+    history, _ = run_single(cfg, tmp_path / "auto")
+    cfg.solver["gamma0"] = 2.5
+    run_single(cfg, tmp_path / "given")
+    for out, expected in (
+            ("auto", (2 * GRAM_ESTIMATE_STEPS, history.meta["gamma0"], None)),
+            ("given", (0, 2.5, None))):
+        with open(tmp_path / out / "summary.json") as fh:
+            summary = json.load(fh)
+        assert (summary["estimate_units"], summary["gamma0"],
+                summary["mu"]) == expected
+
+    cfg.solver["gamma0"] = None
+    cfg.solver["methods"] = "irgnm-prec, newton-cg, landweber"
+    cfg.solver["landweber_steps"] = 5
+    histories = run_work_precision(expand_methods(cfg), tmp_path / "wp")
+    with open(tmp_path / "wp" / "summary.json") as fh:
+        summary = json.load(fh)
+    units = 2 * GRAM_ESTIMATE_STEPS
+    assert summary["estimate_units"] \
+        == {"irgnm-prec": units, "newton-cg": 0, "landweber": units}
+    assert summary["gamma0"] == {"irgnm-prec": histories[0].meta["gamma0"],
+                                 "newton-cg": None, "landweber": None}
+    assert summary["mu"] == {"irgnm-prec": None, "newton-cg": None,
+                             "landweber": histories[2].meta["mu"]}
 
 
 def test_main_solve_newton_cg_ends_at_its_first_capped_solve(tmp_path,
@@ -611,17 +641,24 @@ def test_stopping_study_builds_once_and_matches_separate_builds(
     cfg.stopping["r_bound"] = 2.0
     cfg.noise["samples"] = 3
     expected = [["sample_id", "rule", "stop_index", "error_at_stop"]]
+    costs = []
     for i in range(3):
+        rows, history = cli._study_sample(cfg, build_problem(cfg), i)
         expected += [[str(sample_id), rule,
                       "" if index is None else str(index), cli._fmt(error)]
-                     for sample_id, rule, index, error
-                     in cli._study_sample(cfg, build_problem(cfg), i)[0]]
+                     for sample_id, rule, index, error in rows]
+        costs.append(history.total_cost())
 
     calls = _counting_builds(monkeypatch)
     run_stopping_study(cfg, out_dir=tmp_path)
     assert len(calls) == 1
     with open(tmp_path / "stopping_samples.csv", newline="") as fh:
         assert list(csv.reader(fh)) == expected
+    # The summary carries each sample's model units and their sum.
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["sample_total_cost"] == costs
+    assert summary["total_cost"] == sum(costs) > 0
 
 
 def test_main_seed_override(tmp_path):

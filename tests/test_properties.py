@@ -6,7 +6,9 @@ left vectors and the sampled Phi built on them, the two-sided system over
 merged pairs and its spectrum bound 1 - delta, the preconditioned-spectrum
 identity, the Cholesky-reduced pencil against the similarity route on random
 pair sets, the CG accuracy contract, the CG loops against their reference
-implementations, and the finiteness check of ``as_vector``.
+implementations, the finiteness check of ``as_vector``, and the Lanczos
+estimate of ||A^T A|| against the power iteration it replaced and the dense
+norm.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
@@ -16,7 +18,8 @@ for the identity, the kept pairs, the left vectors and the two-sided system
 a random Tikhonov system checked against ``DenseOracle`` or dense matrices,
 as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
-entries mixed in.
+entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
+diagonal or nonlinear-composite problem.
 """
 
 import itertools
@@ -28,8 +31,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (as_vector_reference, householder_loop, linear_model,
-                     pcg_solve_reference, phi_sampled_loop,
+from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
+                     householder_loop, linear_model, pcg_solve_reference,
+                     phi_sampled_loop, power_gram_norm_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
 from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
@@ -40,7 +44,7 @@ from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
 from iterreg.solvers import (EPS_ACCURATE, RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
                              NewtonConfig, _harvest, _truncated_cgne,
-                             schedule_gamma)
+                             estimate_gram_norm, schedule_gamma)
 from iterreg.stopping import SampledPhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -733,3 +737,30 @@ def test_kept_ritz_vectors_equal_the_eager_products(m, extra, decay, gamma,
         assert _bits(pair.vector) == _bits(eager[i])
     for pair, vector in zip(pairs, eager):
         assert _bits(pair.vector) == _bits(vector)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.booleans(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(m=3, extra=2, decay=0.25, nonlinear=True,
+         steps=GRAM_ESTIMATE_STEPS, seed=5)
+def test_lanczos_gram_norm_between_power_estimate_and_dense_norm(
+        m, extra, decay, nonlinear, steps, seed):
+    # j Lanczos steps return the largest Rayleigh quotient of A^T A over the
+    # Krylov space K_j of their start vector, which holds the last iterate
+    # of j power steps from the same vector, and no quotient exceeds
+    # ||A||^2. A domain of fewer than j dimensions is exhausted first, and
+    # the estimate is then exact. The whiskers are round-off.
+    problem = make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                                    seed=seed % 2**16)
+    if nonlinear:
+        problem = make_nonlinear_composite(problem)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    norm_sq = float(np.linalg.norm(DenseOracle.for_problem(problem, x).a,
+                                   2) ** 2)
+    lanczos = estimate_gram_norm(jac, steps)
+    assert power_gram_norm_reference(jac, steps) <= lanczos * (1.0 + 1e-12)
+    assert lanczos <= norm_sq * (1.0 + 1e-12)
+    if m < steps:
+        assert lanczos == pytest.approx(norm_sq, rel=1e-12)

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (linear_model, nan_on_call, nan_on_evaluation,
-                     ritz_pair, truncated_cgne_reference)
+from helpers import (GRAM_ESTIMATE_STEPS, linear_model, nan_on_call,
+                     nan_on_evaluation, ritz_pair, truncated_cgne_reference)
 from iterreg import solvers
 from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
@@ -156,17 +156,33 @@ def test_cost_audit_and_arrival_semantics():
     # cumulative_cost is the meter reading at iterate arrival: the first
     # record has paid only its own evaluation (gamma0 was given explicitly)
     assert costs[0] == 1
+    assert history.meta["estimate_units"] == 0
 
 
-def test_gamma0_auto_resolution_costs_power_iteration():
+def test_gamma0_auto_resolution_costs_the_estimate():
     problem = make_diagonal_problem(m=10, n=14, seed=3)
     y = problem.model.evaluate(problem.truth)
     history = irgnm_run(problem.model, y, np.zeros(10),
                         NewtonConfig(max_newton=2))
-    # 10 power iterations = 20 model units, plus the k=0 evaluation
-    assert history.records[0].cumulative_cost == 21
+    # the Lanczos steps of the estimate, 2 units each, plus the k=0
+    # evaluation
+    assert history.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS
+    assert history.records[0].cumulative_cost == 2 * GRAM_ESTIMATE_STEPS + 1
     # sigma_0 = 1 so ||A^T A|| = 1; the estimate must be close
     assert history.meta["gamma0"] == pytest.approx(1.0, rel=0.1)
+
+
+def test_landweber_and_newton_cg_report_their_estimate_units():
+    problem = make_diagonal_problem(m=10, n=14, seed=3)
+    y = problem.model.evaluate(problem.truth)
+    x0 = np.zeros(10)
+    estimated = landweber_run(problem.model, y, x0, max_steps=2)
+    assert estimated.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS
+    assert estimated.records[0].cumulative_cost == 2 * GRAM_ESTIMATE_STEPS + 1
+    for history in (landweber_run(problem.model, y, x0, mu=0.5, max_steps=2),
+                    newton_cg_run(problem.model, y, x0, max_newton=2)):
+        assert history.meta["estimate_units"] == 0
+        assert history.records[0].cumulative_cost == 1
 
 
 def test_plain_mode_relinearizes_every_step():
@@ -489,18 +505,19 @@ def _assert_failed_run(history, model, cost_start):
 
 
 # Each method's run, and the call of a Jacobian callback that fails in its
-# run: past the 10 applies and 10 adjoint applies of the gamma0 or mu
-# estimate, and within the 12 of each that Newton-CG makes in 8 steps.
+# run: the 20th apply or adjoint apply past the GRAM_ESTIMATE_STEPS of each
+# that the gamma0 or mu estimate makes, and within the 12 of each that
+# Newton-CG makes in 8 steps.
 _NAN_RUNS = {
-    "irgnm-prec": (30, 8, lambda model, y: irgnm_run(
+    "irgnm-prec": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
         model, y, np.zeros(10), NewtonConfig(max_newton=8))),
-    "irgnm-plain": (30, 8, lambda model, y: irgnm_run(
+    "irgnm-plain": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
         model, y, np.zeros(10),
         NewtonConfig(max_newton=8, use_preconditioner=False))),
     "newton-cg": (10, 8, lambda model, y: newton_cg_run(
         model, y, np.zeros(10), max_newton=8)),
-    "landweber": (30, 40, lambda model, y: landweber_run(
-        model, y, np.zeros(10), max_steps=40)),
+    "landweber": (GRAM_ESTIMATE_STEPS + 20, 40, lambda model, y:
+                  landweber_run(model, y, np.zeros(10), max_steps=40)),
 }
 
 
@@ -525,7 +542,7 @@ def test_nan_callback_ends_in_breakdown(method, adjoint):
     assert (model.cost.adjoint_applies if adjoint
             else model.cost.jacobian_applies) == call - 1
     if method == "landweber":  # one adjoint apply per step
-        assert history.records[-1].k == call - 11
+        assert history.records[-1].k == call - GRAM_ESTIMATE_STEPS - 1
 
 
 @pytest.mark.parametrize("run", [
