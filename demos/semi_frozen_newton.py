@@ -7,7 +7,8 @@ Runs the preconditioned solver three ways on the same 2% noisy data:
 - frozen (``enable_updates=False``): no update ever; the preconditioner
   is rebuilt from a fresh Jacobian only on the square-number schedule
   k = 0, 3, 8, 15, 24, with no inner-iteration guard,
-- plain: no preconditioner, every step relinearizes and runs bare CG.
+- plain: no preconditioner, every step relinearizes and runs CG with
+  Gram-Schmidt reorthogonalization.
 
 The per-step table shows the payoff: right after every Recompute/Update
 event the standard steps need fewer inner CG iterations, and the total

@@ -27,8 +27,7 @@ from .preconditioner import (SpectralPreconditioner, SpectrumReport,
                              TwoSidedSystem, merge_pairs,
                              preconditioned_spectrum_check)
 from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
-                      landweber_run, must_update, newton_cg_run,
-                      schedule_gamma, should_recompute)
+                      landweber_run, newton_cg_run, schedule_gamma)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
                        SampledPhi, WhiteNoisePhi, discrepancy_stop,
                        lepskii_from_history, lepskii_select)
@@ -50,7 +49,7 @@ __all__ = [
     "merge_pairs", "preconditioned_spectrum_check",
     # solvers
     "NewtonConfig", "RunHistory", "RunRecord", "irgnm_run", "landweber_run",
-    "must_update", "newton_cg_run", "schedule_gamma", "should_recompute",
+    "newton_cg_run", "schedule_gamma",
     # stopping
     "DeterministicPhi", "DiscrepancyDriver", "PhiBudgetDriver",
     "SampledPhi", "WhiteNoisePhi",

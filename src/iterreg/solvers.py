@@ -4,16 +4,13 @@ baselines.
 
 One Newton step solves the Tikhonov-regularized normal equations
 G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
-A_m stays frozen across several steps. A spectral preconditioner is (re)built
-from Lanczos Ritz pairs on a square-number schedule and incrementally updated
-when the inner iteration count degrades. Module constants fix the policy:
-builds solve accurately (EPS_ACCURATE = 1e-9) through the symmetric two-sided
-form so the harvested pairs are trustworthy, ordinary steps loosely
-(EPS_STANDARD = 1/3); an Update needs pairs UPDATE_AGE_MIN = 4 steps old and
-a last ordinary step above UPDATE_INNER_MIN = 5 inner iterations, a due
-Recompute one above RECOMPUTE_INNER_MIN = 8; the harvest keeps Ritz pairs
-with theta >= RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL
-(1e-6) times theta. Each is read when a step uses it.
+A_m stays frozen across several steps. A spectral preconditioner is built
+from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
+step does what. Builds solve accurately (EPS_ACCURATE = 1e-9) through the
+symmetric two-sided form so the harvested pairs are trustworthy, ordinary
+steps loosely (EPS_STANDARD = 1/3); the harvest keeps Ritz pairs with
+theta >= RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL
+(1e-6) times theta. Each constant is read when a step uses it.
 
 As in ``krylov``, the loops here write in place only to arrays they
 allocated: the observed data, x0, the residual vector a step receives and
@@ -65,11 +62,9 @@ class NewtonConfig:
 
     gamma0 = None resolves to the Lanczos estimate of ||A_0^T A_0|| at run
     start (``estimate_gram_norm``); a given gamma0 must be positive and
-    finite. With ``enable_updates`` off the run is the frozen ablation: it
-    rebuilds from a fresh Jacobian exactly on the square-number schedule
-    (k = 0, 3, 8, 15, 24, ...), with no inner-iteration guard, and never
-    updates. Invalid values raise a ContractError that names the offending
-    fields.
+    finite. ``use_preconditioner`` and ``enable_updates`` select the variant
+    whose steps ``_plan_step`` plans. Invalid values raise a ContractError
+    that names the offending fields.
     """
 
     gamma0: float | None = None
@@ -182,32 +177,34 @@ def estimate_gram_norm(jac, iterations=5, seed=0):
     return theta
 
 
-def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
-    """Square-number schedule: rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and,
-    with updates on, the last standard step was expensive; k = 0 builds."""
-    if k == 0:
-        return True
-    if k < m:
-        raise ContractError("Newton index precedes the linearization point")
+def _plan_step(k, m, last_build, prev_inner, cfg: NewtonConfig):
+    """(event, relinearize) of Newton step k, whose last relinearization
+    was at m and last build at last_build; prev_inner counts the inner
+    iterations of the last Plain step since that build (None if none).
+
+    irgnm-plain (``use_preconditioner`` off) relinearizes at every step and
+    never builds. irgnm-prec recomputes (fresh Jacobian, new pair set) at
+    k = 0 and when the square-number schedule sqrt(k+1) >= sqrt(m+1) + 1
+    is due and prev_inner > RECOMPUTE_INNER_MIN = 8; it updates (frozen
+    Jacobian, pairs merged into the current set) once the last build is
+    UPDATE_AGE_MIN = 4 steps old and prev_inner > UPDATE_INNER_MIN = 5;
+    other steps are Plain on the frozen Jacobian. With ``enable_updates``
+    off it is the frozen ablation: it rebuilds exactly on the schedule
+    (k = 0, 3, 8, 15, 24, ...), with no inner-iteration guard, and never
+    updates.
+    """
+    if not cfg.use_preconditioner:
+        return EVENT_PLAIN, True
+    inner = prev_inner or 0
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    return due and (not cfg.enable_updates
-                    or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
-
-
-def must_update(k, last_build_step, prev_inner_iterations):
-    """Incremental update once the last build is stale and steps got expensive."""
-    if k < last_build_step:
-        raise ContractError("Newton index precedes the last build")
-    return (k - last_build_step) >= UPDATE_AGE_MIN \
-        and (prev_inner_iterations or 0) > UPDATE_INNER_MIN
-
-
-def _resolve_gamma0(cfg, model, x0):
-    if cfg.gamma0 is not None:
-        return cfg
-    jac = model.linearize(x0)
-    return replace(cfg, gamma0=estimate_gram_norm(jac))
+    if k == 0 or (due and (not cfg.enable_updates
+                           or inner > RECOMPUTE_INNER_MIN)):
+        return EVENT_RECOMPUTE, True
+    if cfg.enable_updates and k - last_build >= UPDATE_AGE_MIN \
+            and inner > UPDATE_INNER_MIN:
+        return EVENT_UPDATE, False
+    return EVENT_PLAIN, False
 
 
 def _truncated_cgne(jac, b_vec, rho, max_iterations):
@@ -251,8 +248,9 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
 def _harvest(trace, base_precond):
     """Back-map selected Ritz pairs (theta, v) of the two-sided operator over
     ``base_precond`` M of shift gamma to eigenpairs (gamma (theta - 1),
-    M^{-1/2} v normalized) of A_m^T A_m. Values theta <= 1 belong to the
-    cluster of captured directions, carry no spectral information and go."""
+    M^{-1/2} v normalized) of A_m^T A_m. Values near 1 belong to the
+    cluster of captured directions, carry no spectral information and go:
+    ``select_ritz`` keeps only theta >= RITZ_SEPARATION."""
     if trace.iterations < 1:
         return []
     pairs = ritz_from_trace(trace)
@@ -260,7 +258,7 @@ def _harvest(trace, base_precond):
     for p in select_ritz(pairs, RITZ_SEPARATION, RITZ_RESIDUAL_TOL):
         u_raw = base_precond.apply_inv_sqrt(p.vector)
         norm = math.sqrt(u_raw.dot(u_raw))
-        if norm == 0.0 or not p.theta > 1.0:
+        if norm == 0.0:
             continue
         out.append((base_precond.gamma * (p.theta - 1.0), u_raw / norm))
     return out
@@ -368,12 +366,11 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
 
     Per step k: evaluate F(x_k), consult the stop driver
-    ``stop(k, residual_norm, phi_k)``, then either
-    (re)build the preconditioner (fresh Jacobian, accurate two-sided solve,
-    Ritz harvest), update it (frozen Jacobian, accurate two-sided solve with
-    the current pairs, harvest and merge), or take an ordinary
-    left-preconditioned step at standard tolerance. With
-    ``use_preconditioner`` off every step relinearizes and runs plain CG.
+    ``stop(k, residual_norm, phi_k)``, and take the step ``_plan_step``
+    plans. A Recompute or Update builds: an accurate two-sided solve over
+    the pair set it starts from (empty after a relinearization), then the
+    Ritz harvest merged into that set. A Plain step runs CG at standard
+    tolerance, left-preconditioned by the current pair set if there is one.
 
     Returns a RunHistory named irgnm-prec or irgnm-plain after
     ``use_preconditioner``, whose last record (event Final) carries the
@@ -383,8 +380,10 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     """
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    cfg = _resolve_gamma0(cfg or NewtonConfig(), model, x0)
-    jac = precond = prev_plain_inner = None
+    cfg = cfg or NewtonConfig()
+    if cfg.gamma0 is None:
+        cfg = replace(cfg, gamma0=estimate_gram_norm(model.linearize(x0)))
+    jac = precond = prev_inner = None
     m = last_build = -1
     meta = {"gamma0": cfg.gamma0, "inner_unconverged": 0}
 
@@ -396,20 +395,20 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
     def step(rec, x, residual_vec):
-        nonlocal jac, precond, m, last_build, prev_plain_inner
+        nonlocal jac, precond, m, last_build, prev_inner
         k, gamma_k = rec.k, rec.gamma_k
-        relinearize = not cfg.use_preconditioner \
-            or should_recompute(k, max(m, 0), prev_plain_inner, cfg)
+        rec.event, relinearize = _plan_step(k, m, last_build, prev_inner, cfg)
         if relinearize:
             jac = model.linearize(x)
             m = rec.m = k
         prior = x0 - x if cfg.rhs_kind == IRGNM else np.zeros_like(x)
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
-        if not cfg.use_preconditioner:
-            h, trace = pcg_solve(sys, None, EPS_STANDARD, cfg.max_inner)
-            rec.event = EVENT_PLAIN
-        elif relinearize or (cfg.enable_updates and must_update(
-                k, last_build, prev_plain_inner)):
+        if rec.event == EVENT_PLAIN:
+            live = precond.with_gamma(gamma_k) \
+                if precond is not None and precond.pair_count else None
+            h, trace = pcg_solve(sys, live, EPS_STANDARD, cfg.max_inner)
+            prev_inner = trace.iterations
+        else:
             base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
                 if relinearize else precond.with_gamma(gamma_k)
             tsys = TwoSidedSystem(sys, base)
@@ -419,13 +418,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
-            prev_plain_inner = None
-            rec.event = EVENT_RECOMPUTE if relinearize else EVENT_UPDATE
-        else:
-            live = precond.with_gamma(gamma_k) if precond.pair_count else None
-            h, trace = pcg_solve(sys, live, EPS_STANDARD, cfg.max_inner)
-            prev_plain_inner = trace.iterations
-            rec.event = EVENT_PLAIN
+            prev_inner = None
         rec.inner_iterations = trace.iterations
         meta["inner_unconverged"] += not trace.converged
         return h

@@ -1,5 +1,5 @@
 """Shared test utilities: dense-matrix forward models, stacked oracles, and
-reference implementations of the CG loops."""
+reference implementations of the CG loops and of the step policy."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import numpy as np
 from iterreg.krylov import (CgBreakdownError, CgTrace, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
+from iterreg.solvers import (RECOMPUTE_INNER_MIN, UPDATE_AGE_MIN,
+                             UPDATE_INNER_MIN, NewtonConfig)
 from iterreg.testbed import two_bump_profile
 
 
@@ -93,13 +95,6 @@ def dense_tikhonov_solution(a, gamma, rhs_data, rhs_prior):
     lhs = a.T @ a + gamma * np.eye(m)
     rhs = a.T @ np.asarray(rhs_data, float) + gamma * np.asarray(rhs_prior, float)
     return np.linalg.solve(lhs, rhs)
-
-
-def random_spd_pairs(m, count, rng, gamma=1.0):
-    """Random orthonormal vectors and positive weights for a preconditioner."""
-    q, _ = np.linalg.qr(rng.standard_normal((m, count)))
-    lambdas = np.sort(rng.uniform(0.5, 5.0, size=count))[::-1]
-    return gamma, lambdas, q
 
 
 def householder_loop(vectors, drop_tol=1e-12):
@@ -394,3 +389,26 @@ def diagonal_problem_reference(m, n, decay_a=0.25, scale=1.0, seed=0):
     q, r = np.linalg.qr(rng.standard_normal((n, n))[:, :m])
     v = q * np.sign(np.diag(r))
     return (v * sigma) @ u.T, two_bump_profile(m)
+
+
+def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
+    """Reference rebuild test of irgnm-prec: square-number schedule, rebuild
+    when sqrt(k+1) >= sqrt(m+1) + 1 and, with updates on, the last standard
+    step was expensive; k = 0 builds."""
+    if k == 0:
+        return True
+    if k < m:
+        raise ContractError("Newton index precedes the linearization point")
+    d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
+    due = d >= 0 and d * d >= 4 * (m + 1)
+    return due and (not cfg.enable_updates
+                    or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
+
+
+def must_update(k, last_build_step, prev_inner_iterations):
+    """Reference update test of irgnm-prec: incremental update once the
+    last build is stale and steps got expensive."""
+    if k < last_build_step:
+        raise ContractError("Newton index precedes the last build")
+    return (k - last_build_step) >= UPDATE_AGE_MIN \
+        and (prev_inner_iterations or 0) > UPDATE_INNER_MIN

@@ -3,13 +3,15 @@
 Ten numbered checks, one per release criterion. Each computes its
 measurements first, reports a single pass/fail line through the
 ``acceptance`` fixture (printed in the terminal summary), then asserts.
-Tolerances and wall-time caps are stated inline next to each check.
+Tolerances and wall-time caps are stated inline next to each check. After
+criterion 7 an unnumbered check tests claim 2 at N = 2000 data.
 """
 
 import csv
 import time
 
 import numpy as np
+import pytest
 
 from helpers import dense_tikhonov_solution, linear_model, tikhonov_system
 from iterreg.cli import (ExperimentConfig, expand_methods, run_single,
@@ -341,6 +343,28 @@ def test_criterion_7_stopping_study(acceptance, tmp_path):
     assert idx_ok
     assert err_ok
     assert elapsed < 600.0
+
+
+@pytest.mark.parametrize("level, max_newton", [
+    (0.005, 25), (0.005, 40), (0.02, 25),
+    pytest.param(0.02, 40, marks=pytest.mark.xfail(strict=True, reason=(
+        "white Phi falls short of the propagated noise (ROADMAP item 1): "
+        "Lepskii 0.3770 against discrepancy 0.3747"))),
+])
+def test_claim_2_stopping_study_at_2000_data(tmp_path, level, max_newton):
+    # Claim 2 where the theory expects it: the noise norm grows like
+    # sigma sqrt(N) while the propagated noise does not, so at N = 2000 the
+    # 15-sample study of criterion 7 must order the mean errors
+    # oracle-optimal <= lepskii < discrepancy. Not one of the ten criteria.
+    cfg = ExperimentConfig.from_text(STUDY_INI)
+    cfg.problem["n"] = 2000
+    cfg.noise["level"] = level
+    cfg.solver["max_newton"] = max_newton
+    _rows, stats = run_stopping_study(cfg, out_dir=str(tmp_path))
+    disc, lep, best = (stats[rule]["mean_error"] for rule in (
+        "discrepancy", "lepskii", "oracle-optimal"))
+    assert all(stats[rule]["samples_used"] == 15 for rule in stats)
+    assert best <= lep < disc, (best, lep, disc)
 
 
 WP_INI = """

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (GRAM_ESTIMATE_STEPS, linear_model, nan_on_call,
-                     nan_on_evaluation, ritz_pair, truncated_cgne_reference)
+from helpers import (GRAM_ESTIMATE_STEPS, linear_model, must_update,
+                     nan_on_call, nan_on_evaluation, ritz_pair,
+                     should_recompute, truncated_cgne_reference)
 from iterreg import solvers
 from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
@@ -18,9 +21,9 @@ from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
                              TERMINAL_INNER_CAP, TERMINAL_MAX,
                              TERMINAL_STEP_CAP, TERMINAL_STOP, NewtonConfig,
-                             _harvest, estimate_gram_norm, irgnm_run,
-                             landweber_run, must_update, newton_cg_run,
-                             schedule_gamma, should_recompute)
+                             _harvest, _plan_step, estimate_gram_norm,
+                             irgnm_run, landweber_run, newton_cg_run,
+                             schedule_gamma)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
@@ -38,39 +41,45 @@ def test_schedule_gamma_values():
         schedule_gamma(NewtonConfig(gamma0=1.0), -1)
 
 
-def test_should_recompute_policy():
+RECOMPUTE = (EVENT_RECOMPUTE, True)
+UPDATE = (EVENT_UPDATE, False)
+PLAIN = (EVENT_PLAIN, False)
+
+
+def test_plan_step_recompute_policy():
     cfg = NewtonConfig(gamma0=1.0)
-    assert should_recompute(0, 0, None, cfg)
+    assert _plan_step(0, 0, 0, None, cfg) == RECOMPUTE
     # sqrt(4) = sqrt(1) + 1 and the previous step was expensive
-    assert should_recompute(3, 0, 10, cfg)
+    assert _plan_step(3, 0, 0, 10, cfg) == RECOMPUTE
     # sqrt(9) = sqrt(4) + 1
-    assert should_recompute(8, 3, 12, cfg)
+    assert _plan_step(8, 3, 3, 12, cfg) == RECOMPUTE
     # schedule is due but the guard fails: 5 <= 8
-    assert not should_recompute(3, 0, 5, cfg)
+    assert _plan_step(3, 0, 0, 5, cfg) == PLAIN
     # schedule not yet due even with an expensive step
-    assert not should_recompute(2, 0, 50, cfg)
+    assert _plan_step(2, 0, 0, 50, cfg) == PLAIN
     # a fresh build resets the probe: None fails the guard
-    assert not should_recompute(3, 0, None, cfg)
-    with pytest.raises(ContractError):
-        should_recompute(2, 3, 10, cfg)
+    assert _plan_step(3, 0, 0, None, cfg) == PLAIN
 
 
-def test_must_update_policy():
-    assert must_update(4, 0, 6)
-    assert not must_update(3, 0, 20)   # too young
-    assert not must_update(10, 0, 5)   # 5 is not > 5
-    assert not must_update(4, 0, None)
-    with pytest.raises(ContractError):
-        must_update(1, 3, 10)
+def test_plan_step_update_policy():
+    # m = last build = 10: the schedule is not due before k = 18.
+    cfg = NewtonConfig(gamma0=1.0)
+    assert _plan_step(14, 10, 10, 6, cfg) == UPDATE
+    assert _plan_step(13, 10, 10, 20, cfg) == PLAIN   # too young
+    assert _plan_step(17, 10, 10, 5, cfg) == PLAIN    # 5 is not > 5
+    assert _plan_step(14, 10, 10, None, cfg) == PLAIN
+    # an Update keeps m, so the schedule still counts from the Recompute
+    assert _plan_step(17, 10, 12, 7, cfg) == UPDATE
 
 
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
-    # With updates off a due rebuild needs no expensive standard step, and
-    # an undue one still waits for the schedule.
+    # With updates off a due rebuild needs no expensive standard step, an
+    # undue one still waits for the schedule, and nothing updates.
     cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
-    assert should_recompute(3, 0, None, cfg)
-    assert should_recompute(8, 3, 0, cfg)
-    assert not should_recompute(2, 0, 50, cfg)
+    assert _plan_step(3, 0, 0, None, cfg) == RECOMPUTE
+    assert _plan_step(8, 3, 3, 0, cfg) == RECOMPUTE
+    assert _plan_step(2, 0, 0, 50, cfg) == PLAIN
+    assert _plan_step(7, 3, 3, 50, cfg) == PLAIN
 
 
 def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
@@ -78,7 +87,7 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
     builds, m = [], 0
     for k in range(200_000):
-        if should_recompute(k, m, None, cfg):
+        if _plan_step(k, m, m, None, cfg)[1]:
             builds.append(k)
             m = k
     assert builds == [j * j - 1 for j in range(1, 448)]
@@ -86,8 +95,8 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # step, a build at j^2 - 1 is due at (j+1)^2 - 1 and not one step before.
     for j in (10**4, 10**6, 10**8, 10**9 + 7):
         m = j * j - 1
-        assert not should_recompute((j + 1) ** 2 - 2, m, None, cfg)
-        assert should_recompute((j + 1) ** 2 - 1, m, None, cfg)
+        assert _plan_step((j + 1) ** 2 - 2, m, m, None, cfg) == PLAIN
+        assert _plan_step((j + 1) ** 2 - 1, m, m, None, cfg) == RECOMPUTE
 
 
 def test_schedule_test_agrees_with_its_float_form():
@@ -100,7 +109,36 @@ def test_schedule_test_agrees_with_its_float_form():
     cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
     for m in range(3000):
         for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
-            assert should_recompute(k, m, None, cfg) == due_float(k, m), (k, m)
+            assert (_plan_step(k, m, m, None, cfg) == RECOMPUTE) \
+                == due_float(k, m), (k, m)
+
+
+@st.composite
+def _step_states(draw):
+    k = draw(st.integers(0, 200))
+    return (k, draw(st.integers(0, k)), draw(st.integers(0, k)),
+            draw(st.none() | st.integers(0, 20)))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(_step_states(), st.booleans(), st.booleans())
+def test_plan_step_matches_the_reference_predicates(state, use_preconditioner,
+                                                    enable_updates):
+    # The plan irgnm_run made from the two reference predicates: irgnm-plain
+    # relinearizes at every step, irgnm-prec rebuilds when should_recompute
+    # holds and otherwise updates when must_update holds (updates on).
+    k, m, last_build, prev_inner = state
+    cfg = NewtonConfig(gamma0=1.0, use_preconditioner=use_preconditioner,
+                       enable_updates=enable_updates)
+    if not use_preconditioner:
+        expected = (EVENT_PLAIN, True)
+    elif should_recompute(k, m, prev_inner, cfg):
+        expected = RECOMPUTE
+    elif enable_updates and must_update(k, last_build, prev_inner):
+        expected = UPDATE
+    else:
+        expected = PLAIN
+    assert _plan_step(k, m, last_build, prev_inner, cfg) == expected
 
 
 def test_newton_config_validation():
@@ -229,9 +267,9 @@ def test_harvest_back_map(monkeypatch):
         assert value == gamma * (p.theta - 1.0)
         raw = base.apply_inv_sqrt(p.vector)
         np.testing.assert_array_equal(u, raw / np.linalg.norm(raw))
-    # With a separation threshold below 1 the selection keeps theta <= 1;
-    # those pairs carry no spectral information and are not harvested.
-    monkeypatch.setattr(solvers, "RITZ_SEPARATION", 0.5)
+    # Pairs with theta <= 1 carry no spectral information; the selection
+    # threshold RITZ_SEPARATION > 1 keeps them out of the harvest.
+    assert solvers.RITZ_SEPARATION > 1.0
     e = np.eye(3)
     thetas = (0.5, 1.0, 1.5, 3.0)
     monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [
