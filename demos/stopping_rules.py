@@ -15,7 +15,7 @@ the error falls, bottoms out, and grows again while the residual keeps
 shrinking.
 
 A sweep over the data size N then runs the 15-sample stopping study of
-``iterreg stopping-study`` at N = 200 and N = 2000 and prints the mean
+``iterreg stopping-study`` at N = 200, 500, 1000 and 2000 and prints the mean
 error of each rule, and whether the ordering oracle <= balancing <
 discrepancy holds. The noise norm grows like sigma sqrt(N) while the
 propagated noise does not, so balancing should gain on discrepancy as N
@@ -82,7 +82,7 @@ print("\nN sweep: mean error over 15 noise samples at level 0.02")
 print(f"{'N':>5} {'max_newton':>10} {'discrepancy':>11} {'balancing':>9} "
       f"{'oracle':>7}  ordering")
 with tempfile.TemporaryDirectory() as out:
-    for n in (200, 2000):
+    for n in (200, 500, 1000, 2000):
         for max_newton in (25, 40):
             cfg = ExperimentConfig.from_text(
                 STUDY.format(n=n, max_newton=max_newton, r_bound=R_BOUND))

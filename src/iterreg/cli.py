@@ -6,6 +6,7 @@ Verbs: ``solve`` (one inversion), ``work-precision`` (error-vs-cost rows for
 several methods on shared data), ``stopping-study`` (stop-rule comparison
 over noise replicas), ``check`` (invariant suite on a configured problem).
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
+``_bind_method`` is where each method's [solver] keys are read and checked.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import argparse
 import configparser
 import copy
 import csv
-import dataclasses
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -234,19 +235,11 @@ class ExperimentConfig:
                     f"[stopping] phi: {phi} Phi is 0 at every step of "
                     "irgnm-plain, so the balancing rule (lepskii) needs "
                     "phi = deterministic there")
-        # irgnm-* read every NewtonConfig field, Newton-CG only the caps.
-        try:
-            if any(m.startswith("irgnm") for m in methods):
-                _newton_config(self, "irgnm-prec")
-            elif "newton-cg" in methods:
-                NewtonConfig(max_newton=self.solver["max_newton"],
-                             max_inner=self.solver["max_inner"])
-        except ContractError as exc:
-            raise ConfigError(f"[solver] {exc}") from None
+        # In _METHODS order: the key refused first ignores the list order.
+        for m in sorted(methods, key=_METHODS.index):
+            _bind_method(self, m)
         # Each check is the consumer's own; a (count, 0) draw is empty.
         for section, key, used, check in (
-                ("solver", "landweber_steps", "landweber" in methods,
-                 check_step_cap),
                 ("stopping", "tau", "discrepancy" in rules,
                  lambda tau: DiscrepancyDriver(tau, 0.0)),
                 ("stopping", "rho", lep,
@@ -330,15 +323,6 @@ def build_phi_estimator(cfg: ExperimentConfig, sigma, delta, range_dim,
     return SampledPhi(samples)
 
 
-def _newton_config(cfg: ExperimentConfig, method):
-    # Every NewtonConfig field but use_preconditioner is a [solver] key of
-    # the same name.
-    kwargs = {f.name: cfg.solver[f.name]
-              for f in dataclasses.fields(NewtonConfig)
-              if f.name != "use_preconditioner"}
-    return NewtonConfig(use_preconditioner=(method == "irgnm-prec"), **kwargs)
-
-
 def _stop_driver(cfg: ExperimentConfig, delta):
     rule = cfg.stopping["rule"]
     if rule == "discrepancy":
@@ -348,26 +332,41 @@ def _stop_driver(cfg: ExperimentConfig, delta):
     return None
 
 
-def run_method(cfg: ExperimentConfig, problem, y_obs, method=None, stop=None,
-               phi_estimator=None):
-    method = method or cfg.solver["method"]
-    model = problem.model
-    x0 = np.zeros(model.domain_dim)
-    if method in ("irgnm-prec", "irgnm-plain"):
-        return irgnm_run(model, y_obs, x0, _newton_config(cfg, method),
-                         stop=stop, phi_estimator=phi_estimator,
-                         truth=problem.truth)
-    if method == "newton-cg":
-        return newton_cg_run(model, y_obs, x0, stop=stop,
-                             max_newton=cfg.solver["max_newton"],
-                             max_inner=cfg.solver["max_inner"],
-                             truth=problem.truth)
-    if method == "landweber":
-        return landweber_run(model, y_obs, x0, stop=stop,
-                             max_steps=cfg.solver["landweber_steps"],
-                             truth=problem.truth)
+def _bind_method(cfg: ExperimentConfig, method, phi_estimator=None):
+    """``method``'s library run, the [solver] keys it reads checked and bound
+    (irgnm-*: each NewtonConfig field but use_preconditioner; Newton-CG: the
+    two caps; Landweber: landweber_steps). Looked up per call, so a wrapper
+    bound in this module (perfbench's tracer) is the one that runs."""
+    solver = cfg.solver
+    try:
+        if method in ("irgnm-prec", "irgnm-plain"):
+            names = [f.name for f in fields(NewtonConfig)]
+            newton = NewtonConfig(
+                **{n: solver[n] for n in names if n in solver},
+                use_preconditioner=method == "irgnm-prec")
+            return functools.partial(irgnm_run, cfg=newton,
+                                     phi_estimator=phi_estimator)
+        if method == "newton-cg":
+            caps = {key: solver[key] for key in ("max_newton", "max_inner")}
+            NewtonConfig(**caps)
+            return functools.partial(newton_cg_run, **caps)
+        if method == "landweber":
+            check_step_cap(solver["landweber_steps"])
+            return functools.partial(landweber_run,
+                                     max_steps=solver["landweber_steps"])
+    except ContractError as exc:
+        prefix = "landweber_steps: " if method == "landweber" else ""
+        raise ConfigError(f"[solver] {prefix}{exc}") from None
     raise ConfigError(f"[solver] method: invalid value {method!r} "
                       f"(choices: {', '.join(_METHODS)})")
+
+
+def run_method(cfg: ExperimentConfig, problem, y_obs, stop=None,
+               phi_estimator=None):
+    """Run the configured method on ``problem`` from x0 = 0."""
+    run = _bind_method(cfg, cfg.solver["method"], phi_estimator)
+    return run(problem.model, y_obs, np.zeros(problem.model.domain_dim),
+               stop=stop, truth=problem.truth)
 
 
 def _fmt(value):
@@ -630,7 +629,8 @@ def run_check(cfg: ExperimentConfig, out_dir="."):
     digests = []
     for _ in range(2):
         sub = copy.deepcopy(cfg)
-        sub.solver["max_newton"] = min(sub.solver["max_newton"], 6)
+        for key in ("max_newton", "landweber_steps"):
+            sub.solver[key] = min(sub.solver[key], 6)
         tmp = os.path.join(out_dir, "_check_run")
         run_single(sub, tmp)
         with open(os.path.join(tmp, "run.csv"), "rb") as fh:

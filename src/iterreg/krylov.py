@@ -60,7 +60,7 @@ class CgTrace:
 
     alphas: list
     betas: list
-    z_basis: list | None
+    z_basis: np.ndarray | None
     final_beta_over_alpha: float
     iterations: int
     converged: bool

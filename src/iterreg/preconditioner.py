@@ -203,10 +203,10 @@ def merge_pairs(existing: SpectralPreconditioner, new_pairs):
     """Union of the existing pair set and newly harvested pairs, at its shift.
 
     Every harvested pair set is built here; a fresh one merges into
-    ``SpectralPreconditioner.empty``. The vectors are reorthogonalized
-    existing ones first, so those and their left vectors pass through
-    unchanged; each kept vector keeps the lambda of its pair, and newcomers
-    dependent on the span are dropped with their values.
+    ``SpectralPreconditioner.empty``. The existing vectors are
+    reorthogonalized first and never dropped, so they and their left vectors
+    move only by rounding; each kept vector keeps the lambda of its pair,
+    and newcomers dependent on the span are dropped with their values.
     """
     lambdas = list(existing.lambdas)
     new_vectors = []

@@ -383,14 +383,14 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     cfg = cfg or NewtonConfig()
     if cfg.gamma0 is None:
         cfg = replace(cfg, gamma0=estimate_gram_norm(model.linearize(x0)))
-    jac = precond = prev_inner = None
-    m = last_build = -1
+    jac = prev_inner = None
+    precond = SpectralPreconditioner.empty(cfg.gamma0, model.domain_dim)
+    m = last_build = 0
     meta = {"gamma0": cfg.gamma0, "inner_unconverged": 0}
 
     def probe(rec):
         rec.gamma_k = schedule_gamma(cfg, rec.k)
-        if m >= 0:
-            rec.m = m
+        rec.m = m
         if phi_estimator is not None:
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
@@ -404,8 +404,7 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         prior = x0 - x if cfg.rhs_kind == IRGNM else np.zeros_like(x)
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if rec.event == EVENT_PLAIN:
-            live = precond.with_gamma(gamma_k) \
-                if precond is not None and precond.pair_count else None
+            live = precond.with_gamma(gamma_k) if precond.pair_count else None
             h, trace = pcg_solve(sys, live, EPS_STANDARD, cfg.max_inner)
             prev_inner = trace.iterations
         else:

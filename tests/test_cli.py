@@ -291,26 +291,46 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
 
 
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+_BAD_SOLVER_LINES = ("gamma0 = -1", "gamma_factor = 1.0", "max_newton = 0",
+                     "max_inner = 0", "landweber_steps = -1")
+
+
+def _solver_key_readers():
+    """[solver] key -> the "Read by" cell of the README's config table."""
+    with open(_README) as fh:
+        return dict(re.findall(
+            r"^\| `\[solver\] (\w+)` \|[^|]+\|[^|]+\|([^|]+)\|",
+            fh.read(), re.M))
+
+
 @pytest.mark.parametrize("method, line, key", [
-    ("irgnm-prec", "gamma_factor = 1.0", "gamma_factor"),
+    *((method, line, line.partition(" =")[0])
+      for method in ("irgnm-prec", "irgnm-plain", "newton-cg", "landweber")
+      for line in _BAD_SOLVER_LINES),
     ("irgnm-prec", "gamma_factor = inf", "gamma_factor"),
-    ("irgnm-prec", "gamma0 = -1", "gamma0"),
-    ("irgnm-prec", "max_inner = 0", "max_inner"),
     ("newton-cg", "max_newton = -1", "max_newton"),
-    ("newton-cg", "max_inner = 0", "max_inner"),
-    ("landweber", "landweber_mu = -1", "landweber_mu"),
-    ("landweber", "landweber_mu = inf", "landweber_mu"),
-    ("landweber", "landweber_steps = -1", "landweber_steps"),
 ])
 def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
                                            key):
+    # A method refuses a bad value, naming the key, exactly when the
+    # README's "Read by" column lists it for that key; any other method
+    # ignores the key and runs.
+    reads = f"`{method}`" in _solver_key_readers()[key]
+    steps = "" if key == "landweber_steps" else "landweber_steps = 20\n"
     ini = tmp_path / "bad.ini"
-    ini.write_text(f"[solver]\nmethod = {method}\n{line}\n")
-    assert main(["solve", "--config", str(ini),
-                 "--out", str(tmp_path / "out")]) == 2
+    ini.write_text("[problem]\nm = 20\nn = 30\n"
+                   f"[solver]\nmethod = {method}\n{steps}{line}\n")
+    code = main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert err.startswith(_refusal("solver", key)) and key in err
-    assert not (tmp_path / "out").exists()
+    if reads:
+        assert code == 2
+        assert err.startswith("config error: [solver] ") and key in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out" / "run.csv").exists()
 
 
 @pytest.mark.parametrize("section, lines, key, flags", [
@@ -335,16 +355,6 @@ def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(
         f"config error: [{section}] {key}:")
     assert not (tmp_path / "out").exists()
-
-
-def test_landweber_reads_no_newton_cap(tmp_path):
-    # Landweber reads neither max_newton nor max_inner, so a cap of 0 there
-    # is no error.
-    ini = tmp_path / "exp.ini"
-    ini.write_text("[problem]\nm = 20\nn = 28\n[solver]\nmethod = landweber"
-                   "\nmax_newton = 0\nmax_inner = 0\nlandweber_steps = 20\n")
-    assert main(["solve", "--config", str(ini),
-                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
@@ -691,9 +701,13 @@ def test_main_solve_runs_every_problem_kind(tmp_path, problem):
 
 
 def test_main_check_verb(tmp_path, capsys):
+    # The determinism rerun caps the run at 6 steps for every method, so
+    # Landweber under rule none writes k = 0..6, not its 2,000 steps.
     for name, text in (("base", BASE),
                        ("convolution", "[problem]\nkind = convolution\n"
-                                       "n = 64\n")):
+                                       "n = 64\n"),
+                       ("landweber", "[solver]\nmethod = landweber\n"
+                                     "[stopping]\nrule = none\n")):
         ini = tmp_path / f"{name}.ini"
         ini.write_text(text)
         out = tmp_path / name
@@ -706,6 +720,9 @@ def test_main_check_verb(tmp_path, capsys):
         with open(out / "check_report.json") as fh:
             report = json.load(fh)
         assert report["ok"] is True
+    with open(tmp_path / "landweber" / "_check_run" / "run.csv") as fh:
+        assert [row[0] for row in csv.reader(fh)] \
+            == ["k", *(str(k) for k in range(7))]
 
 
 def test_main_stopping_study_breakdown_exits_3(tmp_path, monkeypatch,
@@ -1076,8 +1093,7 @@ def test_rewritten_outputs_hold_exactly_the_new_bytes(tmp_path):
 def test_readme_config_reference_matches_schema():
     # The README's table lists every INI key with the type and default that
     # cli._SCHEMA declares, so neither can drift from the code.
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(_README) as fh:
         rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \| ([^|]+) \|",
                           fh.read(), re.M)
     table = {}

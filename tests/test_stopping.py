@@ -244,9 +244,13 @@ def test_lepskii_last_index_vacuous():
 
 
 def test_estimators_before_first_build_return_zero():
-    assert WhiteNoisePhi(1.0).evaluate(0.5, None) == 0.0
-    assert SampledPhi([np.ones(3)]).evaluate(0.5, None) == 0.0
-    assert DeterministicPhi(0.1).evaluate(0.25, None) == pytest.approx(0.1)
+    # irgnm_run passes an empty pair set before its first build; it reads
+    # the same as no pair set at all.
+    for precond in (None, SpectralPreconditioner.empty(0.5, 3)):
+        assert WhiteNoisePhi(1.0).evaluate(0.5, precond) == 0.0
+        assert SampledPhi([np.ones(3)]).evaluate(0.5, precond) == 0.0
+        assert DeterministicPhi(0.1).evaluate(0.25, precond) \
+            == pytest.approx(0.1)
 
 
 def test_stop_drivers():
