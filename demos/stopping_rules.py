@@ -32,6 +32,7 @@ import numpy as np
 from iterreg import (NewtonConfig, PhiBudgetDriver, WhiteNoisePhi,
                      discrepancy_stop, irgnm_run, lepskii_from_history)
 from iterreg.cli import ExperimentConfig, run_stopping_study
+from iterreg.stopping import RHO, TAU
 from iterreg.testbed import (generate_noise, make_diagonal_problem,
                              make_nonlinear_composite, noise_sigma_for_level)
 
@@ -43,7 +44,7 @@ y_obs = y_exact + noise
 delta = float(np.linalg.norm(noise))
 x0 = np.zeros(problem.model.domain_dim)
 
-TAU, RHO, R_BOUND = 2.0, 4.1, 5.0
+R_BOUND = 5.0
 history = irgnm_run(problem.model, y_obs, x0, NewtonConfig(max_newton=25),
                     stop=PhiBudgetDriver(R_BOUND),
                     phi_estimator=WhiteNoisePhi(sigma), truth=problem.truth)

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
                         jacobian_fd_order)
 from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_step_cap,
                       irgnm_run, landweber_run, newton_cg_run)
-from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
-                       SampledPhi, WhiteNoisePhi, discrepancy_stop,
-                       lepskii_from_history, lepskii_select)
+from .stopping import (RHO, TAU, DeterministicPhi, DiscrepancyDriver,
+                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
+                       discrepancy_stop, lepskii_from_history)
 from .testbed import (DenseOracle, OracleRefusal, check_oracle_dim,
                       generate_noise, make_convolution_problem,
                       make_diagonal_problem, make_nonlinear_composite,
@@ -62,7 +62,7 @@ _RULES = ("discrepancy", "lepskii", "oracle-optimal", "none")
 # a wrapper bound there (a test double, perfbench's tracer) sees the call.
 _BASES = {
     "diagonal": (lambda **kw: make_diagonal_problem(**kw),
-                 ("m", "n", "decay_a", "scale", "seed")),
+                 ("m", "n", "decay_a", "seed")),
     "convolution": (lambda **kw: make_convolution_problem(**kw),
                     ("n", "seed")),
 }
@@ -85,8 +85,8 @@ class StudyBreakdownError(RuntimeError):
         self.stats = stats
 
 
-# Schema: section -> key -> (type, default). Type "float?" admits the string
-# "auto" (stored as None); required-when-used keys default to None.
+# Schema: section -> key -> (type, default). Type "float?" admits the strings
+# "none" and "auto" (stored as None); required-when-used keys default to None.
 _SCHEMA = {
     "problem": {
         "kind": ("choice", "nonlinear-diagonal",
@@ -94,18 +94,13 @@ _SCHEMA = {
         "m": ("int", 100),
         "n": ("int", 200),
         "decay_a": ("float", 0.25),
-        "scale": ("float", 1.0),
         "seed": ("int", 1),
     },
     "solver": {
         "method": ("choice", "irgnm-prec", _METHODS),
         "methods": ("str", ""),
-        "gamma0": ("float?", None),
-        "gamma_factor": ("float", 1.5),
         "rhs_kind": ("choice", "irgnm", ("irgnm", "levenberg-marquardt")),
         "max_newton": ("int", 25),
-        "max_inner": ("int", 200),
-        "enable_updates": ("bool", True),
         "landweber_steps": ("int", 2000),
     },
     "noise": {
@@ -115,8 +110,6 @@ _SCHEMA = {
     },
     "stopping": {
         "rule": ("choice", "discrepancy", _RULES),
-        "tau": ("float", 2.0),
-        "rho": ("float", 4.1),
         "r_bound": ("float?", None),
         "phi": ("choice", "white", ("deterministic", "white", "sampled")),
         "phi_samples": ("int", 50),
@@ -133,8 +126,6 @@ def _parse_value(section, key, kind, raw, choices=None):
             return float(raw)
         if kind == "float?":
             return None if raw.lower() in ("", "auto", "none") else float(raw)
-        if kind == "bool":
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "choice":
             if raw not in choices:
                 raise ConfigError(
@@ -144,7 +135,7 @@ def _parse_value(section, key, kind, raw, choices=None):
         return raw
     except ConfigError:
         raise
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
 
@@ -240,10 +231,6 @@ class ExperimentConfig:
             _bind_method(self, m)
         # Each check is the consumer's own; a (count, 0) draw is empty.
         for section, key, used, check in (
-                ("stopping", "tau", "discrepancy" in rules,
-                 lambda tau: DiscrepancyDriver(tau, 0.0)),
-                ("stopping", "rho", lep,
-                 lambda rho: lepskii_select([0.0], [0.0], rho)),
                 ("stopping", "r_bound", lep, PhiBudgetDriver),
                 ("stopping", "phi_samples",
                  rules and phi == "sampled",
@@ -326,7 +313,7 @@ def build_phi_estimator(cfg: ExperimentConfig, sigma, delta, range_dim,
 def _stop_driver(cfg: ExperimentConfig, delta):
     rule = cfg.stopping["rule"]
     if rule == "discrepancy":
-        return DiscrepancyDriver(cfg.stopping["tau"], delta)
+        return DiscrepancyDriver(TAU, delta)
     if rule == "lepskii":
         return PhiBudgetDriver(cfg.stopping["r_bound"])
     return None
@@ -334,22 +321,21 @@ def _stop_driver(cfg: ExperimentConfig, delta):
 
 def _bind_method(cfg: ExperimentConfig, method, phi_estimator=None):
     """``method``'s library run, the [solver] keys it reads checked and bound
-    (irgnm-*: each NewtonConfig field but use_preconditioner; Newton-CG: the
-    two caps; Landweber: landweber_steps). Looked up per call, so a wrapper
-    bound in this module (perfbench's tracer) is the one that runs."""
+    (irgnm-*: rhs_kind and max_newton; Newton-CG: max_newton; Landweber:
+    landweber_steps). Looked up per call, so a wrapper bound in this module
+    (perfbench's tracer) is the one that runs."""
     solver = cfg.solver
     try:
         if method in ("irgnm-prec", "irgnm-plain"):
-            names = [f.name for f in fields(NewtonConfig)]
-            newton = NewtonConfig(
-                **{n: solver[n] for n in names if n in solver},
-                use_preconditioner=method == "irgnm-prec")
+            newton = NewtonConfig(rhs_kind=solver["rhs_kind"],
+                                  max_newton=solver["max_newton"],
+                                  use_preconditioner=method == "irgnm-prec")
             return functools.partial(irgnm_run, cfg=newton,
                                      phi_estimator=phi_estimator)
         if method == "newton-cg":
-            caps = {key: solver[key] for key in ("max_newton", "max_inner")}
-            NewtonConfig(**caps)
-            return functools.partial(newton_cg_run, **caps)
+            NewtonConfig(max_newton=solver["max_newton"])
+            return functools.partial(newton_cg_run,
+                                     max_newton=solver["max_newton"])
         if method == "landweber":
             check_step_cap(solver["landweber_steps"])
             return functools.partial(landweber_run,
@@ -402,11 +388,9 @@ def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta,
     rule = rule or cfg.stopping["rule"]
     records = history.records
     if rule == "discrepancy":
-        index = discrepancy_stop(history.residual_norms(),
-                                 cfg.stopping["tau"], delta)
+        index = discrepancy_stop(history.residual_norms(), TAU, delta)
     elif rule == "lepskii":
-        index = lepskii_from_history(history, cfg.stopping["rho"],
-                                     cfg.stopping["r_bound"])
+        index = lepskii_from_history(history, RHO, cfg.stopping["r_bound"])
     elif rule == "oracle-optimal":
         if problem.truth is None or any(r.error is None for r in records):
             raise ConfigError(

@@ -6,11 +6,14 @@ One Newton step solves the Tikhonov-regularized normal equations
 G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
 A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
-step does what. Builds solve accurately (EPS_ACCURATE = 1e-9) through the
-symmetric two-sided form so the harvested pairs are trustworthy, ordinary
-steps loosely (EPS_STANDARD = 1/3); the harvest keeps Ritz pairs with
-theta >= RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL
-(1e-6) times theta. Each constant is read when a step uses it.
+step does what. The shift falls as gamma_k = gamma0 * GAMMA_FACTOR^(-k)
+with GAMMA_FACTOR = 1.5. Builds solve accurately (EPS_ACCURATE = 1e-9)
+through the symmetric two-sided form so the harvested pairs are
+trustworthy, ordinary steps loosely (EPS_STANDARD = 1/3), and every inner
+solve, Newton-CG's included, stops after MAX_INNER = 200 iterations; the
+harvest keeps Ritz pairs with theta >= RITZ_SEPARATION = 1.1 and a residual
+bound <= RITZ_RESIDUAL_TOL (1e-6) times theta. Each constant is read when a
+step uses it.
 
 As in ``krylov``, the loops here write in place only to arrays they
 allocated: the observed data, x0, the residual vector a step receives and
@@ -47,8 +50,10 @@ TERMINAL_INNER_CAP = "InnerCap"
 # with a Breakdown record instead of letting iterates overflow.
 DIVERGENCE_FACTOR = 10.0
 
+GAMMA_FACTOR = 1.5
 EPS_STANDARD = 1.0 / 3.0
 EPS_ACCURATE = 1e-9
+MAX_INNER = 200
 UPDATE_AGE_MIN = 4
 UPDATE_INNER_MIN = 5
 RECOMPUTE_INNER_MIN = 8
@@ -68,10 +73,8 @@ class NewtonConfig:
     """
 
     gamma0: float | None = None
-    gamma_factor: float = 1.5
     rhs_kind: str = IRGNM
     max_newton: int = 25
-    max_inner: int = 200
     use_preconditioner: bool = True
     enable_updates: bool = True
 
@@ -80,12 +83,10 @@ class NewtonConfig:
                 self.gamma0 > 0 and np.isfinite(self.gamma0)):
             raise ContractError(
                 f"gamma0 must be positive and finite, got {self.gamma0}")
-        if not 1.0 < self.gamma_factor < np.inf:
-            raise ContractError("gamma_factor must be finite and exceed 1")
         if self.rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
             raise ContractError(f"unknown rhs_kind {self.rhs_kind!r}")
-        if self.max_newton < 1 or self.max_inner < 1:
-            raise ContractError("max_newton and max_inner must be positive")
+        if self.max_newton < 1:
+            raise ContractError("max_newton must be positive")
 
 
 @dataclass
@@ -138,12 +139,12 @@ class RunHistory:
 
 
 def schedule_gamma(cfg: NewtonConfig, k):
-    """Geometric regularization schedule gamma_k = gamma0 * gamma_factor^(-k)."""
+    """Regularization schedule gamma_k = gamma0 * GAMMA_FACTOR^(-k)."""
     if cfg.gamma0 is None:
         raise ContractError("gamma0 is unresolved; run the solver or set it")
     if k < 0:
         raise ContractError("k must be nonnegative")
-    return cfg.gamma0 * cfg.gamma_factor ** (-k)
+    return cfg.gamma0 * GAMMA_FACTOR ** (-k)
 
 
 def estimate_gram_norm(jac, iterations=5, seed=0):
@@ -405,13 +406,13 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if rec.event == EVENT_PLAIN:
             live = precond.with_gamma(gamma_k) if precond.pair_count else None
-            h, trace = pcg_solve(sys, live, EPS_STANDARD, cfg.max_inner)
+            h, trace = pcg_solve(sys, live, EPS_STANDARD, MAX_INNER)
             prev_inner = trace.iterations
         else:
             base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
                 if relinearize else precond.with_gamma(gamma_k)
             tsys = TwoSidedSystem(sys, base)
-            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
+            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
             h = tsys.pull_back(h_t)
             precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
@@ -453,26 +454,26 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
 
 
 def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
-                  max_inner=200, truth=None):
+                  truth=None):
     """Newton iteration with truncated-CG inner solves and no Tikhonov term.
 
     The inner loop on A_k^T A_k h = A_k^T (y - F(x_k)) stops once the inner
     data misfit drops below inner_rho times the outer residual; truncation is
-    the sole regularization. A solve that reaches ``max_inner`` iterations
+    the sole regularization. A solve that reaches MAX_INNER iterations
     above that target defines no Newton-CG step: its step is still taken,
     and the run ends at the Final row of the iterate it produced, with
     terminal InnerCap, unless the stop driver ends it there first.
     """
     if not 0.0 < inner_rho < 1.0:
         raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
-    if max_newton < 1 or max_inner < 1:
-        raise ContractError("max_newton and max_inner must be positive")
+    if max_newton < 1:
+        raise ContractError("max_newton must be positive")
     outer = _OuterLoop(model, y_obs, x0, truth)
     meta = {"inner_unconverged": 0}
 
     def step(rec, x, residual_vec):
         h, rec.inner_iterations, capped = _truncated_cgne(
-            model.linearize(x), residual_vec, inner_rho, max_inner)
+            model.linearize(x), residual_vec, inner_rho, MAX_INNER)
         if capped:
             meta["inner_unconverged"] += 1
             outer.end_reason = TERMINAL_INNER_CAP

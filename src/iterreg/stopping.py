@@ -26,6 +26,9 @@ two: ``DiscrepancyDriver`` (residual at or below tau delta) and
 index through its step cap instead (``max_newton``, or ``max_steps`` for
 Landweber). The offline resolvers ``discrepancy_stop`` and
 ``lepskii_from_history`` apply the same drivers to a finished run.
+
+Every function takes tau and rho explicitly; the CLI passes TAU = 2 and
+RHO = 4.1.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import ContractError, as_vector
+
+TAU = 2.0
+RHO = 4.1
 
 
 def discrepancy_stop(residual_norms, tau, delta):

@@ -11,16 +11,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import GRAM_ESTIMATE_STEPS, nan_on_call, nan_on_evaluation
-from iterreg import cli
+from iterreg import cli, solvers
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
                          run_method, run_single, run_stopping_study,
                          run_work_precision)
-from iterreg.testbed import make_convolution_problem, make_nonlinear_composite
+from iterreg.testbed import (make_convolution_problem, make_diagonal_problem,
+                             make_nonlinear_composite)
 
 BASE = """
 [problem]
@@ -32,7 +33,6 @@ seed = 3
 
 [solver]
 method = irgnm-prec
-gamma_factor = 1.6
 max_newton = 6
 
 [noise]
@@ -47,8 +47,8 @@ rule = discrepancy
 def test_defaults_fill_missing_sections():
     cfg = ExperimentConfig.from_text("")
     assert cfg.problem["kind"] == "nonlinear-diagonal"
-    assert cfg.solver["gamma0"] is None
-    assert cfg.solver["gamma_factor"] == 1.5
+    assert cfg.solver["max_newton"] == 25
+    assert cfg.stopping["r_bound"] is None
     assert cfg.noise["level"] == 0.02
     assert cfg.stopping["rule"] == "discrepancy"
 
@@ -61,10 +61,11 @@ def test_from_ini_matches_from_text(tmp_path):
 
 
 def test_auto_sentinel_parses_to_none():
-    cfg = ExperimentConfig.from_text("[solver]\ngamma0 = auto\n")
-    assert cfg.solver["gamma0"] is None
-    cfg = ExperimentConfig.from_text("[solver]\ngamma0 = 2.5\n")
-    assert cfg.solver["gamma0"] == 2.5
+    for word in ("auto", "none", "None", ""):
+        cfg = ExperimentConfig.from_text(f"[stopping]\nr_bound = {word}\n")
+        assert cfg.stopping["r_bound"] is None
+    cfg = ExperimentConfig.from_text("[stopping]\nr_bound = 2.5\n")
+    assert cfg.stopping["r_bound"] == 2.5
 
 
 def test_unknown_section_rejected():
@@ -85,20 +86,6 @@ def test_bad_choice_lists_alternatives():
 def test_bad_number_rejected():
     with pytest.raises(ConfigError, match="max_newton"):
         ExperimentConfig.from_text("[solver]\nmax_newton = many\n")
-
-
-@pytest.mark.parametrize("word, value", [
-    ("1", True), ("yes", True), ("True", True), ("ON", True),
-    ("0", False), ("no", False), ("false", False), ("Off", False)])
-def test_bool_words_parse_as_configparser_reads_them(word, value):
-    cfg = ExperimentConfig.from_text(f"[solver]\nenable_updates = {word}\n")
-    assert cfg.solver["enable_updates"] is value
-
-
-def test_bad_bool_rejected():
-    with pytest.raises(ConfigError, match=re.escape(
-            "[solver] enable_updates: cannot parse 'maybe' as bool")):
-        ExperimentConfig.from_text("[solver]\nenable_updates = maybe\n")
 
 
 def test_lepskii_requires_error_budget():
@@ -315,8 +302,10 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
                                            key):
     # A method refuses a bad value, naming the key, exactly when the
     # README's "Read by" column lists it for that key; any other method
-    # ignores the key and runs.
-    reads = f"`{method}`" in _solver_key_readers()[key]
+    # ignores the key and runs. Every method refuses a former key as an
+    # unknown field.
+    reads = ("solver", key) in _FORMER_KEYS \
+        or f"`{method}`" in _solver_key_readers()[key]
     steps = "" if key == "landweber_steps" else "landweber_steps = 20\n"
     ini = tmp_path / "bad.ini"
     ini.write_text("[problem]\nm = 20\nn = 30\n"
@@ -326,7 +315,7 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     err = capsys.readouterr().err
     if reads:
         assert code == 2
-        assert err.startswith("config error: [solver] ") and key in err
+        assert err.startswith(_refusal("solver", key)) and key in err
         assert not (tmp_path / "out").exists()
     else:
         assert (code, err) == (0, "")
@@ -347,13 +336,14 @@ def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
                                                       flags):
     # Each value is checked before the problem is built, whichever step of
     # the run would first use it; the --seed override is checked as the
-    # [noise] seed it replaces.
+    # [noise] seed it replaces. A former key is an unknown field.
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[problem]\nm = 20\nn = 30\n[{section}]\n{lines}\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out"), *flags]) == 2
     assert capsys.readouterr().err.startswith(
-        f"config error: [{section}] {key}:")
+        _refusal(section, key) if (section, key) in _FORMER_KEYS
+        else f"config error: [{section}] {key}:")
     assert not (tmp_path / "out").exists()
 
 
@@ -361,16 +351,16 @@ def test_validate_checks_the_rules_the_verb_resolves(tmp_path):
     # The study resolves every study rule whatever the configured one;
     # work-precision resolves none and builds no Phi estimator.
     cfg = ExperimentConfig.from_text(
-        "[stopping]\nrule = lepskii\nr_bound = 2\ntau = 0.5\n"
+        "[stopping]\nrule = discrepancy\nr_bound = -1\n"
         "phi = sampled\nphi_samples = 0\n")
     with pytest.raises(ConfigError, match=r"\[stopping\] phi_samples"):
         cfg.validate()
     cfg.stopping["phi_samples"] = 5
     cfg.validate()
     cfg.noise["samples"] = 2
-    with pytest.raises(ConfigError, match=r"\[stopping\] tau"):
+    with pytest.raises(ConfigError, match=r"\[stopping\] r_bound"):
         run_stopping_study(cfg, out_dir=tmp_path)
-    cfg.stopping.update(phi_samples=0, r_bound=-1.0)
+    cfg.stopping["phi_samples"] = 0
     expand_methods(cfg)
     cfg.validate(rules=())
     assert not os.listdir(tmp_path)
@@ -394,13 +384,20 @@ def test_main_invalid_problem_value_exits_2(tmp_path, capsys, lines):
 
 # Keys the INI no longer accepts: the [solver] keys that became constants
 # of iterreg.solvers, then five that only tests set, whose library
-# defaults every other run used (sigma restated what level sets).
+# defaults every other run used (sigma restated what level sets), then
+# seven more that only tests set: gamma0 is always estimated, gamma_factor
+# and max_inner are constants of iterreg.solvers, tau and rho of
+# iterreg.stopping, updates are always on, and every method is
+# equivariant under the problem's scale.
 _FORMER_KEYS = (
     *(("solver", key) for key in (
         "eps_standard", "eps_accurate", "update_age_min", "update_inner_min",
         "recompute_inner_min", "ritz_separation", "ritz_residual_tol")),
     ("problem", "kernel_width"), ("problem", "c3"), ("solver", "landweber_mu"),
-    ("solver", "newton_cg_rho"), ("noise", "sigma"))
+    ("solver", "newton_cg_rho"), ("noise", "sigma"), ("problem", "scale"),
+    *(("solver", key) for key in (
+        "gamma0", "gamma_factor", "max_inner", "enable_updates")),
+    ("stopping", "tau"), ("stopping", "rho"))
 
 
 def _refusal(section, key):
@@ -425,10 +422,11 @@ def _refusal(section, key):
 def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
     # Exact data is level = 0; a fixed stop index is max_newton (or
     # landweber_steps) with rule = none; the CG tolerances, build guards and
-    # Ritz selection thresholds are constants, and enable_updates = false
-    # alone is the frozen ablation. The kernel width, c3, the Landweber step
-    # size and the Newton-CG inner tolerance take their library defaults,
-    # and level alone sets the noise scale.
+    # Ritz selection thresholds are constants. The kernel width, c3, the
+    # Landweber step size, the Newton-CG inner tolerance, gamma0 (the
+    # estimate), the schedule factor, the inner cap, tau, rho and the
+    # problem scale take their library defaults, updates are on, and level
+    # alone sets the noise scale.
     ini = tmp_path / "old.ini"
     ini.write_text(f"{lines}\n")
     assert main(["solve", "--config", str(ini),
@@ -437,11 +435,14 @@ def test_main_removed_option_exits_2(tmp_path, capsys, lines, message):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_landweber_on_vanishing_jacobian_exits_3(tmp_path, capsys):
-    # scale = 1e-300 passes the [problem] checks, but A^T A underflows to
-    # zero, so Landweber's step size has no estimate.
+def test_main_landweber_on_vanishing_jacobian_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # A problem of scale 1e-300 is valid, but A^T A underflows to zero, so
+    # Landweber's step size has no estimate.
+    monkeypatch.setattr(cli, "make_diagonal_problem",
+                        lambda **kw: make_diagonal_problem(**kw, scale=1e-300))
     ini = tmp_path / "tiny.ini"
-    ini.write_text("[problem]\nm = 8\nn = 12\nscale = 1e-300\n"
+    ini.write_text("[problem]\nm = 8\nn = 12\n"
                    "[solver]\nmethod = landweber\nlandweber_steps = 10\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 3
@@ -450,9 +451,10 @@ def test_main_landweber_on_vanishing_jacobian_exits_3(tmp_path, capsys):
         "no estimate of ||A^T A||\n")
 
 
-def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
+def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_INNER", 1)
     cfg = ExperimentConfig.from_text(BASE)
-    cfg.solver["max_inner"] = 1
     history, summary = run_single(cfg, tmp_path / "solve")
     assert summary["inner_unconverged"] == len(history.records) - 1 > 0
     with open(tmp_path / "solve" / "summary.json") as fh:
@@ -471,21 +473,16 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path):
 
 
 def test_summaries_report_the_estimate_and_its_units(tmp_path):
-    # An estimated gamma0 or mu costs 2 * GRAM_ESTIMATE_STEPS units, a given
-    # one none; each summary carries the value the run used.
+    # An estimated gamma0 or mu costs 2 * GRAM_ESTIMATE_STEPS units, and
+    # each summary carries the value the run used. The CLI always estimates
+    # gamma0; a given one, which costs nothing, is library-only.
     cfg = ExperimentConfig.from_text(BASE)
-    history, _ = run_single(cfg, tmp_path / "auto")
-    cfg.solver["gamma0"] = 2.5
-    run_single(cfg, tmp_path / "given")
-    for out, expected in (
-            ("auto", (2 * GRAM_ESTIMATE_STEPS, history.meta["gamma0"], None)),
-            ("given", (0, 2.5, None))):
-        with open(tmp_path / out / "summary.json") as fh:
-            summary = json.load(fh)
-        assert (summary["estimate_units"], summary["gamma0"],
-                summary["mu"]) == expected
+    history, _ = run_single(cfg, tmp_path / "solve")
+    with open(tmp_path / "solve" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert (summary["estimate_units"], summary["gamma0"], summary["mu"]) \
+        == (2 * GRAM_ESTIMATE_STEPS, history.meta["gamma0"], None)
 
-    cfg.solver["gamma0"] = None
     cfg.solver["methods"] = "irgnm-prec, newton-cg, landweber"
     cfg.solver["landweber_steps"] = 5
     histories = run_work_precision(expand_methods(cfg), tmp_path / "wp")
@@ -500,13 +497,13 @@ def test_summaries_report_the_estimate_and_its_units(tmp_path):
                              "landweber": histories[2].meta["mu"]}
 
 
-def test_main_solve_newton_cg_ends_at_its_first_capped_solve(tmp_path,
-                                                             capsys):
+def test_main_solve_newton_cg_ends_at_its_first_capped_solve(
+        tmp_path, monkeypatch, capsys):
     # A capped inner solve ends a Newton-CG run: InnerCap is a finished
     # run, not a breakdown, so solve exits 0 and explains nothing on stderr.
+    monkeypatch.setattr(solvers, "MAX_INNER", 1)
     ini = tmp_path / "exp.ini"
-    ini.write_text(BASE.replace("method = irgnm-prec",
-                                "method = newton-cg\nmax_inner = 1"))
+    ini.write_text(BASE.replace("method = irgnm-prec", "method = newton-cg"))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
     captured = capsys.readouterr()
@@ -521,12 +518,13 @@ def test_main_solve_newton_cg_ends_at_its_first_capped_solve(tmp_path,
         assert list(csv.reader(fh))[-1][-1] == "Final"
 
 
-def test_main_work_precision_reports_each_terminal_reason(tmp_path, capsys):
+def test_main_work_precision_reports_each_terminal_reason(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solvers, "MAX_INNER", 1)
     ini = tmp_path / "exp.ini"
     ini.write_text(BASE.replace(
         "method = irgnm-prec",
-        "methods = irgnm-prec, newton-cg, landweber\n"
-        "landweber_steps = 5\nmax_inner = 1"))
+        "methods = irgnm-prec, newton-cg, landweber\nlandweber_steps = 5"))
     out = tmp_path / "out"
     assert main(["work-precision", "--config", str(ini),
                  "--out", str(out)]) == 0
@@ -543,11 +541,13 @@ def test_main_work_precision_reports_each_terminal_reason(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_main_overflowing_data_exits_3(tmp_path, capsys):
-    # The problem is valid, but the norm of its exact data overflows; the
-    # CLI says so in one line and numpy warns about nothing.
+def test_main_overflowing_data_exits_3(tmp_path, monkeypatch, capsys):
+    # A problem of scale 1e300 is valid, but the norm of its exact data
+    # overflows; the CLI says so in one line and numpy warns about nothing.
+    monkeypatch.setattr(cli, "make_diagonal_problem",
+                        lambda **kw: make_diagonal_problem(**kw, scale=1e300))
     ini = tmp_path / "big.ini"
-    ini.write_text("[problem]\nscale = 1e300\n")
+    ini.write_text("[problem]\nkind = nonlinear-diagonal\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (
@@ -972,8 +972,6 @@ def _ini_text(sections):
        st.sampled_from(("discrepancy", "lepskii", "none")),
        st.sampled_from(_NUMERIC_KEYS),
        st.sampled_from(("0", "-1", "nan", "inf")))
-@example(method="landweber", rule="none", field=("problem", "scale"),
-         value="0")
 def test_main_solve_boundary_value_exits_cleanly(method, rule, field, value):
     # Whatever a numeric key is set to, solve ends with exit 0, 2 or 3 and
     # raises nothing (numpy warnings are errors under pytest).
@@ -1001,7 +999,6 @@ _KEY_READERS = {
         ("solve", {"solver": {"method": "landweber"}}),
     ("noise", "samples"):
         ("stopping-study", {"stopping": {"rule": "lepskii"}}),
-    ("stopping", "rho"): ("solve", {"stopping": {"rule": "lepskii"}}),
     ("stopping", "r_bound"): ("solve", {"stopping": {"rule": "lepskii"}}),
     ("stopping", "phi_samples"): ("solve", {"stopping": {"phi": "sampled"}}),
 }
@@ -1107,7 +1104,7 @@ def test_readme_config_reference_matches_schema():
         raw = "" if default.strip() == "(empty)" else default.strip(" `")
         value = cli._parse_value(section, key, kind, raw, *choices)
         table[section, key] = (kind, value, *choices)
-    assert len(rows) == len(table) == 24
+    assert len(rows) == len(table) == 17
     assert table == {(section, key): spec
                      for section, keys in cli._SCHEMA.items()
                      for key, spec in keys.items()}

@@ -23,6 +23,10 @@ imports the CLI and runs one small solve must not load scipy.
 Terminal reasons: the string values of the module-level ``TERMINAL_*``
 constants of ``solvers.py`` must be exactly the reasons ``csv_schema.md``
 lists after "The terminal reason", so none goes undocumented.
+
+INI keys: every key of ``cli._SCHEMA`` must be set, as a line ``key = ...``,
+in ``perfbench/workloads.py`` or in a demo, read as text. A key that only
+tests set is an option no run uses.
 """
 
 import ast
@@ -35,6 +39,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from iterreg import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "iterreg").glob("*.py"))
@@ -280,3 +286,28 @@ def test_terminal_scans_read_constants_and_the_schema_list():
     assert terminal_constants(source) == ["Alpha"]
     text = "The terminal reason (Beta,\nAlpha) is in summary.json."
     assert documented_terminals(text) == ["Alpha", "Beta"]
+
+
+def keys_never_set(schema, sources):
+    """Keys of the INI ``schema`` that no line ``key = ...`` of the
+    ``sources`` texts sets, in schema order."""
+    keys = dict.fromkeys(key for section in schema.values() for key in section)
+    return [key for key in keys
+            if not any(re.search(rf"^\s*{key}\s*=(?!=)", text, re.M)
+                       for text in sources)]
+
+
+def test_every_ini_key_is_set_by_a_workload_or_a_demo():
+    sources = [path.read_text() for path in (
+        ROOT / "perfbench" / "workloads.py",
+        *sorted((ROOT / "demos").glob("*.py")))]
+    unset = keys_never_set(cli._SCHEMA, sources)
+    assert not unset, f"INI keys that only tests set: {', '.join(unset)}"
+
+
+def test_key_scan_reads_assignment_lines():
+    schema = {"a": {"m": None, "seed": None}, "b": {"seed": None, "tau": None,
+                                                   "rho": None}}
+    sources = ['ini = """\n[a]\nm = 3\n  seed=1\n"""\n',
+               "tau == 2\nx = rho = 4\n"]
+    assert keys_never_set(schema, sources) == ["tau", "rho"]

@@ -6,9 +6,9 @@ left vectors and the sampled Phi built on them, the two-sided system over
 merged pairs and its spectrum bound 1 - delta, the preconditioned-spectrum
 identity, the Cholesky-reduced pencil against the similarity route on random
 pair sets, the CG accuracy contract, the CG loops against their reference
-implementations, the finiteness check of ``as_vector``, and the Lanczos
+implementations, the finiteness check of ``as_vector``, the Lanczos
 estimate of ||A^T A|| against the power iteration it replaced and the dense
-norm.
+norm, and the equivariance of every method under the problem's scale.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
@@ -19,7 +19,8 @@ a random Tikhonov system checked against ``DenseOracle`` or dense matrices,
 as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
-diagonal or nonlinear-composite problem.
+diagonal or nonlinear-composite problem; for the scale a random
+nonlinear-diagonal problem and noise draw.
 """
 
 import itertools
@@ -42,12 +43,17 @@ from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import (EPS_ACCURATE, RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
-                             NewtonConfig, _harvest, _truncated_cgne,
-                             estimate_gram_norm, schedule_gamma)
-from iterreg.stopping import SampledPhi
-from iterreg.testbed import (DenseOracle, make_diagonal_problem,
-                             make_nonlinear_composite)
+from iterreg.solvers import (EPS_ACCURATE, MAX_INNER, RITZ_RESIDUAL_TOL,
+                             RITZ_SEPARATION, NewtonConfig, _harvest,
+                             _truncated_cgne, estimate_gram_norm,
+                             irgnm_run, landweber_run, newton_cg_run,
+                             schedule_gamma)
+from iterreg.stopping import (RHO, TAU, DiscrepancyDriver, PhiBudgetDriver,
+                              SampledPhi, WhiteNoisePhi, discrepancy_stop,
+                              lepskii_from_history)
+from iterreg.testbed import (DenseOracle, generate_noise,
+                             make_diagonal_problem, make_nonlinear_composite,
+                             noise_sigma_for_level)
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
                     database=None)
@@ -299,7 +305,7 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
         inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
                                     for e in np.eye(m)])
         two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
@@ -364,7 +370,7 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
         merged = merge_pairs(base, _harvest(trace, base))
         kept = 0 if merged.left_vectors is None \
             else merged.left_vectors.shape[1]
@@ -409,7 +415,7 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
         sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                              rng.standard_normal(m))
         _, trace = pcg_solve(TwoSidedSystem(sys, base), None, EPS_ACCURATE,
-                             cfg.max_inner)
+                             MAX_INNER)
         precond = merge_pairs(base, _harvest(trace, base))
     tsys = TwoSidedSystem(sys, precond)
     w, q = np.linalg.eigh(precond.dense())
@@ -473,7 +479,7 @@ def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                            rng.standard_normal(m)), base)
-        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, cfg.max_inner)
+        _, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
         precond = merge_pairs(base, _harvest(trace, base))
     assert_bound(precond)
 
@@ -764,3 +770,59 @@ def test_lanczos_gram_norm_between_power_estimate_and_dense_norm(
     assert lanczos <= norm_sq * (1.0 + 1e-12)
     if m < steps:
         assert lanczos == pytest.approx(norm_sq, rel=1e-12)
+
+
+# (method, stop rule) pairs of the scale check; lepskii reads WhiteNoisePhi.
+_SCALED_RUNS = (("irgnm-prec", "discrepancy"), ("irgnm-prec", "lepskii"),
+                ("irgnm-plain", "discrepancy"), ("landweber", "discrepancy"),
+                ("newton-cg", "discrepancy"))
+
+
+def _scaled_run(scale, method, rule, seed):
+    """(stop index, model units, error at the stop) of one run on the
+    30 x 40 nonlinear-diagonal problem of the given scale, at relative noise
+    level 0.02, as the CLI runs it: gamma0 and mu estimated, the discrepancy
+    rule at TAU, the balancing rule at RHO with the budget R = 5."""
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=30, n=40, scale=scale, seed=seed))
+    y_exact = problem.model.evaluate(problem.truth)
+    sigma = noise_sigma_for_level(y_exact, 0.02)
+    y_obs = y_exact + generate_noise(sigma, 40, count=1, seed=seed)[0]
+    delta = sigma * np.sqrt(40)
+    x0, phi = np.zeros(30), None
+    if rule == "lepskii":
+        stop, phi = PhiBudgetDriver(5.0), WhiteNoisePhi(sigma)
+    else:
+        stop = DiscrepancyDriver(TAU, delta)
+    kwargs = {"stop": stop, "truth": problem.truth}
+    if method == "landweber":
+        history = landweber_run(problem.model, y_obs, x0, **kwargs)
+    elif method == "newton-cg":
+        history = newton_cg_run(problem.model, y_obs, x0, **kwargs)
+    else:
+        cfg = NewtonConfig(use_preconditioner=method == "irgnm-prec")
+        history = irgnm_run(problem.model, y_obs, x0, cfg,
+                            phi_estimator=phi, **kwargs)
+    index = lepskii_from_history(history, RHO, 5.0) if rule == "lepskii" \
+        else discrepancy_stop(history.residual_norms(), TAU, delta)
+    error = None if index is None else history.records[index].error
+    return index, history.total_cost(), error
+
+
+@pytest.mark.parametrize("scale", [1e-3, 7.0])
+@pytest.mark.parametrize("run", _SCALED_RUNS, ids="-".join)
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16 - 1))
+def test_every_method_is_equivariant_under_the_problem_scale(run, scale,
+                                                             seed):
+    # Scaling K by c scales F, its Jacobians, the exact data and, at a
+    # relative noise level, the noise by c; the gamma0 and mu estimates
+    # scale by c^2, and Phi and the errors not at all. So every method
+    # takes the same steps on the scaled problem: the same stop index and
+    # model units, and errors equal up to rounding. The CLI therefore
+    # builds every problem at scale 1.
+    index, units, error = _scaled_run(scale, *run, seed)
+    ref_index, ref_units, ref_error = _scaled_run(1.0, *run, seed)
+    assert (index, units) == (ref_index, ref_units)
+    assert index is not None
+    assert error == pytest.approx(ref_error, rel=1e-9)

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,12 +28,13 @@ from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
 
 
-def test_schedule_gamma_values():
-    assert schedule_gamma(NewtonConfig(gamma0=1.0, gamma_factor=2.0), 0) == 1.0
-    assert schedule_gamma(NewtonConfig(gamma0=1.0, gamma_factor=2.0), 3) \
-        == pytest.approx(0.125)
-    assert schedule_gamma(NewtonConfig(gamma0=10.0, gamma_factor=1.5), 2) \
+def test_schedule_gamma_values(monkeypatch):
+    assert schedule_gamma(NewtonConfig(gamma0=10.0), 2) \
         == pytest.approx(10.0 / 2.25)
+    monkeypatch.setattr(solvers, "GAMMA_FACTOR", 2.0)
+    assert schedule_gamma(NewtonConfig(gamma0=1.0), 0) == 1.0
+    assert schedule_gamma(NewtonConfig(gamma0=1.0), 3) \
+        == pytest.approx(0.125)
     with pytest.raises(ContractError):
         schedule_gamma(NewtonConfig(), 1)
     with pytest.raises(ContractError):
@@ -142,8 +142,6 @@ def test_plan_step_matches_the_reference_predicates(state, use_preconditioner,
 
 
 def test_newton_config_validation():
-    with pytest.raises(ContractError):
-        NewtonConfig(gamma_factor=1.0)
     for gamma0 in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ContractError, match="gamma0"):
             NewtonConfig(gamma0=gamma0)
@@ -194,7 +192,7 @@ def test_cost_audit_and_arrival_semantics():
     # cumulative_cost is the meter reading at iterate arrival: the first
     # record has paid only its own evaluation (gamma0 was given explicitly)
     assert costs[0] == 1
-    assert history.meta["estimate_units"] == 0
+    assert (history.meta["estimate_units"], history.meta["gamma0"]) == (0, 1.0)
 
 
 def test_gamma0_auto_resolution_costs_the_estimate():
@@ -281,10 +279,11 @@ def test_harvest_back_map(monkeypatch):
                                   e[:, [2, 0]])
 
 
-def test_truth_and_phi_columns():
+def test_truth_and_phi_columns(monkeypatch):
+    monkeypatch.setattr(solvers, "GAMMA_FACTOR", 2.0)
     problem = make_diagonal_problem(m=8, n=10, seed=2)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, gamma_factor=2.0, max_newton=4)
+    cfg = NewtonConfig(gamma0=1.0, max_newton=4)
     est = DeterministicPhi(0.08)
     history = irgnm_run(problem.model, y, np.zeros(8), cfg,
                         phi_estimator=est, truth=problem.truth)
@@ -314,13 +313,13 @@ def test_irgnm_matches_dense_newton_recursion(monkeypatch):
     # tolerances the iterates must track the dense Tikhonov recursion.
     monkeypatch.setattr(solvers, "EPS_STANDARD", 1e-9)
     monkeypatch.setattr(solvers, "EPS_ACCURATE", 1e-11)
+    monkeypatch.setattr(solvers, "GAMMA_FACTOR", 2.0)
     problem = make_diagonal_problem(m=12, n=16, decay_a=0.3, seed=4)
     a = problem.matrix
     y = problem.model.evaluate(problem.truth)
     oracle = DenseOracle(a)
     for rhs_kind in ("irgnm", LEVENBERG_MARQUARDT):
-        cfg = NewtonConfig(gamma0=2.0, gamma_factor=2.0, max_newton=5,
-                           rhs_kind=rhs_kind)
+        cfg = NewtonConfig(gamma0=2.0, max_newton=5, rhs_kind=rhs_kind)
         history = irgnm_run(problem.model, y, np.zeros(12), cfg)
         x = np.zeros(12)
         for k in range(5):
@@ -631,14 +630,6 @@ def test_newton_cg_rejects_zero_newton_cap_as_newton_config_does():
     assert model.cost.total == 0
 
 
-@pytest.mark.parametrize("max_inner", [0, -3])
-def test_newton_cg_rejects_inner_cap_below_one(max_inner):
-    model = linear_model(np.eye(3))
-    with pytest.raises(ContractError, match="max_inner must be positive"):
-        newton_cg_run(model, np.ones(3), np.zeros(3), max_inner=max_inner)
-    assert model.cost.total == 0
-
-
 @pytest.mark.parametrize("run", [
     lambda model: landweber_run(model, np.ones(4), np.zeros(3)),
     lambda model: irgnm_run(model, np.ones(4), np.zeros(3)),
@@ -649,29 +640,32 @@ def test_zero_jacobian_has_no_gram_norm_estimate(run):
         run(linear_model(np.zeros((4, 3))))
 
 
-def test_inner_unconverged_counts_solves_stopped_by_the_cap():
+def test_inner_unconverged_counts_solves_stopped_by_the_cap(monkeypatch):
     base = make_diagonal_problem(m=10, n=14, seed=8)
     problem = make_nonlinear_composite(base, c3=0.5)
     y = problem.model.evaluate(problem.truth)
     x0 = np.zeros(10)
     for use_preconditioner, capped in ((True, 6), (False, 5)):
-        cfg = NewtonConfig(max_newton=6, max_inner=1,
+        cfg = NewtonConfig(max_newton=6,
                            use_preconditioner=use_preconditioner)
+        monkeypatch.setattr(solvers, "MAX_INNER", 1)
         assert irgnm_run(problem.model, y, x0, cfg) \
             .meta["inner_unconverged"] == capped
-        cfg = replace(cfg, max_inner=200)
+        monkeypatch.setattr(solvers, "MAX_INNER", 200)
         assert irgnm_run(problem.model, y, x0, cfg) \
             .meta["inner_unconverged"] == 0
     # Two Newton-CG steps need two inner iterations, and a cap of 2 stops
     # neither. A cap of 1 stops the first of them: that step is taken, and
     # the run ends at the Final row of the iterate it produced, whose cost
     # includes the capped solve (2 units) and its evaluation (1 unit).
-    exact = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=2)
+    monkeypatch.setattr(solvers, "MAX_INNER", 2)
+    exact = newton_cg_run(problem.model, y, x0, max_newton=6)
     inner = [r.inner_iterations for r in exact.records]
     assert inner.count(2) == 2
     assert exact.meta["inner_unconverged"] == 0
     first = inner.index(2)
-    capped = newton_cg_run(problem.model, y, x0, max_newton=6, max_inner=1)
+    monkeypatch.setattr(solvers, "MAX_INNER", 1)
+    capped = newton_cg_run(problem.model, y, x0, max_newton=6)
     assert capped.terminal_reason == TERMINAL_INNER_CAP
     assert capped.meta["inner_unconverged"] == 1
     *steps, last = capped.records
@@ -693,15 +687,16 @@ def test_inner_unconverged_counts_solves_stopped_by_the_cap():
     (6, 5, TERMINAL_STOP),
 ])
 def test_newton_cg_inner_cap_ends_the_run_at_the_next_record(
-        max_newton, stop_at, terminal):
-    # Step 4 is the first capped solve at max_inner = 1. Its Final row at
+        monkeypatch, max_newton, stop_at, terminal):
+    # Step 4 is the first capped solve at MAX_INNER = 1. Its Final row at
     # k = 5 is recorded whatever else ends the run there: InnerCap outranks
     # the step cap, and a stop rule that fires at k = 5 outranks InnerCap.
+    monkeypatch.setattr(solvers, "MAX_INNER", 1)
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
     y = problem.model.evaluate(problem.truth)
     history = newton_cg_run(problem.model, y, np.zeros(10),
-                            max_newton=max_newton, max_inner=1,
+                            max_newton=max_newton,
                             stop=lambda k, rn, phi: k == stop_at)
     assert history.terminal_reason == terminal
     assert [r.event for r in history.records][-2:] \
