@@ -6,7 +6,8 @@ Verbs: ``solve`` (one inversion), ``work-precision`` (error-vs-cost rows for
 several methods on shared data), ``stopping-study`` (stop-rule comparison
 over noise replicas), ``check`` (invariant suite on a configured problem).
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown.
-``_bind_method`` is where each method's [solver] keys are read and checked.
+``_bind_method`` is where each method's [solver] keys are read and checked,
+``_bind_rule`` where each stop rule's driver, resolver and checks live.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class StudyBreakdownError(RuntimeError):
         self.stats = stats
 
 
-# Schema: section -> key -> (type, default). Type "float?" admits the strings
-# "none" and "auto" (stored as None); required-when-used keys default to None.
+# Schema: section -> key -> (type, default). A default of None means unset:
+# the one consumer that needs the key (lepskii, for r_bound) refuses it.
 _SCHEMA = {
     "problem": {
         "kind": ("choice", "nonlinear-diagonal",
@@ -110,7 +111,7 @@ _SCHEMA = {
     },
     "stopping": {
         "rule": ("choice", "discrepancy", _RULES),
-        "r_bound": ("float?", None),
+        "r_bound": ("float", None),
         "phi": ("choice", "white", ("deterministic", "white", "sampled")),
         "phi_samples": ("int", 50),
     },
@@ -124,8 +125,6 @@ def _parse_value(section, key, kind, raw, choices=None):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "float?":
-            return None if raw.lower() in ("", "auto", "none") else float(raw)
         if kind == "choice":
             if raw not in choices:
                 raise ConfigError(
@@ -194,52 +193,28 @@ class ExperimentConfig:
         ``rules`` uses; work-precision resolves none and builds no Phi."""
         methods = methods or [self.solver["method"]]
         rules = [self.stopping["rule"]] if rules is None else rules
-        lep, phi = "lepskii" in rules, self.stopping["phi"]
-        if lep and self.stopping["r_bound"] is None:
-            raise ConfigError(
-                "[stopping] r_bound: the balancing rule needs an error budget "
-                "R, an upper bound on the initial error (problem knowledge)")
         if not 0 <= self.noise["level"] < np.inf:
             raise ConfigError("[noise] level: must be nonnegative and finite")
-        # Exact data make every Phi estimate 0.
-        if lep and self.noise["level"] == 0:
-            raise ConfigError(
-                "[noise] level: exact data make Phi 0 at every step, "
-                "so the balancing rule (lepskii) has nothing to balance")
         for section in ("problem", "noise"):
             if getattr(self, section)["seed"] < 0:
                 raise ConfigError(f"[{section}] seed: must be nonnegative")
-        # The balancing rule reads Phi: Landweber and Newton-CG estimate
-        # none, and irgnm-plain builds no pair set, so its white or sampled
-        # Phi reads 0 at every step.
         for i, m in enumerate(methods):
             if m not in _METHODS:
                 raise ConfigError(
                     f"[solver] method: invalid value {m!r} "
                     f"(choices: {', '.join(_METHODS)})")
             _refuse_repeat(m, methods[:i])
-            if lep and m in ("newton-cg", "landweber"):
-                raise ConfigError(f"[solver] method: {m} estimates no Phi, "
-                                  "which the balancing rule (lepskii) needs")
-            if lep and m == "irgnm-plain" and phi != "deterministic":
-                raise ConfigError(
-                    f"[stopping] phi: {phi} Phi is 0 at every step of "
-                    "irgnm-plain, so the balancing rule (lepskii) needs "
-                    "phi = deterministic there")
         # In _METHODS order: the key refused first ignores the list order.
         for m in sorted(methods, key=_METHODS.index):
             _bind_method(self, m)
-        # Each check is the consumer's own; a (count, 0) draw is empty.
-        for section, key, used, check in (
-                ("stopping", "r_bound", lep, PhiBudgetDriver),
-                ("stopping", "phi_samples",
-                 rules and phi == "sampled",
-                 lambda count: generate_noise(0.0, 0, count=count))):
-            if used:
-                try:
-                    check(getattr(self, section)[key])
-                except ContractError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from None
+        for rule in rules:
+            _bind_rule(self, rule, methods)
+        # The sampled Phi's own check; a (count, 0) draw is empty.
+        if rules and self.stopping["phi"] == "sampled":
+            try:
+                generate_noise(0.0, 0, count=self.stopping["phi_samples"])
+            except ContractError as exc:
+                raise ConfigError(f"[stopping] phi_samples: {exc}") from None
 
 
 def _refuse_repeat(method, earlier):
@@ -310,15 +285,6 @@ def build_phi_estimator(cfg: ExperimentConfig, sigma, delta, range_dim,
     return SampledPhi(samples)
 
 
-def _stop_driver(cfg: ExperimentConfig, delta):
-    rule = cfg.stopping["rule"]
-    if rule == "discrepancy":
-        return DiscrepancyDriver(TAU, delta)
-    if rule == "lepskii":
-        return PhiBudgetDriver(cfg.stopping["r_bound"])
-    return None
-
-
 def _bind_method(cfg: ExperimentConfig, method, phi_estimator=None):
     """``method``'s library run, the [solver] keys it reads checked and bound
     (irgnm-*: rhs_kind and max_newton; Newton-CG: max_newton; Landweber:
@@ -345,6 +311,51 @@ def _bind_method(cfg: ExperimentConfig, method, phi_estimator=None):
         raise ConfigError(f"[solver] {prefix}{exc}") from None
     raise ConfigError(f"[solver] method: invalid value {method!r} "
                       f"(choices: {', '.join(_METHODS)})")
+
+
+def _bind_rule(cfg: ExperimentConfig, rule, methods=()):
+    """``rule``'s (drive, resolve): ``drive(delta)`` is the stop driver a
+    run on data of noise norm delta consults (drive is None for a run that
+    goes to its cap); ``resolve(history, delta)`` reads the stop index off
+    a finished run, None if the rule never fires. Raises the rule's
+    ConfigErrors, its needs of ``methods`` among them. The resolvers look
+    the library up per call, so a wrapper bound in this module (perfbench's
+    tracer) is the one that runs."""
+    if rule == "discrepancy":
+        return (functools.partial(DiscrepancyDriver, TAU),
+                lambda history, delta: discrepancy_stop(
+                    history.residual_norms(), TAU, delta))
+    if rule == "oracle-optimal":
+        return None, lambda history, delta: int(
+            np.argmin([r.error for r in history.records]))
+    if rule != "lepskii":
+        return None, lambda history, delta: history.records[-1].k
+    bound = cfg.stopping["r_bound"]
+    if bound is None:
+        raise ConfigError(
+            "[stopping] r_bound: the balancing rule needs an error budget "
+            "R, an upper bound on the initial error (problem knowledge)")
+    if cfg.noise["level"] == 0:
+        raise ConfigError(
+            "[noise] level: exact data make Phi 0 at every step, "
+            "so the balancing rule (lepskii) has nothing to balance")
+    # Landweber and Newton-CG estimate no Phi, and irgnm-plain builds no
+    # pair set, so its white or sampled Phi reads 0 at every step.
+    for m in methods:
+        if m in ("newton-cg", "landweber"):
+            raise ConfigError(f"[solver] method: {m} estimates no Phi, "
+                              "which the balancing rule (lepskii) needs")
+        if m == "irgnm-plain" and cfg.stopping["phi"] != "deterministic":
+            raise ConfigError(
+                f"[stopping] phi: {cfg.stopping['phi']} Phi is 0 at every "
+                "step of irgnm-plain, so the balancing rule (lepskii) needs "
+                "phi = deterministic there")
+    try:
+        stop = PhiBudgetDriver(bound)
+    except ContractError as exc:
+        raise ConfigError(f"[stopping] r_bound: {exc}") from None
+    return (lambda delta: stop,
+            lambda history, delta: lepskii_from_history(history, RHO, bound))
 
 
 def run_method(cfg: ExperimentConfig, problem, y_obs, stop=None,
@@ -381,27 +392,14 @@ def write_run_csv(path, history):
         for r in history.records))
 
 
-def apply_stop_rule(cfg: ExperimentConfig, history, problem, delta,
-                    rule=None):
+def apply_stop_rule(cfg: ExperimentConfig, history, delta, rule=None):
     """Resolve ``rule`` (default: the configured one) on a finished run to
     (stop_index, error_at_stop, reached)."""
-    rule = rule or cfg.stopping["rule"]
-    records = history.records
-    if rule == "discrepancy":
-        index = discrepancy_stop(history.residual_norms(), TAU, delta)
-    elif rule == "lepskii":
-        index = lepskii_from_history(history, RHO, cfg.stopping["r_bound"])
-    elif rule == "oracle-optimal":
-        if problem.truth is None or any(r.error is None for r in records):
-            raise ConfigError(
-                "[stopping] rule: oracle-optimal needs a problem with a "
-                "known truth vector")
-        index = int(np.argmin([r.error for r in records]))
-    else:
-        index = records[-1].k
+    _, resolve = _bind_rule(cfg, rule or cfg.stopping["rule"])
+    index = resolve(history, delta)
     if index is None:
         return None, None, False
-    return index, records[index].error, True
+    return index, history.records[index].error, True
 
 
 def run_single(cfg: ExperimentConfig, out_dir):
@@ -414,10 +412,10 @@ def run_single(cfg: ExperimentConfig, out_dir):
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim,
                                         cfg.noise["seed"])
-    history = run_method(cfg, problem, y_obs, stop=_stop_driver(cfg, delta),
+    drive, _ = _bind_rule(cfg, cfg.stopping["rule"])
+    history = run_method(cfg, problem, y_obs, stop=drive and drive(delta),
                          phi_estimator=phi_estimator)
-    index, error_at_stop, reached = apply_stop_rule(cfg, history, problem,
-                                                    delta)
+    index, error_at_stop, reached = apply_stop_rule(cfg, history, delta)
 
     write_run_csv(os.path.join(out_dir, "run.csv"), history)
     summary = {
@@ -504,11 +502,10 @@ def _study_sample(cfg: ExperimentConfig, problem, sample_id):
     y_obs, sigma, delta = build_data(cfg, problem, noise_seed=noise_seed)
     phi_estimator = build_phi_estimator(cfg, sigma, delta,
                                         problem.model.range_dim, noise_seed)
-    history = run_method(cfg, problem, y_obs,
-                         stop=PhiBudgetDriver(cfg.stopping["r_bound"]),
+    drive, _ = _bind_rule(cfg, "lepskii")
+    history = run_method(cfg, problem, y_obs, stop=drive(delta),
                          phi_estimator=phi_estimator)
-    return [(sample_id, rule)
-            + apply_stop_rule(cfg, history, problem, delta, rule)[:2]
+    return [(sample_id, rule) + apply_stop_rule(cfg, history, delta, rule)[:2]
             for rule in STUDY_RULES], history
 
 

@@ -60,12 +60,17 @@ def test_from_ini_matches_from_text(tmp_path):
         == ExperimentConfig.from_text(BASE).as_dict()
 
 
-def test_auto_sentinel_parses_to_none():
-    for word in ("auto", "none", "None", ""):
-        cfg = ExperimentConfig.from_text(f"[stopping]\nr_bound = {word}\n")
-        assert cfg.stopping["r_bound"] is None
+def test_r_bound_parses_as_a_float_and_is_none_when_unset():
+    # No word stands for "unset": r_bound = auto, none or an empty value is
+    # refused as a float that cannot be parsed.
+    assert ExperimentConfig.from_text("").stopping["r_bound"] is None
     cfg = ExperimentConfig.from_text("[stopping]\nr_bound = 2.5\n")
     assert cfg.stopping["r_bound"] == 2.5
+    for word in ("auto", "none", ""):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_text(f"[stopping]\nr_bound = {word}\n")
+        assert str(info.value) \
+            == f"[stopping] r_bound: cannot parse {word!r} as float"
 
 
 def test_unknown_section_rejected():
@@ -185,15 +190,15 @@ def test_apply_stop_rule_variants():
     history = run_method(cfg, problem, y_obs)
 
     cfg.stopping["rule"] = "oracle-optimal"
-    index, err, _ = apply_stop_rule(cfg, history, problem, delta)
+    index, err, _ = apply_stop_rule(cfg, history, delta)
     assert err == min(r.error for r in history.records)
 
     cfg.stopping["rule"] = "none"
-    index, _, _ = apply_stop_rule(cfg, history, problem, delta)
+    index, _, _ = apply_stop_rule(cfg, history, delta)
     assert index == history.records[-1].k
 
     cfg.stopping["rule"] = "discrepancy"
-    index, err, reached = apply_stop_rule(cfg, history, problem, 1e-12)
+    index, err, reached = apply_stop_rule(cfg, history, 1e-12)
     assert (index, err, reached) == (None, None, False)
 
     # Stopping at a fixed K is the step cap: a run capped at K = 2 repeats
@@ -201,7 +206,7 @@ def test_apply_stop_rule_variants():
     cfg.solver["max_newton"] = 2
     capped = run_method(cfg, problem, y_obs)
     cfg.stopping["rule"] = "none"
-    index, err, reached = apply_stop_rule(cfg, capped, problem, delta)
+    index, err, reached = apply_stop_rule(cfg, capped, delta)
     assert (index, err, reached) == (2, history.records[2].error, True)
     for short, full in zip(capped.records, history.records):
         np.testing.assert_array_equal(short.x_k, full.x_k)
@@ -326,11 +331,14 @@ def test_main_invalid_solver_value_exits_2(tmp_path, capsys, method, line,
     ("stopping", "tau = 0.5", "tau", []),
     ("stopping", "rule = lepskii\nr_bound = 2\nrho = 3", "rho", []),
     ("stopping", "rule = lepskii\nr_bound = -1", "r_bound", []),
+    *(("stopping", f"rule = lepskii\nr_bound = {word}", "r_bound", [])
+      for word in ("auto", "none", "")),
     ("stopping", "phi = sampled\nphi_samples = 0", "phi_samples", []),
     ("noise", "level = nan", "level", []),
     ("noise", "seed = -1", "seed", []),
     ("noise", "seed = 5", "seed", ["--seed", "-1"]),
-], ids=["tau", "rho", "r_bound", "phi_samples", "level", "seed", "seed_flag"])
+], ids=["tau", "rho", "r_bound", "r_bound_auto", "r_bound_none",
+        "r_bound_empty", "phi_samples", "level", "seed", "seed_flag"])
 def test_main_invalid_stopping_or_noise_value_exits_2(tmp_path, capsys,
                                                       section, lines, key,
                                                       flags):
@@ -816,6 +824,26 @@ def test_lepskii_on_exact_data_exits_2(tmp_path, monkeypatch, capsys, verb,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the float floor (ROADMAP open FOUNDs): once gamma_k falls below eps "
+    "times the captured eigenvalues, M^-1 cannot be applied in floating "
+    "point, and this run ends in Breakdown at k = 89 (<r, z> lost "
+    "positivity, exit 3); recheck where it fails after ROADMAP item 2 "
+    "moves Plain steps off apply_inverse"))
+def test_main_long_exact_data_run_reaches_its_cap(tmp_path):
+    # Exact data under rule none: irgnm-prec runs to max_newton = 100 and
+    # its error falls to the float floor without a Breakdown.
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 30\nn = 40\n[solver]\nmax_newton = 100\n"
+                   "[noise]\nlevel = 0\n[stopping]\nrule = none\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ini), "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["terminal_reason"] != "Breakdown"
+    assert summary["final_error"] <= 1e-12
+
+
 _OVER_BUDGET_INI = """
 [problem]
 m = 20
@@ -957,7 +985,7 @@ def test_main_check_above_dense_cap_exits_2_before_build(
 
 _NUMERIC_KEYS = [(section, key) for section, keys in cli._SCHEMA.items()
                  for key, spec in keys.items()
-                 if spec[0] in ("int", "float", "float?")]
+                 if spec[0] in ("int", "float")]
 
 
 def _ini_text(sections):
@@ -1098,11 +1126,10 @@ def test_readme_config_reference_matches_schema():
         kind, choices = kind.strip(), ()
         if kind.startswith("one of "):
             kind, choices = "choice", (tuple(re.findall(r"`([^`]+)`", kind)),)
-        elif kind.startswith("float or "):
-            kind = "float?"
         kind = {"text": "str"}.get(kind, kind)
         raw = "" if default.strip() == "(empty)" else default.strip(" `")
-        value = cli._parse_value(section, key, kind, raw, *choices)
+        value = None if raw == "(unset)" else \
+            cli._parse_value(section, key, kind, raw, *choices)
         table[section, key] = (kind, value, *choices)
     assert len(rows) == len(table) == 17
     assert table == {(section, key): spec

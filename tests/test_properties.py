@@ -8,7 +8,8 @@ identity, the Cholesky-reduced pencil against the similarity route on random
 pair sets, the CG accuracy contract, the CG loops against their reference
 implementations, the finiteness check of ``as_vector``, the Lanczos
 estimate of ||A^T A|| against the power iteration it replaced and the dense
-norm, and the equivariance of every method under the problem's scale.
+norm, the equivariance of every method under the problem's scale, and the
+agreement of each CLI stop rule's driver with its resolver.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
@@ -19,13 +20,14 @@ a random Tikhonov system checked against ``DenseOracle`` or dense matrices,
 as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
-diagonal or nonlinear-composite problem; for the scale a random
-nonlinear-diagonal problem and noise draw.
+diagonal or nonlinear-composite problem; for the scale and the stop rules
+a random nonlinear-diagonal problem and noise draw.
 """
 
 import itertools
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      phi_sampled_loop, power_gram_norm_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
+from iterreg import cli, stopping
 from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
@@ -44,7 +47,8 @@ from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
 from iterreg.solvers import (EPS_ACCURATE, MAX_INNER, RITZ_RESIDUAL_TOL,
-                             RITZ_SEPARATION, NewtonConfig, _harvest,
+                             RITZ_SEPARATION, TERMINAL_MAX, TERMINAL_STOP,
+                             NewtonConfig, _harvest,
                              _truncated_cgne, estimate_gram_norm,
                              irgnm_run, landweber_run, newton_cg_run,
                              schedule_gamma)
@@ -826,3 +830,55 @@ def test_every_method_is_equivariant_under_the_problem_scale(run, scale,
     assert (index, units) == (ref_index, ref_units)
     assert index is not None
     assert error == pytest.approx(ref_error, rel=1e-9)
+
+
+@PROPERTY
+@given(st.integers(15, 30), st.integers(4, 15), st.integers(0, 2**16 - 1),
+       st.integers(0, 2**16 - 1), st.sampled_from((0.01, 0.02, 0.05)),
+       st.sampled_from(("deterministic", "white")),
+       st.sampled_from((0.05, 0.1)))
+@example(m=30, extra=8, seed=0, noise_seed=0, level=0.05,
+         phi="deterministic", bound=0.05)
+def test_each_stop_rule_driver_agrees_with_its_resolver(
+        m, extra, seed, noise_seed, level, phi, bound):
+    # cli._bind_rule gives each rule the driver a run consults and the
+    # resolver read off the finished run. A discrepancy run that stops at
+    # record K resolves to K. A lepskii run that stops at K, the first
+    # record whose Phi exceeds R, balances over x_0..x_{K-1}, so K_max is
+    # K - 1 (none at K = 0, where the rule is not reached). oracle-optimal
+    # and none bind no driver, so their runs go to the step cap.
+    cfg = cli.ExperimentConfig.from_text(
+        f"[problem]\nm = {m}\nn = {m + extra}\nseed = {seed}\n"
+        "[solver]\nmax_newton = 25\n"
+        f"[noise]\nlevel = {level}\nseed = {noise_seed}\n"
+        f"[stopping]\nr_bound = {bound}\nphi = {phi}\n")
+    problem = cli.build_problem(cfg)
+    y_obs, sigma, delta = cli.build_data(cfg, problem)
+
+    def bound_run(rule):
+        drive, resolve = cli._bind_rule(cfg, rule)
+        history = cli.run_method(
+            cfg, problem, y_obs, stop=drive and drive(delta),
+            phi_estimator=cli.build_phi_estimator(
+                cfg, sigma, delta, problem.model.range_dim, noise_seed))
+        return drive, resolve, history, len(history.records) - 1
+
+    _, resolve, history, k = bound_run("discrepancy")
+    assert history.terminal_reason == TERMINAL_STOP
+    assert resolve(history, delta) == k
+
+    with mock.patch.object(stopping, "lepskii_select",
+                           wraps=stopping.lepskii_select) as select:
+        _, resolve, history, k = bound_run("lepskii")
+        index = resolve(history, delta)
+    assert history.terminal_reason == TERMINAL_STOP
+    if k == 0:
+        assert index is None and not select.called
+    else:
+        assert len(select.call_args.args[0]) - 1 == k - 1
+        assert 0 <= index <= k - 1
+
+    for rule in ("oracle-optimal", "none"):
+        drive, _, history, k = bound_run(rule)
+        assert drive is None
+        assert (history.terminal_reason, k) == (TERMINAL_MAX, 25)
