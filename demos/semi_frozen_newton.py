@@ -2,13 +2,14 @@
 
 Runs the preconditioned solver three ways on the same 2% noisy data:
 
-- updates enabled (default): the preconditioner is rebuilt from a fresh
-  Jacobian when the guard asks for it and cheaply updated in between,
-- frozen (``enable_updates=False``): no update ever; the preconditioner
-  is rebuilt from a fresh Jacobian only on the square-number schedule
+- updates (``variant="prec"``, the default): the preconditioner is
+  rebuilt from a fresh Jacobian when the guard asks for it and cheaply
+  updated in between,
+- frozen (``variant="frozen"``): no update ever; the preconditioner is
+  rebuilt from a fresh Jacobian only on the square-number schedule
   k = 0, 3, 8, 15, 24, with no inner-iteration guard,
-- plain: no preconditioner, every step relinearizes and runs CG with
-  Gram-Schmidt reorthogonalization.
+- plain (``variant="plain"``): no preconditioner, every step
+  relinearizes and runs CG with Gram-Schmidt reorthogonalization.
 
 The per-step table shows the payoff: right after every Recompute/Update
 event the standard steps need fewer inner CG iterations, and the total
@@ -32,8 +33,8 @@ x0 = np.zeros(problem.model.domain_dim)
 
 runs = {
     "updates": NewtonConfig(max_newton=25),
-    "frozen": NewtonConfig(max_newton=25, enable_updates=False),
-    "plain": NewtonConfig(max_newton=25, use_preconditioner=False),
+    "frozen": NewtonConfig(max_newton=25, variant="frozen"),
+    "plain": NewtonConfig(max_newton=25, variant="plain"),
 }
 histories = {name: irgnm_run(problem.model, y_obs, x0, cfg,
                              truth=problem.truth)

@@ -25,6 +25,8 @@ import numpy as np
 
 LEVENBERG_MARQUARDT = "levenberg-marquardt"
 IRGNM = "irgnm"
+ADJOINT_TRIALS = 100
+FD_STEPS = (1e-3, 1e-4, 1e-5)
 
 
 class ContractError(ValueError):
@@ -210,14 +212,14 @@ class TikhonovSystem:
         return np.concatenate([self.rhs_data, self._sqrt_gamma * self.rhs_prior])
 
 
-def adjoint_mismatch(jac: JacobianHandle, rng, trials=100):
-    """Largest normalized adjoint defect |<Av,w> - <v,A^T w>| over random pairs.
+def adjoint_mismatch(jac: JacobianHandle, rng):
+    """Largest normalized adjoint defect |<Av,w> - <v,A^T w>| of random pairs.
 
-    The defect is normalized by ||Av|| ||w|| + ||v|| ||A^T w||; exact adjoint
-    pairs give values at round-off level.
+    Over ADJOINT_TRIALS pairs, each defect is normalized by
+    ||Av|| ||w|| + ||v|| ||A^T w||; exact adjoint pairs give round-off.
     """
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(ADJOINT_TRIALS):
         v = rng.standard_normal(jac.domain_dim)
         w = rng.standard_normal(jac.range_dim)
         av = jac.apply(v)
@@ -230,12 +232,11 @@ def adjoint_mismatch(jac: JacobianHandle, rng, trials=100):
     return worst
 
 
-def jacobian_fd_order(model: ForwardModel, x, direction,
-                      steps=(1e-3, 1e-4, 1e-5)):
+def jacobian_fd_order(model: ForwardModel, x, direction):
     """Observed order of the finite-difference Jacobian check.
 
-    Compares (F(x + t v) - F(x)) / t against A_x v over the given step
-    sizes and returns ``(order, errors)`` where ``order`` is the fitted
+    Compares (F(x + t v) - F(x)) / t against A_x v over the step sizes t
+    in FD_STEPS and returns ``(order, errors)``, ``order`` being the fitted
     slope of log error against log t. For exactly linear models the errors
     sit at round-off; the order is then reported as inf.
     """
@@ -245,17 +246,17 @@ def jacobian_fd_order(model: ForwardModel, x, direction,
     av = jac.apply(v)
     fx = model.evaluate(x)
     errors = []
-    for t in steps:
+    for t in FD_STEPS:
         fd = (model.evaluate(x + t * v) - fx) / t
         errors.append(np.linalg.norm(fd - av))
     errors = np.asarray(errors)
     # Cancellation in the difference quotient leaves ~eps * |F| / t noise,
     # so the round-off floor grows as the step shrinks.
     scale = max(np.linalg.norm(av), np.linalg.norm(fx), 1.0)
-    floors = 64.0 * np.finfo(float).eps * scale / np.asarray(steps)
+    floors = 64.0 * np.finfo(float).eps * scale / np.asarray(FD_STEPS)
     if np.all(errors <= floors):
         return np.inf, errors
-    logt = np.log(np.asarray(steps))
+    logt = np.log(np.asarray(FD_STEPS))
     loge = np.log(np.maximum(errors, 1e-300))
     order = np.polyfit(logt, loge, 1)[0]
     return order, errors

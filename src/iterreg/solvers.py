@@ -6,14 +6,16 @@ One Newton step solves the Tikhonov-regularized normal equations
 G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
 A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
-step does what. The shift falls as gamma_k = gamma0 * GAMMA_FACTOR^(-k)
-with GAMMA_FACTOR = 1.5. Builds solve accurately (EPS_ACCURATE = 1e-9)
-through the symmetric two-sided form so the harvested pairs are
-trustworthy, ordinary steps loosely (EPS_STANDARD = 1/3), and every inner
-solve, Newton-CG's included, stops after MAX_INNER = 200 iterations; the
-harvest keeps Ritz pairs with theta >= RITZ_SEPARATION = 1.1 and a residual
-bound <= RITZ_RESIDUAL_TOL (1e-6) times theta. Each constant is read when a
-step uses it.
+step does what in the variant ``NewtonConfig.variant`` names: prec, plain
+(no preconditioner) or the frozen ablation (no update). The shift falls as
+gamma_k = gamma0 * GAMMA_FACTOR^(-k) with GAMMA_FACTOR = 1.5. Builds
+solve accurately (EPS_ACCURATE = 1e-9) through the symmetric two-sided form
+so the harvested pairs are trustworthy, ordinary steps loosely
+(EPS_STANDARD = 1/3), Newton-CG's to INNER_RHO = 0.8 times the residual,
+and every inner solve stops after MAX_INNER = 200 iterations; the harvest
+keeps Ritz pairs with theta >= RITZ_SEPARATION = 1.1 and a residual bound
+<= RITZ_RESIDUAL_TOL (1e-6) times theta. Each constant is read when a step
+uses it.
 
 As in ``krylov``, the loops here write in place only to arrays they
 allocated: the observed data, x0, the residual vector a step receives and
@@ -59,6 +61,8 @@ UPDATE_INNER_MIN = 5
 RECOMPUTE_INNER_MIN = 8
 RITZ_SEPARATION = 1.1
 RITZ_RESIDUAL_TOL = 1e-6
+INNER_RHO = 0.8
+GRAM_ESTIMATE_SEED = 0
 
 
 @dataclass
@@ -67,16 +71,15 @@ class NewtonConfig:
 
     gamma0 = None resolves to the Lanczos estimate of ||A_0^T A_0|| at run
     start (``estimate_gram_norm``); a given gamma0 must be positive and
-    finite. ``use_preconditioner`` and ``enable_updates`` select the variant
-    whose steps ``_plan_step`` plans. Invalid values raise a ContractError
+    finite. ``variant``, "prec", "plain" or the "frozen" ablation, selects
+    the steps ``_plan_step`` plans. Invalid values raise a ContractError
     that names the offending fields.
     """
 
     gamma0: float | None = None
     rhs_kind: str = IRGNM
     max_newton: int = 25
-    use_preconditioner: bool = True
-    enable_updates: bool = True
+    variant: str = "prec"
 
     def __post_init__(self):
         if self.gamma0 is not None and not (
@@ -85,6 +88,8 @@ class NewtonConfig:
                 f"gamma0 must be positive and finite, got {self.gamma0}")
         if self.rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
             raise ContractError(f"unknown rhs_kind {self.rhs_kind!r}")
+        if self.variant not in ("prec", "plain", "frozen"):
+            raise ContractError(f"unknown variant {self.variant!r}")
         if self.max_newton < 1:
             raise ContractError("max_newton must be positive")
 
@@ -147,31 +152,38 @@ def schedule_gamma(cfg: NewtonConfig, k):
     return cfg.gamma0 * GAMMA_FACTOR ** (-k)
 
 
-def estimate_gram_norm(jac, iterations=5, seed=0):
+def estimate_gram_norm(jac, iterations=5):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
-    Runs ``iterations`` Lanczos steps on A^T A from a seeded random start
-    vector, its basis kept in a GramSchmidtBasis, and returns the largest
-    eigenvalue of the tridiagonal T_j they build: one Jacobian and one
-    adjoint apply per step. Over the same Krylov space this is never below
-    the power-iteration estimate (Kuczynski & Wozniakowski, SIAM J. Matrix
-    Anal. Appl. 13, 1992). A Krylov space exhausted sooner, as when the
-    domain has fewer than ``iterations`` dimensions, ends the run early with
-    the exact value. Raises a ContractError when A^T A vanishes on the start
-    vector, as it does for a zero Jacobian: no positive estimate exists then.
+    Runs ``iterations`` Lanczos steps on A^T A from a random start vector
+    of seed GRAM_ESTIMATE_SEED, its basis kept in a GramSchmidtBasis, and
+    returns the largest eigenvalue of the tridiagonal T_j they build. Each
+    step costs one Jacobian and one adjoint apply but the last, which reads
+    A^T A q only through q.(A^T A q) = ||A q||^2. Over the same Krylov
+    space this is never below the power-iteration estimate (Kuczynski &
+    Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992). A Krylov space
+    exhausted sooner, as when the domain has fewer than ``iterations``
+    dimensions, ends the run early with the exact value. Raises a
+    ContractError when ||A^T A|| exceeds the float range, or when A^T A
+    vanishes on the start vector, as for a zero Jacobian.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRAM_ESTIMATE_SEED)
     basis = GramSchmidtBasis(jac.domain_dim, iterations)
     q, _ = basis.add(rng.standard_normal(jac.domain_dim))
     alphas, betas = [], []
-    while q is not None:
+    while q is not None and basis.count < min(jac.domain_dim, iterations):
         w = jac.apply_adjoint(jac.apply(q))
         alphas.append(float(q.dot(w)))
-        q, beta = basis.add(w) if len(alphas) < iterations else (None, 0.0)
+        q, beta = basis.add(w)
         betas.append(beta)
-    # eigvalsh reads the lower triangle of T_j; the last beta is not in it
+    if q is not None:  # the last step, which fills the basis
+        aq = jac.apply(q)
+        alphas.append(float(np.vdot(aq, aq)))  # no overflow warning
+    # eigvalsh reads the lower triangle of T_j, which holds j - 1 betas
     theta = float(np.linalg.eigvalsh(
-        np.diag(alphas) + np.diag(betas[:-1], -1))[-1])
+        np.diag(alphas) + np.diag(betas[:len(alphas) - 1], -1))[-1])
+    if not math.isfinite(theta):
+        raise ContractError("||A^T A|| exceeds the float range")
     if not theta > 0.0:
         raise ContractError(
             "A^T A vanishes on the start vector: no estimate of ||A^T A||")
@@ -183,26 +195,25 @@ def _plan_step(k, m, last_build, prev_inner, cfg: NewtonConfig):
     was at m and last build at last_build; prev_inner counts the inner
     iterations of the last Plain step since that build (None if none).
 
-    irgnm-plain (``use_preconditioner`` off) relinearizes at every step and
-    never builds. irgnm-prec recomputes (fresh Jacobian, new pair set) at
-    k = 0 and when the square-number schedule sqrt(k+1) >= sqrt(m+1) + 1
-    is due and prev_inner > RECOMPUTE_INNER_MIN = 8; it updates (frozen
-    Jacobian, pairs merged into the current set) once the last build is
+    Variant "plain" relinearizes at every step and never builds. "prec"
+    recomputes (fresh Jacobian, new pair set) at k = 0 and when the
+    square-number schedule sqrt(k+1) >= sqrt(m+1) + 1 is due and
+    prev_inner > RECOMPUTE_INNER_MIN = 8; it updates (frozen Jacobian,
+    pairs merged into the current set) once the last build is
     UPDATE_AGE_MIN = 4 steps old and prev_inner > UPDATE_INNER_MIN = 5;
-    other steps are Plain on the frozen Jacobian. With ``enable_updates``
-    off it is the frozen ablation: it rebuilds exactly on the schedule
-    (k = 0, 3, 8, 15, 24, ...), with no inner-iteration guard, and never
-    updates.
+    other steps are Plain on the frozen Jacobian. The "frozen" ablation
+    rebuilds exactly on the schedule (k = 0, 3, 8, 15, 24, ...), with no
+    inner-iteration guard, and never updates.
     """
-    if not cfg.use_preconditioner:
+    if cfg.variant == "plain":
         return EVENT_PLAIN, True
+    updates = cfg.variant == "prec"
     inner = prev_inner or 0
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    if k == 0 or (due and (not cfg.enable_updates
-                           or inner > RECOMPUTE_INNER_MIN)):
+    if k == 0 or (due and (not updates or inner > RECOMPUTE_INNER_MIN)):
         return EVENT_RECOMPUTE, True
-    if cfg.enable_updates and k - last_build >= UPDATE_AGE_MIN \
+    if updates and k - last_build >= UPDATE_AGE_MIN \
             and inner > UPDATE_INNER_MIN:
         return EVENT_UPDATE, False
     return EVENT_PLAIN, False
@@ -373,11 +384,11 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     Ritz harvest merged into that set. A Plain step runs CG at standard
     tolerance, left-preconditioned by the current pair set if there is one.
 
-    Returns a RunHistory named irgnm-prec or irgnm-plain after
-    ``use_preconditioner``, whose last record (event Final) carries the
-    terminal iterate; ``phi_estimator`` (an object with
-    ``evaluate(gamma_k, precond)`` and ``needs_left_vectors``) fills the phi
-    column using the pair set current at each step.
+    Returns a RunHistory named irgnm-<variant> (irgnm-prec, irgnm-plain or
+    irgnm-frozen), whose last record (event Final) carries the terminal
+    iterate; ``phi_estimator`` (an object with ``evaluate(gamma_k, precond)``
+    and ``needs_left_vectors``) fills the phi column using the pair set
+    current at each step.
     """
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
@@ -423,8 +434,8 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         meta["inner_unconverged"] += not trace.converged
         return h
 
-    method = "irgnm-prec" if cfg.use_preconditioner else "irgnm-plain"
-    return outer.run(step, cfg.max_newton, stop, method, meta, probe)
+    return outer.run(step, cfg.max_newton, stop, f"irgnm-{cfg.variant}",
+                     meta, probe)
 
 
 def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
@@ -453,19 +464,16 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
                      cap_reason=TERMINAL_STEP_CAP)
 
 
-def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
-                  truth=None):
+def newton_cg_run(model, y_obs, x0, stop=None, max_newton=25, truth=None):
     """Newton iteration with truncated-CG inner solves and no Tikhonov term.
 
     The inner loop on A_k^T A_k h = A_k^T (y - F(x_k)) stops once the inner
-    data misfit drops below inner_rho times the outer residual; truncation is
+    data misfit drops below INNER_RHO times the outer residual; truncation is
     the sole regularization. A solve that reaches MAX_INNER iterations
     above that target defines no Newton-CG step: its step is still taken,
     and the run ends at the Final row of the iterate it produced, with
     terminal InnerCap, unless the stop driver ends it there first.
     """
-    if not 0.0 < inner_rho < 1.0:
-        raise ContractError(f"inner_rho must lie in (0, 1), got {inner_rho}")
     if max_newton < 1:
         raise ContractError("max_newton must be positive")
     outer = _OuterLoop(model, y_obs, x0, truth)
@@ -473,7 +481,7 @@ def newton_cg_run(model, y_obs, x0, inner_rho=0.8, stop=None, max_newton=25,
 
     def step(rec, x, residual_vec):
         h, rec.inner_iterations, capped = _truncated_cgne(
-            model.linearize(x), residual_vec, inner_rho, MAX_INNER)
+            model.linearize(x), residual_vec, INNER_RHO, MAX_INNER)
         if capped:
             meta["inner_unconverged"] += 1
             outer.end_reason = TERMINAL_INNER_CAP

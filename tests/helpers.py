@@ -293,9 +293,11 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
 
 
 # The Lanczos steps of ``solvers.estimate_gram_norm`` at its default: each
-# costs one Jacobian and one adjoint apply, so a run that estimates gamma0
-# or mu spends 2 * GRAM_ESTIMATE_STEPS model units before its first step.
+# costs one Jacobian and one adjoint apply but the last, which skips the
+# adjoint, so a run that estimates gamma0 or mu spends GRAM_ESTIMATE_UNITS
+# = 2 * GRAM_ESTIMATE_STEPS - 1 model units before its first step.
 GRAM_ESTIMATE_STEPS = 5
+GRAM_ESTIMATE_UNITS = 2 * GRAM_ESTIMATE_STEPS - 1
 
 
 def power_gram_norm_reference(jac, iterations, seed=0):
@@ -392,16 +394,17 @@ def diagonal_problem_reference(m, n, decay_a=0.25, scale=1.0, seed=0):
 
 
 def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
-    """Reference rebuild test of irgnm-prec: square-number schedule, rebuild
-    when sqrt(k+1) >= sqrt(m+1) + 1 and, with updates on, the last standard
-    step was expensive; k = 0 builds."""
+    """Reference rebuild test of irgnm-prec and the frozen ablation:
+    square-number schedule, rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and,
+    unless the variant is "frozen", the last standard step was expensive;
+    k = 0 builds."""
     if k == 0:
         return True
     if k < m:
         raise ContractError("Newton index precedes the linearization point")
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    return due and (not cfg.enable_updates
+    return due and (cfg.variant == "frozen"
                     or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
 
 

@@ -55,7 +55,7 @@ def test_criterion_1_preconditioner_identities(acceptance):
             np.linalg.norm(precond.apply_inverse(x) - direct)
             / np.linalg.norm(direct)))
 
-        report = preconditioned_spectrum_check(precond, a, tol=1e-9)
+        report = preconditioned_spectrum_check(precond, a)
         worst_spectrum = max(worst_spectrum, report.max_abs_error)
 
         mu = np.sort(DenseOracle(a).preconditioned_gram_spectrum(
@@ -154,7 +154,7 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     # standard step right after every preconditioner build needs strictly
     # fewer inner iterations than the standard step right before it, and
     # (b) total inner iterations with updates enabled stay at or below 0.8x
-    # the total of the frozen run (enable_updates off: no update, and a
+    # the total of the frozen run (variant "frozen": no update, and a
     # rebuild from a fresh Jacobian only on the square-number schedule
     # k = 0, 3, 8, 15, 24, with no inner-iteration guard). Under 2 min.
     t0 = time.perf_counter()
@@ -167,7 +167,7 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     updated = irgnm_run(problem.model, y_obs, x0,
                         NewtonConfig(max_newton=25), truth=problem.truth)
     frozen = irgnm_run(problem.model, y_obs, x0,
-                       NewtonConfig(max_newton=25, enable_updates=False),
+                       NewtonConfig(max_newton=25, variant="frozen"),
                        truth=problem.truth)
 
     comparisons = []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import GRAM_ESTIMATE_STEPS, nan_on_call, nan_on_evaluation
+from helpers import GRAM_ESTIMATE_UNITS, nan_on_call, nan_on_evaluation
 from iterreg import cli, solvers
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
@@ -481,7 +481,7 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path,
 
 
 def test_summaries_report_the_estimate_and_its_units(tmp_path):
-    # An estimated gamma0 or mu costs 2 * GRAM_ESTIMATE_STEPS units, and
+    # An estimated gamma0 or mu costs GRAM_ESTIMATE_UNITS units, and
     # each summary carries the value the run used. The CLI always estimates
     # gamma0; a given one, which costs nothing, is library-only.
     cfg = ExperimentConfig.from_text(BASE)
@@ -489,14 +489,14 @@ def test_summaries_report_the_estimate_and_its_units(tmp_path):
     with open(tmp_path / "solve" / "summary.json") as fh:
         summary = json.load(fh)
     assert (summary["estimate_units"], summary["gamma0"], summary["mu"]) \
-        == (2 * GRAM_ESTIMATE_STEPS, history.meta["gamma0"], None)
+        == (GRAM_ESTIMATE_UNITS, history.meta["gamma0"], None)
 
     cfg.solver["methods"] = "irgnm-prec, newton-cg, landweber"
     cfg.solver["landweber_steps"] = 5
     histories = run_work_precision(expand_methods(cfg), tmp_path / "wp")
     with open(tmp_path / "wp" / "summary.json") as fh:
         summary = json.load(fh)
-    units = 2 * GRAM_ESTIMATE_STEPS
+    units = GRAM_ESTIMATE_UNITS
     assert summary["estimate_units"] \
         == {"irgnm-prec": units, "newton-cg": 0, "landweber": units}
     assert summary["gamma0"] == {"irgnm-prec": histories[0].meta["gamma0"],

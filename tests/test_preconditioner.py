@@ -81,7 +81,7 @@ def test_spectrum_check_random_instances():
         gamma = float(rng.uniform(0.01, 1.0))
         p = SpectralPreconditioner(gamma, w[::-1][:count].copy(),
                                    v[:, ::-1][:, :count].copy())
-        report = preconditioned_spectrum_check(p, a, tol=1e-9)
+        report = preconditioned_spectrum_check(p, a)
         assert report.ok, report.max_abs_error
         # cluster at 1 has exactly `count` members
         ones = np.sum(np.abs(report.observed - 1.0) < 1e-9)

@@ -804,7 +804,7 @@ def _scaled_run(scale, method, rule, seed):
     elif method == "newton-cg":
         history = newton_cg_run(problem.model, y_obs, x0, **kwargs)
     else:
-        cfg = NewtonConfig(use_preconditioner=method == "irgnm-prec")
+        cfg = NewtonConfig(variant=method.removeprefix("irgnm-"))
         history = irgnm_run(problem.model, y_obs, x0, cfg,
                             phi_estimator=phi, **kwargs)
     index = lepskii_from_history(history, RHO, 5.0) if rule == "lepskii" \

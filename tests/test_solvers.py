@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (GRAM_ESTIMATE_STEPS, linear_model, must_update,
-                     nan_on_call, nan_on_evaluation, ritz_pair,
+from helpers import (GRAM_ESTIMATE_STEPS, GRAM_ESTIMATE_UNITS, linear_model,
+                     must_update, nan_on_call, nan_on_evaluation, ritz_pair,
                      should_recompute, truncated_cgne_reference)
 from iterreg import solvers
 from iterreg.krylov import pcg_solve, ritz_from_trace
@@ -75,7 +75,7 @@ def test_plan_step_update_policy():
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
     # With updates off a due rebuild needs no expensive standard step, an
     # undue one still waits for the schedule, and nothing updates.
-    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
+    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
     assert _plan_step(3, 0, 0, None, cfg) == RECOMPUTE
     assert _plan_step(8, 3, 3, 0, cfg) == RECOMPUTE
     assert _plan_step(2, 0, 0, 50, cfg) == PLAIN
@@ -84,7 +84,7 @@ def test_frozen_ablation_rebuilds_on_schedule_without_guard():
 
 def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # Walking the schedule rebuilds at k = j^2 - 1 and at no other step.
-    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
+    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
     builds, m = [], 0
     for k in range(200_000):
         if _plan_step(k, m, m, None, cfg)[1]:
@@ -106,7 +106,7 @@ def test_schedule_test_agrees_with_its_float_form():
         return np.sqrt(k + 1.0) + 1e-12 >= np.sqrt(m + 1.0) + 1.0
 
     # For each m, k runs past the first due step, m + 1 + 2 sqrt(m + 1).
-    cfg = NewtonConfig(gamma0=1.0, enable_updates=False)
+    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
     for m in range(3000):
         for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
             assert (_plan_step(k, m, m, None, cfg) == RECOMPUTE) \
@@ -121,20 +121,19 @@ def _step_states(draw):
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
-@given(_step_states(), st.booleans(), st.booleans())
-def test_plan_step_matches_the_reference_predicates(state, use_preconditioner,
-                                                    enable_updates):
+@given(_step_states(), st.sampled_from(("prec", "plain", "frozen")))
+def test_plan_step_matches_the_reference_predicates(state, variant):
     # The plan irgnm_run made from the two reference predicates: irgnm-plain
-    # relinearizes at every step, irgnm-prec rebuilds when should_recompute
-    # holds and otherwise updates when must_update holds (updates on).
+    # relinearizes at every step; irgnm-prec and the frozen ablation rebuild
+    # when should_recompute holds, and irgnm-prec otherwise updates when
+    # must_update holds.
     k, m, last_build, prev_inner = state
-    cfg = NewtonConfig(gamma0=1.0, use_preconditioner=use_preconditioner,
-                       enable_updates=enable_updates)
-    if not use_preconditioner:
+    cfg = NewtonConfig(gamma0=1.0, variant=variant)
+    if variant == "plain":
         expected = (EVENT_PLAIN, True)
     elif should_recompute(k, m, prev_inner, cfg):
         expected = RECOMPUTE
-    elif enable_updates and must_update(k, last_build, prev_inner):
+    elif variant == "prec" and must_update(k, last_build, prev_inner):
         expected = UPDATE
     else:
         expected = PLAIN
@@ -147,6 +146,8 @@ def test_newton_config_validation():
             NewtonConfig(gamma0=gamma0)
     with pytest.raises(ContractError):
         NewtonConfig(rhs_kind="gradient")
+    with pytest.raises(ContractError, match="variant 'bogus'"):
+        NewtonConfig(variant="bogus")
     with pytest.raises(ContractError):
         NewtonConfig(max_newton=0)
 
@@ -169,7 +170,7 @@ def test_square_number_build_schedule_guards_disabled():
     # exactly when k+1 is the next perfect square: k = 0, 3, 8, 15, 24.
     problem = make_diagonal_problem(m=12, n=16, decay_a=0.4, seed=0)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=25, enable_updates=False)
+    cfg = NewtonConfig(gamma0=1.0, max_newton=25, variant="frozen")
     history = irgnm_run(problem.model, y, np.zeros(12), cfg)
     rebuilds = [r.k for r in history.records if r.event == EVENT_RECOMPUTE]
     assert rebuilds == [0, 3, 8, 15, 24]
@@ -200,10 +201,10 @@ def test_gamma0_auto_resolution_costs_the_estimate():
     y = problem.model.evaluate(problem.truth)
     history = irgnm_run(problem.model, y, np.zeros(10),
                         NewtonConfig(max_newton=2))
-    # the Lanczos steps of the estimate, 2 units each, plus the k=0
-    # evaluation
-    assert history.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS
-    assert history.records[0].cumulative_cost == 2 * GRAM_ESTIMATE_STEPS + 1
+    # the Lanczos steps of the estimate, 2 units each but 1 for the last,
+    # plus the k=0 evaluation
+    assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS == 9
+    assert history.records[0].cumulative_cost == GRAM_ESTIMATE_UNITS + 1
     # sigma_0 = 1 so ||A^T A|| = 1; the estimate must be close
     assert history.meta["gamma0"] == pytest.approx(1.0, rel=0.1)
 
@@ -213,8 +214,8 @@ def test_landweber_and_newton_cg_report_their_estimate_units():
     y = problem.model.evaluate(problem.truth)
     x0 = np.zeros(10)
     estimated = landweber_run(problem.model, y, x0, max_steps=2)
-    assert estimated.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS
-    assert estimated.records[0].cumulative_cost == 2 * GRAM_ESTIMATE_STEPS + 1
+    assert estimated.meta["estimate_units"] == GRAM_ESTIMATE_UNITS == 9
+    assert estimated.records[0].cumulative_cost == GRAM_ESTIMATE_UNITS + 1
     for history in (landweber_run(problem.model, y, x0, mu=0.5, max_steps=2),
                     newton_cg_run(problem.model, y, x0, max_newton=2)):
         assert history.meta["estimate_units"] == 0
@@ -224,12 +225,22 @@ def test_landweber_and_newton_cg_report_their_estimate_units():
 def test_plain_mode_relinearizes_every_step():
     problem = make_diagonal_problem(m=8, n=10, seed=1)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=5, use_preconditioner=False)
+    cfg = NewtonConfig(gamma0=1.0, max_newton=5, variant="plain")
     history = irgnm_run(problem.model, y, np.zeros(8), cfg)
     assert history.method == "irgnm-plain"
     for r in history.records[:-1]:
         assert r.event == EVENT_PLAIN
         assert r.m == r.k
+
+
+def test_each_variant_names_its_history():
+    # The frozen ablation reports itself, not as irgnm-prec.
+    problem = make_diagonal_problem(m=8, n=10, seed=1)
+    y = problem.model.evaluate(problem.truth)
+    for variant in ("prec", "plain", "frozen"):
+        cfg = NewtonConfig(gamma0=1.0, max_newton=2, variant=variant)
+        history = irgnm_run(problem.model, y, np.zeros(8), cfg)
+        assert history.method == f"irgnm-{variant}"
 
 
 def test_stop_driver_terminates_run():
@@ -405,22 +416,20 @@ def test_newton_cg_reduces_residual_and_counts_cost():
     problem = make_nonlinear_composite(base, c3=0.5)
     y = problem.model.evaluate(problem.truth)
     before = problem.model.cost.total
-    history = newton_cg_run(problem.model, y, np.zeros(10), inner_rho=0.8,
-                            max_newton=8, truth=problem.truth)
+    history = newton_cg_run(problem.model, y, np.zeros(10), max_newton=8,
+                            truth=problem.truth)
     assert history.method == "newton-cg"
     assert history.records[-1].residual_norm \
         < 0.5 * history.records[0].residual_norm
     assert history.total_cost() == problem.model.cost.total - before
     events = {r.event for r in history.records}
     assert events == {EVENT_BASELINE, EVENT_FINAL}
-    with pytest.raises(ContractError):
-        newton_cg_run(problem.model, y, np.zeros(10), inner_rho=1.5)
 
 
 @pytest.mark.parametrize("run", [
     lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(max_newton=6)),
     lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(
-        max_newton=6, use_preconditioner=False)),
+        max_newton=6, variant="plain")),
     lambda model, y, x0: newton_cg_run(model, y, x0, max_newton=6),
     lambda model, y, x0: landweber_run(model, y, x0, max_steps=6),
 ], ids=["irgnm-prec", "irgnm-plain", "newton-cg", "landweber"])
@@ -504,7 +513,7 @@ def test_runs_and_solves_write_no_array_they_are_given(monkeypatch):
     histories = [
         irgnm_run(problem.model, y, x0, NewtonConfig(max_newton=6)),
         irgnm_run(problem.model, y, x0,
-                  NewtonConfig(max_newton=3, use_preconditioner=False)),
+                  NewtonConfig(max_newton=3, variant="plain")),
         newton_cg_run(problem.model, y, x0, max_newton=4),
         landweber_run(problem.model, y, x0, max_steps=5),
     ]
@@ -542,7 +551,8 @@ def _assert_failed_run(history, model, cost_start):
 
 
 # Each method's run, and the call of a Jacobian callback that fails in its
-# run: the 20th apply or adjoint apply past the GRAM_ESTIMATE_STEPS of each
+# run: the (GRAM_ESTIMATE_STEPS + 20)th apply or adjoint apply, past the
+# GRAM_ESTIMATE_STEPS applies and GRAM_ESTIMATE_STEPS - 1 adjoint applies
 # that the gamma0 or mu estimate makes, and within the 12 of each that
 # Newton-CG makes in 8 steps.
 _NAN_RUNS = {
@@ -550,7 +560,7 @@ _NAN_RUNS = {
         model, y, np.zeros(10), NewtonConfig(max_newton=8))),
     "irgnm-plain": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
         model, y, np.zeros(10),
-        NewtonConfig(max_newton=8, use_preconditioner=False))),
+        NewtonConfig(max_newton=8, variant="plain"))),
     "newton-cg": (10, 8, lambda model, y: newton_cg_run(
         model, y, np.zeros(10), max_newton=8)),
     "landweber": (GRAM_ESTIMATE_STEPS + 20, 40, lambda model, y:
@@ -579,14 +589,14 @@ def test_nan_callback_ends_in_breakdown(method, adjoint):
     assert (model.cost.adjoint_applies if adjoint
             else model.cost.jacobian_applies) == call - 1
     if method == "landweber":  # one adjoint apply per step
-        assert history.records[-1].k == call - GRAM_ESTIMATE_STEPS - 1
+        assert history.records[-1].k == call - (GRAM_ESTIMATE_STEPS - 1) - 1
 
 
 @pytest.mark.parametrize("run", [
     lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
         max_newton=8)),
     lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
-        max_newton=8, use_preconditioner=False)),
+        max_newton=8, variant="plain")),
     lambda model, y: newton_cg_run(model, y, np.zeros(3), max_newton=8),
     lambda model, y: landweber_run(model, y, np.zeros(3), mu=0.5,
                                    max_steps=8),
@@ -645,9 +655,8 @@ def test_inner_unconverged_counts_solves_stopped_by_the_cap(monkeypatch):
     problem = make_nonlinear_composite(base, c3=0.5)
     y = problem.model.evaluate(problem.truth)
     x0 = np.zeros(10)
-    for use_preconditioner, capped in ((True, 6), (False, 5)):
-        cfg = NewtonConfig(max_newton=6,
-                           use_preconditioner=use_preconditioner)
+    for variant, capped in (("prec", 6), ("plain", 5)):
+        cfg = NewtonConfig(max_newton=6, variant=variant)
         monkeypatch.setattr(solvers, "MAX_INNER", 1)
         assert irgnm_run(problem.model, y, x0, cfg) \
             .meta["inner_unconverged"] == capped
@@ -710,6 +719,24 @@ def test_estimate_gram_norm_diagonal():
     jac = model.linearize(np.zeros(3))
     assert estimate_gram_norm(jac, iterations=30) == pytest.approx(9.0,
                                                                    rel=1e-6)
+
+
+def test_estimate_gram_norm_skips_the_last_adjoint():
+    # Five steps on a domain of 10, and the three that fill a domain of 3:
+    # each step but the last makes one Jacobian and one adjoint apply.
+    for dim, steps in ((10, GRAM_ESTIMATE_STEPS), (3, 3)):
+        model = linear_model(np.diag(np.linspace(1.0, 2.0, dim)))
+        estimate_gram_norm(model.linearize(np.zeros(dim)))
+        assert (model.cost.jacobian_applies, model.cost.adjoint_applies) \
+            == (steps, steps - 1)
+
+
+@pytest.mark.parametrize("iterations", [1, GRAM_ESTIMATE_STEPS])
+def test_estimate_gram_norm_refuses_a_norm_past_the_float_range(iterations):
+    # ||A q||^2 = 1e310 overflows on the step that makes no adjoint apply.
+    jac = linear_model(np.array([[1e155]])).linearize(np.zeros(1))
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        estimate_gram_norm(jac, iterations)
 
 
 def test_run_history_helpers():

@@ -306,12 +306,12 @@ def test_lepskii_from_history_phi0_over_budget_is_not_reached():
                                 bound=0.001) is None
 
 
-@pytest.mark.parametrize("use_preconditioner, phi, level", [
-    (False, "white", 0.02), (False, "sampled", 0.02),
-    (True, "white", 0.0), (True, "deterministic", 0.0)],
+@pytest.mark.parametrize("variant, phi, level", [
+    ("plain", "white", 0.02), ("plain", "sampled", 0.02),
+    ("prec", "white", 0.0), ("prec", "deterministic", 0.0)],
     ids=["plain-white", "plain-sampled", "exact-white", "exact-deterministic"])
 def test_lepskii_from_history_refuses_phi_zero_at_every_step(
-        use_preconditioner, phi, level):
+        variant, phi, level):
     # irgnm-plain builds no pair set, so white and sampled Phi read 0 at
     # every step; exact data (sigma = delta = 0) zero every estimator.
     problem = make_diagonal_problem(m=20, n=30, seed=1)
@@ -322,8 +322,7 @@ def test_lepskii_from_history_refuses_phi_zero_at_every_step(
                  "sampled": SampledPhi(generate_noise(sigma, 30, count=5)),
                  "deterministic": DeterministicPhi(sigma * np.sqrt(30))}[phi]
     history = irgnm_run(problem.model, y, np.zeros(20),
-                        NewtonConfig(max_newton=12,
-                                     use_preconditioner=use_preconditioner),
+                        NewtonConfig(max_newton=12, variant=variant),
                         phi_estimator=estimator)
     assert len(history.records) > 1
     assert {r.phi_k for r in history.records} == {0.0}
