@@ -21,7 +21,7 @@ Run:  python3 demos/semi_frozen_newton.py
 
 import numpy as np
 
-from iterreg import NewtonConfig, irgnm_run
+from iterreg import irgnm_run
 from iterreg.testbed import (generate_noise, make_diagonal_problem,
                              make_nonlinear_composite, noise_sigma_for_level)
 
@@ -31,14 +31,10 @@ sigma = noise_sigma_for_level(y_exact, 0.02)
 y_obs = y_exact + generate_noise(sigma, y_exact.size, 1, seed=2)[0]
 x0 = np.zeros(problem.model.domain_dim)
 
-runs = {
-    "updates": NewtonConfig(max_newton=25),
-    "frozen": NewtonConfig(max_newton=25, variant="frozen"),
-    "plain": NewtonConfig(max_newton=25, variant="plain"),
-}
-histories = {name: irgnm_run(problem.model, y_obs, x0, cfg,
-                             truth=problem.truth)
-             for name, cfg in runs.items()}
+runs = {"updates": "prec", "frozen": "frozen", "plain": "plain"}
+histories = {name: irgnm_run(problem.model, y_obs, x0, variant=variant,
+                             max_newton=25, truth=problem.truth)
+             for name, variant in runs.items()}
 
 print("per-step trace of the updates-enabled run:")
 print(f"{'k':>3} {'event':<10} {'inner':>5} {'gamma':>9} "

@@ -29,8 +29,8 @@ import tempfile
 
 import numpy as np
 
-from iterreg import (NewtonConfig, PhiBudgetDriver, WhiteNoisePhi,
-                     discrepancy_stop, irgnm_run, lepskii_from_history)
+from iterreg import (PhiBudgetDriver, WhiteNoisePhi, discrepancy_stop,
+                     irgnm_run, lepskii_from_history)
 from iterreg.cli import ExperimentConfig, run_stopping_study
 from iterreg.stopping import RHO, TAU
 from iterreg.testbed import (generate_noise, make_diagonal_problem,
@@ -45,7 +45,7 @@ delta = float(np.linalg.norm(noise))
 x0 = np.zeros(problem.model.domain_dim)
 
 R_BOUND = 5.0
-history = irgnm_run(problem.model, y_obs, x0, NewtonConfig(max_newton=25),
+history = irgnm_run(problem.model, y_obs, x0, max_newton=25,
                     stop=PhiBudgetDriver(R_BOUND),
                     phi_estimator=WhiteNoisePhi(sigma), truth=problem.truth)
 

@@ -26,8 +26,8 @@ from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
 from .preconditioner import (SpectralPreconditioner, SpectrumReport,
                              TwoSidedSystem, merge_pairs,
                              preconditioned_spectrum_check)
-from .solvers import (NewtonConfig, RunHistory, RunRecord, irgnm_run,
-                      landweber_run, newton_cg_run, schedule_gamma)
+from .solvers import (RunHistory, RunRecord, irgnm_run, landweber_run,
+                      newton_cg_run)
 from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
                        SampledPhi, WhiteNoisePhi, discrepancy_stop,
                        lepskii_from_history, lepskii_select)
@@ -48,8 +48,7 @@ __all__ = [
     "SpectralPreconditioner", "SpectrumReport", "TwoSidedSystem",
     "merge_pairs", "preconditioned_spectrum_check",
     # solvers
-    "NewtonConfig", "RunHistory", "RunRecord", "irgnm_run", "landweber_run",
-    "newton_cg_run", "schedule_gamma",
+    "RunHistory", "RunRecord", "irgnm_run", "landweber_run", "newton_cg_run",
     # stopping
     "DeterministicPhi", "DiscrepancyDriver", "PhiBudgetDriver",
     "SampledPhi", "WhiteNoisePhi",

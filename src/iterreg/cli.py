@@ -31,8 +31,8 @@ from . import __version__
 from .krylov import CgBreakdownError, pcg_solve
 from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
                         jacobian_fd_order)
-from .solvers import (TERMINAL_BREAKDOWN, NewtonConfig, check_step_cap,
-                      irgnm_run, landweber_run, newton_cg_run)
+from .solvers import (TERMINAL_BREAKDOWN, check_newton_settings,
+                      check_step_cap, irgnm_run, landweber_run, newton_cg_run)
 from .stopping import (RHO, TAU, DeterministicPhi, DiscrepancyDriver,
                        PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                        discrepancy_stop, lepskii_from_history)
@@ -293,13 +293,14 @@ def _bind_method(cfg: ExperimentConfig, method, phi_estimator=None):
     solver = cfg.solver
     try:
         if method in ("irgnm-prec", "irgnm-plain"):
-            newton = NewtonConfig(rhs_kind=solver["rhs_kind"],
-                                  max_newton=solver["max_newton"],
-                                  variant=method.removeprefix("irgnm-"))
-            return functools.partial(irgnm_run, cfg=newton,
+            settings = {"variant": method.removeprefix("irgnm-"),
+                        "rhs_kind": solver["rhs_kind"],
+                        "max_newton": solver["max_newton"]}
+            check_newton_settings(**settings)
+            return functools.partial(irgnm_run, **settings,
                                      phi_estimator=phi_estimator)
         if method == "newton-cg":
-            NewtonConfig(max_newton=solver["max_newton"])
+            check_newton_settings(solver["max_newton"])
             return functools.partial(newton_cg_run,
                                      max_newton=solver["max_newton"])
         if method == "landweber":

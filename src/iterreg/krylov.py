@@ -95,11 +95,13 @@ class GramSchmidtBasis:
         unit vector aligned with the complement of x and pnorm its
         unnormalized length, or ``(None, pnorm)`` when x is numerically
         dependent on the basis (``pnorm <= drop_tol * ||x||``) or the space
-        is exhausted.
+        is exhausted. An x whose ||x||^2 overflows raises a ContractError.
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel(order="K")  # as np.linalg.norm copies a strided x
-        xnorm = math.sqrt(flat.dot(flat))
+        xnorm = math.sqrt(np.vdot(flat, flat))  # vdot: no overflow warning
+        if not math.isfinite(xnorm):
+            raise ContractError("||x||^2 exceeds the float range")
         k = self.count
         if xnorm == 0.0 or k >= self.dim:
             return None, 0.0

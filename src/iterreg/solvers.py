@@ -6,7 +6,7 @@ One Newton step solves the Tikhonov-regularized normal equations
 G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
 A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
-step does what in the variant ``NewtonConfig.variant`` names: prec, plain
+step does what in the ``variant`` an irgnm run names: prec, plain
 (no preconditioner) or the frozen ablation (no update). The shift falls as
 gamma_k = gamma0 * GAMMA_FACTOR^(-k) with GAMMA_FACTOR = 1.5. Builds
 solve accurately (EPS_ACCURATE = 1e-9) through the symmetric two-sided form
@@ -17,6 +17,9 @@ keeps Ritz pairs with theta >= RITZ_SEPARATION = 1.1 and a residual bound
 <= RITZ_RESIDUAL_TOL (1e-6) times theta. Each constant is read when a step
 uses it.
 
+The three runs are called as ``run(model, y_obs, x0, *, <settings>,
+stop=None, truth=None)`` and refuse bad settings before any model unit.
+
 As in ``krylov``, the loops here write in place only to arrays they
 allocated: the observed data, x0, the residual vector a step receives and
 every model output stay untouched.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,33 +68,19 @@ INNER_RHO = 0.8
 GRAM_ESTIMATE_SEED = 0
 
 
-@dataclass
-class NewtonConfig:
-    """Knobs of the regularized Newton outer loop.
-
-    gamma0 = None resolves to the Lanczos estimate of ||A_0^T A_0|| at run
-    start (``estimate_gram_norm``); a given gamma0 must be positive and
-    finite. ``variant``, "prec", "plain" or the "frozen" ablation, selects
-    the steps ``_plan_step`` plans. Invalid values raise a ContractError
-    that names the offending fields.
-    """
-
-    gamma0: float | None = None
-    rhs_kind: str = IRGNM
-    max_newton: int = 25
-    variant: str = "prec"
-
-    def __post_init__(self):
-        if self.gamma0 is not None and not (
-                self.gamma0 > 0 and np.isfinite(self.gamma0)):
-            raise ContractError(
-                f"gamma0 must be positive and finite, got {self.gamma0}")
-        if self.rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
-            raise ContractError(f"unknown rhs_kind {self.rhs_kind!r}")
-        if self.variant not in ("prec", "plain", "frozen"):
-            raise ContractError(f"unknown variant {self.variant!r}")
-        if self.max_newton < 1:
-            raise ContractError("max_newton must be positive")
+def check_newton_settings(max_newton, *, variant="prec", rhs_kind=IRGNM,
+                          gamma0=None):
+    """Raise a ContractError naming the first irgnm or Newton-CG setting
+    out of range; a given gamma0 must be positive and finite."""
+    if gamma0 is not None and not (gamma0 > 0 and np.isfinite(gamma0)):
+        raise ContractError(
+            f"gamma0 must be positive and finite, got {gamma0}")
+    if rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
+        raise ContractError(f"unknown rhs_kind {rhs_kind!r}")
+    if variant not in ("prec", "plain", "frozen"):
+        raise ContractError(f"unknown variant {variant!r}")
+    if max_newton < 1:
+        raise ContractError("max_newton must be positive")
 
 
 @dataclass
@@ -143,15 +132,6 @@ class RunHistory:
         return self.records[-1].cumulative_cost if self.records else 0
 
 
-def schedule_gamma(cfg: NewtonConfig, k):
-    """Regularization schedule gamma_k = gamma0 * GAMMA_FACTOR^(-k)."""
-    if cfg.gamma0 is None:
-        raise ContractError("gamma0 is unresolved; run the solver or set it")
-    if k < 0:
-        raise ContractError("k must be nonnegative")
-    return cfg.gamma0 * GAMMA_FACTOR ** (-k)
-
-
 def estimate_gram_norm(jac, iterations=5):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
@@ -190,7 +170,7 @@ def estimate_gram_norm(jac, iterations=5):
     return theta
 
 
-def _plan_step(k, m, last_build, prev_inner, cfg: NewtonConfig):
+def _plan_step(k, m, last_build, prev_inner, variant):
     """(event, relinearize) of Newton step k, whose last relinearization
     was at m and last build at last_build; prev_inner counts the inner
     iterations of the last Plain step since that build (None if none).
@@ -205,9 +185,9 @@ def _plan_step(k, m, last_build, prev_inner, cfg: NewtonConfig):
     rebuilds exactly on the schedule (k = 0, 3, 8, 15, 24, ...), with no
     inner-iteration guard, and never updates.
     """
-    if cfg.variant == "plain":
+    if variant == "plain":
         return EVENT_PLAIN, True
-    updates = cfg.variant == "prec"
+    updates = variant == "prec"
     inner = prev_inner or 0
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
@@ -373,35 +353,40 @@ class _OuterLoop:
                           method=method, meta=meta)
 
 
-def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
-              phi_estimator=None, truth=None):
+def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
+              max_newton=25, gamma0=None, stop=None, phi_estimator=None,
+              truth=None):
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
 
     Per step k: evaluate F(x_k), consult the stop driver
     ``stop(k, residual_norm, phi_k)``, and take the step ``_plan_step``
-    plans. A Recompute or Update builds: an accurate two-sided solve over
-    the pair set it starts from (empty after a relinearization), then the
-    Ritz harvest merged into that set. A Plain step runs CG at standard
-    tolerance, left-preconditioned by the current pair set if there is one.
+    plans for ``variant``: "prec", "plain" (no preconditioner) or the
+    "frozen" ablation (no update). A Recompute or Update builds: an
+    accurate two-sided solve over the pair set it starts from (empty after
+    a relinearization), then the Ritz harvest merged into that set. A
+    Plain step runs CG at standard tolerance, left-preconditioned by the
+    current pair set if there is one. gamma0 = None takes the Lanczos
+    estimate of ||A_0^T A_0|| (``estimate_gram_norm``); a given gamma0
+    must be positive and finite.
 
-    Returns a RunHistory named irgnm-<variant> (irgnm-prec, irgnm-plain or
-    irgnm-frozen), whose last record (event Final) carries the terminal
-    iterate; ``phi_estimator`` (an object with ``evaluate(gamma_k, precond)``
-    and ``needs_left_vectors``) fills the phi column using the pair set
-    current at each step.
+    Returns a RunHistory named irgnm-<variant>, whose last record (event
+    Final) carries the terminal iterate; ``phi_estimator`` (an object with
+    ``evaluate(gamma_k, precond)`` and ``needs_left_vectors``) fills the
+    phi column using the pair set current at each step.
     """
+    check_newton_settings(max_newton, variant=variant, rhs_kind=rhs_kind,
+                          gamma0=gamma0)
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    cfg = cfg or NewtonConfig()
-    if cfg.gamma0 is None:
-        cfg = replace(cfg, gamma0=estimate_gram_norm(model.linearize(x0)))
+    if gamma0 is None:
+        gamma0 = estimate_gram_norm(model.linearize(x0))
     jac = prev_inner = None
-    precond = SpectralPreconditioner.empty(cfg.gamma0, model.domain_dim)
+    precond = SpectralPreconditioner.empty(gamma0, model.domain_dim)
     m = last_build = 0
-    meta = {"gamma0": cfg.gamma0, "inner_unconverged": 0}
+    meta = {"gamma0": gamma0, "inner_unconverged": 0}
 
     def probe(rec):
-        rec.gamma_k = schedule_gamma(cfg, rec.k)
+        rec.gamma_k = gamma0 * GAMMA_FACTOR ** (-rec.k)
         rec.m = m
         if phi_estimator is not None:
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
@@ -409,11 +394,12 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
     def step(rec, x, residual_vec):
         nonlocal jac, precond, m, last_build, prev_inner
         k, gamma_k = rec.k, rec.gamma_k
-        rec.event, relinearize = _plan_step(k, m, last_build, prev_inner, cfg)
+        rec.event, relinearize = _plan_step(k, m, last_build, prev_inner,
+                                            variant)
         if relinearize:
             jac = model.linearize(x)
             m = rec.m = k
-        prior = x0 - x if cfg.rhs_kind == IRGNM else np.zeros_like(x)
+        prior = x0 - x if rhs_kind == IRGNM else np.zeros_like(x)
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if rec.event == EVENT_PLAIN:
             live = precond.with_gamma(gamma_k) if precond.pair_count else None
@@ -434,11 +420,10 @@ def irgnm_run(model, y_obs, x0, cfg: NewtonConfig | None = None, stop=None,
         meta["inner_unconverged"] += not trace.converged
         return h
 
-    return outer.run(step, cfg.max_newton, stop, f"irgnm-{cfg.variant}",
-                     meta, probe)
+    return outer.run(step, max_newton, stop, f"irgnm-{variant}", meta, probe)
 
 
-def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
+def landweber_run(model, y_obs, x0, *, mu=None, max_steps=2000, stop=None,
                   truth=None):
     """Gradient descent x_{k+1} = x_k + mu A_k^T (y - F(x_k)).
 
@@ -464,7 +449,7 @@ def landweber_run(model, y_obs, x0, mu=None, stop=None, max_steps=2000,
                      cap_reason=TERMINAL_STEP_CAP)
 
 
-def newton_cg_run(model, y_obs, x0, stop=None, max_newton=25, truth=None):
+def newton_cg_run(model, y_obs, x0, *, max_newton=25, stop=None, truth=None):
     """Newton iteration with truncated-CG inner solves and no Tikhonov term.
 
     The inner loop on A_k^T A_k h = A_k^T (y - F(x_k)) stops once the inner
@@ -474,8 +459,7 @@ def newton_cg_run(model, y_obs, x0, stop=None, max_newton=25, truth=None):
     and the run ends at the Final row of the iterate it produced, with
     terminal InnerCap, unless the stop driver ends it there first.
     """
-    if max_newton < 1:
-        raise ContractError("max_newton must be positive")
+    check_newton_settings(max_newton)
     outer = _OuterLoop(model, y_obs, x0, truth)
     meta = {"inner_unconverged": 0}
 

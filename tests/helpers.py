@@ -9,7 +9,7 @@ from iterreg.krylov import (CgBreakdownError, CgTrace, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
 from iterreg.solvers import (RECOMPUTE_INNER_MIN, UPDATE_AGE_MIN,
-                             UPDATE_INNER_MIN, NewtonConfig)
+                             UPDATE_INNER_MIN)
 from iterreg.testbed import two_bump_profile
 
 
@@ -393,7 +393,7 @@ def diagonal_problem_reference(m, n, decay_a=0.25, scale=1.0, seed=0):
     return (v * sigma) @ u.T, two_bump_profile(m)
 
 
-def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
+def should_recompute(k, m, prev_inner_iterations, variant):
     """Reference rebuild test of irgnm-prec and the frozen ablation:
     square-number schedule, rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and,
     unless the variant is "frozen", the last standard step was expensive;
@@ -404,7 +404,7 @@ def should_recompute(k, m, prev_inner_iterations, cfg: NewtonConfig):
         raise ContractError("Newton index precedes the linearization point")
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    return due and (cfg.variant == "frozen"
+    return due and (variant == "frozen"
                     or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
 
 

@@ -22,7 +22,7 @@ from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs,
                                     preconditioned_spectrum_check)
 from iterreg.solvers import (EVENT_PLAIN, EVENT_RECOMPUTE, EVENT_UPDATE,
-                             NewtonConfig, _harvest, irgnm_run)
+                             _harvest, irgnm_run)
 from iterreg.stopping import SampledPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, generate_noise,
                              make_convolution_problem, make_diagonal_problem,
@@ -164,11 +164,10 @@ def test_criterion_4_preconditioner_payoff(acceptance):
     y_obs = y_exact + generate_noise(sigma, y_exact.size, 1, 2)[0]
     x0 = np.zeros(problem.model.domain_dim)
 
-    updated = irgnm_run(problem.model, y_obs, x0,
-                        NewtonConfig(max_newton=25), truth=problem.truth)
-    frozen = irgnm_run(problem.model, y_obs, x0,
-                       NewtonConfig(max_newton=25, variant="frozen"),
-                       truth=problem.truth)
+    updated = irgnm_run(problem.model, y_obs, x0, max_newton=25,
+                        truth=problem.truth)
+    frozen = irgnm_run(problem.model, y_obs, x0, variant="frozen",
+                       max_newton=25, truth=problem.truth)
 
     comparisons = []
     records = updated.records

@@ -101,6 +101,31 @@ def test_lepskii_requires_error_budget():
     cfg.validate()
 
 
+def test_hand_built_config_is_refused_before_its_run(tmp_path):
+    # run_method does not validate: _bind_method itself refuses a method
+    # no INI can name, with validate's words, and a bad rhs_kind, both
+    # before any model unit is spent; run_single refuses the rhs_kind as a
+    # ConfigError, which main reports with exit 2.
+    cfg = ExperimentConfig(problem={"m": 8, "n": 10},
+                           solver={"method": "bogus"})
+    problem = build_problem(cfg)
+    y_obs, _, _ = build_data(cfg, problem)
+    units = problem.model.cost.total
+    text = ("[solver] method: invalid value 'bogus' (choices: irgnm-prec, "
+            "irgnm-plain, newton-cg, landweber)")
+    for check in (cfg.validate, lambda: run_method(cfg, problem, y_obs)):
+        with pytest.raises(ConfigError, match=re.escape(text)):
+            check()
+    cfg.solver.update(method="irgnm-prec", rhs_kind="gradient")
+    text = "[solver] unknown rhs_kind 'gradient'"
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        run_method(cfg, problem, y_obs)
+    assert problem.model.cost.total == units
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        run_single(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_expand_methods_copies_sections():
     cfg = ExperimentConfig.from_text(
         "[solver]\nmethods = irgnm-prec, newton-cg, landweber\n")

@@ -224,6 +224,20 @@ def test_breakdown_on_indefinite_preconditioner():
     assert not info.value.trace.converged
 
 
+def test_residual_whose_squared_norm_overflows_is_refused():
+    # At 1e160, ||A^T b||^2 = 5.25e320 exceeds the float range: the solve
+    # refuses it instead of taking the residual as dependent on the empty
+    # basis and returning h = 0 as converged. At 1e150 it solves.
+    a = np.diag([2.0, 1.0, 0.5])
+    b = np.full(3, 1e150)
+    h, trace = pcg_solve(tikhonov_system(a, 1.0, b), epsilon=1e-9)
+    assert trace.converged and trace.iterations > 0
+    np.testing.assert_allclose(
+        h, dense_tikhonov_solution(a, 1.0, b, np.zeros(3)), rtol=1e-8)
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        pcg_solve(tikhonov_system(a, 1.0, np.full(3, 1e160)))
+
+
 def test_cg_config_validation():
     sys = tikhonov_system(np.eye(3), 1.0, np.ones(3))
     for kwargs, message in (

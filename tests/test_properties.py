@@ -26,7 +26,6 @@ a random nonlinear-diagonal problem and noise draw.
 
 import itertools
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -46,12 +45,11 @@ from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import (EPS_ACCURATE, MAX_INNER, RITZ_RESIDUAL_TOL,
-                             RITZ_SEPARATION, TERMINAL_MAX, TERMINAL_STOP,
-                             NewtonConfig, _harvest,
-                             _truncated_cgne, estimate_gram_norm,
-                             irgnm_run, landweber_run, newton_cg_run,
-                             schedule_gamma)
+from iterreg.solvers import (EPS_ACCURATE, GAMMA_FACTOR, MAX_INNER,
+                             RITZ_RESIDUAL_TOL, RITZ_SEPARATION, TERMINAL_MAX,
+                             TERMINAL_STOP, _harvest, _truncated_cgne,
+                             estimate_gram_norm, irgnm_run, landweber_run,
+                             newton_cg_run)
 from iterreg.stopping import (RHO, TAU, DiscrepancyDriver, PhiBudgetDriver,
                               SampledPhi, WhiteNoisePhi, discrepancy_stop,
                               lepskii_from_history)
@@ -301,10 +299,10 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
     x = rng.uniform(-1.0, 1.0, m)
     jac = problem.model.linearize(x)
     gram = DenseOracle.for_problem(problem, x).gram
-    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(gram, 2)))
-    base = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    gamma0 = float(np.linalg.norm(gram, 2))
+    base = SpectralPreconditioner.empty(gamma0 * GAMMA_FACTOR ** -k, m)
     for step in (k, k + 1):
-        gamma = schedule_gamma(cfg, step)
+        gamma = gamma0 * GAMMA_FACTOR ** -step
         base = base.with_gamma(gamma)
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
@@ -366,10 +364,10 @@ def test_left_vectors_track_every_pair_across_updates(m, extra, decay, c3, k,
     x = rng.uniform(-1.0, 1.0, m)
     jac = problem.model.linearize(x)
     a = problem.jacobian_matrix(x)
-    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(a, 2) ** 2))
-    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    gamma0 = float(np.linalg.norm(a, 2) ** 2)
+    precond = SpectralPreconditioner.empty(gamma0 * GAMMA_FACTOR ** -k, m)
     for step in range(k, k + 1 + updates):
-        gamma = schedule_gamma(cfg, step)
+        gamma = gamma0 * GAMMA_FACTOR ** -step
         base = precond.with_gamma(gamma)
         tsys = TwoSidedSystem(
             TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
@@ -411,10 +409,10 @@ def test_two_sided_system_with_merged_pairs_matches_dense_conjugation(
     x = rng.uniform(-1.0, 1.0, m)
     jac = problem.model.linearize(x)
     a = problem.jacobian_matrix(x)
-    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(a, 2) ** 2))
-    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    gamma0 = float(np.linalg.norm(a, 2) ** 2)
+    precond = SpectralPreconditioner.empty(gamma0 * GAMMA_FACTOR ** -k, m)
     for step in (k, k + 1):
-        gamma = schedule_gamma(cfg, step)
+        gamma = gamma0 * GAMMA_FACTOR ** -step
         base = precond.with_gamma(gamma)
         sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
                              rng.standard_normal(m))
@@ -465,7 +463,7 @@ def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
     x = rng.uniform(-1.0, 1.0, m)
     jac = problem.model.linearize(x)
     oracle = DenseOracle.for_problem(problem, x)
-    cfg = replace(NewtonConfig(), gamma0=float(np.linalg.norm(oracle.gram, 2)))
+    gamma0 = float(np.linalg.norm(oracle.gram, 2))
 
     def assert_bound(p):
         if not p.pair_count:
@@ -475,9 +473,9 @@ def test_two_sided_spectrum_is_at_least_one_minus_delta(m, extra, decay, c3,
         whisker = (1e-12 + 1e-14 * cond) * max(1.0, spectrum[-1])
         assert spectrum[0] >= 1.0 - _two_sided_delta(oracle.gram, p) - whisker
 
-    precond = SpectralPreconditioner.empty(schedule_gamma(cfg, k), m)
+    precond = SpectralPreconditioner.empty(gamma0 * GAMMA_FACTOR ** -k, m)
     for step in itertools.accumulate([k, *gaps]):
-        gamma = schedule_gamma(cfg, step)
+        gamma = gamma0 * GAMMA_FACTOR ** -step
         base = precond.with_gamma(gamma)
         assert_bound(base)
         tsys = TwoSidedSystem(
@@ -804,8 +802,8 @@ def _scaled_run(scale, method, rule, seed):
     elif method == "newton-cg":
         history = newton_cg_run(problem.model, y_obs, x0, **kwargs)
     else:
-        cfg = NewtonConfig(variant=method.removeprefix("irgnm-"))
-        history = irgnm_run(problem.model, y_obs, x0, cfg,
+        history = irgnm_run(problem.model, y_obs, x0,
+                            variant=method.removeprefix("irgnm-"),
                             phi_estimator=phi, **kwargs)
     index = lepskii_from_history(history, RHO, 5.0) if rule == "lepskii" \
         else discrepancy_stop(history.residual_norms(), TAU, delta)

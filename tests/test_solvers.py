@@ -1,5 +1,6 @@
 """Outer Newton loops: schedules, build/update policy, baselines, accounting."""
 
+import inspect
 import itertools
 import math
 
@@ -19,26 +20,25 @@ from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
                              TERMINAL_INNER_CAP, TERMINAL_MAX,
-                             TERMINAL_STEP_CAP, TERMINAL_STOP, NewtonConfig,
-                             _harvest, _plan_step, estimate_gram_norm,
-                             irgnm_run, landweber_run, newton_cg_run,
-                             schedule_gamma)
+                             TERMINAL_STEP_CAP, TERMINAL_STOP, _harvest,
+                             _plan_step, estimate_gram_norm, irgnm_run,
+                             landweber_run, newton_cg_run)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, make_diagonal_problem,
                              make_nonlinear_composite)
 
 
 def test_schedule_gamma_values(monkeypatch):
-    assert schedule_gamma(NewtonConfig(gamma0=10.0), 2) \
-        == pytest.approx(10.0 / 2.25)
+    # gamma_k = gamma0 * GAMMA_FACTOR^(-k), the factor read at each step.
+    model = linear_model(np.eye(3))
+    gammas = [r.gamma_k for r in irgnm_run(
+        model, np.ones(3), np.zeros(3), gamma0=10.0, max_newton=2).records]
+    assert gammas == pytest.approx([10.0, 10.0 / 1.5, 10.0 / 2.25])
     monkeypatch.setattr(solvers, "GAMMA_FACTOR", 2.0)
-    assert schedule_gamma(NewtonConfig(gamma0=1.0), 0) == 1.0
-    assert schedule_gamma(NewtonConfig(gamma0=1.0), 3) \
-        == pytest.approx(0.125)
-    with pytest.raises(ContractError):
-        schedule_gamma(NewtonConfig(), 1)
-    with pytest.raises(ContractError):
-        schedule_gamma(NewtonConfig(gamma0=1.0), -1)
+    gammas = [r.gamma_k for r in irgnm_run(
+        model, np.ones(3), np.zeros(3), gamma0=1.0, max_newton=3).records]
+    assert gammas[0] == 1.0
+    assert gammas[3] == pytest.approx(0.125)
 
 
 RECOMPUTE = (EVENT_RECOMPUTE, True)
@@ -47,47 +47,43 @@ PLAIN = (EVENT_PLAIN, False)
 
 
 def test_plan_step_recompute_policy():
-    cfg = NewtonConfig(gamma0=1.0)
-    assert _plan_step(0, 0, 0, None, cfg) == RECOMPUTE
+    assert _plan_step(0, 0, 0, None, "prec") == RECOMPUTE
     # sqrt(4) = sqrt(1) + 1 and the previous step was expensive
-    assert _plan_step(3, 0, 0, 10, cfg) == RECOMPUTE
+    assert _plan_step(3, 0, 0, 10, "prec") == RECOMPUTE
     # sqrt(9) = sqrt(4) + 1
-    assert _plan_step(8, 3, 3, 12, cfg) == RECOMPUTE
+    assert _plan_step(8, 3, 3, 12, "prec") == RECOMPUTE
     # schedule is due but the guard fails: 5 <= 8
-    assert _plan_step(3, 0, 0, 5, cfg) == PLAIN
+    assert _plan_step(3, 0, 0, 5, "prec") == PLAIN
     # schedule not yet due even with an expensive step
-    assert _plan_step(2, 0, 0, 50, cfg) == PLAIN
+    assert _plan_step(2, 0, 0, 50, "prec") == PLAIN
     # a fresh build resets the probe: None fails the guard
-    assert _plan_step(3, 0, 0, None, cfg) == PLAIN
+    assert _plan_step(3, 0, 0, None, "prec") == PLAIN
 
 
 def test_plan_step_update_policy():
     # m = last build = 10: the schedule is not due before k = 18.
-    cfg = NewtonConfig(gamma0=1.0)
-    assert _plan_step(14, 10, 10, 6, cfg) == UPDATE
-    assert _plan_step(13, 10, 10, 20, cfg) == PLAIN   # too young
-    assert _plan_step(17, 10, 10, 5, cfg) == PLAIN    # 5 is not > 5
-    assert _plan_step(14, 10, 10, None, cfg) == PLAIN
+    assert _plan_step(14, 10, 10, 6, "prec") == UPDATE
+    assert _plan_step(13, 10, 10, 20, "prec") == PLAIN   # too young
+    assert _plan_step(17, 10, 10, 5, "prec") == PLAIN    # 5 is not > 5
+    assert _plan_step(14, 10, 10, None, "prec") == PLAIN
     # an Update keeps m, so the schedule still counts from the Recompute
-    assert _plan_step(17, 10, 12, 7, cfg) == UPDATE
+    assert _plan_step(17, 10, 12, 7, "prec") == UPDATE
 
 
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
     # With updates off a due rebuild needs no expensive standard step, an
     # undue one still waits for the schedule, and nothing updates.
-    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
-    assert _plan_step(3, 0, 0, None, cfg) == RECOMPUTE
-    assert _plan_step(8, 3, 3, 0, cfg) == RECOMPUTE
-    assert _plan_step(2, 0, 0, 50, cfg) == PLAIN
-    assert _plan_step(7, 3, 3, 50, cfg) == PLAIN
+    assert _plan_step(3, 0, 0, None, "frozen") == RECOMPUTE
+    assert _plan_step(8, 3, 3, 0, "frozen") == RECOMPUTE
+    assert _plan_step(2, 0, 0, 50, "frozen") == PLAIN
+    assert _plan_step(7, 3, 3, 50, "frozen") == PLAIN
 
 
 def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # Walking the schedule rebuilds at k = j^2 - 1 and at no other step.
-    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
     builds, m = [], 0
     for k in range(200_000):
-        if _plan_step(k, m, m, None, cfg)[1]:
+        if _plan_step(k, m, m, None, "frozen")[1]:
             builds.append(k)
             m = k
     assert builds == [j * j - 1 for j in range(1, 448)]
@@ -95,8 +91,8 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # step, a build at j^2 - 1 is due at (j+1)^2 - 1 and not one step before.
     for j in (10**4, 10**6, 10**8, 10**9 + 7):
         m = j * j - 1
-        assert _plan_step((j + 1) ** 2 - 2, m, m, None, cfg) == PLAIN
-        assert _plan_step((j + 1) ** 2 - 1, m, m, None, cfg) == RECOMPUTE
+        assert _plan_step((j + 1) ** 2 - 2, m, m, None, "frozen") == PLAIN
+        assert _plan_step((j + 1) ** 2 - 1, m, m, None, "frozen") == RECOMPUTE
 
 
 def test_schedule_test_agrees_with_its_float_form():
@@ -106,10 +102,9 @@ def test_schedule_test_agrees_with_its_float_form():
         return np.sqrt(k + 1.0) + 1e-12 >= np.sqrt(m + 1.0) + 1.0
 
     # For each m, k runs past the first due step, m + 1 + 2 sqrt(m + 1).
-    cfg = NewtonConfig(gamma0=1.0, variant="frozen")
     for m in range(3000):
         for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
-            assert (_plan_step(k, m, m, None, cfg) == RECOMPUTE) \
+            assert (_plan_step(k, m, m, None, "frozen") == RECOMPUTE) \
                 == due_float(k, m), (k, m)
 
 
@@ -128,28 +123,43 @@ def test_plan_step_matches_the_reference_predicates(state, variant):
     # when should_recompute holds, and irgnm-prec otherwise updates when
     # must_update holds.
     k, m, last_build, prev_inner = state
-    cfg = NewtonConfig(gamma0=1.0, variant=variant)
     if variant == "plain":
         expected = (EVENT_PLAIN, True)
-    elif should_recompute(k, m, prev_inner, cfg):
+    elif should_recompute(k, m, prev_inner, variant):
         expected = RECOMPUTE
     elif variant == "prec" and must_update(k, last_build, prev_inner):
         expected = UPDATE
     else:
         expected = PLAIN
-    assert _plan_step(k, m, last_build, prev_inner, cfg) == expected
+    assert _plan_step(k, m, last_build, prev_inner, variant) == expected
 
 
-def test_newton_config_validation():
-    for gamma0 in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ContractError, match="gamma0"):
-            NewtonConfig(gamma0=gamma0)
-    with pytest.raises(ContractError):
-        NewtonConfig(rhs_kind="gradient")
-    with pytest.raises(ContractError, match="variant 'bogus'"):
-        NewtonConfig(variant="bogus")
-    with pytest.raises(ContractError):
-        NewtonConfig(max_newton=0)
+def test_irgnm_run_validates_its_settings():
+    # Each bad setting is refused before the gamma0 estimate or F(x0).
+    cases = [*(({"gamma0": gamma0}, "gamma0 must be positive and finite")
+               for gamma0 in (0.0, -1.0, np.inf, np.nan)),
+             ({"rhs_kind": "gradient"}, "unknown rhs_kind 'gradient'"),
+             ({"variant": "bogus"}, "unknown variant 'bogus'"),
+             ({"max_newton": 0}, "max_newton must be positive")]
+    for bad, message in cases:
+        model = linear_model(np.eye(3))
+        with pytest.raises(ContractError, match=message):
+            irgnm_run(model, np.ones(3), np.zeros(3), **bad)
+        assert model.cost.total == 0, bad
+
+
+@pytest.mark.parametrize("run", [irgnm_run, landweber_run, newton_cg_run])
+def test_runs_share_one_calling_convention(run):
+    # (model, y_obs, x0, *, <settings>, stop=None, truth=None): a fourth
+    # positional argument is refused before anything runs.
+    params = inspect.signature(run).parameters
+    assert list(params)[:3] == ["model", "y_obs", "x0"]
+    assert all(p.kind is p.KEYWORD_ONLY for p in list(params.values())[3:])
+    assert params["stop"].default is None and params["truth"].default is None
+    model = linear_model(np.eye(3))
+    with pytest.raises(TypeError):
+        run(model, np.ones(3), np.zeros(3), 5)
+    assert model.cost.total == 0
 
 
 def test_identity_model_first_step(monkeypatch):
@@ -157,8 +167,7 @@ def test_identity_model_first_step(monkeypatch):
     monkeypatch.setattr(solvers, "EPS_ACCURATE", 1e-12)
     model = linear_model(np.eye(4))
     y = np.array([2.0, -4.0, 1.0, 0.0])
-    cfg = NewtonConfig(gamma0=1.0, max_newton=1)
-    history = irgnm_run(model, y, np.zeros(4), cfg)
+    history = irgnm_run(model, y, np.zeros(4), gamma0=1.0, max_newton=1)
     np.testing.assert_allclose(history.records[-1].x_k, y / 2.0, rtol=1e-9)
     assert history.records[0].event == EVENT_RECOMPUTE
     assert history.records[-1].event == EVENT_FINAL
@@ -170,8 +179,8 @@ def test_square_number_build_schedule_guards_disabled():
     # exactly when k+1 is the next perfect square: k = 0, 3, 8, 15, 24.
     problem = make_diagonal_problem(m=12, n=16, decay_a=0.4, seed=0)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=25, variant="frozen")
-    history = irgnm_run(problem.model, y, np.zeros(12), cfg)
+    history = irgnm_run(problem.model, y, np.zeros(12), gamma0=1.0,
+                        max_newton=25, variant="frozen")
     rebuilds = [r.k for r in history.records if r.event == EVENT_RECOMPUTE]
     assert rebuilds == [0, 3, 8, 15, 24]
     # every other non-final step keeps the frozen Jacobian: m = last rebuild
@@ -184,8 +193,8 @@ def test_cost_audit_and_arrival_semantics():
     problem = make_diagonal_problem(m=10, n=14, seed=3)
     y = problem.model.evaluate(problem.truth)
     before = problem.model.cost.total
-    cfg = NewtonConfig(gamma0=1.0, max_newton=6)
-    history = irgnm_run(problem.model, y, np.zeros(10), cfg)
+    history = irgnm_run(problem.model, y, np.zeros(10), gamma0=1.0,
+                        max_newton=6)
     # the terminal row carries the full cost of the run
     assert history.total_cost() == problem.model.cost.total - before
     costs = [r.cumulative_cost for r in history.records]
@@ -199,8 +208,7 @@ def test_cost_audit_and_arrival_semantics():
 def test_gamma0_auto_resolution_costs_the_estimate():
     problem = make_diagonal_problem(m=10, n=14, seed=3)
     y = problem.model.evaluate(problem.truth)
-    history = irgnm_run(problem.model, y, np.zeros(10),
-                        NewtonConfig(max_newton=2))
+    history = irgnm_run(problem.model, y, np.zeros(10), max_newton=2)
     # the Lanczos steps of the estimate, 2 units each but 1 for the last,
     # plus the k=0 evaluation
     assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS == 9
@@ -225,8 +233,8 @@ def test_landweber_and_newton_cg_report_their_estimate_units():
 def test_plain_mode_relinearizes_every_step():
     problem = make_diagonal_problem(m=8, n=10, seed=1)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=5, variant="plain")
-    history = irgnm_run(problem.model, y, np.zeros(8), cfg)
+    history = irgnm_run(problem.model, y, np.zeros(8), gamma0=1.0,
+                        max_newton=5, variant="plain")
     assert history.method == "irgnm-plain"
     for r in history.records[:-1]:
         assert r.event == EVENT_PLAIN
@@ -238,16 +246,16 @@ def test_each_variant_names_its_history():
     problem = make_diagonal_problem(m=8, n=10, seed=1)
     y = problem.model.evaluate(problem.truth)
     for variant in ("prec", "plain", "frozen"):
-        cfg = NewtonConfig(gamma0=1.0, max_newton=2, variant=variant)
-        history = irgnm_run(problem.model, y, np.zeros(8), cfg)
+        history = irgnm_run(problem.model, y, np.zeros(8), gamma0=1.0,
+                            max_newton=2, variant=variant)
         assert history.method == f"irgnm-{variant}"
 
 
 def test_stop_driver_terminates_run():
     problem = make_diagonal_problem(m=8, n=10, seed=1)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=20)
-    history = irgnm_run(problem.model, y, np.zeros(8), cfg,
+    history = irgnm_run(problem.model, y, np.zeros(8), gamma0=1.0,
+                        max_newton=20,
                         stop=lambda k, residual_norm, phi: k >= 2)
     assert history.terminal_reason == TERMINAL_STOP
     assert history.records[-1].k == 2
@@ -294,16 +302,16 @@ def test_truth_and_phi_columns(monkeypatch):
     monkeypatch.setattr(solvers, "GAMMA_FACTOR", 2.0)
     problem = make_diagonal_problem(m=8, n=10, seed=2)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=4)
+    kwargs = dict(gamma0=1.0, max_newton=4)
     est = DeterministicPhi(0.08)
-    history = irgnm_run(problem.model, y, np.zeros(8), cfg,
+    history = irgnm_run(problem.model, y, np.zeros(8), **kwargs,
                         phi_estimator=est, truth=problem.truth)
     for r in history.records:
         assert r.phi_k == pytest.approx(0.08 / (2.0 * np.sqrt(r.gamma_k)))
         assert r.error is not None
     assert history.records[-1].error < history.records[0].error
 
-    bare = irgnm_run(problem.model, y, np.zeros(8), cfg)
+    bare = irgnm_run(problem.model, y, np.zeros(8), **kwargs)
     assert all(r.error is None for r in bare.records)
     assert all(r.phi_k is None for r in bare.records)
 
@@ -311,9 +319,8 @@ def test_truth_and_phi_columns(monkeypatch):
 def test_white_noise_phi_zero_until_first_build():
     problem = make_diagonal_problem(m=8, n=10, seed=2)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=4)
-    history = irgnm_run(problem.model, y, np.zeros(8), cfg,
-                        phi_estimator=WhiteNoisePhi(0.01))
+    history = irgnm_run(problem.model, y, np.zeros(8), gamma0=1.0,
+                        max_newton=4, phi_estimator=WhiteNoisePhi(0.01))
     phis = [r.phi_k for r in history.records]
     assert phis[0] == 0.0          # evaluated before the k=0 build
     assert all(p > 0.0 for p in phis[1:])
@@ -330,8 +337,8 @@ def test_irgnm_matches_dense_newton_recursion(monkeypatch):
     y = problem.model.evaluate(problem.truth)
     oracle = DenseOracle(a)
     for rhs_kind in ("irgnm", LEVENBERG_MARQUARDT):
-        cfg = NewtonConfig(gamma0=2.0, max_newton=5, rhs_kind=rhs_kind)
-        history = irgnm_run(problem.model, y, np.zeros(12), cfg)
+        history = irgnm_run(problem.model, y, np.zeros(12), gamma0=2.0,
+                            max_newton=5, rhs_kind=rhs_kind)
         x = np.zeros(12)
         for k in range(5):
             gamma_k = 2.0 * 2.0 ** (-k)
@@ -347,8 +354,7 @@ def test_plain_probe_follows_every_build():
     base = make_diagonal_problem(m=15, n=20, decay_a=0.5, seed=6)
     problem = make_nonlinear_composite(base, c3=1.0)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(max_newton=20)
-    history = irgnm_run(problem.model, y, np.zeros(15), cfg)
+    history = irgnm_run(problem.model, y, np.zeros(15), max_newton=20)
     events = [r.event for r in history.records]
     for i, event in enumerate(events[:-1]):
         if event in (EVENT_RECOMPUTE, EVENT_UPDATE):
@@ -427,9 +433,9 @@ def test_newton_cg_reduces_residual_and_counts_cost():
 
 
 @pytest.mark.parametrize("run", [
-    lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(max_newton=6)),
-    lambda model, y, x0: irgnm_run(model, y, x0, NewtonConfig(
-        max_newton=6, variant="plain")),
+    lambda model, y, x0: irgnm_run(model, y, x0, max_newton=6),
+    lambda model, y, x0: irgnm_run(model, y, x0, max_newton=6,
+                                   variant="plain"),
     lambda model, y, x0: newton_cg_run(model, y, x0, max_newton=6),
     lambda model, y, x0: landweber_run(model, y, x0, max_steps=6),
 ], ids=["irgnm-prec", "irgnm-plain", "newton-cg", "landweber"])
@@ -511,9 +517,8 @@ def test_runs_and_solves_write_no_array_they_are_given(monkeypatch):
     y, x0 = frozen(problem.model.evaluate(problem.truth)
                    + 1e-3 * rng.standard_normal(14), np.zeros(10))
     histories = [
-        irgnm_run(problem.model, y, x0, NewtonConfig(max_newton=6)),
-        irgnm_run(problem.model, y, x0,
-                  NewtonConfig(max_newton=3, variant="plain")),
+        irgnm_run(problem.model, y, x0, max_newton=6),
+        irgnm_run(problem.model, y, x0, max_newton=3, variant="plain"),
         newton_cg_run(problem.model, y, x0, max_newton=4),
         landweber_run(problem.model, y, x0, max_steps=5),
     ]
@@ -557,10 +562,9 @@ def _assert_failed_run(history, model, cost_start):
 # Newton-CG makes in 8 steps.
 _NAN_RUNS = {
     "irgnm-prec": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
-        model, y, np.zeros(10), NewtonConfig(max_newton=8))),
+        model, y, np.zeros(10), max_newton=8)),
     "irgnm-plain": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
-        model, y, np.zeros(10),
-        NewtonConfig(max_newton=8, variant="plain"))),
+        model, y, np.zeros(10), max_newton=8, variant="plain")),
     "newton-cg": (10, 8, lambda model, y: newton_cg_run(
         model, y, np.zeros(10), max_newton=8)),
     "landweber": (GRAM_ESTIMATE_STEPS + 20, 40, lambda model, y:
@@ -593,10 +597,9 @@ def test_nan_callback_ends_in_breakdown(method, adjoint):
 
 
 @pytest.mark.parametrize("run", [
-    lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
-        max_newton=8)),
-    lambda model, y: irgnm_run(model, y, np.zeros(3), NewtonConfig(
-        max_newton=8, variant="plain")),
+    lambda model, y: irgnm_run(model, y, np.zeros(3), max_newton=8),
+    lambda model, y: irgnm_run(model, y, np.zeros(3), max_newton=8,
+                               variant="plain"),
     lambda model, y: newton_cg_run(model, y, np.zeros(3), max_newton=8),
     lambda model, y: landweber_run(model, y, np.zeros(3), mu=0.5,
                                    max_steps=8),
@@ -629,12 +632,12 @@ def test_negative_step_cap_rejected(run, message):
     assert model.cost.total == 0
 
 
-def test_newton_cg_rejects_zero_newton_cap_as_newton_config_does():
-    # A Newton-CG run takes the [solver] max_newton key that NewtonConfig
-    # reads, and refuses 0 as NewtonConfig does.
+def test_newton_cg_rejects_zero_newton_cap_as_irgnm_does():
+    # A Newton-CG run takes the [solver] max_newton key that irgnm reads,
+    # and refuses 0 with irgnm's words.
     model = linear_model(np.eye(3))
     with pytest.raises(ContractError) as info:
-        NewtonConfig(max_newton=0)
+        irgnm_run(model, np.ones(3), np.zeros(3), max_newton=0)
     with pytest.raises(ContractError, match=str(info.value)):
         newton_cg_run(model, np.ones(3), np.zeros(3), max_newton=0)
     assert model.cost.total == 0
@@ -656,12 +659,12 @@ def test_inner_unconverged_counts_solves_stopped_by_the_cap(monkeypatch):
     y = problem.model.evaluate(problem.truth)
     x0 = np.zeros(10)
     for variant, capped in (("prec", 6), ("plain", 5)):
-        cfg = NewtonConfig(max_newton=6, variant=variant)
+        kwargs = dict(max_newton=6, variant=variant)
         monkeypatch.setattr(solvers, "MAX_INNER", 1)
-        assert irgnm_run(problem.model, y, x0, cfg) \
+        assert irgnm_run(problem.model, y, x0, **kwargs) \
             .meta["inner_unconverged"] == capped
         monkeypatch.setattr(solvers, "MAX_INNER", 200)
-        assert irgnm_run(problem.model, y, x0, cfg) \
+        assert irgnm_run(problem.model, y, x0, **kwargs) \
             .meta["inner_unconverged"] == 0
     # Two Newton-CG steps need two inner iterations, and a cap of 2 stops
     # neither. A cap of 1 stops the first of them: that step is taken, and
@@ -739,12 +742,30 @@ def test_estimate_gram_norm_refuses_a_norm_past_the_float_range(iterations):
         estimate_gram_norm(jac, iterations)
 
 
+def test_estimate_gram_norm_refuses_an_overflowing_lanczos_vector():
+    # ||A^T A q||^2 overflows long before ||A^T A|| = 1e200 does; the
+    # estimate refuses it instead of stopping after one step at 3.6e198.
+    jac = linear_model(np.diag([1e100, 1.0, 0.5])).linearize(np.zeros(3))
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        estimate_gram_norm(jac)
+
+
+def test_irgnm_step_on_an_overflowing_gradient_ends_in_breakdown():
+    # ||A^T (y - F(x0))||^2 = 1e320: the k = 0 build refuses its first
+    # residual, so the run ends there instead of taking h = 0 for solved.
+    model = linear_model(np.diag([1e100, 1.0, 0.5]))
+    history = irgnm_run(model, np.array([1e60, 1.0, 1.0]), np.zeros(3),
+                        gamma0=1.0, max_newton=3)
+    assert history.terminal_reason == TERMINAL_BREAKDOWN
+    assert "exceeds the float range" in history.meta["breakdown"]
+    assert [(r.k, r.event) for r in history.records] == [(0, EVENT_FINAL)]
+
+
 def test_run_history_helpers():
     problem = make_diagonal_problem(m=6, n=8, seed=9)
     y = problem.model.evaluate(problem.truth)
-    cfg = NewtonConfig(gamma0=1.0, max_newton=3)
-    history = irgnm_run(problem.model, y, np.zeros(6), cfg,
-                        truth=problem.truth)
+    history = irgnm_run(problem.model, y, np.zeros(6), gamma0=1.0,
+                        max_newton=3, truth=problem.truth)
     assert history.total_inner() == sum(r.inner_iterations
                                         for r in history.records)
     assert history.residual_norms()[0] == pytest.approx(np.linalg.norm(y))

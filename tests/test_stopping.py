@@ -6,7 +6,7 @@ import pytest
 from helpers import linear_model
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
-from iterreg.solvers import NewtonConfig, RunHistory, RunRecord, irgnm_run
+from iterreg.solvers import RunHistory, RunRecord, irgnm_run
 from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
                               PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                               discrepancy_stop, lepskii_from_history,
@@ -321,9 +321,8 @@ def test_lepskii_from_history_refuses_phi_zero_at_every_step(
     estimator = {"white": WhiteNoisePhi(sigma),
                  "sampled": SampledPhi(generate_noise(sigma, 30, count=5)),
                  "deterministic": DeterministicPhi(sigma * np.sqrt(30))}[phi]
-    history = irgnm_run(problem.model, y, np.zeros(20),
-                        NewtonConfig(max_newton=12, variant=variant),
-                        phi_estimator=estimator)
+    history = irgnm_run(problem.model, y, np.zeros(20), variant=variant,
+                        max_newton=12, phi_estimator=estimator)
     assert len(history.records) > 1
     assert {r.phi_k for r in history.records} == {0.0}
     with pytest.raises(ContractError, match="nothing to balance"):
