@@ -55,8 +55,8 @@ print(f"\n{'k':>3} {'residual':>9} {'phi':>9} {'error':>7}")
 for r in history.records:
     print(f"{r.k:3d} {r.residual_norm:9.4f} {r.phi_k:9.4f} {r.error:7.4f}")
 
-disc = discrepancy_stop(history.residual_norms(), TAU, delta)
-bal = lepskii_from_history(history, RHO, R_BOUND)
+disc = discrepancy_stop(history.residual_norms(), delta)
+bal = lepskii_from_history(history, R_BOUND)
 errors = [r.error for r in history.records]
 best = int(np.argmin(errors))
 

@@ -33,9 +33,9 @@ from .operators import (ContractError, TikhonovSystem, adjoint_mismatch,
                         jacobian_fd_order)
 from .solvers import (TERMINAL_BREAKDOWN, check_newton_settings,
                       check_step_cap, irgnm_run, landweber_run, newton_cg_run)
-from .stopping import (RHO, TAU, DeterministicPhi, DiscrepancyDriver,
-                       PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
-                       discrepancy_stop, lepskii_from_history)
+from .stopping import (DeterministicPhi, DiscrepancyDriver, PhiBudgetDriver,
+                       SampledPhi, WhiteNoisePhi, discrepancy_stop,
+                       lepskii_from_history)
 from .testbed import (DenseOracle, OracleRefusal, check_oracle_dim,
                       generate_noise, make_convolution_problem,
                       make_diagonal_problem, make_nonlinear_composite,
@@ -323,9 +323,8 @@ def _bind_rule(cfg: ExperimentConfig, rule, methods=()):
     the library up per call, so a wrapper bound in this module (perfbench's
     tracer) is the one that runs."""
     if rule == "discrepancy":
-        return (functools.partial(DiscrepancyDriver, TAU),
-                lambda history, delta: discrepancy_stop(
-                    history.residual_norms(), TAU, delta))
+        return (DiscrepancyDriver, lambda history, delta: discrepancy_stop(
+            history.residual_norms(), delta))
     if rule == "oracle-optimal":
         return None, lambda history, delta: int(
             np.argmin([r.error for r in history.records]))
@@ -356,7 +355,7 @@ def _bind_rule(cfg: ExperimentConfig, rule, methods=()):
     except ContractError as exc:
         raise ConfigError(f"[stopping] r_bound: {exc}") from None
     return (lambda delta: stop,
-            lambda history, delta: lepskii_from_history(history, RHO, bound))
+            lambda history, delta: lepskii_from_history(history, bound))
 
 
 def run_method(cfg: ExperimentConfig, problem, y_obs, stop=None,

@@ -9,14 +9,17 @@ stored rows are the Lanczos basis, and the CG coefficients double as a
 Lanczos tridiagonalization of the normal operator, from which Ritz pairs
 are extracted together with an exact residual bound
 ||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
+``select_ritz`` keeps the pairs with theta >= RITZ_SEPARATION = 1.1 and a
+residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times theta.
 
 The loops update in place only arrays they allocated themselves (the
 iterate, the residual, the search direction, the basis and the vector it
 projects); an array a caller passes in or a model or preconditioner call
 returns is never written. Norms of vectors are sqrt(v.dot(v)) and inner
 products v.dot(w), the same ddot that np.linalg.norm and v @ w run, without
-their Python-level dispatch; a vector that may be strided is first raveled,
-as np.linalg.norm does, since a strided ddot rounds differently.
+their Python-level dispatch, or np.vdot where they may overflow, which sets
+off no warning; a vector that may be strided is first raveled, as
+np.linalg.norm does, since a strided ddot rounds differently.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import numpy as np
 from .operators import ContractError, as_vector
 
 _SQRT_HALF = math.sqrt(0.5)
+RITZ_SEPARATION = 1.1
+RITZ_RESIDUAL_TOL = 1e-6
 
 
 class CgBreakdownError(RuntimeError):
@@ -184,7 +189,9 @@ def ritz_from_trace(trace: CgTrace):
     positive definite, which signals lost orthogonality. A pair's Ritz
     vector Z w_i (``w_i @ trace.z_basis``, Z having the basis rows as its
     columns) is formed on the first read of its ``vector``, so the pairs a
-    selection drops cost no product with Z.
+    selection drops cost no product with Z. A solve that ended on a residual
+    dependent on its basis has no Lanczos residual, so each bound is the
+    drift of the Lanczos relation, eps ||r_0|| / ||r_{l-1}|| theta_max.
     """
     if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
         raise ContractError("trace was collected without a complete Lanczos basis")
@@ -197,25 +204,24 @@ def ritz_from_trace(trace: CgTrace):
             "orthogonality was lost during CG"
         )
     l = trace.iterations
+    bounds = trace.final_beta_over_alpha * np.abs(vecs[l - 1])
+    if trace.final_beta_over_alpha == 0.0:
+        norms = trace.residual_norms
+        bounds[:] = np.finfo(float).eps * norms[0] / norms[l - 1] * theta[-1]
     return [RitzPair(float(theta[i]),
                      partial(np.matmul, vecs[:, i], trace.z_basis),
-                     float(trace.final_beta_over_alpha * abs(vecs[l - 1, i])))
+                     float(bounds[i]))
             for i in range(l - 1, -1, -1)]
 
 
-def select_ritz(pairs, separation_threshold, residual_tolerance):
+def select_ritz(pairs):
     """Keep pairs separated from the cluster at 1 and converged tightly enough.
 
-    A pair survives iff ``theta >= separation_threshold`` and
-    ``residual_bound <= residual_tolerance * theta``. Order is preserved.
+    A pair survives iff ``theta >= RITZ_SEPARATION`` and
+    ``residual_bound <= RITZ_RESIDUAL_TOL * theta``. Order is preserved.
     """
-    if separation_threshold <= 0.0 or residual_tolerance <= 0.0:
-        raise ContractError("selection thresholds must be positive")
-    return [
-        p for p in pairs
-        if p.theta >= separation_threshold
-        and p.residual_bound <= residual_tolerance * p.theta
-    ]
+    return [p for p in pairs if p.theta >= RITZ_SEPARATION
+            and p.residual_bound <= RITZ_RESIDUAL_TOL * p.theta]
 
 
 def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
@@ -272,9 +278,12 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         """Return (z, <r, z>, ||r||); without a preconditioner r is first
         cut to its component orthogonal to the earlier residuals."""
         if basis is None:
+            flat = r.ravel(order="K")  # as np.linalg.norm copies a strided r
+            rr = np.vdot(flat, flat)  # vdot: no overflow warning
+            if not math.isfinite(rr):
+                raise ContractError("||x||^2 exceeds the float range")
             z = precond.apply_inverse(r)
-            flat = r.ravel(order="K")
-            return z, float(r.dot(z)), math.sqrt(flat.dot(flat))
+            return z, float(np.vdot(r, z)), math.sqrt(rr)
         q, pnorm = basis.add(r)
         if q is None:
             return np.zeros(m_dim), 0.0, 0.0

@@ -8,14 +8,14 @@ A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
 step does what in the ``variant`` an irgnm run names: prec, plain
 (no preconditioner) or the frozen ablation (no update). The shift falls as
-gamma_k = gamma0 * GAMMA_FACTOR^(-k) with GAMMA_FACTOR = 1.5. Builds
-solve accurately (EPS_ACCURATE = 1e-9) through the symmetric two-sided form
-so the harvested pairs are trustworthy, ordinary steps loosely
-(EPS_STANDARD = 1/3), Newton-CG's to INNER_RHO = 0.8 times the residual,
-and every inner solve stops after MAX_INNER = 200 iterations; the harvest
-keeps Ritz pairs with theta >= RITZ_SEPARATION = 1.1 and a residual bound
-<= RITZ_RESIDUAL_TOL (1e-6) times theta. Each constant is read when a step
-uses it.
+gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR) with GAMMA_FACTOR =
+1.5 and GAMMA_FLOOR = 1e-14, below which the shifted preconditioner cannot
+be applied in floating point. Builds solve accurately (EPS_ACCURATE = 1e-9)
+through the symmetric two-sided form so the harvested pairs are
+trustworthy, ordinary steps loosely (EPS_STANDARD = 1/3), Newton-CG's to
+INNER_RHO = 0.8 times the residual, and every inner solve stops after
+MAX_INNER = 200 iterations; the harvest keeps the Ritz pairs that
+``krylov.select_ritz`` keeps. Each constant is read when a step uses it.
 
 The three runs are called as ``run(model, y_obs, x0, *, <settings>,
 stop=None, truth=None)`` and refuse bad settings before any model unit.
@@ -56,16 +56,16 @@ TERMINAL_INNER_CAP = "InnerCap"
 DIVERGENCE_FACTOR = 10.0
 
 GAMMA_FACTOR = 1.5
+GAMMA_FLOOR = 1e-14
 EPS_STANDARD = 1.0 / 3.0
 EPS_ACCURATE = 1e-9
 MAX_INNER = 200
 UPDATE_AGE_MIN = 4
 UPDATE_INNER_MIN = 5
 RECOMPUTE_INNER_MIN = 8
-RITZ_SEPARATION = 1.1
-RITZ_RESIDUAL_TOL = 1e-6
 INNER_RHO = 0.8
 GRAM_ESTIMATE_SEED = 0
+GRAM_ESTIMATE_STEPS = 5
 
 
 def check_newton_settings(max_newton, *, variant="prec", rhs_kind=IRGNM,
@@ -132,7 +132,7 @@ class RunHistory:
         return self.records[-1].cumulative_cost if self.records else 0
 
 
-def estimate_gram_norm(jac, iterations=5):
+def estimate_gram_norm(jac, iterations=GRAM_ESTIMATE_STEPS):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
     Runs ``iterations`` Lanczos steps on A^T A from a random start vector
@@ -242,12 +242,11 @@ def _harvest(trace, base_precond):
     ``base_precond`` M of shift gamma to eigenpairs (gamma (theta - 1),
     M^{-1/2} v normalized) of A_m^T A_m. Values near 1 belong to the
     cluster of captured directions, carry no spectral information and go:
-    ``select_ritz`` keeps only theta >= RITZ_SEPARATION."""
+    ``select_ritz`` keeps only theta >= krylov.RITZ_SEPARATION."""
     if trace.iterations < 1:
         return []
-    pairs = ritz_from_trace(trace)
     out = []
-    for p in select_ritz(pairs, RITZ_SEPARATION, RITZ_RESIDUAL_TOL):
+    for p in select_ritz(ritz_from_trace(trace)):
         u_raw = base_precond.apply_inv_sqrt(p.vector)
         norm = math.sqrt(u_raw.dot(u_raw))
         if norm == 0.0:
@@ -386,7 +385,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     meta = {"gamma0": gamma0, "inner_unconverged": 0}
 
     def probe(rec):
-        rec.gamma_k = gamma0 * GAMMA_FACTOR ** (-rec.k)
+        rec.gamma_k = gamma0 * max(GAMMA_FACTOR ** (-rec.k), GAMMA_FLOOR)
         rec.m = m
         if phi_estimator is not None:
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))

@@ -21,14 +21,14 @@ iterate, so the last two return exactly 0 while no pairs exist.
 
 A stop driver is called once per Newton step, before the step is taken, as
 ``stop(k, residual_norm, phi)`` and returns True to stop at k. There are
-two: ``DiscrepancyDriver`` (residual at or below tau delta) and
+two: ``DiscrepancyDriver`` (residual at or below TAU delta) and
 ``PhiBudgetDriver`` (Phi above the error budget R). A run stops at a fixed
 index through its step cap instead (``max_newton``, or ``max_steps`` for
 Landweber). The offline resolvers ``discrepancy_stop`` and
 ``lepskii_from_history`` apply the same drivers to a finished run.
 
-Every function takes tau and rho explicitly; the CLI passes TAU = 2 and
-RHO = 4.1.
+The rules read their constants themselves: the discrepancy factor
+TAU = 2 (> 1) and the balancing constant RHO = 4.1 (> 4).
 """
 
 from __future__ import annotations
@@ -41,37 +41,32 @@ TAU = 2.0
 RHO = 4.1
 
 
-def discrepancy_stop(residual_norms, tau, delta):
-    """First index K at which ``DiscrepancyDriver(tau, delta)`` fires, that
-    is ||F(x_K) - y|| <= tau * delta, or None if never."""
+def discrepancy_stop(residual_norms, delta):
+    """First index K at which ``DiscrepancyDriver(delta)`` fires, that is
+    ||F(x_K) - y|| <= TAU * delta, or None if never."""
     if len(residual_norms) == 0:
         raise ContractError("no residual norms supplied")
-    fires = DiscrepancyDriver(tau, delta)
+    fires = DiscrepancyDriver(delta)
     return next((k for k, rn in enumerate(residual_norms)
                  if fires(k, rn, None)), None)
 
 
-def lepskii_select(iterates, phi, rho):
-    """Balancing index K_bal = min{k : ||x_k - x_m|| <= rho Phi(m), m > k}.
+def lepskii_select(iterates, phi):
+    """Balancing index K_bal = min{k : ||x_k - x_m|| <= RHO Phi(m), m > k}.
 
-    ``iterates`` are x_0..x_{K_max} and ``phi`` the matching Phi values;
-    rho must exceed 4. At k = K_max the condition is vacuous, so a valid
-    index always exists.
+    ``iterates`` are x_0..x_{K_max} and ``phi`` the matching Phi values. At
+    k = K_max the condition is vacuous, so a valid index always exists.
     """
     values = list(phi)
     if len(values) != len(iterates):
         raise ContractError("need one Phi value per iterate")
     if len(iterates) == 0:
         raise ContractError("no iterates supplied")
-    if not rho > 4.0:
-        raise ContractError(f"rho must exceed 4, got {rho}")
-    k_max = len(iterates) - 1
-    for k in range(k_max + 1):
-        if all(
-            np.linalg.norm(np.asarray(iterates[k]) - np.asarray(iterates[m]))
-            <= rho * values[m]
-            for m in range(k + 1, k_max + 1)
-        ):
+    xs = [np.asarray(x) for x in iterates]
+    k_max = len(xs) - 1
+    for k in range(k_max):
+        if all(np.linalg.norm(xs[k] - xs[m]) <= RHO * values[m]
+               for m in range(k + 1, k_max + 1)):
             return k
     return k_max
 
@@ -152,18 +147,15 @@ class SampledPhi:
 
 
 class DiscrepancyDriver:
-    """Stop at the first residual at or below tau * delta."""
+    """Stop at the first residual at or below TAU * delta."""
 
-    def __init__(self, tau, delta):
-        if not tau > 1.0:
-            raise ContractError(f"tau must exceed 1, got {tau}")
+    def __init__(self, delta):
         if delta < 0:
             raise ContractError("delta must be nonnegative")
-        self.tau = float(tau)
         self.delta = float(delta)
 
     def __call__(self, k, residual_norm, phi):
-        return residual_norm <= self.tau * self.delta
+        return residual_norm <= TAU * self.delta
 
 
 class PhiBudgetDriver:
@@ -179,7 +171,7 @@ class PhiBudgetDriver:
         return phi is not None and not phi <= self.bound
 
 
-def lepskii_from_history(history, rho, bound):
+def lepskii_from_history(history, bound):
     """Apply the balancing selection to a finished run.
 
     K_max is the index before ``PhiBudgetDriver(bound)`` first fires on the
@@ -203,4 +195,4 @@ def lepskii_from_history(history, rho, bound):
     if k_max < 0:
         return None
     kept = records[:k_max + 1]
-    return lepskii_select([r.x_k for r in kept], [r.phi_k for r in kept], rho)
+    return lepskii_select([r.x_k for r in kept], [r.phi_k for r in kept])

@@ -8,8 +8,8 @@ import numpy as np
 from iterreg.krylov import (CgBreakdownError, CgTrace, RitzPair,
                             tridiagonal_from_trace)
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
-from iterreg.solvers import (RECOMPUTE_INNER_MIN, UPDATE_AGE_MIN,
-                             UPDATE_INNER_MIN)
+from iterreg.solvers import (GRAM_ESTIMATE_STEPS, RECOMPUTE_INNER_MIN,
+                             UPDATE_AGE_MIN, UPDATE_INNER_MIN)
 from iterreg.testbed import two_bump_profile
 
 
@@ -292,11 +292,11 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
     return h, iterations, False
 
 
-# The Lanczos steps of ``solvers.estimate_gram_norm`` at its default: each
-# costs one Jacobian and one adjoint apply but the last, which skips the
-# adjoint, so a run that estimates gamma0 or mu spends GRAM_ESTIMATE_UNITS
-# = 2 * GRAM_ESTIMATE_STEPS - 1 model units before its first step.
-GRAM_ESTIMATE_STEPS = 5
+# Each of the GRAM_ESTIMATE_STEPS Lanczos steps of
+# ``solvers.estimate_gram_norm`` at its default costs one Jacobian and one
+# adjoint apply but the last, which skips the adjoint, so a run that
+# estimates gamma0 or mu spends GRAM_ESTIMATE_UNITS = 2 * GRAM_ESTIMATE_STEPS
+# - 1 model units before its first step.
 GRAM_ESTIMATE_UNITS = 2 * GRAM_ESTIMATE_STEPS - 1
 
 

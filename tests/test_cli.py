@@ -849,15 +849,11 @@ def test_lepskii_on_exact_data_exits_2(tmp_path, monkeypatch, capsys, verb,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the float floor (ROADMAP open FOUNDs): once gamma_k falls below eps "
-    "times the captured eigenvalues, M^-1 cannot be applied in floating "
-    "point, and this run ends in Breakdown at k = 89 (<r, z> lost "
-    "positivity, exit 3); recheck where it fails after ROADMAP item 2 "
-    "moves Plain steps off apply_inverse"))
 def test_main_long_exact_data_run_reaches_its_cap(tmp_path):
     # Exact data under rule none: irgnm-prec runs to max_newton = 100 and
-    # its error falls to the float floor without a Breakdown.
+    # its error falls to the float floor without a Breakdown. Past k = 79
+    # the shift rests on GAMMA_FLOOR; without the floor, M^-1 could not be
+    # applied in floating point and the run ended in Breakdown at k = 87.
     ini = tmp_path / "exp.ini"
     ini.write_text("[problem]\nm = 30\nn = 40\n[solver]\nmax_newton = 100\n"
                    "[noise]\nlevel = 0\n[stopping]\nrule = none\n")

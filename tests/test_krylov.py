@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import dense_tikhonov_solution, ritz_pair, tikhonov_system
-from iterreg.krylov import (CgBreakdownError, pcg_solve,
+from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
+                            CgBreakdownError, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz, tridiagonal_from_trace)
 from iterreg.operators import ContractError
@@ -153,6 +154,22 @@ def test_ritz_residual_identity_dense_oracle():
         assert direct == pytest.approx(pair.residual_bound, abs=1e-9)
 
 
+def test_ritz_bound_after_a_dependent_residual_is_the_drift():
+    # Five iterations exhaust a 5-dimensional space: the solve ends on a
+    # residual dependent on its basis, beta_l = 0, and the identity would
+    # certify every pair as exact. Each bound reads the drift of the
+    # Lanczos relation, eps ||r_0|| / ||r_{l-1}|| theta_max, instead.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 5))
+    _, trace = pcg_solve(tikhonov_system(a, 0.5, rng.standard_normal(8)),
+                         epsilon=1e-12)
+    assert (trace.iterations, trace.final_beta_over_alpha) == (5, 0.0)
+    pairs = ritz_from_trace(trace)
+    norms = trace.residual_norms
+    drift = np.finfo(float).eps * norms[0] / norms[4] * pairs[0].theta
+    assert [p.residual_bound for p in pairs] == [drift] * 5 != [0.0] * 5
+
+
 def test_ritz_pairs_sorted_and_inside_spectrum():
     rng = np.random.default_rng(91)
     a = rng.standard_normal((30, 20))
@@ -168,19 +185,21 @@ def test_ritz_pairs_sorted_and_inside_spectrum():
 
 
 def test_select_ritz_separation_threshold():
+    # theta >= RITZ_SEPARATION = 1.1 survives, the cluster at 1 goes.
     pairs = [ritz_pair(5.0, np.array([1.0]), 0.0),
+             ritz_pair(RITZ_SEPARATION, np.array([1.0]), 0.0),
              ritz_pair(1.05, np.array([1.0]), 0.0),
              ritz_pair(1.0, np.array([1.0]), 0.0)]
-    kept = select_ritz(pairs, separation_threshold=1.1, residual_tolerance=1.0)
-    assert [p.theta for p in kept] == [5.0]
+    kept = select_ritz(pairs)
+    assert [p.theta for p in kept] == [5.0, RITZ_SEPARATION]
 
 
 def test_select_ritz_residual_tolerance():
-    # theta = 2 with bound 0.5 fails the relative test 0.5 <= 0.1 * 2.
-    loose = ritz_pair(2.0, np.array([1.0]), 0.5)
-    tight = ritz_pair(2.0, np.array([1.0]), 0.05)
-    assert select_ritz([loose], 1.1, 0.1) == []
-    assert select_ritz([tight], 1.1, 0.1) == [tight]
+    # theta = 2 survives with a bound up to RITZ_RESIDUAL_TOL * 2.
+    loose = ritz_pair(2.0, np.array([1.0]), 1.5 * RITZ_RESIDUAL_TOL * 2.0)
+    tight = ritz_pair(2.0, np.array([1.0]), RITZ_RESIDUAL_TOL * 2.0)
+    assert select_ritz([loose]) == []
+    assert select_ritz([tight]) == [tight]
 
 
 def test_reorthogonalize_nearly_dependent_pair():
@@ -224,18 +243,23 @@ def test_breakdown_on_indefinite_preconditioner():
     assert not info.value.trace.converged
 
 
-def test_residual_whose_squared_norm_overflows_is_refused():
+@pytest.mark.parametrize("left", [False, True],
+                         ids=["unpreconditioned", "left-preconditioned"])
+def test_residual_whose_squared_norm_overflows_is_refused(left):
     # At 1e160, ||A^T b||^2 = 5.25e320 exceeds the float range: the solve
-    # refuses it instead of taking the residual as dependent on the empty
-    # basis and returning h = 0 as converged. At 1e150 it solves.
+    # refuses it, instead of taking the residual as dependent on the empty
+    # basis and returning h = 0 as converged, or blaming a one-pair
+    # preconditioner for a non-finite <r, z>. At 1e150 it solves.
     a = np.diag([2.0, 1.0, 0.5])
+    precond = SpectralPreconditioner(1.0, np.array([4.0]), np.eye(3)[:, :1]) \
+        if left else None
     b = np.full(3, 1e150)
-    h, trace = pcg_solve(tikhonov_system(a, 1.0, b), epsilon=1e-9)
+    h, trace = pcg_solve(tikhonov_system(a, 1.0, b), precond, epsilon=1e-9)
     assert trace.converged and trace.iterations > 0
     np.testing.assert_allclose(
         h, dense_tikhonov_solution(a, 1.0, b, np.zeros(3)), rtol=1e-8)
     with pytest.raises(ContractError, match="exceeds the float range"):
-        pcg_solve(tikhonov_system(a, 1.0, np.full(3, 1e160)))
+        pcg_solve(tikhonov_system(a, 1.0, np.full(3, 1e160)), precond)
 
 
 def test_cg_config_validation():

@@ -38,20 +38,19 @@ from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      phi_sampled_loop, power_gram_norm_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
-from iterreg import cli, stopping
-from iterreg.krylov import (GramSchmidtBasis, pcg_solve,
+from iterreg import cli, krylov, stopping
+from iterreg.krylov import (RITZ_RESIDUAL_TOL, GramSchmidtBasis, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
 from iterreg.solvers import (EPS_ACCURATE, GAMMA_FACTOR, MAX_INNER,
-                             RITZ_RESIDUAL_TOL, RITZ_SEPARATION, TERMINAL_MAX,
-                             TERMINAL_STOP, _harvest, _truncated_cgne,
-                             estimate_gram_norm, irgnm_run, landweber_run,
-                             newton_cg_run)
-from iterreg.stopping import (RHO, TAU, DiscrepancyDriver, PhiBudgetDriver,
-                              SampledPhi, WhiteNoisePhi, discrepancy_stop,
+                             TERMINAL_MAX, TERMINAL_STOP, _harvest,
+                             _truncated_cgne, estimate_gram_norm, irgnm_run,
+                             landweber_run, newton_cg_run)
+from iterreg.stopping import (DiscrepancyDriver, PhiBudgetDriver, SampledPhi,
+                              WhiteNoisePhi, discrepancy_stop,
                               lepskii_from_history)
 from iterreg.testbed import (DenseOracle, generate_noise,
                              make_diagonal_problem, make_nonlinear_composite,
@@ -282,6 +281,7 @@ def test_ritz_residual_identity_against_dense_oracle(m, extra, decay, gamma,
 @given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
        st.floats(0.0, 0.5), st.integers(0, 40), st.integers(0, 2**32 - 1))
 @example(m=300, extra=300, decay=0.05, c3=0.1, k=40, seed=3)
+@example(m=12, extra=7, decay=0.02, c3=0.0, k=17, seed=0)
 def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         m, extra, decay, c3, k, seed):
     # The accurate two-sided solves of a Recompute at gamma_k and of the
@@ -289,9 +289,12 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
     # pairs as preconditioner). Every Ritz pair select_ritz keeps must meet
     # the residual tolerance against the dense two-sided operator, however
     # far the CG residual fell below its start (see the identity above).
-    # The example has the shape of diag-work-precision's problem at oracle
-    # size: its Recompute runs 165 iterations, drops the residual by 8.9e12
-    # and keeps 143 pairs, the largest true residual at 2.0e-7 theta.
+    # The first example has the shape of diag-work-precision's problem at
+    # oracle size: its Recompute runs 165 iterations, drops the residual by
+    # 8.9e12 and keeps 143 pairs, the largest true residual at 2.0e-7 theta.
+    # In the second, the Recompute exhausts the 12-dimensional space after
+    # a drop of 4.1e11; with the bound 0 its pairs were all kept, one at a
+    # true residual of 1.12e-6 theta.
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
                               seed=seed % 2**16), c3=c3)
@@ -311,8 +314,7 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
                                     for e in np.eye(m)])
         two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
-        kept = select_ritz(ritz_from_trace(trace), RITZ_SEPARATION,
-                           RITZ_RESIDUAL_TOL)
+        kept = select_ritz(ritz_from_trace(trace))
         for pair in kept:
             residual = np.linalg.norm(two_sided @ pair.vector
                                       - pair.theta * pair.vector)
@@ -739,7 +741,9 @@ def test_kept_ritz_vectors_equal_the_eager_products(m, extra, decay, gamma,
     pairs = ritz_from_trace(trace)
     eager = ritz_vectors_reference(trace)
     assert len(pairs) == len(eager) == trace.iterations
-    kept = select_ritz(pairs, separation, tol)
+    with mock.patch.multiple(krylov, RITZ_SEPARATION=separation,
+                             RITZ_RESIDUAL_TOL=tol):
+        kept = select_ritz(pairs)
     for pair in kept:
         i = next(j for j, p in enumerate(pairs) if p is pair)
         assert _bits(pair.vector) == _bits(eager[i])
@@ -795,7 +799,7 @@ def _scaled_run(scale, method, rule, seed):
     if rule == "lepskii":
         stop, phi = PhiBudgetDriver(5.0), WhiteNoisePhi(sigma)
     else:
-        stop = DiscrepancyDriver(TAU, delta)
+        stop = DiscrepancyDriver(delta)
     kwargs = {"stop": stop, "truth": problem.truth}
     if method == "landweber":
         history = landweber_run(problem.model, y_obs, x0, **kwargs)
@@ -805,8 +809,8 @@ def _scaled_run(scale, method, rule, seed):
         history = irgnm_run(problem.model, y_obs, x0,
                             variant=method.removeprefix("irgnm-"),
                             phi_estimator=phi, **kwargs)
-    index = lepskii_from_history(history, RHO, 5.0) if rule == "lepskii" \
-        else discrepancy_stop(history.residual_norms(), TAU, delta)
+    index = lepskii_from_history(history, 5.0) if rule == "lepskii" \
+        else discrepancy_stop(history.residual_norms(), delta)
     error = None if index is None else history.records[index].error
     return index, history.total_cost(), error
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (GRAM_ESTIMATE_STEPS, GRAM_ESTIMATE_UNITS, linear_model,
                      must_update, nan_on_call, nan_on_evaluation, ritz_pair,
                      should_recompute, truncated_cgne_reference)
-from iterreg import solvers
+from iterreg import krylov, solvers, stopping
 from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
                                TikhonovSystem)
@@ -39,6 +39,25 @@ def test_schedule_gamma_values(monkeypatch):
         model, np.ones(3), np.zeros(3), gamma0=1.0, max_newton=3).records]
     assert gammas[0] == 1.0
     assert gammas[3] == pytest.approx(0.125)
+    # gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR): the floor
+    # holds the shift once the schedule falls below it.
+    monkeypatch.setattr(solvers, "GAMMA_FLOOR", 0.2)
+    gammas = [r.gamma_k for r in irgnm_run(
+        model, np.ones(3), np.zeros(3), gamma0=10.0, max_newton=4).records]
+    assert gammas == pytest.approx([10.0, 5.0, 2.5, 2.0, 2.0])
+
+
+def test_constants_meet_the_conditions_of_the_theory():
+    # The stop rules and the Ritz selection read these constants instead of
+    # checking a parameter per call: the discrepancy principle needs tau > 1
+    # and the balancing rule rho > 4; the selection keeps theta away from
+    # the cluster at 1 with a relative residual bound; the shift floor is
+    # relative to gamma0.
+    assert stopping.TAU > 1.0
+    assert stopping.RHO > 4.0
+    assert krylov.RITZ_SEPARATION > 1.0
+    assert 0.0 < krylov.RITZ_RESIDUAL_TOL < 1.0
+    assert 0.0 < solvers.GAMMA_FLOOR < 1.0
 
 
 RECOMPUTE = (EVENT_RECOMPUTE, True)
@@ -286,7 +305,6 @@ def test_harvest_back_map(monkeypatch):
         np.testing.assert_array_equal(u, raw / np.linalg.norm(raw))
     # Pairs with theta <= 1 carry no spectral information; the selection
     # threshold RITZ_SEPARATION > 1 keeps them out of the harvest.
-    assert solvers.RITZ_SEPARATION > 1.0
     e = np.eye(3)
     thetas = (0.5, 1.0, 1.5, 3.0)
     monkeypatch.setattr(solvers, "ritz_from_trace", lambda trace: [

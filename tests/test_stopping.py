@@ -7,7 +7,7 @@ from helpers import linear_model
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 from iterreg.solvers import RunHistory, RunRecord, irgnm_run
-from iterreg.stopping import (DeterministicPhi, DiscrepancyDriver,
+from iterreg.stopping import (RHO, TAU, DeterministicPhi, DiscrepancyDriver,
                               PhiBudgetDriver, SampledPhi, WhiteNoisePhi,
                               discrepancy_stop, lepskii_from_history,
                               lepskii_select)
@@ -16,21 +16,20 @@ from iterreg.testbed import (DenseOracle, generate_noise,
 
 
 def test_discrepancy_first_crossing():
-    # residuals (5, 3, 1, 0.5) with tau*delta = 2 stop at index 2.
-    assert discrepancy_stop([5.0, 3.0, 1.0, 0.5], tau=2.0, delta=1.0) == 2
+    # residuals (5, 3, 1, 0.5) with TAU * delta = 2 stop at index 2.
+    assert TAU == 2.0
+    assert discrepancy_stop([5.0, 3.0, 1.0, 0.5], delta=1.0) == 2
 
 
 def test_discrepancy_never_reached():
-    assert discrepancy_stop([5.0, 4.0], tau=2.0, delta=0.1) is None
+    assert discrepancy_stop([5.0, 4.0], delta=0.1) is None
 
 
 def test_discrepancy_validation():
     with pytest.raises(ContractError):
-        discrepancy_stop([], 2.0, 1.0)
+        discrepancy_stop([], 1.0)
     with pytest.raises(ContractError):
-        discrepancy_stop([1.0], 1.0, 1.0)
-    with pytest.raises(ContractError):
-        discrepancy_stop([1.0], 2.0, -1.0)
+        discrepancy_stop([1.0], -1.0)
 
 
 def _pairs(lambdas):
@@ -187,25 +186,23 @@ def test_lepskii_hand_case_matches_brute_force():
     iterates = [np.array([0.0]), np.array([1.0]), np.array([1.05]),
                 np.array([3.0])]
     phis = [0.01, 0.1, 0.5, 1.0]
-    rho = 4.1
 
     def brute_force():
         k_max = len(iterates) - 1
         for k in range(k_max + 1):
             ok = True
             for m in range(k + 1, k_max + 1):
-                if np.linalg.norm(iterates[k] - iterates[m]) > rho * phis[m]:
+                if np.linalg.norm(iterates[k] - iterates[m]) > RHO * phis[m]:
                     ok = False
                     break
             if ok:
                 return k
         return k_max
 
-    got = lepskii_select(iterates, phis, rho)
+    got = lepskii_select(iterates, phis)
     assert got == brute_force()
-    # x_0 fails against x_3 (3 > 4.1*1 is false) -> check the hand value too:
-    # |x_0-x_1|=1 <= 0.41? no. |x_1-x_2|=0.05 <= 2.05 and |x_1-x_3|=2 <= 4.1,
-    # so k=1 balances.
+    # The hand value at RHO = 4.1: |x_0-x_1|=1 <= 0.41? no.
+    # |x_1-x_2|=0.05 <= 2.05 and |x_1-x_3|=2 <= 4.1, so k=1 balances.
     assert got == 1
 
 
@@ -215,32 +212,29 @@ def test_lepskii_random_against_brute_force():
         count = int(rng.integers(1, 12))
         iterates = [rng.standard_normal(3) for _ in range(count)]
         phis = np.sort(rng.uniform(0.01, 2.0, size=count)).tolist()
-        rho = float(rng.uniform(4.01, 8.0))
         k_max = count - 1
         expected = k_max
         for k in range(count):
-            if all(np.linalg.norm(iterates[k] - iterates[m]) <= rho * phis[m]
+            if all(np.linalg.norm(iterates[k] - iterates[m]) <= RHO * phis[m]
                    for m in range(k + 1, count)):
                 expected = k
                 break
-        assert lepskii_select(iterates, phis, rho) == expected
+        assert lepskii_select(iterates, phis) == expected
 
 
 def test_lepskii_validation():
     x = [np.zeros(2), np.ones(2)]
     with pytest.raises(ContractError):
-        lepskii_select(x, [0.1], 4.1)
+        lepskii_select(x, [0.1])
     with pytest.raises(ContractError):
-        lepskii_select(x, [0.1, 0.2], 4.0)
-    with pytest.raises(ContractError):
-        lepskii_select([], [], 4.1)
+        lepskii_select([], [])
 
 
 def test_lepskii_last_index_vacuous():
     # With a huge jump right at the end, only k = K_max satisfies the
     # (vacuous) condition.
     iterates = [np.array([0.0]), np.array([100.0])]
-    assert lepskii_select(iterates, [0.01, 0.01], 4.1) == 1
+    assert lepskii_select(iterates, [0.01, 0.01]) == 1
 
 
 def test_estimators_before_first_build_return_zero():
@@ -254,7 +248,7 @@ def test_estimators_before_first_build_return_zero():
 
 
 def test_stop_drivers():
-    disc = DiscrepancyDriver(2.0, 0.5)
+    disc = DiscrepancyDriver(0.5)
     assert not disc(0, 1.5, None)
     assert disc(k=1, residual_norm=1.0, phi=None)
     budget = PhiBudgetDriver(0.3)
@@ -264,7 +258,7 @@ def test_stop_drivers():
     # a NaN Phi counts as over budget, online as offline
     assert budget(3, 1.0, float("nan"))
     with pytest.raises(ContractError):
-        DiscrepancyDriver(1.0, 0.5)
+        DiscrepancyDriver(-0.5)
     with pytest.raises(ContractError):
         PhiBudgetDriver(0.0)
 
@@ -285,13 +279,13 @@ def test_lepskii_from_history_truncates_at_budget():
     phis = [0.01, 0.1, 0.5, 1.0, 9.0]
     history = _history_from(xs, phis)
     # bound 2.0 truncates to K_max = 3, reproducing the hand case
-    assert lepskii_from_history(history, rho=4.1, bound=2.0) == 1
+    assert lepskii_from_history(history, bound=2.0) == 1
     # a NaN Phi ends the admissible range like an over-budget one
     nan_at_3 = _history_from(xs, phis[:3] + [float("nan"), 0.5])
-    assert lepskii_from_history(nan_at_3, rho=4.1, bound=2.0) == 1
+    assert lepskii_from_history(nan_at_3, bound=2.0) == 1
     for bound in (0.0, -1.0):
         with pytest.raises(ContractError):
-            lepskii_from_history(history, rho=4.1, bound=bound)
+            lepskii_from_history(history, bound=bound)
 
 
 def test_lepskii_from_history_phi0_over_budget_is_not_reached():
@@ -301,8 +295,8 @@ def test_lepskii_from_history_phi0_over_budget_is_not_reached():
     # stops at k = 0.
     xs = [[0.0], [1.0], [1.05]]
     history = _history_from(xs, [0.01, 0.1, 0.5])
-    assert lepskii_from_history(history, rho=4.1, bound=0.001) is None
-    assert lepskii_from_history(_history_from(xs[:1], [0.01]), rho=4.1,
+    assert lepskii_from_history(history, bound=0.001) is None
+    assert lepskii_from_history(_history_from(xs[:1], [0.01]),
                                 bound=0.001) is None
 
 
@@ -326,20 +320,20 @@ def test_lepskii_from_history_refuses_phi_zero_at_every_step(
     assert len(history.records) > 1
     assert {r.phi_k for r in history.records} == {0.0}
     with pytest.raises(ContractError, match="nothing to balance"):
-        lepskii_from_history(history, rho=4.1, bound=5.0)
+        lepskii_from_history(history, bound=5.0)
 
 
 def test_lepskii_from_history_one_record_with_phi_zero():
     # A run that ended at k = 0 (a breakdown there) has one record; its
     # balancing index is 0 whatever its Phi.
     assert lepskii_from_history(_history_from([[1.0]], [0.0]),
-                                rho=4.1, bound=1.0) == 0
+                                bound=1.0) == 0
     with pytest.raises(ContractError, match="nothing to balance"):
         lepskii_from_history(_history_from([[1.0], [2.0]], [0.0, 0.0]),
-                             rho=4.1, bound=1.0)
+                             bound=1.0)
 
 
 def test_lepskii_from_history_requires_phi():
     history = _history_from([[0.0], [1.0]], [0.1, None])
     with pytest.raises(ContractError):
-        lepskii_from_history(history, rho=4.1, bound=1.0)
+        lepskii_from_history(history, bound=1.0)
