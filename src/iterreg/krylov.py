@@ -11,6 +11,8 @@ are extracted together with an exact residual bound
 ||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
 ``select_ritz`` keeps the pairs with theta >= RITZ_SEPARATION = 1.1 and a
 residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times theta.
+``trace_from_lanczos`` gives the trace of a CG run from Lanczos data of the
+same Krylov space.
 
 The loops update in place only arrays they allocated themselves (the
 iterate, the residual, the search direction, the basis and the vector it
@@ -161,6 +163,37 @@ def tridiagonal_from_trace(trace: CgTrace):
     diag[1:] += b / a[:-1]
     offdiag = -np.sqrt(b) / a[:-1]
     return diag, offdiag
+
+
+def trace_from_lanczos(diag, offdiag, rows, shift, scale, start_norm,
+                       converged):
+    """The CgTrace of CG on a normal operator S = (B + shift I)/scale, from
+    l Lanczos steps on B.
+
+    ``diag`` (a_1..a_l), ``offdiag`` (b_1..b_l) and the basis ``rows``
+    (q_1..q_l) come from Lanczos on a symmetric B from a start vector of norm
+    ``start_norm``; b_l is the norm that continues the run, 0 once its
+    Krylov space is exhausted. CG from r^0 = start / sqrt(scale) spans the
+    same spaces. Inverting the recurrence of ``tridiagonal_from_trace``
+    through the pivots d_j of T_l + shift I = L D L^T (d_1 = a_1 + shift,
+    d_{j+1} = a_{j+1} + shift - b_j^2/d_j) gives its coefficients
+    alpha_j = scale/d_j and beta_j = (b_j/d_j)^2, its residual norms
+    ||r^j|| = ||r^{j-1}|| b_j/d_j, its basis rows (-1)^j q_{j+1} and
+    sqrt(beta_l)/alpha_l = b_l/scale.
+    """
+    l = len(diag)
+    pivots = np.empty(l)
+    for j in range(l):
+        pivots[j] = diag[j] + shift \
+            - (offdiag[j - 1] ** 2 / pivots[j - 1] if j else 0.0)
+    ratios = np.asarray(offdiag, dtype=float) / pivots
+    norms = start_norm / math.sqrt(scale) * np.cumprod(np.append(1.0, ratios))
+    signs = np.where(np.arange(l) % 2, -1.0, 1.0)
+    return CgTrace(
+        alphas=(scale / pivots).tolist(), betas=(ratios[:-1] ** 2).tolist(),
+        z_basis=rows * signs[:, None],
+        final_beta_over_alpha=float(offdiag[l - 1] / scale) if l else 0.0,
+        iterations=l, converged=converged, residual_norms=norms.tolist())
 
 
 @dataclass

@@ -17,6 +17,15 @@ INNER_RHO = 0.8 times the residual, and every inner solve stops after
 MAX_INNER = 200 iterations; the harvest keeps the Ritz pairs that
 ``krylov.select_ritz`` keeps. Each constant is read when a step uses it.
 
+An irgnm run without a given gamma0 takes it from GRAM_ESTIMATE_STEPS = 5
+Lanczos steps on A_0^T A_0 (``_Lanczos``), started from the first inner
+solve's right-hand side A_0^T (y - F(x0)), and its first solve continues
+that Lanczos run instead of starting a Krylov space of its own: one basis
+gives the norm estimate and, through T_l + gamma I, the CG iterate of any
+shift (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).
+Landweber's mu and the fallback of ``_estimate_from_gradient`` take the
+estimate from a random start (``estimate_gram_norm``).
+
 The three runs are called as ``run(model, y_obs, x0, *, <settings>,
 stop=None, truth=None)`` and refuse bad settings before any model unit.
 
@@ -34,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .krylov import (CgBreakdownError, GramSchmidtBasis, pcg_solve,
-                     ritz_from_trace, select_ritz)
+                     ritz_from_trace, select_ritz, trace_from_lanczos)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -132,42 +141,140 @@ class RunHistory:
         return self.records[-1].cumulative_cost if self.records else 0
 
 
+class _Lanczos:
+    """Lanczos tridiagonalization of A^T A from a start vector b, its basis
+    q_1, q_2, ... kept orthonormal in a GramSchmidtBasis of ``capacity``
+    rows.
+
+    ``alphas`` holds a_j = ||A q_j||^2 and ``betas`` b_j, the length of the
+    component of A^T A q_j orthogonal to q_1..q_j, which normalized is
+    q_{j+1}; b_j is 0 once that component is dependent on the basis (the
+    Krylov space is exhausted). ``grow`` adds a_{j+1} for one Jacobian
+    apply, after the adjoint apply that b_j waits for, so a run read after
+    j steps has cost 2j - 1 units past the start vector. ``solve`` continues
+    the run as CG on (A^T A + gamma I) h = b.
+    """
+
+    def __init__(self, jac, start, capacity):
+        self.jac = jac
+        self.basis = GramSchmidtBasis(jac.domain_dim, capacity)
+        self._q, self.start_norm = self.basis.add(start)
+        self._image = None  # A q_j while b_j waits for its adjoint apply
+        self.alphas, self.betas = [], []
+
+    def _close(self):
+        """Add b_j for the last a_j, unless it is there."""
+        if self._image is not None:
+            self._q, beta = self.basis.add(
+                self.jac.apply_adjoint(self._image))
+            self.betas.append(0.0 if self._q is None else beta)
+            self._image = None
+
+    def grow(self):
+        """Add a step; False, and no Jacobian apply, once the Krylov space
+        is exhausted. An ||A q||^2 that overflows raises a ContractError."""
+        self._close()
+        if self._q is None:
+            return False
+        self._image = self.jac.apply(self._q)
+        alpha = float(np.vdot(self._image, self._image))  # no overflow warning
+        if not math.isfinite(alpha):
+            raise ContractError("||A^T A|| exceeds the float range")
+        self.alphas.append(alpha)
+        return True
+
+    def grow_to(self, steps):
+        """Grow to min(steps, dim) steps unless the space is exhausted first;
+        return whether it was."""
+        steps = min(steps, self.jac.domain_dim)
+        while len(self.alphas) < steps and self.grow():
+            pass
+        return len(self.alphas) < steps
+
+    def theta_max(self):
+        """The largest eigenvalue of T_j, refused unless positive."""
+        j = len(self.alphas)
+        # eigvalsh reads the lower triangle of T_j, which holds j - 1 betas
+        theta = float(np.linalg.eigvalsh(
+            np.diag(self.alphas) + np.diag(self.betas[:j - 1], -1))[-1])
+        if not theta > 0.0:
+            raise ContractError(
+                "A^T A vanishes on the start vector: no estimate of ||A^T A||")
+        return theta
+
+    def solve(self, gamma, scale, epsilon):
+        """Continue the run as CG on (A^T A + gamma I) h = b, to the stop
+        test and the cap of ``pcg_solve``: after step l, the Galerkin iterate
+        h_l = ||b|| Q_l y_l with y_l = (T_l + gamma I)^{-1} e_1 has the
+        residual norm ||b|| b_l |e_l^T y_l|, and the solve ends once that is
+        at most epsilon gamma ||h_l||, or b_l = 0, or after MAX_INNER steps.
+
+        Returns (h, trace), trace being the CgTrace ``pcg_solve`` returns on
+        an operator (A^T A + gamma I)/scale with start residual
+        b / sqrt(scale): scale 1 for the Tikhonov system, gamma for its
+        two-sided form over the empty pair set.
+        """
+        l, converged, y = 0, self.start_norm == 0.0, np.zeros(0)
+        while not converged and l < MAX_INNER:
+            l += 1
+            if len(self.alphas) < l:
+                self.grow()
+            if len(self.betas) < l:
+                self._close()
+            off = self.betas[:l - 1]
+            e1 = np.zeros(l)
+            e1[0] = self.start_norm
+            y = np.linalg.solve(np.diag(np.add(self.alphas[:l], gamma))
+                                + np.diag(off, -1) + np.diag(off, 1), e1)
+            converged = self.betas[l - 1] * abs(y[-1]) \
+                <= epsilon * gamma * math.sqrt(y.dot(y))
+        rows = self.basis.rows[:l]
+        return y @ rows, trace_from_lanczos(
+            self.alphas[:l], self.betas[:l], rows, gamma, scale,
+            self.start_norm, converged)
+
+
 def estimate_gram_norm(jac, iterations=GRAM_ESTIMATE_STEPS):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
-    Runs ``iterations`` Lanczos steps on A^T A from a random start vector
-    of seed GRAM_ESTIMATE_SEED, its basis kept in a GramSchmidtBasis, and
-    returns the largest eigenvalue of the tridiagonal T_j they build. Each
-    step costs one Jacobian and one adjoint apply but the last, which reads
-    A^T A q only through q.(A^T A q) = ||A q||^2. Over the same Krylov
-    space this is never below the power-iteration estimate (Kuczynski &
-    Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992). A Krylov space
-    exhausted sooner, as when the domain has fewer than ``iterations``
-    dimensions, ends the run early with the exact value. Raises a
-    ContractError when ||A^T A|| exceeds the float range, or when A^T A
-    vanishes on the start vector, as for a zero Jacobian.
+    Runs ``iterations`` Lanczos steps (``_Lanczos``) on A^T A from a random
+    start vector of seed GRAM_ESTIMATE_SEED and returns the largest
+    eigenvalue of the tridiagonal T_j they build. Each step reads
+    q.(A^T A q) as ||A q||^2 from one Jacobian apply and makes one adjoint
+    apply for the next q, which the last step skips. Over the same Krylov
+    space this is
+    never below the power-iteration estimate (Kuczynski & Wozniakowski,
+    SIAM J. Matrix Anal. Appl. 13, 1992). A Krylov space exhausted sooner,
+    as when the domain has fewer than ``iterations`` dimensions, ends the
+    run early with the exact value. Raises a ContractError when ||A^T A||
+    exceeds the float range, or when A^T A vanishes on the start vector,
+    as for a zero Jacobian.
     """
     rng = np.random.default_rng(GRAM_ESTIMATE_SEED)
-    basis = GramSchmidtBasis(jac.domain_dim, iterations)
-    q, _ = basis.add(rng.standard_normal(jac.domain_dim))
-    alphas, betas = [], []
-    while q is not None and basis.count < min(jac.domain_dim, iterations):
-        w = jac.apply_adjoint(jac.apply(q))
-        alphas.append(float(q.dot(w)))
-        q, beta = basis.add(w)
-        betas.append(beta)
-    if q is not None:  # the last step, which fills the basis
-        aq = jac.apply(q)
-        alphas.append(float(np.vdot(aq, aq)))  # no overflow warning
-    # eigvalsh reads the lower triangle of T_j, which holds j - 1 betas
-    theta = float(np.linalg.eigvalsh(
-        np.diag(alphas) + np.diag(betas[:len(alphas) - 1], -1))[-1])
-    if not math.isfinite(theta):
-        raise ContractError("||A^T A|| exceeds the float range")
-    if not theta > 0.0:
-        raise ContractError(
-            "A^T A vanishes on the start vector: no estimate of ||A^T A||")
-    return theta
+    lanczos = _Lanczos(jac, rng.standard_normal(jac.domain_dim), iterations)
+    lanczos.grow_to(iterations)
+    return lanczos.theta_max()
+
+
+def _estimate_from_gradient(jac, residual):
+    """(gamma0, lanczos) of an irgnm run that estimates gamma0 at x0.
+
+    The Lanczos run starts from the first inner solve's right-hand side
+    b = A^T (y - F(x0)), the prior term being zero at x0, and gamma0 is the
+    largest eigenvalue of its T_j after GRAM_ESTIMATE_STEPS steps, as
+    ``estimate_gram_norm`` takes it from a random start; ``lanczos.solve``
+    then continues the same run as the first solve. Its basis holds
+    max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1 rows. When b = 0, or its Krylov
+    space is exhausted before min(GRAM_ESTIMATE_STEPS, dim) steps, so that
+    T_j may miss the top of the spectrum, gamma0 is the random-start
+    estimate instead; the first solve is still the continued run, which
+    then ends on the exhausted space (at h = 0 when b = 0).
+    """
+    lanczos = _Lanczos(jac, jac.apply_adjoint(residual),
+                       max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1)
+    if lanczos.grow_to(GRAM_ESTIMATE_STEPS):
+        return estimate_gram_norm(jac), lanczos
+    return lanczos.theta_max(), lanczos
 
 
 def _plan_step(k, m, last_build, prev_inner, variant):
@@ -265,11 +372,13 @@ class _OuterLoop:
     """The outer iteration every method shares.
 
     Construction checks the inputs and starts the model-unit meter and the
-    clock, so setup work a method does afterwards (a gamma0 or mu estimate)
+    clock, so setup work a method does afterwards (Landweber's mu estimate)
     counts toward its run: ``run`` stores those units in
-    ``meta["estimate_units"]``, 0 when the caller gave the value. Per step
-    it evaluates F(x_k), opens the record of step k (m = k, event Final),
-    lets ``probe(rec)`` fill in m, gamma_k and phi_k, and consults the stop
+    ``meta["estimate_units"]``, 0 when the caller gave the value; irgnm's
+    probe overwrites it with the units of its gamma0 estimate. Per step it
+    evaluates F(x_k), opens the record of step k (m = k, event Final),
+    lets ``probe(rec, residual)`` fill in m, gamma_k and phi_k (at k = 0 it
+    may estimate gamma0 from the residual y - F(x_0)), and consults the stop
     driver ``stop(k, residual_norm, phi_k)``, which ends the run at k with
     terminal StopRule when it returns True, and the divergence guard. Unless
     the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
@@ -277,9 +386,12 @@ class _OuterLoop:
     relinearization, m. A tripped divergence guard, or a ContractError or
     CgBreakdownError raised by the step or by evaluating the x_{k+1} it
     produced, ends the run at k with terminal Breakdown and the reason in
-    ``meta["breakdown"]``; after a failed step the record's cumulative_cost
-    is re-read so it includes the units that step spent. A failure of
-    F(x_0) raises, since no residual exists to record.
+    ``meta["breakdown"]``. Residual norms are taken with np.vdot, so one
+    whose square overflows is inf, which trips the guard, without a
+    warning. A failure of F(x_0), or of its residual norm, raises, since no
+    residual exists to record. When the run ends, its last record's
+    cumulative_cost is re-read, so it includes the units a failed step or
+    an estimate at k = 0 spent after x_k was evaluated.
 
     A run that records step ``max_steps`` ends there with terminal
     ``cap_reason``: MaxNewton, or StepCap for Landweber, which takes no
@@ -308,7 +420,9 @@ class _OuterLoop:
         meta["estimate_units"] = model.cost.total - self.cost_start
         residual_vec = self.y_obs - model.evaluate(x)
         for k in range(max_steps + 1):
-            rn = math.sqrt(residual_vec.dot(residual_vec))
+            rn = math.sqrt(np.vdot(residual_vec, residual_vec))
+            if k == 0 and not math.isfinite(rn):
+                raise ContractError("||y - F(x0)||^2 exceeds the float range")
             diff = None if truth is None else x - truth
             # cumulative_cost and wall_time_s read the meters when x_k was
             # evaluated, so (cost, error) rows pair up in work-precision
@@ -318,11 +432,12 @@ class _OuterLoop:
                 inner_iterations=0,
                 cumulative_cost=model.cost.total - self.cost_start,
                 phi_k=None, event=EVENT_FINAL,
-                error=None if diff is None else math.sqrt(diff.dot(diff)),
+                error=None if diff is None
+                else math.sqrt(np.vdot(diff, diff)),
                 wall_time_s=time.perf_counter() - self.t_start)
             records.append(rec)
             if probe is not None:
-                probe(rec)
+                probe(rec, residual_vec)
             if stop is not None and stop(k, rn, rec.phi_k):
                 terminal = TERMINAL_STOP
                 break
@@ -344,10 +459,10 @@ class _OuterLoop:
                 if getattr(exc, "trace", None) is not None:
                     rec.inner_iterations = exc.trace.iterations
                 rec.event = EVENT_FINAL
-                rec.cumulative_cost = model.cost.total - self.cost_start
                 terminal = TERMINAL_BREAKDOWN
                 meta["breakdown"] = str(exc)
                 break
+        records[-1].cumulative_cost = model.cost.total - self.cost_start
         return RunHistory(records=records, terminal_reason=terminal,
                           method=method, meta=meta)
 
@@ -365,8 +480,12 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     a relinearization), then the Ritz harvest merged into that set. A
     Plain step runs CG at standard tolerance, left-preconditioned by the
     current pair set if there is one. gamma0 = None takes the Lanczos
-    estimate of ||A_0^T A_0|| (``estimate_gram_norm``); a given gamma0
-    must be positive and finite.
+    estimate of ||A_0^T A_0|| after F(x_0) from the first solve's
+    right-hand side (``_estimate_from_gradient``), and the k = 0 solve,
+    Recompute or Plain, continues that Lanczos run; its state is dropped
+    after the step. ``meta["estimate_units"]`` counts the estimate's units
+    that solve did not reuse: none once it takes GRAM_ESTIMATE_STEPS
+    iterations. A given gamma0 must be positive and finite.
 
     Returns a RunHistory named irgnm-<variant>, whose last record (event
     Final) carries the terminal iterate; ``phi_estimator`` (an object with
@@ -377,21 +496,27 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
                           gamma0=gamma0)
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    if gamma0 is None:
-        gamma0 = estimate_gram_norm(model.linearize(x0))
-    jac = prev_inner = None
-    precond = SpectralPreconditioner.empty(gamma0, model.domain_dim)
+    jac = prev_inner = first = precond = None
     m = last_build = 0
     meta = {"gamma0": gamma0, "inner_unconverged": 0}
 
-    def probe(rec):
+    def probe(rec, residual_vec):
+        nonlocal gamma0, precond, first
+        if rec.k == 0:
+            if gamma0 is None:
+                start = model.cost.total
+                gamma0, first = _estimate_from_gradient(
+                    model.linearize(x0), residual_vec)
+                meta["gamma0"] = gamma0
+                meta["estimate_units"] = model.cost.total - start
+            precond = SpectralPreconditioner.empty(gamma0, model.domain_dim)
         rec.gamma_k = gamma0 * max(GAMMA_FACTOR ** (-rec.k), GAMMA_FLOOR)
         rec.m = m
         if phi_estimator is not None:
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
     def step(rec, x, residual_vec):
-        nonlocal jac, precond, m, last_build, prev_inner
+        nonlocal jac, precond, m, last_build, prev_inner, first
         k, gamma_k = rec.k, rec.gamma_k
         rec.event, relinearize = _plan_step(k, m, last_build, prev_inner,
                                             variant)
@@ -402,19 +527,27 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
         if rec.event == EVENT_PLAIN:
             live = precond.with_gamma(gamma_k) if precond.pair_count else None
-            h, trace = pcg_solve(sys, live, EPS_STANDARD, MAX_INNER)
+            h, trace = pcg_solve(sys, live, EPS_STANDARD, MAX_INNER) \
+                if first is None else first.solve(gamma_k, 1.0, EPS_STANDARD)
             prev_inner = trace.iterations
         else:
             base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
                 if relinearize else precond.with_gamma(gamma_k)
-            tsys = TwoSidedSystem(sys, base)
-            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
-            h = tsys.pull_back(h_t)
+            if first is None:
+                tsys = TwoSidedSystem(sys, base)
+                h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+                h = tsys.pull_back(h_t)
+            else:
+                h, trace = first.solve(gamma_k, gamma_k, EPS_ACCURATE)
             precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
             prev_inner = None
+        if first is not None:  # the estimate's units this solve reused
+            meta["estimate_units"] -= min(meta["estimate_units"],
+                                          1 + 2 * trace.iterations)
+            first = None
         rec.inner_iterations = trace.iterations
         meta["inner_unconverged"] += not trace.converged
         return h

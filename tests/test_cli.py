@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import GRAM_ESTIMATE_UNITS, nan_on_call, nan_on_evaluation
+from helpers import (GRAM_ESTIMATE_STEPS, GRAM_ESTIMATE_UNITS, nan_on_call,
+                     nan_on_evaluation)
 from iterreg import cli, solvers
 from iterreg.cli import (ConfigError, ExperimentConfig, apply_stop_rule,
                          build_data, build_problem, expand_methods, main,
@@ -506,24 +507,26 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path,
 
 
 def test_summaries_report_the_estimate_and_its_units(tmp_path):
-    # An estimated gamma0 or mu costs GRAM_ESTIMATE_UNITS units, and
-    # each summary carries the value the run used. The CLI always estimates
-    # gamma0; a given one, which costs nothing, is library-only.
+    # An estimated mu costs GRAM_ESTIMATE_UNITS units, and an estimated
+    # gamma0 none once the first solve, which continues its Lanczos run,
+    # takes at least GRAM_ESTIMATE_STEPS iterations. Each summary carries
+    # the value the run used. The CLI always estimates gamma0; a given one,
+    # which costs nothing, is library-only.
     cfg = ExperimentConfig.from_text(BASE)
     history, _ = run_single(cfg, tmp_path / "solve")
     with open(tmp_path / "solve" / "summary.json") as fh:
         summary = json.load(fh)
+    assert history.records[0].inner_iterations >= GRAM_ESTIMATE_STEPS
     assert (summary["estimate_units"], summary["gamma0"], summary["mu"]) \
-        == (GRAM_ESTIMATE_UNITS, history.meta["gamma0"], None)
+        == (0, history.meta["gamma0"], None)
 
     cfg.solver["methods"] = "irgnm-prec, newton-cg, landweber"
     cfg.solver["landweber_steps"] = 5
     histories = run_work_precision(expand_methods(cfg), tmp_path / "wp")
     with open(tmp_path / "wp" / "summary.json") as fh:
         summary = json.load(fh)
-    units = GRAM_ESTIMATE_UNITS
-    assert summary["estimate_units"] \
-        == {"irgnm-prec": units, "newton-cg": 0, "landweber": units}
+    assert summary["estimate_units"] == {
+        "irgnm-prec": 0, "newton-cg": 0, "landweber": GRAM_ESTIMATE_UNITS}
     assert summary["gamma0"] == {"irgnm-prec": histories[0].meta["gamma0"],
                                  "newton-cg": None, "landweber": None}
     assert summary["mu"] == {"irgnm-prec": None, "newton-cg": None,

@@ -9,7 +9,8 @@ from helpers import dense_tikhonov_solution, ritz_pair, tikhonov_system
 from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
                             CgBreakdownError, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
-                            select_ritz, tridiagonal_from_trace)
+                            select_ritz, trace_from_lanczos,
+                            tridiagonal_from_trace)
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 
@@ -120,6 +121,25 @@ def test_tridiagonal_matches_projected_operator():
     projected = z.T @ gtg @ z
     dense_t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     np.testing.assert_allclose(dense_t, projected, atol=1e-8)
+
+
+def test_trace_from_lanczos_inverts_tridiagonal_from_trace():
+    # CG on (B + shift I)/scale has the Lanczos matrix of that operator in
+    # its residual basis, whose rows alternate the sign of q_j: the trace
+    # built from T_l of B gives back (T_l + shift I)/scale with negated
+    # off-diagonals, and sqrt(beta_l)/alpha_l is b_l/scale.
+    rng = np.random.default_rng(8)
+    diag, off = rng.uniform(0.5, 2.0, 6), rng.uniform(0.1, 1.0, 6)
+    rows = np.linalg.qr(rng.standard_normal((9, 6)))[0].T
+    trace = trace_from_lanczos(diag, off, rows, 0.3, 0.3, 2.0, True)
+    t_diag, t_off = tridiagonal_from_trace(trace)
+    np.testing.assert_allclose(t_diag, (diag + 0.3) / 0.3, rtol=1e-13)
+    np.testing.assert_allclose(t_off, -off[:5] / 0.3, rtol=1e-13)
+    assert trace.final_beta_over_alpha == pytest.approx(off[5] / 0.3)
+    np.testing.assert_array_equal(trace.z_basis[1::2], -rows[1::2])
+    np.testing.assert_array_equal(trace.z_basis[::2], rows[::2])
+    assert trace.residual_norms[0] == pytest.approx(2.0 / np.sqrt(0.3))
+    assert (trace.iterations, len(trace.residual_norms)) == (6, 7)
 
 
 def test_single_iteration_ritz_data():

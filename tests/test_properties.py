@@ -8,8 +8,9 @@ identity, the Cholesky-reduced pencil against the similarity route on random
 pair sets, the CG accuracy contract, the CG loops against their reference
 implementations, the finiteness check of ``as_vector``, the Lanczos
 estimate of ||A^T A|| against the power iteration it replaced and the dense
-norm, the equivariance of every method under the problem's scale, and the
-agreement of each CLI stop rule's driver with its resolver.
+norm, the first irgnm solve that continues that estimate against a solve
+from scratch, the equivariance of every method under the problem's scale,
+and the agreement of each CLI stop rule's driver with its resolver.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
@@ -20,7 +21,8 @@ a random Tikhonov system checked against ``DenseOracle`` or dense matrices,
 as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
-diagonal or nonlinear-composite problem; for the scale and the stop rules
+diagonal or nonlinear-composite problem, and for its continuation that of
+a diagonal or convolution composite; for the scale and the stop rules
 a random nonlinear-diagonal problem and noise draw.
 """
 
@@ -45,16 +47,17 @@ from iterreg.krylov import (RITZ_RESIDUAL_TOL, GramSchmidtBasis, pcg_solve,
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import (EPS_ACCURATE, GAMMA_FACTOR, MAX_INNER,
-                             TERMINAL_MAX, TERMINAL_STOP, _harvest,
+from iterreg.solvers import (EPS_ACCURATE, EPS_STANDARD, GAMMA_FACTOR,
+                             MAX_INNER, TERMINAL_MAX, TERMINAL_STOP,
+                             _estimate_from_gradient, _harvest,
                              _truncated_cgne, estimate_gram_norm, irgnm_run,
                              landweber_run, newton_cg_run)
 from iterreg.stopping import (DiscrepancyDriver, PhiBudgetDriver, SampledPhi,
                               WhiteNoisePhi, discrepancy_stop,
                               lepskii_from_history)
 from iterreg.testbed import (DenseOracle, generate_noise,
-                             make_diagonal_problem, make_nonlinear_composite,
-                             noise_sigma_for_level)
+                             make_convolution_problem, make_diagonal_problem,
+                             make_nonlinear_composite, noise_sigma_for_level)
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None,
                     database=None)
@@ -320,6 +323,69 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
                                       - pair.theta * pair.vector)
             assert residual <= RITZ_RESIDUAL_TOL * pair.theta
         base = merge_pairs(base, _harvest(trace, base))
+
+
+def _drift(trace):
+    """||r_0|| / min_j ||r_j|| over the nonzero residuals of a CG trace."""
+    norms = np.array(trace.residual_norms)
+    return norms[0] / norms[norms > 0].min()
+
+
+@PROPERTY
+@given(st.booleans(), st.integers(2, 40), st.integers(0, 20),
+       st.floats(0.02, 1.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
+        convolution, m, extra, decay, c3, seed):
+    # The first solve of an estimating irgnm run continues the Lanczos run
+    # that estimated gamma0 from b0 = A^T r0. Its step, stop and Ritz
+    # harvest must be those of pcg_solve from scratch at the same gamma0,
+    # for the two-sided Recompute at EPS_ACCURATE and the Plain step at
+    # EPS_STANDARD, and its derived trace must satisfy the Ritz residual
+    # identity against the dense two-sided operator, as in the test above.
+    base = make_convolution_problem(n=m + 6, seed=seed % 2**16) \
+        if convolution else make_diagonal_problem(
+            m=m, n=m + extra, decay_a=decay, seed=seed % 2**16)
+    problem = make_nonlinear_composite(base, c3=c3)
+    m = problem.model.domain_dim
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    residual = rng.standard_normal(problem.model.range_dim)
+    gram = DenseOracle.for_problem(problem, x).gram
+    for accurate in (True, False):
+        jac = problem.model.linearize(x)
+        gamma0, lanczos = _estimate_from_gradient(jac, residual)
+        empty = SpectralPreconditioner.empty(gamma0, m)
+        sys = TikhonovSystem(jac, gamma0, residual, np.zeros(m))
+        if accurate:
+            h, trace = lanczos.solve(gamma0, gamma0, EPS_ACCURATE)
+            tsys = TwoSidedSystem(sys, empty)
+            h_cold, cold = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+            h_cold = tsys.pull_back(h_cold)
+        else:
+            h, trace = lanczos.solve(gamma0, 1.0, EPS_STANDARD)
+            h_cold, cold = pcg_solve(sys, None, EPS_STANDARD, MAX_INNER)
+        assert (trace.iterations, trace.converged) \
+            == (cold.iterations, cold.converged)
+        assert np.linalg.norm(h - h_cold) <= 1e-12 * np.linalg.norm(h_cold)
+        # The cold solve's coefficients drift as in the identity test above,
+        # by eps ||r_0|| / min_j ||r_j|| relative to the operator norm; the
+        # continued run's reorthogonalized Lanczos data do not (an 8-point
+        # convolution run to exhaustion puts the cold values up to 1.8e-9
+        # off the dense eigenvalues and the continued ones 1.2e-15 off).
+        pairs, pairs_cold = _harvest(trace, empty), _harvest(cold, empty)
+        assert len(pairs) == len(pairs_cold)
+        operator = (gram + gamma0 * np.eye(m)) / gamma0
+        slack = np.linalg.norm(operator, 2) * gamma0 \
+            * np.finfo(float).eps * _drift(cold)
+        for (lam, _), (lam_cold, _) in zip(pairs, pairs_cold):
+            assert abs(lam - lam_cold) <= 1e-10 * lam_cold + slack
+        if accurate and trace.iterations:
+            tol = np.linalg.norm(operator, 2) \
+                * (1e-13 + np.finfo(float).eps * _drift(trace))
+            for pair in ritz_from_trace(trace):
+                direct = np.linalg.norm(operator @ pair.vector
+                                        - pair.theta * pair.vector)
+                assert abs(direct - pair.residual_bound) <= tol
 
 
 @PROPERTY

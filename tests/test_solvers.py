@@ -14,8 +14,8 @@ from helpers import (GRAM_ESTIMATE_STEPS, GRAM_ESTIMATE_UNITS, linear_model,
                      should_recompute, truncated_cgne_reference)
 from iterreg import krylov, solvers, stopping
 from iterreg.krylov import pcg_solve, ritz_from_trace
-from iterreg.operators import (LEVENBERG_MARQUARDT, ContractError,
-                               TikhonovSystem)
+from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
+                               ForwardModel, TikhonovSystem)
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
 from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
@@ -228,12 +228,121 @@ def test_gamma0_auto_resolution_costs_the_estimate():
     problem = make_diagonal_problem(m=10, n=14, seed=3)
     y = problem.model.evaluate(problem.truth)
     history = irgnm_run(problem.model, y, np.zeros(10), max_newton=2)
-    # the Lanczos steps of the estimate, 2 units each but 1 for the last,
-    # plus the k=0 evaluation
-    assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS == 9
-    assert history.records[0].cumulative_cost == GRAM_ESTIMATE_UNITS + 1
+    # The estimate runs after F(x0), from the first solve's right-hand side,
+    # and that solve continues its Lanczos run: the k = 0 row has paid only
+    # its evaluation, and a first solve of at least GRAM_ESTIMATE_STEPS
+    # iterations reuses every unit of the estimate.
+    first = history.records[0]
+    assert first.inner_iterations >= GRAM_ESTIMATE_STEPS
+    assert first.cumulative_cost == 1
+    assert history.records[1].cumulative_cost \
+        == 1 + (1 + 2 * first.inner_iterations) + 1
+    assert history.meta["estimate_units"] == 0
     # sigma_0 = 1 so ||A^T A|| = 1; the estimate must be close
     assert history.meta["gamma0"] == pytest.approx(1.0, rel=0.1)
+
+
+@pytest.mark.parametrize("variant", ["prec", "plain", "frozen"])
+@pytest.mark.parametrize("rhs_kind", [IRGNM, LEVENBERG_MARQUARDT])
+def test_first_step_of_an_estimating_run_costs_its_solve(variant, rhs_kind):
+    # The first solve of l0 iterations costs 1 + 2 l0 units, as a cold CG
+    # solve would; the estimate's 2 GRAM_ESTIMATE_STEPS units (the start
+    # vector's adjoint apply and five Lanczos steps but the last adjoint)
+    # are part of them once l0 >= GRAM_ESTIMATE_STEPS, and the rest is
+    # estimate_units. irgnm-plain's first solve, at EPS_STANDARD, is short.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=10, n=14, seed=3), c3=0.5)
+    y = problem.model.evaluate(problem.truth)
+    history = irgnm_run(problem.model, y, np.zeros(10), max_newton=2,
+                        variant=variant, rhs_kind=rhs_kind)
+    l0 = history.records[0].inner_iterations
+    # the k = 1 row has paid F(x0), the first step and F(x1)
+    spent = history.records[1].cumulative_cost - 2
+    assert history.meta["estimate_units"] \
+        == max(0, 2 * GRAM_ESTIMATE_STEPS - 1 - 2 * l0)
+    assert spent == 1 + 2 * l0 + history.meta["estimate_units"]
+    assert (l0 >= GRAM_ESTIMATE_STEPS) == (variant != "plain")
+
+
+def test_estimating_run_stopped_at_k0_counts_the_estimate():
+    # A stop at k = 0 takes no step: the estimate's units are all unused,
+    # and the only row, re-read when the run ends, carries them.
+    problem = make_diagonal_problem(m=10, n=14, seed=3)
+    y = problem.model.evaluate(problem.truth)
+    before = problem.model.cost.total
+    history = irgnm_run(problem.model, y, np.zeros(10), max_newton=2,
+                        stop=lambda k, rn, phi: True)
+    assert history.terminal_reason == TERMINAL_STOP
+    assert history.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS
+    assert history.total_cost() == problem.model.cost.total - before \
+        == 1 + 2 * GRAM_ESTIMATE_STEPS
+
+
+def test_first_solve_without_a_start_vector_estimates_from_a_random_one():
+    # y = F(x0) makes b0 = A^T (y - F(x0)) = 0: gamma0 is the random-start
+    # estimate, its GRAM_ESTIMATE_UNITS units are unused, and the first
+    # solve returns h = 0 after no iteration, as a cold CG solve does.
+    a = np.diag(np.linspace(1.0, 3.0, 10))
+    model = linear_model(a)
+    x0 = np.linspace(-1.0, 1.0, 10)
+    history = irgnm_run(model, model.evaluate(x0), x0, max_newton=1)
+    assert history.meta["gamma0"] \
+        == estimate_gram_norm(model.linearize(x0))
+    assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS
+    assert history.records[0].inner_iterations == 0
+    assert history.records[1].cumulative_cost == 2 + 1 + GRAM_ESTIMATE_UNITS
+    np.testing.assert_array_equal(history.records[1].x_k, x0)
+
+
+def test_gamma0_from_an_exhausted_krylov_space_is_the_random_estimate():
+    # b0 lies in the span of two eigenvectors of A^T A, so its Krylov space
+    # is exhausted after two Lanczos steps, whose T_2 has the eigenvalues 4
+    # and 2.25 while ||A^T A|| = 9. gamma0 is then the random-start
+    # estimate, close to 9;
+    # the first solve continues the exhausted run to the exact Tikhonov
+    # step, in the two steps a cold solve takes.
+    a = np.diag([3.0, 2.0, 1.5, 1.0, 0.8, 0.6, 0.5, 0.4])
+    model = linear_model(a)
+    y = np.zeros(8)
+    y[1:3] = [1.0, -2.0]
+    history = irgnm_run(model, y, np.zeros(8), max_newton=1)
+    gamma0 = history.meta["gamma0"]
+    assert gamma0 == estimate_gram_norm(model.linearize(np.zeros(8)))
+    assert gamma0 == pytest.approx(9.0, rel=1e-3)
+    assert history.records[0].inner_iterations == 2
+    assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS
+    step = history.records[1].x_k
+    np.testing.assert_allclose(
+        step, np.linalg.solve(a.T @ a + gamma0 * np.eye(8), a.T @ y),
+        rtol=1e-12)
+
+
+def test_gamma0_on_a_domain_below_the_estimate_steps_is_exact():
+    # On a domain of 3 the Lanczos run from b0 fills the space in 3 steps:
+    # gamma0 is ||A^T A|| itself, and the first solve ends on the exhausted
+    # space after 3 iterations, having reused every unit.
+    a = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 0.7],
+                  [0.2, 0.4, 0.1]])
+    model = linear_model(a)
+    history = irgnm_run(model, np.ones(4), np.zeros(3), max_newton=1)
+    assert history.meta["gamma0"] \
+        == pytest.approx(np.linalg.norm(a, 2) ** 2, rel=1e-13)
+    assert history.records[0].inner_iterations == 3
+    assert history.meta["estimate_units"] == 0
+
+
+def test_first_solve_is_capped_at_max_inner_below_the_estimate_steps(
+        monkeypatch):
+    # MAX_INNER = 2 < GRAM_ESTIMATE_STEPS: the estimate still runs its five
+    # steps, in a basis of max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1 rows, and
+    # the first solve reports 2 unconverged iterations, as a cold one would.
+    monkeypatch.setattr(solvers, "MAX_INNER", 2)
+    problem = make_diagonal_problem(m=10, n=14, seed=3)
+    y = problem.model.evaluate(problem.truth)
+    history = irgnm_run(problem.model, y, np.zeros(10), max_newton=1)
+    assert history.records[0].inner_iterations == 2
+    assert history.meta["inner_unconverged"] == 1
+    assert history.meta["estimate_units"] == 2 * GRAM_ESTIMATE_STEPS - 1 - 4
 
 
 def test_landweber_and_newton_cg_report_their_estimate_units():
@@ -575,9 +684,10 @@ def _assert_failed_run(history, model, cost_start):
 
 # Each method's run, and the call of a Jacobian callback that fails in its
 # run: the (GRAM_ESTIMATE_STEPS + 20)th apply or adjoint apply, past the
+# first step of irgnm, whose solve continues the gamma0 estimate, and the
 # GRAM_ESTIMATE_STEPS applies and GRAM_ESTIMATE_STEPS - 1 adjoint applies
-# that the gamma0 or mu estimate makes, and within the 12 of each that
-# Newton-CG makes in 8 steps.
+# of Landweber's mu estimate, and within the 12 of each that Newton-CG
+# makes in 8 steps.
 _NAN_RUNS = {
     "irgnm-prec": (GRAM_ESTIMATE_STEPS + 20, 8, lambda model, y: irgnm_run(
         model, y, np.zeros(10), max_newton=8)),
@@ -669,6 +779,33 @@ def test_zero_jacobian_has_no_gram_norm_estimate(run):
     # A^T A = 0 admits neither Landweber's mu nor IRGNM's gamma0.
     with pytest.raises(ContractError, match="vanishes"):
         run(linear_model(np.zeros((4, 3))))
+
+
+def _model_exploding_off_zero(dim=3):
+    """F(x) = A x at x = 0 and 1e200 in every entry elsewhere: finite, but
+    ||y - F(x)||^2 overflows."""
+    a = np.diag(np.linspace(1.0, 2.0, dim))
+
+    def evaluate(x):
+        return np.full(dim, 1e200) if np.any(x) else a @ x
+
+    return ForwardModel(dim, dim, evaluate,
+                        lambda x: (lambda v: a @ v, lambda w: a.T @ w))
+
+
+@pytest.mark.parametrize("run", [irgnm_run, landweber_run, newton_cg_run],
+                         ids=["irgnm", "landweber", "newton-cg"])
+def test_residual_whose_squared_norm_overflows(run):
+    # Past k = 0 the residual norm is inf, which trips the divergence guard
+    # and ends the run in Breakdown, without an overflow warning; at x0 no
+    # residual can be recorded, so the run raises as a failed F(x0) does.
+    model = _model_exploding_off_zero()
+    history = run(model, np.ones(3), np.zeros(3))
+    assert history.terminal_reason == TERMINAL_BREAKDOWN
+    assert [r.residual_norm for r in history.records][1:] == [math.inf]
+    assert "exceeds" in history.meta["breakdown"]
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        run(model, np.ones(3), np.full(3, 0.5))
 
 
 def test_inner_unconverged_counts_solves_stopped_by_the_cap(monkeypatch):
