@@ -4,10 +4,14 @@ preconditioners.
 The package solves ill-posed operator equations F(x) = y from noisy data by
 regularized Newton methods (iteratively regularized Gauss-Newton and
 Levenberg-Marquardt variants) whose inner Tikhonov systems are handled by
-preconditioned conjugate gradients. Lanczos data generated as a by-product of
-accurate CG solves yields approximate eigenpairs of the Gauss-Newton
-operator; these are frozen into a spectral preconditioner that is cheaply
-updated across Newton steps while the regularization weight decays. Stopping
+conjugate gradients. One reorthogonalized Lanczos loop, which solves as CG
+does, serves the estimate of the first regularization weight, the first
+inner solve that continues it, the accurate solves of the preconditioner
+builds and the unpreconditioned steps; the other steps run left-preconditioned
+CG. The Lanczos data of the accurate solves yield approximate eigenpairs of
+the Gauss-Newton operator; these are frozen into a spectral preconditioner
+that is cheaply updated across Newton steps while the regularization weight
+decays. Stopping
 is data driven: Morozov's discrepancy principle and a balancing (Lepskii-type)
 rule fed by estimated noise-propagation curves. Landweber iteration and a
 truncated Newton-CG method serve as baselines, and dense brute-force oracles

@@ -1,18 +1,21 @@
 """Conjugate gradients on regularized normal equations, with Lanczos extraction.
 
 Solves G^T G h = G^T g for a stacked Tikhonov operator G accessed only through
-apply/adjoint calls, optionally left-preconditioned. Unpreconditioned runs
-reorthogonalize every residual by Gram-Schmidt against the rows of one
-stored basis, with a second pass only when the first removed most of the
-residual, so each new vector costs two or four matrix-vector products; the
-stored rows are the Lanczos basis, and the CG coefficients double as a
-Lanczos tridiagonalization of the normal operator, from which Ritz pairs
-are extracted together with an exact residual bound
-||G^T G (Z w_i) - theta_i (Z w_i)|| = (sqrt(beta_l)/alpha_l) |w_i(l)|.
-``select_ritz`` keeps the pairs with theta >= RITZ_SEPARATION = 1.1 and a
-residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times theta.
-``trace_from_lanczos`` gives the trace of a CG run from Lanczos data of the
-same Krylov space.
+apply/adjoint calls, optionally left-preconditioned. One Lanczos loop
+(``Lanczos``) runs every reorthogonalized solve: the gamma0 estimate of an
+irgnm run and the k = 0 solve that continues it, the accurate two-sided
+solves of the preconditioner builds, and the unpreconditioned Plain steps,
+which reach it through ``pcg_solve``. It tridiagonalizes the normal operator
+B = op^T op into T_l over a basis kept orthonormal by Gram-Schmidt, with a
+second pass only when the first removed most of the vector, so each step
+costs two matrix-vector products, and solves (B + shift I) h = b as CG does
+through the LDL^T factors of T_l + shift I (D-Lanczos); one basis serves any
+shift (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000). The
+Ritz pairs of T_l come with a residual bound
+||B (Q w_i) - theta_i (Q w_i)|| <= b_l |w_i(l)| + RITZ_ROUNDING eps theta_max,
+RITZ_ROUNDING = 32. ``select_ritz`` keeps the pairs with theta >=
+RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times
+theta. Left-preconditioned solves run plain PCG and store no basis.
 
 The loops update in place only arrays they allocated themselves (the
 iterate, the residual, the search direction, the basis and the vector it
@@ -38,6 +41,7 @@ from .operators import ContractError, as_vector
 _SQRT_HALF = math.sqrt(0.5)
 RITZ_SEPARATION = 1.1
 RITZ_RESIDUAL_TOL = 1e-6
+RITZ_ROUNDING = 32
 
 
 class CgBreakdownError(RuntimeError):
@@ -53,22 +57,19 @@ class CgBreakdownError(RuntimeError):
 
 @dataclass
 class CgTrace:
-    """Per-solve ledger: CG coefficients, Lanczos basis, and residual norms.
+    """Per-solve ledger: Lanczos matrix, Lanczos basis, and residual norms.
 
-    ``alphas`` holds alpha_1..alpha_l and ``betas`` holds beta_1..beta_{l-1};
-    the stray beta_l of the last iteration only enters
-    ``final_beta_over_alpha`` = sqrt(beta_l)/alpha_l, the scale of the Ritz
-    residual bounds. ``z_basis`` is the (l, dim) block whose rows are the
-    normalized residuals z~^0..z~^{l-1} of an unpreconditioned solve, kept
-    orthonormal by Gram-Schmidt reorthogonalization; it is None for
-    left-preconditioned solves, which are not reorthogonalized and yield no
-    Ritz pairs.
+    ``diag`` holds a_1..a_l and ``offdiag`` b_1..b_l of the Lanczos run of
+    a solve of l iterations (see ``Lanczos``): T_l has the diagonal a and
+    the off-diagonal b_1..b_{l-1}, and b_l scales the Ritz residual bounds.
+    ``basis`` is the (l, dim) block of the orthonormal Lanczos vectors
+    q_1..q_l. Left-preconditioned solves run no Lanczos loop and carry None
+    in all three fields, so they yield no Ritz pairs.
     """
 
-    alphas: list
-    betas: list
-    z_basis: np.ndarray | None
-    final_beta_over_alpha: float
+    diag: np.ndarray | None
+    offdiag: np.ndarray | None
+    basis: np.ndarray | None
     iterations: int
     converged: bool
     residual_norms: list
@@ -152,56 +153,129 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     return basis.rows.T, indices
 
 
-def tridiagonal_from_trace(trace: CgTrace):
-    """Assemble the symmetric tridiagonal Lanczos matrix T_l as (diag, offdiag):
-    diag = (1/a_1, 1/a_{j+1} + b_j/a_j), offdiag = -sqrt(b_j)/a_j."""
-    if trace.iterations < 1:
-        raise ContractError("trace holds no completed CG iterations")
-    a = np.asarray(trace.alphas, dtype=float)
-    b = np.asarray(trace.betas, dtype=float)
-    diag = 1.0 / a
-    diag[1:] += b / a[:-1]
-    offdiag = -np.sqrt(b) / a[:-1]
-    return diag, offdiag
+class Lanczos:
+    """Lanczos tridiagonalization of B = op^T op from a start vector b, the
+    one loop behind every reorthogonalized solve.
 
-
-def trace_from_lanczos(diag, offdiag, rows, shift, scale, start_norm,
-                       converged):
-    """The CgTrace of CG on a normal operator S = (B + shift I)/scale, from
-    l Lanczos steps on B.
-
-    ``diag`` (a_1..a_l), ``offdiag`` (b_1..b_l) and the basis ``rows``
-    (q_1..q_l) come from Lanczos on a symmetric B from a start vector of norm
-    ``start_norm``; b_l is the norm that continues the run, 0 once its
-    Krylov space is exhausted. CG from r^0 = start / sqrt(scale) spans the
-    same spaces. Inverting the recurrence of ``tridiagonal_from_trace``
-    through the pivots d_j of T_l + shift I = L D L^T (d_1 = a_1 + shift,
-    d_{j+1} = a_{j+1} + shift - b_j^2/d_j) gives its coefficients
-    alpha_j = scale/d_j and beta_j = (b_j/d_j)^2, its residual norms
-    ||r^j|| = ||r^{j-1}|| b_j/d_j, its basis rows (-1)^j q_{j+1} and
-    sqrt(beta_l)/alpha_l = b_l/scale.
+    ``op`` is any object with ``apply``, ``apply_adjoint`` and
+    ``domain_dim``: a Jacobian handle, a Tikhonov system or its two-sided
+    form. The basis q_1, q_2, ... is kept orthonormal in a GramSchmidtBasis
+    of ``capacity`` rows. ``diag`` holds a_j = ||op q_j||^2 and ``offdiag``
+    b_j, the length of the component of B q_j orthogonal to q_1..q_j, which
+    normalized is q_{j+1} unless it is dependent on the basis: then the
+    Krylov space is exhausted, and b_j is the length the basis dropped.
+    ``grow`` adds a_{j+1} for one apply, after the adjoint apply that b_j
+    waits for, so a run read after j steps has cost 2j - 1 units past the
+    start vector. ``solve`` continues the run as CG on (B + shift I) h = b.
     """
-    l = len(diag)
-    pivots = np.empty(l)
-    for j in range(l):
-        pivots[j] = diag[j] + shift \
-            - (offdiag[j - 1] ** 2 / pivots[j - 1] if j else 0.0)
-    ratios = np.asarray(offdiag, dtype=float) / pivots
-    norms = start_norm / math.sqrt(scale) * np.cumprod(np.append(1.0, ratios))
-    signs = np.where(np.arange(l) % 2, -1.0, 1.0)
-    return CgTrace(
-        alphas=(scale / pivots).tolist(), betas=(ratios[:-1] ** 2).tolist(),
-        z_basis=rows * signs[:, None],
-        final_beta_over_alpha=float(offdiag[l - 1] / scale) if l else 0.0,
-        iterations=l, converged=converged, residual_norms=norms.tolist())
+
+    def __init__(self, op, start, capacity):
+        self.op = op
+        self.basis = GramSchmidtBasis(op.domain_dim, capacity)
+        self._q, self.start_norm = self.basis.add(start)
+        self._image = None  # op q_j while b_j waits for its adjoint apply
+        self.diag, self.offdiag = [], []
+
+    def _close(self):
+        """Add b_j for the last a_j, unless it is there."""
+        if self._image is not None:
+            self._q, b = self.basis.add(self.op.apply_adjoint(self._image))
+            self.offdiag.append(b)
+            self._image = None
+
+    def grow(self):
+        """Add a step; False, and no apply, once the Krylov space is
+        exhausted. An ||op q||^2 that overflows raises a ContractError."""
+        self._close()
+        if self._q is None:
+            return False
+        self._image = self.op.apply(self._q)
+        a = float(np.vdot(self._image, self._image))  # no overflow warning
+        if not math.isfinite(a):
+            raise ContractError("||A^T A|| exceeds the float range")
+        self.diag.append(a)
+        return True
+
+    def grow_to(self, steps):
+        """Grow to min(steps, dim) steps unless the space is exhausted first;
+        return whether it was."""
+        steps = min(steps, self.op.domain_dim)
+        while len(self.diag) < steps and self.grow():
+            pass
+        return len(self.diag) < steps
+
+    def theta_max(self):
+        """The largest eigenvalue of T_j, refused unless positive."""
+        j = len(self.diag)
+        # eigvalsh reads the lower triangle of T_j, which holds j - 1 b's
+        theta = float(np.linalg.eigvalsh(
+            np.diag(self.diag) + np.diag(self.offdiag[:j - 1], -1))[-1])
+        if not theta > 0.0:
+            raise ContractError(
+                "A^T A vanishes on the start vector: no estimate of ||A^T A||")
+        return theta
+
+    def solve(self, shift, tol, max_iterations, scale=1.0):
+        """Continue the run as CG on (B + shift I) h = b (D-Lanczos, Saad,
+        Iterative Methods for Sparse Linear Systems, 2nd ed., 6.7.1).
+
+        Step l factors T_l + shift I = L D L^T by its pivots d_1 = a_1 +
+        shift, d_{j+1} = a_{j+1} + shift - b_j l_j with l_j = b_j/d_j, and
+        adds (zeta_l/d_l) p_l to the Galerkin iterate h_l = ||b|| Q_l
+        (T_l + shift I)^{-1} e_1, where zeta_1 = ||b||, zeta_{j+1} =
+        -l_j zeta_j, p_1 = q_1 and p_{j+1} = q_{j+1} - l_j p_j. Its residual
+        norm is ||r_l|| = b_l |zeta_l/d_l|, and the solve ends once that is
+        at most tol ||h_l|| (an exhausted space ends it too), or after
+        ``max_iterations`` steps unconverged. Each step costs O(dim) past
+        its two model calls. A pivot that is not positive raises a
+        CgBreakdownError carrying the trace so far.
+
+        Returns (h, trace): h solves the system above, and the trace is that
+        of CG on (B + shift I)/scale from b/sqrt(scale), whose T_l is
+        (T_l + shift I)/scale over the same basis.
+        """
+        h, p = np.zeros(self.op.domain_dim), np.zeros(self.op.domain_dim)
+        zeta, norms = self.start_norm, [self.start_norm]
+        l, b, ratio = 0, 0.0, 0.0
+        converged = zeta == 0.0
+
+        def trace(converged):
+            return CgTrace(
+                diag=(np.array(self.diag[:l]) + shift) / scale,
+                offdiag=np.array(self.offdiag[:l]) / scale,
+                basis=self.basis.rows[:l], iterations=l, converged=converged,
+                residual_norms=[n / math.sqrt(scale) for n in norms])
+
+        while not converged and l < max_iterations:
+            if len(self.diag) == l:
+                self.grow()
+            if len(self.offdiag) == l:
+                self._close()
+            d = self.diag[l] + shift - b * ratio
+            if not d > 0.0:
+                raise CgBreakdownError(
+                    f"pivot d_{l + 1} = {d} of T_l + shift I is not positive",
+                    trace=trace(False))
+            p *= -ratio
+            p += self.basis.rows[l]
+            h += (zeta / d) * p
+            b = self.offdiag[l]
+            norms.append(b * abs(zeta / d))
+            ratio = b / d
+            zeta *= -ratio
+            l += 1
+            converged = self.basis.count == l \
+                or norms[-1] <= tol * math.sqrt(h.dot(h))
+        return h, trace(converged)
 
 
 @dataclass
 class RitzPair:
     """Approximate eigenpair of the (preconditioned) normal operator.
 
-    ``residual_bound`` is the exact value of ||G^T G (Z w) - theta (Z w)||
-    when the basis is Euclidean-orthonormal (identity preconditioner).
+    ``residual_bound`` bounds ||B (Q w) - theta (Q w)|| for the normal
+    operator B of the Lanczos run whose basis Q yielded the pair (see
+    ``ritz_from_trace``).
     ``vector`` is ``form_vector()``, called on the first read and kept.
     """
 
@@ -215,34 +289,38 @@ class RitzPair:
 
 
 def ritz_from_trace(trace: CgTrace):
-    """Ritz pairs of the normal operator from a Lanczos-collecting CG run.
+    """Ritz pairs of the normal operator from the Lanczos data of a solve.
 
     Returns every pair, sorted by descending theta. Requires the trace to
-    carry the z basis; raises a diagnostic error when T_l fails to be
+    carry its Lanczos basis; raises a diagnostic error when T_l fails to be
     positive definite, which signals lost orthogonality. A pair's Ritz
-    vector Z w_i (``w_i @ trace.z_basis``, Z having the basis rows as its
+    vector Q w_i (``w_i @ trace.basis``, Q having the basis rows as its
     columns) is formed on the first read of its ``vector``, so the pairs a
-    selection drops cost no product with Z. A solve that ended on a residual
-    dependent on its basis has no Lanczos residual, so each bound is the
-    drift of the Lanczos relation, eps ||r_0|| / ||r_{l-1}|| theta_max.
+    selection drops cost no product with Q. Its residual bound is
+    b_l |e_l^T w_i| + RITZ_ROUNDING eps theta_max: the Lanczos residual,
+    plus the rounding of the Lanczos relation, of the eigenvectors of T_l
+    and of forming Q w_i, which the reorthogonalized run keeps at a small
+    multiple of eps ||B|| however far its residual falls (at most 5 eps
+    theta_max in random Recompute solves), and which alone remains once
+    the Krylov space is exhausted. It bounds the residual against B as
+    applied; a two-sided operator formed densely through M^{-1/2} differs
+    from it by the rounding of M^{-1/2}, up to eps ||G^T G|| / gamma.
     """
-    if trace.z_basis is None or len(trace.z_basis) != trace.iterations:
-        raise ContractError("trace was collected without a complete Lanczos basis")
-    diag, offdiag = tridiagonal_from_trace(trace)
+    l = trace.iterations
+    if trace.basis is None or l < 1:
+        raise ContractError("trace holds no Lanczos basis to extract from")
+    off = trace.offdiag[:l - 1]
     theta, vecs = np.linalg.eigh(
-        np.diag(diag) + np.diag(offdiag, -1) + np.diag(offdiag, 1))
+        np.diag(trace.diag) + np.diag(off, -1) + np.diag(off, 1))
     if theta[0] <= 0.0:
         raise ContractError(
             "tridiagonal matrix is not positive definite; "
             "orthogonality was lost during CG"
         )
-    l = trace.iterations
-    bounds = trace.final_beta_over_alpha * np.abs(vecs[l - 1])
-    if trace.final_beta_over_alpha == 0.0:
-        norms = trace.residual_norms
-        bounds[:] = np.finfo(float).eps * norms[0] / norms[l - 1] * theta[-1]
+    bounds = trace.offdiag[l - 1] * np.abs(vecs[l - 1]) \
+        + RITZ_ROUNDING * np.finfo(float).eps * theta[-1]
     return [RitzPair(float(theta[i]),
-                     partial(np.matmul, vecs[:, i], trace.z_basis),
+                     partial(np.matmul, vecs[:, i], trace.basis),
                      float(bounds[i]))
             for i in range(l - 1, -1, -1)]
 
@@ -268,8 +346,9 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         Tikhonov system exposes gamma).
     precond : SpectralPreconditioner or None
         Applied from the left through its ``apply_inverse``. ``None`` runs
-        plain CGNE; symmetric two-sided preconditioning is achieved by
-        wrapping ``sys`` instead, which keeps reorthogonalization Euclidean.
+        the reorthogonalized Lanczos loop; symmetric two-sided
+        preconditioning is achieved by wrapping ``sys`` instead, which keeps
+        reorthogonalization Euclidean.
     epsilon : float in (0, 1)
         Enters the stop test below; when ``stop_scale`` is a lower bound for
         the spectrum of G^T G this guarantees relative accuracy
@@ -286,109 +365,70 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     Notes
     -----
     The loop runs while ``||r^l|| > epsilon * stop_scale * ||h^l||``; with
-    h^0 = 0 the first iteration always executes. Without ``precond`` each
-    residual is replaced by its component orthogonal to the earlier ones,
-    taken from a Gram-Schmidt basis whose rows, the z~ vectors, stay
-    orthonormal to working precision; a residual dependent on them ends the
-    solve as converged.
-    Left-preconditioned runs use z = M^{-1} r as is and store no basis.
+    h^0 = 0 the first iteration always executes, and a solve of l
+    iterations costs 1 + 2l model units. Without ``precond`` it is one call
+    of ``Lanczos.solve`` on ``sys`` at shift 0, from r^0 = G^T g: each
+    Lanczos vector is the component of G^T G q orthogonal to the earlier
+    ones, taken from a Gram-Schmidt basis that stays orthonormal to working
+    precision, and a dependent one ends the solve as converged.
+    Left-preconditioned runs are plain PCG: they use z = M^{-1} r as is and
+    store no basis.
     """
     if not 0.0 < epsilon < 1.0:
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon}")
     if max_iterations < 1:
         raise ContractError("max_iterations must be at least 1")
     g = sys.stacked_rhs()
-    m_dim = sys.domain_dim
-    stop_scale = float(sys.stop_scale)
+    tol = epsilon * float(sys.stop_scale)
+    if precond is None:
+        # a row for r^0 and one per iteration
+        return Lanczos(sys, sys.apply_adjoint(g), max_iterations + 1) \
+            .solve(0.0, tol, max_iterations)
 
-    alphas, betas_all = [], []
-    residual_norms = []
-    # a vector for r^0 and one per iteration
-    basis = GramSchmidtBasis(m_dim, max_iterations + 1) \
-        if precond is None else None
+    norms, iterations = [], 0
 
     def precondition(r):
-        """Return (z, <r, z>, ||r||); without a preconditioner r is first
-        cut to its component orthogonal to the earlier residuals."""
-        if basis is None:
-            flat = r.ravel(order="K")  # as np.linalg.norm copies a strided r
-            rr = np.vdot(flat, flat)  # vdot: no overflow warning
-            if not math.isfinite(rr):
-                raise ContractError("||x||^2 exceeds the float range")
-            z = precond.apply_inverse(r)
-            return z, float(np.vdot(r, z)), math.sqrt(rr)
-        q, pnorm = basis.add(r)
-        if q is None:
-            return np.zeros(m_dim), 0.0, 0.0
-        rho = pnorm * pnorm
-        return pnorm * q, rho, math.sqrt(rho)
+        """(z, <r, z>) for z = M^{-1} r; ||r|| joins the residual norms."""
+        flat = r.ravel(order="K")  # as np.linalg.norm copies a strided r
+        rr = np.vdot(flat, flat)  # vdot: no overflow warning
+        if not math.isfinite(rr):
+            raise ContractError("||x||^2 exceeds the float range")
+        norms.append(math.sqrt(rr))
+        z = precond.apply_inverse(r)
+        return z, float(np.vdot(r, z))
 
-    def finalize(converged):
-        if alphas:
-            fba = float(np.sqrt(max(betas_all[-1], 0.0)) / alphas[-1])
-        else:
-            fba = 0.0
-        return CgTrace(
-            alphas=list(alphas), betas=betas_all[:-1],
-            z_basis=None if basis is None else basis.rows[:len(alphas)],
-            final_beta_over_alpha=fba, iterations=len(alphas),
-            converged=converged, residual_norms=list(residual_norms),
-        )
+    def breakdown(message):
+        return CgBreakdownError(message, trace=CgTrace(
+            None, None, None, iterations, False, list(norms)))
 
-    h = np.zeros(m_dim)
+    h = np.zeros(sys.domain_dim)
     d = g.copy()
-    z, rho, r_norm = precondition(sys.apply_adjoint(d))
-    residual_norms.append(r_norm)
-    if r_norm == 0.0:
-        return h, finalize(True)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise CgBreakdownError(
-            f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
-            trace=finalize(False))
-
+    z, rho = precondition(sys.apply_adjoint(d))
+    if norms[0] and not 0.0 < rho < math.inf:
+        raise breakdown(f"initial <r, z> = {rho} is not positive; "
+                        "preconditioner is not SPD")
     p = z.copy()
     h_norm = 0.0
-    converged = False
-
-    while True:
-        if r_norm <= epsilon * stop_scale * h_norm:
-            converged = True
-            break
-        if len(alphas) >= max_iterations:
-            converged = False
-            break
-
+    while norms[-1] > tol * h_norm and rho != 0.0:
+        if iterations >= max_iterations:
+            return h, CgTrace(None, None, None, iterations, False, norms)
         q = sys.apply(p)
         # np.vdot runs the same ddot as q @ q but sets off no overflow
         # warning; an overflowing ||G p||^2 is the breakdown below
         qq = float(np.vdot(q, q))
         if qq == 0.0 or not math.isfinite(qq):
-            raise CgBreakdownError(
-                "search direction collapsed: ||G p||^2 = " + repr(qq),
-                trace=finalize(False))
+            raise breakdown(f"search direction collapsed: ||G p||^2 = {qq!r}")
         alpha = rho / qq
-        if not (0.0 < alpha < 1e16):
-            raise CgBreakdownError(
-                f"CG coefficient alpha = {alpha} outside (0, 1e16)",
-                trace=finalize(False))
+        if not 0.0 < alpha < 1e16:
+            raise breakdown(f"CG coefficient alpha = {alpha} outside (0, 1e16)")
         h += alpha * p
         d -= alpha * q
-        z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
-        if not math.isfinite(rho_new) or rho_new < 0.0:
-            raise CgBreakdownError(f"<r, z> = {rho_new} lost positivity",
-                                   trace=finalize(False))
-
-        beta = rho_new / rho
-        alphas.append(alpha)
-        betas_all.append(beta)
-        rho = rho_new
-        h_norm = math.sqrt(h.dot(h))
-        p *= beta
+        z, rho_new = precondition(sys.apply_adjoint(d))
+        if not 0.0 <= rho_new < math.inf:
+            raise breakdown(f"<r, z> = {rho_new} lost positivity")
+        p *= rho_new / rho
         p += z
-
-        residual_norms.append(r_norm)
-        if rho == 0.0:
-            converged = True
-            break
-
-    return h, finalize(converged)
+        rho = rho_new
+        iterations += 1
+        h_norm = math.sqrt(h.dot(h))
+    return h, CgTrace(None, None, None, iterations, True, norms)

@@ -18,13 +18,13 @@ MAX_INNER = 200 iterations; the harvest keeps the Ritz pairs that
 ``krylov.select_ritz`` keeps. Each constant is read when a step uses it.
 
 An irgnm run without a given gamma0 takes it from GRAM_ESTIMATE_STEPS = 5
-Lanczos steps on A_0^T A_0 (``_Lanczos``), started from the first inner
-solve's right-hand side A_0^T (y - F(x0)), and its first solve continues
-that Lanczos run instead of starting a Krylov space of its own: one basis
-gives the norm estimate and, through T_l + gamma I, the CG iterate of any
-shift (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).
-Landweber's mu and the fallback of ``_estimate_from_gradient`` take the
-estimate from a random start (``estimate_gram_norm``).
+steps of ``krylov.Lanczos`` on A_0^T A_0, started from the first inner
+solve's right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that
+run's own ``solve`` at shift gamma0 instead of a Krylov space of its own.
+The same Lanczos loop runs every other reorthogonalized solve, the builds
+and the unpreconditioned Plain steps, through ``pcg_solve``. Landweber's mu
+and the fallback of ``_estimate_from_gradient`` take the estimate from a
+random start (``estimate_gram_norm``).
 
 The three runs are called as ``run(model, y_obs, x0, *, <settings>,
 stop=None, truth=None)`` and refuse bad settings before any model unit.
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import (CgBreakdownError, GramSchmidtBasis, pcg_solve,
-                     ritz_from_trace, select_ritz, trace_from_lanczos)
+from .krylov import (CgBreakdownError, Lanczos, pcg_solve, ritz_from_trace,
+                     select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -141,117 +141,24 @@ class RunHistory:
         return self.records[-1].cumulative_cost if self.records else 0
 
 
-class _Lanczos:
-    """Lanczos tridiagonalization of A^T A from a start vector b, its basis
-    q_1, q_2, ... kept orthonormal in a GramSchmidtBasis of ``capacity``
-    rows.
-
-    ``alphas`` holds a_j = ||A q_j||^2 and ``betas`` b_j, the length of the
-    component of A^T A q_j orthogonal to q_1..q_j, which normalized is
-    q_{j+1}; b_j is 0 once that component is dependent on the basis (the
-    Krylov space is exhausted). ``grow`` adds a_{j+1} for one Jacobian
-    apply, after the adjoint apply that b_j waits for, so a run read after
-    j steps has cost 2j - 1 units past the start vector. ``solve`` continues
-    the run as CG on (A^T A + gamma I) h = b.
-    """
-
-    def __init__(self, jac, start, capacity):
-        self.jac = jac
-        self.basis = GramSchmidtBasis(jac.domain_dim, capacity)
-        self._q, self.start_norm = self.basis.add(start)
-        self._image = None  # A q_j while b_j waits for its adjoint apply
-        self.alphas, self.betas = [], []
-
-    def _close(self):
-        """Add b_j for the last a_j, unless it is there."""
-        if self._image is not None:
-            self._q, beta = self.basis.add(
-                self.jac.apply_adjoint(self._image))
-            self.betas.append(0.0 if self._q is None else beta)
-            self._image = None
-
-    def grow(self):
-        """Add a step; False, and no Jacobian apply, once the Krylov space
-        is exhausted. An ||A q||^2 that overflows raises a ContractError."""
-        self._close()
-        if self._q is None:
-            return False
-        self._image = self.jac.apply(self._q)
-        alpha = float(np.vdot(self._image, self._image))  # no overflow warning
-        if not math.isfinite(alpha):
-            raise ContractError("||A^T A|| exceeds the float range")
-        self.alphas.append(alpha)
-        return True
-
-    def grow_to(self, steps):
-        """Grow to min(steps, dim) steps unless the space is exhausted first;
-        return whether it was."""
-        steps = min(steps, self.jac.domain_dim)
-        while len(self.alphas) < steps and self.grow():
-            pass
-        return len(self.alphas) < steps
-
-    def theta_max(self):
-        """The largest eigenvalue of T_j, refused unless positive."""
-        j = len(self.alphas)
-        # eigvalsh reads the lower triangle of T_j, which holds j - 1 betas
-        theta = float(np.linalg.eigvalsh(
-            np.diag(self.alphas) + np.diag(self.betas[:j - 1], -1))[-1])
-        if not theta > 0.0:
-            raise ContractError(
-                "A^T A vanishes on the start vector: no estimate of ||A^T A||")
-        return theta
-
-    def solve(self, gamma, scale, epsilon):
-        """Continue the run as CG on (A^T A + gamma I) h = b, to the stop
-        test and the cap of ``pcg_solve``: after step l, the Galerkin iterate
-        h_l = ||b|| Q_l y_l with y_l = (T_l + gamma I)^{-1} e_1 has the
-        residual norm ||b|| b_l |e_l^T y_l|, and the solve ends once that is
-        at most epsilon gamma ||h_l||, or b_l = 0, or after MAX_INNER steps.
-
-        Returns (h, trace), trace being the CgTrace ``pcg_solve`` returns on
-        an operator (A^T A + gamma I)/scale with start residual
-        b / sqrt(scale): scale 1 for the Tikhonov system, gamma for its
-        two-sided form over the empty pair set.
-        """
-        l, converged, y = 0, self.start_norm == 0.0, np.zeros(0)
-        while not converged and l < MAX_INNER:
-            l += 1
-            if len(self.alphas) < l:
-                self.grow()
-            if len(self.betas) < l:
-                self._close()
-            off = self.betas[:l - 1]
-            e1 = np.zeros(l)
-            e1[0] = self.start_norm
-            y = np.linalg.solve(np.diag(np.add(self.alphas[:l], gamma))
-                                + np.diag(off, -1) + np.diag(off, 1), e1)
-            converged = self.betas[l - 1] * abs(y[-1]) \
-                <= epsilon * gamma * math.sqrt(y.dot(y))
-        rows = self.basis.rows[:l]
-        return y @ rows, trace_from_lanczos(
-            self.alphas[:l], self.betas[:l], rows, gamma, scale,
-            self.start_norm, converged)
-
-
 def estimate_gram_norm(jac, iterations=GRAM_ESTIMATE_STEPS):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
-    Runs ``iterations`` Lanczos steps (``_Lanczos``) on A^T A from a random
-    start vector of seed GRAM_ESTIMATE_SEED and returns the largest
-    eigenvalue of the tridiagonal T_j they build. Each step reads
-    q.(A^T A q) as ||A q||^2 from one Jacobian apply and makes one adjoint
-    apply for the next q, which the last step skips. Over the same Krylov
-    space this is
-    never below the power-iteration estimate (Kuczynski & Wozniakowski,
-    SIAM J. Matrix Anal. Appl. 13, 1992). A Krylov space exhausted sooner,
-    as when the domain has fewer than ``iterations`` dimensions, ends the
-    run early with the exact value. Raises a ContractError when ||A^T A||
-    exceeds the float range, or when A^T A vanishes on the start vector,
-    as for a zero Jacobian.
+    Runs ``iterations`` steps of ``krylov.Lanczos``, the loop of every
+    reorthogonalized solve, on A^T A from a random start vector of seed
+    GRAM_ESTIMATE_SEED and returns the largest eigenvalue of the
+    tridiagonal T_j they build. Each step reads q.(A^T A q) as ||A q||^2
+    from one Jacobian apply and makes one adjoint apply for the next q,
+    which the last step skips. Over the same Krylov space this is never
+    below the power-iteration estimate (Kuczynski & Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13, 1992). A Krylov space exhausted sooner, as when
+    the domain has fewer than ``iterations`` dimensions, ends the run early
+    with the exact value. Raises a ContractError when ||A^T A|| exceeds the
+    float range, or when A^T A vanishes on the start vector, as for a zero
+    Jacobian.
     """
     rng = np.random.default_rng(GRAM_ESTIMATE_SEED)
-    lanczos = _Lanczos(jac, rng.standard_normal(jac.domain_dim), iterations)
+    lanczos = Lanczos(jac, rng.standard_normal(jac.domain_dim), iterations)
     lanczos.grow_to(iterations)
     return lanczos.theta_max()
 
@@ -259,19 +166,21 @@ def estimate_gram_norm(jac, iterations=GRAM_ESTIMATE_STEPS):
 def _estimate_from_gradient(jac, residual):
     """(gamma0, lanczos) of an irgnm run that estimates gamma0 at x0.
 
-    The Lanczos run starts from the first inner solve's right-hand side
-    b = A^T (y - F(x0)), the prior term being zero at x0, and gamma0 is the
-    largest eigenvalue of its T_j after GRAM_ESTIMATE_STEPS steps, as
-    ``estimate_gram_norm`` takes it from a random start; ``lanczos.solve``
-    then continues the same run as the first solve. Its basis holds
-    max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1 rows. When b = 0, or its Krylov
-    space is exhausted before min(GRAM_ESTIMATE_STEPS, dim) steps, so that
-    T_j may miss the top of the spectrum, gamma0 is the random-start
-    estimate instead; the first solve is still the continued run, which
-    then ends on the exhausted space (at h = 0 when b = 0).
+    The ``krylov.Lanczos`` run starts from the first inner solve's
+    right-hand side b = A^T (y - F(x0)), the prior term being zero at x0,
+    and gamma0 is the largest eigenvalue of its T_j after
+    GRAM_ESTIMATE_STEPS steps, as ``estimate_gram_norm`` takes it from a
+    random start. The k = 0 solve is then ``lanczos.solve`` at shift gamma0,
+    the call ``pcg_solve`` makes on a system of its own, continuing the
+    same run; its basis holds max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1 rows.
+    When b = 0, or its Krylov space is exhausted before
+    min(GRAM_ESTIMATE_STEPS, dim) steps, so that T_j may miss the top of
+    the spectrum, gamma0 is the random-start estimate instead; the first
+    solve is still the continued run, which then ends on the exhausted
+    space (at h = 0 when b = 0).
     """
-    lanczos = _Lanczos(jac, jac.apply_adjoint(residual),
-                       max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1)
+    lanczos = Lanczos(jac, jac.apply_adjoint(residual),
+                      max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1)
     if lanczos.grow_to(GRAM_ESTIMATE_STEPS):
         return estimate_gram_norm(jac), lanczos
     return lanczos.theta_max(), lanczos
@@ -380,8 +289,8 @@ class _OuterLoop:
     lets ``probe(rec, residual)`` fill in m, gamma_k and phi_k (at k = 0 it
     may estimate gamma0 from the residual y - F(x_0)), and consults the stop
     driver ``stop(k, residual_norm, phi_k)``, which ends the run at k with
-    terminal StopRule when it returns True, and the divergence guard. Unless
-    the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
+    terminal StopRule when it returns True, and then the divergence guard,
+    on every recorded row. Unless the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
     and sets the record's event, inner_iterations and, after a
     relinearization, m. A tripped divergence guard, or a ContractError or
     CgBreakdownError raised by the step or by evaluating the x_{k+1} it
@@ -397,8 +306,8 @@ class _OuterLoop:
     ``cap_reason``: MaxNewton, or StepCap for Landweber, which takes no
     Newton step. A step ends the run after itself by setting
     ``end_reason``: x_{k+1} is evaluated and recorded as the Final row at
-    k + 1, and the run ends there with that terminal reason unless the stop
-    driver ends it there first.
+    k + 1, and the run ends there with that terminal reason. On either row
+    the stop driver, and then the divergence guard, outrank that reason.
     """
 
     def __init__(self, model, y_obs, x0, truth):
@@ -441,16 +350,16 @@ class _OuterLoop:
             if stop is not None and stop(k, rn, rec.phi_k):
                 terminal = TERMINAL_STOP
                 break
-            if self.end_reason is not None:
-                terminal = self.end_reason
-                break
-            if k == max_steps:
-                break
             if rn > DIVERGENCE_FACTOR * records[0].residual_norm:
                 terminal = TERMINAL_BREAKDOWN
                 meta["breakdown"] = (
                     f"residual norm {rn!r} exceeds {DIVERGENCE_FACTOR!r} "
                     "times the starting residual")
+                break
+            if self.end_reason is not None:
+                terminal = self.end_reason
+                break
+            if k == max_steps:
                 break
             try:
                 x = x + step(rec, x, residual_vec)
@@ -482,8 +391,8 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     current pair set if there is one. gamma0 = None takes the Lanczos
     estimate of ||A_0^T A_0|| after F(x_0) from the first solve's
     right-hand side (``_estimate_from_gradient``), and the k = 0 solve,
-    Recompute or Plain, continues that Lanczos run; its state is dropped
-    after the step. ``meta["estimate_units"]`` counts the estimate's units
+    Recompute or Plain, is that Lanczos run's own ``solve`` at shift
+    gamma0; its state is dropped after the step. ``meta["estimate_units"]`` counts the estimate's units
     that solve did not reuse: none once it takes GRAM_ESTIMATE_STEPS
     iterations. A given gamma0 must be positive and finite.
 
@@ -525,29 +434,35 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             m = rec.m = k
         prior = x0 - x if rhs_kind == IRGNM else np.zeros_like(x)
         sys = TikhonovSystem(jac, gamma_k, residual_vec, prior)
-        if rec.event == EVENT_PLAIN:
-            live = precond.with_gamma(gamma_k) if precond.pair_count else None
-            h, trace = pcg_solve(sys, live, EPS_STANDARD, MAX_INNER) \
-                if first is None else first.solve(gamma_k, 1.0, EPS_STANDARD)
-            prev_inner = trace.iterations
+        build = rec.event != EVENT_PLAIN
+        base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
+            if relinearize else precond.with_gamma(gamma_k)
+        if first is not None:
+            # k = 0: continue the Lanczos run of the gamma0 estimate, on
+            # A^T A at shift gamma_k; its trace is that of the two-sided
+            # system over the empty pair set for a build, so scale gamma_k
+            epsilon = EPS_ACCURATE if build else EPS_STANDARD
+            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
+                                   gamma_k if build else 1.0)
+            # the estimate's units this solve reused
+            meta["estimate_units"] -= min(meta["estimate_units"],
+                                          1 + 2 * trace.iterations)
+            first = None
+        elif build:
+            tsys = TwoSidedSystem(sys, base)
+            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+            h = tsys.pull_back(h_t)
         else:
-            base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
-                if relinearize else precond.with_gamma(gamma_k)
-            if first is None:
-                tsys = TwoSidedSystem(sys, base)
-                h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
-                h = tsys.pull_back(h_t)
-            else:
-                h, trace = first.solve(gamma_k, gamma_k, EPS_ACCURATE)
+            h, trace = pcg_solve(sys, base if base.pair_count else None,
+                                 EPS_STANDARD, MAX_INNER)
+        if build:
             precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
             prev_inner = None
-        if first is not None:  # the estimate's units this solve reused
-            meta["estimate_units"] -= min(meta["estimate_units"],
-                                          1 + 2 * trace.iterations)
-            first = None
+        else:
+            prev_inner = trace.iterations
         rec.inner_iterations = trace.iterations
         meta["inner_unconverged"] += not trace.converged
         return h

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from iterreg.krylov import (CgBreakdownError, CgTrace, RitzPair,
-                            tridiagonal_from_trace)
+from iterreg.krylov import CgBreakdownError, CgTrace, RitzPair
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
 from iterreg.solvers import (GRAM_ESTIMATE_STEPS, RECOMPUTE_INNER_MIN,
                              UPDATE_AGE_MIN, UPDATE_INNER_MIN)
@@ -61,6 +60,25 @@ def nan_on_evaluation(model, call):
         count += 1
         out = model.evaluate(x)
         return np.full_like(out, np.nan) if count == call else out
+
+    def linearize(x):
+        jac = model.linearize(x)
+        return jac.apply, jac.apply_adjoint
+
+    return ForwardModel(model.domain_dim, model.range_dim, evaluate,
+                        linearize, name=model.name)
+
+
+def explode_from_evaluation(model, call):
+    """Copy of ``model`` whose evaluations from the ``call``-th on return
+    1e100 in every entry: finite, but far past any starting residual."""
+    count = 0
+
+    def evaluate(x):
+        nonlocal count
+        count += 1
+        out = model.evaluate(x)
+        return np.full_like(out, 1e100) if count >= call else out
 
     def linearize(x):
         jac = model.linearize(x)
@@ -143,70 +161,27 @@ def phi_sampled_loop(precond, samples, gamma):
 
 # Reference implementations: the CG loops as they stood before their
 # in-place rewrite (fresh arrays on every update, np.linalg.norm, and
-# Newton-CG's adjoint computed after its last iteration too), over a
-# Gram-Schmidt basis kept as a list of rows. The package must reproduce
-# their iterates and Lanczos basis bit for bit.
+# Newton-CG's adjoint computed after its last iteration too). The package
+# must reproduce their iterates bit for bit.
 
 
-class ReferenceGramSchmidtBasis:
-    """``krylov.GramSchmidtBasis`` in loop form: the basis is a list that
-    grows one row at a time, restacked into a fresh array on every ``add``,
-    and every update and norm allocates anew (``np.linalg.norm``)."""
-
-    def __init__(self, dim):
-        self.dim, self.rows = int(dim), []
-
-    def add(self, x, drop_tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0 or len(self.rows) >= self.dim:
-            return None, 0.0
-        q = np.array(self.rows).reshape(len(self.rows), self.dim)
-        w = x - (q @ x) @ q
-        pnorm = float(np.linalg.norm(w))
-        if pnorm < np.sqrt(0.5) * xnorm:
-            w = w - (q @ w) @ q
-            pnorm = float(np.linalg.norm(w))
-        if pnorm <= drop_tol * xnorm:
-            return None, pnorm
-        self.rows.append(w / pnorm)
-        return self.rows[-1], pnorm
-
-
-def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
-                        max_iterations=200):
-    """``krylov.pcg_solve`` as it stood before the rewrite."""
+def pcg_solve_reference(sys, precond, epsilon=1.0 / 3.0, max_iterations=200):
+    """The left-preconditioned branch of ``krylov.pcg_solve`` as it stood
+    before the rewrite."""
     g = sys.stacked_rhs()
     m_dim = sys.domain_dim
     stop_scale = float(sys.stop_scale)
-
-    alphas, betas_all = [], []
     residual_norms = []
-    basis = ReferenceGramSchmidtBasis(m_dim) if precond is None else None
+    iterations = 0
 
     def precondition(r):
-        """Return (z, <r, z>, ||r||); without a preconditioner r is first
-        cut to its component orthogonal to the earlier residuals."""
-        if basis is None:
-            z = precond.apply_inverse(r)
-            return z, float(r @ z), float(np.linalg.norm(r))
-        q, pnorm = basis.add(r)
-        if q is None:
-            return np.zeros(m_dim), 0.0, 0.0
-        rho = pnorm * pnorm
-        return pnorm * q, rho, float(np.sqrt(rho))
+        z = precond.apply_inverse(r)
+        return z, float(r @ z), float(np.linalg.norm(r))
 
     def finalize(converged):
-        if alphas:
-            fba = float(np.sqrt(max(betas_all[-1], 0.0)) / alphas[-1])
-        else:
-            fba = 0.0
-        return CgTrace(
-            alphas=list(alphas), betas=betas_all[:-1],
-            z_basis=None if basis is None else basis.rows[: len(alphas)],
-            final_beta_over_alpha=fba, iterations=len(alphas),
-            converged=converged, residual_norms=list(residual_norms),
-        )
+        return CgTrace(diag=None, offdiag=None, basis=None,
+                       iterations=iterations, converged=converged,
+                       residual_norms=list(residual_norms))
 
     h = np.zeros(m_dim)
     d = g.copy()
@@ -227,7 +202,7 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
         if r_norm <= epsilon * stop_scale * h_norm:
             converged = True
             break
-        if len(alphas) >= max_iterations:
+        if iterations >= max_iterations:
             converged = False
             break
 
@@ -250,8 +225,7 @@ def pcg_solve_reference(sys, precond=None, epsilon=1.0 / 3.0,
                                    trace=finalize(False))
 
         beta = rho_new / rho
-        alphas.append(alpha)
-        betas_all.append(beta)
+        iterations += 1
         rho = rho_new
         h_norm = float(np.linalg.norm(h))
         p = z + beta * p
@@ -356,12 +330,12 @@ def stacked_apply_reference(sys, v):
 
 
 def ritz_vectors_reference(trace):
-    """Every Ritz vector Z w_i of ``trace``, by descending theta, formed at
-    once as ``krylov.ritz_from_trace`` formed them."""
-    diag, offdiag = tridiagonal_from_trace(trace)
+    """Every Ritz vector Q w_i of ``trace``, by descending theta, formed at
+    once from the dense T_l of its Lanczos data."""
+    off = trace.offdiag[:trace.iterations - 1]
     _, vecs = np.linalg.eigh(
-        np.diag(diag) + np.diag(offdiag, -1) + np.diag(offdiag, 1))
-    return [vecs[:, i] @ trace.z_basis
+        np.diag(trace.diag) + np.diag(off, -1) + np.diag(off, 1))
+    return [vecs[:, i] @ trace.basis
             for i in range(trace.iterations - 1, -1, -1)]
 
 

@@ -78,9 +78,9 @@ def test_criterion_1_preconditioner_identities(acceptance):
 
 def test_criterion_2_ritz_residual_identity(acceptance):
     # Without a preconditioner the Lanczos coefficients predict the Ritz
-    # residual exactly: | ||G^T G (Z w_i) - theta_i (Z w_i)|| -
-    # (sqrt(beta_l)/alpha_l) |w_i(l)| | <= 1e-8 at l in {3, 5, 10}, with the
-    # left side computed by a dense matvec. Under 5 s.
+    # residual: | ||G^T G (Q w_i) - theta_i (Q w_i)|| - bound_i | <= 1e-8 at
+    # l in {3, 5, 10}, where bound_i = b_l |w_i(l)| + RITZ_ROUNDING eps
+    # theta_max, with the left side computed by a dense matvec. Under 5 s.
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):

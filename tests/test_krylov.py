@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from helpers import dense_tikhonov_solution, ritz_pair, tikhonov_system
-from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_SEPARATION,
-                            CgBreakdownError, pcg_solve,
-                            reorthogonalize_indexed, ritz_from_trace,
-                            select_ritz, trace_from_lanczos,
-                            tridiagonal_from_trace)
+from helpers import (dense_tikhonov_solution, linear_model, ritz_pair,
+                     tikhonov_system)
+from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
+                            RITZ_SEPARATION, CgBreakdownError, Lanczos,
+                            pcg_solve, reorthogonalize_indexed,
+                            ritz_from_trace, select_ritz)
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 
@@ -102,49 +102,71 @@ def test_lanczos_basis_orthonormal():
     a = rng.standard_normal((40, 30))
     sys = tikhonov_system(a, 1e-6, rhs_data=rng.standard_normal(40))
     _, trace = pcg_solve(sys, epsilon=1e-11, max_iterations=30)
-    z = trace.z_basis.T
-    gram = z.T @ z
+    q = trace.basis.T
+    gram = q.T @ q
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
 
 def test_tridiagonal_matches_projected_operator():
-    # Two routes to T_l: CG coefficient recurrences vs explicit projection
-    # Z^T (G^T G) Z of the dense operator onto the Lanczos basis.
+    # Two routes to T_l: the Lanczos coefficients a_j = ||G q_j||^2 and b_j
+    # vs explicit projection Q^T (G^T G) Q of the dense operator onto the
+    # Lanczos basis.
     rng = np.random.default_rng(55)
     a = rng.standard_normal((18, 12))
     gamma = 0.3
     sys = tikhonov_system(a, gamma, rhs_data=rng.standard_normal(18))
     _, trace = pcg_solve(sys, epsilon=1e-10, max_iterations=8)
-    diag, offdiag = tridiagonal_from_trace(trace)
-    z = trace.z_basis.T
+    q = trace.basis.T
     gtg = a.T @ a + gamma * np.eye(12)
-    projected = z.T @ gtg @ z
-    dense_t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    projected = q.T @ gtg @ q
+    off = trace.offdiag[:-1]
+    dense_t = np.diag(trace.diag) + np.diag(off, 1) + np.diag(off, -1)
     np.testing.assert_allclose(dense_t, projected, atol=1e-8)
 
 
-def test_trace_from_lanczos_inverts_tridiagonal_from_trace():
-    # CG on (B + shift I)/scale has the Lanczos matrix of that operator in
-    # its residual basis, whose rows alternate the sign of q_j: the trace
-    # built from T_l of B gives back (T_l + shift I)/scale with negated
-    # off-diagonals, and sqrt(beta_l)/alpha_l is b_l/scale.
+def test_lanczos_solve_at_a_shift_reports_the_scaled_operator():
+    # The Lanczos run on A^T A, solved at shift 0.3 with scale 0.3, is CG on
+    # (A^T A + 0.3 I)/0.3 from b/sqrt(0.3): its trace holds that operator's
+    # T_l over the run's own basis, and h solves (A^T A + 0.3 I) h = b to
+    # the stop test ||r|| <= tol ||h||.
     rng = np.random.default_rng(8)
-    diag, off = rng.uniform(0.5, 2.0, 6), rng.uniform(0.1, 1.0, 6)
-    rows = np.linalg.qr(rng.standard_normal((9, 6)))[0].T
-    trace = trace_from_lanczos(diag, off, rows, 0.3, 0.3, 2.0, True)
-    t_diag, t_off = tridiagonal_from_trace(trace)
-    np.testing.assert_allclose(t_diag, (diag + 0.3) / 0.3, rtol=1e-13)
-    np.testing.assert_allclose(t_off, -off[:5] / 0.3, rtol=1e-13)
-    assert trace.final_beta_over_alpha == pytest.approx(off[5] / 0.3)
-    np.testing.assert_array_equal(trace.z_basis[1::2], -rows[1::2])
-    np.testing.assert_array_equal(trace.z_basis[::2], rows[::2])
-    assert trace.residual_norms[0] == pytest.approx(2.0 / np.sqrt(0.3))
+    a = rng.standard_normal((12, 9))
+    b = rng.standard_normal(9)
+    run = Lanczos(linear_model(a).linearize(np.zeros(9)), b, 10)
+    h, trace = run.solve(0.3, 1e-10, 6, scale=0.3)
     assert (trace.iterations, len(trace.residual_norms)) == (6, 7)
+    assert not trace.converged
+    np.testing.assert_array_equal(trace.diag,
+                                  (np.array(run.diag) + 0.3) / 0.3)
+    np.testing.assert_array_equal(trace.offdiag, np.array(run.offdiag) / 0.3)
+    np.testing.assert_array_equal(trace.basis, run.basis.rows[:6])
+    assert trace.residual_norms[0] == pytest.approx(
+        np.linalg.norm(b) / np.sqrt(0.3), rel=1e-15)
+    h_full, full = run.solve(0.3, 1e-10, 9)
+    assert full.converged and full.iterations <= 9
+    exact = np.linalg.solve(a.T @ a + 0.3 * np.eye(9), b)
+    np.testing.assert_allclose(h_full, exact, rtol=1e-9)
+    # the partial iterate is the Galerkin one, ||b|| Q (T + 0.3 I)^{-1} e_1
+    t = np.diag(np.add(run.diag[:6], 0.3)) + np.diag(run.offdiag[:5], 1) \
+        + np.diag(run.offdiag[:5], -1)
+    y = np.linalg.solve(t, np.linalg.norm(b) * np.eye(6)[0])
+    np.testing.assert_allclose(h, y @ run.basis.rows[:6], rtol=1e-12)
+
+
+def test_nonpositive_pivot_raises_breakdown_with_the_partial_trace():
+    # A negative shift below -a_1 makes the first pivot negative: the solve
+    # raises before iterating, with the trace of no iteration.
+    run = Lanczos(linear_model(np.eye(3)).linearize(np.zeros(3)),
+                  np.ones(3), 4)
+    with pytest.raises(CgBreakdownError, match="pivot") as info:
+        run.solve(-2.0, 1e-10, 3)
+    assert (info.value.trace.iterations, info.value.trace.converged) \
+        == (0, False)
 
 
 def test_single_iteration_ritz_data():
-    # After l = 1 iterations: theta = 1/alpha_1, vector = z~^0, and the
-    # residual bound is sqrt(beta_1)/alpha_1.
+    # After l = 1 iteration: theta = a_1, vector = q_1, and the residual
+    # bound is b_1 plus the rounding term RITZ_ROUNDING eps theta.
     rng = np.random.default_rng(2)
     a = np.diag([2.0, 1.0])
     sys = tikhonov_system(a, 1.0, rhs_data=rng.standard_normal(2))
@@ -153,16 +175,17 @@ def test_single_iteration_ritz_data():
     pairs = ritz_from_trace(trace)
     assert len(pairs) == 1
     pair = pairs[0]
-    assert pair.theta == pytest.approx(1.0 / trace.alphas[0], rel=1e-14)
-    np.testing.assert_allclose(np.abs(pair.vector), np.abs(trace.z_basis[0]),
+    assert pair.theta == pytest.approx(trace.diag[0], rel=1e-14)
+    np.testing.assert_allclose(np.abs(pair.vector), np.abs(trace.basis[0]),
                                rtol=1e-14)
-    assert pair.residual_bound == pytest.approx(trace.final_beta_over_alpha,
-                                                rel=1e-14)
+    assert pair.residual_bound == pytest.approx(
+        trace.offdiag[0] + RITZ_ROUNDING * np.finfo(float).eps * pair.theta,
+        rel=1e-14)
 
 
 def test_ritz_residual_identity_dense_oracle():
-    # || G^T G (Z w) - theta (Z w) || equals (sqrt(beta_l)/alpha_l) |w(l)|
-    # exactly for the Euclidean Lanczos basis; verify against a dense matvec.
+    # || G^T G (Q w) - theta (Q w) || equals b_l |w(l)| up to rounding for
+    # the Euclidean Lanczos basis; verify against a dense matvec.
     rng = np.random.default_rng(77)
     a = rng.standard_normal((25, 15))
     gamma = 0.05
@@ -174,20 +197,23 @@ def test_ritz_residual_identity_dense_oracle():
         assert direct == pytest.approx(pair.residual_bound, abs=1e-9)
 
 
-def test_ritz_bound_after_a_dependent_residual_is_the_drift():
+def test_ritz_bound_after_a_dependent_residual_is_the_rounding_term():
     # Five iterations exhaust a 5-dimensional space: the solve ends on a
-    # residual dependent on its basis, beta_l = 0, and the identity would
-    # certify every pair as exact. Each bound reads the drift of the
-    # Lanczos relation, eps ||r_0|| / ||r_{l-1}|| theta_max, instead.
+    # residual dependent on its basis, b_l = 0, and the Lanczos residual
+    # would certify every pair as exact. Each bound is the rounding term
+    # RITZ_ROUNDING eps theta_max alone, and bounds the true residual.
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 5))
     _, trace = pcg_solve(tikhonov_system(a, 0.5, rng.standard_normal(8)),
                          epsilon=1e-12)
-    assert (trace.iterations, trace.final_beta_over_alpha) == (5, 0.0)
+    assert (trace.iterations, trace.offdiag[-1]) == (5, 0.0)
     pairs = ritz_from_trace(trace)
-    norms = trace.residual_norms
-    drift = np.finfo(float).eps * norms[0] / norms[4] * pairs[0].theta
-    assert [p.residual_bound for p in pairs] == [drift] * 5 != [0.0] * 5
+    rounding = RITZ_ROUNDING * np.finfo(float).eps * pairs[0].theta
+    assert [p.residual_bound for p in pairs] == [rounding] * 5 != [0.0] * 5
+    gtg = a.T @ a + 0.5 * np.eye(5)
+    for pair in pairs:
+        assert np.linalg.norm(gtg @ pair.vector - pair.theta * pair.vector) \
+            <= pair.residual_bound
 
 
 def test_ritz_pairs_sorted_and_inside_spectrum():
@@ -297,6 +323,6 @@ def test_ritz_requires_lanczos_collection():
     sys = tikhonov_system(np.eye(3), 1.0, rhs_data=np.ones(3))
     precond = SpectralPreconditioner.empty(1.0, 3)
     _, trace = pcg_solve(sys, precond)
-    assert trace.iterations >= 1 and trace.z_basis is None
+    assert trace.iterations >= 1 and trace.basis is None
     with pytest.raises(ContractError):
         ritz_from_trace(trace)
