@@ -303,8 +303,7 @@ def ritz_from_trace(trace: CgTrace):
     multiple of eps ||B|| however far its residual falls (at most 5 eps
     theta_max in random Recompute solves), and which alone remains once
     the Krylov space is exhausted. It bounds the residual against B as
-    applied; a two-sided operator formed densely through M^{-1/2} differs
-    from it by the rounding of M^{-1/2}, up to eps ||G^T G|| / gamma.
+    applied (see ``solvers._harvest`` for a two-sided B).
     """
     l = trace.iterations
     if trace.basis is None or l < 1:

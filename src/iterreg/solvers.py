@@ -17,14 +17,14 @@ INNER_RHO = 0.8 times the residual, and every inner solve stops after
 MAX_INNER = 200 iterations; the harvest keeps the Ritz pairs that
 ``krylov.select_ritz`` keeps. Each constant is read when a step uses it.
 
-An irgnm run without a given gamma0 takes it from GRAM_ESTIMATE_STEPS = 5
-steps of ``krylov.Lanczos`` on A_0^T A_0, started from the first inner
-solve's right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that
-run's own ``solve`` at shift gamma0 instead of a Krylov space of its own.
-The same Lanczos loop runs every other reorthogonalized solve, the builds
-and the unpreconditioned Plain steps, through ``pcg_solve``. Landweber's mu
-and the fallback of ``_estimate_from_gradient`` take the estimate from a
-random start (``estimate_gram_norm``).
+Every irgnm run takes gamma0 from GRAM_ESTIMATE_STEPS = 5 steps of
+``krylov.Lanczos`` on A_0^T A_0, started from the first inner solve's
+right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that run's own
+``solve`` at shift gamma0 instead of a Krylov space of its own. The same
+Lanczos loop runs every other reorthogonalized solve, the builds and the
+unpreconditioned Plain steps, through ``pcg_solve``. Landweber's mu and the
+fallback of ``_estimate_from_gradient`` take the estimate from a random
+start (``estimate_gram_norm``).
 
 The three runs are called as ``run(model, y_obs, x0, *, <settings>,
 stop=None, truth=None)`` and refuse bad settings before any model unit.
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import (CgBreakdownError, Lanczos, pcg_solve, ritz_from_trace,
-                     select_ritz)
+from .krylov import (RITZ_ROUNDING, CgBreakdownError, Lanczos, pcg_solve,
+                     ritz_from_trace, select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -77,13 +77,8 @@ GRAM_ESTIMATE_SEED = 0
 GRAM_ESTIMATE_STEPS = 5
 
 
-def check_newton_settings(max_newton, *, variant="prec", rhs_kind=IRGNM,
-                          gamma0=None):
-    """Raise a ContractError naming the first irgnm or Newton-CG setting
-    out of range; a given gamma0 must be positive and finite."""
-    if gamma0 is not None and not (gamma0 > 0 and np.isfinite(gamma0)):
-        raise ContractError(
-            f"gamma0 must be positive and finite, got {gamma0}")
+def check_newton_settings(max_newton, *, variant="prec", rhs_kind=IRGNM):
+    """ContractError on the first irgnm or Newton-CG setting out of range."""
     if rhs_kind not in (IRGNM, LEVENBERG_MARQUARDT):
         raise ContractError(f"unknown rhs_kind {rhs_kind!r}")
     if variant not in ("prec", "plain", "frozen"):
@@ -122,8 +117,8 @@ class RunHistory:
 
     ``terminal_reason`` is one of the ``TERMINAL_*`` constants.
     ``meta["inner_unconverged"]`` counts the steps whose inner solve stopped
-    at its iteration cap short of its tolerance: always 0 for Landweber, and
-    at most 1 for Newton-CG, whose run ends at its first capped solve.
+    at its iteration cap short of its tolerance: at most 1, as an irgnm or
+    Newton-CG run ends at its first (InnerCap) and Landweber has none.
     """
 
     records: list
@@ -141,30 +136,30 @@ class RunHistory:
         return self.records[-1].cumulative_cost if self.records else 0
 
 
-def estimate_gram_norm(jac, iterations=GRAM_ESTIMATE_STEPS):
+def estimate_gram_norm(jac):
     """Lanczos estimate of ||A^T A|| (its largest eigenvalue).
 
-    Runs ``iterations`` steps of ``krylov.Lanczos``, the loop of every
+    Runs GRAM_ESTIMATE_STEPS steps of ``krylov.Lanczos``, the loop of every
     reorthogonalized solve, on A^T A from a random start vector of seed
     GRAM_ESTIMATE_SEED and returns the largest eigenvalue of the
     tridiagonal T_j they build. Each step reads q.(A^T A q) as ||A q||^2
     from one Jacobian apply and makes one adjoint apply for the next q,
     which the last step skips. Over the same Krylov space this is never
     below the power-iteration estimate (Kuczynski & Wozniakowski, SIAM J.
-    Matrix Anal. Appl. 13, 1992). A Krylov space exhausted sooner, as when
-    the domain has fewer than ``iterations`` dimensions, ends the run early
-    with the exact value. Raises a ContractError when ||A^T A|| exceeds the
-    float range, or when A^T A vanishes on the start vector, as for a zero
-    Jacobian.
+    Matrix Anal. Appl. 13, 1992). A Krylov space exhausted sooner, as on a
+    domain of fewer dimensions, ends the run early with the exact value.
+    Raises a ContractError when ||A^T A|| exceeds the float range, or when
+    A^T A vanishes on the start vector, as for a zero Jacobian.
     """
     rng = np.random.default_rng(GRAM_ESTIMATE_SEED)
-    lanczos = Lanczos(jac, rng.standard_normal(jac.domain_dim), iterations)
-    lanczos.grow_to(iterations)
+    lanczos = Lanczos(jac, rng.standard_normal(jac.domain_dim),
+                      GRAM_ESTIMATE_STEPS)
+    lanczos.grow_to(GRAM_ESTIMATE_STEPS)
     return lanczos.theta_max()
 
 
 def _estimate_from_gradient(jac, residual):
-    """(gamma0, lanczos) of an irgnm run that estimates gamma0 at x0.
+    """(gamma0, lanczos) of an irgnm run at x0.
 
     The ``krylov.Lanczos`` run starts from the first inner solve's
     right-hand side b = A^T (y - F(x0)), the prior term being zero at x0,
@@ -256,13 +251,20 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
 def _harvest(trace, base_precond):
     """Back-map selected Ritz pairs (theta, v) of the two-sided operator over
     ``base_precond`` M of shift gamma to eigenpairs (gamma (theta - 1),
-    M^{-1/2} v normalized) of A_m^T A_m. Values near 1 belong to the
-    cluster of captured directions, carry no spectral information and go:
-    ``select_ritz`` keeps only theta >= krylov.RITZ_SEPARATION."""
+    M^{-1/2} v normalized) of A_m^T A_m. Each bound first gains the
+    rounding of M^{-1/2}, RITZ_ROUNDING eps (1 + lambda_max/gamma) for M's
+    largest lambda. Values near 1 belong to the cluster of captured
+    directions, carry no spectral information and go: ``select_ritz``
+    keeps only theta >= krylov.RITZ_SEPARATION."""
     if trace.iterations < 1:
         return []
+    pairs = ritz_from_trace(trace)
+    rounding = RITZ_ROUNDING * np.finfo(float).eps \
+        * (1.0 + base_precond.lambdas.max(initial=0.0) / base_precond.gamma)
+    for p in pairs:
+        p.residual_bound += rounding
     out = []
-    for p in select_ritz(ritz_from_trace(trace)):
+    for p in select_ritz(pairs):
         u_raw = base_precond.apply_inv_sqrt(p.vector)
         norm = math.sqrt(u_raw.dot(u_raw))
         if norm == 0.0:
@@ -283,16 +285,17 @@ class _OuterLoop:
     Construction checks the inputs and starts the model-unit meter and the
     clock, so setup work a method does afterwards (Landweber's mu estimate)
     counts toward its run: ``run`` stores those units in
-    ``meta["estimate_units"]``, 0 when the caller gave the value; irgnm's
-    probe overwrites it with the units of its gamma0 estimate. Per step it
-    evaluates F(x_k), opens the record of step k (m = k, event Final),
-    lets ``probe(rec, residual)`` fill in m, gamma_k and phi_k (at k = 0 it
-    may estimate gamma0 from the residual y - F(x_0)), and consults the stop
+    ``meta["estimate_units"]`` (0 for Newton-CG); irgnm's probe overwrites
+    it with the units of its gamma0 estimate. Per step it evaluates F(x_k),
+    opens the record of step k (m = k, event Final), lets
+    ``probe(rec, residual)`` fill in m, gamma_k and phi_k (at k = 0 it
+    estimates gamma0 from the residual y - F(x_0)), and consults the stop
     driver ``stop(k, residual_norm, phi_k)``, which ends the run at k with
     terminal StopRule when it returns True, and then the divergence guard,
-    on every recorded row. Unless the run ends at k, ``step(rec, x_k, residual)`` returns x_{k+1} - x_k
-    and sets the record's event, inner_iterations and, after a
-    relinearization, m. A tripped divergence guard, or a ContractError or
+    on every recorded row. Unless the run ends at k,
+    ``step(rec, x_k, residual)`` returns x_{k+1} - x_k and sets the
+    record's event, inner_iterations and, after a relinearization, m. A
+    tripped divergence guard, or a ContractError or
     CgBreakdownError raised by the step or by evaluating the x_{k+1} it
     produced, ends the run at k with terminal Breakdown and the reason in
     ``meta["breakdown"]``. Residual norms are taken with np.vdot, so one
@@ -372,13 +375,13 @@ class _OuterLoop:
                 meta["breakdown"] = str(exc)
                 break
         records[-1].cumulative_cost = model.cost.total - self.cost_start
+        meta["inner_unconverged"] = int(self.end_reason == TERMINAL_INNER_CAP)
         return RunHistory(records=records, terminal_reason=terminal,
                           method=method, meta=meta)
 
 
 def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
-              max_newton=25, gamma0=None, stop=None, phi_estimator=None,
-              truth=None):
+              max_newton=25, stop=None, phi_estimator=None, truth=None):
     """Semi-frozen spectrally preconditioned regularized Newton iteration.
 
     Per step k: evaluate F(x_k), consult the stop driver
@@ -388,36 +391,35 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     accurate two-sided solve over the pair set it starts from (empty after
     a relinearization), then the Ritz harvest merged into that set. A
     Plain step runs CG at standard tolerance, left-preconditioned by the
-    current pair set if there is one. gamma0 = None takes the Lanczos
-    estimate of ||A_0^T A_0|| after F(x_0) from the first solve's
-    right-hand side (``_estimate_from_gradient``), and the k = 0 solve,
-    Recompute or Plain, is that Lanczos run's own ``solve`` at shift
-    gamma0; its state is dropped after the step. ``meta["estimate_units"]`` counts the estimate's units
-    that solve did not reuse: none once it takes GRAM_ESTIMATE_STEPS
-    iterations. A given gamma0 must be positive and finite.
+    current pair set if there is one. gamma0, held in ``meta["gamma0"]``,
+    is the Lanczos estimate of ||A_0^T A_0|| after F(x_0) from the first
+    solve's right-hand side (``_estimate_from_gradient``), and the k = 0
+    solve, Recompute or Plain, is that Lanczos run's own ``solve`` at shift
+    gamma0; its state is dropped after the step. ``meta["estimate_units"]``
+    counts the estimate's units that solve did not reuse: none once it
+    takes GRAM_ESTIMATE_STEPS iterations. A solve capped at MAX_INNER ends
+    the run with InnerCap, as in ``newton_cg_run``.
 
     Returns a RunHistory named irgnm-<variant>, whose last record (event
     Final) carries the terminal iterate; ``phi_estimator`` (an object with
     ``evaluate(gamma_k, precond)`` and ``needs_left_vectors``) fills the
     phi column using the pair set current at each step.
     """
-    check_newton_settings(max_newton, variant=variant, rhs_kind=rhs_kind,
-                          gamma0=gamma0)
+    check_newton_settings(max_newton, variant=variant, rhs_kind=rhs_kind)
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    jac = prev_inner = first = precond = None
+    jac = prev_inner = first = precond = gamma0 = None
     m = last_build = 0
-    meta = {"gamma0": gamma0, "inner_unconverged": 0}
+    meta = {}
 
     def probe(rec, residual_vec):
         nonlocal gamma0, precond, first
         if rec.k == 0:
-            if gamma0 is None:
-                start = model.cost.total
-                gamma0, first = _estimate_from_gradient(
-                    model.linearize(x0), residual_vec)
-                meta["gamma0"] = gamma0
-                meta["estimate_units"] = model.cost.total - start
+            start = model.cost.total
+            gamma0, first = _estimate_from_gradient(model.linearize(x0),
+                                                    residual_vec)
+            meta["gamma0"] = gamma0
+            meta["estimate_units"] = model.cost.total - start
             precond = SpectralPreconditioner.empty(gamma0, model.domain_dim)
         rec.gamma_k = gamma0 * max(GAMMA_FACTOR ** (-rec.k), GAMMA_FLOOR)
         rec.m = m
@@ -437,10 +439,10 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         build = rec.event != EVENT_PLAIN
         base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
             if relinearize else precond.with_gamma(gamma_k)
-        if first is not None:
-            # k = 0: continue the Lanczos run of the gamma0 estimate, on
-            # A^T A at shift gamma_k; its trace is that of the two-sided
-            # system over the empty pair set for a build, so scale gamma_k
+        if k == 0:
+            # continue the Lanczos run of the gamma0 estimate, on A^T A at
+            # shift gamma_k; its trace is that of the two-sided system over
+            # the empty pair set for a build, so scale gamma_k
             epsilon = EPS_ACCURATE if build else EPS_STANDARD
             h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
                                    gamma_k if build else 1.0)
@@ -464,35 +466,35 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         else:
             prev_inner = trace.iterations
         rec.inner_iterations = trace.iterations
-        meta["inner_unconverged"] += not trace.converged
+        if not trace.converged:
+            outer.end_reason = TERMINAL_INNER_CAP
         return h
 
     return outer.run(step, max_newton, stop, f"irgnm-{variant}", meta, probe)
 
 
-def landweber_run(model, y_obs, x0, *, mu=None, max_steps=2000, stop=None,
+def landweber_run(model, y_obs, x0, *, max_steps=2000, stop=None,
                   truth=None):
     """Gradient descent x_{k+1} = x_k + mu A_k^T (y - F(x_k)).
 
-    mu = None picks 0.95 / (Lanczos estimate of ||A_0^T A_0||), and
-    a zero Jacobian at x0, which admits no estimate, raises a ContractError.
+    mu = 0.95 / ``estimate_gram_norm(A_0)`` (``meta["mu"]``); a ContractError
+    refuses a Jacobian at x0 that admits no estimate or overflows mu.
     Each step costs one evaluation plus one adjoint apply. Aborts with a
     Breakdown terminal if the residual grows tenfold above its start, and
     ends with terminal StepCap at ``max_steps``.
     """
     check_step_cap(max_steps)
     outer = _OuterLoop(model, y_obs, x0, truth)
-    if mu is None:
-        mu = 0.95 / estimate_gram_norm(model.linearize(outer.x0))
-    if not 0 <= mu < np.inf:
-        raise ContractError(f"mu must be nonnegative and finite, got {mu}")
+    gram_norm = estimate_gram_norm(model.linearize(outer.x0))
+    mu = 0.95 / gram_norm
+    if mu == math.inf:
+        raise ContractError(f"mu = 0.95 / {gram_norm!r} overflows")
 
     def step(rec, x, residual_vec):
         rec.event = EVENT_BASELINE
         return mu * model.linearize(x).apply_adjoint(residual_vec)
 
-    return outer.run(step, max_steps, stop, "landweber",
-                     {"mu": float(mu), "inner_unconverged": 0},
+    return outer.run(step, max_steps, stop, "landweber", {"mu": mu},
                      cap_reason=TERMINAL_STEP_CAP)
 
 
@@ -508,15 +510,13 @@ def newton_cg_run(model, y_obs, x0, *, max_newton=25, stop=None, truth=None):
     """
     check_newton_settings(max_newton)
     outer = _OuterLoop(model, y_obs, x0, truth)
-    meta = {"inner_unconverged": 0}
 
     def step(rec, x, residual_vec):
         h, rec.inner_iterations, capped = _truncated_cgne(
             model.linearize(x), residual_vec, INNER_RHO, MAX_INNER)
         if capped:
-            meta["inner_unconverged"] += 1
             outer.end_reason = TERMINAL_INNER_CAP
         rec.event = EVENT_BASELINE
         return h
 
-    return outer.run(step, max_newton, stop, "newton-cg", meta)
+    return outer.run(step, max_newton, stop, "newton-cg", {})

@@ -92,12 +92,12 @@ class Problem:
         return self.dense_jacobian(x)
 
 
-def two_bump_profile(m, centers=(0.30, 0.72), widths=(0.12, 0.09),
-                     heights=(1.0, 0.8)):
-    """Smooth sum-of-two-Gaussians profile sampled on a length-m grid."""
+def two_bump_profile(m, centers=(0.30, 0.72)):
+    """Smooth sum of two Gaussians of widths 0.12 and 0.09 and heights 1 and
+    0.8 about ``centers``, sampled on a length-m grid."""
     t = (np.arange(m) + 0.5) / m
     out = np.zeros(m)
-    for c, w, h in zip(centers, widths, heights):
+    for c, w, h in zip(centers, (0.12, 0.09), (1.0, 0.8)):
         out += h * np.exp(-(((t - c) / w) ** 2))
     return out
 

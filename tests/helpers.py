@@ -267,9 +267,9 @@ def truncated_cgne_reference(jac, b_vec, rho, max_iterations):
 
 
 # Each of the GRAM_ESTIMATE_STEPS Lanczos steps of
-# ``solvers.estimate_gram_norm`` at its default costs one Jacobian and one
-# adjoint apply but the last, which skips the adjoint, so a run that
-# estimates mu, or gamma0 from a random start, spends GRAM_ESTIMATE_UNITS =
+# ``solvers.estimate_gram_norm`` costs one Jacobian and one adjoint apply
+# but the last, which skips the adjoint, so a run that estimates mu, or
+# gamma0 from a random start, spends GRAM_ESTIMATE_UNITS =
 # 2 * GRAM_ESTIMATE_STEPS - 1 model units on it that no solve reuses.
 GRAM_ESTIMATE_UNITS = 2 * GRAM_ESTIMATE_STEPS - 1
 

@@ -490,7 +490,8 @@ def test_summary_counts_inner_solves_stopped_by_the_cap(tmp_path,
     monkeypatch.setattr(solvers, "MAX_INNER", 1)
     cfg = ExperimentConfig.from_text(BASE)
     history, summary = run_single(cfg, tmp_path / "solve")
-    assert summary["inner_unconverged"] == len(history.records) - 1 > 0
+    assert (summary["inner_unconverged"], history.terminal_reason) \
+        == (1, "InnerCap")
     with open(tmp_path / "solve" / "summary.json") as fh:
         assert json.load(fh)["inner_unconverged"] \
             == summary["inner_unconverged"]
@@ -510,8 +511,7 @@ def test_summaries_report_the_estimate_and_its_units(tmp_path):
     # An estimated mu costs GRAM_ESTIMATE_UNITS units, and an estimated
     # gamma0 none once the first solve, which continues its Lanczos run,
     # takes at least GRAM_ESTIMATE_STEPS iterations. Each summary carries
-    # the value the run used. The CLI always estimates gamma0; a given one,
-    # which costs nothing, is library-only.
+    # the value the run used.
     cfg = ExperimentConfig.from_text(BASE)
     history, _ = run_single(cfg, tmp_path / "solve")
     with open(tmp_path / "solve" / "summary.json") as fh:
@@ -556,6 +556,7 @@ def test_main_solve_newton_cg_ends_at_its_first_capped_solve(
 
 def test_main_work_precision_reports_each_terminal_reason(
         tmp_path, monkeypatch, capsys):
+    # A capped inner solve ends an irgnm run as it ends a Newton-CG run.
     monkeypatch.setattr(solvers, "MAX_INNER", 1)
     ini = tmp_path / "exp.ini"
     ini.write_text(BASE.replace(
@@ -566,7 +567,7 @@ def test_main_work_precision_reports_each_terminal_reason(
                  "--out", str(out)]) == 0
     with open(out / "summary.json") as fh:
         reasons = json.load(fh)["terminal_reason"]
-    assert reasons == {"irgnm-prec": "MaxNewton", "newton-cg": "InnerCap",
+    assert reasons == {"irgnm-prec": "InnerCap", "newton-cg": "InnerCap",
                        "landweber": "StepCap"}
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] \

@@ -27,9 +27,15 @@ lists after "The terminal reason", so none goes undocumented.
 INI keys: every key of ``cli._SCHEMA`` must be set, as a line ``key = ...``,
 in ``perfbench/workloads.py`` or in a demo, read as text. A key that only
 tests set is an option no run uses.
+
+Run parameters: the library run the CLI binds for each method
+(``cli._bind_method``) takes exactly the problem (model, y_obs, x0), the
+stop driver, the truth and the keywords the binding sets. A parameter the
+CLI never binds selects a path that no CLI run takes.
 """
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -311,3 +317,10 @@ def test_key_scan_reads_assignment_lines():
     sources = ['ini = """\n[a]\nm = 3\n  seed=1\n"""\n',
                "tau == 2\nx = rho = 4\n"]
     assert keys_never_set(schema, sources) == ["tau", "rho"]
+
+
+@pytest.mark.parametrize("method", cli._METHODS)
+def test_each_run_takes_only_what_the_cli_binds(method):
+    run = cli._bind_method(cli.ExperimentConfig(), method)
+    assert set(inspect.signature(run.func).parameters) \
+        == {"model", "y_obs", "x0", "stop", "truth", *run.keywords}

@@ -45,8 +45,7 @@ from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
 from iterreg import cli, krylov, solvers, stopping
-from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
-                            GramSchmidtBasis, pcg_solve,
+from iterreg.krylov import (RITZ_RESIDUAL_TOL, GramSchmidtBasis, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
 from iterreg.operators import ContractError, TikhonovSystem, as_vector
@@ -291,14 +290,15 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         m, extra, decay, c3, k, seed):
     # The accurate two-sided solves of a Recompute at gamma_k and of the
     # Update that follows at gamma_{k+1} (same frozen Jacobian, the merged
-    # pairs as preconditioner). Every Ritz pair's true residual against the
-    # dense two-sided operator is at most its bound, b_l |e_l^T w| +
-    # RITZ_ROUNDING eps theta_max, however far the residual of the solve
-    # fell below its start; so every pair select_ritz keeps meets the
-    # residual tolerance. The dense operator of the Update is formed through
-    # M^{-1/2}, whose rounding reaches eps ||A^T A + gamma I|| / gamma while
-    # theta_max falls to the spread of the spectrum left uncaptured; that
-    # rounding, at the same factor, is added to its bounds.
+    # pairs as preconditioner). Every Ritz pair the harvest selects from
+    # has a true residual against the dense two-sided operator of at most
+    # its bound, b_l |e_l^T w| + RITZ_ROUNDING eps (theta_max + 1 +
+    # lambda_max/gamma), however far the residual of the solve fell below
+    # its start; so every pair select_ritz keeps meets the residual
+    # tolerance. The last term is the rounding of M^{-1/2}, through which
+    # the dense operator of the Update is formed: it reaches
+    # eps ||A^T A + gamma I|| / gamma while theta_max falls to the spread of
+    # the spectrum left uncaptured.
     # The first example has the shape of diag-work-precision's problem at
     # oracle size: its Recompute runs 165 iterations, drops the residual by
     # 8.9e12 and keeps 143 pairs. In the second, the Recompute exhausts the
@@ -323,17 +323,23 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
         inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
                                     for e in np.eye(m)])
         two_sided = inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt
-        formed = 0.0 if step == k else RITZ_ROUNDING * np.finfo(float).eps \
-            * np.linalg.norm(gram + gamma * np.eye(m), 2) / gamma
-        pairs = ritz_from_trace(trace)
-        kept = {id(p) for p in select_ritz(pairs)}
+        seen = []  # the pairs the harvest selects from, and those it keeps
+
+        def selecting(pairs):
+            seen.extend([pairs, select_ritz(pairs)])
+            return seen[-1]
+
+        with mock.patch.object(solvers, "select_ritz", selecting):
+            harvest = _harvest(trace, base)
+        pairs, kept = seen
+        kept = {id(p) for p in kept}
         for pair in pairs:
             residual = np.linalg.norm(two_sided @ pair.vector
                                       - pair.theta * pair.vector)
-            assert residual <= pair.residual_bound + formed
+            assert residual <= pair.residual_bound
             if id(pair) in kept:
                 assert residual <= RITZ_RESIDUAL_TOL * pair.theta
-        base = merge_pairs(base, _harvest(trace, base))
+        base = merge_pairs(base, harvest)
 
 
 @PROPERTY
@@ -882,6 +888,8 @@ def test_lanczos_gram_norm_between_power_estimate_and_dense_norm(
     # of j power steps from the same vector, and no quotient exceeds
     # ||A||^2. A domain of fewer than j dimensions is exhausted first, and
     # the estimate is then exact. The whiskers are round-off.
+    # estimate_gram_norm is the run of GRAM_ESTIMATE_STEPS steps from the
+    # start vector of seed GRAM_ESTIMATE_SEED.
     problem = make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
                                     seed=seed % 2**16)
     if nonlinear:
@@ -890,7 +898,12 @@ def test_lanczos_gram_norm_between_power_estimate_and_dense_norm(
     jac = problem.model.linearize(x)
     norm_sq = float(np.linalg.norm(DenseOracle.for_problem(problem, x).a,
                                    2) ** 2)
-    lanczos = estimate_gram_norm(jac, steps)
+    run = krylov.Lanczos(jac, np.random.default_rng(
+        solvers.GRAM_ESTIMATE_SEED).standard_normal(m), steps)
+    run.grow_to(steps)
+    lanczos = run.theta_max()
+    if steps == GRAM_ESTIMATE_STEPS:
+        assert estimate_gram_norm(jac) == lanczos
     assert power_gram_norm_reference(jac, steps) <= lanczos * (1.0 + 1e-12)
     assert lanczos <= norm_sq * (1.0 + 1e-12)
     if m < steps:
