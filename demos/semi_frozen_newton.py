@@ -3,11 +3,12 @@
 Runs the preconditioned solver three ways on the same 2% noisy data:
 
 - updates (``variant="prec"``, the default): the preconditioner is
-  rebuilt from a fresh Jacobian when the guard asks for it and cheaply
-  updated in between,
+  rebuilt from a fresh Jacobian when the square-number schedule is due and
+  the frozen Jacobian no longer predicts the residual, and cheaply updated
+  in between,
 - frozen (``variant="frozen"``): no update ever; the preconditioner is
-  rebuilt from a fresh Jacobian only on the square-number schedule
-  k = 0, 3, 8, 15, 24, with no inner-iteration guard,
+  rebuilt from a fresh Jacobian exactly on the square-number schedule
+  k = 0, 3, 8, 15, 24, stale or not,
 - plain (``variant="plain"``): no preconditioner, every step
   relinearizes and runs CG with Gram-Schmidt reorthogonalization.
 

@@ -64,7 +64,10 @@ class CgTrace:
     the off-diagonal b_1..b_{l-1}, and b_l scales the Ritz residual bounds.
     ``basis`` is the (l, dim) block of the orthonormal Lanczos vectors
     q_1..q_l. Left-preconditioned solves run no Lanczos loop and carry None
-    in all three fields, so they yield no Ritz pairs.
+    in all three fields, so they yield no Ritz pairs. ``rhs_product`` is
+    h^T b for the returned h and the right-hand side b = G^T g; a scaled
+    or two-sided system, solved for h~ = c h from b~ = b/c, has the same
+    h~^T b~.
     """
 
     diag: np.ndarray | None
@@ -73,6 +76,7 @@ class CgTrace:
     iterations: int
     converged: bool
     residual_norms: list
+    rhs_product: float
 
 
 class GramSchmidtBasis:
@@ -244,7 +248,10 @@ class Lanczos:
                 diag=(np.array(self.diag[:l]) + shift) / scale,
                 offdiag=np.array(self.offdiag[:l]) / scale,
                 basis=self.basis.rows[:l], iterations=l, converged=converged,
-                residual_norms=[n / math.sqrt(scale) for n in norms])
+                residual_norms=[n / math.sqrt(scale) for n in norms],
+                # h^T b with b = ||b|| q_1
+                rhs_product=self.start_norm * float(h.dot(self.basis.rows[0]))
+                if l else 0.0)
 
         while not converged and l < max_iterations:
             if len(self.diag) == l:
@@ -396,13 +403,17 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         z = precond.apply_inverse(r)
         return z, float(np.vdot(r, z))
 
+    def done(converged):
+        return CgTrace(None, None, None, iterations, converged, norms,
+                       float(h.dot(b)))
+
     def breakdown(message):
-        return CgBreakdownError(message, trace=CgTrace(
-            None, None, None, iterations, False, list(norms)))
+        return CgBreakdownError(message, trace=done(False))
 
     h = np.zeros(sys.domain_dim)
     d = g.copy()
-    z, rho = precondition(sys.apply_adjoint(d))
+    b = sys.apply_adjoint(d)
+    z, rho = precondition(b)
     if norms[0] and not 0.0 < rho < math.inf:
         raise breakdown(f"initial <r, z> = {rho} is not positive; "
                         "preconditioner is not SPD")
@@ -410,7 +421,7 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     h_norm = 0.0
     while norms[-1] > tol * h_norm and rho != 0.0:
         if iterations >= max_iterations:
-            return h, CgTrace(None, None, None, iterations, False, norms)
+            return h, done(False)
         q = sys.apply(p)
         # np.vdot runs the same ddot as q @ q but sets off no overflow
         # warning; an overflowing ||G p||^2 is the breakdown below
@@ -430,4 +441,4 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         rho = rho_new
         iterations += 1
         h_norm = math.sqrt(h.dot(h))
-    return h, CgTrace(None, None, None, iterations, True, norms)
+    return h, done(True)

@@ -7,7 +7,14 @@ G^T G h = G^T g with G = [A_m; sqrt(gamma_k) I] by CG, where the Jacobian
 A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
 step does what in the ``variant`` an irgnm run names: prec, plain
-(no preconditioner) or the frozen ablation (no update). The shift falls as
+(no preconditioner) or the frozen ablation (no update). irgnm-prec
+relinearizes at a step its square-number schedule makes due only if the
+frozen Jacobian is stale, by the contraction monitor of simplified Newton
+methods (Deuflhard, Newton Methods for Nonlinear Problems, Springer
+2004): ||y - F(x_k)|| exceeds STALE_RATIO = 1.25 times the misfit
+||r_{k-1} - A_m h_{k-1}|| the frozen linear model predicted for the step
+just taken, which ``_predicted_misfit`` reads from the Galerkin solve at
+no model unit. The shift falls as
 gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR) with GAMMA_FACTOR =
 1.5 and GAMMA_FLOOR = 1e-14, below which the shifted preconditioner cannot
 be applied in floating point. Builds solve accurately (EPS_ACCURATE = 1e-9)
@@ -71,7 +78,7 @@ EPS_ACCURATE = 1e-9
 MAX_INNER = 200
 UPDATE_AGE_MIN = 4
 UPDATE_INNER_MIN = 5
-RECOMPUTE_INNER_MIN = 8
+STALE_RATIO = 1.25
 INNER_RHO = 0.8
 GRAM_ESTIMATE_SEED = 0
 GRAM_ESTIMATE_STEPS = 5
@@ -181,33 +188,49 @@ def _estimate_from_gradient(jac, residual):
     return lanczos.theta_max(), lanczos
 
 
-def _plan_step(k, m, last_build, prev_inner, variant):
+def _plan_step(k, m, last_build, prev_inner, variant, stale=False):
     """(event, relinearize) of Newton step k, whose last relinearization
     was at m and last build at last_build; prev_inner counts the inner
-    iterations of the last Plain step since that build (None if none).
+    iterations of the last Plain step since that build (None if none), and
+    stale says whether the frozen Jacobian stopped predicting the residual
+    (see ``_predicted_misfit``).
 
     Variant "plain" relinearizes at every step and never builds. "prec"
     recomputes (fresh Jacobian, new pair set) at k = 0 and when the
-    square-number schedule sqrt(k+1) >= sqrt(m+1) + 1 is due and
-    prev_inner > RECOMPUTE_INNER_MIN = 8; it updates (frozen Jacobian,
-    pairs merged into the current set) once the last build is
-    UPDATE_AGE_MIN = 4 steps old and prev_inner > UPDATE_INNER_MIN = 5;
-    other steps are Plain on the frozen Jacobian. The "frozen" ablation
-    rebuilds exactly on the schedule (k = 0, 3, 8, 15, 24, ...), with no
-    inner-iteration guard, and never updates.
+    square-number schedule sqrt(k+1) >= sqrt(m+1) + 1 is due and the
+    Jacobian is stale; it updates (frozen Jacobian, pairs merged into the
+    current set) once the last build is UPDATE_AGE_MIN = 4 steps old and
+    prev_inner > UPDATE_INNER_MIN = 5; other steps are Plain on the frozen
+    Jacobian. The "frozen" ablation rebuilds exactly on the schedule (k = 0,
+    3, 8, 15, 24, ...), whether stale or not, and never updates.
     """
     if variant == "plain":
         return EVENT_PLAIN, True
     updates = variant == "prec"
-    inner = prev_inner or 0
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    if k == 0 or (due and (not updates or inner > RECOMPUTE_INNER_MIN)):
+    if k == 0 or (due and (not updates or stale)):
         return EVENT_RECOMPUTE, True
     if updates and k - last_build >= UPDATE_AGE_MIN \
-            and inner > UPDATE_INNER_MIN:
+            and (prev_inner or 0) > UPDATE_INNER_MIN:
         return EVENT_UPDATE, False
     return EVENT_PLAIN, False
+
+
+def _predicted_misfit(sys, h, trace, residual_norm):
+    """||r - A h||, the data misfit the frozen linear model of ``sys``
+    predicts for the step h its solve returned, at no model unit.
+
+    Every inner solve of an irgnm run is a Galerkin solve (Lanczos, the
+    two-sided build, left-preconditioned CG), so h^T (b - G^T G h) = 0 for
+    b = G^T g = A^T r + gamma q, q the prior offset, and
+    ||r - A h||^2 = ||r||^2 - h^T b + gamma h^T (2 q - h), with h^T b from
+    the trace. ``residual_norm`` is ||r||.
+    """
+    q = sys.rhs_prior
+    squared = residual_norm * residual_norm - trace.rhs_product \
+        + sys.gamma * float(h.dot(2.0 * q - h))
+    return math.sqrt(max(squared, 0.0))
 
 
 def _truncated_cgne(jac, b_vec, rho, max_iterations):
@@ -391,11 +414,14 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     accurate two-sided solve over the pair set it starts from (empty after
     a relinearization), then the Ritz harvest merged into that set. A
     Plain step runs CG at standard tolerance, left-preconditioned by the
-    current pair set if there is one. gamma0, held in ``meta["gamma0"]``,
-    is the Lanczos estimate of ||A_0^T A_0|| after F(x_0) from the first
-    solve's right-hand side (``_estimate_from_gradient``), and the k = 0
-    solve, Recompute or Plain, is that Lanczos run's own ``solve`` at shift
-    gamma0; its state is dropped after the step. ``meta["estimate_units"]``
+    current pair set if there is one. Each step keeps the misfit its
+    frozen linear model predicts (``_predicted_misfit``); the next residual
+    norm above STALE_RATIO times it lets irgnm-prec recompute at a due
+    step. gamma0, held in ``meta["gamma0"]``, is the Lanczos estimate of
+    ||A_0^T A_0|| after F(x_0) from the first solve's right-hand side
+    (``_estimate_from_gradient``), and the k = 0 solve, Recompute or Plain,
+    is that Lanczos run's own ``solve`` at shift gamma0; its state is
+    dropped after the step. ``meta["estimate_units"]``
     counts the estimate's units that solve did not reuse: none once it
     takes GRAM_ESTIMATE_STEPS iterations. A solve capped at MAX_INNER ends
     the run with InnerCap, as in ``newton_cg_run``.
@@ -410,6 +436,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     x0 = outer.x0
     jac = prev_inner = first = precond = gamma0 = None
     m = last_build = 0
+    predicted = math.inf  # no step has been predicted before k = 0
     meta = {}
 
     def probe(rec, residual_vec):
@@ -427,10 +454,11 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
     def step(rec, x, residual_vec):
-        nonlocal jac, precond, m, last_build, prev_inner, first
+        nonlocal jac, precond, m, last_build, prev_inner, first, predicted
         k, gamma_k = rec.k, rec.gamma_k
+        stale = rec.residual_norm > STALE_RATIO * predicted
         rec.event, relinearize = _plan_step(k, m, last_build, prev_inner,
-                                            variant)
+                                            variant, stale)
         if relinearize:
             jac = model.linearize(x)
             m = rec.m = k
@@ -465,6 +493,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             prev_inner = None
         else:
             prev_inner = trace.iterations
+        predicted = _predicted_misfit(sys, h, trace, rec.residual_norm)
         rec.inner_iterations = trace.iterations
         if not trace.converged:
             outer.end_reason = TERMINAL_INNER_CAP

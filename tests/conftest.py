@@ -21,6 +21,8 @@ ACCEPTANCE_LABELS = {
     10: "exact-data work-precision frontier of irgnm-prec",
 }
 _acceptance_results = {}
+# Readings of the unnumbered claim checks, printed after the criteria.
+_claim_lines = []
 
 
 def record_acceptance(number, ok, detail=""):
@@ -33,9 +35,22 @@ def acceptance():
     return record_acceptance
 
 
+@pytest.fixture
+def claim_report():
+    """Callable (line) -> None: a claim check's reading for the summary."""
+    return _claim_lines.append
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _acceptance_results:
-        return
+    if _acceptance_results:
+        _write_criteria(terminalreporter)
+    if _claim_lines:
+        terminalreporter.section("claim checks")
+        for line in _claim_lines:
+            terminalreporter.write_line(line)
+
+
+def _write_criteria(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for number in sorted(ACCEPTANCE_LABELS):
         label = ACCEPTANCE_LABELS[number]

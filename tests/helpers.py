@@ -7,8 +7,8 @@ import numpy as np
 
 from iterreg.krylov import CgBreakdownError, CgTrace, RitzPair
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
-from iterreg.solvers import (GRAM_ESTIMATE_STEPS, RECOMPUTE_INNER_MIN,
-                             UPDATE_AGE_MIN, UPDATE_INNER_MIN)
+from iterreg.solvers import (GRAM_ESTIMATE_STEPS, UPDATE_AGE_MIN,
+                             UPDATE_INNER_MIN)
 from iterreg.testbed import two_bump_profile
 
 
@@ -181,11 +181,13 @@ def pcg_solve_reference(sys, precond, epsilon=1.0 / 3.0, max_iterations=200):
     def finalize(converged):
         return CgTrace(diag=None, offdiag=None, basis=None,
                        iterations=iterations, converged=converged,
-                       residual_norms=list(residual_norms))
+                       residual_norms=list(residual_norms),
+                       rhs_product=float(h @ b))
 
     h = np.zeros(m_dim)
     d = g.copy()
-    z, rho, r_norm = precondition(sys.apply_adjoint(d))
+    b = sys.apply_adjoint(d)
+    z, rho, r_norm = precondition(b)
     residual_norms.append(r_norm)
     if r_norm == 0.0:
         return h, finalize(True)
@@ -367,19 +369,18 @@ def diagonal_problem_reference(m, n, decay_a=0.25, scale=1.0, seed=0):
     return (v * sigma) @ u.T, two_bump_profile(m)
 
 
-def should_recompute(k, m, prev_inner_iterations, variant):
+def should_recompute(k, m, stale, variant):
     """Reference rebuild test of irgnm-prec and the frozen ablation:
     square-number schedule, rebuild when sqrt(k+1) >= sqrt(m+1) + 1 and,
-    unless the variant is "frozen", the last standard step was expensive;
-    k = 0 builds."""
+    unless the variant is "frozen", the frozen Jacobian is stale; k = 0
+    builds."""
     if k == 0:
         return True
     if k < m:
         raise ContractError("Newton index precedes the linearization point")
     d = k - m - 1  # sqrt(k+1) >= sqrt(m+1) + 1 in exact integer arithmetic
     due = d >= 0 and d * d >= 4 * (m + 1)
-    return due and (variant == "frozen"
-                    or (prev_inner_iterations or 0) > RECOMPUTE_INNER_MIN)
+    return due and (variant == "frozen" or stale)
 
 
 def must_update(k, last_build_step, prev_inner_iterations):

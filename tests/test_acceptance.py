@@ -4,7 +4,9 @@ Ten numbered checks, one per release criterion. Each computes its
 measurements first, reports a single pass/fail line through the
 ``acceptance`` fixture (printed in the terminal summary), then asserts.
 Tolerances and wall-time caps are stated inline next to each check. After
-criterion 7 an unnumbered check tests claim 2 at N = 2000 data.
+criterion 7 an unnumbered check tests claim 2 at N = 2000 data, and after
+criterion 10 one tests claim 1 over a family of nonlinearities; the latter
+prints its readings under "claim checks".
 """
 
 import csv
@@ -22,7 +24,7 @@ from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs,
                                     preconditioned_spectrum_check)
 from iterreg.solvers import (EVENT_PLAIN, EVENT_RECOMPUTE, EVENT_UPDATE,
-                             _harvest, irgnm_run)
+                             TERMINAL_MAX, _harvest, irgnm_run, newton_cg_run)
 from iterreg.stopping import SampledPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, generate_noise,
                              make_convolution_problem, make_diagonal_problem,
@@ -346,9 +348,7 @@ def test_criterion_7_stopping_study(acceptance, tmp_path):
 
 @pytest.mark.parametrize("level, max_newton", [
     (0.005, 25), (0.005, 40), (0.02, 25),
-    pytest.param(0.02, 40, marks=pytest.mark.xfail(strict=True, reason=(
-        "white Phi falls short of the propagated noise (ROADMAP item 1): "
-        "Lepskii 0.3770 against discrepancy 0.3747"))),
+    (0.02, 40),
 ])
 def test_claim_2_stopping_study_at_2000_data(tmp_path, level, max_newton):
     # Claim 2 where the theory expects it: the noise norm grows like
@@ -490,6 +490,49 @@ def test_criterion_10_exact_data_work_precision(acceptance, tmp_path):
                        f"{reach}; {elapsed:.0f}s")
     assert violations == 0
     assert elapsed < 600.0
+
+
+@pytest.mark.parametrize("c3", [0.1, 0.5, 1.0, 2.0])
+def test_claim_1_over_the_nonlinearity_family(claim_report, c3):
+    # Criterion 10's claim over the strength c3 of the nonlinearity
+    # F(x) = K (x + c3 x^3): on WP_INI's problem with exact data, irgnm-prec
+    # runs its max_newton steps (MaxNewton, no Breakdown), and at every
+    # checkpoint budget B in [250, irgnm-prec's last cumulative cost] its
+    # best error so far is at most that of irgnm-plain and of Newton-CG.
+    cfg = ExperimentConfig.from_text(WP_INI)
+    p, solver = cfg.problem, cfg.solver
+    problem = make_nonlinear_composite(make_diagonal_problem(
+        m=p["m"], n=p["n"], decay_a=p["decay_a"], seed=p["seed"]), c3=c3)
+    y = problem.model.evaluate(problem.truth)
+    x0 = np.zeros(problem.model.domain_dim)
+    runs = {f"irgnm-{variant}": irgnm_run(
+        problem.model, y, x0, variant=variant, rhs_kind=solver["rhs_kind"],
+        max_newton=solver["max_newton"], truth=problem.truth)
+        for variant in ("prec", "plain")}
+    runs["newton-cg"] = newton_cg_run(problem.model, y, x0,
+                                      max_newton=solver["max_newton"],
+                                      truth=problem.truth)
+
+    def frontier(name, budget):
+        return min((r.error for r in runs[name].records
+                    if r.cumulative_cost <= budget), default=float("inf"))
+
+    prec = runs["irgnm-prec"]
+    last = prec.total_cost()
+    budgets = sorted({r.cumulative_cost for h in runs.values()
+                      for r in h.records if 250 <= r.cumulative_cost <= last})
+    margins = [(frontier(rival, b) / frontier("irgnm-prec", b), rival, b)
+               for b in budgets for rival in ("irgnm-plain", "newton-cg")]
+    violations = sum(ratio < 1.0 for ratio, _, _ in margins)
+    best = min(prec.records, key=lambda r: r.error)
+    tight = "tightest {:.3f}x over {} at {}".format(*min(margins)) \
+        if margins else "no budget"
+    claim_report(f"claim 1 at c3 = {c3}: irgnm-prec {prec.terminal_reason}, "
+                 f"best {best.error:.3g} at {best.cumulative_cost} units, "
+                 f"{violations} violations at {len(budgets)} budgets "
+                 f"250..{last}, {tight}")
+    assert prec.terminal_reason == TERMINAL_MAX
+    assert budgets and violations == 0
 
 
 SOLVE_INI = """

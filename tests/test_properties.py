@@ -673,7 +673,8 @@ def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
     # The in-place CG loops against the loops that allocated fresh arrays
     # and called np.linalg.norm (tests/helpers.py): the same iterates and
     # residual norms bit for bit in left-preconditioned (merged pairs)
-    # solves, also on a system whose adjoint returns strided vectors.
+    # solves, and the same h^T b, also on a system whose adjoint returns
+    # strided vectors.
     # Newton-CG's truncated CGNE returns the same h and spends one adjoint
     # apply fewer once it has iterated. The reorthogonalized solves, which
     # run the Lanczos loop, are checked against DenseOracle in the property
@@ -693,6 +694,7 @@ def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
         assert _bits(trace.residual_norms) == _bits(ref.residual_norms)
         assert (trace.iterations, trace.converged, trace.basis) \
             == (ref.iterations, ref.converged, None)
+        assert _bits(trace.rhs_product) == _bits(ref.rhs_product)
 
     # Below m iterations CGNE cannot exhaust the Krylov space, so it ends
     # on its target or its cap, not on A^T d = 0 (where both loops read

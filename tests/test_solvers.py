@@ -24,8 +24,9 @@ from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
                              _plan_step, estimate_gram_norm, irgnm_run,
                              landweber_run, newton_cg_run)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
-from iterreg.testbed import (DenseOracle, make_diagonal_problem,
-                             make_nonlinear_composite)
+from iterreg.testbed import (DenseOracle, generate_noise,
+                             make_diagonal_problem, make_nonlinear_composite,
+                             noise_sigma_for_level)
 
 
 def _gammas(max_newton):
@@ -72,16 +73,20 @@ PLAIN = (EVENT_PLAIN, False)
 
 def test_plan_step_recompute_policy():
     assert _plan_step(0, 0, 0, None, "prec") == RECOMPUTE
-    # sqrt(4) = sqrt(1) + 1 and the previous step was expensive
-    assert _plan_step(3, 0, 0, 10, "prec") == RECOMPUTE
-    # sqrt(9) = sqrt(4) + 1
-    assert _plan_step(8, 3, 3, 12, "prec") == RECOMPUTE
-    # schedule is due but the guard fails: 5 <= 8
-    assert _plan_step(3, 0, 0, 5, "prec") == PLAIN
-    # schedule not yet due even with an expensive step
-    assert _plan_step(2, 0, 0, 50, "prec") == PLAIN
-    # a fresh build resets the probe: None fails the guard
+    # sqrt(4) = sqrt(1) + 1 and the frozen Jacobian is stale
+    assert _plan_step(3, 0, 0, 10, "prec", True) == RECOMPUTE
+    # sqrt(9) = sqrt(4) + 1, whatever the last Plain step cost
+    assert _plan_step(8, 3, 3, 2, "prec", True) == RECOMPUTE
+    assert _plan_step(8, 3, 3, None, "prec", True) == RECOMPUTE
+    # due but not stale: no Recompute, however expensive the last step was
+    assert _plan_step(3, 0, 0, 50, "prec", False) == PLAIN
     assert _plan_step(3, 0, 0, None, "prec") == PLAIN
+    # stale but not yet due: no Recompute
+    assert _plan_step(2, 0, 0, 50, "prec", True) == PLAIN
+    assert _plan_step(7, 3, 6, 50, "prec", True) == PLAIN
+    # the frozen ablation ignores staleness
+    assert _plan_step(3, 0, 0, None, "frozen", False) == RECOMPUTE
+    assert _plan_step(7, 3, 3, 50, "frozen", True) == PLAIN
 
 
 def test_plan_step_update_policy():
@@ -92,6 +97,62 @@ def test_plan_step_update_policy():
     assert _plan_step(14, 10, 10, None, "prec") == PLAIN
     # an Update keeps m, so the schedule still counts from the Recompute
     assert _plan_step(17, 10, 12, 7, "prec") == UPDATE
+    # a due step whose Jacobian is not stale follows the same rules, and so
+    # does a stale step that is not due
+    assert _plan_step(18, 10, 10, 6, "prec", False) == UPDATE
+    assert _plan_step(18, 10, 10, 5, "prec", False) == PLAIN
+    assert _plan_step(18, 10, 16, 20, "prec", False) == PLAIN
+    assert _plan_step(17, 10, 10, 6, "prec", True) == UPDATE
+
+
+@pytest.mark.parametrize("rhs_kind", [IRGNM, LEVENBERG_MARQUARDT])
+def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
+                                                          rhs_kind):
+    # At every step of an irgnm-prec and an irgnm-plain run, the misfit
+    # the staleness test reads equals ||r_k - A_m h_k|| with the dense
+    # Jacobian at x_m, to 1e-8 relative, and costs no model unit: on the
+    # k = 0 Recompute and Plain, later Recomputes, Updates, and Plain steps
+    # with pairs (left-preconditioned CG) and without (Lanczos). irgnm-prec
+    # recomputes exactly when the schedule is due and the residual exceeds
+    # STALE_RATIO times the last prediction.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=30, n=40, seed=0), c3=2.0)
+    y = problem.model.evaluate(problem.truth)
+    y = y + generate_noise(noise_sigma_for_level(y, 0.01), 40, seed=3)[0]
+    cost = problem.model.cost
+    predict = solvers._predicted_misfit
+    calls = []
+
+    def spy(sys, h, trace, residual_norm):
+        before = cost.total
+        predicted = predict(sys, h, trace, residual_norm)
+        assert cost.total == before
+        calls.append((sys.rhs_data, h.copy(), trace.basis is None, predicted))
+        return predicted
+
+    monkeypatch.setattr(solvers, "_predicted_misfit", spy)
+    steps = set()
+    for variant in ("prec", "plain"):
+        calls.clear()
+        history = irgnm_run(problem.model, y, np.zeros(30), variant=variant,
+                            rhs_kind=rhs_kind, max_newton=20)
+        records = history.records
+        assert history.terminal_reason == TERMINAL_MAX
+        assert len(calls) == len(records) - 1
+        for rec, (r, h, left, predicted) in zip(records, calls):
+            a = problem.jacobian_matrix(records[rec.m].x_k)
+            dense = np.linalg.norm(r - a @ h)
+            assert predicted == pytest.approx(dense, rel=1e-8, abs=0.0)
+            steps.add((rec.event, rec.k > 0, left))
+        if variant == "prec":
+            for k in range(1, len(calls)):
+                stale = records[k].residual_norm \
+                    > solvers.STALE_RATIO * calls[k - 1][3]
+                assert (records[k].event == EVENT_RECOMPUTE) \
+                    == should_recompute(k, records[k - 1].m, stale, "prec")
+    assert {(EVENT_RECOMPUTE, False, False), (EVENT_RECOMPUTE, True, False),
+            (EVENT_UPDATE, True, False), (EVENT_PLAIN, True, True),
+            (EVENT_PLAIN, True, False)} <= steps
 
 
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
@@ -136,7 +197,7 @@ def test_schedule_test_agrees_with_its_float_form():
 def _step_states(draw):
     k = draw(st.integers(0, 200))
     return (k, draw(st.integers(0, k)), draw(st.integers(0, k)),
-            draw(st.none() | st.integers(0, 20)))
+            draw(st.none() | st.integers(0, 20)), draw(st.booleans()))
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
@@ -146,16 +207,17 @@ def test_plan_step_matches_the_reference_predicates(state, variant):
     # relinearizes at every step; irgnm-prec and the frozen ablation rebuild
     # when should_recompute holds, and irgnm-prec otherwise updates when
     # must_update holds.
-    k, m, last_build, prev_inner = state
+    k, m, last_build, prev_inner, stale = state
     if variant == "plain":
         expected = (EVENT_PLAIN, True)
-    elif should_recompute(k, m, prev_inner, variant):
+    elif should_recompute(k, m, stale, variant):
         expected = RECOMPUTE
     elif variant == "prec" and must_update(k, last_build, prev_inner):
         expected = UPDATE
     else:
         expected = PLAIN
-    assert _plan_step(k, m, last_build, prev_inner, variant) == expected
+    assert _plan_step(k, m, last_build, prev_inner, variant, stale) \
+        == expected
 
 
 def test_irgnm_run_validates_its_settings():
@@ -978,17 +1040,12 @@ def test_run_history_helpers():
     assert history.residual_norms()[0] == pytest.approx(np.linalg.norm(y))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "irgnm-prec's Plain steps on the shift floor run left-preconditioned CG "
-    "without reorthogonalization; ROADMAP item 2 moves them onto the "
-    "two-sided Lanczos loop, which ends all 24 runs at <= 1e-12"))
 def test_long_exact_data_runs_reach_the_float_floor_under_data_rounding():
     # The CLI's exact-data run (m = 30, n = 40, max_newton = 100) that
     # test_main_long_exact_data_run_reaches_its_cap makes, on its data and
     # on the data perturbed as y (1 + 4e-16 u), u uniform in [-1, 1] from
-    # default_rng(seed) for seeds 1-23: each run should end at an error of
-    # at most 1e-12. Seed 13 ends at 3.1e-12 after 1,057 units; the other
-    # runs end at 4.9e-13 to 6.4e-13 after 971 to 997.
+    # default_rng(seed) for seeds 1-23: each run ends at an error of at most
+    # 1e-12, between 4.9e-13 and 6.4e-13 after 971 to 1,003 units.
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=30, n=40, decay_a=0.25, seed=1))
     y = problem.model.evaluate(problem.truth)
