@@ -7,11 +7,11 @@ Levenberg-Marquardt variants) whose inner Tikhonov systems are handled by
 conjugate gradients. One reorthogonalized Lanczos loop, which solves as CG
 does, serves the estimate of the first regularization weight, the first
 inner solve that continues it, the accurate solves of the preconditioner
-builds and the unpreconditioned steps; the other steps run left-preconditioned
-CG. The Lanczos data of the accurate solves yield approximate eigenpairs of
-the Gauss-Newton operator; these are frozen into a spectral preconditioner
-that is cheaply updated across Newton steps while the regularization weight
-decays. Stopping
+builds and every other step, preconditioned ones in the inner product of
+their preconditioner. The Lanczos data of the accurate solves yield
+approximate eigenpairs of the Gauss-Newton operator; these are frozen into a
+spectral preconditioner that is cheaply updated across Newton steps while
+the regularization weight decays. Stopping
 is data driven: Morozov's discrepancy principle and a balancing (Lepskii-type)
 rule fed by estimated noise-propagation curves. Landweber iteration and a
 truncated Newton-CG method serve as baselines, and dense brute-force oracles

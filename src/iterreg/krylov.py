@@ -1,21 +1,23 @@
 """Conjugate gradients on regularized normal equations, with Lanczos extraction.
 
 Solves G^T G h = G^T g for a stacked Tikhonov operator G accessed only through
-apply/adjoint calls, optionally left-preconditioned. One Lanczos loop
-(``Lanczos``) runs every reorthogonalized solve: the gamma0 estimate of an
-irgnm run and the k = 0 solve that continues it, the accurate two-sided
-solves of the preconditioner builds, and the unpreconditioned Plain steps,
-which reach it through ``pcg_solve``. It tridiagonalizes the normal operator
-B = op^T op into T_l over a basis kept orthonormal by Gram-Schmidt, with a
-second pass only when the first removed most of the vector, so each step
-costs two matrix-vector products, and solves (B + shift I) h = b as CG does
-through the LDL^T factors of T_l + shift I (D-Lanczos); one basis serves any
-shift (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000). The
-Ritz pairs of T_l come with a residual bound
+apply/adjoint calls, optionally preconditioned. One Lanczos loop
+(``Lanczos``) runs every Tikhonov solve: the gamma0 estimate of an irgnm run
+and the k = 0 solve that continues it, the accurate two-sided solves of the
+preconditioner builds, and the Plain steps, which reach it through
+``pcg_solve``. It tridiagonalizes the normal operator B = op^T op into T_l
+over a basis kept orthonormal by Gram-Schmidt, with a second pass only when
+the first removed most of the vector, so each step costs two matrix-vector
+products, and solves (B + shift I) h = b as CG does through the LDL^T
+factors of T_l + shift I (D-Lanczos); one basis serves any shift (Saad,
+Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000). Preconditioned,
+it runs in the M-inner product, which is PCG (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 9.2). The Ritz pairs of T_l come with a
+residual bound
 ||B (Q w_i) - theta_i (Q w_i)|| <= b_l |w_i(l)| + RITZ_ROUNDING eps theta_max,
 RITZ_ROUNDING = 32. ``select_ritz`` keeps the pairs with theta >=
 RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times
-theta. Left-preconditioned solves run plain PCG and store no basis.
+theta.
 
 The loops update in place only arrays they allocated themselves (the
 iterate, the residual, the search direction, the basis and the vector it
@@ -62,17 +64,17 @@ class CgTrace:
     ``diag`` holds a_1..a_l and ``offdiag`` b_1..b_l of the Lanczos run of
     a solve of l iterations (see ``Lanczos``): T_l has the diagonal a and
     the off-diagonal b_1..b_{l-1}, and b_l scales the Ritz residual bounds.
-    ``basis`` is the (l, dim) block of the orthonormal Lanczos vectors
-    q_1..q_l. Left-preconditioned solves run no Lanczos loop and carry None
-    in all three fields, so they yield no Ritz pairs. ``rhs_product`` is
-    h^T b for the returned h and the right-hand side b = G^T g; a scaled
-    or two-sided system, solved for h~ = c h from b~ = b/c, has the same
-    h~^T b~.
+    ``basis`` is the (l, dim) block of the Lanczos vectors q_1..q_l,
+    orthonormal, or M-orthonormal in a preconditioned solve.
+    ``residual_norms`` holds the Euclidean ||r_j|| for j = 0..l.
+    ``rhs_product`` is h^T b for the returned h and the right-hand side
+    b = G^T g; a scaled or two-sided system, solved for h~ = c h from
+    b~ = b/c, has the same h~^T b~.
     """
 
-    diag: np.ndarray | None
-    offdiag: np.ndarray | None
-    basis: np.ndarray | None
+    diag: np.ndarray
+    offdiag: np.ndarray
+    basis: np.ndarray
     iterations: int
     converged: bool
     residual_norms: list
@@ -87,18 +89,32 @@ class GramSchmidtBasis:
     ||w|| < ||x||/sqrt(2), the test of Daniel, Gragg, Kaufman & Stewart
     (Math. Comp. 30, 1976); two passes keep the basis orthonormal to
     working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
-    2005). Q has ``min(dim, capacity)`` rows, allocated unfilled; ``add``
-    fills each row, and ``rows`` is the filled block.
+    2005). Q starts with ``min(dim, capacity)`` rows, allocated unfilled,
+    and doubles, up to ``dim`` rows, when ``add`` finds it full; ``rows``
+    is the filled block.
+
+    Given ``inverse``, x -> M^{-1} x for an SPD M, the rows of Q are
+    M-orthonormal and the ``duals`` W = Q M, ||w_j|| in ``dual_norms``; an
+    input x, such as a residual, is projected as w = x - W^T (Q x), M times
+    the M-orthogonal projection of M^{-1} x, with the tests above on
+    Euclidean norms. Without ``inverse`` W is Q, and each ||w_j|| is 1.
     """
 
-    def __init__(self, dim, capacity):
+    def __init__(self, dim, capacity, inverse=None):
         self.dim = int(dim)
         self.count = 0
+        self.inverse = inverse
+        self.dual_norms = []
         self._q = np.empty((min(self.dim, capacity), self.dim))
+        self._dual = self._q if inverse is None else np.empty_like(self._q)
 
     @property
     def rows(self):
         return self._q[:self.count]
+
+    @property
+    def duals(self):
+        return self._dual[:self.count]
 
     def add(self, x, drop_tol=1e-12):
         """Extend the basis with the normalized complement of ``x``.
@@ -107,7 +123,9 @@ class GramSchmidtBasis:
         unit vector aligned with the complement of x and pnorm its
         unnormalized length, or ``(None, pnorm)`` when x is numerically
         dependent on the basis (``pnorm <= drop_tol * ||x||``) or the space
-        is exhausted. An x whose ||x||^2 overflows raises a ContractError.
+        is exhausted. Given ``inverse``, q is M^{-1} w / pnorm with pnorm =
+        sqrt(w^T M^{-1} w), a CgBreakdownError unless positive and finite.
+        An x whose ||x||^2 overflows raises a ContractError.
         """
         x = np.asarray(x, dtype=float)
         flat = x.ravel(order="K")  # as np.linalg.norm copies a strided x
@@ -117,16 +135,33 @@ class GramSchmidtBasis:
         k = self.count
         if xnorm == 0.0 or k >= self.dim:
             return None, 0.0
-        q = self._q[:k]
-        w = x - (q @ x) @ q  # a fresh array
+        q, dual = self._q[:k], self._dual[:k]
+        w = x - (q @ x) @ dual if k else x.copy()  # a fresh array
         pnorm = math.sqrt(w.dot(w))
         if pnorm < _SQRT_HALF * xnorm:
-            w -= (q @ w) @ q
+            w -= (q @ w) @ dual
             pnorm = math.sqrt(w.dot(w))
         if pnorm <= drop_tol * xnorm:
             return None, pnorm
+        if k == len(self._q):  # full: double the rows, up to dim
+            q, dual = np.empty((2, min(self.dim, 2 * k), self.dim))
+            q[:k] = self._q
+            if self.inverse is not None:
+                dual[:k] = self._dual
+            self._q, self._dual = q, q if self.inverse is None else dual
+        dual_norm = 1.0
+        if self.inverse is not None:
+            z = self.inverse(w)
+            mm = float(np.vdot(w, z))  # vdot: no overflow warning
+            if not 0.0 < mm < math.inf:
+                raise CgBreakdownError(f"w^T M^-1 w = {mm} is not positive; "
+                                       "preconditioner is not SPD")
+            dual_norm, pnorm = pnorm / math.sqrt(mm), math.sqrt(mm)
+            np.divide(w, pnorm, out=self._dual[k])
+            w = z
         row = self._q[k]
         np.divide(w, pnorm, out=row)
+        self.dual_norms.append(dual_norm)
         self.count = k + 1
         return row, pnorm
 
@@ -159,23 +194,25 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
 
 class Lanczos:
     """Lanczos tridiagonalization of B = op^T op from a start vector b, the
-    one loop behind every reorthogonalized solve.
+    one loop behind every Tikhonov solve.
 
     ``op`` is any object with ``apply``, ``apply_adjoint`` and
     ``domain_dim``: a Jacobian handle, a Tikhonov system or its two-sided
     form. The basis q_1, q_2, ... is kept orthonormal in a GramSchmidtBasis
-    of ``capacity`` rows. ``diag`` holds a_j = ||op q_j||^2 and ``offdiag``
-    b_j, the length of the component of B q_j orthogonal to q_1..q_j, which
-    normalized is q_{j+1} unless it is dependent on the basis: then the
-    Krylov space is exhausted, and b_j is the length the basis dropped.
-    ``grow`` adds a_{j+1} for one apply, after the adjoint apply that b_j
-    waits for, so a run read after j steps has cost 2j - 1 units past the
-    start vector. ``solve`` continues the run as CG on (B + shift I) h = b.
+    of 16 rows to start, or M-orthonormal given ``inverse`` (x -> M^{-1} x)
+    for a run on M^{-1} B from M^{-1} b. ``diag`` holds a_j = ||op q_j||^2
+    and ``offdiag`` b_j, the length of the component of B q_j orthogonal
+    to q_1..q_j, which normalized is q_{j+1} unless it is dependent on the
+    basis: then the Krylov space is exhausted, and b_j is the length the
+    basis dropped. ``grow`` adds a_{j+1} for one apply, after the adjoint
+    apply that b_j waits for, so a run read after j steps has cost 2j - 1
+    units past the start vector. ``solve`` continues the run as CG on
+    (B + shift M) h = b, M = I without ``inverse``.
     """
 
-    def __init__(self, op, start, capacity):
+    def __init__(self, op, start, inverse=None):
         self.op = op
-        self.basis = GramSchmidtBasis(op.domain_dim, capacity)
+        self.basis = GramSchmidtBasis(op.domain_dim, 16, inverse)
         self._q, self.start_norm = self.basis.add(start)
         self._image = None  # op q_j while b_j waits for its adjoint apply
         self.diag, self.offdiag = [], []
@@ -220,58 +257,69 @@ class Lanczos:
         return theta
 
     def solve(self, shift, tol, max_iterations, scale=1.0):
-        """Continue the run as CG on (B + shift I) h = b (D-Lanczos, Saad,
+        """Continue the run as CG on (B + shift M) h = b (D-Lanczos, Saad,
         Iterative Methods for Sparse Linear Systems, 2nd ed., 6.7.1).
 
         Step l factors T_l + shift I = L D L^T by its pivots d_1 = a_1 +
         shift, d_{j+1} = a_{j+1} + shift - b_j l_j with l_j = b_j/d_j, and
         adds (zeta_l/d_l) p_l to the Galerkin iterate h_l = ||b|| Q_l
-        (T_l + shift I)^{-1} e_1, where zeta_1 = ||b||, zeta_{j+1} =
-        -l_j zeta_j, p_1 = q_1 and p_{j+1} = q_{j+1} - l_j p_j. Its residual
-        norm is ||r_l|| = b_l |zeta_l/d_l|, and the solve ends once that is
-        at most tol ||h_l|| (an exhausted space ends it too), or after
+        (T_l + shift I)^{-1} e_1, where zeta_1 = ||b|| (in the M^{-1}-norm),
+        zeta_{j+1} = -l_j zeta_j, p_1 = q_1 and p_{j+1} = q_{j+1} - l_j p_j.
+        Its residual norm is ||r_l|| = b_l |zeta_l/d_l| ||M q_{l+1}||, and
+        the solve ends once that is at most tol ||h_l|| (an exhausted
+        space ends it too), or after
         ``max_iterations`` steps unconverged. Each step costs O(dim) past
-        its two model calls. A pivot that is not positive raises a
-        CgBreakdownError carrying the trace so far.
+        its two model calls and its Gram-Schmidt projection. A pivot that
+        is not positive, or a breakdown of M, raises a CgBreakdownError
+        carrying the trace so far.
 
         Returns (h, trace): h solves the system above, and the trace is that
-        of CG on (B + shift I)/scale from b/sqrt(scale), whose T_l is
+        of CG on (B + shift M)/scale from b/sqrt(scale), whose T_l is
         (T_l + shift I)/scale over the same basis.
         """
+        basis, root = self.basis, math.sqrt(scale)
         h, p = np.zeros(self.op.domain_dim), np.zeros(self.op.domain_dim)
-        zeta, norms = self.start_norm, [self.start_norm]
+        zeta = self.start_norm
+        norms = [zeta * basis.dual_norms[0] if basis.count else 0.0]
         l, b, ratio = 0, 0.0, 0.0
         converged = zeta == 0.0
 
         def trace(converged):
             return CgTrace(
-                diag=(np.array(self.diag[:l]) + shift) / scale,
-                offdiag=np.array(self.offdiag[:l]) / scale,
-                basis=self.basis.rows[:l], iterations=l, converged=converged,
-                residual_norms=[n / math.sqrt(scale) for n in norms],
-                # h^T b with b = ||b|| q_1
-                rhs_product=self.start_norm * float(h.dot(self.basis.rows[0]))
+                diag=np.add(self.diag[:l], shift) / scale,
+                offdiag=np.divide(self.offdiag[:l], scale),
+                basis=basis.rows[:l], iterations=l, converged=converged,
+                residual_norms=[n / root for n in norms],
+                # h^T b with b = ||b|| w_1
+                rhs_product=self.start_norm * float(h.dot(basis.duals[0]))
                 if l else 0.0)
 
         while not converged and l < max_iterations:
             if len(self.diag) == l:
                 self.grow()
             if len(self.offdiag) == l:
-                self._close()
+                try:
+                    self._close()
+                except CgBreakdownError as exc:
+                    exc.trace = trace(False)
+                    raise
             d = self.diag[l] + shift - b * ratio
             if not d > 0.0:
                 raise CgBreakdownError(
                     f"pivot d_{l + 1} = {d} of T_l + shift I is not positive",
                     trace=trace(False))
             p *= -ratio
-            p += self.basis.rows[l]
+            p += basis.rows[l]
             h += (zeta / d) * p
             b = self.offdiag[l]
-            norms.append(b * abs(zeta / d))
+            r_norm = b * abs(zeta / d)
+            if basis.count > l + 1:
+                r_norm *= basis.dual_norms[l + 1]
+            norms.append(r_norm)
             ratio = b / d
             zeta *= -ratio
             l += 1
-            converged = self.basis.count == l \
+            converged = basis.count == l \
                 or norms[-1] <= tol * math.sqrt(h.dot(h))
         return h, trace(converged)
 
@@ -298,8 +346,8 @@ class RitzPair:
 def ritz_from_trace(trace: CgTrace):
     """Ritz pairs of the normal operator from the Lanczos data of a solve.
 
-    Returns every pair, sorted by descending theta. Requires the trace to
-    carry its Lanczos basis; raises a diagnostic error when T_l fails to be
+    Returns every pair, sorted by descending theta. Requires a trace of at
+    least one iteration; raises a diagnostic error when T_l fails to be
     positive definite, which signals lost orthogonality. A pair's Ritz
     vector Q w_i (``w_i @ trace.basis``, Q having the basis rows as its
     columns) is formed on the first read of its ``vector``, so the pairs a
@@ -310,10 +358,11 @@ def ritz_from_trace(trace: CgTrace):
     multiple of eps ||B|| however far its residual falls (at most 5 eps
     theta_max in random Recompute solves), and which alone remains once
     the Krylov space is exhausted. It bounds the residual against B as
-    applied (see ``solvers._harvest`` for a two-sided B).
+    applied (see ``solvers._harvest`` for a two-sided B), for the Euclidean
+    basis of an unpreconditioned run.
     """
     l = trace.iterations
-    if trace.basis is None or l < 1:
+    if l < 1:
         raise ContractError("trace holds no Lanczos basis to extract from")
     off = trace.offdiag[:l - 1]
     theta, vecs = np.linalg.eigh(
@@ -351,10 +400,9 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         and ``stop_scale`` (a lower bound of the spectrum of G^T G; the
         Tikhonov system exposes gamma).
     precond : SpectralPreconditioner or None
-        Applied from the left through its ``apply_inverse``. ``None`` runs
-        the reorthogonalized Lanczos loop; symmetric two-sided
-        preconditioning is achieved by wrapping ``sys`` instead, which keeps
-        reorthogonalization Euclidean.
+        The M of the solve, applied through its ``apply_inverse``.
+        Symmetric two-sided preconditioning is achieved by wrapping ``sys``
+        instead, which keeps reorthogonalization Euclidean.
     epsilon : float in (0, 1)
         Enters the stop test below; when ``stop_scale`` is a lower bound for
         the spectrum of G^T G this guarantees relative accuracy
@@ -366,79 +414,21 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     -------
     (h, trace) : solution estimate and a CgTrace. Hitting the iteration cap
     flags ``trace.converged = False`` instead of raising; genuine breakdowns
-    raise ``CgBreakdownError`` carrying the partial trace.
+    raise ``CgBreakdownError``, carrying the partial trace once the solve
+    has started: one that M^{-1} causes on the right-hand side carries none.
 
     Notes
     -----
-    The loop runs while ``||r^l|| > epsilon * stop_scale * ||h^l||``; with
+    The solve is one call of ``Lanczos.solve`` on ``sys`` at shift 0 from
+    r^0 = G^T g, in the M-inner product given ``precond``. It runs while
+    the Euclidean ``||r^l|| > epsilon * stop_scale * ||h^l||``; with
     h^0 = 0 the first iteration always executes, and a solve of l
-    iterations costs 1 + 2l model units. Without ``precond`` it is one call
-    of ``Lanczos.solve`` on ``sys`` at shift 0, from r^0 = G^T g: each
-    Lanczos vector is the component of G^T G q orthogonal to the earlier
-    ones, taken from a Gram-Schmidt basis that stays orthonormal to working
-    precision, and a dependent one ends the solve as converged.
-    Left-preconditioned runs are plain PCG: they use z = M^{-1} r as is and
-    store no basis.
+    iterations costs 1 + 2l model units and l + 1 applications of M^{-1}.
     """
     if not 0.0 < epsilon < 1.0:
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon}")
     if max_iterations < 1:
         raise ContractError("max_iterations must be at least 1")
-    g = sys.stacked_rhs()
-    tol = epsilon * float(sys.stop_scale)
-    if precond is None:
-        # a row for r^0 and one per iteration
-        return Lanczos(sys, sys.apply_adjoint(g), max_iterations + 1) \
-            .solve(0.0, tol, max_iterations)
-
-    norms, iterations = [], 0
-
-    def precondition(r):
-        """(z, <r, z>) for z = M^{-1} r; ||r|| joins the residual norms."""
-        flat = r.ravel(order="K")  # as np.linalg.norm copies a strided r
-        rr = np.vdot(flat, flat)  # vdot: no overflow warning
-        if not math.isfinite(rr):
-            raise ContractError("||x||^2 exceeds the float range")
-        norms.append(math.sqrt(rr))
-        z = precond.apply_inverse(r)
-        return z, float(np.vdot(r, z))
-
-    def done(converged):
-        return CgTrace(None, None, None, iterations, converged, norms,
-                       float(h.dot(b)))
-
-    def breakdown(message):
-        return CgBreakdownError(message, trace=done(False))
-
-    h = np.zeros(sys.domain_dim)
-    d = g.copy()
-    b = sys.apply_adjoint(d)
-    z, rho = precondition(b)
-    if norms[0] and not 0.0 < rho < math.inf:
-        raise breakdown(f"initial <r, z> = {rho} is not positive; "
-                        "preconditioner is not SPD")
-    p = z.copy()
-    h_norm = 0.0
-    while norms[-1] > tol * h_norm and rho != 0.0:
-        if iterations >= max_iterations:
-            return h, done(False)
-        q = sys.apply(p)
-        # np.vdot runs the same ddot as q @ q but sets off no overflow
-        # warning; an overflowing ||G p||^2 is the breakdown below
-        qq = float(np.vdot(q, q))
-        if qq == 0.0 or not math.isfinite(qq):
-            raise breakdown(f"search direction collapsed: ||G p||^2 = {qq!r}")
-        alpha = rho / qq
-        if not 0.0 < alpha < 1e16:
-            raise breakdown(f"CG coefficient alpha = {alpha} outside (0, 1e16)")
-        h += alpha * p
-        d -= alpha * q
-        z, rho_new = precondition(sys.apply_adjoint(d))
-        if not 0.0 <= rho_new < math.inf:
-            raise breakdown(f"<r, z> = {rho_new} lost positivity")
-        p *= rho_new / rho
-        p += z
-        rho = rho_new
-        iterations += 1
-        h_norm = math.sqrt(h.dot(h))
-    return h, done(True)
+    inverse = None if precond is None else precond.apply_inverse
+    return Lanczos(sys, sys.apply_adjoint(sys.stacked_rhs()), inverse) \
+        .solve(0.0, epsilon * float(sys.stop_scale), max_iterations)

@@ -28,8 +28,9 @@ Every irgnm run takes gamma0 from GRAM_ESTIMATE_STEPS = 5 steps of
 ``krylov.Lanczos`` on A_0^T A_0, started from the first inner solve's
 right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that run's own
 ``solve`` at shift gamma0 instead of a Krylov space of its own. The same
-Lanczos loop runs every other reorthogonalized solve, the builds and the
-unpreconditioned Plain steps, through ``pcg_solve``. Landweber's mu and the
+Lanczos loop runs every other Tikhonov solve through ``pcg_solve``: the
+builds, and the Plain steps, in the M-inner product of the current pair
+set M when there is one. Landweber's mu and the
 fallback of ``_estimate_from_gradient`` take the estimate from a random
 start (``estimate_gram_norm``).
 
@@ -159,8 +160,7 @@ def estimate_gram_norm(jac):
     A^T A vanishes on the start vector, as for a zero Jacobian.
     """
     rng = np.random.default_rng(GRAM_ESTIMATE_SEED)
-    lanczos = Lanczos(jac, rng.standard_normal(jac.domain_dim),
-                      GRAM_ESTIMATE_STEPS)
+    lanczos = Lanczos(jac, rng.standard_normal(jac.domain_dim))
     lanczos.grow_to(GRAM_ESTIMATE_STEPS)
     return lanczos.theta_max()
 
@@ -174,15 +174,14 @@ def _estimate_from_gradient(jac, residual):
     GRAM_ESTIMATE_STEPS steps, as ``estimate_gram_norm`` takes it from a
     random start. The k = 0 solve is then ``lanczos.solve`` at shift gamma0,
     the call ``pcg_solve`` makes on a system of its own, continuing the
-    same run; its basis holds max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1 rows.
+    same run.
     When b = 0, or its Krylov space is exhausted before
     min(GRAM_ESTIMATE_STEPS, dim) steps, so that T_j may miss the top of
     the spectrum, gamma0 is the random-start estimate instead; the first
     solve is still the continued run, which then ends on the exhausted
     space (at h = 0 when b = 0).
     """
-    lanczos = Lanczos(jac, jac.apply_adjoint(residual),
-                      max(GRAM_ESTIMATE_STEPS, MAX_INNER) + 1)
+    lanczos = Lanczos(jac, jac.apply_adjoint(residual))
     if lanczos.grow_to(GRAM_ESTIMATE_STEPS):
         return estimate_gram_norm(jac), lanczos
     return lanczos.theta_max(), lanczos
@@ -221,8 +220,9 @@ def _predicted_misfit(sys, h, trace, residual_norm):
     """||r - A h||, the data misfit the frozen linear model of ``sys``
     predicts for the step h its solve returned, at no model unit.
 
-    Every inner solve of an irgnm run is a Galerkin solve (Lanczos, the
-    two-sided build, left-preconditioned CG), so h^T (b - G^T G h) = 0 for
+    Every inner solve of an irgnm run is a Galerkin solve of the Lanczos
+    loop, Q^T (b - G^T G h) = 0 with h in the span of Q also in the
+    M-inner product, so h^T (b - G^T G h) = 0 for
     b = G^T g = A^T r + gamma q, q the prior offset, and
     ||r - A h||^2 = ||r||^2 - h^T b + gamma h^T (2 q - h), with h^T b from
     the trace. ``residual_norm`` is ||r||.
@@ -261,7 +261,7 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
         if not rho_c > 0.0:
             break
         q = jac.apply(p)
-        qq = float(np.vdot(q, q))  # no overflow warning, as in pcg_solve
+        qq = float(np.vdot(q, q))  # vdot: no overflow warning
         if qq == 0.0 or not math.isfinite(qq):
             break
         a = rho_c / qq
@@ -413,8 +413,8 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     "frozen" ablation (no update). A Recompute or Update builds: an
     accurate two-sided solve over the pair set it starts from (empty after
     a relinearization), then the Ritz harvest merged into that set. A
-    Plain step runs CG at standard tolerance, left-preconditioned by the
-    current pair set if there is one. Each step keeps the misfit its
+    Plain step runs CG at standard tolerance, preconditioned by the current
+    pair set if there is one. Each step keeps the misfit its
     frozen linear model predicts (``_predicted_misfit``); the next residual
     norm above STALE_RATIO times it lets irgnm-prec recompute at a due
     step. gamma0, held in ``meta["gamma0"]``, is the Lanczos estimate of

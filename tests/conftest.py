@@ -6,6 +6,9 @@ import pytest
 # Test-local helpers (dense model factories, stacked oracles).
 sys.path.insert(0, str(Path(__file__).parent))
 
+# The package sources whose line total the summary prints.
+PACKAGE_SOURCES = Path(__file__).parent.parent / "src" / "iterreg"
+
 # Acceptance-criterion results, filled by tests/test_acceptance.py and
 # printed as one line per criterion after the normal pytest summary.
 ACCEPTANCE_LABELS = {
@@ -64,3 +67,6 @@ def _write_criteria(terminalreporter):
         if detail:
             line += f" [{detail}]"
         terminalreporter.write_line(line, green=ok, red=not ok)
+    lines = sum(len(path.read_text().splitlines())
+                for path in PACKAGE_SOURCES.glob("*.py"))
+    terminalreporter.write_line(f"src/iterreg/*.py: {lines} lines")

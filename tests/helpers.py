@@ -1,11 +1,11 @@
 """Shared test utilities: dense-matrix forward models, stacked oracles, and
-reference implementations of the CG loops and of the step policy."""
+reference implementations of Newton-CG's CGNE loop and of the step policy."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from iterreg.krylov import CgBreakdownError, CgTrace, RitzPair
+from iterreg.krylov import RitzPair
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
 from iterreg.solvers import (GRAM_ESTIMATE_STEPS, UPDATE_AGE_MIN,
                              UPDATE_INNER_MIN)
@@ -159,85 +159,10 @@ def phi_sampled_loop(precond, samples, gamma):
     return float(np.sqrt(acc / len(samples)))
 
 
-# Reference implementations: the CG loops as they stood before their
-# in-place rewrite (fresh arrays on every update, np.linalg.norm, and
-# Newton-CG's adjoint computed after its last iteration too). The package
-# must reproduce their iterates bit for bit.
-
-
-def pcg_solve_reference(sys, precond, epsilon=1.0 / 3.0, max_iterations=200):
-    """The left-preconditioned branch of ``krylov.pcg_solve`` as it stood
-    before the rewrite."""
-    g = sys.stacked_rhs()
-    m_dim = sys.domain_dim
-    stop_scale = float(sys.stop_scale)
-    residual_norms = []
-    iterations = 0
-
-    def precondition(r):
-        z = precond.apply_inverse(r)
-        return z, float(r @ z), float(np.linalg.norm(r))
-
-    def finalize(converged):
-        return CgTrace(diag=None, offdiag=None, basis=None,
-                       iterations=iterations, converged=converged,
-                       residual_norms=list(residual_norms),
-                       rhs_product=float(h @ b))
-
-    h = np.zeros(m_dim)
-    d = g.copy()
-    b = sys.apply_adjoint(d)
-    z, rho, r_norm = precondition(b)
-    residual_norms.append(r_norm)
-    if r_norm == 0.0:
-        return h, finalize(True)
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise CgBreakdownError(
-            f"initial <r, z> = {rho} is not positive; preconditioner is not SPD",
-            trace=finalize(False))
-
-    p = z.copy()
-    h_norm = 0.0
-    converged = False
-
-    while True:
-        if r_norm <= epsilon * stop_scale * h_norm:
-            converged = True
-            break
-        if iterations >= max_iterations:
-            converged = False
-            break
-
-        q = sys.apply(p)
-        qq = float(q @ q)
-        if qq == 0.0 or not np.isfinite(qq):
-            raise CgBreakdownError(
-                "search direction collapsed: ||G p||^2 = " + repr(qq),
-                trace=finalize(False))
-        alpha = rho / qq
-        if not (0.0 < alpha < 1e16):
-            raise CgBreakdownError(
-                f"CG coefficient alpha = {alpha} outside (0, 1e16)",
-                trace=finalize(False))
-        h = h + alpha * p
-        d = d - alpha * q
-        z, rho_new, r_norm = precondition(sys.apply_adjoint(d))
-        if not np.isfinite(rho_new) or rho_new < 0.0:
-            raise CgBreakdownError(f"<r, z> = {rho_new} lost positivity",
-                                   trace=finalize(False))
-
-        beta = rho_new / rho
-        iterations += 1
-        rho = rho_new
-        h_norm = float(np.linalg.norm(h))
-        p = z + beta * p
-
-        residual_norms.append(r_norm)
-        if rho == 0.0:
-            converged = True
-            break
-
-    return h, finalize(converged)
+# Reference implementation: Newton-CG's CGNE loop as it stood before its
+# in-place rewrite (fresh arrays on every update, np.linalg.norm, and the
+# adjoint computed after its last iteration too). The package must
+# reproduce its iterates bit for bit.
 
 
 def truncated_cgne_reference(jac, b_vec, rho, max_iterations):

@@ -8,9 +8,10 @@ import pytest
 from helpers import (dense_tikhonov_solution, linear_model, ritz_pair,
                      tikhonov_system)
 from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
-                            RITZ_SEPARATION, CgBreakdownError, Lanczos,
-                            pcg_solve, reorthogonalize_indexed,
-                            ritz_from_trace, select_ritz)
+                            RITZ_SEPARATION, CgBreakdownError,
+                            GramSchmidtBasis, Lanczos, pcg_solve,
+                            reorthogonalize_indexed, ritz_from_trace,
+                            select_ritz)
 from iterreg.operators import ContractError
 from iterreg.preconditioner import SpectralPreconditioner
 
@@ -132,7 +133,7 @@ def test_lanczos_solve_at_a_shift_reports_the_scaled_operator():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((12, 9))
     b = rng.standard_normal(9)
-    run = Lanczos(linear_model(a).linearize(np.zeros(9)), b, 10)
+    run = Lanczos(linear_model(a).linearize(np.zeros(9)), b)
     h, trace = run.solve(0.3, 1e-10, 6, scale=0.3)
     assert (trace.iterations, len(trace.residual_norms)) == (6, 7)
     assert not trace.converged
@@ -157,7 +158,7 @@ def test_nonpositive_pivot_raises_breakdown_with_the_partial_trace():
     # A negative shift below -a_1 makes the first pivot negative: the solve
     # raises before iterating, with the trace of no iteration.
     run = Lanczos(linear_model(np.eye(3)).linearize(np.zeros(3)),
-                  np.ones(3), 4)
+                  np.ones(3))
     with pytest.raises(CgBreakdownError, match="pivot") as info:
         run.solve(-2.0, 1e-10, 3)
     assert (info.value.trace.iterations, info.value.trace.converged) \
@@ -248,6 +249,20 @@ def test_select_ritz_residual_tolerance():
     assert select_ritz([tight]) == [tight]
 
 
+def test_full_basis_grows_instead_of_raising():
+    # e_0, e_1, e_2 into a basis of capacity 2 fill three rows of a block
+    # doubled to four, with and without an inverse M^{-1} = I/4, whose
+    # M-orthonormal rows e_j/2 grow together with their duals 2 e_j.
+    e = np.eye(10)
+    for inverse, scale in ((None, 1.0), (lambda x: x / 4.0, 2.0)):
+        basis = GramSchmidtBasis(10, 2, inverse)
+        assert [basis.add(x)[1] for x in e[:3]] == [1.0 / scale] * 3
+        assert (basis.count, len(basis._q)) == (3, 4)
+        np.testing.assert_array_equal(basis.rows, e[:3] / scale)
+        np.testing.assert_array_equal(basis.duals, e[:3] * scale)
+        assert basis.dual_norms == [scale] * 3
+
+
 def test_reorthogonalize_nearly_dependent_pair():
     e1 = np.array([1.0, 0.0, 0.0])
     nearly = np.array([1.0, 1e-3, 0.0])
@@ -278,15 +293,27 @@ def test_reorthogonalize_input_validation():
 
 
 def test_breakdown_on_indefinite_preconditioner():
+    # M^{-1} = -I fails on the right-hand side, before the solve has a
+    # trace; M^{-1} turning indefinite on its third call fails the second
+    # iteration, and the breakdown carries the trace of the first.
     class NegatingPrecond:
-        def apply_inverse(self, r):
-            return -r
+        def __init__(self, from_call):
+            self.calls, self.from_call = 0, from_call
 
-    sys = tikhonov_system(np.eye(3), 1.0, rhs_data=np.ones(3))
-    with pytest.raises(CgBreakdownError) as info:
-        pcg_solve(sys, NegatingPrecond())
-    assert info.value.trace is not None
-    assert not info.value.trace.converged
+        def apply_inverse(self, r):
+            self.calls += 1
+            return -r if self.calls >= self.from_call else r
+
+    sys = tikhonov_system(np.diag([3.0, 2.0, 1.0]), 1.0, rhs_data=np.ones(3))
+    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD") \
+            as info:
+        pcg_solve(sys, NegatingPrecond(1))
+    assert info.value.trace is None
+    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD") \
+            as info:
+        pcg_solve(sys, NegatingPrecond(3))
+    assert (info.value.trace.iterations, info.value.trace.converged) \
+        == (1, False)
 
 
 @pytest.mark.parametrize("left", [False, True],
@@ -295,7 +322,7 @@ def test_residual_whose_squared_norm_overflows_is_refused(left):
     # At 1e160, ||A^T b||^2 = 5.25e320 exceeds the float range: the solve
     # refuses it, instead of taking the residual as dependent on the empty
     # basis and returning h = 0 as converged, or blaming a one-pair
-    # preconditioner for a non-finite <r, z>. At 1e150 it solves.
+    # preconditioner for a non-finite w^T M^{-1} w. At 1e150 it solves.
     a = np.diag([2.0, 1.0, 0.5])
     precond = SpectralPreconditioner(1.0, np.array([4.0]), np.eye(3)[:, :1]) \
         if left else None
@@ -319,10 +346,16 @@ def test_cg_config_validation():
 
 
 def test_ritz_requires_lanczos_collection():
-    # Left-preconditioned solves store no Lanczos basis.
-    sys = tikhonov_system(np.eye(3), 1.0, rhs_data=np.ones(3))
-    precond = SpectralPreconditioner.empty(1.0, 3)
-    _, trace = pcg_solve(sys, precond)
-    assert trace.iterations >= 1 and trace.basis is None
-    with pytest.raises(ContractError):
-        ritz_from_trace(trace)
+    # A solve of no iteration, on a zero right-hand side, preconditioned or
+    # not, holds no Lanczos data to extract from; a preconditioned solve
+    # that iterates keeps its M-orthonormal basis.
+    precond = SpectralPreconditioner(1.0, np.array([4.0]), np.eye(3)[:, :1])
+    for rhs in (np.zeros(3), np.ones(3)):
+        sys = tikhonov_system(np.eye(3), 1.0, rhs_data=rhs)
+        for left in (None, precond):
+            _, trace = pcg_solve(sys, left)
+            assert trace.basis.shape == (trace.iterations, 3)
+            if not rhs.any():
+                assert trace.iterations == 0
+                with pytest.raises(ContractError, match="no Lanczos basis"):
+                    ritz_from_trace(trace)

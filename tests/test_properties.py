@@ -30,6 +30,7 @@ and the stop rules a random nonlinear-diagonal problem and noise draw.
 """
 
 import itertools
+import math
 import warnings
 from unittest import mock
 
@@ -40,8 +41,8 @@ from hypothesis import strategies as st
 
 from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      explode_from_evaluation, householder_loop,
-                     linear_model, pcg_solve_reference,
-                     phi_sampled_loop, power_gram_norm_reference,
+                     linear_model, phi_sampled_loop,
+                     power_gram_norm_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
 from iterreg import cli, krylov, solvers, stopping
@@ -231,20 +232,17 @@ def test_householder_basis_matches_reflector_loop_and_qr(dim, count,
 def test_basis_filled_to_capacity_is_orthonormal(dim):
     # The rows start unfilled; with NaN in every row the basis has not yet
     # written, a basis of capacity dim filled with dim vectors still comes
-    # out orthonormal, and the space is then exhausted. Past a capacity
-    # below dim, add raises.
-    rng = np.random.default_rng(dim)
-    basis = GramSchmidtBasis(dim, dim)
-    basis._q.fill(np.nan)
-    q = np.column_stack([basis.add(rng.standard_normal(dim))[0]
-                         for _ in range(dim)])
-    assert basis.count == dim
-    assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-13
-    assert basis.add(np.ones(dim)) == (None, 0.0)
-    small = GramSchmidtBasis(dim + 1, 1)
-    small.add(np.ones(dim + 1))
-    with pytest.raises(IndexError):
-        small.add(rng.standard_normal(dim + 1))
+    # out orthonormal, and the space is then exhausted. A basis of capacity
+    # 1 grows by doubling to dim rows and fills the same way.
+    for capacity in (dim, 1):
+        rng = np.random.default_rng(dim)
+        basis = GramSchmidtBasis(dim, capacity)
+        basis._q.fill(np.nan)
+        q = np.column_stack([basis.add(rng.standard_normal(dim))[0]
+                             for _ in range(dim)])
+        assert basis.count == dim == len(basis._q)
+        assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-13
+        assert basis.add(np.ones(dim)) == (None, 0.0)
 
 
 @PROPERTY
@@ -663,44 +661,23 @@ class _StridedAdjoint:
 
 
 @PROPERTY
-@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 1.0),
-       st.floats(1e-3, 10.0), st.integers(0, 40), st.integers(1, 60),
-       st.sampled_from((1.0 / 3.0, 1e-9)), st.floats(0.05, 0.95),
-       st.integers(0, 2**32 - 1))
-def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, gamma,
-                                                    count, cap, eps, rho,
-                                                    seed):
-    # The in-place CG loops against the loops that allocated fresh arrays
-    # and called np.linalg.norm (tests/helpers.py): the same iterates and
-    # residual norms bit for bit in left-preconditioned (merged pairs)
-    # solves, and the same h^T b, also on a system whose adjoint returns
-    # strided vectors.
-    # Newton-CG's truncated CGNE returns the same h and spends one adjoint
-    # apply fewer once it has iterated. The reorthogonalized solves, which
-    # run the Lanczos loop, are checked against DenseOracle in the property
-    # below.
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.integers(1, 60), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_cg_loops_match_their_reference_bit_for_bit(m, extra, decay, cap,
+                                                    rho, seed):
+    # Newton-CG's in-place truncated CGNE against the loop that allocated
+    # fresh arrays and called np.linalg.norm (tests/helpers.py): the same h
+    # bit for bit, one adjoint apply fewer once it has iterated. Below m
+    # iterations CGNE cannot exhaust the Krylov space, so it ends on its
+    # target or its cap, not on A^T d = 0 (where both loops read the last
+    # adjoint, and a capped flag no longer asks for rho_c > 0). The Tikhonov
+    # solves, which run the Lanczos loop, are checked against DenseOracle
+    # in the property below.
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
                               seed=seed % 2**16), c3=0.1)
     rng = np.random.default_rng(seed)
     jac = problem.model.linearize(rng.uniform(-1.0, 1.0, m))
-    sys = TikhonovSystem(jac, gamma, rng.standard_normal(m + extra),
-                         rng.standard_normal(m))
-    pairs = _random_pairs(rng, gamma, m, count)
-    for solver in (sys, _StridedAdjoint(sys)):
-        h, trace = pcg_solve(solver, pairs, eps, cap)
-        h_ref, ref = pcg_solve_reference(solver, pairs, eps, cap)
-        assert _bits(h) == _bits(h_ref)
-        assert _bits(trace.residual_norms) == _bits(ref.residual_norms)
-        assert (trace.iterations, trace.converged, trace.basis) \
-            == (ref.iterations, ref.converged, None)
-        assert _bits(trace.rhs_product) == _bits(ref.rhs_product)
-
-    # Below m iterations CGNE cannot exhaust the Krylov space, so it ends
-    # on its target or its cap, not on A^T d = 0 (where both loops read
-    # the last adjoint, and a capped flag no longer asks for rho_c > 0).
-    if m == 1:
-        return
     cost = problem.model.cost
     b = rng.standard_normal(m + extra)
     outcomes = []
@@ -729,16 +706,22 @@ def _random_pairs(rng, gamma, m, count):
        st.sampled_from((1.0 / 3.0, 1e-9)), st.integers(0, 2**32 - 1))
 def test_lanczos_solves_meet_their_contracts_against_dense_oracle(
         m, extra, decay, gamma, count, cap, eps, seed):
-    # Every reorthogonalized solve is one Lanczos loop. On the Tikhonov
-    # system, its two-sided form over merged pairs, and a system whose
-    # adjoint returns strided vectors, against the dense normal operator S:
-    # - the Lanczos relation S Q - Q T = b_l q_{l+1} e_l^T holds at working
-    #   precision, that is, S Q - Q T vanishes but in its last column,
-    #   which is orthogonal to Q with norm b_l;
+    # Every Tikhonov solve is one Lanczos loop. On the Tikhonov system,
+    # preconditioned by merged pairs M or not, its two-sided form over the
+    # same pairs, and, preconditioned or not, a system whose adjoint
+    # returns strided vectors, against the dense normal operator B and M
+    # (I when unpreconditioned):
+    # - the Lanczos vectors are M-orthonormal, Q^T W = I for W = M Q;
+    # - the Lanczos relation B Q - W T = b_l w_{l+1} e_l^T holds at working
+    #   precision, that is, B Q - W T vanishes but in its last column,
+    #   which is orthogonal to Q with M^{-1}-norm b_l;
     # - a converged h meets the CG contract eps'/(1 - eps') relative to the
-    #   dense solution, eps' = eps stop_scale / lambda_min(S), which is eps
-    #   for the Tikhonov system and may exceed it over inexact pairs;
-    # - a solve of l iterations costs 1 + 2l model units.
+    #   dense solution, eps' = eps stop_scale / lambda_min(B), which is eps
+    #   for the Tikhonov system, preconditioned or not, and may exceed it
+    #   for the two-sided form over inexact pairs;
+    # - a solve of l iterations costs 1 + 2l model units and l + 1
+    #   applications of M^{-1}, or l when it ends on an exhausted Krylov
+    #   space, whose dependent last vector is not normalized.
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
                               seed=seed % 2**16), c3=0.1)
@@ -751,24 +734,39 @@ def test_lanczos_solves_meet_their_contracts_against_dense_oracle(
     inv_sqrt = np.column_stack([pairs.apply_inv_sqrt(e) for e in np.eye(m)])
     gtg = DenseOracle.for_problem(problem, x).gram + gamma * np.eye(m)
     rhs = sys.apply_adjoint(sys.stacked_rhs())
-    cost = problem.model.cost
-    for solver, dense, start in (
-            (sys, gtg, rhs), (_StridedAdjoint(sys), gtg, rhs),
-            (TwoSidedSystem(sys, pairs), inv_sqrt @ gtg @ inv_sqrt,
-             inv_sqrt @ rhs)):
+    eye, cost = np.eye(m), problem.model.cost
+    for solver, precond, dense, m_dense, start in (
+            (sys, None, gtg, eye, rhs),
+            (_StridedAdjoint(sys), None, gtg, eye, rhs),
+            (sys, _CountingInverse(pairs), gtg, pairs.dense(), rhs),
+            (_StridedAdjoint(sys), _CountingInverse(pairs), gtg,
+             pairs.dense(), rhs),
+            (TwoSidedSystem(sys, pairs), None, inv_sqrt @ gtg @ inv_sqrt,
+             eye, inv_sqrt @ rhs)):
         before = cost.total
-        h, trace = pcg_solve(solver, None, eps, cap)
+        h, trace = pcg_solve(solver, precond, eps, cap)
         l = trace.iterations
         assert cost.total - before == 1 + 2 * l
-        norm = np.linalg.norm(dense, 2)
+        if precond is not None:
+            assert precond.calls == l + 1 \
+                or (precond.calls == l and trace.converged)
         q = trace.basis.T
+        w = m_dense @ q
         off = trace.offdiag[:l - 1]
-        relation = dense @ q - q @ (np.diag(trace.diag) + np.diag(off, 1)
+        relation = dense @ q - w @ (np.diag(trace.diag) + np.diag(off, 1)
                                     + np.diag(off, -1))
-        tol = 1e-13 * norm
+        last = relation[:, -1]
+        # relative to ||B|| ||Q||^j; the dense M and the pair set's M^{-1}
+        # round differently, and the preconditioned checks read both
+        # (random draws reached 6.4e3 eps)
+        rel, q_norm = 1e-13 if precond is None else 1e-11, np.linalg.norm(q, 2)
+        tol = rel * np.linalg.norm(dense, 2) * q_norm
+        assert np.abs(q.T @ w - np.eye(l)).max() \
+            <= rel * np.linalg.norm(m_dense, 2) * q_norm ** 2
         assert np.abs(relation[:, :-1]).max(initial=0.0) <= tol
-        assert np.abs(q.T @ relation[:, -1]).max() <= tol
-        assert abs(np.linalg.norm(relation[:, -1]) - trace.offdiag[-1]) <= tol
+        assert np.abs(q.T @ last).max() <= tol * q_norm
+        assert abs(math.sqrt(last @ np.linalg.solve(m_dense, last))
+                   - trace.offdiag[-1]) <= tol
         if trace.converged:
             exact = np.linalg.solve(dense, start)
             scaled = eps * solver.stop_scale / np.linalg.eigvalsh(dense)[0]
@@ -776,6 +774,17 @@ def test_lanczos_solves_meet_their_contracts_against_dense_oracle(
                 bound = scaled / (1.0 - scaled) + 1e-10
                 assert np.linalg.norm(h - exact) \
                     <= bound * np.linalg.norm(exact)
+
+
+class _CountingInverse:
+    """A pair set that counts its ``apply_inverse`` calls."""
+
+    def __init__(self, pairs):
+        self.pairs, self.calls = pairs, 0
+
+    def apply_inverse(self, x):
+        self.calls += 1
+        return self.pairs.apply_inverse(x)
 
 
 _SPECIALS = (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0, 5e-324)
@@ -901,7 +910,7 @@ def test_lanczos_gram_norm_between_power_estimate_and_dense_norm(
     norm_sq = float(np.linalg.norm(DenseOracle.for_problem(problem, x).a,
                                    2) ** 2)
     run = krylov.Lanczos(jac, np.random.default_rng(
-        solvers.GRAM_ESTIMATE_SEED).standard_normal(m), steps)
+        solvers.GRAM_ESTIMATE_SEED).standard_normal(m))
     run.grow_to(steps)
     lanczos = run.theta_max()
     if steps == GRAM_ESTIMATE_STEPS:

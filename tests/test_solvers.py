@@ -112,7 +112,7 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     # the staleness test reads equals ||r_k - A_m h_k|| with the dense
     # Jacobian at x_m, to 1e-8 relative, and costs no model unit: on the
     # k = 0 Recompute and Plain, later Recomputes, Updates, and Plain steps
-    # with pairs (left-preconditioned CG) and without (Lanczos). irgnm-prec
+    # with pairs (Lanczos in the M-inner product) and without. irgnm-prec
     # recomputes exactly when the schedule is due and the residual exceeds
     # STALE_RATIO times the last prediction.
     problem = make_nonlinear_composite(
@@ -121,15 +121,22 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     y = y + generate_noise(noise_sigma_for_level(y, 0.01), 40, seed=3)[0]
     cost = problem.model.cost
     predict = solvers._predicted_misfit
-    calls = []
+    calls, preconditioned = [], []
+
+    def solve_spy(sys, precond, *args):
+        preconditioned.append(precond is not None)
+        return pcg_solve(sys, precond, *args)
 
     def spy(sys, h, trace, residual_norm):
         before = cost.total
         predicted = predict(sys, h, trace, residual_norm)
         assert cost.total == before
-        calls.append((sys.rhs_data, h.copy(), trace.basis is None, predicted))
+        # the k = 0 solve continues the gamma0 estimate, not pcg_solve
+        left = preconditioned.pop() if preconditioned else False
+        calls.append((sys.rhs_data, h.copy(), left, predicted))
         return predicted
 
+    monkeypatch.setattr(solvers, "pcg_solve", solve_spy)
     monkeypatch.setattr(solvers, "_predicted_misfit", spy)
     steps = set()
     for variant in ("prec", "plain"):
