@@ -20,13 +20,13 @@ RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times
 theta.
 
 The loops update in place only arrays they allocated themselves (the
-iterate, the residual, the search direction, the basis and the vector it
-projects); an array a caller passes in or a model or preconditioner call
-returns is never written. Norms of vectors are sqrt(v.dot(v)) and inner
-products v.dot(w), the same ddot that np.linalg.norm and v @ w run, without
-their Python-level dispatch, or np.vdot where they may overflow, which sets
-off no warning; a vector that may be strided is first raveled, as
-np.linalg.norm does, since a strided ddot rounds differently.
+iterate, the search direction, the basis and the vector it projects); an
+array a caller passes in or a model or preconditioner call returns is never
+written. Norms of vectors are sqrt(v.dot(v)) and inner products v.dot(w),
+the same ddot that np.linalg.norm and v @ w run, without their Python-level
+dispatch, or np.vdot where they may overflow, which sets off no warning; a
+vector that may be strided is first raveled, as np.linalg.norm does, since a
+strided ddot rounds differently.
 """
 
 from __future__ import annotations
@@ -59,14 +59,14 @@ class CgBreakdownError(RuntimeError):
 
 @dataclass
 class CgTrace:
-    """Per-solve ledger: Lanczos matrix, Lanczos basis, and residual norms.
+    """Per-solve ledger: Lanczos matrix and Lanczos basis.
 
     ``diag`` holds a_1..a_l and ``offdiag`` b_1..b_l of the Lanczos run of
-    a solve of l iterations (see ``Lanczos``): T_l has the diagonal a and
-    the off-diagonal b_1..b_{l-1}, and b_l scales the Ritz residual bounds.
+    a solve of l iterations, shifted and scaled (see ``Lanczos.solve``):
+    T_l has the diagonal a and the off-diagonal b_1..b_{l-1}, and b_l
+    scales the Ritz residual bounds.
     ``basis`` is the (l, dim) block of the Lanczos vectors q_1..q_l,
     orthonormal, or M-orthonormal in a preconditioned solve.
-    ``residual_norms`` holds the Euclidean ||r_j|| for j = 0..l.
     ``rhs_product`` is h^T b for the returned h and the right-hand side
     b = G^T g; a scaled or two-sided system, solved for h~ = c h from
     b~ = b/c, has the same h~^T b~.
@@ -77,7 +77,6 @@ class CgTrace:
     basis: np.ndarray
     iterations: int
     converged: bool
-    residual_norms: list
     rhs_product: float
 
 
@@ -144,11 +143,13 @@ class GramSchmidtBasis:
         if pnorm <= drop_tol * xnorm:
             return None, pnorm
         if k == len(self._q):  # full: double the rows, up to dim
-            q, dual = np.empty((2, min(self.dim, 2 * k), self.dim))
+            q = np.empty((min(self.dim, 2 * k), self.dim))
             q[:k] = self._q
+            dual = q
             if self.inverse is not None:
+                dual = np.empty_like(q)
                 dual[:k] = self._dual
-            self._q, self._dual = q, q if self.inverse is None else dual
+            self._q, self._dual = q, dual
         dual_norm = 1.0
         if self.inverse is not None:
             z = self.inverse(w)
@@ -256,7 +257,7 @@ class Lanczos:
                 "A^T A vanishes on the start vector: no estimate of ||A^T A||")
         return theta
 
-    def solve(self, shift, tol, max_iterations, scale=1.0):
+    def solve(self, shift, tol, max_iterations):
         """Continue the run as CG on (B + shift M) h = b (D-Lanczos, Saad,
         Iterative Methods for Sparse Linear Systems, 2nd ed., 6.7.1).
 
@@ -267,20 +268,19 @@ class Lanczos:
         zeta_{j+1} = -l_j zeta_j, p_1 = q_1 and p_{j+1} = q_{j+1} - l_j p_j.
         Its residual norm is ||r_l|| = b_l |zeta_l/d_l| ||M q_{l+1}||, and
         the solve ends once that is at most tol ||h_l|| (an exhausted
-        space ends it too), or after
-        ``max_iterations`` steps unconverged. Each step costs O(dim) past
-        its two model calls and its Gram-Schmidt projection. A pivot that
-        is not positive, or a breakdown of M, raises a CgBreakdownError
-        carrying the trace so far.
+        space ends it too), or after ``max_iterations`` steps unconverged.
+        Each step costs O(dim) past its two model calls and its
+        Gram-Schmidt projection. A pivot that is not positive, or a
+        breakdown of M, raises a CgBreakdownError carrying the trace so far.
 
         Returns (h, trace): h solves the system above, and the trace is that
-        of CG on (B + shift M)/scale from b/sqrt(scale), whose T_l is
-        (T_l + shift I)/scale over the same basis.
+        of CG on (B + shift M)/c from b/sqrt(c), c = shift if positive, else
+        1: T_l + shift I scaled by 1/c over the same basis. At a shift gamma
+        that is the two-sided system over the empty pair set of shift gamma.
         """
-        basis, root = self.basis, math.sqrt(scale)
+        basis, scale = self.basis, shift if shift > 0.0 else 1.0
         h, p = np.zeros(self.op.domain_dim), np.zeros(self.op.domain_dim)
         zeta = self.start_norm
-        norms = [zeta * basis.dual_norms[0] if basis.count else 0.0]
         l, b, ratio = 0, 0.0, 0.0
         converged = zeta == 0.0
 
@@ -289,7 +289,6 @@ class Lanczos:
                 diag=np.add(self.diag[:l], shift) / scale,
                 offdiag=np.divide(self.offdiag[:l], scale),
                 basis=basis.rows[:l], iterations=l, converged=converged,
-                residual_norms=[n / root for n in norms],
                 # h^T b with b = ||b|| w_1
                 rhs_product=self.start_norm * float(h.dot(basis.duals[0]))
                 if l else 0.0)
@@ -315,12 +314,11 @@ class Lanczos:
             r_norm = b * abs(zeta / d)
             if basis.count > l + 1:
                 r_norm *= basis.dual_norms[l + 1]
-            norms.append(r_norm)
             ratio = b / d
             zeta *= -ratio
             l += 1
             converged = basis.count == l \
-                or norms[-1] <= tol * math.sqrt(h.dot(h))
+                or r_norm <= tol * math.sqrt(h.dot(h))
         return h, trace(converged)
 
 

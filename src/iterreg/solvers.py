@@ -190,18 +190,19 @@ def _estimate_from_gradient(jac, residual):
 def _plan_step(k, m, last_build, prev_inner, variant, stale=False):
     """(event, relinearize) of Newton step k, whose last relinearization
     was at m and last build at last_build; prev_inner counts the inner
-    iterations of the last Plain step since that build (None if none), and
-    stale says whether the frozen Jacobian stopped predicting the residual
-    (see ``_predicted_misfit``).
+    iterations of step k - 1, and stale says whether the frozen Jacobian
+    stopped predicting the residual (see ``_predicted_misfit``).
 
     Variant "plain" relinearizes at every step and never builds. "prec"
     recomputes (fresh Jacobian, new pair set) at k = 0 and when the
     square-number schedule sqrt(k+1) >= sqrt(m+1) + 1 is due and the
     Jacobian is stale; it updates (frozen Jacobian, pairs merged into the
     current set) once the last build is UPDATE_AGE_MIN = 4 steps old and
-    prev_inner > UPDATE_INNER_MIN = 5; other steps are Plain on the frozen
-    Jacobian. The "frozen" ablation rebuilds exactly on the schedule (k = 0,
-    3, 8, 15, 24, ...), whether stale or not, and never updates.
+    prev_inner > UPDATE_INNER_MIN = 5, so, as UPDATE_AGE_MIN >= 2, only
+    after a Plain step k - 1 that cost more than 5 iterations; other steps
+    are Plain on the frozen Jacobian. The "frozen" ablation rebuilds
+    exactly on the schedule (k = 0, 3, 8, 15, 24, ...), whether stale or
+    not, and never updates.
     """
     if variant == "plain":
         return EVENT_PLAIN, True
@@ -211,7 +212,7 @@ def _plan_step(k, m, last_build, prev_inner, variant, stale=False):
     if k == 0 or (due and (not updates or stale)):
         return EVENT_RECOMPUTE, True
     if updates and k - last_build >= UPDATE_AGE_MIN \
-            and (prev_inner or 0) > UPDATE_INNER_MIN:
+            and prev_inner > UPDATE_INNER_MIN:
         return EVENT_UPDATE, False
     return EVENT_PLAIN, False
 
@@ -434,8 +435,8 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     check_newton_settings(max_newton, variant=variant, rhs_kind=rhs_kind)
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
-    jac = prev_inner = first = precond = gamma0 = None
-    m = last_build = 0
+    jac = first = precond = gamma0 = None
+    m = last_build = prev_inner = 0
     predicted = math.inf  # no step has been predicted before k = 0
     meta = {}
 
@@ -470,10 +471,10 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         if k == 0:
             # continue the Lanczos run of the gamma0 estimate, on A^T A at
             # shift gamma_k; its trace is that of the two-sided system over
-            # the empty pair set for a build, so scale gamma_k
+            # the empty pair set, which a build harvests and a Plain step
+            # reads only for its count, its convergence and h^T b
             epsilon = EPS_ACCURATE if build else EPS_STANDARD
-            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
-                                   gamma_k if build else 1.0)
+            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER)
             # the estimate's units this solve reused
             meta["estimate_units"] -= min(meta["estimate_units"],
                                           1 + 2 * trace.iterations)
@@ -490,9 +491,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             last_build = k
-            prev_inner = None
-        else:
-            prev_inner = trace.iterations
+        prev_inner = trace.iterations
         predicted = _predicted_misfit(sys, h, trace, rec.residual_norm)
         rec.inner_iterations = trace.iterations
         if not trace.converged:

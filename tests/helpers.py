@@ -314,4 +314,4 @@ def must_update(k, last_build_step, prev_inner_iterations):
     if k < last_build_step:
         raise ContractError("Newton index precedes the last build")
     return (k - last_build_step) >= UPDATE_AGE_MIN \
-        and (prev_inner_iterations or 0) > UPDATE_INNER_MIN
+        and prev_inner_iterations > UPDATE_INNER_MIN

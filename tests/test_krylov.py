@@ -126,23 +126,22 @@ def test_tridiagonal_matches_projected_operator():
 
 
 def test_lanczos_solve_at_a_shift_reports_the_scaled_operator():
-    # The Lanczos run on A^T A, solved at shift 0.3 with scale 0.3, is CG on
+    # The Lanczos run on A^T A, solved at shift 0.3, is CG on
     # (A^T A + 0.3 I)/0.3 from b/sqrt(0.3): its trace holds that operator's
     # T_l over the run's own basis, and h solves (A^T A + 0.3 I) h = b to
-    # the stop test ||r|| <= tol ||h||.
+    # the stop test ||r|| <= tol ||h||. At shift 0 the trace holds the
+    # run's own T_l.
     rng = np.random.default_rng(8)
     a = rng.standard_normal((12, 9))
     b = rng.standard_normal(9)
     run = Lanczos(linear_model(a).linearize(np.zeros(9)), b)
-    h, trace = run.solve(0.3, 1e-10, 6, scale=0.3)
-    assert (trace.iterations, len(trace.residual_norms)) == (6, 7)
+    h, trace = run.solve(0.3, 1e-10, 6)
+    assert trace.iterations == 6
     assert not trace.converged
     np.testing.assert_array_equal(trace.diag,
                                   (np.array(run.diag) + 0.3) / 0.3)
     np.testing.assert_array_equal(trace.offdiag, np.array(run.offdiag) / 0.3)
     np.testing.assert_array_equal(trace.basis, run.basis.rows[:6])
-    assert trace.residual_norms[0] == pytest.approx(
-        np.linalg.norm(b) / np.sqrt(0.3), rel=1e-15)
     h_full, full = run.solve(0.3, 1e-10, 9)
     assert full.converged and full.iterations <= 9
     exact = np.linalg.solve(a.T @ a + 0.3 * np.eye(9), b)
@@ -152,6 +151,12 @@ def test_lanczos_solve_at_a_shift_reports_the_scaled_operator():
         + np.diag(run.offdiag[:5], -1)
     y = np.linalg.solve(t, np.linalg.norm(b) * np.eye(6)[0])
     np.testing.assert_allclose(h, y @ run.basis.rows[:6], rtol=1e-12)
+    h0, unshifted = run.solve(0.0, 1e-10, 9)
+    l = unshifted.iterations
+    assert unshifted.converged and l <= 9
+    np.testing.assert_array_equal(unshifted.diag, run.diag[:l])
+    np.testing.assert_array_equal(unshifted.offdiag, run.offdiag[:l])
+    np.testing.assert_allclose(h0, np.linalg.solve(a.T @ a, b), rtol=1e-8)
 
 
 def test_nonpositive_pivot_raises_breakdown_with_the_partial_trace():
@@ -261,6 +266,18 @@ def test_full_basis_grows_instead_of_raising():
         np.testing.assert_array_equal(basis.rows, e[:3] / scale)
         np.testing.assert_array_equal(basis.duals, e[:3] * scale)
         assert basis.dual_norms == [scale] * 3
+
+
+def test_grown_basis_without_inverse_holds_one_block():
+    # 17 adds at dim 40 outgrow the 16 rows a Lanczos basis starts with.
+    # Without an inverse the duals are the rows themselves, so the basis
+    # holds one (32, 40) block and no unused dual block beside it.
+    rng = np.random.default_rng(17)
+    basis = GramSchmidtBasis(40, 16)
+    for x in rng.standard_normal((17, 40)):
+        basis.add(x)
+    assert basis.count == 17 and basis._q.shape == (32, 40)
+    assert basis._q.base is None and basis._dual is basis._q
 
 
 def test_reorthogonalize_nearly_dependent_pair():

@@ -5,15 +5,15 @@ identity of the Lanczos extraction, the Ritz pairs the solver keeps and
 their residual bounds, the left vectors and the sampled Phi built on them,
 the two-sided system over merged pairs and its spectrum bound 1 - delta,
 the preconditioned-spectrum identity, the Cholesky-reduced pencil against
-the similarity route on random pair sets, the CG accuracy contract, the
-left-preconditioned CG loop and Newton-CG's CGNE against their reference
-implementations, the Lanczos loop of every reorthogonalized solve against
-its relation and the CG contract, the finiteness check of ``as_vector``,
-the Lanczos estimate of ||A^T A|| against the power iteration it replaced
-and the dense norm, the first irgnm solve that continues that estimate
-against a solve from scratch, the divergence guard on every recorded row,
-the equivariance of every method under the problem's scale, and the
-agreement of each CLI stop rule's driver with its resolver.
+the similarity route on random pair sets, the CG accuracy contract,
+Newton-CG's CGNE against its reference implementation, the Lanczos loop of
+every reorthogonalized solve against its relation and the CG contract, the
+finiteness check of ``as_vector``, the Lanczos estimate of ||A^T A||
+against the power iteration it replaced and the dense norm, the first irgnm
+solve that continues that estimate against a solve from scratch, the inner
+count every Update reads, the divergence guard on every recorded row, the
+equivariance of every method under the problem's scale, and the agreement
+of each CLI stop rule's driver with its resolver.
 
 Instances are drawn by hypothesis (derandomized, so every run sees the same
 examples) with dimensions up to 40 (one explicit example has 300): for
@@ -26,7 +26,9 @@ random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
 diagonal or nonlinear-composite problem, and for its continuation that of
 a diagonal or convolution composite; for the scale, the divergence guard
-and the stop rules a random nonlinear-diagonal problem and noise draw.
+and the stop rules a random nonlinear-diagonal problem and noise draw. The
+Update check draws 16 such problems from a seeded generator instead, so it
+can also require that some run updates.
 """
 
 import itertools
@@ -49,12 +51,14 @@ from iterreg import cli, krylov, solvers, stopping
 from iterreg.krylov import (RITZ_RESIDUAL_TOL, GramSchmidtBasis, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
-from iterreg.operators import ContractError, TikhonovSystem, as_vector
+from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
+                               TikhonovSystem, as_vector)
 from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
                                     merge_pairs, preconditioned_spectrum_check)
-from iterreg.solvers import (EPS_ACCURATE, EPS_STANDARD, GAMMA_FACTOR,
+from iterreg.solvers import (EPS_ACCURATE, EPS_STANDARD, EVENT_PLAIN,
+                             EVENT_RECOMPUTE, EVENT_UPDATE, GAMMA_FACTOR,
                              MAX_INNER, TERMINAL_BREAKDOWN, TERMINAL_MAX,
-                             TERMINAL_STOP,
+                             TERMINAL_STOP, UPDATE_AGE_MIN, UPDATE_INNER_MIN,
                              _estimate_from_gradient, _harvest,
                              _truncated_cgne, estimate_gram_norm, irgnm_run,
                              landweber_run, newton_cg_run)
@@ -346,11 +350,15 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
 def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
         convolution, m, extra, decay, c3, seed):
     # The first solve of an estimating irgnm run continues the Lanczos run
-    # that estimated gamma0 from b0 = A^T r0. Its step, stop and Ritz
-    # harvest must be those of pcg_solve from scratch at the same gamma0,
-    # for the two-sided Recompute at EPS_ACCURATE and the Plain step at
-    # EPS_STANDARD, and its trace must satisfy the Ritz residual identity
-    # against the dense two-sided operator, as in the test above.
+    # that estimated gamma0 from b0 = A^T r0. Its step and stop must be
+    # those of pcg_solve from scratch at the same gamma0, for the two-sided
+    # Recompute at EPS_ACCURATE and the Plain step at EPS_STANDARD. The
+    # Recompute must also harvest the same pairs, and its trace satisfy
+    # the Ritz residual identity against the dense two-sided operator, as
+    # in the test above. The continued trace is that of the two-sided
+    # system at either tolerance, and the cold Plain trace is not, so the
+    # Plain step compares what Plain steps read: the count, the
+    # convergence, h and h^T b.
     base = make_convolution_problem(n=m + 6, seed=seed % 2**16) \
         if convolution else make_diagonal_problem(
             m=m, n=m + extra, decay_a=decay, seed=seed % 2**16)
@@ -367,7 +375,7 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
         sys = TikhonovSystem(jac, gamma0, residual, np.zeros(m))
         if accurate:
             h, trace = lanczos.solve(gamma0, EPS_ACCURATE * gamma0,
-                                     MAX_INNER, gamma0)
+                                     MAX_INNER)
             tsys = TwoSidedSystem(sys, empty)
             h_cold, cold = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
             h_cold = tsys.pull_back(h_cold)
@@ -378,6 +386,10 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
         assert (trace.iterations, trace.converged) \
             == (cold.iterations, cold.converged)
         assert np.linalg.norm(h - h_cold) <= 1e-12 * np.linalg.norm(h_cold)
+        if not accurate:
+            assert abs(trace.rhs_product - cold.rhs_product) \
+                <= 1e-12 * abs(cold.rhs_product)
+            continue
         # Both solves run the Lanczos loop, whose data do not drift with
         # the fall of the residual.
         pairs, pairs_cold = _harvest(trace, empty), _harvest(cold, empty)
@@ -385,7 +397,7 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
         for (lam, _), (lam_cold, _) in zip(pairs, pairs_cold):
             assert abs(lam - lam_cold) <= 1e-10 * lam_cold
         operator = (gram + gamma0 * np.eye(m)) / gamma0
-        if accurate and trace.iterations:
+        if trace.iterations:
             tol = np.linalg.norm(operator, 2) * 1e-13
             for pair in ritz_from_trace(trace):
                 direct = np.linalg.norm(operator @ pair.vector
@@ -975,6 +987,41 @@ def test_every_method_is_equivariant_under_the_problem_scale(run, scale,
     assert (index, units) == (ref_index, ref_units)
     assert index is not None
     assert error == pytest.approx(ref_error, rel=1e-9)
+
+
+def test_every_update_follows_an_expensive_plain_step():
+    # irgnm_run hands _plan_step the inner count of step k - 1 whatever its
+    # event, while the Update rule means the count of a Plain step since
+    # the last build. The two agree because UPDATE_AGE_MIN >= 2: on random
+    # irgnm-prec runs of a nonlinear-diagonal problem, every Update at k is
+    # at least UPDATE_AGE_MIN steps after the last build and follows a
+    # Plain step k - 1 of more than UPDATE_INNER_MIN iterations.
+    assert UPDATE_AGE_MIN >= 2
+    rng = np.random.default_rng(35)
+    updates = 0
+    for seed in range(16):
+        m, extra = int(rng.integers(2, 41)), int(rng.integers(0, 21))
+        problem = make_nonlinear_composite(
+            make_diagonal_problem(m=m, n=m + extra,
+                                  decay_a=rng.uniform(0.02, 1.0), seed=seed),
+            c3=rng.uniform(0.0, 2.0))
+        y = problem.model.evaluate(problem.truth)
+        y = y + generate_noise(noise_sigma_for_level(
+            y, rng.uniform(1e-3, 0.05)), m + extra, seed=seed)[0]
+        records = irgnm_run(problem.model, y, np.zeros(m),
+                            rhs_kind=(IRGNM, LEVENBERG_MARQUARDT)[seed % 2],
+                            max_newton=25).records
+        last_build = 0
+        for rec in records[1:]:
+            if rec.event == EVENT_UPDATE:
+                before = records[rec.k - 1]
+                assert rec.k - last_build >= UPDATE_AGE_MIN
+                assert before.event == EVENT_PLAIN
+                assert before.inner_iterations > UPDATE_INNER_MIN
+                updates += 1
+            if rec.event in (EVENT_RECOMPUTE, EVENT_UPDATE):
+                last_build = rec.k
+    assert updates > 0
 
 
 _EXPLODING_RUNS = {

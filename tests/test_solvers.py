@@ -72,20 +72,20 @@ PLAIN = (EVENT_PLAIN, False)
 
 
 def test_plan_step_recompute_policy():
-    assert _plan_step(0, 0, 0, None, "prec") == RECOMPUTE
+    assert _plan_step(0, 0, 0, 0, "prec") == RECOMPUTE
     # sqrt(4) = sqrt(1) + 1 and the frozen Jacobian is stale
     assert _plan_step(3, 0, 0, 10, "prec", True) == RECOMPUTE
     # sqrt(9) = sqrt(4) + 1, whatever the last Plain step cost
     assert _plan_step(8, 3, 3, 2, "prec", True) == RECOMPUTE
-    assert _plan_step(8, 3, 3, None, "prec", True) == RECOMPUTE
+    assert _plan_step(8, 3, 3, 0, "prec", True) == RECOMPUTE
     # due but not stale: no Recompute, however expensive the last step was
     assert _plan_step(3, 0, 0, 50, "prec", False) == PLAIN
-    assert _plan_step(3, 0, 0, None, "prec") == PLAIN
+    assert _plan_step(3, 0, 0, 0, "prec") == PLAIN
     # stale but not yet due: no Recompute
     assert _plan_step(2, 0, 0, 50, "prec", True) == PLAIN
     assert _plan_step(7, 3, 6, 50, "prec", True) == PLAIN
     # the frozen ablation ignores staleness
-    assert _plan_step(3, 0, 0, None, "frozen", False) == RECOMPUTE
+    assert _plan_step(3, 0, 0, 0, "frozen", False) == RECOMPUTE
     assert _plan_step(7, 3, 3, 50, "frozen", True) == PLAIN
 
 
@@ -94,7 +94,6 @@ def test_plan_step_update_policy():
     assert _plan_step(14, 10, 10, 6, "prec") == UPDATE
     assert _plan_step(13, 10, 10, 20, "prec") == PLAIN   # too young
     assert _plan_step(17, 10, 10, 5, "prec") == PLAIN    # 5 is not > 5
-    assert _plan_step(14, 10, 10, None, "prec") == PLAIN
     # an Update keeps m, so the schedule still counts from the Recompute
     assert _plan_step(17, 10, 12, 7, "prec") == UPDATE
     # a due step whose Jacobian is not stale follows the same rules, and so
@@ -165,7 +164,7 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
     # With updates off a due rebuild needs no expensive standard step, an
     # undue one still waits for the schedule, and nothing updates.
-    assert _plan_step(3, 0, 0, None, "frozen") == RECOMPUTE
+    assert _plan_step(3, 0, 0, 0, "frozen") == RECOMPUTE
     assert _plan_step(8, 3, 3, 0, "frozen") == RECOMPUTE
     assert _plan_step(2, 0, 0, 50, "frozen") == PLAIN
     assert _plan_step(7, 3, 3, 50, "frozen") == PLAIN
@@ -175,7 +174,7 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # Walking the schedule rebuilds at k = j^2 - 1 and at no other step.
     builds, m = [], 0
     for k in range(200_000):
-        if _plan_step(k, m, m, None, "frozen")[1]:
+        if _plan_step(k, m, m, 0, "frozen")[1]:
             builds.append(k)
             m = k
     assert builds == [j * j - 1 for j in range(1, 448)]
@@ -183,8 +182,8 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # step, a build at j^2 - 1 is due at (j+1)^2 - 1 and not one step before.
     for j in (10**4, 10**6, 10**8, 10**9 + 7):
         m = j * j - 1
-        assert _plan_step((j + 1) ** 2 - 2, m, m, None, "frozen") == PLAIN
-        assert _plan_step((j + 1) ** 2 - 1, m, m, None, "frozen") == RECOMPUTE
+        assert _plan_step((j + 1) ** 2 - 2, m, m, 0, "frozen") == PLAIN
+        assert _plan_step((j + 1) ** 2 - 1, m, m, 0, "frozen") == RECOMPUTE
 
 
 def test_schedule_test_agrees_with_its_float_form():
@@ -196,7 +195,7 @@ def test_schedule_test_agrees_with_its_float_form():
     # For each m, k runs past the first due step, m + 1 + 2 sqrt(m + 1).
     for m in range(3000):
         for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
-            assert (_plan_step(k, m, m, None, "frozen") == RECOMPUTE) \
+            assert (_plan_step(k, m, m, 0, "frozen") == RECOMPUTE) \
                 == due_float(k, m), (k, m)
 
 
@@ -204,7 +203,7 @@ def test_schedule_test_agrees_with_its_float_form():
 def _step_states(draw):
     k = draw(st.integers(0, 200))
     return (k, draw(st.integers(0, k)), draw(st.integers(0, k)),
-            draw(st.none() | st.integers(0, 20)), draw(st.booleans()))
+            draw(st.integers(0, 20)), draw(st.booleans()))
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
