@@ -46,15 +46,10 @@ RITZ_RESIDUAL_TOL = 1e-6
 RITZ_ROUNDING = 32
 
 
-class CgBreakdownError(RuntimeError):
-    """CG lost positive definiteness or produced a non-finite coefficient.
-
-    Carries the partial trace, whose iteration count a run records.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+class CgBreakdownError(ContractError):
+    """CG lost positive definiteness: a pivot of T_l + shift I, or the M of
+    a preconditioned solve, is not positive. It carries only its message,
+    which names the failing pivot or product."""
 
 
 @dataclass
@@ -271,7 +266,8 @@ class Lanczos:
         space ends it too), or after ``max_iterations`` steps unconverged.
         Each step costs O(dim) past its two model calls and its
         Gram-Schmidt projection. A pivot that is not positive, or a
-        breakdown of M, raises a CgBreakdownError carrying the trace so far.
+        breakdown of M, raises a CgBreakdownError, which carries only its
+        message.
 
         Returns (h, trace): h solves the system above, and the trace is that
         of CG on (B + shift M)/c from b/sqrt(c), c = shift if positive, else
@@ -283,30 +279,15 @@ class Lanczos:
         zeta = self.start_norm
         l, b, ratio = 0, 0.0, 0.0
         converged = zeta == 0.0
-
-        def trace(converged):
-            return CgTrace(
-                diag=np.add(self.diag[:l], shift) / scale,
-                offdiag=np.divide(self.offdiag[:l], scale),
-                basis=basis.rows[:l], iterations=l, converged=converged,
-                # h^T b with b = ||b|| w_1
-                rhs_product=self.start_norm * float(h.dot(basis.duals[0]))
-                if l else 0.0)
-
         while not converged and l < max_iterations:
             if len(self.diag) == l:
                 self.grow()
             if len(self.offdiag) == l:
-                try:
-                    self._close()
-                except CgBreakdownError as exc:
-                    exc.trace = trace(False)
-                    raise
+                self._close()
             d = self.diag[l] + shift - b * ratio
             if not d > 0.0:
                 raise CgBreakdownError(
-                    f"pivot d_{l + 1} = {d} of T_l + shift I is not positive",
-                    trace=trace(False))
+                    f"pivot d_{l + 1} = {d} of T_l + shift I is not positive")
             p *= -ratio
             p += basis.rows[l]
             h += (zeta / d) * p
@@ -319,7 +300,13 @@ class Lanczos:
             l += 1
             converged = basis.count == l \
                 or r_norm <= tol * math.sqrt(h.dot(h))
-        return h, trace(converged)
+        return h, CgTrace(
+            diag=np.add(self.diag[:l], shift) / scale,
+            offdiag=np.divide(self.offdiag[:l], scale),
+            basis=basis.rows[:l], iterations=l, converged=converged,
+            # h^T b with b = ||b|| w_1
+            rhs_product=self.start_norm * float(h.dot(basis.duals[0]))
+            if l else 0.0)
 
 
 @dataclass
@@ -412,8 +399,8 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     -------
     (h, trace) : solution estimate and a CgTrace. Hitting the iteration cap
     flags ``trace.converged = False`` instead of raising; genuine breakdowns
-    raise ``CgBreakdownError``, carrying the partial trace once the solve
-    has started: one that M^{-1} causes on the right-hand side carries none.
+    raise ``CgBreakdownError``, a ContractError that carries no trace; a
+    pivot's message names the iteration at which the solve failed.
 
     Notes
     -----

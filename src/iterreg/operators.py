@@ -30,7 +30,9 @@ FD_STEPS = (1e-3, 1e-4, 1e-5)
 
 
 class ContractError(ValueError):
-    """Raised when an operator contract is violated (dimensions, finiteness)."""
+    """Raised when an operator contract is violated (dimensions, finiteness);
+    the root of every numerical failure, CgBreakdownError and OracleRefusal
+    among them."""
 
 
 def as_vector(x, dim=None, name="vector"):

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import (RITZ_ROUNDING, CgBreakdownError, Lanczos, pcg_solve,
-                     ritz_from_trace, select_ritz)
+from .krylov import (RITZ_ROUNDING, Lanczos, pcg_solve, ritz_from_trace,
+                     select_ritz)
 from .operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                         TikhonovSystem, as_vector)
 from .preconditioner import SpectralPreconditioner, TwoSidedSystem, merge_pairs
@@ -319,13 +319,14 @@ class _OuterLoop:
     on every recorded row. Unless the run ends at k,
     ``step(rec, x_k, residual)`` returns x_{k+1} - x_k and sets the
     record's event, inner_iterations and, after a relinearization, m. A
-    tripped divergence guard, or a ContractError or
-    CgBreakdownError raised by the step or by evaluating the x_{k+1} it
-    produced, ends the run at k with terminal Breakdown and the reason in
-    ``meta["breakdown"]``. Residual norms are taken with np.vdot, so one
-    whose square overflows is inf, which trips the guard, without a
-    warning. A failure of F(x_0), or of its residual norm, raises, since no
-    residual exists to record. When the run ends, its last record's
+    tripped divergence guard, or a ContractError (a CgBreakdownError among
+    them) raised by the step or by evaluating the x_{k+1} it produced, ends
+    the run at k with terminal Breakdown and the reason in
+    ``meta["breakdown"]``; a failed step's row becomes a Final row of 0
+    inner iterations. Residual norms are taken with np.vdot, so one whose
+    square overflows is inf, which trips the guard, without a warning. A
+    failure of F(x_0), or of its residual norm, raises, since no residual
+    exists to record. When the run ends, its last record's
     cumulative_cost is re-read, so it includes the units a failed step or
     an estimate at k = 0 spent after x_k was evaluated.
 
@@ -391,10 +392,8 @@ class _OuterLoop:
             try:
                 x = x + step(rec, x, residual_vec)
                 residual_vec = self.y_obs - model.evaluate(x)
-            except (ContractError, CgBreakdownError) as exc:
-                if getattr(exc, "trace", None) is not None:
-                    rec.inner_iterations = exc.trace.iterations
-                rec.event = EVENT_FINAL
+            except ContractError as exc:
+                rec.event, rec.inner_iterations = EVENT_FINAL, 0
                 terminal = TERMINAL_BREAKDOWN
                 meta["breakdown"] = str(exc)
                 break

@@ -46,8 +46,9 @@ _SIGMA_FLOOR = 1e-14
 _DRAW_BLOCK_ROWS = 64
 
 
-class OracleRefusal(ValueError):
-    """A dense-oracle computation was requested above the feasibility cap."""
+class OracleRefusal(ContractError):
+    """A dense-oracle computation was requested above the feasibility cap,
+    or of a problem without dense access."""
 
 
 @dataclass

@@ -757,9 +757,60 @@ def test_main_check_verb(tmp_path, capsys):
         with open(out / "check_report.json") as fh:
             report = json.load(fh)
         assert report["ok"] is True
+        assert all(entry["ok"] is True for entry in report["checks"].values())
     with open(tmp_path / "landweber" / "_check_run" / "run.csv") as fh:
         assert [row[0] for row in csv.reader(fh)] \
             == ["k", *(str(k) for k in range(7))]
+
+
+def _wrong_adjoint_bases(monkeypatch):
+    """Bind a diagonal base whose adjoint is K^T w - B^T w, B a seeded
+    Gaussian, in its operator (which the composite wraps) and its model."""
+    def build(**kw):
+        problem = make_diagonal_problem(**kw)
+        k_apply, k_adjoint = problem.operator
+        b = np.random.default_rng(0).standard_normal(problem.matrix.shape)
+        operator = k_apply, lambda w: k_adjoint(w) - b.T @ w
+        problem.model._linearize = lambda _x: operator
+        return dataclasses.replace(problem, operator=operator)
+
+    monkeypatch.setitem(cli._BASES, "diagonal",
+                        (build, cli._BASES["diagonal"][1]))
+
+
+def test_main_check_reports_a_check_that_raises(tmp_path, monkeypatch,
+                                                capsys):
+    # The wrong adjoint fails adjoint_mismatch, and the CG solve of
+    # cg_contract breaks down on it: that check fails with the breakdown's
+    # message, the report is still written, and the verb exits 3.
+    _wrong_adjoint_bases(monkeypatch)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(ini), "--out", str(out)]) == 3
+    with open(out / "check_report.json") as fh:
+        report = json.load(fh)
+    checks = report["checks"]
+    assert report["ok"] is False
+    assert checks["adjoint_mismatch"]["ok"] is False
+    assert checks["cg_contract"]["ok"] is False
+    assert re.fullmatch(r"pivot d_\d+ = -\S+ of T_l \+ shift I is not "
+                        "positive", checks["cg_contract"]["value"])
+    printed = capsys.readouterr().out
+    assert "adjoint_mismatch: FAIL" in printed
+    assert f"cg_contract: FAIL ({checks['cg_contract']['value']})" in printed
+
+
+def test_main_work_precision_names_a_cg_breakdown(tmp_path, monkeypatch,
+                                                  capsys):
+    _wrong_adjoint_bases(monkeypatch)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(BASE.replace("method = irgnm-prec",
+                                "methods = irgnm-prec, irgnm-plain"))
+    assert main(["work-precision", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert re.search(r"^numerical breakdown: irgnm-plain: pivot d_\d+ = ",
+                     capsys.readouterr().err, re.M)
 
 
 def test_main_stopping_study_breakdown_exits_3(tmp_path, monkeypatch,

@@ -28,6 +28,12 @@ INI keys: every key of ``cli._SCHEMA`` must be set, as a line ``key = ...``,
 in ``perfbench/workloads.py`` or in a demo, read as text. A key that only
 tests set is an option no run uses.
 
+Exceptions: every exception class the package defines derives from
+``ContractError``, the root of a numerical failure, which ``cli.main``
+reports with exit 3 in its one ``except ContractError``. Two do not:
+``cli.ConfigError``, which exits 2, and ``cli.StudyBreakdownError``, which
+the stopping-study verb catches after writing its outputs.
+
 Run parameters: the library run the CLI binds for each method
 (``cli._bind_method``) takes exactly the problem (model, y_obs, x0), the
 stop driver, the truth and the keywords the binding sets. A parameter the
@@ -35,6 +41,7 @@ CLI never binds selects a path that no CLI run takes.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -47,6 +54,7 @@ from pathlib import Path
 import pytest
 
 from iterreg import cli
+from iterreg.operators import ContractError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "iterreg").glob("*.py"))
@@ -324,3 +332,23 @@ def test_each_run_takes_only_what_the_cli_binds(method):
     run = cli._bind_method(cli.ExperimentConfig(), method)
     assert set(inspect.signature(run.func).parameters) \
         == {"model", "y_obs", "x0", "stop", "truth", *run.keywords}
+
+
+def package_exceptions():
+    """Names of the exception classes defined in ``src/iterreg/*.py``,
+    mapped to whether each derives from ContractError."""
+    found = {}
+    for path in PACKAGE:
+        name = "iterreg" if path.stem == "__init__" else f"iterreg.{path.stem}"
+        for cls in vars(importlib.import_module(name)).values():
+            if isinstance(cls, type) and issubclass(cls, BaseException) \
+                    and cls.__module__ == name:
+                found[cls.__name__] = issubclass(cls, ContractError)
+    return found
+
+
+def test_every_package_exception_is_a_contract_error():
+    found = package_exceptions()
+    assert {"ContractError", "CgBreakdownError", "OracleRefusal"} <= set(found)
+    assert {name for name, rooted in found.items() if not rooted} \
+        == {"ConfigError", "StudyBreakdownError"}

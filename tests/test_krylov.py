@@ -159,15 +159,13 @@ def test_lanczos_solve_at_a_shift_reports_the_scaled_operator():
     np.testing.assert_allclose(h0, np.linalg.solve(a.T @ a, b), rtol=1e-8)
 
 
-def test_nonpositive_pivot_raises_breakdown_with_the_partial_trace():
+def test_nonpositive_pivot_raises_a_breakdown_naming_the_pivot():
     # A negative shift below -a_1 makes the first pivot negative: the solve
-    # raises before iterating, with the trace of no iteration.
+    # raises before iterating, and the message names d_1.
     run = Lanczos(linear_model(np.eye(3)).linearize(np.zeros(3)),
                   np.ones(3))
-    with pytest.raises(CgBreakdownError, match="pivot") as info:
+    with pytest.raises(CgBreakdownError, match="pivot d_1 = "):
         run.solve(-2.0, 1e-10, 3)
-    assert (info.value.trace.iterations, info.value.trace.converged) \
-        == (0, False)
 
 
 def test_single_iteration_ritz_data():
@@ -310,9 +308,8 @@ def test_reorthogonalize_input_validation():
 
 
 def test_breakdown_on_indefinite_preconditioner():
-    # M^{-1} = -I fails on the right-hand side, before the solve has a
-    # trace; M^{-1} turning indefinite on its third call fails the second
-    # iteration, and the breakdown carries the trace of the first.
+    # M^{-1} = -I fails on the right-hand side; M^{-1} turning indefinite
+    # on its third call fails the second iteration.
     class NegatingPrecond:
         def __init__(self, from_call):
             self.calls, self.from_call = 0, from_call
@@ -322,15 +319,12 @@ def test_breakdown_on_indefinite_preconditioner():
             return -r if self.calls >= self.from_call else r
 
     sys = tikhonov_system(np.diag([3.0, 2.0, 1.0]), 1.0, rhs_data=np.ones(3))
-    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD") \
-            as info:
+    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD"):
         pcg_solve(sys, NegatingPrecond(1))
-    assert info.value.trace is None
-    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD") \
-            as info:
-        pcg_solve(sys, NegatingPrecond(3))
-    assert (info.value.trace.iterations, info.value.trace.converged) \
-        == (1, False)
+    precond = NegatingPrecond(3)
+    with pytest.raises(CgBreakdownError, match="preconditioner is not SPD"):
+        pcg_solve(sys, precond)
+    assert precond.calls == 3
 
 
 @pytest.mark.parametrize("left", [False, True],

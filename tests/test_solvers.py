@@ -691,6 +691,39 @@ def test_newton_cg_inner_solve_skips_the_adjoint_it_never_reads():
             assert np.linalg.norm(b - jac.apply(h)) > rho * np.linalg.norm(b)
 
 
+def _zero_on_apply(a, call):
+    """Model of the matrix ``a`` whose ``call``-th Jacobian apply returns
+    zeros."""
+    count = 0
+
+    def apply(v):
+        nonlocal count
+        count += 1
+        return np.zeros(a.shape[0]) if count == call else a @ v
+
+    return ForwardModel(a.shape[1], a.shape[0], lambda x: a @ x,
+                        lambda x: (apply, lambda w: a.T @ w))
+
+
+@pytest.mark.parametrize("model, b_vec, rho, units", [
+    # d = (0, 0, 1) after one iteration is above the target 0.8 ||b||, and
+    # A^T d = 0: the solve ends having read that adjoint apply, at 2i + 1
+    (linear_model(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
+     np.array([0.1, 0.1, 1.0]), 0.8, 3),
+    # the second Jacobian apply collapses the search direction: the solve
+    # ends having read it, at 2i + 2
+    (_zero_on_apply(np.diag([1.0, 2.0, 3.0]), 2), np.ones(3), 0.01, 4),
+], ids=["adjoint-vanishes", "direction-collapses"])
+def test_newton_cg_inner_solve_early_exits(model, b_vec, rho, units):
+    # The two exits csv_schema.md documents besides the target and the
+    # cap: neither is capped, and each costs the units it read.
+    jac = model.linearize(np.zeros(model.domain_dim))
+    h, iterations, capped = solvers._truncated_cgne(jac, b_vec, rho,
+                                                    solvers.MAX_INNER)
+    assert (iterations, capped, model.cost.total) == (1, False, units)
+    assert np.linalg.norm(b_vec - jac.apply(h)) > rho * np.linalg.norm(b_vec)
+
+
 def test_newton_cg_run_cost_counts_two_units_per_inner_iteration():
     problem = make_nonlinear_composite(
         make_diagonal_problem(m=10, n=14, seed=8), c3=0.5)
@@ -819,6 +852,37 @@ def test_nan_evaluation_ends_run_at_previous_step(run):
     history = run(model, np.ones(3))
     assert len(history.records) == 3
     _assert_failed_run(history, model, 0)
+
+
+def _decaying_diagonal(adjoint_defect=False):
+    """F(x) = A x with A = diag(exp(-0.2 j)), j < 30; with
+    ``adjoint_defect`` its adjoint is A^T w - B^T w for a Gaussian B of
+    seed 0, so the Lanczos matrix of a solve loses definiteness."""
+    a = np.diag(np.exp(-0.2 * np.arange(30)))
+    b = np.random.default_rng(0).standard_normal((30, 30))
+    if not adjoint_defect:
+        return linear_model(a)
+    return ForwardModel(30, 30, lambda x: a @ x, lambda x: (
+        lambda v: a @ v, lambda w: a.T @ w - b.T @ w))
+
+
+@pytest.mark.parametrize("model, message, k", [
+    (_decaying_diagonal(adjoint_defect=True), "pivot d_3 = ", 1),
+    (nan_on_call(_decaying_diagonal(), 8), "Jacobian output", 2),
+], ids=["pivot", "nan-callback"])
+def test_failed_step_leaves_a_final_row_of_no_inner_iterations(model,
+                                                               message, k):
+    # A solve that breaks down at its third pivot, and one whose Jacobian
+    # callback returns NaN, both end the run on a Final row of 0 inner
+    # iterations, as csv_schema.md states; the row's cost still counts the
+    # units the failed step spent.
+    history = irgnm_run(model, model.evaluate(np.ones(30)), np.zeros(30),
+                        variant="plain", max_newton=10)
+    last = history.records[-1]
+    assert history.terminal_reason == TERMINAL_BREAKDOWN
+    assert message in history.meta["breakdown"]
+    assert (last.k, last.event, last.inner_iterations, last.cumulative_cost) \
+        == (k, EVENT_FINAL, 0, 19)
 
 
 def test_nan_initial_evaluation_raises():
