@@ -252,7 +252,7 @@ class Lanczos:
                 "A^T A vanishes on the start vector: no estimate of ||A^T A||")
         return theta
 
-    def solve(self, shift, tol, max_iterations):
+    def solve(self, shift, tol, max_iterations, step_tol=None):
         """Continue the run as CG on (B + shift M) h = b (D-Lanczos, Saad,
         Iterative Methods for Sparse Linear Systems, 2nd ed., 6.7.1).
 
@@ -264,6 +264,9 @@ class Lanczos:
         Its residual norm is ||r_l|| = b_l |zeta_l/d_l| ||M q_{l+1}||, and
         the solve ends once that is at most tol ||h_l|| (an exhausted
         space ends it too), or after ``max_iterations`` steps unconverged.
+        Given ``step_tol``, the returned h is the first h_l whose residual
+        is at most step_tol ||h_l||, or the last one if none is: the run
+        still goes on to tol, so its trace is the one without step_tol.
         Each step costs O(dim) past its two model calls and its
         Gram-Schmidt projection. A pivot that is not positive, or a
         breakdown of M, raises a CgBreakdownError, which carries only its
@@ -273,9 +276,11 @@ class Lanczos:
         of CG on (B + shift M)/c from b/sqrt(c), c = shift if positive, else
         1: T_l + shift I scaled by 1/c over the same basis. At a shift gamma
         that is the two-sided system over the empty pair set of shift gamma.
+        Its ``rhs_product`` is that of the returned h.
         """
         basis, scale = self.basis, shift if shift > 0.0 else 1.0
         h, p = np.zeros(self.op.domain_dim), np.zeros(self.op.domain_dim)
+        kept = None  # the first h_l that met step_tol
         zeta = self.start_norm
         l, b, ratio = 0, 0.0, 0.0
         converged = zeta == 0.0
@@ -298,8 +303,13 @@ class Lanczos:
             ratio = b / d
             zeta *= -ratio
             l += 1
-            converged = basis.count == l \
-                or r_norm <= tol * math.sqrt(h.dot(h))
+            h_norm = math.sqrt(h.dot(h))
+            converged = basis.count == l or r_norm <= tol * h_norm
+            if kept is None and step_tol is not None \
+                    and r_norm <= step_tol * h_norm:
+                kept = h.copy()
+        if kept is not None:
+            h = kept
         return h, CgTrace(
             diag=np.add(self.diag[:l], shift) / scale,
             offdiag=np.divide(self.offdiag[:l], scale),
@@ -375,7 +385,8 @@ def select_ritz(pairs):
             and p.residual_bound <= RITZ_RESIDUAL_TOL * p.theta]
 
 
-def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
+def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200, *,
+              step_epsilon=None):
     """Preconditioned CG on the normal equations G^T G h = G^T g.
 
     Parameters
@@ -394,6 +405,11 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
         ``epsilon/(1-epsilon)`` against the exact solution.
     max_iterations : int >= 1
         Caps the solve.
+    step_epsilon : float in (0, 1) or None
+        Given, h is the first iterate that meets the stop test at
+        ``step_epsilon`` in place of ``epsilon`` (or the last one), while
+        the run and its trace go on to ``epsilon``: an accurate solve that
+        harvests Ritz pairs returns a standard-accuracy step.
 
     Returns
     -------
@@ -412,8 +428,13 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200):
     """
     if not 0.0 < epsilon < 1.0:
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if step_epsilon is not None and not 0.0 < step_epsilon < 1.0:
+        raise ContractError(
+            f"step_epsilon must lie in (0, 1), got {step_epsilon}")
     if max_iterations < 1:
         raise ContractError("max_iterations must be at least 1")
+    scale = float(sys.stop_scale)
     inverse = None if precond is None else precond.apply_inverse
     return Lanczos(sys, sys.apply_adjoint(sys.stacked_rhs()), inverse) \
-        .solve(0.0, epsilon * float(sys.stop_scale), max_iterations)
+        .solve(0.0, epsilon * scale, max_iterations,
+               None if step_epsilon is None else step_epsilon * scale)

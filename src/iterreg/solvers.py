@@ -8,21 +8,26 @@ A_m stays frozen across several steps. A spectral preconditioner is built
 from Lanczos Ritz pairs and updated in between; ``_plan_step`` decides which
 step does what in the ``variant`` an irgnm run names: prec, plain
 (no preconditioner) or the frozen ablation (no update). irgnm-prec
-relinearizes at a step its square-number schedule makes due only if the
-frozen Jacobian is stale, by the contraction monitor of simplified Newton
-methods (Deuflhard, Newton Methods for Nonlinear Problems, Springer
-2004): ||y - F(x_k)|| exceeds STALE_RATIO = 1.25 times the misfit
-||r_{k-1} - A_m h_{k-1}|| the frozen linear model predicted for the step
-just taken, which ``_predicted_misfit`` reads from the Galerkin solve at
-no model unit. The shift falls as
-gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR) with GAMMA_FACTOR =
-1.5 and GAMMA_FLOOR = 1e-14, below which the shifted preconditioner cannot
-be applied in floating point. Builds solve accurately (EPS_ACCURATE = 1e-9)
-through the symmetric two-sided form so the harvested pairs are
-trustworthy, ordinary steps loosely (EPS_STANDARD = 1/3), Newton-CG's to
-INNER_RHO = 0.8 times the residual, and every inner solve stops after
-MAX_INNER = 200 iterations; the harvest keeps the Ritz pairs that
-``krylov.select_ritz`` keeps. Each constant is read when a step uses it.
+updates once the Plain steps since the last build have spent as many
+inner iterations as that build did, and relinearizes at a step its
+square-number schedule makes due only if the frozen Jacobian is stale,
+by the contraction monitor of simplified Newton methods (Deuflhard,
+Newton Methods for Nonlinear Problems, Springer 2004): ||y - F(x_k)||
+exceeds STALE_RATIO = 1.25 times the misfit ||r_{k-1} - A_m h_{k-1}||
+the frozen linear model predicted for the step just taken, which
+``_predicted_misfit`` reads from the Galerkin solve at no model unit.
+The shift falls as gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR)
+with GAMMA_FACTOR = 1.5 and GAMMA_FLOOR = 1e-14, below which the shifted
+preconditioner cannot be applied in floating point. Builds run their
+Lanczos loop accurately (EPS_ACCURATE = 1e-9) through the symmetric
+two-sided form so the harvested pairs are trustworthy, but take their
+step, as ordinary steps do, at the standard tolerance EPS_STANDARD = 1/3
+of inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982), so a build's step is no more accurate than any other.
+Newton-CG's solves stop at INNER_RHO = 0.8 times the residual, every
+inner solve stops after MAX_INNER = 200 iterations, and the harvest keeps
+the Ritz pairs that ``krylov.select_ritz`` keeps. Each constant is read
+when a step uses it.
 
 Every irgnm run takes gamma0 from GRAM_ESTIMATE_STEPS = 5 steps of
 ``krylov.Lanczos`` on A_0^T A_0, started from the first inner solve's
@@ -77,8 +82,6 @@ GAMMA_FLOOR = 1e-14
 EPS_STANDARD = 1.0 / 3.0
 EPS_ACCURATE = 1e-9
 MAX_INNER = 200
-UPDATE_AGE_MIN = 4
-UPDATE_INNER_MIN = 5
 STALE_RATIO = 1.25
 INNER_RHO = 0.8
 GRAM_ESTIMATE_SEED = 0
@@ -187,22 +190,26 @@ def _estimate_from_gradient(jac, residual):
     return lanczos.theta_max(), lanczos
 
 
-def _plan_step(k, m, last_build, prev_inner, variant, stale=False):
+def _plan_step(k, m, plain_inner, build_inner, variant, stale=False):
     """(event, relinearize) of Newton step k, whose last relinearization
-    was at m and last build at last_build; prev_inner counts the inner
-    iterations of step k - 1, and stale says whether the frozen Jacobian
-    stopped predicting the residual (see ``_predicted_misfit``).
+    was at m; plain_inner counts the inner iterations of the Plain steps
+    since the last build (Recompute or Update, k = 0 included),
+    build_inner those of that build, and stale says whether the frozen
+    Jacobian stopped predicting the residual (see ``_predicted_misfit``).
 
     Variant "plain" relinearizes at every step and never builds. "prec"
     recomputes (fresh Jacobian, new pair set) at k = 0 and when the
     square-number schedule sqrt(k+1) >= sqrt(m+1) + 1 is due and the
-    Jacobian is stale; it updates (frozen Jacobian, pairs merged into the
-    current set) once the last build is UPDATE_AGE_MIN = 4 steps old and
-    prev_inner > UPDATE_INNER_MIN = 5, so, as UPDATE_AGE_MIN >= 2, only
-    after a Plain step k - 1 that cost more than 5 iterations; other steps
-    are Plain on the frozen Jacobian. The "frozen" ablation rebuilds
-    exactly on the schedule (k = 0, 3, 8, 15, 24, ...), whether stale or
-    not, and never updates.
+    Jacobian is stale. Otherwise it updates (frozen Jacobian, pairs merged
+    into the current set) once the Plain steps have paid for the last
+    build, plain_inner >= max(build_inner, 1): the break-even rule of
+    ski rental (Karlin, Manasse, Rudolph & Sleator, Algorithmica 3, 1988),
+    with the rent a Plain step pays and the price a build paid both
+    counted in inner iterations, and at least one iteration of rent so
+    that a build of none does not update at every step. Other steps are
+    Plain on the frozen Jacobian. The "frozen" ablation rebuilds exactly
+    on the schedule (k = 0, 3, 8, 15, 24, ...), whether stale or not, and
+    never updates.
     """
     if variant == "plain":
         return EVENT_PLAIN, True
@@ -211,8 +218,7 @@ def _plan_step(k, m, last_build, prev_inner, variant, stale=False):
     due = d >= 0 and d * d >= 4 * (m + 1)
     if k == 0 or (due and (not updates or stale)):
         return EVENT_RECOMPUTE, True
-    if updates and k - last_build >= UPDATE_AGE_MIN \
-            and prev_inner > UPDATE_INNER_MIN:
+    if updates and plain_inner >= max(build_inner, 1):
         return EVENT_UPDATE, False
     return EVENT_PLAIN, False
 
@@ -412,9 +418,12 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     plans for ``variant``: "prec", "plain" (no preconditioner) or the
     "frozen" ablation (no update). A Recompute or Update builds: an
     accurate two-sided solve over the pair set it starts from (empty after
-    a relinearization), then the Ritz harvest merged into that set. A
-    Plain step runs CG at standard tolerance, preconditioned by the current
-    pair set if there is one. Each step keeps the misfit its
+    a relinearization), then the Ritz harvest merged into that set; its
+    step is the solve's first iterate that meets the standard tolerance,
+    and its inner count, which the Update rule reads, the whole accurate
+    run. A Plain step runs CG at standard tolerance, preconditioned by the
+    current pair set if there is one, and adds its count to the rent the
+    next Update waits for. Each step keeps the misfit its
     frozen linear model predicts (``_predicted_misfit``); the next residual
     norm above STALE_RATIO times it lets irgnm-prec recompute at a due
     step. gamma0, held in ``meta["gamma0"]``, is the Lanczos estimate of
@@ -435,7 +444,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     outer = _OuterLoop(model, y_obs, x0, truth)
     x0 = outer.x0
     jac = first = precond = gamma0 = None
-    m = last_build = prev_inner = 0
+    m = plain_inner = build_inner = 0
     predicted = math.inf  # no step has been predicted before k = 0
     meta = {}
 
@@ -454,10 +463,10 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             rec.phi_k = float(phi_estimator.evaluate(rec.gamma_k, precond))
 
     def step(rec, x, residual_vec):
-        nonlocal jac, precond, m, last_build, prev_inner, first, predicted
+        nonlocal jac, precond, m, plain_inner, build_inner, first, predicted
         k, gamma_k = rec.k, rec.gamma_k
         stale = rec.residual_norm > STALE_RATIO * predicted
-        rec.event, relinearize = _plan_step(k, m, last_build, prev_inner,
+        rec.event, relinearize = _plan_step(k, m, plain_inner, build_inner,
                                             variant, stale)
         if relinearize:
             jac = model.linearize(x)
@@ -473,14 +482,16 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             # the empty pair set, which a build harvests and a Plain step
             # reads only for its count, its convergence and h^T b
             epsilon = EPS_ACCURATE if build else EPS_STANDARD
-            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER)
+            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
+                                   EPS_STANDARD * gamma_k if build else None)
             # the estimate's units this solve reused
             meta["estimate_units"] -= min(meta["estimate_units"],
                                           1 + 2 * trace.iterations)
             first = None
         elif build:
             tsys = TwoSidedSystem(sys, base)
-            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+            h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER,
+                                   step_epsilon=EPS_STANDARD)
             h = tsys.pull_back(h_t)
         else:
             h, trace = pcg_solve(sys, base if base.pair_count else None,
@@ -489,8 +500,9 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             precond = merge_pairs(base, _harvest(trace, base))
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
-            last_build = k
-        prev_inner = trace.iterations
+            plain_inner, build_inner = 0, trace.iterations
+        else:
+            plain_inner += trace.iterations
         predicted = _predicted_misfit(sys, h, trace, rec.residual_norm)
         rec.inner_iterations = trace.iterations
         if not trace.converged:

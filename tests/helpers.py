@@ -7,8 +7,7 @@ import numpy as np
 
 from iterreg.krylov import RitzPair
 from iterreg.operators import ContractError, ForwardModel, TikhonovSystem
-from iterreg.solvers import (GRAM_ESTIMATE_STEPS, UPDATE_AGE_MIN,
-                             UPDATE_INNER_MIN)
+from iterreg.solvers import GRAM_ESTIMATE_STEPS
 from iterreg.testbed import two_bump_profile
 
 
@@ -308,10 +307,10 @@ def should_recompute(k, m, stale, variant):
     return due and (variant == "frozen" or stale)
 
 
-def must_update(k, last_build_step, prev_inner_iterations):
-    """Reference update test of irgnm-prec: incremental update once the
-    last build is stale and steps got expensive."""
-    if k < last_build_step:
-        raise ContractError("Newton index precedes the last build")
-    return (k - last_build_step) >= UPDATE_AGE_MIN \
-        and prev_inner_iterations > UPDATE_INNER_MIN
+def must_update(plain_iterations, build_iterations):
+    """Reference update test of irgnm-prec, the break-even rule: update
+    once the Plain steps since the last build have spent, in total, as
+    many inner iterations as that build did, and at least one."""
+    if plain_iterations < 0 or build_iterations < 0:
+        raise ContractError("inner iteration counts are nonnegative")
+    return plain_iterations >= build_iterations and plain_iterations >= 1

@@ -191,6 +191,33 @@ def test_run_single_outputs(tmp_path):
     assert loaded["stop_rule"]["rule"] == "discrepancy"
 
 
+def test_run_csv_explains_every_update_and_plain_event(tmp_path):
+    # csv_schema.md states irgnm-prec's Update rule on the inner_iterations
+    # column: a row that is not a Recompute is an Update iff the Plain rows
+    # since the last Recompute or Update row sum to at least that row's
+    # inner_iterations, and to at least 1. A solve's run.csv re-derives
+    # every Update and Plain event from that column alone.
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[problem]\nm = 60\n[solver]\nmax_newton = 30\n"
+                   "[stopping]\nrule = none\n")
+    assert main(["solve", "--config", str(ini),
+                 "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["event"] == "Recompute" and rows[-1]["event"] == "Final"
+    plain = build = 0
+    for row in rows[:-1]:
+        if row["event"] != "Recompute":
+            assert row["event"] \
+                == ("Update" if plain >= max(build, 1) else "Plain")
+        if row["event"] == "Plain":
+            plain += int(row["inner_iterations"])
+        else:
+            plain, build = 0, int(row["inner_iterations"])
+    events = [row["event"] for row in rows]
+    assert events.count("Update") >= 2 and "Plain" in events
+
+
 def test_run_single_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig.from_text(BASE)
     run_single(cfg, tmp_path / "a")

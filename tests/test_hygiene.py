@@ -13,6 +13,11 @@ must be named, as a variable or an attribute, somewhere in ``src/``,
 and so is ``DenseOracle.trace_phi``, the reference the Phi acceptance check
 compares the estimators against.
 
+Dead constants: every module-level UPPER_CASE constant that
+``src/iterreg/*.py`` assigns must be read, as a variable or an attribute,
+somewhere in ``src/``, so a retired policy leaves no constant behind that
+only tests or docs still name.
+
 Dependencies: the third scan reads the non-stdlib imports of
 ``src/iterreg/*.py``. Those at module level may only be numpy, so importing
 iterreg loads nothing else; a builder that needs another library imports it
@@ -171,6 +176,34 @@ def test_dead_code_scan_flags_unreferenced_definitions():
     assert unreferenced([tree], [tree]) == ["Box.unused", "recursive"]
     caller = ast.parse("from box import recursive\nrecursive(3)\n")
     assert unreferenced([tree], [tree, caller]) == ["Box.unused"]
+
+
+def module_constants(tree):
+    """Names of the UPPER_CASE constants ``tree`` assigns at module level."""
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.isupper()}
+
+
+def names_read(tree):
+    """Identifiers ``tree`` reads as a variable or names as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+
+
+def test_every_package_constant_is_read_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in PACKAGE]
+    constants = set().union(*map(module_constants, trees))
+    assert not constants - set().union(*map(names_read, trees))
+
+
+def test_constant_scan_reads_module_level_upper_case_names():
+    tree = ast.parse("A = 1\n_B = A\nlow = 4\nD = 5\n"
+                     "def f():\n    E = 6\n    return obj.D, E\n")
+    assert module_constants(tree) == {"A", "_B", "D"}
+    assert module_constants(tree) - names_read(tree) == {"_B"}
 
 
 MODULE_LEVEL_THIRD_PARTY = {"numpy"}

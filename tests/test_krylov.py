@@ -351,6 +351,8 @@ def test_cg_config_validation():
     for kwargs, message in (
             ({"epsilon": 0.0}, "epsilon must lie in (0, 1), got 0.0"),
             ({"epsilon": 1.0}, "epsilon must lie in (0, 1), got 1.0"),
+            ({"step_epsilon": 0.0},
+             "step_epsilon must lie in (0, 1), got 0.0"),
             ({"max_iterations": 0}, "max_iterations must be at least 1")):
         with pytest.raises(ContractError, match=re.escape(message)):
             pcg_solve(sys, **kwargs)

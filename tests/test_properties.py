@@ -10,8 +10,9 @@ Newton-CG's CGNE against its reference implementation, the Lanczos loop of
 every reorthogonalized solve against its relation and the CG contract, the
 finiteness check of ``as_vector``, the Lanczos estimate of ||A^T A||
 against the power iteration it replaced and the dense norm, the first irgnm
-solve that continues that estimate against a solve from scratch, the inner
-count every Update reads, the divergence guard on every recorded row, the
+solve that continues that estimate against a solve from scratch, the
+standard step and the unchanged harvest of every build, the inner counts
+every Update reads, the divergence guard on every recorded row, the
 equivariance of every method under the problem's scale, and the agreement
 of each CLI stop rule's driver with its resolver.
 
@@ -25,10 +26,11 @@ as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
 diagonal or nonlinear-composite problem, and for its continuation that of
-a diagonal or convolution composite; for the scale, the divergence guard
-and the stop rules a random nonlinear-diagonal problem and noise draw. The
-Update check draws 16 such problems from a seeded generator instead, so it
-can also require that some run updates.
+a diagonal or convolution composite, and for the builds that of a
+nonlinear-diagonal composite, checked against ``DenseOracle``; for the
+scale, the divergence guard and the stop rules a random nonlinear-diagonal
+problem and noise draw. The Update check draws 16 such problems from a
+seeded generator instead, so it can also require that some run updates.
 """
 
 import itertools
@@ -58,8 +60,7 @@ from iterreg.preconditioner import (SpectralPreconditioner, TwoSidedSystem,
 from iterreg.solvers import (EPS_ACCURATE, EPS_STANDARD, EVENT_PLAIN,
                              EVENT_RECOMPUTE, EVENT_UPDATE, GAMMA_FACTOR,
                              MAX_INNER, TERMINAL_BREAKDOWN, TERMINAL_MAX,
-                             TERMINAL_STOP, UPDATE_AGE_MIN, UPDATE_INNER_MIN,
-                             _estimate_from_gradient, _harvest,
+                             TERMINAL_STOP, _estimate_from_gradient, _harvest,
                              _truncated_cgne, estimate_gram_norm, irgnm_run,
                              landweber_run, newton_cg_run)
 from iterreg.stopping import (DiscrepancyDriver, PhiBudgetDriver, SampledPhi,
@@ -403,6 +404,89 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
                 direct = np.linalg.norm(operator @ pair.vector
                                         - pair.theta * pair.vector)
                 assert abs(direct - pair.residual_bound) <= tol
+
+
+def _same_trace(trace, ref):
+    """Whether two CgTraces hold the same Lanczos data, bit for bit."""
+    return (trace.iterations, trace.converged) \
+        == (ref.iterations, ref.converged) and all(
+            _bits(getattr(trace, name)) == _bits(getattr(ref, name))
+            for name in ("diag", "offdiag", "basis"))
+
+
+def _same_pairs(pairs, ref):
+    return len(pairs) == len(ref) and all(
+        lam == lam_ref and _bits(u) == _bits(u_ref)
+        for (lam, u), (lam_ref, u_ref) in zip(pairs, ref))
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(0, 20), st.floats(0.02, 1.0),
+       st.floats(0.0, 0.5), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_build_steps_are_standard_and_keep_the_accurate_harvest(
+        m, extra, decay, c3, k, seed):
+    # A build returns the first Galerkin iterate that meets the standard
+    # stop test, while its run goes on to EPS_ACCURATE. For the k = 0
+    # Recompute, which continues the gamma0 estimate, a Recompute at
+    # gamma_k over the empty pair set and the Update that follows it at
+    # gamma_{k+1} over the merged pairs, against the dense operator S of
+    # each (A^T A + gamma I, or its two-sided form):
+    # - the step meets the CG contract eps/(1 - eps) relative to the dense
+    #   solution at eps = EPS_STANDARD stop_scale / lambda_min(S);
+    # - it is bit for bit the step of the same solve at EPS_STANDARD;
+    # - the trace and the harvested pairs are bit for bit those of the
+    #   same build without the step test.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=m, n=m + extra, decay_a=decay,
+                              seed=seed % 2**16), c3=c3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    jac = problem.model.linearize(x)
+    gram = DenseOracle.for_problem(problem, x).gram
+    residual = rng.standard_normal(m + extra)
+
+    def check(step, trace, standard, accurate, dense, rhs, scale):
+        assert _same_trace(trace, accurate[1])
+        assert _bits(step) == _bits(standard[0])
+        assert trace.rhs_product == standard[1].rhs_product
+        assert trace.converged
+        exact = np.linalg.solve(dense, rhs)
+        eps = EPS_STANDARD * scale / np.linalg.eigvalsh(dense)[0]
+        assert np.linalg.norm(step - exact) \
+            <= (eps / (1.0 - eps) + 1e-10) * np.linalg.norm(exact)
+
+    # k = 0: three continuations of the same, deterministic estimate
+    solves = []
+    for tol, step_tol in ((EPS_ACCURATE, EPS_STANDARD),
+                          (EPS_STANDARD, None), (EPS_ACCURATE, None)):
+        gamma0, lanczos = _estimate_from_gradient(jac, residual)
+        solves.append(lanczos.solve(
+            gamma0, tol * gamma0, MAX_INNER,
+            None if step_tol is None else step_tol * gamma0))
+    (step, trace), standard, accurate = solves
+    empty = SpectralPreconditioner.empty(gamma0, m)
+    assert _same_pairs(_harvest(trace, empty), _harvest(accurate[1], empty))
+    check(step, trace, standard, accurate, gram + gamma0 * np.eye(m),
+          jac.apply_adjoint(residual), gamma0)
+
+    gamma_k = float(np.linalg.norm(gram, 2)) * GAMMA_FACTOR ** -k
+    base = SpectralPreconditioner.empty(gamma_k, m)
+    for gamma in (gamma_k, gamma_k / GAMMA_FACTOR):
+        base = base.with_gamma(gamma)
+        tsys = TwoSidedSystem(
+            TikhonovSystem(jac, gamma, residual, rng.standard_normal(m)),
+            base)
+        step, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER,
+                                step_epsilon=EPS_STANDARD)
+        accurate = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+        harvest = _harvest(trace, base)
+        assert _same_pairs(harvest, _harvest(accurate[1], base))
+        inv_sqrt = np.column_stack([base.apply_inv_sqrt(e)
+                                    for e in np.eye(m)])
+        check(step, trace, pcg_solve(tsys, None, EPS_STANDARD, MAX_INNER),
+              accurate, inv_sqrt @ (gram + gamma * np.eye(m)) @ inv_sqrt,
+              tsys.apply_adjoint(tsys.stacked_rhs()), 1.0)
+        base = merge_pairs(base, harvest)
 
 
 @PROPERTY
@@ -990,13 +1074,11 @@ def test_every_method_is_equivariant_under_the_problem_scale(run, scale,
 
 
 def test_every_update_follows_an_expensive_plain_step():
-    # irgnm_run hands _plan_step the inner count of step k - 1 whatever its
-    # event, while the Update rule means the count of a Plain step since
-    # the last build. The two agree because UPDATE_AGE_MIN >= 2: on random
-    # irgnm-prec runs of a nonlinear-diagonal problem, every Update at k is
-    # at least UPDATE_AGE_MIN steps after the last build and follows a
-    # Plain step k - 1 of more than UPDATE_INNER_MIN iterations.
-    assert UPDATE_AGE_MIN >= 2
+    # The inner counts irgnm_run hands _plan_step are those of the records:
+    # on random irgnm-prec runs of a nonlinear-diagonal problem, every
+    # Update follows Plain rows since the last build (Recompute or Update)
+    # whose inner_iterations sum to at least that build's, and to at least
+    # 1, and no earlier Plain row since that build had reached that sum.
     rng = np.random.default_rng(35)
     updates = 0
     for seed in range(16):
@@ -1011,16 +1093,18 @@ def test_every_update_follows_an_expensive_plain_step():
         records = irgnm_run(problem.model, y, np.zeros(m),
                             rhs_kind=(IRGNM, LEVENBERG_MARQUARDT)[seed % 2],
                             max_newton=25).records
-        last_build = 0
-        for rec in records[1:]:
+        assert records[0].event == EVENT_RECOMPUTE
+        plain = build = 0
+        for rec in records:
+            paid = plain >= max(build, 1)
             if rec.event == EVENT_UPDATE:
-                before = records[rec.k - 1]
-                assert rec.k - last_build >= UPDATE_AGE_MIN
-                assert before.event == EVENT_PLAIN
-                assert before.inner_iterations > UPDATE_INNER_MIN
+                assert paid and records[rec.k - 1].event == EVENT_PLAIN
                 updates += 1
+            elif rec.event == EVENT_PLAIN:
+                assert not paid
+                plain += rec.inner_iterations
             if rec.event in (EVENT_RECOMPUTE, EVENT_UPDATE):
-                last_build = rec.k
+                plain, build = 0, rec.inner_iterations
     assert updates > 0
 
 

@@ -17,12 +17,12 @@ from iterreg.krylov import pcg_solve, ritz_from_trace
 from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
                                ForwardModel, TikhonovSystem)
 from iterreg.preconditioner import SpectralPreconditioner, TwoSidedSystem
-from iterreg.solvers import (EVENT_BASELINE, EVENT_FINAL, EVENT_PLAIN,
-                             EVENT_RECOMPUTE, EVENT_UPDATE, TERMINAL_BREAKDOWN,
-                             TERMINAL_INNER_CAP, TERMINAL_MAX,
-                             TERMINAL_STEP_CAP, TERMINAL_STOP, _harvest,
-                             _plan_step, estimate_gram_norm, irgnm_run,
-                             landweber_run, newton_cg_run)
+from iterreg.solvers import (EPS_STANDARD, EVENT_BASELINE, EVENT_FINAL,
+                             EVENT_PLAIN, EVENT_RECOMPUTE, EVENT_UPDATE,
+                             TERMINAL_BREAKDOWN, TERMINAL_INNER_CAP,
+                             TERMINAL_MAX, TERMINAL_STEP_CAP, TERMINAL_STOP,
+                             _harvest, _plan_step, estimate_gram_norm,
+                             irgnm_run, landweber_run, newton_cg_run)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, generate_noise,
                              make_diagonal_problem, make_nonlinear_composite,
@@ -72,36 +72,48 @@ PLAIN = (EVENT_PLAIN, False)
 
 
 def test_plan_step_recompute_policy():
+    # Arguments: k, m, the Plain steps' inner iterations since the last
+    # build, that build's inner iterations.
     assert _plan_step(0, 0, 0, 0, "prec") == RECOMPUTE
-    # sqrt(4) = sqrt(1) + 1 and the frozen Jacobian is stale
-    assert _plan_step(3, 0, 0, 10, "prec", True) == RECOMPUTE
-    # sqrt(9) = sqrt(4) + 1, whatever the last Plain step cost
-    assert _plan_step(8, 3, 3, 2, "prec", True) == RECOMPUTE
-    assert _plan_step(8, 3, 3, 0, "prec", True) == RECOMPUTE
-    # due but not stale: no Recompute, however expensive the last step was
-    assert _plan_step(3, 0, 0, 50, "prec", False) == PLAIN
+    # sqrt(4) = sqrt(1) + 1 and the frozen Jacobian is stale, whether or
+    # not the Plain steps have paid for the last build
+    assert _plan_step(3, 0, 2, 10, "prec", True) == RECOMPUTE
+    assert _plan_step(3, 0, 10, 10, "prec", True) == RECOMPUTE
+    # sqrt(9) = sqrt(4) + 1, after a build of no iterations too
+    assert _plan_step(8, 3, 0, 0, "prec", True) == RECOMPUTE
+    assert _plan_step(8, 3, 50, 10, "prec", True) == RECOMPUTE
+    # due but not stale: no Recompute
+    assert _plan_step(3, 0, 2, 10, "prec", False) == PLAIN
     assert _plan_step(3, 0, 0, 0, "prec") == PLAIN
     # stale but not yet due: no Recompute
-    assert _plan_step(2, 0, 0, 50, "prec", True) == PLAIN
-    assert _plan_step(7, 3, 6, 50, "prec", True) == PLAIN
+    assert _plan_step(2, 0, 2, 10, "prec", True) == PLAIN
+    assert _plan_step(7, 3, 0, 50, "prec", True) == PLAIN
     # the frozen ablation ignores staleness
     assert _plan_step(3, 0, 0, 0, "frozen", False) == RECOMPUTE
-    assert _plan_step(7, 3, 3, 50, "frozen", True) == PLAIN
+    assert _plan_step(7, 3, 50, 1, "frozen", True) == PLAIN
 
 
 def test_plan_step_update_policy():
-    # m = last build = 10: the schedule is not due before k = 18.
-    assert _plan_step(14, 10, 10, 6, "prec") == UPDATE
-    assert _plan_step(13, 10, 10, 20, "prec") == PLAIN   # too young
-    assert _plan_step(17, 10, 10, 5, "prec") == PLAIN    # 5 is not > 5
+    # m = 10: the schedule is not due before k = 18. An Update comes once
+    # the Plain steps since the last build have together spent as many
+    # inner iterations as that build did, and at least one.
+    assert _plan_step(14, 10, 10, 10, "prec") == UPDATE  # paid exactly
+    assert _plan_step(14, 10, 9, 10, "prec") == PLAIN    # one short
+    # no age gate: one expensive Plain step pays at once
+    assert _plan_step(12, 10, 40, 10, "prec") == UPDATE
+    # a build of no iterations is paid by the first iteration, not by none
+    assert _plan_step(12, 10, 0, 0, "prec") == PLAIN
+    assert _plan_step(12, 10, 1, 0, "prec") == UPDATE
     # an Update keeps m, so the schedule still counts from the Recompute
-    assert _plan_step(17, 10, 12, 7, "prec") == UPDATE
-    # a due step whose Jacobian is not stale follows the same rules, and so
+    assert _plan_step(17, 10, 7, 7, "prec") == UPDATE
+    # a due step whose Jacobian is not stale follows the same rule, and so
     # does a stale step that is not due
-    assert _plan_step(18, 10, 10, 6, "prec", False) == UPDATE
-    assert _plan_step(18, 10, 10, 5, "prec", False) == PLAIN
-    assert _plan_step(18, 10, 16, 20, "prec", False) == PLAIN
-    assert _plan_step(17, 10, 10, 6, "prec", True) == UPDATE
+    assert _plan_step(18, 10, 6, 6, "prec", False) == UPDATE
+    assert _plan_step(18, 10, 5, 6, "prec", False) == PLAIN
+    assert _plan_step(17, 10, 6, 6, "prec", True) == UPDATE
+    assert _plan_step(17, 10, 5, 6, "prec", True) == PLAIN
+    # the frozen ablation never updates
+    assert _plan_step(14, 10, 50, 1, "frozen") == PLAIN
 
 
 @pytest.mark.parametrize("rhs_kind", [IRGNM, LEVENBERG_MARQUARDT])
@@ -122,9 +134,9 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     predict = solvers._predicted_misfit
     calls, preconditioned = [], []
 
-    def solve_spy(sys, precond, *args):
+    def solve_spy(sys, precond, *args, **kwargs):
         preconditioned.append(precond is not None)
-        return pcg_solve(sys, precond, *args)
+        return pcg_solve(sys, precond, *args, **kwargs)
 
     def spy(sys, h, trace, residual_norm):
         before = cost.total
@@ -166,15 +178,15 @@ def test_frozen_ablation_rebuilds_on_schedule_without_guard():
     # undue one still waits for the schedule, and nothing updates.
     assert _plan_step(3, 0, 0, 0, "frozen") == RECOMPUTE
     assert _plan_step(8, 3, 3, 0, "frozen") == RECOMPUTE
-    assert _plan_step(2, 0, 0, 50, "frozen") == PLAIN
-    assert _plan_step(7, 3, 3, 50, "frozen") == PLAIN
+    assert _plan_step(2, 0, 50, 1, "frozen") == PLAIN
+    assert _plan_step(7, 3, 50, 1, "frozen") == PLAIN
 
 
 def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # Walking the schedule rebuilds at k = j^2 - 1 and at no other step.
     builds, m = [], 0
     for k in range(200_000):
-        if _plan_step(k, m, m, 0, "frozen")[1]:
+        if _plan_step(k, m, 0, 0, "frozen")[1]:
             builds.append(k)
             m = k
     assert builds == [j * j - 1 for j in range(1, 448)]
@@ -182,8 +194,8 @@ def test_frozen_ablation_rebuilds_exactly_at_squares_minus_one():
     # step, a build at j^2 - 1 is due at (j+1)^2 - 1 and not one step before.
     for j in (10**4, 10**6, 10**8, 10**9 + 7):
         m = j * j - 1
-        assert _plan_step((j + 1) ** 2 - 2, m, m, 0, "frozen") == PLAIN
-        assert _plan_step((j + 1) ** 2 - 1, m, m, 0, "frozen") == RECOMPUTE
+        assert _plan_step((j + 1) ** 2 - 2, m, 0, 0, "frozen") == PLAIN
+        assert _plan_step((j + 1) ** 2 - 1, m, 0, 0, "frozen") == RECOMPUTE
 
 
 def test_schedule_test_agrees_with_its_float_form():
@@ -195,15 +207,15 @@ def test_schedule_test_agrees_with_its_float_form():
     # For each m, k runs past the first due step, m + 1 + 2 sqrt(m + 1).
     for m in range(3000):
         for k in range(max(m, 1), m + 2 * math.isqrt(m + 1) + 4):
-            assert (_plan_step(k, m, m, 0, "frozen") == RECOMPUTE) \
+            assert (_plan_step(k, m, 0, 0, "frozen") == RECOMPUTE) \
                 == due_float(k, m), (k, m)
 
 
 @st.composite
 def _step_states(draw):
     k = draw(st.integers(0, 200))
-    return (k, draw(st.integers(0, k)), draw(st.integers(0, k)),
-            draw(st.integers(0, 20)), draw(st.booleans()))
+    return (k, draw(st.integers(0, k)), draw(st.integers(0, 40)),
+            draw(st.integers(0, 40)), draw(st.booleans()))
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
@@ -213,16 +225,16 @@ def test_plan_step_matches_the_reference_predicates(state, variant):
     # relinearizes at every step; irgnm-prec and the frozen ablation rebuild
     # when should_recompute holds, and irgnm-prec otherwise updates when
     # must_update holds.
-    k, m, last_build, prev_inner, stale = state
+    k, m, plain_inner, build_inner, stale = state
     if variant == "plain":
         expected = (EVENT_PLAIN, True)
     elif should_recompute(k, m, stale, variant):
         expected = RECOMPUTE
-    elif variant == "prec" and must_update(k, last_build, prev_inner):
+    elif variant == "prec" and must_update(plain_inner, build_inner):
         expected = UPDATE
     else:
         expected = PLAIN
-    assert _plan_step(k, m, last_build, prev_inner, variant, stale) \
+    assert _plan_step(k, m, plain_inner, build_inner, variant, stale) \
         == expected
 
 
@@ -366,13 +378,32 @@ def test_first_solve_without_a_start_vector_estimates_from_a_random_one():
     np.testing.assert_array_equal(history.records[1].x_k, x0)
 
 
+@pytest.mark.parametrize("rhs_kind", [IRGNM, LEVENBERG_MARQUARDT])
+def test_a_build_of_no_iterations_is_not_paid_for_by_none(rhs_kind):
+    # Exact data at x0 = truth: every right-hand side is zero, so the k = 0
+    # Recompute takes 0 inner iterations, and so does every Plain step.
+    # Plain steps of no iteration never pay for that build, so no step
+    # updates (a rule of plain >= build alone would update at each one).
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=20, n=30, seed=0))
+    y = problem.model.evaluate(problem.truth)
+    history = irgnm_run(problem.model, y, problem.truth, rhs_kind=rhs_kind,
+                        max_newton=10)
+    assert [rec.event for rec in history.records] \
+        == [EVENT_RECOMPUTE] + [EVENT_PLAIN] * 9 + [EVENT_FINAL]
+    assert history.total_inner() == 0
+    assert history.terminal_reason == TERMINAL_MAX
+
+
 def test_gamma0_from_an_exhausted_krylov_space_is_the_random_estimate():
     # b0 lies in the span of two eigenvectors of A^T A, so its Krylov space
     # is exhausted after two Lanczos steps, whose T_2 has the eigenvalues 4
     # and 2.25 while ||A^T A|| = 9. gamma0 is then the random-start
     # estimate, close to 9;
-    # the first solve continues the exhausted run to the exact Tikhonov
-    # step, in the two steps a cold solve takes.
+    # the first solve, a Recompute, continues the exhausted run to the
+    # exact Tikhonov step, in the two steps a cold solve takes, and returns
+    # the first Galerkin iterate that meets the standard test
+    # ||r|| <= EPS_STANDARD gamma0 ||h||: here the first, along b = A^T y.
     a = np.diag([3.0, 2.0, 1.5, 1.0, 0.8, 0.6, 0.5, 0.4])
     model = linear_model(a)
     y = np.zeros(8)
@@ -383,10 +414,11 @@ def test_gamma0_from_an_exhausted_krylov_space_is_the_random_estimate():
     assert gamma0 == pytest.approx(9.0, rel=1e-3)
     assert history.records[0].inner_iterations == 2
     assert history.meta["estimate_units"] == GRAM_ESTIMATE_UNITS
-    step = history.records[1].x_k
-    np.testing.assert_allclose(
-        step, np.linalg.solve(a.T @ a + gamma0 * np.eye(8), a.T @ y),
-        rtol=1e-12)
+    b, shifted = a.T @ y, a.T @ a + gamma0 * np.eye(8)
+    first = (b @ b) / (b @ shifted @ b) * b
+    assert np.linalg.norm(b - shifted @ first) \
+        <= EPS_STANDARD * gamma0 * np.linalg.norm(first)
+    np.testing.assert_allclose(history.records[1].x_k, first, rtol=1e-12)
 
 
 def test_gamma0_on_a_domain_below_the_estimate_steps_is_exact():
