@@ -12,8 +12,13 @@ products, and solves (B + shift I) h = b as CG does through the LDL^T
 factors of T_l + shift I (D-Lanczos); one basis serves any shift (Saad,
 Yeung, Erhel & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000). Preconditioned,
 it runs in the M-inner product, which is PCG (Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., 9.2). The Ritz pairs of T_l come with a
-residual bound
+Sparse Linear Systems, 2nd ed., 9.2). A pair set that carries its images
+A^T A U gives ``pcg_solve`` a Galerkin start: the solution over span U,
+whose residual the images give exactly at no model unit, is returned with
+no iteration when it meets the stop test (the deflation of Saad et al.,
+restricted to the captured pairs, as in recycling for shifted systems:
+Kilmer & de Sturler, SIAM J. Sci. Comput. 27, 2006). The Ritz pairs of
+T_l come with a residual bound
 ||B (Q w_i) - theta_i (Q w_i)|| <= b_l |w_i(l)| + RITZ_ROUNDING eps theta_max,
 RITZ_ROUNDING = 32. ``select_ritz`` keeps the pairs with theta >=
 RITZ_SEPARATION = 1.1 and a residual bound <= RITZ_RESIDUAL_TOL = 1e-6 times
@@ -106,6 +111,13 @@ class GramSchmidtBasis:
     def rows(self):
         return self._q[:self.count]
 
+    def fill(self, rows):
+        """Start an empty basis without ``inverse`` from orthonormal rows,
+        taken as they are."""
+        self._q[:len(rows)] = rows
+        self.count = len(rows)
+        self.dual_norms = [1.0] * self.count
+
     @property
     def duals(self):
         return self._dual[:self.count]
@@ -162,19 +174,50 @@ class GramSchmidtBasis:
         return row, pnorm
 
 
+class RowBuffer:
+    """Vectors of one length appended as the rows of one array, which
+    doubles when full: n vectors cost one block, and ``rows`` reads them
+    as a matrix without a copy."""
+
+    def __init__(self, dim):
+        self._rows = np.empty((8, int(dim)))
+        self.count = 0
+
+    @property
+    def rows(self):
+        return self._rows[:self.count]
+
+    def append(self, x):
+        if self.count == len(self._rows):
+            grown = np.empty((2 * self.count, self._rows.shape[1]))
+            grown[:self.count] = self._rows
+            self._rows = grown
+        self._rows[self.count] = x
+        self.count += 1
+
+
 # The benchmark's tracer binds krylov.HouseholderBasis.add; the alias goes
 # when the benchmark is refreshed to bind GramSchmidtBasis.add.
 HouseholderBasis = GramSchmidtBasis
 
 
-def reorthogonalize_indexed(vectors, drop_tol=1e-12):
+def reorthogonalize_indexed(vectors, drop_tol=1e-12, images=None,
+                            leading=0):
     """Gram-Schmidt orthonormalization, reporting which inputs survived.
 
     Returns ``(kept, indices)``: a (dim, r) array whose orthonormal columns
     span the input space (the transposed rows of the basis they fill), and
     the positions of the r inputs that contributed them. Vectors whose
     component orthogonal to the preceding ones falls below
-    ``drop_tol * ||vector||`` are dropped.
+    ``drop_tol * ||vector||`` are dropped. The first ``leading`` inputs,
+    orthonormal already, fill the basis as they are.
+
+    Given ``images``, z_i = B x_i for each input x_i and one linear B,
+    returns ``(kept, indices, kept_images)`` with kept_images = B kept:
+    an input kept as q_k = (x - c_1 q_1 - ... - c_{k-1} q_{k-1}) / p,
+    c = Q^T x and p its complement's length, has the image
+    (z - c_1 B q_1 - ... - c_{k-1} B q_{k-1}) / p, at no apply of B, and
+    a leading input keeps its own.
     """
     if len(vectors) == 0:
         raise ContractError("cannot orthonormalize an empty vector set")
@@ -183,9 +226,25 @@ def reorthogonalize_indexed(vectors, drop_tol=1e-12):
     if all(np.linalg.norm(v) == 0.0 for v in vectors):
         raise ContractError("cannot orthonormalize an all-zero vector set")
     basis = GramSchmidtBasis(dim, len(vectors))
-    indices = [i for i, v in enumerate(vectors)
-               if basis.add(v, drop_tol=drop_tol)[0] is not None]
-    return basis.rows.T, indices
+    mapped = None if images is None else np.empty((len(vectors), dim))
+    if leading:
+        basis.fill(vectors[:leading])
+        if mapped is not None:
+            mapped[:leading] = images[:leading]
+    indices = list(range(leading))
+    for i in range(leading, len(vectors)):
+        k = basis.count
+        row, pnorm = basis.add(vectors[i], drop_tol=drop_tol)
+        if row is None:
+            continue
+        indices.append(i)
+        if mapped is not None:
+            np.subtract(images[i], (basis.rows[:k] @ vectors[i]) @ mapped[:k],
+                        out=mapped[k])
+            mapped[k] /= pnorm
+    if mapped is None:
+        return basis.rows.T, indices
+    return basis.rows.T, indices, mapped[:basis.count].T
 
 
 class Lanczos:
@@ -203,20 +262,26 @@ class Lanczos:
     basis dropped. ``grow`` adds a_{j+1} for one apply, after the adjoint
     apply that b_j waits for, so a run read after j steps has cost 2j - 1
     units past the start vector. ``solve`` continues the run as CG on
-    (B + shift M) h = b, M = I without ``inverse``.
+    (B + shift M) h = b, M = I without ``inverse``. Given
+    ``keep_products``, ``products`` holds B q_1, B q_2, ... as rows, the
+    adjoint outputs the run already makes, for a harvest's images.
     """
 
-    def __init__(self, op, start, inverse=None):
+    def __init__(self, op, start, inverse=None, keep_products=False):
         self.op = op
         self.basis = GramSchmidtBasis(op.domain_dim, 16, inverse)
         self._q, self.start_norm = self.basis.add(start)
         self._image = None  # op q_j while b_j waits for its adjoint apply
         self.diag, self.offdiag = [], []
+        self.products = RowBuffer(op.domain_dim) if keep_products else None
 
     def _close(self):
         """Add b_j for the last a_j, unless it is there."""
         if self._image is not None:
-            self._q, b = self.basis.add(self.op.apply_adjoint(self._image))
+            product = self.op.apply_adjoint(self._image)
+            if self.products is not None:
+                self.products.append(product)
+            self._q, b = self.basis.add(product)
             self.offdiag.append(b)
             self._image = None
 
@@ -327,11 +392,13 @@ class RitzPair:
     operator B of the Lanczos run whose basis Q yielded the pair (see
     ``ritz_from_trace``).
     ``vector`` is ``form_vector()``, called on the first read and kept.
+    ``coefficients`` is w, the vector's coordinates in the rows of Q.
     """
 
     theta: float
     form_vector: Callable[[], np.ndarray] = field(repr=False)
     residual_bound: float
+    coefficients: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def vector(self):
@@ -371,7 +438,7 @@ def ritz_from_trace(trace: CgTrace):
         + RITZ_ROUNDING * np.finfo(float).eps * theta[-1]
     return [RitzPair(float(theta[i]),
                      partial(np.matmul, vecs[:, i], trace.basis),
-                     float(bounds[i]))
+                     float(bounds[i]), vecs[:, i])
             for i in range(l - 1, -1, -1)]
 
 
@@ -385,6 +452,40 @@ def select_ritz(pairs):
             and p.residual_bound <= RITZ_RESIDUAL_TOL * p.theta]
 
 
+def _galerkin_start(b, gamma, precond, tol):
+    """(h0, trace) of the Galerkin solution over the span of the pair set
+    ``precond``, or None unless it meets the stop test at ``tol``.
+
+    With U the pair vectors, Z = A^T A U their images and U^T Z =
+    V diag(mu) V^T (``precond.projection``), h0 = U y with
+    y = V diag(1/(mu + gamma)) V^T U^T b solves U^T (A^T A + gamma I) h = U^T b
+    over span U, and r0 = b - Z y - gamma h0 is its residual. It is exact
+    but for the rounding of Z, which carries that of the model applies it
+    was formed from, a small multiple of eps ||A^T A|| per unit column, as
+    in the Lanczos relation of ``ritz_from_trace``. So r0 is charged
+    RITZ_ROUNDING eps mu_max ||h0||, mu_max standing for ||A^T A|| as
+    theta_max does there: h0 is taken iff
+    ||r0|| <= (tol - RITZ_ROUNDING eps mu_max) ||h0||, which the true
+    residual then meets at tol, and a tol below that rounding, as a shift
+    near GAMMA_FLOOR gives, takes none. The trace has no iteration and
+    h0^T b for ``rhs_product``, and h0^T (b - (A^T A + gamma I) h0) = 0.
+    """
+    mu, v = precond.projection
+    slack = tol - RITZ_ROUNDING * np.finfo(float).eps * mu.max(initial=0.0)
+    if not slack > 0.0:
+        return None
+    u = precond.vectors
+    y = v @ ((v.T @ (u.T @ b)) / (mu + gamma))
+    h = u @ y
+    r = b - precond.images @ y
+    r -= gamma * h
+    if not math.sqrt(r.dot(r)) <= slack * math.sqrt(h.dot(h)):
+        return None
+    return h, CgTrace(diag=np.empty(0), offdiag=np.empty(0),
+                      basis=np.empty((0, b.shape[0])), iterations=0,
+                      converged=True, rhs_product=float(h.dot(b)))
+
+
 def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200, *,
               step_epsilon=None):
     """Preconditioned CG on the normal equations G^T G h = G^T g.
@@ -396,7 +497,10 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200, *,
         and ``stop_scale`` (a lower bound of the spectrum of G^T G; the
         Tikhonov system exposes gamma).
     precond : SpectralPreconditioner or None
-        The M of the solve, applied through its ``apply_inverse``.
+        The M of the solve, applied through its ``apply_inverse``. If it
+        has images, they are A^T A U for the Jacobian A of ``sys``, a
+        Tikhonov system with G^T G = A^T A + gamma I, and the solve first
+        tries the Galerkin solution over span U (see Notes).
         Symmetric two-sided preconditioning is achieved by wrapping ``sys``
         instead, which keeps reorthogonalization Euclidean.
     epsilon : float in (0, 1)
@@ -420,11 +524,18 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200, *,
 
     Notes
     -----
-    The solve is one call of ``Lanczos.solve`` on ``sys`` at shift 0 from
-    r^0 = G^T g, in the M-inner product given ``precond``. It runs while
-    the Euclidean ``||r^l|| > epsilon * stop_scale * ||h^l||``; with
-    h^0 = 0 the first iteration always executes, and a solve of l
-    iterations costs 1 + 2l model units and l + 1 applications of M^{-1}.
+    The solve forms b = G^T g (1 model unit). Given a ``precond`` with
+    images, it first forms the Galerkin solution h0 over the pair set's
+    span and its exact residual from the images, at no model unit and no
+    application of M^{-1}, and returns h0 with a trace of 0 iterations if
+    it meets the stop test below, charged for the rounding of the images.
+    Otherwise, or without images, it is one call of ``Lanczos.solve`` on
+    ``sys`` at shift 0 from b, in the M-inner product given ``precond``,
+    as without the start. It runs while the Euclidean
+    ``||r^l|| > epsilon * stop_scale * ||h^l||``; from h = 0 the first
+    iteration always executes. A solve of l iterations, l = 0 allowed,
+    costs 1 + 2l model units, and applies M^{-1} l + 1 times if l >= 1,
+    never if l = 0.
     """
     if not 0.0 < epsilon < 1.0:
         raise ContractError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -434,7 +545,12 @@ def pcg_solve(sys, precond=None, epsilon=1.0 / 3.0, max_iterations=200, *,
     if max_iterations < 1:
         raise ContractError("max_iterations must be at least 1")
     scale = float(sys.stop_scale)
+    b = sys.apply_adjoint(sys.stacked_rhs())
+    if getattr(precond, "images", None) is not None:
+        start = _galerkin_start(b, sys.gamma, precond, epsilon * scale)
+        if start is not None:
+            return start
     inverse = None if precond is None else precond.apply_inverse
-    return Lanczos(sys, sys.apply_adjoint(sys.stacked_rhs()), inverse) \
-        .solve(0.0, epsilon * scale, max_iterations,
-               None if step_epsilon is None else step_epsilon * scale)
+    return Lanczos(sys, b, inverse).solve(
+        0.0, epsilon * scale, max_iterations,
+        None if step_epsilon is None else step_epsilon * scale)

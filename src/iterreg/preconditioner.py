@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .krylov import reorthogonalize_indexed
+from .krylov import RowBuffer, reorthogonalize_indexed
 from .operators import ContractError, as_vector
 
 # Newcomers whose component orthogonal to the existing span is below this
@@ -41,14 +41,21 @@ class SpectralPreconditioner:
         Normalized images w_j = A u_j / ||A u_j|| of the leading J_w pairs,
         for the sampled noise estimator; ``attach_left_vectors`` appends the
         trailing ones, and ``merge_pairs`` keeps existing pairs first.
+    images : array-like, shape (dim, J), or None
+        Z = A^T A U for the Jacobian A whose pairs these are, which the
+        harvest forms from its build's own products at no model unit. With
+        them ``pcg_solve`` starts from the Galerkin solution over span U;
+        a pair set without them (as built by hand) runs PCG from zero.
 
     The per-pair weights of ``apply_inverse`` and ``apply_inv_sqrt`` depend
     only on the pair set and the shift, so each is computed on the first
     apply and kept for every later one. ``with_gamma`` gives a new shift a
-    fresh object, and with it fresh weights.
+    fresh object, and with it fresh weights; it and ``attach_left_vectors``
+    share the images and their ``projection`` with the pair set they copy.
     """
 
-    def __init__(self, gamma, lambdas, vectors, left_vectors=None, validate=True):
+    def __init__(self, gamma, lambdas, vectors, left_vectors=None, images=None,
+                 validate=True):
         if not (gamma > 0 and np.isfinite(gamma)):
             raise ContractError(f"gamma must be positive and finite, got {gamma}")
         self.gamma = float(gamma)
@@ -57,9 +64,13 @@ class SpectralPreconditioner:
         # asarray keeps with_gamma alias-sharing the pair arrays
         u = np.asarray(vectors, dtype=float)
         w = None if left_vectors is None else np.asarray(left_vectors, dtype=float)
+        z = None if images is None else np.asarray(images, dtype=float)
         if u.ndim != 2 or u.shape[1] != lam.shape[0]:
             raise ContractError(
                 f"{lam.shape[0]} values for vectors of shape {u.shape}")
+        if z is not None and z.shape != u.shape:
+            raise ContractError(
+                f"images of shape {z.shape} for vectors of shape {u.shape}")
         if w is not None and (w.ndim != 2 or w.shape[1] > lam.shape[0]):
             raise ContractError(f"left vectors of shape {w.shape} for "
                                 f"{lam.shape[0]} pairs")
@@ -73,6 +84,8 @@ class SpectralPreconditioner:
                 u = u[:, keep]
                 if w is not None:
                     w = w[:, keep[:w.shape[1]]]
+                if z is not None:
+                    z = z[:, keep]
         if validate and lam.shape[0]:
             if not np.isfinite(u).all():
                 raise ContractError("eigenvectors contain non-finite entries")
@@ -87,11 +100,14 @@ class SpectralPreconditioner:
         self.lambdas = lam
         self.vectors = u
         self.left_vectors = w
+        self.images = z
+        self._shared = {}  # the projection, once formed, for every copy
 
     @classmethod
     def empty(cls, gamma, dim):
-        """Pair-free preconditioner M = gamma I."""
-        return cls(gamma, np.empty(0), np.zeros((int(dim), 0)), validate=False)
+        """Pair-free preconditioner M = gamma I, whose images are known."""
+        u = np.zeros((int(dim), 0))
+        return cls(gamma, np.empty(0), u, images=u, validate=False)
 
     @property
     def dim(self):
@@ -101,10 +117,26 @@ class SpectralPreconditioner:
     def pair_count(self):
         return int(self.lambdas.shape[0])
 
+    def _copy(self, gamma, left_vectors):
+        out = SpectralPreconditioner(gamma, self.lambdas, self.vectors,
+                                     left_vectors, self.images, validate=False)
+        out._shared = self._shared
+        return out
+
     def with_gamma(self, gamma):
-        """Same pair set under a different shift (the per-step gamma_k)."""
-        return SpectralPreconditioner(gamma, self.lambdas, self.vectors,
-                                      self.left_vectors, validate=False)
+        """Same pair set, images and projection under a different shift (the
+        per-step gamma_k)."""
+        return self._copy(gamma, self.left_vectors)
+
+    @property
+    def projection(self):
+        """(mu, V) with U^T Z = V diag(mu) V^T, mu ascending: A^T A projected
+        on span U, from the images. Formed once per pair set, on the first
+        read by it or any copy, from the symmetric part of U^T Z."""
+        if "projection" not in self._shared:
+            gram = self.vectors.T @ self.images
+            self._shared["projection"] = np.linalg.eigh(0.5 * (gram + gram.T))
+        return self._shared["projection"]
 
     @cached_property
     def _inverse_weights(self):
@@ -141,20 +173,20 @@ class SpectralPreconditioner:
 
     def attach_left_vectors(self, jac):
         """Append w_j = A u_j / ||A u_j|| for the pairs past the leading
-        block that already has them, one Jacobian apply per new pair."""
+        block that already has them, one Jacobian apply per new pair; the
+        copy shares the images and their projection."""
         have = 0 if self.left_vectors is None else self.left_vectors.shape[1]
         if have == self.pair_count:
             return self
-        images = np.column_stack([jac.apply(u) for u in self.vectors[:, have:].T])
-        norms = np.linalg.norm(images, axis=0)
+        left = np.column_stack([jac.apply(u) for u in self.vectors[:, have:].T])
+        norms = np.linalg.norm(left, axis=0)
         if not np.all(norms > 0.0):
             raise ContractError(
                 "captured eigenvector lies in the Jacobian null space")
-        images /= norms
+        left /= norms
         if have:
-            images = np.hstack([self.left_vectors, images])
-        return SpectralPreconditioner(self.gamma, self.lambdas, self.vectors,
-                                      images, validate=False)
+            left = np.hstack([self.left_vectors, left])
+        return self._copy(self.gamma, left)
 
 
 class TwoSidedSystem:
@@ -172,6 +204,11 @@ class TwoSidedSystem:
     >= (delta gamma_c - ||R||)|c|^2 - 2||R|| |c||z| + delta gamma |z|^2 >= 0.
     Random Recompute -> Update sequences reach 1 - lambda_min(S) = 5e-5,
     at most 0.76 delta.
+
+    ``products`` holds as rows G^T G p for p = M^{-1/2} v of each apply(v)
+    whose image the next adjoint call receives, as a Lanczos step's does:
+    what a build harvests images from, at no model unit and with no
+    M^{1/2}.
     """
 
     stop_scale = 1.0
@@ -181,16 +218,23 @@ class TwoSidedSystem:
             raise ContractError("preconditioner dimension mismatch")
         self.sys = sys
         self.precond = precond
+        self.products = RowBuffer(sys.domain_dim)
+        self._image = None  # G p of the last apply
 
     @property
     def domain_dim(self):
         return self.sys.domain_dim
 
     def apply(self, v):
-        return self.sys.apply(self.precond.apply_inv_sqrt(v))
+        self._image = self.sys.apply(self.precond.apply_inv_sqrt(v))
+        return self._image
 
     def apply_adjoint(self, d):
-        return self.precond.apply_inv_sqrt(self.sys.apply_adjoint(d))
+        y = self.sys.apply_adjoint(d)
+        if d is self._image:
+            self.products.append(y)
+            self._image = None
+        return self.precond.apply_inv_sqrt(y)
 
     def stacked_rhs(self):
         return self.sys.stacked_rhs()
@@ -204,27 +248,37 @@ def merge_pairs(existing: SpectralPreconditioner, new_pairs):
     """Union of the existing pair set and newly harvested pairs, at its shift.
 
     Every harvested pair set is built here; a fresh one merges into
-    ``SpectralPreconditioner.empty``. The existing vectors are
-    reorthogonalized first and never dropped, so they and their left vectors
-    move only by rounding; each kept vector keeps the lambda of its pair,
-    and newcomers dependent on the span are dropped with their values.
+    ``SpectralPreconditioner.empty``. The existing columns, orthonormal,
+    are kept as they are, with their left vectors and images, and the
+    newcomers are orthonormalized against them; each kept vector keeps the
+    lambda of its pair, and newcomers dependent on the span are dropped with
+    their values.
+
+    A newcomer is (lambda, u) or (lambda, u, z) with its image z = A^T A u.
+    The merged set has images when the existing one has and every newcomer
+    brings one: ``reorthogonalize_indexed`` maps them through the
+    Gram-Schmidt relation of their vectors, with no solve.
     """
     lambdas = list(existing.lambdas)
-    new_vectors = []
-    for lam, u in new_pairs:
+    new_vectors, new_images = [], []
+    for lam, u, *image in new_pairs:
         if not lam > 0:
             raise ContractError(f"merged eigenvalue must be positive, got {lam}")
         lambdas.append(float(lam))
         new_vectors.append(as_vector(u, existing.dim, "merged eigenvector"))
+        new_images.append(as_vector(image[0], existing.dim, "merged image")
+                          if image else None)
     if not lambdas:
         return SpectralPreconditioner.empty(existing.gamma, existing.dim)
-    kept, indices = reorthogonalize_indexed(
-        [*existing.vectors.T, *new_vectors], drop_tol=MERGE_DROP_TOL)
-    left = existing.left_vectors
-    if left is not None:
-        left = left[:, [i for i in indices if i < left.shape[1]]]
+    mapped = existing.images is not None \
+        and all(z is not None for z in new_images)
+    kept, indices, *images = reorthogonalize_indexed(
+        [*existing.vectors.T, *new_vectors], MERGE_DROP_TOL,
+        [*existing.images.T, *new_images] if mapped else None,
+        existing.pair_count)
     return SpectralPreconditioner(existing.gamma, np.array(lambdas)[indices],
-                                  kept, left, validate=False)
+                                  kept, existing.left_vectors, *images,
+                                  validate=False)
 
 
 @dataclass

@@ -35,7 +35,12 @@ right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that run's own
 ``solve`` at shift gamma0 instead of a Krylov space of its own. The same
 Lanczos loop runs every other Tikhonov solve through ``pcg_solve``: the
 builds, and the Plain steps, in the M-inner product of the current pair
-set M when there is one. Landweber's mu and the
+set M when there is one. Each harvest stores with its pairs their images
+A_m^T A_m u, which ``_harvest`` forms at no model unit from the products
+its build already made, and ``merge_pairs`` carries them; so a Plain
+step with pairs first tries the Galerkin solution over their span, and
+one that meets the stop test takes 0 iterations and pays no rent toward
+the next Update. Landweber's mu and the
 fallback of ``_estimate_from_gradient`` take the estimate from a random
 start (``estimate_gram_norm``).
 
@@ -168,7 +173,7 @@ def estimate_gram_norm(jac):
     return lanczos.theta_max()
 
 
-def _estimate_from_gradient(jac, residual):
+def _estimate_from_gradient(jac, residual, keep_products=False):
     """(gamma0, lanczos) of an irgnm run at x0.
 
     The ``krylov.Lanczos`` run starts from the first inner solve's
@@ -182,9 +187,11 @@ def _estimate_from_gradient(jac, residual):
     min(GRAM_ESTIMATE_STEPS, dim) steps, so that T_j may miss the top of
     the spectrum, gamma0 is the random-start estimate instead; the first
     solve is still the continued run, which then ends on the exhausted
-    space (at h = 0 when b = 0).
+    space (at h = 0 when b = 0). ``keep_products`` keeps the run's
+    products A^T A q_j, from which a k = 0 build harvests its images.
     """
-    lanczos = Lanczos(jac, jac.apply_adjoint(residual))
+    lanczos = Lanczos(jac, jac.apply_adjoint(residual),
+                      keep_products=keep_products)
     if lanczos.grow_to(GRAM_ESTIMATE_STEPS):
         return estimate_gram_norm(jac), lanczos
     return lanczos.theta_max(), lanczos
@@ -278,14 +285,21 @@ def _truncated_cgne(jac, b_vec, rho, max_iterations):
     return h, iterations, False
 
 
-def _harvest(trace, base_precond):
+def _harvest(trace, base_precond, images=None):
     """Back-map selected Ritz pairs (theta, v) of the two-sided operator over
     ``base_precond`` M of shift gamma to eigenpairs (gamma (theta - 1),
     M^{-1/2} v normalized) of A_m^T A_m. Each bound first gains the
     rounding of M^{-1/2}, RITZ_ROUNDING eps (1 + lambda_max/gamma) for M's
     largest lambda. Values near 1 belong to the cluster of captured
     directions, carry no spectral information and go: ``select_ritz``
-    keeps only theta >= krylov.RITZ_SEPARATION."""
+    keeps only theta >= krylov.RITZ_SEPARATION.
+
+    ``images`` is (Y, shift): the rows y_j = (A_m^T A_m + shift I)
+    M^{-1/2} q_j for the rows q_j of the trace's basis, which the build's
+    applies already formed. Given them, a pair (value, u) from the Ritz
+    vector v = Q^T w gains a third entry, its image A_m^T A_m u =
+    Y^T w / ||M^{-1/2} v|| - shift u, at no model unit and with no
+    M^{1/2}."""
     if trace.iterations < 1:
         return []
     pairs = ritz_from_trace(trace)
@@ -299,7 +313,11 @@ def _harvest(trace, base_precond):
         norm = math.sqrt(u_raw.dot(u_raw))
         if norm == 0.0:
             continue
-        out.append((base_precond.gamma * (p.theta - 1.0), u_raw / norm))
+        pair = (base_precond.gamma * (p.theta - 1.0), u_raw / norm)
+        if images is not None:
+            pair += (p.coefficients @ images[0] / norm
+                     - images[1] * pair[1],)
+        out.append(pair)
     return out
 
 
@@ -421,12 +439,15 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     a relinearization), then the Ritz harvest merged into that set; its
     step is the solve's first iterate that meets the standard tolerance,
     and its inner count, which the Update rule reads, the whole accurate
-    run. A Plain step runs CG at standard tolerance, preconditioned by the
-    current pair set if there is one, and adds its count to the rent the
-    next Update waits for. Each step keeps the misfit its
-    frozen linear model predicts (``_predicted_misfit``); the next residual
-    norm above STALE_RATIO times it lets irgnm-prec recompute at a due
-    step. gamma0, held in ``meta["gamma0"]``, is the Lanczos estimate of
+    run; the harvest keeps the images A^T A u of its pairs, read from the
+    run's own products. A Plain step runs CG at standard tolerance,
+    preconditioned by the current pair set if there is one and started
+    from the Galerkin solution over it (0 iterations if that meets the
+    test), and adds its count to the rent the next Update waits for. Each
+    step keeps the misfit its frozen linear model predicts
+    (``_predicted_misfit``); the next residual norm above STALE_RATIO times
+    it lets irgnm-prec recompute at a due step. gamma0, held in
+    ``meta["gamma0"]``, is the Lanczos estimate of
     ||A_0^T A_0|| after F(x_0) from the first solve's right-hand side
     (``_estimate_from_gradient``), and the k = 0 solve, Recompute or Plain,
     is that Lanczos run's own ``solve`` at shift gamma0; its state is
@@ -452,8 +473,8 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         nonlocal gamma0, precond, first
         if rec.k == 0:
             start = model.cost.total
-            gamma0, first = _estimate_from_gradient(model.linearize(x0),
-                                                    residual_vec)
+            gamma0, first = _estimate_from_gradient(
+                model.linearize(x0), residual_vec, variant != "plain")
             meta["gamma0"] = gamma0
             meta["estimate_units"] = model.cost.total - start
             precond = SpectralPreconditioner.empty(gamma0, model.domain_dim)
@@ -487,17 +508,24 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             # the estimate's units this solve reused
             meta["estimate_units"] -= min(meta["estimate_units"],
                                           1 + 2 * trace.iterations)
+            if build:  # A^T A M^{-1/2} q_j, M = gamma_k I, in the rows
+                # of a run that is dropped below
+                products = first.products.rows[:trace.iterations]
+                products /= math.sqrt(gamma_k)
+                harvest = _harvest(trace, base, (products, 0.0))
             first = None
         elif build:
             tsys = TwoSidedSystem(sys, base)
             h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER,
                                    step_epsilon=EPS_STANDARD)
             h = tsys.pull_back(h_t)
+            harvest = _harvest(trace, base,
+                               (tsys.products.rows, gamma_k))
         else:
             h, trace = pcg_solve(sys, base if base.pair_count else None,
                                  EPS_STANDARD, MAX_INNER)
         if build:
-            precond = merge_pairs(base, _harvest(trace, base))
+            precond = merge_pairs(base, harvest)
             if phi_estimator is not None and phi_estimator.needs_left_vectors:
                 precond = precond.attach_left_vectors(jac)
             plain_inner, build_inner = 0, trace.iterations

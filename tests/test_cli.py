@@ -191,14 +191,20 @@ def test_run_single_outputs(tmp_path):
     assert loaded["stop_rule"]["rule"] == "discrepancy"
 
 
-def test_run_csv_explains_every_update_and_plain_event(tmp_path):
+@pytest.mark.parametrize("problem", [
+    pytest.param("m = 60", id="nonlinear-diagonal"),
+    pytest.param("kind = nonlinear-convolution\nn = 64",
+                 id="nonlinear-convolution")])
+def test_run_csv_explains_every_update_and_plain_event(tmp_path, problem):
     # csv_schema.md states irgnm-prec's Update rule on the inner_iterations
     # column: a row that is not a Recompute is an Update iff the Plain rows
     # since the last Recompute or Update row sum to at least that row's
     # inner_iterations, and to at least 1. A solve's run.csv re-derives
-    # every Update and Plain event from that column alone.
+    # every Update and Plain event from that column alone, including the
+    # Plain rows of 0 iterations, whose Galerkin start over the pair set
+    # met the stop test and which pay no rent; the convolution has some.
     ini = tmp_path / "exp.ini"
-    ini.write_text("[problem]\nm = 60\n[solver]\nmax_newton = 30\n"
+    ini.write_text(f"[problem]\n{problem}\n[solver]\nmax_newton = 30\n"
                    "[stopping]\nrule = none\n")
     assert main(["solve", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 0
@@ -216,6 +222,9 @@ def test_run_csv_explains_every_update_and_plain_event(tmp_path):
             plain, build = 0, int(row["inner_iterations"])
     events = [row["event"] for row in rows]
     assert events.count("Update") >= 2 and "Plain" in events
+    if "convolution" in problem:
+        assert any(row["event"] == "Plain" and row["inner_iterations"] == "0"
+                   for row in rows)
 
 
 def test_run_single_deterministic_bytes(tmp_path):

@@ -9,10 +9,10 @@ from helpers import (dense_tikhonov_solution, linear_model, ritz_pair,
                      tikhonov_system)
 from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
                             RITZ_SEPARATION, CgBreakdownError,
-                            GramSchmidtBasis, Lanczos, pcg_solve,
+                            GramSchmidtBasis, Lanczos, RowBuffer, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
-from iterreg.operators import ContractError
+from iterreg.operators import ContractError, TikhonovSystem
 from iterreg.preconditioner import SpectralPreconditioner
 
 
@@ -68,6 +68,71 @@ def test_full_spectrum_preconditioner_one_iteration():
     assert trace.iterations == 1
     exact = dense_tikhonov_solution(a, gamma, sys.rhs_data, np.zeros(6))
     np.testing.assert_allclose(h, exact, rtol=1e-10, atol=1e-12)
+
+
+def _pair_set_with_images(a, gamma, count, images=True):
+    """The leading ``count`` exact eigenpairs of A^T A for diagonal A,
+    with or without their images."""
+    gram = a.T @ a
+    lam, v = np.linalg.eigh(gram)
+    lam, v = lam[::-1][:count], v[:, ::-1][:, :count]
+    return SpectralPreconditioner(gamma, lam, v,
+                                  images=gram @ v if images else None)
+
+
+class _CountingInverse(SpectralPreconditioner):
+    calls = 0
+
+    def apply_inverse(self, x):
+        self.calls += 1
+        return super().apply_inverse(x)
+
+
+def test_galerkin_start_solves_a_rhs_in_the_pair_span_for_one_unit():
+    # b = A^T r with r on the two captured directions lies in span U: the
+    # Galerkin solution over span U is the Tikhonov solution, returned with
+    # a trace of no iteration and h^T b, for the one unit of b and with no
+    # application of M^{-1}.
+    a = np.diag([4.0, 3.0, 2.0, 1.0, 0.5])
+    gamma = 0.1
+    model = linear_model(a)
+    r = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    sys = TikhonovSystem(model.linearize(np.zeros(5)), gamma, r, np.zeros(5))
+    p = _pair_set_with_images(a, gamma, 2)
+    counting = _CountingInverse(gamma, p.lambdas, p.vectors, images=p.images)
+    before = model.cost.total
+    h, trace = pcg_solve(sys, counting)
+    assert model.cost.total - before == 1
+    assert counting.calls == 0
+    assert (trace.iterations, trace.converged) == (0, True)
+    assert trace.basis.shape == (0, 5) and trace.diag.shape == (0,)
+    np.testing.assert_allclose(h, dense_tikhonov_solution(a, gamma, r,
+                                                          np.zeros(5)),
+                               rtol=1e-14)
+    assert trace.rhs_product == float(h.dot(sys.apply_adjoint(
+        sys.stacked_rhs())))
+
+
+@pytest.mark.parametrize("case", ["outside the span", "at the shift floor"])
+def test_galerkin_start_that_fails_the_test_runs_the_plain_pcg(case):
+    # A start that misses the stop test, because b leaves span U or
+    # because the tolerance eps gamma is below the rounding the images
+    # carry, RITZ_ROUNDING eps mu_max, runs PCG from the same b: h and the
+    # trace equal those of the same pair set without images, bit for bit.
+    a = np.diag([4.0, 3.0, 2.0, 1.0, 0.5])
+    if case == "outside the span":
+        gamma, r = 0.1, np.ones(5)
+    else:  # eps gamma = 3.3e-15 mu_max < RITZ_ROUNDING eps = 7.1e-15 mu_max
+        gamma, r = 1e-14 * 16.0, np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    sys = tikhonov_system(a, gamma, rhs_data=r)
+    h, trace = pcg_solve(sys, _pair_set_with_images(a, gamma, 2))
+    h_ref, ref = pcg_solve(sys, _pair_set_with_images(a, gamma, 2, False))
+    assert trace.iterations >= 1
+    np.testing.assert_array_equal(h, h_ref)
+    for name in ("diag", "offdiag", "basis"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name))
+    assert (trace.iterations, trace.converged, trace.rhs_product) \
+        == (ref.iterations, ref.converged, ref.rhs_product)
 
 
 def test_iteration_cap_flags_not_converged():
@@ -276,6 +341,15 @@ def test_grown_basis_without_inverse_holds_one_block():
         basis.add(x)
     assert basis.count == 17 and basis._q.shape == (32, 40)
     assert basis._q.base is None and basis._dual is basis._q
+
+
+def test_row_buffer_keeps_every_appended_vector_across_growth():
+    rng = np.random.default_rng(0)
+    vectors = rng.standard_normal((20, 3))
+    buffer = RowBuffer(3)
+    for i, v in enumerate(vectors):
+        buffer.append(v)
+        np.testing.assert_array_equal(buffer.rows, vectors[:i + 1])
 
 
 def test_reorthogonalize_nearly_dependent_pair():

@@ -133,6 +133,60 @@ def test_merge_preserves_left_vectors():
     np.testing.assert_array_equal(merged.left_vectors, left)
 
 
+def test_merge_maps_newcomer_images_through_gram_schmidt():
+    # A^T A = diag(9, 4, 4, 1, 0.25) has the double eigenvalue 4. Two
+    # newcomers span its eigenspace but are not orthogonal, and a third
+    # lies within 1e-6 of the existing e_1, below MERGE_DROP_TOL, so it is
+    # dropped with its value and image. The merged images are A^T A U of
+    # the merged vectors, the existing column and its image unchanged.
+    gram = np.diag([9.0, 4.0, 4.0, 1.0, 0.25])
+    e = np.eye(5)
+    existing = SpectralPreconditioner(0.1, [9.0], e[:, :1],
+                                      images=gram @ e[:, :1])
+    newcomers = [unit(e[1] + e[2]), unit(e[1] - 0.2 * e[2]),
+                 unit(e[0] + 1e-6 * e[3])]
+    merged = merge_pairs(existing, [(4.0, newcomers[0], gram @ newcomers[0]),
+                                    (4.0, newcomers[1], gram @ newcomers[1]),
+                                    (9.0, newcomers[2], gram @ newcomers[2])])
+    assert merged.pair_count == 3
+    np.testing.assert_array_equal(merged.lambdas, [9.0, 4.0, 4.0])
+    np.testing.assert_array_equal(merged.vectors[:, 0], e[0])
+    np.testing.assert_array_equal(merged.images[:, 0], existing.images[:, 0])
+    np.testing.assert_allclose(merged.images, gram @ merged.vectors,
+                               rtol=0, atol=1e-14)
+    # the double eigenspace is spanned, so the images are 4 U there
+    np.testing.assert_allclose(merged.images[:, 1:],
+                               4.0 * merged.vectors[:, 1:], rtol=0, atol=1e-14)
+    # one newcomer without an image, or an existing set without images,
+    # leaves the merged set without images
+    assert merge_pairs(existing, [(4.0, newcomers[0])]).images is None
+    bare = SpectralPreconditioner(0.1, [9.0], e[:, :1])
+    assert merge_pairs(bare, [(4.0, newcomers[0], gram @ newcomers[0])]) \
+        .images is None
+    fresh = merge_pairs(SpectralPreconditioner.empty(0.1, 5),
+                        [(4.0, newcomers[0], gram @ newcomers[0])])
+    np.testing.assert_allclose(fresh.images, gram @ fresh.vectors, atol=1e-15)
+
+
+def test_copies_share_images_and_their_projection():
+    # with_gamma and attach_left_vectors keep the images, and the
+    # eigendecomposition of U^T Z is formed once for the pair set and all
+    # its copies.
+    from helpers import linear_model
+    a = np.diag([3.0, 2.0, 1.0])
+    u = np.eye(3)[:, :2]
+    p = SpectralPreconditioner(1.0, [9.0, 4.0], u, images=a.T @ a @ u)
+    q = p.with_gamma(0.5)
+    assert q.images is p.images
+    mu, v = q.projection
+    np.testing.assert_allclose(mu, [4.0, 9.0])
+    assert p.projection is q.projection
+    left = q.attach_left_vectors(linear_model(a).linearize(np.zeros(3)))
+    assert left.images is p.images and left.projection is q.projection
+    with pytest.raises(ContractError):
+        SpectralPreconditioner(1.0, [9.0], u[:, :1], images=u)
+
+
 def test_with_gamma_shares_pairs():
     u = np.array([0.0, 1.0])
     p = SpectralPreconditioner(1.0, [3.0], u[:, None])
@@ -178,6 +232,9 @@ def test_tiny_lambda_dropped():
     p = SpectralPreconditioner(1.0, [1.0, 1e-20], u)
     assert p.pair_count == 1
     np.testing.assert_allclose(p.lambdas, [1.0])
+    # a dropped pair takes its image along
+    p = SpectralPreconditioner(1.0, [1.0, 1e-20], u, images=u * [1.0, 1e-20])
+    np.testing.assert_array_equal(p.images, u[:, :1])
 
 
 def test_attach_left_vectors_counts_cost():

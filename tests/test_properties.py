@@ -11,8 +11,9 @@ every reorthogonalized solve against its relation and the CG contract, the
 finiteness check of ``as_vector``, the Lanczos estimate of ||A^T A||
 against the power iteration it replaced and the dense norm, the first irgnm
 solve that continues that estimate against a solve from scratch, the
-standard step and the unchanged harvest of every build, the inner counts
-every Update reads, the divergence guard on every recorded row, the
+standard step and the unchanged harvest of every build, the images every
+build stores and the Galerkin starts of 0-iteration Plain steps, the inner
+counts every Update reads, the divergence guard on every recorded row, the
 equivariance of every method under the problem's scale, and the agreement
 of each CLI stop rule's driver with its resolver.
 
@@ -30,9 +31,12 @@ a diagonal or convolution composite, and for the builds that of a
 nonlinear-diagonal composite, checked against ``DenseOracle``; for the
 scale, the divergence guard and the stop rules a random nonlinear-diagonal
 problem and noise draw. The Update check draws 16 such problems from a
-seeded generator instead, so it can also require that some run updates.
+seeded generator instead, so it can also require that some run updates;
+the image check draws 16 nonlinear-diagonal and -convolution problems so,
+to require each kind of build and some 0-iteration Plain step.
 """
 
+import collections
 import itertools
 import math
 import warnings
@@ -50,7 +54,8 @@ from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      ritz_vectors_reference, shifted_apply_reference,
                      stacked_apply_reference, truncated_cgne_reference)
 from iterreg import cli, krylov, solvers, stopping
-from iterreg.krylov import (RITZ_RESIDUAL_TOL, GramSchmidtBasis, pcg_solve,
+from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
+                            GramSchmidtBasis, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
 from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
@@ -1106,6 +1111,86 @@ def test_every_update_follows_an_expensive_plain_step():
             if rec.event in (EVENT_RECOMPUTE, EVENT_UPDATE):
                 plain, build = 0, rec.inner_iterations
     assert updates > 0
+
+
+def test_images_and_galerkin_starts_against_dense_oracle():
+    # On random irgnm-prec runs of nonlinear-diagonal and -convolution
+    # composites, against the dense Jacobian at each build's x_m:
+    # - the images of every pair set a build merges are A^T A U to
+    #   ||Z - A^T A U|| <= RITZ_ROUNDING eps mu_max, the rounding the
+    #   Galerkin start charges (at most 3.3 eps mu_max here), after the
+    #   k = 0 build, after later Recomputes and after Updates over a
+    #   nonempty set, some at kappa(M) = 1 + lambda_max/gamma >= 1e5;
+    # - every Plain step of 0 iterations meets eps/(1 - eps) against the
+    #   dense solution of its system at eps = EPS_STANDARD (at most 0.56
+    #   of it here), its trace holds h^T b, and h^T (b - B h) is 0 to
+    #   rounding, for B = A^T A + gamma I and b = G^T g as applied.
+    rng = np.random.default_rng(39)
+    eps = np.finfo(float).eps
+    seen = collections.Counter()
+    for seed in range(16):
+        if seed % 2:
+            base = make_convolution_problem(n=int(rng.integers(8, 41)),
+                                            seed=seed)
+        else:
+            m = int(rng.integers(2, 41))
+            base = make_diagonal_problem(
+                m=m, n=m + int(rng.integers(0, 21)),
+                decay_a=rng.uniform(0.02, 1.0), seed=seed)
+        problem = make_nonlinear_composite(base, c3=rng.uniform(0.0, 2.0))
+        m, n = problem.model.domain_dim, problem.model.range_dim
+        y = problem.model.evaluate(problem.truth)
+        y = y + generate_noise(noise_sigma_for_level(
+            y, rng.uniform(1e-3, 0.05)), n, seed=seed)[0]
+        merged, starts = [], []
+
+        def merging(existing, new_pairs):
+            merged.append((existing, merge_pairs(existing, new_pairs)))
+            return merged[-1][1]
+
+        def solving(sys, precond=None, *args, **kwargs):
+            h, trace = pcg_solve(sys, precond, *args, **kwargs)
+            if trace.iterations == 0 and precond is not None:
+                starts.append((sys, h, trace))
+            return h, trace
+
+        with mock.patch.object(solvers, "merge_pairs", merging), \
+                mock.patch.object(solvers, "pcg_solve", solving):
+            records = irgnm_run(problem.model, y, np.zeros(m),
+                                max_newton=40).records
+        builds = [r for r in records
+                  if r.event in (EVENT_RECOMPUTE, EVENT_UPDATE)]
+        assert len(builds) == len(merged)
+        for rec, (existing, p) in zip(builds, merged):
+            gram = DenseOracle.for_problem(problem, records[rec.m].x_k).gram
+            mu_max = p.projection[0].max(initial=0.0)
+            assert np.linalg.norm(p.images - gram @ p.vectors, 2) \
+                <= RITZ_ROUNDING * eps * mu_max
+            if rec.event == EVENT_UPDATE and existing.pair_count:
+                kappa = 1.0 + existing.lambdas.max() / existing.gamma
+                seen["update" if kappa < 1e5 else "update at 1e5"] += 1
+            else:
+                seen[rec.event if rec.k else "k = 0"] += 1
+        zero = [r for r in records if r.event == EVENT_PLAIN
+                and r.k > 0 and r.inner_iterations == 0]
+        assert len(zero) == len(starts)
+        for rec, (sys, h, trace) in zip(zero, starts):
+            a = problem.jacobian_matrix(records[rec.m].x_k)
+            b = sys.apply_adjoint(sys.stacked_rhs())
+            normal = a.T @ a + sys.gamma * np.eye(m)
+            exact = np.linalg.solve(normal, b)
+            assert np.linalg.norm(h - exact) <= (
+                EPS_STANDARD / (1.0 - EPS_STANDARD) + 1e-12) \
+                * np.linalg.norm(exact)
+            assert trace.converged and trace.rhs_product == h.dot(b)
+            assert abs(h.dot(b - normal @ h)) \
+                <= RITZ_ROUNDING * eps * np.linalg.norm(h) * (
+                    np.linalg.norm(b)
+                    + np.linalg.norm(normal, 2) * np.linalg.norm(h))
+            seen["0-iteration Plain"] += 1
+    assert min(seen[event] for event in (
+        "k = 0", EVENT_RECOMPUTE, "update", "update at 1e5",
+        "0-iteration Plain")) > 0, seen
 
 
 _EXPLODING_RUNS = {

@@ -25,8 +25,8 @@ from iterreg.solvers import (EPS_STANDARD, EVENT_BASELINE, EVENT_FINAL,
                              irgnm_run, landweber_run, newton_cg_run)
 from iterreg.stopping import DeterministicPhi, WhiteNoisePhi
 from iterreg.testbed import (DenseOracle, generate_noise,
-                             make_diagonal_problem, make_nonlinear_composite,
-                             noise_sigma_for_level)
+                             make_convolution_problem, make_diagonal_problem,
+                             make_nonlinear_composite, noise_sigma_for_level)
 
 
 def _gammas(max_newton):
@@ -116,23 +116,31 @@ def test_plan_step_update_policy():
     assert _plan_step(14, 10, 50, 1, "frozen") == PLAIN
 
 
-@pytest.mark.parametrize("rhs_kind", [IRGNM, LEVENBERG_MARQUARDT])
+@pytest.mark.parametrize("rhs_kind, convolution", [
+    pytest.param(IRGNM, False, id="irgnm"),
+    pytest.param(LEVENBERG_MARQUARDT, False, id="levenberg-marquardt"),
+    pytest.param(IRGNM, True, id="convolution")])
 def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
-                                                          rhs_kind):
+                                                          rhs_kind,
+                                                          convolution):
     # At every step of an irgnm-prec and an irgnm-plain run, the misfit
     # the staleness test reads equals ||r_k - A_m h_k|| with the dense
     # Jacobian at x_m, to 1e-8 relative, and costs no model unit: on the
     # k = 0 Recompute and Plain, later Recomputes, Updates, and Plain steps
     # with pairs (Lanczos in the M-inner product) and without. irgnm-prec
     # recomputes exactly when the schedule is due and the residual exceeds
-    # STALE_RATIO times the last prediction.
-    problem = make_nonlinear_composite(
-        make_diagonal_problem(m=30, n=40, seed=0), c3=2.0)
+    # STALE_RATIO times the last prediction. On the nonlinear convolution,
+    # some Plain steps with pairs take the Galerkin start over the pair
+    # set and no iteration; pcg_solve still runs them.
+    base = make_convolution_problem(n=64, seed=0) if convolution \
+        else make_diagonal_problem(m=30, n=40, seed=0)
+    problem = make_nonlinear_composite(base, c3=1.0 if convolution else 2.0)
+    dim, n = problem.model.domain_dim, problem.model.range_dim
     y = problem.model.evaluate(problem.truth)
-    y = y + generate_noise(noise_sigma_for_level(y, 0.01), 40, seed=3)[0]
+    y = y + generate_noise(noise_sigma_for_level(y, 0.01), n, seed=3)[0]
     cost = problem.model.cost
     predict = solvers._predicted_misfit
-    calls, preconditioned = [], []
+    calls, preconditioned, started = [], [], []
 
     def solve_spy(sys, precond, *args, **kwargs):
         preconditioned.append(precond is not None)
@@ -145,6 +153,8 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
         # the k = 0 solve continues the gamma0 estimate, not pcg_solve
         left = preconditioned.pop() if preconditioned else False
         calls.append((sys.rhs_data, h.copy(), left, predicted))
+        if left and trace.iterations == 0:
+            started.append(trace)
         return predicted
 
     monkeypatch.setattr(solvers, "pcg_solve", solve_spy)
@@ -152,8 +162,8 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     steps = set()
     for variant in ("prec", "plain"):
         calls.clear()
-        history = irgnm_run(problem.model, y, np.zeros(30), variant=variant,
-                            rhs_kind=rhs_kind, max_newton=20)
+        history = irgnm_run(problem.model, y, np.zeros(dim),
+                            variant=variant, rhs_kind=rhs_kind, max_newton=20)
         records = history.records
         assert history.terminal_reason == TERMINAL_MAX
         assert len(calls) == len(records) - 1
@@ -171,6 +181,7 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     assert {(EVENT_RECOMPUTE, False, False), (EVENT_RECOMPUTE, True, False),
             (EVENT_UPDATE, True, False), (EVENT_PLAIN, True, True),
             (EVENT_PLAIN, True, False)} <= steps
+    assert started or not convolution
 
 
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
