@@ -5,10 +5,10 @@ The package solves ill-posed operator equations F(x) = y from noisy data by
 regularized Newton methods (iteratively regularized Gauss-Newton and
 Levenberg-Marquardt variants) whose inner Tikhonov systems are handled by
 conjugate gradients. One reorthogonalized Lanczos loop, which solves as CG
-does, serves the estimate of the first regularization weight, the first
-inner solve that continues it, the accurate solves of the preconditioner
-builds and every other step, preconditioned ones in the inner product of
-their preconditioner. The Lanczos data of the accurate solves yield
+does, serves the estimate of the first regularization weight, every inner
+solve without captured pairs (on the Jacobian, at the step's shift, the
+first continuing the estimate) and every solve with them, preconditioned
+in the inner product of their preconditioner. The Lanczos data of the accurate solves yield
 approximate eigenpairs of the Gauss-Newton operator; these are frozen into a
 spectral preconditioner that is cheaply updated across Newton steps while
 the regularization weight decays. Stopping

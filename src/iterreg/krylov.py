@@ -2,10 +2,11 @@
 
 Solves G^T G h = G^T g for a stacked Tikhonov operator G accessed only through
 apply/adjoint calls, optionally preconditioned. One Lanczos loop
-(``Lanczos``) runs every Tikhonov solve: the gamma0 estimate of an irgnm run
-and the k = 0 solve that continues it, the accurate two-sided solves of the
-preconditioner builds, and the Plain steps, which reach it through
-``pcg_solve``. It tridiagonalizes the normal operator B = op^T op into T_l
+(``Lanczos``) runs every Tikhonov solve: the gamma0 estimate of an irgnm run,
+every solve over the empty pair set, on the Jacobian at shift gamma_k (at
+k = 0 continuing the estimate's run), and, through ``pcg_solve``, the
+solves over pairs: two-sided for a build, preconditioned for a Plain
+step. It tridiagonalizes the normal operator B = op^T op into T_l
 over a basis kept orthonormal by Gram-Schmidt, with a second pass only when
 the first removed most of the vector, so each step costs two matrix-vector
 products, and solves (B + shift I) h = b as CG does through the LDL^T
@@ -38,8 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -389,20 +389,20 @@ class RitzPair:
     """Approximate eigenpair of the (preconditioned) normal operator.
 
     ``residual_bound`` bounds ||B (Q w) - theta (Q w)|| for the normal
-    operator B of the Lanczos run whose basis Q yielded the pair (see
-    ``ritz_from_trace``).
-    ``vector`` is ``form_vector()``, called on the first read and kept.
-    ``coefficients`` is w, the vector's coordinates in the rows of Q.
+    operator B of the Lanczos run whose basis Q, the rows of ``basis``,
+    yielded the pair (see ``ritz_from_trace``). ``coefficients`` is w, the
+    vector's coordinates in the rows of Q, and ``vector`` is
+    ``coefficients @ basis``, formed on the first read and kept.
     """
 
     theta: float
-    form_vector: Callable[[], np.ndarray] = field(repr=False)
     residual_bound: float
-    coefficients: np.ndarray | None = field(default=None, repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
     @cached_property
     def vector(self):
-        return self.form_vector()
+        return self.coefficients @ self.basis
 
 
 def ritz_from_trace(trace: CgTrace):
@@ -436,10 +436,8 @@ def ritz_from_trace(trace: CgTrace):
         )
     bounds = trace.offdiag[l - 1] * np.abs(vecs[l - 1]) \
         + RITZ_ROUNDING * np.finfo(float).eps * theta[-1]
-    return [RitzPair(float(theta[i]),
-                     partial(np.matmul, vecs[:, i], trace.basis),
-                     float(bounds[i]), vecs[:, i])
-            for i in range(l - 1, -1, -1)]
+    return [RitzPair(float(theta[i]), float(bounds[i]), vecs[:, i],
+                     trace.basis) for i in range(l - 1, -1, -1)]
 
 
 def select_ritz(pairs):

@@ -19,9 +19,9 @@ the frozen linear model predicted for the step just taken, which
 The shift falls as gamma_k = gamma0 * max(GAMMA_FACTOR^(-k), GAMMA_FLOOR)
 with GAMMA_FACTOR = 1.5 and GAMMA_FLOOR = 1e-14, below which the shifted
 preconditioner cannot be applied in floating point. Builds run their
-Lanczos loop accurately (EPS_ACCURATE = 1e-9) through the symmetric
-two-sided form so the harvested pairs are trustworthy, but take their
-step, as ordinary steps do, at the standard tolerance EPS_STANDARD = 1/3
+Lanczos loop accurately (EPS_ACCURATE = 1e-9), with the trace of the
+symmetric two-sided form, so the harvested pairs are trustworthy, but take
+their step, as ordinary steps do, at the standard tolerance EPS_STANDARD = 1/3
 of inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19, 1982), so a build's step is no more accurate than any other.
 Newton-CG's solves stop at INNER_RHO = 0.8 times the residual, every
@@ -31,11 +31,12 @@ when a step uses it.
 
 Every irgnm run takes gamma0 from GRAM_ESTIMATE_STEPS = 5 steps of
 ``krylov.Lanczos`` on A_0^T A_0, started from the first inner solve's
-right-hand side A_0^T (y - F(x0)), and its k = 0 solve is that run's own
-``solve`` at shift gamma0 instead of a Krylov space of its own. The same
-Lanczos loop runs every other Tikhonov solve through ``pcg_solve``: the
-builds, and the Plain steps, in the M-inner product of the current pair
-set M when there is one. Each harvest stores with its pairs their images
+right-hand side A_0^T (y - F(x0)). The pair set alone picks a step's
+solve. Over the empty set, M = gamma_k I, a solve is ``Lanczos.solve`` on
+A_m^T A_m at shift gamma_k from b = A_m^T r + gamma_k q, one basis serving
+any shift: at k = 0 that of the gamma0 estimate, continued. Over pairs, a
+build runs the two-sided system and a Plain step ``pcg_solve`` in the
+M-inner product. Each harvest stores with its pairs their images
 A_m^T A_m u, which ``_harvest`` forms at no model unit from the products
 its build already made, and ``merge_pairs`` carries them; so a Plain
 step with pairs first tries the Galerkin solution over their span, and
@@ -181,8 +182,7 @@ def _estimate_from_gradient(jac, residual, keep_products=False):
     and gamma0 is the largest eigenvalue of its T_j after
     GRAM_ESTIMATE_STEPS steps, as ``estimate_gram_norm`` takes it from a
     random start. The k = 0 solve is then ``lanczos.solve`` at shift gamma0,
-    the call ``pcg_solve`` makes on a system of its own, continuing the
-    same run.
+    the call of every solve over the empty pair set, continuing the run.
     When b = 0, or its Krylov space is exhausted before
     min(GRAM_ESTIMATE_STEPS, dim) steps, so that T_j may miss the top of
     the spectrum, gamma0 is the random-start estimate instead; the first
@@ -435,26 +435,27 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
     ``stop(k, residual_norm, phi_k)``, and take the step ``_plan_step``
     plans for ``variant``: "prec", "plain" (no preconditioner) or the
     "frozen" ablation (no update). A Recompute or Update builds: an
-    accurate two-sided solve over the pair set it starts from (empty after
-    a relinearization), then the Ritz harvest merged into that set; its
+    accurate solve over the pair set it starts from (empty after a
+    relinearization), then the Ritz harvest merged into that set; its
     step is the solve's first iterate that meets the standard tolerance,
     and its inner count, which the Update rule reads, the whole accurate
     run; the harvest keeps the images A^T A u of its pairs, read from the
-    run's own products. A Plain step runs CG at standard tolerance,
-    preconditioned by the current pair set if there is one and started
-    from the Galerkin solution over it (0 iterations if that meets the
-    test), and adds its count to the rent the next Update waits for. Each
+    run's own products. A Plain step solves at standard tolerance, from
+    the Galerkin solution over the current pair set (0 iterations if that
+    meets the test), and adds its count to the rent the next Update waits
+    for. A solve over the empty pair set, build or Plain, at k = 0 or
+    later, is Lanczos on the Jacobian at shift gamma_k; one over pairs is
+    two-sided for a build and preconditioned CG for a Plain step. Each
     step keeps the misfit its frozen linear model predicts
     (``_predicted_misfit``); the next residual norm above STALE_RATIO times
     it lets irgnm-prec recompute at a due step. gamma0, held in
-    ``meta["gamma0"]``, is the Lanczos estimate of
-    ||A_0^T A_0|| after F(x_0) from the first solve's right-hand side
-    (``_estimate_from_gradient``), and the k = 0 solve, Recompute or Plain,
-    is that Lanczos run's own ``solve`` at shift gamma0; its state is
-    dropped after the step. ``meta["estimate_units"]``
-    counts the estimate's units that solve did not reuse: none once it
-    takes GRAM_ESTIMATE_STEPS iterations. A solve capped at MAX_INNER ends
-    the run with InnerCap, as in ``newton_cg_run``.
+    ``meta["gamma0"]``, is the Lanczos estimate of ||A_0^T A_0|| after
+    F(x_0) from the first solve's right-hand side
+    (``_estimate_from_gradient``), and the k = 0 solve continues that
+    run. ``meta["estimate_units"]`` counts the estimate's units that
+    solve did not reuse: none once it takes GRAM_ESTIMATE_STEPS
+    iterations. A solve capped at MAX_INNER ends the run with InnerCap,
+    as in ``newton_cg_run``.
 
     Returns a RunHistory named irgnm-<variant>, whose last record (event
     Final) carries the terminal iterate; ``phi_estimator`` (an object with
@@ -497,23 +498,25 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
         build = rec.event != EVENT_PLAIN
         base = SpectralPreconditioner.empty(gamma_k, model.domain_dim) \
             if relinearize else precond.with_gamma(gamma_k)
-        if k == 0:
-            # continue the Lanczos run of the gamma0 estimate, on A^T A at
-            # shift gamma_k; its trace is that of the two-sided system over
-            # the empty pair set, which a build harvests and a Plain step
-            # reads only for its count, its convergence and h^T b
+        if not base.pair_count:
+            # Lanczos on A^T A at shift gamma_k from b = A^T r + gamma_k q,
+            # at k = 0 the gamma0 estimate's run; its trace is that of the
+            # two-sided system over the empty pair set
+            run = first if first is not None else Lanczos(
+                jac, jac.apply_adjoint(residual_vec) + gamma_k * prior,
+                keep_products=build)
             epsilon = EPS_ACCURATE if build else EPS_STANDARD
-            h, trace = first.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
-                                   EPS_STANDARD * gamma_k if build else None)
-            # the estimate's units this solve reused
-            meta["estimate_units"] -= min(meta["estimate_units"],
-                                          1 + 2 * trace.iterations)
+            h, trace = run.solve(gamma_k, epsilon * gamma_k, MAX_INNER,
+                                 EPS_STANDARD * gamma_k if build else None)
+            if first is not None:  # the estimate's units this solve reused
+                meta["estimate_units"] -= min(meta["estimate_units"],
+                                              1 + 2 * trace.iterations)
+                first = None
             if build:  # A^T A M^{-1/2} q_j, M = gamma_k I, in the rows
                 # of a run that is dropped below
-                products = first.products.rows[:trace.iterations]
+                products = run.products.rows[:trace.iterations]
                 products /= math.sqrt(gamma_k)
                 harvest = _harvest(trace, base, (products, 0.0))
-            first = None
         elif build:
             tsys = TwoSidedSystem(sys, base)
             h_t, trace = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER,
@@ -522,8 +525,7 @@ def irgnm_run(model, y_obs, x0, *, variant="prec", rhs_kind=IRGNM,
             harvest = _harvest(trace, base,
                                (tsys.products.rows, gamma_k))
         else:
-            h, trace = pcg_solve(sys, base if base.pair_count else None,
-                                 EPS_STANDARD, MAX_INNER)
+            h, trace = pcg_solve(sys, base, EPS_STANDARD, MAX_INNER)
         if build:
             precond = merge_pairs(base, harvest)
             if phi_estimator is not None and phi_estimator.needs_left_vectors:

@@ -12,8 +12,8 @@ from iterreg.testbed import two_bump_profile
 
 
 def ritz_pair(theta, vector, residual_bound):
-    """A RitzPair holding a given vector."""
-    return RitzPair(theta, lambda: vector, residual_bound)
+    """A RitzPair holding a given vector, as the one row of its basis."""
+    return RitzPair(theta, residual_bound, np.array([1.0]), vector[None, :])
 
 
 def linear_model(a, name="dense-linear"):

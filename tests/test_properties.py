@@ -10,10 +10,11 @@ Newton-CG's CGNE against its reference implementation, the Lanczos loop of
 every reorthogonalized solve against its relation and the CG contract, the
 finiteness check of ``as_vector``, the Lanczos estimate of ||A^T A||
 against the power iteration it replaced and the dense norm, the first irgnm
-solve that continues that estimate against a solve from scratch, the
-standard step and the unchanged harvest of every build, the images every
-build stores and the Galerkin starts of 0-iteration Plain steps, the inner
-counts every Update reads, the divergence guard on every recorded row, the
+solve that continues that estimate, and a pair-free solve with a nonzero
+prior, against a solve from scratch and the dense solution, the standard
+step and the unchanged harvest of every build, the images every build
+stores and the Galerkin starts of 0-iteration Plain steps, the inner counts
+every Update reads, the divergence guard on every recorded row, the
 equivariance of every method under the problem's scale, and the agreement
 of each CLI stop rule's driver with its resolver.
 
@@ -27,8 +28,8 @@ as for the CG contract; for the sampled Phi, the spectrum and the pencil
 random dense operators; for ``as_vector`` arrays with NaN, infinite and huge
 entries mixed in; for the ||A^T A|| estimate the Jacobian of a random
 diagonal or nonlinear-composite problem, and for its continuation that of
-a diagonal or convolution composite, and for the builds that of a
-nonlinear-diagonal composite, checked against ``DenseOracle``; for the
+a diagonal or convolution composite with a zero or random prior, and for
+the builds that of a nonlinear-diagonal composite, checked against ``DenseOracle``; for the
 scale, the divergence guard and the stop rules a random nonlinear-diagonal
 problem and noise draw. The Update check draws 16 such problems from a
 seeded generator instead, so it can also require that some run updates;
@@ -55,7 +56,7 @@ from helpers import (GRAM_ESTIMATE_STEPS, as_vector_reference,
                      stacked_apply_reference, truncated_cgne_reference)
 from iterreg import cli, krylov, solvers, stopping
 from iterreg.krylov import (RITZ_RESIDUAL_TOL, RITZ_ROUNDING,
-                            GramSchmidtBasis, pcg_solve,
+                            GramSchmidtBasis, Lanczos, pcg_solve,
                             reorthogonalize_indexed, ritz_from_trace,
                             select_ritz)
 from iterreg.operators import (IRGNM, LEVENBERG_MARQUARDT, ContractError,
@@ -351,20 +352,25 @@ def test_kept_ritz_pairs_meet_residual_tol_against_dense_oracle(
 
 
 @PROPERTY
-@given(st.booleans(), st.integers(2, 40), st.integers(0, 20),
+@given(st.booleans(), st.booleans(), st.integers(2, 40), st.integers(0, 20),
        st.floats(0.02, 1.0), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
 def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
-        convolution, m, extra, decay, c3, seed):
-    # The first solve of an estimating irgnm run continues the Lanczos run
-    # that estimated gamma0 from b0 = A^T r0. Its step and stop must be
-    # those of pcg_solve from scratch at the same gamma0, for the two-sided
-    # Recompute at EPS_ACCURATE and the Plain step at EPS_STANDARD. The
-    # Recompute must also harvest the same pairs, and its trace satisfy
-    # the Ritz residual identity against the dense two-sided operator, as
-    # in the test above. The continued trace is that of the two-sided
-    # system at either tolerance, and the cold Plain trace is not, so the
-    # Plain step compares what Plain steps read: the count, the
-    # convergence, h and h^T b.
+        convolution, prior, m, extra, decay, c3, seed):
+    # Every irgnm solve over the empty pair set is Lanczos on A^T A at
+    # shift gamma from b = A^T r + gamma q. The first solve of an
+    # estimating run continues the Lanczos run that estimated gamma0 from
+    # b0 = A^T r0, the prior q being zero at x0; a later one, drawn with
+    # ``prior`` as an IRGNM step at k > 0 with a random q, starts a run of
+    # its own from b. Its step and stop must be those of pcg_solve from
+    # scratch at the same gamma0, for the two-sided Recompute at
+    # EPS_ACCURATE and the stacked Plain step at EPS_STANDARD: the same
+    # count and convergence, h and h^T b to 1e-12 relative, and h within
+    # the CG contract eps/(1 - eps) at EPS_STANDARD of the dense solution.
+    # The Recompute must also harvest the same pairs, and its trace
+    # satisfy the Ritz residual identity against the dense two-sided
+    # operator, as in the test above. The Lanczos trace is that of the
+    # two-sided system at either tolerance, and the cold Plain trace is
+    # not, so the Plain step compares only what Plain steps read.
     base = make_convolution_problem(n=m + 6, seed=seed % 2**16) \
         if convolution else make_diagonal_problem(
             m=m, n=m + extra, decay_a=decay, seed=seed % 2**16)
@@ -373,28 +379,35 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, m)
     residual = rng.standard_normal(problem.model.range_dim)
+    q = rng.standard_normal(m) if prior else np.zeros(m)
     gram = DenseOracle.for_problem(problem, x).gram
     for accurate in (True, False):
         jac = problem.model.linearize(x)
         gamma0, lanczos = _estimate_from_gradient(jac, residual)
+        b = jac.apply_adjoint(residual) + gamma0 * q
+        if prior:
+            lanczos = Lanczos(jac, b)
         empty = SpectralPreconditioner.empty(gamma0, m)
-        sys = TikhonovSystem(jac, gamma0, residual, np.zeros(m))
+        sys = TikhonovSystem(jac, gamma0, residual, q)
+        epsilon = EPS_ACCURATE if accurate else EPS_STANDARD
+        h, trace = lanczos.solve(gamma0, epsilon * gamma0, MAX_INNER)
         if accurate:
-            h, trace = lanczos.solve(gamma0, EPS_ACCURATE * gamma0,
-                                     MAX_INNER)
             tsys = TwoSidedSystem(sys, empty)
-            h_cold, cold = pcg_solve(tsys, None, EPS_ACCURATE, MAX_INNER)
+            h_cold, cold = pcg_solve(tsys, None, epsilon, MAX_INNER)
             h_cold = tsys.pull_back(h_cold)
         else:
-            h, trace = lanczos.solve(gamma0, EPS_STANDARD * gamma0,
-                                     MAX_INNER)
-            h_cold, cold = pcg_solve(sys, None, EPS_STANDARD, MAX_INNER)
+            h_cold, cold = pcg_solve(sys, None, epsilon, MAX_INNER)
         assert (trace.iterations, trace.converged) \
             == (cold.iterations, cold.converged)
         assert np.linalg.norm(h - h_cold) <= 1e-12 * np.linalg.norm(h_cold)
+        assert abs(trace.rhs_product - cold.rhs_product) \
+            <= 1e-12 * abs(cold.rhs_product)
+        operator = gram + gamma0 * np.eye(m)
+        exact = np.linalg.solve(operator, b)
+        eps = EPS_STANDARD * gamma0 / np.linalg.eigvalsh(operator)[0]
+        assert np.linalg.norm(h - exact) \
+            <= (eps / (1.0 - eps) + 1e-10) * np.linalg.norm(exact)
         if not accurate:
-            assert abs(trace.rhs_product - cold.rhs_product) \
-                <= 1e-12 * abs(cold.rhs_product)
             continue
         # Both solves run the Lanczos loop, whose data do not drift with
         # the fall of the residual.
@@ -402,7 +415,7 @@ def test_first_solve_continuing_the_estimate_matches_a_cold_solve(
         assert len(pairs) == len(pairs_cold)
         for (lam, _), (lam_cold, _) in zip(pairs, pairs_cold):
             assert abs(lam - lam_cold) <= 1e-10 * lam_cold
-        operator = (gram + gamma0 * np.eye(m)) / gamma0
+        operator /= gamma0
         if trace.iterations:
             tol = np.linalg.norm(operator, 2) * 1e-13
             for pair in ritz_from_trace(trace):

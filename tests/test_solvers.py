@@ -127,7 +127,8 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
     # the staleness test reads equals ||r_k - A_m h_k|| with the dense
     # Jacobian at x_m, to 1e-8 relative, and costs no model unit: on the
     # k = 0 Recompute and Plain, later Recomputes, Updates, and Plain steps
-    # with pairs (Lanczos in the M-inner product) and without. irgnm-prec
+    # with pairs (pcg_solve in the M-inner product) and without (Lanczos
+    # on the Jacobian, as every solve over the empty pair set). irgnm-prec
     # recomputes exactly when the schedule is due and the residual exceeds
     # STALE_RATIO times the last prediction. On the nonlinear convolution,
     # some Plain steps with pairs take the Galerkin start over the pair
@@ -150,7 +151,8 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
         before = cost.total
         predicted = predict(sys, h, trace, residual_norm)
         assert cost.total == before
-        # the k = 0 solve continues the gamma0 estimate, not pcg_solve
+        # a solve over the empty pair set is Lanczos on the Jacobian, not
+        # pcg_solve
         left = preconditioned.pop() if preconditioned else False
         calls.append((sys.rhs_data, h.copy(), left, predicted))
         if left and trace.iterations == 0:
@@ -182,6 +184,48 @@ def test_predicted_misfit_is_the_frozen_linear_model_misfit(monkeypatch,
             (EVENT_UPDATE, True, False), (EVENT_PLAIN, True, True),
             (EVENT_PLAIN, True, False)} <= steps
     assert started or not convolution
+
+
+def test_pair_free_solves_run_lanczos_on_the_jacobian(monkeypatch):
+    # Whether a step solves through pcg_solve depends on its pair set
+    # alone: every solve over the empty pair set, at k = 0 or later, build
+    # or Plain, is Lanczos on the Jacobian at shift gamma_k. So irgnm-plain
+    # neither applies a stacked system nor calls pcg_solve, and no
+    # two-sided system of irgnm-prec, whose run recomputes at some k > 0,
+    # wraps an empty pair set; its steps over pairs still run pcg_solve.
+    problem = make_nonlinear_composite(
+        make_diagonal_problem(m=30, n=40, seed=0), c3=2.0)
+    dim, n = problem.model.domain_dim, problem.model.range_dim
+    y = problem.model.evaluate(problem.truth)
+    y = y + generate_noise(noise_sigma_for_level(y, 0.01), n, seed=3)[0]
+    calls = {"stacked": 0, "pcg_solve": 0}
+    wrapped = []
+    apply, init = TikhonovSystem.apply, TwoSidedSystem.__init__
+
+    def stacked(sys, v):
+        calls["stacked"] += 1
+        return apply(sys, v)
+
+    def solve(*args, **kwargs):
+        calls["pcg_solve"] += 1
+        return pcg_solve(*args, **kwargs)
+
+    def wrap(tsys, sys, precond):
+        wrapped.append(precond.pair_count)
+        init(tsys, sys, precond)
+
+    monkeypatch.setattr(TikhonovSystem, "apply", stacked)
+    monkeypatch.setattr(solvers, "pcg_solve", solve)
+    monkeypatch.setattr(TwoSidedSystem, "__init__", wrap)
+    plain = irgnm_run(problem.model, y, np.zeros(dim), variant="plain",
+                      max_newton=20)
+    assert plain.terminal_reason == TERMINAL_MAX
+    assert calls == {"stacked": 0, "pcg_solve": 0} and not wrapped
+    prec = irgnm_run(problem.model, y, np.zeros(dim), max_newton=20)
+    assert prec.terminal_reason == TERMINAL_MAX
+    assert any(r.event == EVENT_RECOMPUTE and r.k > 0 for r in prec.records)
+    assert wrapped and min(wrapped) > 0
+    assert calls["stacked"] and calls["pcg_solve"]
 
 
 def test_frozen_ablation_rebuilds_on_schedule_without_guard():
